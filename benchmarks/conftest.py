@@ -10,6 +10,8 @@ timings and the reproduced series.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import pytest
 
 
@@ -22,3 +24,28 @@ def record_series():
         return values
 
     return _record
+
+
+@pytest.fixture
+def run_timed(benchmark):
+    """Time ``fn`` over ``rounds`` runs; return ``(result, mean wall seconds)``.
+
+    Works under ``--benchmark-disable`` as well, where ``benchmark.stats`` is
+    ``None`` and ``fn`` runs once: the wall-clock the assertions use is
+    measured directly around each call.
+    """
+
+    def _run(fn, rounds=1):
+        box = {}
+        walls = []
+
+        def timed():
+            started = perf_counter()
+            box["result"] = fn()
+            walls.append(perf_counter() - started)
+            return box["result"]
+
+        benchmark.pedantic(timed, rounds=rounds, iterations=1, warmup_rounds=0)
+        return box["result"], sum(walls) / len(walls)
+
+    return _run

@@ -50,11 +50,9 @@ def _run(items, workers, cache=None):
     return executor.run(items)
 
 
-def _throughput(benchmark, items, results):
+def _throughput(benchmark, items, results, wall):
     benchmark.extra_info["instances"] = len(items)
-    benchmark.extra_info["allocations_per_second"] = round(
-        len(items) / benchmark.stats["mean"], 2
-    )
+    benchmark.extra_info["allocations_per_second"] = round(len(items) / wall, 2)
     summary = aggregate_results("bench-batch", results)
     benchmark.extra_info["feasible"] = summary.feasible
     assert summary.errors == 0 and summary.timeouts == 0
@@ -62,25 +60,18 @@ def _throughput(benchmark, items, results):
 
 
 @pytest.mark.benchmark(group="batch-engine")
-def test_batch_serial(benchmark, items):
-    results = benchmark.pedantic(
-        lambda: _run(items, workers=1), rounds=1, iterations=1, warmup_rounds=0
-    )
-    MEASURED["serial_wall"] = benchmark.stats["mean"]
+def test_batch_serial(benchmark, run_timed, items):
+    results, wall = run_timed(lambda: _run(items, workers=1))
+    MEASURED["serial_wall"] = wall
     MEASURED["serial_results"] = results
-    throughput = _throughput(benchmark, items, results)
+    throughput = _throughput(benchmark, items, results, wall)
     assert throughput > 0.0
 
 
 @pytest.mark.benchmark(group="batch-engine")
-def test_batch_parallel(benchmark, items):
-    results = benchmark.pedantic(
-        lambda: _run(items, workers=PARALLEL_WORKERS),
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    parallel_throughput = _throughput(benchmark, items, results)
+def test_batch_parallel(benchmark, run_timed, items):
+    results, wall = run_timed(lambda: _run(items, workers=PARALLEL_WORKERS))
+    parallel_throughput = _throughput(benchmark, items, results, wall)
 
     serial_results = MEASURED.get("serial_results") or _run(items, workers=1)
     assert [result.deterministic_dict() for result in results] == [
@@ -101,18 +92,13 @@ def test_batch_parallel(benchmark, items):
 
 
 @pytest.mark.benchmark(group="batch-engine")
-def test_batch_warm_cache(benchmark, items, tmp_path_factory):
+def test_batch_warm_cache(benchmark, run_timed, items, tmp_path_factory):
     cache = ResultCache(tmp_path_factory.mktemp("bench-cache"))
     cold_results = _run(items, workers=1, cache=cache)
     cold_elapsed = sum(result.solve_seconds for result in cold_results)
 
-    results = benchmark.pedantic(
-        lambda: _run(items, workers=1, cache=cache),
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    warm_throughput = _throughput(benchmark, items, results)
+    results, wall = run_timed(lambda: _run(items, workers=1, cache=cache))
+    warm_throughput = _throughput(benchmark, items, results, wall)
     benchmark.extra_info["cold_allocations_per_second"] = round(
         len(items) / cold_elapsed, 2
     )

@@ -13,17 +13,15 @@ An eight-application workload is solved in three guises:
   task, lowered through the phase-unrolling pipeline.
 
 The generalised instance doubles as the solver-mode equivalence gate: the
-same program solved through the dense Newton path, the structured-sparse
-path and the decomposed per-application coordinator must agree at 1e-6.
-Every equivalence assertion also runs under ``--benchmark-disable`` (the CI
-smoke gate), where the wall-clock numbers are measured directly around the
-solve as in ``test_bench_decomposed``.
+same program solved through the dense Newton path and the structured-sparse
+path must agree at 1e-6.  Every equivalence assertion also runs under
+``--benchmark-disable`` (the CI smoke gate), where the wall-clock numbers are
+measured directly around the solve.
 """
 
 from __future__ import annotations
 
 import random
-from time import perf_counter
 
 import pytest
 
@@ -201,30 +199,16 @@ def _allocate(workload: Workload):
     return JointAllocator(options=_options()).allocate_workload(workload)
 
 
-def _run_timed(benchmark, fn):
-    """One timed run that also works under ``--benchmark-disable``."""
-    box = {}
-
-    def timed():
-        started = perf_counter()
-        box["result"] = fn()
-        box["wall"] = perf_counter() - started
-        return box["result"]
-
-    benchmark.pedantic(timed, rounds=1, iterations=1, warmup_rounds=0)
-    return box["result"], box["wall"]
-
-
-def test_bench_plain_sdf_baseline(benchmark, record_series):
-    mapped, wall = _run_timed(benchmark, lambda: _allocate(_plain_workload()))
+def test_bench_plain_sdf_baseline(benchmark, record_series, run_timed):
+    mapped, wall = run_timed(lambda: _allocate(_plain_workload()))
     MEASURED["plain"] = (wall, mapped)
     record_series(benchmark, "applications", APP_COUNT)
     record_series(benchmark, "wall_seconds", round(wall, 4))
     record_series(benchmark, "objective", mapped.objective_value)
 
 
-def test_bench_trivial_twin_generality_is_free(benchmark, record_series):
-    mapped, wall = _run_timed(benchmark, lambda: _allocate(_twin_workload()))
+def test_bench_trivial_twin_generality_is_free(benchmark, record_series, run_timed):
+    mapped, wall = run_timed(lambda: _allocate(_twin_workload()))
     plain = MEASURED.get("plain")
     if plain is None:  # module run out of order (e.g. -k selection)
         plain = (None, _allocate(_plain_workload()))
@@ -251,9 +235,9 @@ def test_bench_trivial_twin_generality_is_free(benchmark, record_series):
         )
 
 
-def test_bench_heterogeneous_csdf_workload(benchmark, record_series):
+def test_bench_heterogeneous_csdf_workload(benchmark, record_series, run_timed):
     workload = _generalised_workload()
-    mapped, wall = _run_timed(benchmark, lambda: _allocate(workload))
+    mapped, wall = run_timed(lambda: _allocate(workload))
     assert mapped.objective_value is not None
     for name in workload.application_names:
         application = mapped.application(name)
@@ -270,29 +254,17 @@ def test_bench_heterogeneous_csdf_workload(benchmark, record_series):
         )
 
 
-@pytest.mark.parametrize(
-    "mode",
-    ["dense", "structured", "decomposed"],
-)
-def test_bench_heterogeneous_solver_modes_agree(benchmark, record_series, mode):
-    """Dense, structured-sparse and decomposed solves of the same program.
+@pytest.mark.parametrize("mode", ["dense", "structured"])
+def test_bench_heterogeneous_solver_modes_agree(benchmark, record_series, run_timed, mode):
+    """Dense and structured-sparse solves of the same program.
 
-    The generalised workload lowers to one cone program; all three solver
-    paths must land on the same optimum (objective and every variable)
-    within 1e-6.
+    The generalised workload lowers to one cone program; both Newton paths
+    must land on the same optimum (objective and every variable) within 1e-6.
     """
     formulation = WorkloadSocpFormulation(_generalised_workload())
-    if mode == "dense":
-        solve = lambda: formulation.solve(
-            backend="barrier", options={"structured": False}
-        )
-    elif mode == "structured":
-        solve = lambda: formulation.solve(
-            backend="barrier", options={"structured": True}
-        )
-    else:
-        solve = lambda: formulation.solve(backend="decomposed")
-    solution, wall = _run_timed(benchmark, solve)
+    solution, wall = run_timed(
+        lambda: formulation.solve(backend="barrier", structured=mode == "structured")
+    )
     assert solution.is_optimal
     MEASURED[("mode", mode)] = solution
 

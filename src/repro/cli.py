@@ -195,17 +195,6 @@ def _single_solve_stats(solver_info: dict) -> dict:
         "factorization_time",
         "schur_time",
         "block_factorizations",
-        # decomposed (price-coordination) mode
-        "decomposed_blocks",
-        "decomposed_workers",
-        "decomposed_fanout",
-        "price_iterations",
-        "price_rungs",
-        "coordination_skipped",
-        "parallel_speedup",
-        "parallel_time",
-        "subproblem_solves",
-        "joint_polish",
     ):
         if key in stats:
             totals[key] = stats[key]
@@ -213,40 +202,6 @@ def _single_solve_stats(solver_info: dict) -> dict:
     if timings:
         totals["timings"] = dict(timings)
     return totals
-
-
-def _add_mode_flags(sub: argparse.ArgumentParser) -> None:
-    """Workload solve-mode flags shared by allocate-workload and admit."""
-    sub.add_argument(
-        "--mode",
-        choices=("joint", "decomposed"),
-        default="joint",
-        help="workload solve mode: one joint block-structured solve, or "
-        "per-application subproblems coordinated through shared-capacity "
-        "prices (default: joint)",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="decomposed mode: worker count (0 = one per application)",
-    )
-    sub.add_argument(
-        "--fanout",
-        choices=("thread", "process"),
-        default="thread",
-        help="decomposed mode: in-process threads or worker processes",
-    )
-
-
-def _mode_options(arguments: argparse.Namespace, **extra: object) -> AllocatorOptions:
-    return AllocatorOptions(
-        backend=arguments.backend,
-        mode=getattr(arguments, "mode", "joint"),
-        workers=getattr(arguments, "workers", 0),
-        fanout=getattr(arguments, "fanout", "thread"),
-        **extra,
-    )
 
 
 def _cmd_allocate(arguments: argparse.Namespace) -> int:
@@ -292,7 +247,7 @@ def _cmd_allocate_workload(arguments: argparse.Namespace) -> int:
     workload = load_workload(arguments.workload)
     allocator = JointAllocator(
         weights=_weights(arguments.weights),
-        options=_mode_options(arguments),
+        options=AllocatorOptions(backend=arguments.backend),
     )
     telemetry = _CliTelemetry(arguments)
     try:
@@ -392,33 +347,6 @@ def _render_solve_stats(stats: dict) -> str:
             f"factorization, {float(stats.get('schur_time', 0.0)):.4f} s Schur "
             f"({stats.get('block_factorizations', 0)} block factorizations)"
         )
-    if "decomposed_blocks" in stats:
-        # Decomposed (price-coordination) mode: the per-application fan-out
-        # and how hard the shared-capacity prices had to work.
-        skipped = stats.get("coordination_skipped")
-        lines.append(
-            f"  decomposed solve:    {stats['decomposed_blocks']} subproblems, "
-            f"{stats.get('decomposed_workers', 0) or stats['decomposed_blocks']} "
-            f"{stats.get('decomposed_fanout', 'thread')} workers"
-        )
-        lines.append(
-            "  price coordination:  "
-            + (
-                "skipped (standalone optima already fit)"
-                if skipped
-                else (
-                    f"{stats.get('price_iterations', 0)} price iterations over "
-                    f"{stats.get('price_rungs', 0)} rungs"
-                    + (" + joint polish" if stats.get("joint_polish") else "")
-                )
-            )
-        )
-        if "parallel_speedup" in stats:
-            lines.append(
-                f"  parallel speedup:    {float(stats['parallel_speedup']):.2f}x "
-                f"({stats.get('subproblem_solves', 0)} subproblem solves in "
-                f"{float(stats.get('parallel_time', 0.0)):.4f} s)"
-            )
     lines.append(f"  solve time:          {float(stats.get('solve_time', 0.0)):.4f} s")
     timings = stats.get("timings")
     if timings:
@@ -438,7 +366,7 @@ def _cmd_admit(arguments: argparse.Namespace) -> int:
 
     allocator = JointAllocator(
         weights=_weights(arguments.weights),
-        options=_mode_options(arguments, run_simulation=False),
+        options=AllocatorOptions(backend=arguments.backend, run_simulation=False),
     )
     telemetry = _CliTelemetry(arguments)
 
@@ -780,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print solver statistics (phase-I skips, Newton iterations, solve time)",
     )
-    _add_mode_flags(allocate_workload_parser)
     add_common(allocate_workload_parser)
     _add_telemetry_flags(allocate_workload_parser)
     allocate_workload_parser.set_defaults(handler=_cmd_allocate_workload)
@@ -838,7 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print aggregate solver statistics of the admission session",
     )
-    _add_mode_flags(admit_parser)
     add_common(admit_parser)
     # --trace is taken by trace replay here; the span tree stays reachable
     # through --profile / --telemetry-log.

@@ -242,10 +242,10 @@ class AdmissionController:
            :data:`VERDICT_ADMIT` (:data:`STAGE_ANYTIME_FIT`).
         3. When the candidate does *not* fit the residuals, the warm
            shared-capacity **prices** — ``1/(t_final · slack)`` per row from
-           the previous solve's final barrier rung, the decomposed solver's
-           price vector — arbitrate: if every row the candidate is short on
-           is priced tight (the running workload is already pressed against
-           it, so the joint solve has no slack to reclaim), the verdict is
+           the previous joint solve's final barrier rung — arbitrate: if
+           every row the candidate is short on is priced tight (the running
+           workload is already pressed against it, so the joint solve has no
+           slack to reclaim), the verdict is
            :data:`VERDICT_REJECT` (:data:`STAGE_ANYTIME_PRICE`); otherwise
            the fast path abstains with :data:`VERDICT_UNCERTAIN`.
 
@@ -342,9 +342,9 @@ class AdmissionController:
         """Warm shared-capacity prices from the previous joint solve.
 
         At the final barrier rung ``t`` the multiplier of an inequality row
-        with slack ``s`` is ``1/(t·s)`` — the price vector the decomposed
-        solver coordinates on.  Returns the per-row prices (scaled by each
-        row's capacity, so they are comparable across rows) together with the
+        with slack ``s`` is ``1/(t·s)``, the row's Lagrange multiplier on the
+        central path.  Returns the per-row prices (scaled by each row's
+        capacity, so they are comparable across rows) together with the
         *tight-price* threshold: the price of a reference row holding 1%
         relative slack.  A row priced at or above it sits essentially on its
         capacity at the committed optimum.

@@ -77,36 +77,6 @@ class AllocatorOptions:
     run_simulation: bool = True        #: include self-timed simulation in verification
     simulate_iterations: int = 60      #: iterations of the validation simulation
     raise_on_verification_failure: bool = True
-    #: workload solve mode: ``"joint"`` solves the block-structured program in
-    #: one piece (the block-Newton path); ``"decomposed"`` splits it into
-    #: per-application subproblems solved concurrently and coordinated
-    #: through shared-capacity prices (see :mod:`repro.solver.decomposed`).
-    mode: str = "joint"
-    #: worker count of the decomposed mode (0 = one per application block)
-    workers: int = 0
-    #: decomposed fan-out: ``"thread"`` (in-process) or ``"process"``
-    fanout: str = "thread"
-
-    def solve_kwargs(self, mode: Optional[str] = None) -> Dict[str, object]:
-        """The ``formulation.solve(...)`` keywords this option set implies.
-
-        ``mode`` overrides the option-level default per call.  The joint mode
-        keeps the configured backend; the decomposed mode routes to the
-        ``"decomposed"`` backend with the worker/fan-out options attached.
-        """
-        resolved = mode or self.mode
-        if resolved == "joint":
-            return {"backend": self.backend}
-        if resolved == "decomposed":
-            return {
-                "backend": "decomposed",
-                "decomposed_workers": self.workers,
-                "decomposed_fanout": self.fanout,
-            }
-        raise ModelError(
-            f"unknown workload solve mode {resolved!r}; "
-            f"expected 'joint' or 'decomposed'"
-        )
 
 
 class JointAllocator:
@@ -180,7 +150,6 @@ class JointAllocator:
         capacity_limits: Optional[Mapping[str, Mapping[str, int]]] = None,
         budget_limits: Optional[Mapping[str, Mapping[str, float]]] = None,
         weights: Optional[ObjectiveWeights] = None,
-        mode: Optional[str] = None,
     ) -> MappedWorkload:
         """Jointly allocate every application of a workload on the shared platform.
 
@@ -201,10 +170,6 @@ class JointAllocator:
             :meth:`allocate` takes.
         weights:
             Objective weighting; overrides the allocator-level default.
-        mode:
-            ``"joint"`` (one block-structured solve) or ``"decomposed"``
-            (price-coordinated per-application subproblems solved in
-            parallel); overrides :attr:`AllocatorOptions.mode` per call.
         """
         with obs_span(
             "allocate-workload", workload=workload.name, applications=len(workload)
@@ -216,7 +181,7 @@ class JointAllocator:
                 capacity_limits=capacity_limits,
                 budget_limits=budget_limits,
             )
-            solution = formulation.solve(**self.options.solve_kwargs(mode))
+            solution = formulation.solve(backend=self.options.backend)
             self._check_status(solution, workload.name)
             return self._finalize_workload(workload, formulation, solution)
 
@@ -412,11 +377,8 @@ class _LimitSession:
         self.allocator = allocator
         self._parametric = parametric
         self._subject_name = subject_name
-        solve_kwargs = allocator.options.solve_kwargs()
         self._session = SolveSession(
-            parametric.parametric,
-            backend=solve_kwargs.pop("backend"),
-            options=solve_kwargs or None,
+            parametric.parametric, backend=allocator.options.backend
         )
         self._initial = parametric.initial_point()
 
@@ -467,7 +429,7 @@ class _LimitSession:
         stats.rebuilds += 1
         stats.compiles += 1
         formulation = self._build_formulation(capacity_limits, budget_limits)
-        solution = formulation.solve(**self.allocator.options.solve_kwargs())
+        solution = formulation.solve(backend=self.allocator.options.backend)
         # Fold the rebuilt point's work into the session aggregates so that
         # the reported statistics cover every point of the sweep.
         stats.record_solution(solution)
@@ -736,16 +698,15 @@ class WorkloadSession(_LimitSession):
 
         stats = old_session.stats
         self._parametric = parametric
-        solve_kwargs = self.allocator.options.solve_kwargs()
         self._session = SolveSession(
             parametric.parametric,
-            backend=solve_kwargs.pop("backend"),
+            backend=self.allocator.options.backend,
             # A membership edit shifts the shared capacity slacks, so the
             # carried-over point is further from the new central path than a
             # same-problem parameter nudge; accept a larger first-centering
             # decrement before giving up on a raised warm rung (the cold-run
             # fallback still guards convergence).
-            options={"warm_rung_decrement": 256.0, **solve_kwargs},
+            options={"warm_rung_decrement": 256.0},
         )
         self._adopt_stats(stats)
         # The central-path endpoint scale survives an edit well enough to keep
@@ -779,14 +740,9 @@ def allocate_workload(
     weights: Optional[ObjectiveWeights] = None,
     backend: str = "auto",
     verify: bool = True,
-    mode: str = "joint",
-    workers: int = 0,
-    fanout: str = "thread",
 ) -> MappedWorkload:
     """Functional convenience wrapper around
     :meth:`JointAllocator.allocate_workload`."""
-    options = AllocatorOptions(
-        backend=backend, verify=verify, mode=mode, workers=workers, fanout=fanout
-    )
+    options = AllocatorOptions(backend=backend, verify=verify)
     allocator = JointAllocator(weights=weights, options=options)
     return allocator.allocate_workload(workload)

@@ -10,13 +10,12 @@ named instruments —
 * :class:`Histogram` — observed distributions with ``p50``/``p90``/``p99``
   quantiles (``solver.newton_iterations``, ``admission.decision_seconds``).
 
-Everything is thread-safe — one lock *per instrument*, so concurrent
-increments of different metrics (the decomposed solver's worker threads, the
-batch executor's pool) never contend on a shared registry lock; the registry
-lock only guards instrument creation and whole-registry operations.  Like
-tracing, metrics are **disabled by default**: every instrument method checks
-the registry's ``enabled`` flag first, so an instrumented hot path pays one
-attribute check and nothing else when telemetry is off.
+Everything is thread-safe — one lock *per instrument*, so threads
+incrementing different metrics never contend on a shared registry lock; the
+registry lock only guards instrument creation and whole-registry operations.
+Like tracing, metrics are **disabled by default**: every instrument method
+checks the registry's ``enabled`` flag first, so an instrumented hot path
+pays one attribute check and nothing else when telemetry is off.
 
 Snapshots are plain JSON-serialisable dicts and *mergeable*:
 :meth:`MetricsRegistry.merge_snapshot` folds a worker process's snapshot into

@@ -1,20 +1,19 @@
 """Deterministic, seeded fault injection for chaos tests.
 
 A :class:`FaultPlan` arms *named injection sites* — fixed points in the
-production code (``executor.worker``, ``decomposed.worker``,
-``newton.linalg``, ``cache.corrupt``, ``item.timeout``, ``journal.write``,
-``admission.solve``, ``replay.event``) that call :func:`maybe_fail` on every
-pass.  With no plan armed the call is one module-attribute read and a
-``None`` check, so production runs pay nothing.  With a plan armed, each
-site counts its hits and fires the configured action on the configured hit
-— the *nth* pass, optionally filtered by a label substring — which makes a
-chaos scenario a deterministic, replayable CI citizen instead of a race.
+production code (``executor.worker``, ``newton.linalg``, ``cache.corrupt``,
+``item.timeout``, ``journal.write``, ``admission.solve``, ``replay.event``)
+that call :func:`maybe_fail` on every pass.  With no plan armed the call is
+one module-attribute read and a ``None`` check, so production runs pay
+nothing.  With a plan armed, each site counts its hits and fires the
+configured action on the configured hit — the *nth* pass, optionally filtered
+by a label substring — which makes a chaos scenario a deterministic,
+replayable CI citizen instead of a race.
 
 Plans serialise to plain dicts (:meth:`FaultPlan.to_dict` /
 :meth:`FaultPlan.from_dict`) so they can cross process boundaries: the
 batch executor ships the armed plan to its pool workers inside the item
-payload, and the decomposed process team forwards it through the per-block
-solver options.
+payload.
 
 Actions
 -------

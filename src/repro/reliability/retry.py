@@ -15,10 +15,9 @@ The degradation ladder every solver-adjacent failure path follows is
   the failure cost once per window instead of once per item.
 * :func:`graceful_interrupts` converts ``SIGTERM`` into
   :class:`KeyboardInterrupt` for the duration of a block, so the executor's
-  and the decomposed team's ``finally``-based worker teardown runs on an
-  external termination request exactly as it does on Ctrl-C — no orphaned
-  pool workers, caches and JSONL logs left in their (truncation-tolerant)
-  valid states.
+  ``finally``-based worker teardown runs on an external termination request
+  exactly as it does on Ctrl-C — no orphaned pool workers, caches and JSONL
+  logs left in their (truncation-tolerant) valid states.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.solver.constraints import (
 )
 from repro.solver.expression import AffineExpression, Variable, linear_sum
 from repro.solver.barrier import BarrierOptions, BarrierSolver
-from repro.solver.decomposed import DecomposedOptions, solve_decomposed
 from repro.solver.parametric import ParametricProblem, SessionStats, SolveSession
 from repro.solver.problem import BlockStructure, CompiledProblem, ConeProgram
 from repro.solver.result import Solution, SolverStatus
@@ -41,8 +40,6 @@ __all__ = [
     "BlockStructure",
     "CompiledProblem",
     "ConeProgram",
-    "DecomposedOptions",
-    "solve_decomposed",
     "ParametricProblem",
     "SessionStats",
     "SolveSession",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.solver.result import Solution, SolverStatus
 from repro.solver.expression import Variable
 
 #: Names accepted by the ``backend`` argument of :meth:`ConeProgram.solve`.
-BACKENDS = ("auto", "barrier", "decomposed", "linprog", "scipy")
+BACKENDS = ("auto", "barrier", "linprog", "scipy")
 
 
 #: Warm-start forms accepted by :func:`solve_compiled`: a point keyed by
@@ -49,13 +50,15 @@ def solve_compiled(
 
     ``interior_point`` is an optional well-interior hint for the barrier
     backend (see :meth:`repro.solver.barrier.BarrierSolver.solve`); the other
-    backends ignore it.
+    backends ignore it.  ``options`` must name :class:`BarrierOptions`
+    fields; any other key raises :class:`FormulationError`, whatever the
+    backend.
     """
     if backend not in BACKENDS:
         raise FormulationError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
-    options = dict(options or {})
+    barrier_options = _barrier_options(options or {})
     x0 = _initial_vector(problem, initial_point)
 
     if backend == "linprog":
@@ -68,14 +71,9 @@ def solve_compiled(
         return solve_with_barrier(
             problem,
             initial_point=x0,
-            options=_barrier_options(options),
+            options=barrier_options,
             interior_point=interior_point,
         )
-    if backend == "decomposed":
-        from repro.solver.decomposed import solve_decomposed
-
-        return solve_decomposed(problem, initial_point=x0, options=options)
-
     # backend == "auto"
     if not problem.hyperbolic and not problem.cones:
         solution = solve_with_linprog(problem)
@@ -85,7 +83,7 @@ def solve_compiled(
     solution = solve_with_barrier(
         problem,
         initial_point=x0,
-        options=_barrier_options(options),
+        options=barrier_options,
         interior_point=interior_point,
     )
     if solution.status in (SolverStatus.OPTIMAL, SolverStatus.UNBOUNDED):
@@ -102,9 +100,11 @@ def solve_compiled(
     return fallback
 
 
-def _barrier_options(options: Dict[str, object]) -> BarrierOptions:
-    barrier_options = BarrierOptions()
-    for key, value in options.items():
-        if hasattr(barrier_options, key):
-            setattr(barrier_options, key, value)
-    return barrier_options
+def _barrier_options(options: Mapping[str, object]) -> BarrierOptions:
+    unknown = sorted(set(options) - {field.name for field in fields(BarrierOptions)})
+    if unknown:
+        raise FormulationError(
+            f"unknown solver option(s) {', '.join(map(repr, unknown))}; "
+            f"expected BarrierOptions fields"
+        )
+    return BarrierOptions(**options)

@@ -190,13 +190,6 @@ class BarrierOptions:
     #: it (a rung that then fails to center still trips the convergence
     #: guard and falls back to a cold run, so correctness is unaffected).
     warm_rung_decrement: float = 4.0
-    #: Single-centering mode: when set, phase II performs exactly one Newton
-    #: centering at this fixed barrier parameter and returns the central-path
-    #: point — no rung ladder, no duality-gap test, no warm-rung selection.
-    #: The decomposed (price-coordination) solver drives its subproblems with
-    #: this so that every per-application block is centered at the *same*
-    #: barrier rung as the coordinator's synchronized schedule.
-    centering_barrier: Optional[float] = None
     #: Structured (block-Cholesky + Schur-complement) Newton solves:
     #: ``None`` engages them automatically when the compiled problem carries a
     #: :class:`~repro.solver.problem.BlockStructure` with at least two blocks
@@ -1267,49 +1260,6 @@ class BarrierSolver:
         # optimum sits on.
         initial_barrier: Optional[float] = None
         z_start = z_feasible
-        if opts.centering_barrier is not None:
-            # Single fixed-rung centering (decomposed subproblem solves): the
-            # caller owns the barrier schedule, so skip warm-rung selection,
-            # the rung ladder, and the cold retry entirely.
-            with obs_span("centering") as centering_span:
-                result = self._barrier_minimise(
-                    c_reduced,
-                    terms,
-                    z_start,
-                    fixed_barrier=float(opts.centering_barrier),
-                    plan=plan,
-                    workspace=workspace,
-                )
-                centering_span.set(
-                    rungs=int(result.outer),
-                    newton_iterations=int(result.newton),
-                )
-            stats["centering_time"] = centering_span.seconds
-            stats["newton_iterations"] = int(result.newton)
-            stats["outer_iterations"] = int(result.outer)
-            stats["final_barrier"] = float(result.final_barrier)
-            stats["centering_mode"] = True
-            if plan is not None:
-                stats["structured_fallback_iterations"] = int(
-                    self._structured_fallbacks
-                )
-            self._attach_sparse_stats(stats, problem, plan)
-            x_opt = reduced.lift(result.z)
-            objective = problem.objective_value(x_opt)
-            self._record_metrics(
-                stats, optimal=result.status is SolverStatus.OPTIMAL
-            )
-            solution = Solution(
-                status=result.status,
-                objective=objective,
-                values=problem.point_as_mapping(x_opt),
-                backend="barrier",
-                iterations=result.outer,
-                stats=stats,
-            )
-            if result.first_center is not None:
-                solution.interior_point = reduced.lift(result.first_center)
-            return solution
         if phase1["skipped"] and opts.warm_initial_barrier is not None:
             rung = self._select_warm_rung(
                 c_reduced,
@@ -2116,7 +2066,6 @@ class BarrierSolver:
         early_stop=None,
         gap_tolerance: Optional[float] = None,
         initial_barrier: Optional[float] = None,
-        fixed_barrier: Optional[float] = None,
         plan: Optional[_StructurePlan] = None,
         workspace: Optional[_StructuredWorkspace] = None,
     ) -> _CenteringResult:
@@ -2127,11 +2076,7 @@ class BarrierSolver:
         :meth:`_select_warm_rung` so it stays on the cold schedule's geometric
         grid and short of the cold stopping rung — the run then ends on the
         same rung as a cold solve and returns the same central-path point to
-        Newton tolerance.  ``fixed_barrier`` instead performs a single
-        centering at exactly that barrier parameter and returns, skipping the
-        rung schedule and the duality-gap test entirely (the caller owns the
-        schedule; see :attr:`BarrierOptions.centering_barrier`).  ``plan``
-        switches the Newton solves to the structured (block + Schur
+        Newton tolerance.  ``plan`` switches the Newton solves to the structured (block + Schur
         complement) path; ``workspace`` reuses an already-built hot-loop
         workspace for that plan (one is created here otherwise).
         """
@@ -2154,8 +2099,6 @@ class BarrierSolver:
         t_barrier = opts.initial_barrier
         if initial_barrier is not None:
             t_barrier = max(opts.initial_barrier, float(initial_barrier))
-        if fixed_barrier is not None:
-            t_barrier = float(fixed_barrier)
         outer = 0
         newton_total = 0
         first_center: Optional[np.ndarray] = None
@@ -2171,12 +2114,6 @@ class BarrierSolver:
             newton_total += newton
             if outer == 1 and t_barrier == opts.initial_barrier:
                 first_center = z.copy()
-            if fixed_barrier is not None:
-                status = (
-                    SolverStatus.OPTIMAL if converged
-                    else SolverStatus.MAX_ITERATIONS
-                )
-                break
             if early_stop is not None and early_stop(z):
                 status = SolverStatus.OPTIMAL
                 break

@@ -57,34 +57,6 @@ class ParametricProblem:
         self.program = program
         self.compiled: CompiledProblem = program.compile()
         self.sense = program.sense
-        self._index_rows()
-
-    @classmethod
-    def from_compiled(
-        cls,
-        compiled: CompiledProblem,
-        sense: str = "min",
-        name: str = "<compiled>",
-    ) -> "ParametricProblem":
-        """Wrap an already-compiled problem without a symbolic program.
-
-        The decomposed solver builds per-application subproblems directly at
-        the compiled level (sliced matrices plus appended capacity-share
-        rows); this constructor gives those subproblems the same named-slot /
-        warm-started :class:`SolveSession` machinery as symbolically built
-        programs.  ``sense`` describes how the *objective sign* should be
-        reported — compiled problems are always minimisation forms, so the
-        default ``"min"`` is correct unless the caller pre-negated ``c``.
-        """
-        self = cls.__new__(cls)
-        self.program = None
-        self.compiled = compiled
-        self.sense = sense
-        self.name = name
-        self._index_rows()
-        return self
-
-    def _index_rows(self) -> None:
         counts = Counter(name for name in self.compiled.inequality_names if name)
         self._rows: Dict[str, int] = {}
         for index, name in enumerate(self.compiled.inequality_names):
@@ -152,8 +124,7 @@ class ParametricProblem:
         return {name: slot.value for name, slot in self._slots.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = self.program.name if self.program is not None else self.name
-        return f"ParametricProblem({name!r}, parameters={len(self._slots)})"
+        return f"ParametricProblem({self.program.name!r}, parameters={len(self._slots)})"
 
 
 @dataclass
@@ -209,29 +180,6 @@ class SessionStats:
             "sparse_pieces_reused": self.sparse_pieces_reused,
             "block_factorizations": self.block_factorizations,
         }
-
-    def merge(self, other: "SessionStats") -> None:
-        """Fold another session's aggregates into this one.
-
-        The decomposed solver runs one :class:`SolveSession` per application
-        block; the coordinator merges them so callers see one aggregate with
-        the familiar keys (``solves``, ``warm_started``, ``newton_iterations``
-        …) covering every subproblem solve of the run.
-        """
-        self.compiles += other.compiles
-        self.solves += other.solves
-        self.warm_started += other.warm_started
-        self.phase1_skipped += other.phase1_skipped
-        self.newton_iterations += other.newton_iterations
-        self.phase1_newton_iterations += other.phase1_newton_iterations
-        self.solve_time += other.solve_time
-        self.rebuilds += other.rebuilds
-        self.eliminations += other.eliminations
-        self.elimination_blocks_computed += other.elimination_blocks_computed
-        self.elimination_blocks_reused += other.elimination_blocks_reused
-        self.sparse_solves += other.sparse_solves
-        self.sparse_pieces_reused += other.sparse_pieces_reused
-        self.block_factorizations += other.block_factorizations
 
     def record_solution(self, solution: Solution) -> None:
         """Fold one solve's work into the aggregates.

@@ -727,13 +727,11 @@ class ConeProgram:
             and the barrier interior-point method otherwise, falling back to
             the scipy backend if the barrier method fails to converge.
             ``"barrier"``, ``"linprog"`` and ``"scipy"`` force a backend.
-            ``"decomposed"`` solves block-structured programs by price
-            coordination over per-block subproblems
-            (:func:`repro.solver.decomposed.solve_decomposed`), accepting
-            ``decomposed_``-prefixed options such as ``decomposed_workers``
-            and ``decomposed_fanout`` alongside the barrier options.
         initial_point:
             Optional warm-start / strictly feasible hint keyed by variable.
+        options:
+            :class:`~repro.solver.barrier.BarrierOptions` fields; an unknown
+            key raises :class:`~repro.exceptions.FormulationError`.
         """
         from repro.solver import backends
 

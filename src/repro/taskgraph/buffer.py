@@ -9,6 +9,7 @@ budget/buffer computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -106,17 +107,20 @@ class Buffer:
             )
         if not self.memory:
             raise ModelError(f"buffer {self.name!r} must be placed in a memory")
-        if self.container_size <= 0.0:
+        if not (math.isfinite(self.container_size) and self.container_size > 0.0):
             raise ModelError(
-                f"buffer {self.name!r} needs a positive container size, got "
-                f"{self.container_size!r}"
+                f"buffer {self.name!r} needs a positive finite container size, "
+                f"got {self.container_size!r}"
             )
         if self.initial_tokens < 0:
             raise ModelError(
                 f"buffer {self.name!r} has a negative number of initial tokens"
             )
-        if self.capacity_weight < 0.0:
-            raise ModelError(f"buffer {self.name!r} has a negative capacity weight")
+        if not (math.isfinite(self.capacity_weight) and self.capacity_weight >= 0.0):
+            raise ModelError(
+                f"buffer {self.name!r} needs a finite non-negative capacity "
+                f"weight, got {self.capacity_weight!r}"
+            )
         if self.min_capacity is not None and self.min_capacity < 1:
             raise ModelError(f"buffer {self.name!r}: min_capacity must be at least 1")
         if self.max_capacity is not None and self.max_capacity < 1:

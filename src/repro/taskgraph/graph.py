@@ -9,7 +9,7 @@ task must complete one execution every ``µ(T)`` time units.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import networkx as nx
@@ -43,9 +43,10 @@ class TaskGraph:
     ) -> None:
         if not name:
             raise ModelError("task graph name must be non-empty")
-        if period <= 0.0:
+        if not (isfinite(period) and period > 0.0):
             raise ModelError(
-                f"task graph {name!r} needs a positive throughput period, got {period!r}"
+                f"task graph {name!r} needs a positive finite throughput period, "
+                f"got {period!r}"
             )
         self.name = name
         self.period = float(period)

@@ -24,6 +24,7 @@ Two generalisations of the paper's model live here as optional fields:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -39,10 +40,10 @@ def _normalize_phases(
     if not normalized:
         raise ModelError(f"task {name!r}: phases must be non-empty when given")
     for index, value in enumerate(normalized):
-        if value <= 0.0:
+        if not (math.isfinite(value) and value > 0.0):
             raise ModelError(
-                f"task {name!r}: phase {index} needs a positive execution "
-                f"time, got {value!r}"
+                f"task {name!r}: phase {index} needs a positive finite "
+                f"execution time, got {value!r}"
             )
     return normalized
 
@@ -77,10 +78,10 @@ def _normalize_cycles_by_type(
             )
         seen.add(proc_type)
         value = float(cycles)
-        if value <= 0.0:
+        if not (math.isfinite(value) and value > 0.0):
             raise ModelError(
                 f"task {name!r}: cycles_by_type[{proc_type!r}] must be "
-                f"positive, got {cycles!r}"
+                f"positive and finite, got {cycles!r}"
             )
         normalized.append((proc_type, value))
     return tuple(sorted(normalized))
@@ -140,19 +141,25 @@ class Task:
         )
         if self.phases is not None and not self.wcet:
             object.__setattr__(self, "wcet", max(self.phases))
-        if self.wcet <= 0.0:
+        if not (math.isfinite(self.wcet) and self.wcet > 0.0):
             raise ModelError(
-                f"task {self.name!r} needs a positive worst-case execution time, "
-                f"got {self.wcet!r}"
+                f"task {self.name!r} needs a positive finite worst-case execution "
+                f"time, got {self.wcet!r}"
             )
         if not self.processor:
             raise ModelError(f"task {self.name!r} must be bound to a processor")
-        if self.budget_weight < 0.0:
-            raise ModelError(f"task {self.name!r} has a negative budget weight")
-        if self.min_budget is not None and self.min_budget <= 0.0:
-            raise ModelError(f"task {self.name!r}: min_budget must be positive")
-        if self.max_budget is not None and self.max_budget <= 0.0:
-            raise ModelError(f"task {self.name!r}: max_budget must be positive")
+        if not (math.isfinite(self.budget_weight) and self.budget_weight >= 0.0):
+            raise ModelError(
+                f"task {self.name!r} needs a finite non-negative budget weight, "
+                f"got {self.budget_weight!r}"
+            )
+        for bound in ("min_budget", "max_budget"):
+            value = getattr(self, bound)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ModelError(
+                    f"task {self.name!r}: {bound} must be positive and finite, "
+                    f"got {value!r}"
+                )
         if (
             self.min_budget is not None
             and self.max_budget is not None

@@ -11,6 +11,8 @@ The lock-in guarantees of the run-time layer:
 * :class:`AdmissionController` admits/rejects with structured reasons
   (load-screen vs solver-infeasible) and leaves the running workload intact
   on every rejection;
+* every firm anytime verdict (admit/reject before the exact solve) agrees
+  with the exact solve's outcome;
 * traces replay deterministically and round-trip through JSON, including as
   batch-campaign ``trace`` entries.
 """
@@ -35,11 +37,14 @@ from repro.core import (
 from repro.core.admission import (
     STAGE_LOAD_SCREEN,
     STAGE_SOLVER,
+    VERDICT_ADMIT,
+    VERDICT_REJECT,
+    VERDICT_UNCERTAIN,
     AdmissionTrace,
     TraceEvent,
 )
 from repro.exceptions import InfeasibleModelError, ModelError
-from repro.taskgraph import ConfigurationBuilder, Workload
+from repro.taskgraph import ConfigurationBuilder, Workload, random_workload
 from repro.taskgraph.generators import chain_configuration, random_dag_configuration
 
 
@@ -672,3 +677,65 @@ class TestAdmitCommand:
             main(["admit", workload_path, workload_path, "--trace", str(trace_path)])
             == EXIT_USAGE
         )
+
+
+class TestAnytimeAdmission:
+    def test_replayed_trace_verdicts_agree_with_exact_solves(self):
+        # A 12-event trace heavy enough to produce firm rejects: every firm
+        # anytime verdict must agree with the exact solve's outcome.
+        trace = random_trace(
+            event_count=12, seed=12, wcet_range=(0.8, 2.4), concurrency=6
+        )
+        result = replay_trace(
+            trace,
+            allocator=JointAllocator(
+                options=AllocatorOptions(verify=False, run_simulation=False)
+            ),
+        )
+        firm = 0
+        for record in result.records:
+            if record.status not in ("admitted", "rejected"):
+                continue
+            assert record.verdict in (
+                VERDICT_ADMIT,
+                VERDICT_REJECT,
+                VERDICT_UNCERTAIN,
+            )
+            if record.verdict == VERDICT_ADMIT:
+                firm += 1
+                assert record.status == "admitted", record.application
+            elif record.verdict == VERDICT_REJECT:
+                firm += 1
+                assert record.status == "rejected", record.application
+        assert firm > 0
+
+    def test_first_arrival_verdict_is_uncertain_on_empty_platform(self):
+        trace = random_trace(event_count=3, seed=0)
+        result = replay_trace(
+            trace,
+            allocator=JointAllocator(
+                options=AllocatorOptions(verify=False, run_simulation=False)
+            ),
+        )
+        first = result.records[0]
+        assert first.verdict == VERDICT_UNCERTAIN
+        assert first.verdict_stage == "anytime-empty"
+
+    def test_admit_decision_carries_verdict_fields(self):
+        workload = random_workload(application_count=2, seed=0)
+        platform = workload.platform
+        controller = AdmissionController(
+            platform,
+            allocator=JointAllocator(
+                options=AllocatorOptions(verify=False, run_simulation=False)
+            ),
+        )
+        applications = list(workload.applications)
+        first = controller.admit("a", applications[0].configuration)
+        assert first.admitted
+        assert first.verdict == VERDICT_UNCERTAIN  # nothing committed yet
+        second = controller.admit("b", applications[1].configuration)
+        assert second.verdict in (VERDICT_ADMIT, VERDICT_REJECT, VERDICT_UNCERTAIN)
+        assert second.verdict_stage is not None
+        payload = second.as_dict()
+        assert "verdict" in payload and "verdict_stage" in payload

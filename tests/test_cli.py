@@ -115,6 +115,12 @@ class TestAllocateWorkloadCommand:
         assert main(["allocate-workload", workload_path, "--stats"]) == EXIT_OK
         assert "solver statistics:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--mode", "joint"], ["--workers", "2"]])
+    def test_solve_mode_flags_are_gone(self, workload_path, flag, capsys):
+        # One solve path: the joint block-structured barrier.
+        assert main(["allocate-workload", workload_path, *flag]) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_infeasible_workload_exit_code(self, tmp_path, capsys):
         from repro.taskgraph.generators import chain_configuration
         from repro.taskgraph.workload import Workload, save_workload

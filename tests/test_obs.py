@@ -239,8 +239,8 @@ class TestMetrics:
         assert h["p50"] == pytest.approx(149.5)
 
     def test_concurrent_increments_are_exact(self):
-        # Regression: lost updates under concurrent inc()/observe() from the
-        # decomposed solver's worker threads.  Exactness is the signal — any
+        # Regression: lost updates under concurrent inc()/observe() from
+        # several threads.  Exactness is the signal — any
         # unsynchronised read-modify-write eventually drops an update.
         registry = MetricsRegistry(enabled=True)
         threads, per_thread = 8, 2000

@@ -110,6 +110,24 @@ class TestAutoDispatch:
         with pytest.raises(FormulationError):
             solve_compiled(program.compile(), backend="gurobi")
 
+    def test_removed_backend_lists_the_remaining_ones(self):
+        program = _knapsack_like_program(1.0, 1.0, 4.0)
+        with pytest.raises(FormulationError) as error:
+            solve_compiled(program.compile(), backend="decomposed")
+        for backend in ("auto", "barrier", "linprog", "scipy"):
+            assert repr(backend) in str(error.value)
+
+    @pytest.mark.parametrize("backend", ["auto", "barrier", "scipy"])
+    def test_unknown_option_rejected(self, backend):
+        # Unknown keys used to be dropped silently, so a stale option such as
+        # a removed solve mode's worker count quietly ran the default solve.
+        from repro.core.formulation import SocpFormulation
+        from repro.taskgraph.generators import chain_configuration
+
+        formulation = SocpFormulation(chain_configuration(stages=2))
+        with pytest.raises(FormulationError, match="workers"):
+            formulation.solve(backend=backend, workers=4)
+
     def test_solve_records_time(self):
         program = _knapsack_like_program(1.0, 1.0, 4.0)
         solution = program.solve()

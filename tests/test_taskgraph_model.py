@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exceptions import BindingError, GraphStructureError, ModelError
@@ -13,7 +15,9 @@ from repro.taskgraph import (
     Task,
     TaskGraph,
     homogeneous_platform,
+    serialization,
 )
+from repro.taskgraph.generators import chain_configuration
 
 
 class TestProcessor:
@@ -194,3 +198,47 @@ class TestTaskGraph:
             graph.task("zzz")
         with pytest.raises(GraphStructureError):
             graph.buffer("zzz")
+
+
+#: Float model inputs that must be finite, with their place in saved JSON.
+_FINITE_FIELDS = {
+    "wcet": lambda graph: graph["tasks"][0],
+    "budget_weight": lambda graph: graph["tasks"][0],
+    "period": lambda graph: graph,
+    "capacity_weight": lambda graph: graph["buffers"][0],
+    "container_size": lambda graph: graph["buffers"][0],
+}
+
+
+def _construct_with(field: str, value: float) -> None:
+    task_kwargs = {"wcet": 1.0, "budget_weight": 1.0}
+    buffer_kwargs = {"capacity_weight": 1.0, "container_size": 1.0}
+    period = value if field == "period" else 10.0
+    if field in task_kwargs:
+        task_kwargs[field] = value
+    if field in buffer_kwargs:
+        buffer_kwargs[field] = value
+    TaskGraph(
+        "g",
+        period=period,
+        tasks=[Task("a", processor="p1", **task_kwargs), Task("b", 1.0, "p1")],
+        buffers=[Buffer("bab", "a", "b", "m1", **buffer_kwargs)],
+    )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", sorted(_FINITE_FIELDS))
+@pytest.mark.parametrize("route", ["constructor", "load_configuration"])
+def test_rejects_non_finite_inputs(tmp_path, route, field, value):
+    if route == "constructor":
+        with pytest.raises(ModelError, match=repr(value)):
+            _construct_with(field, value)
+        return
+
+    path = tmp_path / "config.json"
+    serialization.save_configuration(chain_configuration(stages=3), path)
+    payload = json.loads(path.read_text())
+    _FINITE_FIELDS[field](payload["task_graphs"][0])[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=repr(value)):
+        serialization.load_configuration(path)
