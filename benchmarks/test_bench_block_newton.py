@@ -6,13 +6,16 @@ Schur complement, so one Newton step costs the sum of per-application cubes
 instead of the cube of the whole variable count.  This benchmark pins the
 scaling win on workloads of 1, 2, 4 and 8 applications sharing one platform:
 
-* the structured and dense backends must return **identical optima** (every
+* the structured and dense kernels must return **identical optima** (every
   variable within 1e-8) — the structure is a pure performance change;
-* the structured backend must be **strictly faster** than the dense one on
-  the 4- and 8-application workloads (best-of-``REPEATS`` wall time over the
-  same compiled problem, elimination cache primed for both);
-* the structured path must engage automatically (no options) for workloads
-  of two or more applications.
+* the structured kernel must be **strictly faster** than the dense one on
+  the 4- and 8-application workloads (best-of-``REPEATS`` wall time,
+  elimination cache primed for both);
+* the structured kernel must engage automatically for workloads of two or
+  more applications.
+
+The dense reference is a fresh compile of the same program with its block
+structure dropped, which the solver treats as a single block.
 
 The per-size timings ride along in ``benchmark.extra_info`` so that
 ``--benchmark-json`` artifacts record the dense/structured trajectory.
@@ -83,27 +86,27 @@ def _workload(app_count: int, light: bool = False) -> Workload:
 
 
 def _compiled(app_count: int, light: bool = False):
+    """The workload's compiled program, its dense reference and a start point."""
     formulation = WorkloadSocpFormulation(_workload(app_count, light=light))
     program = formulation.build()
     compiled = program.compile()
+    dense = program.compile()
+    dense.block_structure = None
     initial = compiled.vector_from_mapping(formulation.initial_point())
-    return compiled, initial
+    return compiled, dense, initial
 
 
-def _solve(compiled, initial, structured):
-    options = {} if structured is None else {"structured": structured}
-    return solve_compiled(
-        compiled, backend="barrier", initial_point=initial, options=options
-    )
+def _solve(compiled, initial):
+    return solve_compiled(compiled, backend="barrier", initial_point=initial)
 
 
-def _best_time(compiled, initial, structured):
+def _best_time(compiled, initial):
     """Best-of-REPEATS wall time and the last solution."""
     best = float("inf")
     solution = None
     for _ in range(REPEATS):
         start = time.perf_counter()
-        solution = _solve(compiled, initial, structured)
+        solution = _solve(compiled, initial)
         best = min(best, time.perf_counter() - start)
     return best, solution
 
@@ -116,13 +119,14 @@ def _newton_total(solution):
 
 @pytest.mark.parametrize("app_count", SIZES)
 def test_bench_block_newton_scaling(app_count, benchmark, record_series):
-    compiled, initial = _compiled(app_count)
-    # Prime the (shared) equality-elimination cache so both backends time the
-    # Newton work, not the one-off SVDs.
-    _solve(compiled, initial, structured=False)
+    compiled, dense_compiled, initial = _compiled(app_count)
+    # Prime both equality-elimination caches so both kernels time the
+    # Newton work, not the one-off factorisations.
+    _solve(compiled, initial)
+    _solve(dense_compiled, initial)
 
-    dense_time, dense = _best_time(compiled, initial, structured=False)
-    structured_time, structured = _best_time(compiled, initial, structured=None)
+    dense_time, dense = _best_time(dense_compiled, initial)
+    structured_time, structured = _best_time(compiled, initial)
 
     assert dense.is_optimal and structured.is_optimal
     assert dense.stats["structured"] is False
@@ -150,7 +154,7 @@ def test_bench_block_newton_scaling(app_count, benchmark, record_series):
     record_series(
         benchmark, "newton_iterations_structured", _newton_total(structured)
     )
-    benchmark(lambda: _solve(compiled, initial, structured=None))
+    benchmark(lambda: _solve(compiled, initial))
 
 
 def test_bench_sparse_scaling_curve(benchmark, record_series):
@@ -170,21 +174,21 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
     """
     curve = []
     for app_count in SCALING_SIZES:
-        compiled, initial = _compiled(app_count, light=True)
+        compiled, dense_compiled, initial = _compiled(app_count, light=True)
         # Prime the elimination + pieces caches with one cheap sparse solve
         # so every timed solve measures the Newton work.
-        primed = _solve(compiled, initial, structured=None)
+        primed = _solve(compiled, initial)
         assert primed.is_optimal
         assert primed.stats["structured"] is (app_count >= 2)
 
-        sparse_time, sparse = _best_time(compiled, initial, structured=None)
+        sparse_time, sparse = _best_time(compiled, initial)
         assert sparse.is_optimal
         per_iteration = sparse_time / max(_newton_total(sparse), 1)
 
         dense_time = None
         if app_count <= DENSE_UPTO:
             start = time.perf_counter()
-            dense = _solve(compiled, initial, structured=False)
+            dense = _solve(dense_compiled, initial)
             dense_time = time.perf_counter() - start
             assert dense.is_optimal
             # Parity gate: the sparse core never moves the optimum.
@@ -222,4 +226,4 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
 
     # ``compiled``/``initial`` still hold the largest size from the loop
     # (caches primed); report its sparse solve as the benchmark sample.
-    benchmark(lambda: _solve(compiled, initial, structured=None))
+    benchmark(lambda: _solve(compiled, initial))

@@ -24,7 +24,9 @@ Actions
     Raise :class:`repro.exceptions.NumericalError` (a solver blow-up).
 ``linalg-error``
     Raise :class:`numpy.linalg.LinAlgError` (a factorisation failure inside
-    a structured Newton iteration).
+    a Newton iteration; at ``newton.linalg`` the dense kernel then takes a
+    least-squares step and the structured kernel hands the iteration to its
+    dense twin).
 ``oserror``
     Raise :class:`OSError` (a failed journal/cache write).
 ``exit``

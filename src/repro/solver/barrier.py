@@ -43,19 +43,29 @@ arrow-structured, and the solver exploits it:
   of one on the full matrix), keeping the null-space basis block diagonal so
   the reduced problem inherits the partition;
 * each Newton step factorises the per-application diagonal blocks
-  independently (Cholesky via :func:`scipy.linalg.cho_factor` when scipy is
-  available) and folds the coupling rows in through the Schur complement of
-  the arrow system (a matrix of coupling-row dimension, typically the number
+  independently (Cholesky) and folds the coupling rows in through the Schur
+  complement of the arrow system (a matrix of coupling-row dimension, typically the number
   of shared processors and memories);
 * phase I, whose relaxation variable ``t`` touches every constraint, is
   solved with the same machinery by treating ``t`` as a one-column *border*
   of the arrow.
 
-The structured path engages automatically for problems with two or more
-blocks and narrow coupling, and falls back to the dense solve otherwise (or
-when a block factorisation fails); both paths run the identical barrier
-schedule, so they return the same optimum to solver tolerance.  The
-equality-elimination result is cached on the compiled problem
+Every solve runs this one pipeline.  A program compiled without a block
+structure is solved as a single block, so term building, equality
+elimination, phase I, warm-rung selection and the Newton loop each exist
+once.  Only the *kernel* that computes a Newton direction differs, and the
+solver picks it from the input, never from an option:
+
+* :class:`_StructuredWorkspace` (block factorisations + Schur complement)
+  for problems with two or more blocks and narrow coupling;
+* :class:`_DenseWorkspace` (one dense assembly and solve) otherwise — on a
+  single small block it is faster than the arrow machinery.  It is also the
+  structured kernel's per-iteration fallback when a block factorisation
+  fails.
+
+Both kernels see the same barrier terms, so they return the same optimum to
+solver tolerance.  The equality-elimination result is cached on the
+compiled problem
 (:attr:`~repro.solver.problem.CompiledProblem.elimination_cache`), so
 warm-started parametric re-solves pay for the factorisations exactly once.
 
@@ -73,9 +83,9 @@ The structured path is built to scale to hundreds of applications:
 * each centering run owns a :class:`_StructuredWorkspace` with preallocated
   right-hand-side/solution buffers; per-application Hessian blocks of equal
   width are factorised in *batched* LAPACK calls (one batched Cholesky for
-  the positive-definiteness check, one batched solve), while blocks wider
-  than :attr:`BarrierOptions.sparse_block_width` go through a sparse
-  ``splu`` factorisation instead;
+  the positive-definiteness check, one batched solve), while blocks at
+  least ``_SPLU_BLOCK_WIDTH`` wide go through a sparse ``splu``
+  factorisation instead;
 * the line-search merit is evaluated through one CSR matrix per constraint
   family spanning all blocks (a few sparse matvecs per trial point instead
   of a Python loop over per-block terms).
@@ -89,9 +99,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse as _sp
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import qr as _sp_qr, solve_triangular as _sp_solve_triangular
+from scipy.sparse.linalg import splu as _sp_splu
 
 from repro.obs.metrics import get_registry as _metrics_registry
 from repro.obs.trace import span as obs_span
@@ -104,46 +118,27 @@ from repro.solver.problem import (
 )
 from repro.solver.result import Solution, SolverStatus
 
-try:  # scipy is optional; the solver falls back to LU solves without it.
-    from scipy.linalg import cho_factor, cho_solve
-
-    _HAVE_CHOLESKY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_CHOLESKY = False
-
-try:  # sparse substrate of the structured path (CSR merit, splu blocks, QR)
-    from scipy import sparse as _sp
-    from scipy.linalg import qr as _sp_qr, solve_triangular as _sp_solve_triangular
-    from scipy.sparse.linalg import splu as _sp_splu
-
-    _HAVE_SPARSE = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sp = None
-    _HAVE_SPARSE = False
+#: Per-application Hessian blocks at least this wide are factorised with a
+#: sparse LU (:func:`scipy.sparse.linalg.splu`) instead of joining a batched
+#: dense Cholesky group.  Workload blocks are narrow (a few dozen variables),
+#: so this only engages for unusually large applications.
+_SPLU_BLOCK_WIDTH = 256
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive-definite system for a (multi-column) rhs.
 
-    Uses a Cholesky factorisation when scipy is available and plain
-    :func:`numpy.linalg.solve` otherwise; raises
-    :class:`numpy.linalg.LinAlgError` when the matrix is not positive
-    definite, which the structured Newton path catches to fall back to the
-    dense solve.
+    Raises :class:`numpy.linalg.LinAlgError` when the matrix is not positive
+    definite, which the structured kernel catches to fall back to the dense
+    one.
     """
     if matrix.shape[0] == 0:
         return np.zeros_like(rhs)
-    if _HAVE_CHOLESKY:
-        return cho_solve(
-            cho_factor(matrix, lower=True, check_finite=False),
-            rhs,
-            check_finite=False,
-        )
-    # np.linalg.solve only raises for *singular* matrices; factorise first so
-    # an indefinite block still trips the dense fallback instead of quietly
-    # producing a non-descent direction.
-    np.linalg.cholesky(matrix)
-    return np.linalg.solve(matrix, rhs)
+    return cho_solve(
+        cho_factor(matrix, lower=True, check_finite=False),
+        rhs,
+        check_finite=False,
+    )
 
 
 @dataclass
@@ -190,19 +185,6 @@ class BarrierOptions:
     #: it (a rung that then fails to center still trips the convergence
     #: guard and falls back to a cold run, so correctness is unaffected).
     warm_rung_decrement: float = 4.0
-    #: Structured (block-Cholesky + Schur-complement) Newton solves:
-    #: ``None`` engages them automatically when the compiled problem carries a
-    #: :class:`~repro.solver.problem.BlockStructure` with at least two blocks
-    #: and narrow coupling; ``True`` forces them whenever structure exists;
-    #: ``False`` disables them (dense solves, used as the baseline by the
-    #: block-Newton benchmarks).
-    structured: Optional[bool] = None
-    #: Per-application Hessian blocks at least this wide are factorised with
-    #: a sparse LU (:func:`scipy.sparse.linalg.splu`) instead of joining a
-    #: batched dense Cholesky group.  Workload blocks are narrow (a few dozen
-    #: variables), so the default only engages for unusually large
-    #: applications; tests lower it to exercise the sparse factorisation.
-    sparse_block_width: int = 256
 
 
 class _BarrierTerm:
@@ -229,16 +211,12 @@ class _BarrierTerm:
         """Smallest slack of the represented constraints (must stay > 0)."""
         raise NotImplementedError
 
-    def barrier_value(self, x: np.ndarray) -> float:
-        """Sum of ``−log(slack_i)`` over the represented constraints."""
-        raise NotImplementedError
-
     def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
-        """Both of the above from a single slack evaluation.
+        """Smallest slack and ``Σ −log(slack_i)`` from one slack evaluation.
 
         The line search needs the feasibility check and the merit value at
-        every trial point; computing them together halves the slack work
-        (see :meth:`BarrierSolver._newton_minimise`).
+        every trial point; one evaluation serves both (see
+        :meth:`BarrierSolver._newton_minimise`).
         """
         raise NotImplementedError
 
@@ -269,12 +247,6 @@ class _LinearBlock(_BarrierTerm):
         if self.count == 0:
             return 1.0
         return float(np.min(self.slacks(x)))
-
-    def barrier_value(self, x: np.ndarray) -> float:
-        s = self.slacks(x)
-        if np.any(s <= 0.0):
-            return math.inf
-        return float(-np.sum(np.log(s)))
 
     def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
         if self.count == 0:
@@ -327,12 +299,6 @@ class _HyperbolicBlock(_BarrierTerm):
         pv, qv, f = self._pqf(x)
         branch = np.minimum(pv, qv)
         return float(np.min(np.where(branch <= 0.0, -1.0, f)))
-
-    def barrier_value(self, x: np.ndarray) -> float:
-        pv, qv, f = self._pqf(x)
-        if np.any(pv <= 0.0) or np.any(qv <= 0.0) or np.any(f <= 0.0):
-            return math.inf
-        return float(-np.sum(np.log(f)))
 
     def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
         pv, qv, f = self._pqf(x)
@@ -388,12 +354,6 @@ class _ConeBlock(_BarrierTerm):
         _, v, f = self._uvf(x)
         return float(np.min(np.where(v <= 0.0, -1.0, f)))
 
-    def barrier_value(self, x: np.ndarray) -> float:
-        _, v, f = self._uvf(x)
-        if np.any(v <= 0.0) or np.any(f <= 0.0):
-            return math.inf
-        return float(-np.sum(np.log(f)))
-
     def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
         _, v, f = self._uvf(x)
         smallest = float(np.min(np.where(v <= 0.0, -1.0, f)))
@@ -447,57 +407,65 @@ def _accumulate_dense(
     return grad, hess
 
 
+def _single_block(problem: CompiledProblem) -> BlockStructure:
+    """The one-block partition of a program compiled without a structure."""
+    return BlockStructure(
+        ranges=[(0, problem.num_variables)],
+        row_blocks=np.zeros(problem.h.shape[0], dtype=int),
+        equality_blocks=np.zeros(problem.b.shape[0], dtype=int),
+        hyperbolic_blocks=[0] * len(problem.hyperbolic),
+        cone_blocks=[0] * len(problem.cones),
+    )
+
+
+def _block_support(slc: slice, k: int, border: int) -> Optional[np.ndarray]:
+    """Coordinates of the block ``slc`` followed by the ``border`` ones.
+
+    ``None`` (read the whole vector) when the block spans all ``k`` leading
+    coordinates — a single-block problem — which spares every term a
+    gather of the full vector.
+    """
+    if slc.start == 0 and slc.stop == k:
+        return None
+    return np.concatenate(
+        [np.arange(slc.start, slc.stop), np.arange(k, k + border)]
+    )
+
+
 def _eq_block(problem: CompiledProblem, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Dense copy of the narrow equality sub-matrix ``A[rows, start:stop]``.
 
-    Sliced from the CSR form so the full dense ``A`` is never materialised
-    on the structured path.
+    Sliced from the CSR form so the full dense ``A`` is never materialised.
     """
-    sparse_A = problem.A_sparse
-    if sparse_A is not None:
-        return np.asarray(sparse_A[rows][:, start:stop].todense())
-    return problem.A[rows][:, start:stop].copy()
+    return np.asarray(problem.A_sparse[rows][:, start:stop].todense())
 
 
 def _ineq_block(problem: CompiledProblem, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Dense copy of the narrow inequality sub-matrix ``G[rows, start:stop]``."""
-    sparse_G = problem.G_sparse
-    if sparse_G is not None:
-        return np.asarray(sparse_G[rows][:, start:stop].todense())
-    return problem.G[rows][:, start:stop].copy()
+    return np.asarray(problem.G_sparse[rows][:, start:stop].todense())
 
 
 def _block_nullspace(A_block: np.ndarray, b_block: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Particular solution and orthonormal null-space basis of one block.
 
-    Uses one pivoted QR factorisation of ``A_blockᵀ`` when scipy is
-    available (``A_blockᵀ·P = Q·R`` gives both the min-norm particular
-    solution through a triangular solve and the null space as the trailing
-    columns of ``Q``), falling back to the historical lstsq + SVD pair
-    otherwise.  Returns ``None`` when the block's equalities are
-    inconsistent.
+    Uses one pivoted QR factorisation of ``A_blockᵀ``: ``A_blockᵀ·P = Q·R``
+    gives both the min-norm particular solution through a triangular solve
+    and the null space as the trailing columns of ``Q``.  Returns ``None``
+    when the block's equalities are inconsistent.
     """
     width = A_block.shape[1]
-    if _HAVE_SPARSE:
-        Q, R, perm = _sp_qr(A_block.T, mode="full", pivoting=True)
-        diag = np.abs(np.diag(R)) if R.size else np.zeros(0)
-        scale = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > max(A_block.shape) * np.finfo(float).eps * scale))
-        if rank:
-            y = _sp_solve_triangular(
-                R[:rank, :rank].T, b_block[perm][:rank], lower=True
-            )
-            x_block = Q[:, :rank] @ y
-        else:
-            x_block = np.zeros(width)
-        basis = Q[:, rank:]
-    else:  # pragma: no cover - exercised only without scipy
-        x_block, *_ = np.linalg.lstsq(A_block, b_block, rcond=None)
-        _, s, vt = np.linalg.svd(A_block, full_matrices=True)
-        rank = int(
-            np.sum(s > max(A_block.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0))
+    Q, R, perm = _sp_qr(A_block.T, mode="full", pivoting=True)
+    diag = np.abs(np.diag(R)) if R.size else np.zeros(0)
+    scale = diag[0] if diag.size else 0.0
+    rank = int(np.sum(diag > max(A_block.shape) * np.finfo(float).eps * scale))
+    if rank:
+        y = _sp_solve_triangular(
+            R[:rank, :rank].T, b_block[perm][:rank], lower=True
         )
-        basis = vt[rank:].T
+        x_block = Q[:, :rank] @ y
+    else:
+        x_block = np.zeros(width)
+    basis = Q[:, rank:]
     tolerance = 1e-7 * max(1.0, float(np.abs(b_block).max(initial=0.0)))
     if not np.allclose(A_block @ x_block, b_block, atol=tolerance):
         return None
@@ -545,11 +513,9 @@ def transfer_block_eliminations(
     if (
         not isinstance(reduced, _ReducedProblem)
         or structure is None
-        or reduced.block_slices is None
+        or reduced.structure is not structure
         or target.block_structure is None
     ):
-        return 0
-    if structure.equality_blocks.shape[0] != source.b.shape[0]:
         return 0
     seeds: Dict[int, object] = {}
     for source_index, target_index in block_map.items():
@@ -621,153 +587,100 @@ class _PiecesCache:
 class _ReducedProblem:
     """A problem restricted to the affine subspace ``x = x_p + N·z``.
 
-    ``N`` is represented in whichever of three forms the elimination
-    produced, cheapest first:
-
-    * *identity* — no equality rows at all; ``N = I`` is never materialised
-      and every lift/projection is a vector add;
-    * *block diagonal* — blockwise elimination; only the per-block bases
-      (``ranges[b]`` rows × ``block_slices[b]`` columns) are stored, and
-      lift / projection / row reduction run block by block in
-      ``O(Σ width·k_b)`` instead of ``O(n·k)``;
-    * *dense* — the unstructured fallback stores the full ``(n, k)`` matrix.
-
-    The dense :attr:`nullspace` view is assembled lazily from the blocks
-    when a dense-path consumer asks for it.
+    The elimination runs block by block over :attr:`structure` (a single
+    block for a program compiled without one), so ``N`` is block diagonal:
+    only the per-block bases (``ranges[b]`` rows × ``block_slices[b]``
+    columns) are stored, and lift / projection / row reduction run block by
+    block in ``O(Σ width·k_b)`` instead of ``O(n·k)``.
     """
 
     def __init__(
         self,
         x_particular: np.ndarray,
-        nullspace: Optional[np.ndarray] = None,
-        block_slices: Optional[List[slice]] = None,
-        *,
-        identity: bool = False,
-        ranges: Optional[List[Tuple[int, int]]] = None,
-        block_bases: Optional[List[Optional[np.ndarray]]] = None,
+        structure: BlockStructure,
+        block_bases: List[Optional[np.ndarray]],
         blocks_computed: int = 0,
         blocks_reused: int = 0,
     ) -> None:
         self.x_particular = x_particular
-        self._nullspace = nullspace
-        #: contiguous per-block coordinate slices of the reduced space,
-        #: present when the reduction is block partitioned
-        self.block_slices = block_slices
-        #: ``N = I`` (no equality rows); ``n == k``
-        self.identity = identity
-        #: per-block variable index ranges matching ``block_slices``
-        self.ranges = ranges
+        #: the block partition this reduction follows
+        self.structure = structure
+        #: per-block variable index ranges
+        self.ranges = structure.ranges
         #: per-block null-space bases; ``None`` entries mean the identity
         #: (a block without equality rows keeps all its variables)
         self.block_bases = block_bases
-        #: lazily filled solve-invariant reduction products (structured path)
+        #: contiguous per-block coordinate slices of the reduced space
+        self.block_slices: List[slice] = []
+        offset = 0
+        for (start, stop), basis in zip(self.ranges, block_bases):
+            width = stop - start if basis is None else basis.shape[1]
+            self.block_slices.append(slice(offset, offset + width))
+            offset += width
+        #: lazily filled solve-invariant reduction products
         self.pieces_cache: Optional[_PiecesCache] = None
         #: accounting of the elimination that produced this reduction:
         #: factorisations actually performed vs per-block bases reused from
         #: an :attr:`~repro.solver.problem.CompiledProblem.elimination_seed`
-        #: (a dense elimination counts as one computed "block")
         self.blocks_computed = blocks_computed
         self.blocks_reused = blocks_reused
 
     @property
     def dimension(self) -> int:
-        if self._nullspace is not None:
-            return self._nullspace.shape[1]
-        if self.identity:
-            return self.x_particular.size
         return self.block_slices[-1].stop if self.block_slices else 0
-
-    @property
-    def nullspace(self) -> np.ndarray:
-        """Dense ``(n, k)`` basis, assembled lazily (dense-path consumers only)."""
-        if self._nullspace is None:
-            n = self.x_particular.size
-            if self.identity:
-                self._nullspace = np.eye(n)
-            else:
-                N = np.zeros((n, self.dimension))
-                for (start, stop), slc, basis in zip(
-                    self.ranges, self.block_slices, self.block_bases
-                ):
-                    N[start:stop, slc] = (
-                        np.eye(stop - start) if basis is None else basis
-                    )
-                self._nullspace = N
-        return self._nullspace
 
     def basis_for(self, block_index: int) -> Optional[np.ndarray]:
         """Block ``block_index``'s basis; ``None`` means identity."""
-        if self.block_bases is not None:
-            return self.block_bases[block_index]
-        if self.identity:
-            return None
-        start, stop = self.ranges[block_index]
-        return self.nullspace[start:stop, self.block_slices[block_index]]
+        return self.block_bases[block_index]
 
     def lift(self, z: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return self.x_particular + z
-        if self.block_bases is not None:
-            x = self.x_particular.copy()
-            for (start, stop), slc, basis in zip(
-                self.ranges, self.block_slices, self.block_bases
-            ):
-                if basis is None:
-                    x[start:stop] += z[slc]
-                else:
-                    x[start:stop] += basis @ z[slc]
-            return x
-        return self.x_particular + self.nullspace @ z
+        x = self.x_particular.copy()
+        for (start, stop), slc, basis in zip(
+            self.ranges, self.block_slices, self.block_bases
+        ):
+            if basis is None:
+                x[start:stop] += z[slc]
+            else:
+                x[start:stop] += basis @ z[slc]
+        return x
 
     def reduce_direction(self, row: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return np.asarray(row, dtype=float).copy()
-        if self.block_bases is not None:
-            out = np.empty(self.dimension)
-            for (start, stop), slc, basis in zip(
-                self.ranges, self.block_slices, self.block_bases
-            ):
-                if basis is None:
-                    out[slc] = row[start:stop]
-                else:
-                    out[slc] = row[start:stop] @ basis
-            return out
-        return row @ self.nullspace
+        out = np.empty(self.dimension)
+        for (start, stop), slc, basis in zip(
+            self.ranges, self.block_slices, self.block_bases
+        ):
+            if basis is None:
+                out[slc] = row[start:stop]
+            else:
+                out[slc] = row[start:stop] @ basis
+        return out
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Least-squares coordinates of ``x − x_p`` in the basis.
 
-        The blockwise form solves one small least-squares problem per block
-        — with a block-diagonal ``N`` the global least-squares problem
-        decouples exactly, so this matches the dense projection while
-        avoiding the ``O(n·k²)`` full-matrix factorisation that dominated
-        warm starts at scale.
+        With a block-diagonal ``N`` the least-squares problem decouples
+        exactly, so it is solved as one small problem per block.
         """
         residual = x - self.x_particular
-        if self.identity:
-            return residual
-        if self.block_bases is not None:
-            z = np.empty(self.dimension)
-            for (start, stop), slc, basis in zip(
-                self.ranges, self.block_slices, self.block_bases
-            ):
-                if basis is None:
-                    z[slc] = residual[start:stop]
-                else:
-                    # Bases are orthonormal (QR/SVD columns), but solve the
-                    # block least-squares problem anyway so seeded bases of
-                    # any provenance project correctly.
-                    z[slc], *_ = np.linalg.lstsq(
-                        basis, residual[start:stop], rcond=None
-                    )
-            return z
-        z, *_ = np.linalg.lstsq(self.nullspace, residual, rcond=None)
+        z = np.empty(self.dimension)
+        for (start, stop), slc, basis in zip(
+            self.ranges, self.block_slices, self.block_bases
+        ):
+            if basis is None:
+                z[slc] = residual[start:stop]
+            else:
+                # Bases are orthonormal (QR columns), but solve the block
+                # least-squares problem anyway so seeded bases of any
+                # provenance project correctly.
+                z[slc], *_ = np.linalg.lstsq(
+                    basis, residual[start:stop], rcond=None
+                )
         return z
 
 
 @dataclass
 class _ReducedPieces:
-    """Per-block narrow reduced data of a structured problem (one solve).
+    """Per-block narrow reduced data of one solve.
 
     ``linear[b]`` is block ``b``'s reduced inequality rows ``(G, h)`` in its
     own coordinates; ``hyps[b]`` / ``cones[b]`` its reduced non-linear
@@ -798,15 +711,13 @@ class _StructurePlan:
     block_terms: List[List[_BarrierTerm]]
     coupling: Optional[_LinearBlock]
 
-    @property
-    def terms(self) -> List[_BarrierTerm]:
-        """The flat term list (block terms + coupling) for generic loops."""
-        flat: List[_BarrierTerm] = [
+    def __post_init__(self) -> None:
+        #: the flat term list (block terms + coupling) for generic loops
+        self.terms: List[_BarrierTerm] = [
             term for terms in self.block_terms for term in terms
         ]
         if self.coupling is not None:
-            flat.append(self.coupling)
-        return flat
+            self.terms.append(self.coupling)
 
 
 class _MeritBundle:
@@ -819,7 +730,7 @@ class _MeritBundle:
     form (the batched SOC blocks of phase I) stay on the per-term path.
 
     The merit value is mathematically identical to
-    :meth:`BarrierSolver._barrier_merit` over the same terms; only the
+    :meth:`_DenseWorkspace.merit` over the same terms; only the
     floating-point summation order differs, which the difference-form line
     search is insensitive to.
     """
@@ -827,9 +738,6 @@ class _MeritBundle:
     def __init__(self, plan: _StructurePlan, k: int) -> None:
         self.G = self.h = self.P = self.Q = None
         self.leftovers: List[_BarrierTerm] = []
-        if not _HAVE_SPARSE:  # pragma: no cover - scipy-less fallback
-            self.leftovers = list(plan.terms)
-            return
         lin_data: List[np.ndarray] = []
         lin_rows: List[np.ndarray] = []
         lin_cols: List[np.ndarray] = []
@@ -927,23 +835,76 @@ class _MeritBundle:
         return total
 
 
-class _StructuredWorkspace:
-    """Preallocated hot-loop state for one structured centering run.
+class _DenseWorkspace:
+    """Newton kernel of a one-block (or widely coupled) problem: one dense solve.
 
-    Owns the right-hand-side / solution buffers of the arrow solve (the
-    coupling columns ``Gcᵀ`` are written **once** — they are constant across
-    Newton iterations, only the gradient column changes), the per-block local
+    Every barrier term of the plan is scattered into one ``(k, k)`` Hessian,
+    which gets the trace-scaled Tikhonov term and a dense solve (least
+    squares when the system is singular).  On one small block this beats the
+    arrow machinery of :class:`_StructuredWorkspace`, whose per-iteration
+    fallback it also is.
+    """
+
+    def __init__(self, plan: _StructurePlan, k: int, options: BarrierOptions) -> None:
+        self.plan = plan
+        self.k = k
+        self.options = options
+
+    def direction(
+        self, z: np.ndarray, grad_objective: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The gradient and Newton direction of ``grad_objective·z + φ(z)``."""
+        k = self.k
+        grad_barrier, hess = _accumulate_dense(self.plan.terms, z)
+        grad = grad_objective + grad_barrier
+        hess += self.options.regularization * (1.0 + np.trace(hess) / max(k, 1)) * np.eye(k)
+        try:
+            # Chaos site: an armed ``newton.linalg`` fault raises the same
+            # LinAlgError a singular system would, forcing the lstsq step.
+            _maybe_fail("newton.linalg")
+            direction = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            direction = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        return grad, direction
+
+    def merit(self, z: np.ndarray) -> float:
+        """Barrier value ``φ(z)``; ``+inf`` when any constraint slack is ≤ 0.
+
+        One slack evaluation per term serves both the feasibility check and
+        the barrier value (:meth:`_BarrierTerm.slack_and_barrier`).  The
+        linear merit part is handled by the caller in difference form, so
+        only the barrier sum is evaluated here.
+        """
+        total = 0.0
+        for term in self.plan.terms:
+            slack, value = term.slack_and_barrier(z)
+            if slack <= 0.0:
+                return math.inf
+            total += value
+        return total
+
+
+class _StructuredWorkspace:
+    """Newton kernel of a multi-block problem: block factorisations + Schur.
+
+    Owns the preallocated hot-loop state of one centering run: the
+    right-hand-side / solution buffers of the arrow solve (the coupling
+    columns ``Gcᵀ`` are written **once** — they are constant across Newton
+    iterations, only the gradient column changes), the per-block local
     Hessian buffers, and the batched factorisation groups: blocks of equal
     width are stacked into one ``(B, w, w)`` tensor and factorised with a
-    single batched Cholesky (the positive-definiteness check that triggers
-    the dense fallback) followed by one batched solve, so the per-iteration
-    Python cost no longer scales with a per-block pair of LAPACK calls.
-    Blocks wider than :attr:`BarrierOptions.sparse_block_width` are instead
-    factorised sparsely via :func:`scipy.sparse.linalg.splu`.
+    single batched Cholesky (the positive-definiteness check) followed by
+    one batched solve, so the per-iteration Python cost no longer scales
+    with a per-block pair of LAPACK calls.  Blocks at least
+    ``_SPLU_BLOCK_WIDTH`` wide are instead factorised sparsely via
+    :func:`scipy.sparse.linalg.splu`.
 
-    The Hessian assembled here is identical to the dense path's (including
-    the trace-scaled Tikhonov regularisation), so both paths produce the
-    same Newton iterates up to floating-point rounding.
+    The Hessian assembled here is identical to :class:`_DenseWorkspace`'s
+    (including the trace-scaled Tikhonov regularisation), so both kernels
+    produce the same Newton iterates up to floating-point rounding.  When a
+    block factorisation fails, that iteration's direction comes from a
+    dense twin over the same plan instead (counted in
+    ``stats["fallback_iterations"]``).
     """
 
     def __init__(
@@ -951,15 +912,11 @@ class _StructuredWorkspace:
         plan: _StructurePlan,
         k: int,
         options: BarrierOptions,
-        sparse_stats: Optional[Dict[str, float]] = None,
+        stats: Dict[str, float],
     ) -> None:
         self.plan = plan
         self.options = options
-        self.stats = sparse_stats if sparse_stats is not None else {
-            "factorization_time": 0.0,
-            "schur_time": 0.0,
-            "block_factorizations": 0,
-        }
+        self.stats = stats
         self.k = k
         self.border = plan.border
         coupling = plan.coupling
@@ -984,7 +941,7 @@ class _StructuredWorkspace:
             self.block_infos.append((slc, width, terms, local))
             if width == 0:
                 continue
-            if width >= options.sparse_block_width and _HAVE_SPARSE:
+            if width >= _SPLU_BLOCK_WIDTH:
                 self.splu_blocks.append(index)
             else:
                 groups.setdefault(width, []).append(index)
@@ -1000,11 +957,24 @@ class _StructuredWorkspace:
         ]
         self._border_parts: Dict[int, np.ndarray] = {}
         self.merit_bundle = _MeritBundle(plan, k)
+        self._dense: Optional[_DenseWorkspace] = None
 
     def merit(self, z: np.ndarray) -> float:
         return self.merit_bundle.merit(z)
 
     def direction(
+        self, z: np.ndarray, grad_objective: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The arrow direction, or the dense twin's when a factorisation fails."""
+        try:
+            return self._arrow_direction(z, grad_objective)
+        except np.linalg.LinAlgError:
+            self.stats["fallback_iterations"] += 1
+            if self._dense is None:
+                self._dense = _DenseWorkspace(self.plan, self.k, self.options)
+            return self._dense.direction(z, grad_objective)
+
+    def _arrow_direction(
         self, z: np.ndarray, grad_objective: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One Newton direction via batched block factorisations + Schur.
@@ -1020,8 +990,8 @@ class _StructuredWorkspace:
         per-block factorisations instead of one cube of the full size.
 
         Raises :class:`numpy.linalg.LinAlgError` when any block is not
-        positive definite, which the Newton loop catches to fall back to
-        the dense solve.
+        positive definite (or a Schur system is singular), which
+        :meth:`direction` catches to fall back to the dense twin.
         """
         plan = self.plan
         k, border, m, cols = self.k, self.border, self.m, self.cols
@@ -1055,6 +1025,9 @@ class _StructuredWorkspace:
         solved = self.solved
 
         factor_start = time.perf_counter()
+        # Chaos site: an armed ``newton.linalg`` fault raises the same
+        # LinAlgError a failed block factorisation would.
+        _maybe_fail("newton.linalg")
         if border:
             schur = reg * np.eye(border)
             cross_rhs = np.zeros((border, cols))
@@ -1073,7 +1046,7 @@ class _StructuredWorkspace:
                     R_stack[j, :, cols:] = local[:width, width:]
             H_stack[:, np.arange(width), np.arange(width)] += reg
             # Batched Cholesky is the positive-definiteness check (raises
-            # LinAlgError → dense fallback); the batched LU solve then
+            # LinAlgError → dense twin); the batched LU solve then
             # produces all block solutions in one LAPACK call.
             np.linalg.cholesky(H_stack)
             sol = np.linalg.solve(H_stack, R_stack)
@@ -1094,7 +1067,7 @@ class _StructuredWorkspace:
             try:
                 lu = _sp_splu(_sp.csc_matrix(diag))
                 block_solution = lu.solve(block_rhs)
-            except RuntimeError as error:  # singular factor → dense fallback
+            except RuntimeError as error:  # singular factor → dense twin
                 raise np.linalg.LinAlgError(str(error)) from error
             self.stats["block_factorizations"] += 1
             solved[slc] = block_solution[:, :cols]
@@ -1159,31 +1132,27 @@ class BarrierSolver:
                 backend="barrier",
             )
 
-        reduced, eq_status, elimination_computed = self._eliminate_equalities(
-            problem
-        )
-        if eq_status is not None:
-            return eq_status
+        reduced, elimination_computed = self._eliminate_equalities(problem)
+        if reduced is None:
+            return Solution(
+                status=SolverStatus.INFEASIBLE,
+                backend="barrier",
+                message="equality constraints are inconsistent",
+            )
 
-        #: Newton iterations that fell back to the dense solve because a
-        #: block factorisation failed; reset per solve, reported in stats.
-        self._structured_fallbacks = 0
-        #: Sparse-backend accounting shared by every workspace of this solve
-        #: (phase I, warm-rung probing, phase II); reset per solve.
+        #: Structured-kernel accounting shared by every workspace of this
+        #: solve (phase I, warm-rung probing, phase II); reset per solve.
         self._sparse_stats = {
             "factorization_time": 0.0,
             "schur_time": 0.0,
             "block_factorizations": 0,
+            "fallback_iterations": 0,
         }
-        self._pieces_cache_hit = False
-        terms, plan, pieces = self._phase2_terms(problem, reduced)
-        workspace = (
-            _StructuredWorkspace(
-                plan, reduced.dimension, opts, self._sparse_stats
-            )
-            if plan is not None
-            else None
-        )
+        structured = self._structure_enabled(reduced)
+        pieces = self._reduced_pieces(problem, reduced)
+        plan = self._phase_two_plan(pieces, reduced)
+        workspace = self._workspace(plan, reduced.dimension, structured)
+        terms = plan.terms
         c_reduced = reduced.reduce_direction(problem.c)
         total_constraints = sum(term.count for term in terms)
 
@@ -1210,7 +1179,7 @@ class BarrierSolver:
         fallbacks = [z_interior] if z_interior is not None else []
         with obs_span("phase1") as phase1_span:
             z_feasible, feasibility, phase1 = self._phase_one(
-                problem, reduced, z0, fallbacks=fallbacks, pieces=pieces
+                problem, reduced, pieces, structured, z0, fallbacks=fallbacks
             )
             phase1_span.set(
                 skipped=bool(phase1["skipped"]),
@@ -1222,10 +1191,10 @@ class BarrierSolver:
             "phase1_newton_iterations": int(phase1["newton_iterations"]),
             "newton_iterations": 0,
             "outer_iterations": 0,
-            "structured": plan is not None,
+            "structured": structured,
             "elimination_computed": bool(elimination_computed),
-            # Per-block elimination accounting of *this* solve: SVDs actually
-            # performed vs bases reused from an elimination seed (both 0 on an
+            # Per-block elimination accounting of *this* solve: factorisations
+            # actually performed vs bases reused from an elimination seed (both 0 on an
             # elimination-cache hit, where nothing was eliminated at all).
             "elimination_blocks_computed": (
                 int(reduced.blocks_computed) if elimination_computed else 0
@@ -1236,14 +1205,8 @@ class BarrierSolver:
             "phase1_time": phase1_time,
             "centering_time": 0.0,
         }
-        if plan is not None:
-            # Iterations the structured path handed to the dense solve
-            # because a block factorisation failed (0 in the common case).
-            stats["structured_fallback_iterations"] = int(
-                self._structured_fallbacks
-            )
         if z_feasible is None:
-            self._attach_sparse_stats(stats, problem, plan)
+            self._attach_sparse_stats(stats, problem, structured)
             self._record_metrics(stats, optimal=False)
             return Solution(
                 status=SolverStatus.INFEASIBLE,
@@ -1263,12 +1226,11 @@ class BarrierSolver:
         if phase1["skipped"] and opts.warm_initial_barrier is not None:
             rung = self._select_warm_rung(
                 c_reduced,
-                terms,
+                workspace,
                 z_feasible,
                 float(opts.warm_initial_barrier),
                 total_constraints,
                 opts.tolerance,
-                workspace=workspace,
             )
             if rung > opts.initial_barrier:
                 initial_barrier = rung
@@ -1281,12 +1243,7 @@ class BarrierSolver:
 
         with obs_span("centering") as centering_span:
             result = self._barrier_minimise(
-                c_reduced,
-                terms,
-                z_start,
-                initial_barrier=initial_barrier,
-                plan=plan,
-                workspace=workspace,
+                c_reduced, workspace, z_start, initial_barrier=initial_barrier
             )
             if initial_barrier is not None and not result.converged:
                 # The raised rung failed to center within the Newton budget; its
@@ -1298,8 +1255,7 @@ class BarrierSolver:
                     retry_start = z_interior
                 with obs_span("cold-retry"):
                     retry = self._barrier_minimise(
-                        c_reduced, terms, retry_start, plan=plan,
-                        workspace=workspace,
+                        c_reduced, workspace, retry_start
                     )
                 retry.newton += result.newton
                 retry.outer += result.outer
@@ -1312,11 +1268,7 @@ class BarrierSolver:
         stats["newton_iterations"] = int(result.newton)
         stats["outer_iterations"] = int(result.outer)
         stats["final_barrier"] = float(result.final_barrier)
-        if plan is not None:
-            stats["structured_fallback_iterations"] = int(
-                self._structured_fallbacks
-            )
-        self._attach_sparse_stats(stats, problem, plan)
+        self._attach_sparse_stats(stats, problem, structured)
         x_opt = reduced.lift(result.z)
         objective = problem.objective_value(x_opt)
 
@@ -1347,25 +1299,28 @@ class BarrierSolver:
         self,
         stats: Dict[str, object],
         problem: CompiledProblem,
-        plan: Optional[_StructurePlan],
+        structured: bool,
     ) -> None:
         """Fold this solve's sparse-backend accounting into its stats dict.
 
         ``sparse_nnz`` (constraint-matrix nonzeros) is reported for every
         solve; the factorisation/Schur time split, the block-factorisation
-        count and the pieces-cache reuse flag only exist on the structured
-        path.
+        count, the dense-fallback count and the pieces-cache reuse flag only
+        exist for the structured kernel.
         """
         stats["sparse_nnz"] = int(problem.constraint_nnz)
-        if plan is None:
+        if not structured:
             return
         sparse = self._sparse_stats
+        # Directions the structured kernel handed to its dense twin because
+        # a block factorisation failed (0 in the common case).
+        stats["structured_fallback_iterations"] = int(
+            sparse["fallback_iterations"]
+        )
         stats["factorization_time"] = float(sparse["factorization_time"])
         stats["schur_time"] = float(sparse["schur_time"])
         stats["block_factorizations"] = int(sparse["block_factorizations"])
-        stats["pieces_cache_reused"] = bool(
-            getattr(self, "_pieces_cache_hit", False)
-        )
+        stats["pieces_cache_reused"] = bool(self._pieces_cache_hit)
 
     def _record_metrics(self, stats: Dict[str, object], optimal: bool) -> None:
         """Publish one solve's statistics to the metrics registry.
@@ -1425,118 +1380,65 @@ class BarrierSolver:
     # -- setup ----------------------------------------------------------------
     def _eliminate_equalities(
         self, problem: CompiledProblem
-    ) -> Tuple[_ReducedProblem, Optional[Solution], bool]:
+    ) -> Tuple[Optional[_ReducedProblem], bool]:
         """Equality elimination with a per-compiled-problem cache.
 
         Successful reductions are cached on the compiled problem: the basis
         depends only on ``A`` and ``b``, which parametric re-solves never
         mutate (only ``h`` changes), so a warm-started
-        :class:`~repro.solver.parametric.SolveSession` computes the SVDs once
-        for the whole sweep.  The third return value reports whether this
-        call computed the elimination (``False`` = cache hit), surfaced as
-        the ``elimination_computed`` solve statistic.
+        :class:`~repro.solver.parametric.SolveSession` computes the
+        factorisations once for the whole sweep.  Returns the reduction
+        (``None`` when the equalities are inconsistent) and whether this
+        call computed it (``False`` = cache hit), surfaced as the
+        ``elimination_computed`` solve statistic.
         """
         cached = problem.elimination_cache
         if isinstance(cached, _ReducedProblem):
-            return cached, None, False
-        reduced, status = self._compute_elimination(problem)
-        if status is None:
+            return cached, False
+        structure = problem.block_structure
+        if structure is None or structure.equality_blocks.shape[0] != problem.b.shape[0]:
+            structure = _single_block(problem)
+        reduced = self._blockwise_elimination(problem, structure)
+        if reduced is not None:
             problem.elimination_cache = reduced
             # The seed is one-shot: once an elimination has consumed (or
             # rejected) it, keeping it would only retain dense basis copies
             # for blocks that may no longer exist after session edits —
             # unbounded growth over a long add/remove admission trace.
             problem.elimination_seed = None
-        return reduced, status, True
-
-    def _compute_elimination(
-        self, problem: CompiledProblem
-    ) -> Tuple[_ReducedProblem, Optional[Solution]]:
-        n = problem.num_variables
-        structure = problem.block_structure
-        if problem.b.size == 0:
-            block_slices = None
-            ranges = None
-            block_bases: Optional[List[Optional[np.ndarray]]] = None
-            if structure is not None:
-                block_slices = [slice(start, stop) for start, stop in structure.ranges]
-                ranges = list(structure.ranges)
-                block_bases = [None] * structure.num_blocks
-            return (
-                _ReducedProblem(
-                    np.zeros(n),
-                    block_slices=block_slices,
-                    identity=True,
-                    ranges=ranges,
-                    block_bases=block_bases,
-                ),
-                None,
-            )
-
-        if structure is not None:
-            result = self._blockwise_elimination(problem, structure)
-            if result is not None:
-                return result
-
-        A, b = problem.A, problem.b
-        # Particular solution (least squares) and consistency check.
-        x_p, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if not np.allclose(A @ x_p, b, atol=1e-7 * max(1.0, float(np.abs(b).max(initial=0.0)))):
-            return (
-                _ReducedProblem(np.zeros(n), identity=True),
-                Solution(
-                    status=SolverStatus.INFEASIBLE,
-                    backend="barrier",
-                    message="equality constraints are inconsistent",
-                ),
-            )
-        # Null-space basis via SVD.
-        _, s, vt = np.linalg.svd(A, full_matrices=True)
-        rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
-        nullspace = vt[rank:].T
-        if nullspace.size == 0:
-            nullspace = np.zeros((n, 0))
-        return _ReducedProblem(x_p, nullspace, blocks_computed=1), None
+        return reduced, True
 
     def _blockwise_elimination(
         self, problem: CompiledProblem, structure: BlockStructure
-    ) -> Optional[Tuple[_ReducedProblem, Optional[Solution]]]:
+    ) -> Optional[_ReducedProblem]:
         """Per-block elimination producing a block-diagonal null-space basis.
 
-        Every equality row of a structured problem is confined to one block
-        (multi-block equalities drop the structure at compile time), so the
-        null space factors per block: one small pivoted QR per application
-        instead of one factorisation of the full equality matrix, and the
-        resulting per-block bases keep the reduced problem block partitioned
-        without ever materialising the dense ``(n, k)`` null-space matrix.
-        Returns ``None`` to fall back to the dense elimination when the
-        recorded row assignment is stale.
+        Every equality row is confined to one block (multi-block equalities
+        drop the structure at compile time, and a program without one is a
+        single block), so the null space factors per block: one small
+        pivoted QR per application instead of one factorisation of the full
+        equality matrix, and the per-block bases keep the reduced problem
+        block partitioned without ever materialising the dense ``(n, k)``
+        null-space matrix.  Returns ``None`` when a block's equalities are
+        inconsistent.
 
         Blocks present in the problem's
         :attr:`~repro.solver.problem.CompiledProblem.elimination_seed` (bases
         carried over from a previous compiled problem by
-        :func:`transfer_block_eliminations`) skip their SVD when the seed's
+        :func:`transfer_block_eliminations`) skip their QR when the seed's
         stored equality data matches this problem's — the incremental-session
         case where only the edited application's block pays for elimination.
         """
-        n = problem.num_variables
         b = problem.b
-        if structure.equality_blocks.shape[0] != b.shape[0]:
-            return None
         seeds = problem.elimination_seed or {}
         computed = 0
         reused = 0
-        x_p = np.zeros(n)
+        x_p = np.zeros(problem.num_variables)
         basis_blocks: List[Optional[np.ndarray]] = []
-        block_slices: List[slice] = []
-        offset = 0
         for block_index, (start, stop) in enumerate(structure.ranges):
             rows = np.flatnonzero(structure.equality_blocks == block_index)
-            width = stop - start
-            if rows.size == 0:
-                basis = None  # identity: the block keeps all its variables
-                basis_width = width
-            else:
+            basis: Optional[np.ndarray] = None  # identity: keeps all variables
+            if rows.size:
                 A_block = _eq_block(problem, rows, start, stop)
                 b_block = b[rows]
                 seed = seeds.get(block_index)
@@ -1548,85 +1450,54 @@ class BarrierSolver:
                 ):
                     x_p[start:stop] = seed.x_block
                     basis = seed.basis
-                    basis_width = basis.shape[1]
                     reused += 1
-                    basis_blocks.append(basis)
-                    block_slices.append(slice(offset, offset + basis_width))
-                    offset += basis_width
-                    continue
-                result = _block_nullspace(A_block, b_block)
-                if result is None:
-                    return (
-                        _ReducedProblem(np.zeros(n), identity=True),
-                        Solution(
-                            status=SolverStatus.INFEASIBLE,
-                            backend="barrier",
-                            message="equality constraints are inconsistent",
-                        ),
-                    )
-                x_block, basis = result
-                x_p[start:stop] = x_block
-                basis_width = basis.shape[1]
-                computed += 1
+                else:
+                    result = _block_nullspace(A_block, b_block)
+                    if result is None:
+                        return None
+                    x_p[start:stop], basis = result
+                    computed += 1
             basis_blocks.append(basis)
-            block_slices.append(slice(offset, offset + basis_width))
-            offset += basis_width
-        return (
-            _ReducedProblem(
-                x_p,
-                block_slices=block_slices,
-                ranges=list(structure.ranges),
-                block_bases=basis_blocks,
-                blocks_computed=computed,
-                blocks_reused=reused,
-            ),
-            None,
+        return _ReducedProblem(
+            x_p,
+            structure,
+            basis_blocks,
+            blocks_computed=computed,
+            blocks_reused=reused,
         )
 
-    def _structure_enabled(
-        self, structure: Optional[BlockStructure], reduced: _ReducedProblem
-    ) -> bool:
-        """Whether to run the structured Newton path for this solve."""
-        if structure is None or reduced.block_slices is None:
-            return False
+    def _structure_enabled(self, reduced: _ReducedProblem) -> bool:
+        """Whether the structured kernel computes this solve's Newton steps.
+
+        It needs at least two blocks and a coupling narrow enough that the
+        Schur complement stays far smaller than the full system; otherwise
+        (one block above all) the dense kernel is faster.
+        """
+        structure = reduced.structure
         if reduced.dimension == 0:
             return False
-        opts = self.options
-        if opts.structured is False:
-            return False
-        if opts.structured is True:
-            return True
-        # Auto: at least two coupled blocks and a coupling narrow enough that
-        # the Schur complement stays far smaller than the full system.
         coupling = int(structure.coupling_rows.size)
         return structure.num_blocks >= 2 and coupling <= max(
             4, reduced.dimension // 2
         )
 
-    def _phase2_terms(
-        self, problem: CompiledProblem, reduced: _ReducedProblem
-    ) -> Tuple[List[_BarrierTerm], Optional[_StructurePlan], Optional[_ReducedPieces]]:
-        """Phase-II barrier terms, structured (narrow per block) when possible."""
-        structure = problem.block_structure
-        if not self._structure_enabled(structure, reduced):
-            return self._reduced_terms(problem, reduced), None, None
-        pieces = self._reduced_pieces(problem, reduced, structure)
-        plan = self._structured_plan(pieces, reduced)
-        return plan.terms, plan, pieces
+    def _workspace(
+        self, plan: _StructurePlan, k: int, structured: bool
+    ) -> Union[_DenseWorkspace, _StructuredWorkspace]:
+        """The Newton kernel for ``plan`` over ``k`` coordinates."""
+        if structured:
+            return _StructuredWorkspace(plan, k, self.options, self._sparse_stats)
+        return _DenseWorkspace(plan, k, self.options)
 
     def _reduced_pieces(
-        self,
-        problem: CompiledProblem,
-        reduced: _ReducedProblem,
-        structure: BlockStructure,
+        self, problem: CompiledProblem, reduced: _ReducedProblem
     ) -> _ReducedPieces:
         """Reduce each block's constraints through its own null-space basis.
 
-        Equivalent to the dense ``G @ N`` reductions of
-        :meth:`_reduced_terms`, but block by block: with a block-diagonal
-        basis, a block-local row only meets its own basis columns, so each
-        product is narrow — the reduction cost drops from
-        ``O(rows·n·k)`` to the sum of the per-block products.
+        Equivalent to the ``G @ N`` reduction of the whole problem, but block
+        by block: with a block-diagonal basis, a block-local row only meets
+        its own basis columns, so each product is narrow — the reduction
+        cost drops from ``O(rows·n·k)`` to the sum of the per-block products.
 
         The basis projections depend only on ``G``/cone data and the cached
         elimination, so they are computed once per compiled problem
@@ -1639,7 +1510,7 @@ class BarrierSolver:
         #: as the ``pieces_cache_reused`` stat → SessionStats sparse reuse)
         self._pieces_cache_hit = cache is not None
         if cache is None:
-            cache = self._build_pieces_cache(problem, reduced, structure)
+            cache = self._build_pieces_cache(problem, reduced)
             reduced.pieces_cache = cache
         linear = [
             (G, problem.h[rows] - offset)
@@ -1659,11 +1530,9 @@ class BarrierSolver:
         )
 
     def _build_pieces_cache(
-        self,
-        problem: CompiledProblem,
-        reduced: _ReducedProblem,
-        structure: BlockStructure,
+        self, problem: CompiledProblem, reduced: _ReducedProblem
     ) -> _PiecesCache:
+        structure = reduced.structure
         xp = reduced.x_particular
         block_rows: List[np.ndarray] = []
         block_G: List[np.ndarray] = []
@@ -1751,15 +1620,16 @@ class BarrierSolver:
             coupling_offset=coupling_offset,
         )
 
-    def _structured_plan(
+    def _phase_two_plan(
         self, pieces: _ReducedPieces, reduced: _ReducedProblem
     ) -> _StructurePlan:
         """Phase-II (borderless) plan: narrow per-block terms + coupling rows."""
+        k = reduced.dimension
         block_terms: List[List[_BarrierTerm]] = []
         for (G, h), hyp_list, cone_list, slc in zip(
             pieces.linear, pieces.hyps, pieces.cones, reduced.block_slices
         ):
-            support = np.arange(slc.start, slc.stop)
+            support = _block_support(slc, k, border=0)
             block_index = len(block_terms)
             terms: List[_BarrierTerm] = []
             if G.shape[0]:
@@ -1779,46 +1649,6 @@ class BarrierSolver:
             coupling=coupling,
         )
 
-    def _reduced_terms(
-        self, problem: CompiledProblem, reduced: _ReducedProblem
-    ) -> List[_BarrierTerm]:
-        """Barrier terms of the phase-II problem, expressed in reduced coordinates."""
-        xp = reduced.x_particular
-        N = None if reduced.identity else reduced.nullspace
-        terms: List[_BarrierTerm] = []
-        if problem.h.size:
-            G_reduced = problem.G if N is None else problem.G @ N
-            terms.append(_LinearBlock(G_reduced, problem.h - problem.G @ xp))
-        if problem.hyperbolic:
-            terms.append(
-                _HyperbolicBlock(
-                    [
-                        CompiledHyperbolic(
-                            p=hyp.p if N is None else hyp.p @ N,
-                            p0=float(hyp.p @ xp + hyp.p0),
-                            q=hyp.q if N is None else hyp.q @ N,
-                            q0=float(hyp.q @ xp + hyp.q0),
-                            bound=hyp.bound,
-                        )
-                        for hyp in problem.hyperbolic
-                    ]
-                )
-            )
-        terms.extend(
-            _cone_blocks(
-                [
-                    CompiledCone(
-                        A=cone.A if N is None else cone.A @ N,
-                        b=cone.A @ xp + cone.b,
-                        c=cone.c if N is None else cone.c @ N,
-                        d=float(cone.c @ xp + cone.d),
-                    )
-                    for cone in problem.cones
-                ]
-            )
-        )
-        return terms
-
     def _initial_reduced_point(
         self,
         problem: CompiledProblem,
@@ -1828,7 +1658,7 @@ class BarrierSolver:
         if initial_point is not None:
             x0 = np.asarray(initial_point, dtype=float)
             # Project onto the affine subspace of the equality constraints
-            # (blockwise / identity-aware — no dense (n, k) factorisation).
+            # (blockwise — no dense (n, k) factorisation).
             return reduced.project(x0)
         return np.zeros(reduced.dimension)
 
@@ -1837,18 +1667,19 @@ class BarrierSolver:
         self,
         problem: CompiledProblem,
         reduced: _ReducedProblem,
+        pieces: _ReducedPieces,
+        structured: bool,
         z0: np.ndarray,
         fallbacks: Sequence[np.ndarray] = (),
-        pieces: Optional[_ReducedPieces] = None,
     ) -> Tuple[Optional[np.ndarray], float, Dict[str, object]]:
         """Find a strictly feasible reduced point, or report infeasibility.
 
         ``z0`` and then each entry of ``fallbacks`` is checked for strict
         feasibility; the first hit skips the phase entirely.  Otherwise the
-        auxiliary relaxation program runs from ``z0`` — with the structured
-        Newton machinery when ``pieces`` is given (the relaxation variable
-        ``t`` becomes the one-column *border* of the arrow system, since
-        every relaxed constraint touches it).
+        auxiliary relaxation program runs from ``z0`` on the same Newton
+        kernel as phase II (``structured``); the relaxation variable ``t``
+        becomes the one-column *border* of the arrow system, since every
+        relaxed constraint touches it.
 
         Returns the feasible reduced point (or ``None``), the final
         infeasibility measure, and phase-I statistics (whether the phase was
@@ -1875,13 +1706,7 @@ class BarrierSolver:
         k = reduced.dimension
         # Keep the phase-I objective bounded below.
         lower_bound = -max(1.0, abs(needed))
-        if pieces is not None:
-            phase_terms, phase_plan = self._phase_one_structured(
-                reduced, pieces, lower_bound
-            )
-        else:
-            phase_terms = self._phase_one_dense(problem, reduced, lower_bound)
-            phase_plan = None
+        plan = self._phase_one_plan(reduced, pieces, lower_bound)
 
         t0 = needed + max(1.0, 0.1 * abs(needed))
         zt = np.concatenate([z0, [t0]])
@@ -1897,11 +1722,10 @@ class BarrierSolver:
 
         phase_result = self._barrier_minimise(
             c_phase,
-            phase_terms,
+            self._workspace(plan, k + 1, structured),
             zt,
             early_stop=early_stop,
             gap_tolerance=1e-3,
-            plan=phase_plan,
         )
         zt_opt = phase_result.z
         stats = {"skipped": False, "newton_iterations": phase_result.newton}
@@ -1910,59 +1734,12 @@ class BarrierSolver:
             return zt_opt[:-1], t_final, stats
         return None, t_final, stats
 
-    def _phase_one_dense(
-        self,
-        problem: CompiledProblem,
-        reduced: _ReducedProblem,
-        lower_bound: float,
-    ) -> List[_BarrierTerm]:
-        """Full-width phase-I terms over ``(z, t)`` (the unstructured path)."""
-        k = reduced.dimension
-        N = None if reduced.identity else reduced.nullspace
-        xp = reduced.x_particular
-        phase_cones: List[CompiledCone] = []
-        phase_terms: List[_BarrierTerm] = []
-
-        def _augment(row: np.ndarray, extra: float) -> np.ndarray:
-            return np.concatenate([row if N is None else row @ N, [extra]])
-
-        if problem.h.size:
-            G_reduced = problem.G if N is None else problem.G @ N
-            G_aug = np.hstack([G_reduced, -np.ones((G_reduced.shape[0], 1))])
-            h_aug = problem.h - problem.G @ xp
-            phase_terms.append(_LinearBlock(G_aug, h_aug))
-        for hyp in problem.hyperbolic:
-            p_row = _augment(hyp.p, 0.0)
-            q_row = _augment(hyp.q, 0.0)
-            p0 = float(hyp.p @ xp + hyp.p0)
-            q0 = float(hyp.q @ xp + hyp.q0)
-            A = np.vstack([np.zeros(k + 1), p_row - q_row])
-            b = np.array([2.0 * math.sqrt(hyp.bound), p0 - q0])
-            c = p_row + q_row
-            c[-1] = 1.0
-            phase_cones.append(CompiledCone(A=A, b=b, c=c, d=p0 + q0, name="phase1"))
-        for cone in problem.cones:
-            A_reduced = cone.A if N is None else cone.A @ N
-            A = np.hstack([A_reduced, np.zeros((cone.A.shape[0], 1))])
-            b = cone.A @ xp + cone.b
-            c = _augment(cone.c, 1.0)
-            d = float(cone.c @ xp + cone.d)
-            phase_cones.append(CompiledCone(A=A, b=b, c=c, d=d, name="phase1"))
-        phase_terms.extend(_cone_blocks(phase_cones))
-        phase_terms.append(
-            _LinearBlock(
-                np.concatenate([np.zeros(k), [-1.0]]).reshape(1, -1),
-                np.array([-lower_bound]),
-            )
-        )
-        return phase_terms
-
-    def _phase_one_structured(
+    def _phase_one_plan(
         self,
         reduced: _ReducedProblem,
         pieces: _ReducedPieces,
         lower_bound: float,
-    ) -> Tuple[List[_BarrierTerm], _StructurePlan]:
+    ) -> _StructurePlan:
         """Narrow phase-I terms over ``(z, t)``: ``t`` is the arrow's border.
 
         Each relaxed constraint stays local to its block plus the shared
@@ -1977,7 +1754,7 @@ class BarrierSolver:
             zip(pieces.linear, pieces.hyps, pieces.cones, reduced.block_slices)
         ):
             width = slc.stop - slc.start
-            support = np.concatenate([np.arange(slc.start, slc.stop), [k]])
+            support = _block_support(slc, k, border=1)
             terms: List[_BarrierTerm] = []
             rows: List[np.ndarray] = []
             rhs: List[np.ndarray] = []
@@ -2031,13 +1808,12 @@ class BarrierSolver:
             coupling = _LinearBlock(
                 np.hstack([Gc, -np.ones((Gc.shape[0], 1))]), hc
             )
-        plan = _StructurePlan(
+        return _StructurePlan(
             block_slices=list(reduced.block_slices),
             border=1,
             block_terms=block_terms,
             coupling=coupling,
         )
-        return plan.terms, plan
 
     def _required_relaxation(self, problem: CompiledProblem, x: np.ndarray) -> float:
         """Smallest ``t`` that makes ``x`` strictly feasible for the relaxed problem."""
@@ -2061,27 +1837,24 @@ class BarrierSolver:
     def _barrier_minimise(
         self,
         c: np.ndarray,
-        terms: List[_BarrierTerm],
+        workspace: Union[_DenseWorkspace, _StructuredWorkspace],
         z0: np.ndarray,
         early_stop=None,
         gap_tolerance: Optional[float] = None,
         initial_barrier: Optional[float] = None,
-        plan: Optional[_StructurePlan] = None,
-        workspace: Optional[_StructuredWorkspace] = None,
     ) -> _CenteringResult:
-        """Minimise ``c·z`` over the strictly feasible region described by ``terms``.
+        """Minimise ``c·z`` over the strictly feasible region of the workspace's plan.
 
         ``initial_barrier`` starts the rung schedule at a raised barrier
         parameter (warm-started re-solves); callers select it via
         :meth:`_select_warm_rung` so it stays on the cold schedule's geometric
         grid and short of the cold stopping rung — the run then ends on the
         same rung as a cold solve and returns the same central-path point to
-        Newton tolerance.  ``plan`` switches the Newton solves to the structured (block + Schur
-        complement) path; ``workspace`` reuses an already-built hot-loop
-        workspace for that plan (one is created here otherwise).
+        Newton tolerance.
         """
         opts = self.options
         tolerance = opts.tolerance if gap_tolerance is None else gap_tolerance
+        terms = workspace.plan.terms
         m = sum(term.count for term in terms)
         z = np.asarray(z0, dtype=float).copy()
 
@@ -2089,11 +1862,6 @@ class BarrierSolver:
             # The caller is responsible for strict feasibility of z0.
             return _CenteringResult(
                 z, SolverStatus.NUMERICAL_ERROR, 0, 0, opts.initial_barrier
-            )
-
-        if plan is not None and workspace is None:
-            workspace = _StructuredWorkspace(
-                plan, z.size, opts, getattr(self, "_sparse_stats", None)
             )
 
         t_barrier = opts.initial_barrier
@@ -2108,7 +1876,7 @@ class BarrierSolver:
             outer += 1
             with obs_span("rung") as rung_span:
                 z, newton, converged = self._newton_minimise(
-                    c, terms, z, t_barrier, early_stop, workspace
+                    c, workspace, z, t_barrier, early_stop
                 )
                 rung_span.set(barrier=float(t_barrier), newton_iterations=int(newton))
             newton_total += newton
@@ -2131,12 +1899,11 @@ class BarrierSolver:
     def _select_warm_rung(
         self,
         c: np.ndarray,
-        terms: List[_BarrierTerm],
+        workspace: Union[_DenseWorkspace, _StructuredWorkspace],
         z: np.ndarray,
         requested: float,
         m: int,
         tolerance: float,
-        workspace: Optional[_StructuredWorkspace] = None,
     ) -> float:
         """Pick the starting barrier parameter for a warm-started phase II.
 
@@ -2148,13 +1915,12 @@ class BarrierSolver:
         * the Newton decrement of the centering problem at ``z`` is small
           enough that centering converges in a few steps — a warm point far
           from the new optimum fails this at every rung and falls back to a
-          plain cold start at ``initial_barrier``.
+          plain cold start at ``initial_barrier``.  A rung that still fails
+          to center trips the caller's convergence guard and falls back to a
+          cold run.
 
-        The objective is linear, so the barrier Hessian at ``z`` does not
-        depend on the rung.  With a ``workspace`` each candidate costs one
-        structured (block + Schur) solve, never materialising the dense
-        Hessian; otherwise it is assembled once and each candidate costs a
-        single dense solve.
+        Each candidate rung costs one Newton direction of the workspace's
+        kernel.
         """
         opts = self.options
         t_barrier = max(opts.initial_barrier, requested)
@@ -2165,30 +1931,8 @@ class BarrierSolver:
         ):
             t_barrier /= opts.barrier_increase
 
-        if t_barrier <= opts.initial_barrier:
-            return opts.initial_barrier
-        if workspace is not None:
-            while t_barrier > opts.initial_barrier:
-                try:
-                    grad, direction = workspace.direction(z, t_barrier * c)
-                except np.linalg.LinAlgError:
-                    break
-                if float(-grad @ direction) <= opts.warm_rung_decrement:
-                    return t_barrier
-                t_barrier /= opts.barrier_increase
-            return opts.initial_barrier
-        k = z.size
-        grad_barrier, hess = _accumulate_dense(terms, z)
-        hess += opts.regularization * (1.0 + np.trace(hess) / max(k, 1)) * np.eye(k)
         while t_barrier > opts.initial_barrier:
-            grad = t_barrier * c + grad_barrier
-            try:
-                direction = -np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                break
-            # A small decrement keeps the first centering within a few damped
-            # Newton steps; a rung that still fails to center trips the
-            # caller's convergence guard and falls back to a cold run.
+            grad, direction = workspace.direction(z, t_barrier * c)
             if float(-grad @ direction) <= opts.warm_rung_decrement:
                 return t_barrier
             t_barrier /= opts.barrier_increase
@@ -2197,65 +1941,32 @@ class BarrierSolver:
     def _newton_minimise(
         self,
         c: np.ndarray,
-        terms: List[_BarrierTerm],
+        workspace: Union[_DenseWorkspace, _StructuredWorkspace],
         z: np.ndarray,
         t_barrier: float,
         early_stop=None,
-        workspace: Optional[_StructuredWorkspace] = None,
     ) -> Tuple[np.ndarray, int, bool]:
         """Damped Newton minimisation of ``t_barrier·c·z + Σ −log(slack_i)``.
 
-        Uses the structured (batched block factorisations + Schur complement,
-        see :class:`_StructuredWorkspace`) solve when ``workspace`` is given,
-        falling back to the dense assembly when a block factorisation fails.
-        The backtracking line search evaluates each trial point's
-        slacks exactly once (:meth:`_barrier_merit` folds the
-        strict-feasibility check and the barrier value into one pass — the
-        structured path batches this further through the workspace's CSR
-        merit bundle — and the
-        accepted value is carried into the next iteration), and compares
-        merit *differences* rather than absolute merits: the linear part of
-        the merit is ``t_barrier·cᵀz`` — at the final barrier rungs its
-        magnitude dwarfs the per-step improvement, so the absolute comparison
-        drowns in floating-point cancellation and the centering stalls short
-        of its decrement target.  The difference form ``t·step·(cᵀd) + Δφ``
-        is cancellation-free.
+        The workspace's kernel supplies each Newton direction and the merit.
+        The backtracking line search evaluates each trial point's slacks
+        exactly once (the merit folds the strict-feasibility check and the
+        barrier value into one pass, and the accepted value is carried into
+        the next iteration), and compares merit *differences* rather than
+        absolute merits: the linear part of the merit is ``t_barrier·cᵀz`` —
+        at the final barrier rungs its magnitude dwarfs the per-step
+        improvement, so the absolute comparison drowns in floating-point
+        cancellation and the centering stalls short of its decrement target.
+        The difference form ``t·step·(cᵀd) + Δφ`` is cancellation-free.
 
         Returns the final point, the number of Newton iterations spent, and
         whether the run converged (met its decrement target or stalled in the
         line search) rather than exhausting the iteration budget.
         """
         opts = self.options
-        k = z.size
-        merit = (
-            self._barrier_merit if workspace is None
-            else lambda _terms, point: workspace.merit(point)
-        )
         current_phi: Optional[float] = None
         for iteration in range(opts.max_newton_iterations):
-            grad: Optional[np.ndarray] = None
-            direction: Optional[np.ndarray] = None
-            if workspace is not None:
-                try:
-                    # Chaos site: an armed ``newton.linalg`` fault raises the
-                    # same LinAlgError a failed block factorisation would, so
-                    # the dense-fallback path below is exercisable on demand.
-                    _maybe_fail("newton.linalg")
-                    grad, direction = workspace.direction(z, t_barrier * c)
-                except np.linalg.LinAlgError:
-                    self._structured_fallbacks = (
-                        getattr(self, "_structured_fallbacks", 0) + 1
-                    )
-                    direction = None
-            if direction is None:
-                grad_barrier, hess = _accumulate_dense(terms, z)
-                grad = t_barrier * c + grad_barrier
-                hess += opts.regularization * (1.0 + np.trace(hess) / max(k, 1)) * np.eye(k)
-                try:
-                    direction = -np.linalg.solve(hess, grad)
-                except np.linalg.LinAlgError:
-                    direction = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-
+            grad, direction = workspace.direction(z, t_barrier * c)
             decrement = float(-grad @ direction)
             if decrement / 2.0 <= opts.newton_tolerance * max(1.0, t_barrier):
                 return z, iteration, True
@@ -2265,12 +1976,12 @@ class BarrierSolver:
             # by the sufficient-decrease test without a second slack
             # evaluation.
             if current_phi is None:
-                current_phi = merit(terms, z)
+                current_phi = workspace.merit(z)
             linear_slope = t_barrier * float(c @ direction)
             step = 1.0
             while step > 1e-14:
                 candidate = z + step * direction
-                candidate_phi = merit(terms, candidate)
+                candidate_phi = workspace.merit(candidate)
                 delta = step * linear_slope + (candidate_phi - current_phi)
                 if delta <= -opts.line_search_alpha * step * decrement:
                     break
@@ -2282,23 +1993,6 @@ class BarrierSolver:
             if early_stop is not None and early_stop(z):
                 return z, iteration + 1, True
         return z, opts.max_newton_iterations, False
-
-    @staticmethod
-    def _barrier_merit(terms: List[_BarrierTerm], z: np.ndarray) -> float:
-        """Barrier value ``φ(z)``; ``+inf`` when any constraint slack is ≤ 0.
-
-        One slack evaluation per term serves both the feasibility check and
-        the barrier value (:meth:`_BarrierTerm.slack_and_barrier`).  The
-        linear merit part is handled by the caller in difference form, so
-        only the barrier sum is evaluated here.
-        """
-        total = 0.0
-        for term in terms:
-            slack, value = term.slack_and_barrier(z)
-            if slack <= 0.0:
-                return math.inf
-            total += value
-        return total
 
 
 def solve_with_barrier(

@@ -8,7 +8,7 @@ backends (:mod:`repro.solver.barrier`, :mod:`repro.solver.linprog_backend`,
 
 The numerical backends do not operate on the symbolic objects directly;
 :meth:`ConeProgram.compile` lowers the program into a
-:class:`CompiledProblem` made of dense numpy arrays:
+:class:`CompiledProblem` made of CSR and dense numpy arrays:
 
 * objective vector ``c`` and offset ``c0``,
 * inequalities ``G·x ≤ h`` (variable bounds folded in),
@@ -24,10 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-try:  # scipy is the expected substrate; the dense path below survives without it
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _sparse = None
+from scipy import sparse as _sparse
 
 from repro.exceptions import FormulationError
 from repro.obs.trace import span as obs_span
@@ -93,9 +90,10 @@ class BlockStructure:
     blocks (:meth:`ConeProgram.declare_blocks`) — per-application blocks in
     :class:`repro.core.formulation._BlockAssembly` — and every non-linear and
     equality constraint turned out to be confined to a single block.  The
-    barrier backend uses it to eliminate equalities blockwise and to replace
-    the dense Newton solve with a block-Cholesky + Schur-complement solve on
-    the arrow-structured KKT system (see
+    barrier backend uses it to eliminate equalities blockwise and, for two
+    or more blocks with narrow coupling, to solve each Newton step with
+    block-Cholesky factorisations + a Schur complement on the
+    arrow-structured KKT system (see
     :class:`repro.solver.barrier.BarrierSolver`).
 
     ``ranges`` are half-open variable index ranges, one per block, covering
@@ -125,8 +123,7 @@ class CompiledProblem:
     """Numerical representation of a :class:`ConeProgram`.
 
     The constraint matrices ``G`` (inequalities) and ``A`` (equalities) are
-    stored in CSR form when scipy is available — for workload programs they
-    are extremely sparse (a few entries per row against thousands of columns)
+    stored in CSR form — for workload programs they are extremely sparse (a few entries per row against thousands of columns)
     and the block-Newton solver consumes them blockwise.  The dense views
     remain available as the :attr:`G` / :attr:`A` properties, densified
     lazily and cached, so backends and tests that want plain arrays keep
@@ -160,7 +157,8 @@ class CompiledProblem:
         self.cones = cones
         self.inequality_names = list(inequality_names or [])
         #: Optional per-application block partition (see
-        #: :class:`BlockStructure`); ``None`` for unstructured programs.
+        #: :class:`BlockStructure`); ``None`` for unstructured programs,
+        #: which the barrier backend solves as a single block.
         self.block_structure = block_structure
         #: Cache of the equality-elimination result (particular point +
         #: null-space basis), written by the barrier backend on first use.
@@ -179,11 +177,11 @@ class CompiledProblem:
         self._A_dense: Optional[np.ndarray] = None
         self._G_sparse = None
         self._A_sparse = None
-        if _sparse is not None and _sparse.issparse(G):
+        if _sparse.issparse(G):
             self._G_sparse = G.tocsr()
         else:
             self._G_dense = np.asarray(G, dtype=float)
-        if _sparse is not None and _sparse.issparse(A):
+        if _sparse.issparse(A):
             self._A_sparse = A.tocsr()
         else:
             self._A_dense = np.asarray(A, dtype=float)
@@ -205,15 +203,15 @@ class CompiledProblem:
 
     @property
     def G_sparse(self):
-        """CSR inequality matrix, or ``None`` when scipy is unavailable."""
-        if self._G_sparse is None and _sparse is not None:
+        """CSR inequality matrix (built lazily from a dense ``G``)."""
+        if self._G_sparse is None:
             self._G_sparse = _sparse.csr_matrix(self._G_dense)
         return self._G_sparse
 
     @property
     def A_sparse(self):
-        """CSR equality matrix, or ``None`` when scipy is unavailable."""
-        if self._A_sparse is None and _sparse is not None:
+        """CSR equality matrix (built lazily from a dense ``A``)."""
+        if self._A_sparse is None:
             self._A_sparse = _sparse.csr_matrix(self._A_dense)
         return self._A_sparse
 
@@ -353,8 +351,8 @@ class ConeProgram:
         :class:`BlockStructure` when the groups partition the variables into
         contiguous index ranges and every equality / hyperbolic / SOC
         constraint is confined to one block; otherwise the compiled problem
-        simply carries no structure and the solver uses its dense path, so
-        declaring blocks is always safe.
+        simply carries no structure and the solver treats it as one block,
+        so declaring blocks is always safe.
         """
         for group in groups:
             for var in group:
@@ -492,12 +490,7 @@ class ConeProgram:
     def _build_rows(
         rows: List[Tuple[List[int], List[float]]], n: int
     ) -> object:
-        """Stack sparse row triplets into a CSR matrix (dense without scipy)."""
-        if _sparse is None:
-            matrix = np.zeros((len(rows), n))
-            for i, (cols, vals) in enumerate(rows):
-                matrix[i, cols] = vals
-            return matrix
+        """Stack sparse row triplets into a CSR matrix."""
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         for i, (cols, _) in enumerate(rows):
             indptr[i + 1] = indptr[i] + len(cols)
@@ -616,7 +609,8 @@ class ConeProgram:
     ) -> Optional[BlockStructure]:
         """Turn a :meth:`declare_blocks` declaration into a :class:`BlockStructure`.
 
-        Returns ``None`` (no structure, dense solver path) when no blocks were
+        Returns ``None`` (no structure: the solver treats the program as one
+        block) when no blocks were
         declared, when the groups do not form contiguous index ranges covering
         every variable, or when an equality / hyperbolic / SOC constraint
         spans several blocks — only *linear inequality* rows may couple
@@ -657,33 +651,20 @@ class ConeProgram:
 
         def row_block_spans(matrix: object) -> Tuple[np.ndarray, np.ndarray]:
             """Per-row (lowest, highest) touched block; empty rows give (0, 0)."""
-            if _sparse is not None and _sparse.issparse(matrix):
-                csr = matrix.tocsr()
-                counts = np.diff(csr.indptr)
-                lo = np.zeros(csr.shape[0], dtype=int)
-                hi = np.zeros(csr.shape[0], dtype=int)
-                nonempty = np.flatnonzero(counts > 0)
-                if nonempty.size:
-                    entry_blocks = col_block[csr.indices]
-                    starts = csr.indptr[nonempty]
-                    # reduceat segments between consecutive non-empty row
-                    # starts cover exactly those rows' entries (empty rows
-                    # contribute no gap), so this is per-row min/max.
-                    lo[nonempty] = np.minimum.reduceat(entry_blocks, starts)
-                    hi[nonempty] = np.maximum.reduceat(entry_blocks, starts)
-                return lo, hi
-            dense = np.asarray(matrix)
-            touched_per_block = np.vstack(
-                [(dense[:, start:stop] != 0.0).any(axis=1) for start, stop in ranges]
-            ) if dense.shape[0] else np.zeros((len(ranges), 0), dtype=bool)
-            touched = np.where(touched_per_block, np.arange(len(ranges))[:, None], -1)
-            hi = touched.max(axis=0)
-            touched_lo = np.where(touched_per_block, np.arange(len(ranges))[:, None], len(ranges))
-            lo = touched_lo.min(axis=0)
-            empty = ~touched_per_block.any(axis=0)
-            lo[empty] = 0
-            hi[empty] = 0
-            return lo.astype(int), hi.astype(int)
+            csr = matrix.tocsr()
+            counts = np.diff(csr.indptr)
+            lo = np.zeros(csr.shape[0], dtype=int)
+            hi = np.zeros(csr.shape[0], dtype=int)
+            nonempty = np.flatnonzero(counts > 0)
+            if nonempty.size:
+                entry_blocks = col_block[csr.indices]
+                starts = csr.indptr[nonempty]
+                # reduceat segments between consecutive non-empty row
+                # starts cover exactly those rows' entries (empty rows
+                # contribute no gap), so this is per-row min/max.
+                lo[nonempty] = np.minimum.reduceat(entry_blocks, starts)
+                hi[nonempty] = np.maximum.reduceat(entry_blocks, starts)
+            return lo, hi
 
         g_lo, g_hi = row_block_spans(G)
         row_blocks = np.where(g_lo != g_hi, -1, g_lo).astype(int)

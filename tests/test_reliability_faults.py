@@ -27,6 +27,7 @@ from repro.reliability import (
     replay_trace_durably,
 )
 from repro.reliability.faults import FaultSpec, active_plan, install, uninstall
+from repro.taskgraph import Workload
 from repro.taskgraph.generators import chain_configuration
 
 
@@ -281,14 +282,38 @@ class TestChaosScenarios:
         ).admitted
 
     def test_linalg_fault_degrades_to_the_dense_newton_step(self):
-        """An injected factorisation failure inside the structured Newton
-        iteration is absorbed by the existing dense fallback: the solve still
-        lands on the optimum, with the fallback iteration counted."""
+        """An injected factorisation failure in the dense kernel (a single
+        configuration) is absorbed by its least-squares step: the site fires
+        and the solve still lands on the optimum."""
         video = chain_configuration(stages=2)
         baseline = JointAllocator(options=options()).allocate(video)
         plan = FaultPlan(seed=7).arm("newton.linalg", "linalg-error", nth=1)
         with armed(plan):
             perturbed = JointAllocator(options=options()).allocate(video)
+        assert plan.fired("newton.linalg") == 1
+        assert perturbed.objective_value == pytest.approx(
+            baseline.objective_value, abs=1e-6
+        )
+
+    def test_linalg_fault_in_block_factorisation_uses_the_dense_twin(self):
+        """An injected block-factorisation failure in the structured kernel
+        (two applications) hands that iteration to the dense twin: the
+        fallback is counted and the optimum does not move."""
+        workload = Workload(chain_configuration(stages=2).platform, name="duo")
+        workload.add_application("video", chain_configuration(stages=2))
+        workload.add_application(
+            "audio", chain_configuration(stages=2, period=20.0)
+        )
+        baseline = JointAllocator(options=options()).allocate_workload(workload)
+        plan = FaultPlan(seed=7).arm("newton.linalg", "linalg-error", nth=1)
+        with armed(plan):
+            perturbed = JointAllocator(options=options()).allocate_workload(
+                workload
+            )
+        assert plan.fired("newton.linalg") == 1
+        stats = perturbed.solver_info["solve_stats"]
+        assert stats["structured"] is True
+        assert stats["structured_fallback_iterations"] >= 1
         assert perturbed.objective_value == pytest.approx(
             baseline.objective_value, abs=1e-6
         )

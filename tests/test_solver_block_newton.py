@@ -1,11 +1,13 @@
 """Structured-vs-dense Newton equivalence and engagement tests.
 
-The block-structured barrier path (per-application block factorisations +
+The structured Newton kernel (per-application block factorisations +
 Schur-complement coupling solve, see :mod:`repro.solver.barrier`) must be a
 pure performance change: on any workload program it has to return the same
-optimum as the dense path to solver precision, engage automatically exactly
-for multi-application programs with narrow coupling, and leave unstructured
-programs on the dense path.
+optimum as the dense kernel to solver precision, engage exactly for
+multi-application programs with narrow coupling, and leave unstructured
+programs on the dense kernel.  The dense reference is a fresh compile of the
+same program with its block structure dropped, which the solver treats as a
+single block.
 """
 
 from __future__ import annotations
@@ -39,21 +41,24 @@ def make_workload(app_count: int, seed: int = 3, task_count: int = 4) -> Workloa
     return workload
 
 
-def solve_both(formulation, initial_point=None):
-    """One compiled problem solved structured and dense; returns both solutions."""
-    program = formulation.build()
+def dense_reference(program: ConeProgram):
+    """A fresh compile of ``program`` without its block structure.
+
+    The solver treats it as a single block, so it runs the dense kernel.
+    """
     compiled = program.compile()
+    compiled.block_structure = None
+    return compiled
+
+
+def solve_both(formulation, initial_point=None):
+    """The program solved with its blocks and as one block; returns both."""
+    program = formulation.build()
     structured = solve_compiled(
-        compiled,
-        backend="barrier",
-        initial_point=initial_point,
-        options={"structured": True},
+        program.compile(), backend="barrier", initial_point=initial_point
     )
     dense = solve_compiled(
-        compiled,
-        backend="barrier",
-        initial_point=initial_point,
-        options={"structured": False},
+        dense_reference(program), backend="barrier", initial_point=initial_point
     )
     return structured, dense
 
@@ -87,8 +92,8 @@ class TestStructuredDenseEquivalence:
 
     def test_phase_one_required_case(self):
         """Cold start from zeros violates λ·β ≥ 1, so phase I must run — and
-        the structured phase I (relaxation variable as the arrow border) has
-        to match the dense one."""
+        the structured kernel's phase I (relaxation variable as the arrow
+        border) has to match the dense kernel's."""
         formulation = WorkloadSocpFormulation(make_workload(2, seed=5))
         structured, dense = solve_both(formulation, initial_point=None)
         assert structured.stats["phase1_skipped"] is False
@@ -98,8 +103,8 @@ class TestStructuredDenseEquivalence:
 
     def test_pinned_bound_case(self):
         """A capacity limit landing on a buffer's lower bound compiles to an
-        equality row; the blockwise elimination must agree with the dense
-        SVD elimination."""
+        equality row; the per-application elimination must agree with the
+        one-block elimination."""
         workload = make_workload(2, seed=3)
         application = workload.applications[0]
         buffer = application.configuration.task_graphs[0].buffers[0]
@@ -123,15 +128,15 @@ class TestEngagement:
         assert mapped.solver_info["solve_stats"]["structured"] is True
 
     def test_single_application_stays_dense(self):
-        """One block has nothing to decouple; auto mode keeps the dense path."""
+        """One block has nothing to decouple; it runs the dense kernel."""
         formulation = WorkloadSocpFormulation(make_workload(1, seed=3))
         solution = formulation.solve(backend="barrier")
         assert solution.is_optimal
         assert solution.stats["structured"] is False
 
     def test_unstructured_program_falls_back_to_dense(self):
-        """A program without declared blocks carries no structure, so even a
-        forced ``structured=True`` runs (and reports) the dense path."""
+        """A program without declared blocks carries no structure, so it is
+        solved as one block on (and reports) the dense kernel."""
         program = ConeProgram("plain")
         x = program.add_variable("x", lower=0.1, upper=10.0)
         y = program.add_variable("y", lower=0.1, upper=10.0)
@@ -139,9 +144,7 @@ class TestEngagement:
         program.minimize(x + y)
         compiled = program.compile()
         assert compiled.block_structure is None
-        solution = solve_compiled(
-            compiled, backend="barrier", options={"structured": True}
-        )
+        solution = solve_compiled(compiled, backend="barrier")
         assert solution.is_optimal
         assert solution.stats["structured"] is False
         assert solution.objective == pytest.approx(4.0, abs=1e-5)
@@ -171,12 +174,8 @@ class TestEngagement:
         compiled = program.compile()
         assert compiled.block_structure is not None
         assert compiled.A.size > 0  # the collapsed bound became an equality
-        structured = solve_compiled(
-            compiled, backend="barrier", options={"structured": True}
-        )
-        dense = solve_compiled(
-            compiled, backend="barrier", options={"structured": False}
-        )
+        structured = solve_compiled(compiled, backend="barrier")
+        dense = solve_compiled(dense_reference(program), backend="barrier")
         assert structured.is_optimal and dense.is_optimal
         assert structured.stats["structured"] is True
         # Starting from zeros, y = 0 sits on its bound, so phase I must run.

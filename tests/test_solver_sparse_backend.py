@@ -10,9 +10,12 @@ merit bundle) must be a pure performance change.  These tests pin:
   factorisation counts, pieces-cache reuse) lands in the solve stats, the
   metrics registry and the session aggregates;
 * the `BlockStructure` edge cases survive the sparse path: a 1-app workload
-  keeps the dense special case, a zero-buffer application solves, pinned
+  runs the dense kernel, a zero-buffer application solves, pinned
   (equality-collapsed) blocks eliminate blockwise, and a failing block
-  factorisation falls back to the dense solve with the same optimum;
+  factorisation falls back to the dense kernel with the same optimum;
+
+The dense reference is a fresh compile of the same program with its block
+structure dropped, which the solver treats as a single block.
 * `CompiledProblem.elimination_seed` stays bounded over a long add/remove
   admission trace (seeds are consumed by the first elimination, and removed
   applications never transfer).
@@ -26,8 +29,10 @@ import pytest
 from repro import obs
 from repro.core import AllocatorOptions, JointAllocator
 from repro.core.formulation import WorkloadSocpFormulation
+from repro.exceptions import FormulationError
+from repro.solver import barrier
 from repro.solver.backends import solve_compiled
-from repro.solver.barrier import BarrierSolver, _StructuredWorkspace
+from repro.solver.barrier import _StructuredWorkspace
 from repro.taskgraph import ConfigurationBuilder, Workload
 from repro.taskgraph.generators import chain_configuration, random_dag_configuration
 
@@ -53,6 +58,20 @@ def make_workload(app_count: int, seed: int = 3) -> Workload:
 def compiled_workload(app_count: int, seed: int = 3):
     formulation = WorkloadSocpFormulation(make_workload(app_count, seed=seed))
     return formulation.build().compile()
+
+
+def dense_reference(program):
+    """A fresh compile of ``program`` without its block structure.
+
+    The solver treats it as a single block, so it runs the dense kernel.
+    """
+    reference = program.compile()
+    reference.block_structure = None
+    return reference
+
+
+def workload_program(app_count: int, seed: int = 3):
+    return WorkloadSocpFormulation(make_workload(app_count, seed=seed)).build()
 
 
 def assert_same_optimum(structured, dense, atol: float = 1e-8) -> None:
@@ -99,9 +118,7 @@ class TestSparseCompilation:
 class TestSparseTelemetry:
     def test_solve_stats_carry_sparse_fields(self):
         compiled = compiled_workload(3)
-        first = solve_compiled(
-            compiled, backend="barrier", options={"structured": True}
-        )
+        first = solve_compiled(compiled, backend="barrier")
         assert first.is_optimal
         assert first.stats["structured"] is True
         assert first.stats["sparse_nnz"] == compiled.constraint_nnz
@@ -109,30 +126,22 @@ class TestSparseTelemetry:
         assert first.stats["schur_time"] >= 0.0
         assert first.stats["block_factorizations"] > 0
         assert first.stats["pieces_cache_reused"] is False
-        second = solve_compiled(
-            compiled, backend="barrier", options={"structured": True}
-        )
+        second = solve_compiled(compiled, backend="barrier")
         # The second solve of the same compiled problem reuses the cached
         # reduction pieces (CSR slices, supports, projected bases).
         assert second.stats["pieces_cache_reused"] is True
 
     def test_dense_solves_report_nnz_but_no_split(self):
-        compiled = compiled_workload(2)
-        dense = solve_compiled(
-            compiled, backend="barrier", options={"structured": False}
-        )
+        compiled = dense_reference(workload_program(2))
+        dense = solve_compiled(compiled, backend="barrier")
         assert dense.stats["sparse_nnz"] == compiled.constraint_nnz
         assert "factorization_time" not in dense.stats
 
     def test_metrics_registry_engagement_counters(self):
-        compiled = compiled_workload(2)
+        program = workload_program(2)
         with obs.capture() as capture:
-            solve_compiled(
-                compiled, backend="barrier", options={"structured": True}
-            )
-            solve_compiled(
-                compiled, backend="barrier", options={"structured": False}
-            )
+            solve_compiled(program.compile(), backend="barrier")
+            solve_compiled(dense_reference(program), backend="barrier")
         metrics = capture.metrics
         assert metrics["solver.sparse_solves"]["value"] == 1.0
         assert metrics["solver.dense_solves"]["value"] == 1.0
@@ -164,6 +173,16 @@ class TestSparseTelemetry:
         assert as_dict["sparse_pieces_reused"] == 2
 
 
+class TestRetiredOptions:
+    @pytest.mark.parametrize(
+        "option", [{"structured": True}, {"sparse_block_width": 1}]
+    )
+    def test_kernel_options_are_rejected(self, option):
+        """The Newton kernel follows from the input, never from an option."""
+        with pytest.raises(FormulationError, match="unknown solver option"):
+            solve_compiled(compiled_workload(2), backend="barrier", options=option)
+
+
 class TestSparseEdgeCases:
     def test_single_application_keeps_dense_special_case(self):
         compiled = compiled_workload(1)
@@ -188,22 +207,19 @@ class TestSparseEdgeCases:
         workload = Workload(chain.platform, name="mixed")
         workload.add_application("chain", chain)
         workload.add_application("nobuf", solo)
-        compiled = WorkloadSocpFormulation(workload).build().compile()
+        program = WorkloadSocpFormulation(workload).build()
+        compiled = program.compile()
         assert compiled.block_structure is not None
         assert compiled.block_structure.num_blocks == 2
-        structured = solve_compiled(
-            compiled, backend="barrier", options={"structured": True}
-        )
-        dense = solve_compiled(
-            compiled, backend="barrier", options={"structured": False}
-        )
+        structured = solve_compiled(compiled, backend="barrier")
+        dense = solve_compiled(dense_reference(program), backend="barrier")
         assert structured.stats["structured"] is True
         assert_same_optimum(structured, dense)
 
     def test_pinned_bound_block_eliminates_blockwise(self):
         """A capacity limit landing on a buffer's lower bound compiles to an
-        equality row; the QR blockwise elimination must agree with the dense
-        path on the resulting collapsed block."""
+        equality row; the QR blockwise elimination must agree with the
+        one-block reference on the resulting collapsed block."""
         workload = make_workload(2)
         application = workload.applications[0]
         buffer = application.configuration.task_graphs[0].buffers[0]
@@ -212,48 +228,46 @@ class TestSparseEdgeCases:
             workload,
             capacity_limits={application.name: {buffer.name: pinned}},
         )
-        compiled = formulation.build().compile()
-        structured = solve_compiled(
-            compiled, backend="barrier", options={"structured": True}
-        )
-        dense = solve_compiled(
-            compiled, backend="barrier", options={"structured": False}
-        )
+        program = formulation.build()
+        structured = solve_compiled(program.compile(), backend="barrier")
+        dense = solve_compiled(dense_reference(program), backend="barrier")
         assert structured.stats["structured"] is True
         assert_same_optimum(structured, dense)
 
-    def test_wide_blocks_use_splu(self):
-        """Dropping ``sparse_block_width`` to 1 routes every block through the
-        sparse LU factorisation; the optimum must not move."""
-        compiled = compiled_workload(2)
-        splu = solve_compiled(
-            compiled,
-            backend="barrier",
-            options={"structured": True, "sparse_block_width": 1},
-        )
-        dense = solve_compiled(
-            compiled, backend="barrier", options={"structured": False}
-        )
+    def test_wide_blocks_use_splu(self, monkeypatch):
+        """Dropping the splu width threshold to 1 routes every block through
+        the sparse LU factorisation; the optimum must not move."""
+        program = workload_program(2)
+        dense = solve_compiled(dense_reference(program), backend="barrier")
+        factorisations = []
+
+        def counting_splu(matrix):
+            factorisations.append(matrix.shape)
+            return scipy_splu(matrix)
+
+        scipy_splu = barrier._sp_splu
+        monkeypatch.setattr(barrier, "_sp_splu", counting_splu)
+        monkeypatch.setattr(barrier, "_SPLU_BLOCK_WIDTH", 1)
+        splu = solve_compiled(program.compile(), backend="barrier")
+        assert factorisations
         assert splu.stats["structured"] is True
         assert splu.stats.get("structured_fallback_iterations", 0) == 0
         assert_same_optimum(splu, dense)
 
     def test_fallback_on_singular_factorization(self, monkeypatch):
-        """When every block factorisation fails, the Newton loop silently
-        hands each iteration to the dense solve — same optimum, and the
-        fallback is visible in the stats."""
-        compiled = compiled_workload(2)
-        dense = solve_compiled(
-            compiled, backend="barrier", options={"structured": False}
-        )
+        """When every block factorisation fails, the structured kernel
+        silently hands each iteration to its dense twin — same optimum, and
+        the fallback is visible in the stats."""
+        program = workload_program(2)
+        dense = solve_compiled(dense_reference(program), backend="barrier")
 
         def always_singular(self, z, grad_objective):
             raise np.linalg.LinAlgError("forced singular block factor")
 
-        monkeypatch.setattr(_StructuredWorkspace, "direction", always_singular)
-        fallback = solve_compiled(
-            compiled, backend="barrier", options={"structured": True}
+        monkeypatch.setattr(
+            _StructuredWorkspace, "_arrow_direction", always_singular
         )
+        fallback = solve_compiled(program.compile(), backend="barrier")
         assert fallback.is_optimal
         assert fallback.stats["structured"] is True
         assert fallback.stats["structured_fallback_iterations"] > 0
