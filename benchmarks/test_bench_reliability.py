@@ -4,9 +4,11 @@ Two questions about the crash-safe admission path:
 
 * **journal + snapshot overhead** — :func:`replay_trace_durably` does
   everything :func:`replay_trace` does plus one checksummed ``O_APPEND``
-  write per event and one atomic snapshot every few events.  The durable
-  run must stay within a few percent of the plain incremental replay (the
-  solve dominates; the WAL is one small line per event).
+  write per event and one atomic snapshot every few events.  The gates are
+  deterministic counters, not a wall-clock race: the ``fsync`` count per
+  run, the journal bytes per event, byte-identical journals across runs,
+  and a journal-only restore that reproduces the run's final snapshot byte
+  for byte.  Both wall times are recorded alongside.
 * **restore-from-snapshot vs full replay** — after a crash, restoring from
   snapshot + journal tail re-solves only the post-snapshot events, while a
   journal-only restore replays the whole history.  The snapshot restore
@@ -19,6 +21,7 @@ pure robustness change, never a numerical one.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import time
 
@@ -31,6 +34,7 @@ from repro.reliability import (
     read_journal,
     replay_trace_durably,
     restore_controller,
+    snapshot_controller,
 )
 
 EVENT_COUNT = 12
@@ -40,8 +44,11 @@ REPEATS = 3
 #: Wall-clock races are unreliable on shared CI runners; the smoke job
 #: still checks the equivalences.
 STRICT_TIMING = not os.environ.get("CI")
-#: Ceiling on the durable path's overhead over the plain replay.
-MAX_OVERHEAD = 0.05
+#: One journal sync plus one snapshot ``fsync`` per snapshot, and one sync
+#: when the journal closes.
+FSYNCS_PER_RUN = 2 * (EVENT_COUNT // SNAPSHOT_EVERY) + 1
+#: Ceiling on the journal size per event (the opening record included).
+MAX_JOURNAL_BYTES_PER_EVENT = 2048
 
 _fresh = itertools.count()
 
@@ -81,14 +88,34 @@ def _assert_equivalent(ours, theirs):
             assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
 
 
-def test_bench_durable_replay_overhead(benchmark, record_series, tmp_path):
+def _durable_state(snapshot):
+    """A snapshot's bytes without its wall-clock statistics."""
+    data = snapshot.to_dict()
+    if data["stats"] is not None:
+        data["stats"] = {
+            key: value for key, value in data["stats"].items() if not key.endswith("_time")
+        }
+    return json.dumps(data, sort_keys=True).encode()
+
+
+def test_bench_durable_replay_overhead(benchmark, record_series, tmp_path, monkeypatch):
     trace = _trace()
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def counting_fsync(descriptor):
+        fsyncs.append(descriptor)
+        real_fsync(descriptor)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    journals = []
 
     def plain():
         return replay_trace(trace, allocator=_allocator())
 
     def durable():
         journal_path = tmp_path / f"run-{next(_fresh)}.journal"
+        journals.append(journal_path)
         return replay_trace_durably(
             trace,
             journal_path,
@@ -101,17 +128,23 @@ def test_bench_durable_replay_overhead(benchmark, record_series, tmp_path):
     )
     _assert_equivalent(durable_result, plain_result)
 
-    overhead = durable_time / plain_time - 1.0
-    if STRICT_TIMING:
-        assert overhead < MAX_OVERHEAD, (
-            f"durable replay cost {overhead * 100:.1f}% over the plain replay "
-            f"({durable_time * 1e3:.1f} ms vs {plain_time * 1e3:.1f} ms)"
-        )
+    assert len(fsyncs) == REPEATS * FSYNCS_PER_RUN
+    journal_bytes = {path.read_bytes() for path in journals}
+    assert len(journal_bytes) == 1, "durable runs of one trace journal different bytes"
+    bytes_per_event = len(journal_bytes.pop()) / EVENT_COUNT
+    assert bytes_per_event < MAX_JOURNAL_BYTES_PER_EVENT
+    final = load_snapshot(default_snapshot_path(journals[0]))
+    restored, _ = restore_controller(read_journal(journals[0]), allocator=_allocator())
+    assert _durable_state(snapshot_controller(restored, final.journal_seq)) == (
+        _durable_state(final)
+    )
 
     record_series(benchmark, "events", EVENT_COUNT)
+    record_series(benchmark, "fsyncs_per_run", FSYNCS_PER_RUN)
+    record_series(benchmark, "journal_bytes_per_event", bytes_per_event)
     record_series(benchmark, "plain_seconds", plain_time)
     record_series(benchmark, "durable_seconds", durable_time)
-    record_series(benchmark, "overhead_fraction", overhead)
+    record_series(benchmark, "overhead_fraction", durable_time / plain_time - 1.0)
     benchmark(durable)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro._graphs import topological_order
 from repro.exceptions import AnalysisError
 from repro.dataflow.construction import (
     build_srdf_specification,
@@ -110,22 +111,19 @@ def latency_lower_bound(mapped: MappedConfiguration, graph_name: str) -> float:
 
     # Longest path over the acyclic part of the task graph (buffers with
     # initial tokens do not impose a first-iteration ordering).
-    import networkx as nx
-
-    dag = nx.DiGraph()
-    dag.add_nodes_from(graph.task_names)
-    for buffer in graph.buffers:
-        if buffer.initial_tokens == 0 and buffer.source != buffer.target:
-            dag.add_edge(buffer.source, buffer.target)
-    if not nx.is_directed_acyclic_graph(dag):
+    edges = [
+        (buffer.source, buffer.target)
+        for buffer in graph.buffers
+        if buffer.initial_tokens == 0 and buffer.source != buffer.target
+    ]
+    order = topological_order(graph.task_names, edges)
+    if order is None:
         raise AnalysisError(
             f"graph {graph_name!r} has a token-free cycle; it deadlocks"
         )
-    # Standard longest-path dynamic programme over the topological order.
-    best = 0.0
-    chain: Dict[str, float] = {}
-    for node in nx.topological_sort(dag):
-        upstream = max((chain[p] for p in dag.predecessors(node)), default=0.0)
-        chain[node] = upstream + durations[node]
-        best = max(best, chain[node])
-    return best
+    # Longest-path dynamic programme: relax edges in topological order.
+    rank = {name: position for position, name in enumerate(order)}
+    start = dict.fromkeys(order, 0.0)
+    for source, target in sorted(edges, key=lambda edge: rank[edge[0]]):
+        start[target] = max(start[target], start[source] + durations[source])
+    return max((start[name] + durations[name] for name in order), default=0.0)

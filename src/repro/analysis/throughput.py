@@ -38,8 +38,9 @@ class GraphThroughputReport:
 
     @property
     def meets_requirement(self) -> bool:
-        # The minimum period is computed by a bisection with a small relative
-        # tolerance, so the comparison allows for the same order of slack.
+        # The minimum period is exact up to rounding; the allowance keeps
+        # mappings that are tight by construction (budgets found by a
+        # feasibility bisection, say) from failing on the last bits.
         return self.minimum_period <= self.required_period * (1.0 + 1e-6)
 
     @property

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-import networkx as nx
-
 from repro.exceptions import (
     AllocationError,
     InfeasibleProblemError,
@@ -71,17 +69,11 @@ def minimal_buffer_capacities(
         spec = build_srdf_specification(graph)
 
         # Start-time variables, pinning one actor per weakly connected component.
-        component_graph = nx.Graph()
-        component_graph.add_nodes_from(spec.actor_names())
-        for queue in spec.queues:
-            component_graph.add_edge(queue.source, queue.target)
-        for component in nx.connected_components(component_graph):
-            reference = sorted(component)[0]
+        for reference, *others in spec.components():
             start_exprs[reference] = AffineExpression({}, 0.0)
-            for actor_name in sorted(component):
-                if actor_name != reference:
-                    var = program.add_variable(f"s[{actor_name}]")
-                    start_exprs[actor_name] = AffineExpression({var: 1.0})
+            for actor_name in others:
+                var = program.add_variable(f"s[{actor_name}]")
+                start_exprs[actor_name] = AffineExpression({var: 1.0})
 
         for buffer in graph.buffers:
             lower = float(buffer.smallest_feasible_capacity)

@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.exceptions import FormulationError, InfeasibleProblemError
 from repro.core.objective import ObjectiveWeights
 from repro.dataflow.construction import (
@@ -260,16 +258,9 @@ class FormulationBlock:
         not involve start times, so no optimality is lost).
         """
         for spec in self.specifications.values():
-            component_graph = nx.Graph()
-            component_graph.add_nodes_from(spec.actor_names())
-            for queue in spec.queues:
-                component_graph.add_edge(queue.source, queue.target)
-            for component in nx.connected_components(component_graph):
-                reference = sorted(component)[0]
+            for reference, *others in spec.components():
                 self.variables.start_times[reference] = AffineExpression({}, 0.0)
-                for actor_name in sorted(component):
-                    if actor_name == reference:
-                        continue
+                for actor_name in others:
                     var = program.add_variable(f"s[{self.qualify(actor_name)}]")
                     self.variables.start_times[actor_name] = AffineExpression({var: 1.0})
 

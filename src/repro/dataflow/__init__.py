@@ -30,11 +30,11 @@ from repro.dataflow.construction import (
 )
 from repro.dataflow.mcr import (
     CycleRatio,
+    critical_cycle,
     critical_cycles,
     cycle_ratios,
     is_period_feasible,
     maximum_cycle_ratio,
-    minimum_feasible_period,
     throughput,
 )
 from repro.dataflow.monotonicity import check_monotonicity, speedup_graph
@@ -70,6 +70,7 @@ __all__ = [
     "build_srdf_specification",
     "check_monotonicity",
     "compute_schedule",
+    "critical_cycle",
     "critical_cycles",
     "cycle_ratios",
     "finish_actor_name",
@@ -79,7 +80,6 @@ __all__ = [
     "maximum_cycle_ratio",
     "measured_period",
     "meets_period",
-    "minimum_feasible_period",
     "rate_optimal_schedule",
     "simulate",
     "speedup_graph",

@@ -55,6 +55,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._graphs import undirected_components
 from repro.exceptions import AllocationError, ModelError
 from repro.dataflow.graph import Actor, Queue, SRDFGraph
 from repro.taskgraph.configuration import Configuration
@@ -163,6 +164,11 @@ class SrdfSpecification:
 
     def actor_names(self) -> Tuple[str, ...]:
         return tuple(actor.name for actor in self.actors)
+
+    def components(self) -> List[List[str]]:
+        """Each weakly connected component's sorted actor names, in actor order."""
+        edges = ((queue.source, queue.target) for queue in self.queues)
+        return [sorted(c) for c in undirected_components(self.actor_names(), edges)]
 
     def queues_of_kind(self, kind: QueueKind) -> List[QueueSpec]:
         return [queue for queue in self.queues if queue.kind is kind]

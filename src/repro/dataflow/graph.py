@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
+from repro._graphs import simple_cycles, topological_order
 from repro.exceptions import GraphStructureError, ModelError
 
 
@@ -154,15 +153,6 @@ class SRDFGraph:
         return iter(self._actors.values())
 
     # -- derived views ------------------------------------------------------------------
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export as a networkx multigraph (queue objects on the edges)."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for actor in self._actors.values():
-            graph.add_node(actor.name, actor=actor)
-        for queue in self._queues.values():
-            graph.add_edge(queue.source, queue.target, key=queue.name, queue=queue)
-        return graph
-
     def with_updates(
         self,
         firing_durations: Optional[Dict[str, float]] = None,
@@ -206,45 +196,22 @@ class SRDFGraph:
         Intended for small graphs (tests, exact maximum-cycle-ratio
         computation); the number of simple cycles can be exponential.
         """
-        graph = self.to_networkx()
-        cycles: List[List[Queue]] = []
         # Self-loops are simple cycles of length one.
-        for queue in self._queues.values():
-            if queue.is_self_loop:
-                cycles.append([queue])
-        for node_cycle in nx.simple_cycles(nx.DiGraph(graph)):
-            if len(node_cycle) < 2:
-                continue
-            # Expand node cycles into all parallel-edge combinations by picking,
-            # for each hop, the queue minimising tokens (any other choice is
-            # dominated for cycle-ratio purposes).
-            chosen: List[Queue] = []
-            ok = True
-            for i, source in enumerate(node_cycle):
-                target = node_cycle[(i + 1) % len(node_cycle)]
-                parallel = [
-                    q
-                    for q in self._queues.values()
-                    if q.source == source and q.target == target
-                ]
-                if not parallel:
-                    ok = False
-                    break
-                chosen.append(min(parallel, key=lambda q: q.tokens))
-            if ok:
-                cycles.append(chosen)
+        cycles = [[queue] for queue in self._queues.values() if queue.is_self_loop]
+        # Of parallel queues, a cycle takes the one with the fewest tokens
+        # (any other choice is dominated for cycle-ratio purposes).
+        fewest: Dict[Tuple[str, str], Queue] = {}
+        for queue in sorted(self._queues.values(), key=lambda queue: queue.tokens):
+            fewest.setdefault((queue.source, queue.target), queue)
+        for node_cycle in simple_cycles(self._actors, fewest):
+            hops = zip(node_cycle, node_cycle[1:] + node_cycle[:1])
+            cycles.append([fewest[hop] for hop in hops])
         return cycles
 
     def is_deadlock_free(self) -> bool:
         """True when every directed cycle carries at least one initial token."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._actors)
-        for queue in self._queues.values():
-            if queue.tokens == 0:
-                if queue.is_self_loop:
-                    return False
-                graph.add_edge(queue.source, queue.target)
-        return nx.is_directed_acyclic_graph(graph)
+        token_free = [(q.source, q.target) for q in self._queues.values() if q.tokens == 0]
+        return topological_order(self._actors, token_free) is not None
 
     def total_tokens(self) -> int:
         return sum(queue.tokens for queue in self._queues.values())

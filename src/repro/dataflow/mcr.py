@@ -8,29 +8,28 @@ The smallest period for which a periodic admissible schedule exists equals the
 (Reiter 1968).  A cycle without initial tokens has an infinite ratio: the
 graph deadlocks and no finite period exists.
 
-Two algorithms are provided:
-
-* :func:`maximum_cycle_ratio` with ``method="lawler"`` — binary search on the
-  period combined with a Bellman–Ford positive-cycle test
-  (:func:`is_period_feasible`), which is robust and polynomial.
-* ``method="enumerate"`` — exact enumeration of simple cycles, exponential in
-  the worst case but convenient for the small graphs of the paper and as an
-  independent oracle in tests.
+:func:`maximum_cycle_ratio` runs Howard's policy iteration on every strongly
+connected component (Cochet-Terrasson et al. 1998; Dasdan 2004).  It reads
+the ratio off the final policy's cycle, so the result is exact up to the
+rounding of one cycle sum, and :func:`critical_cycle` returns that cycle as
+the witness.  ``method="enumerate"`` enumerates all simple cycles instead:
+exponential in the worst case, it is the independent oracle of the tests.
+:func:`is_period_feasible` decides one period with a Bellman–Ford test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
+from repro._graphs import strongly_connected_components
 from repro.exceptions import AnalysisError
 from repro.dataflow.graph import Queue, SRDFGraph
 
-#: Default relative tolerance of the binary search.
-DEFAULT_TOLERANCE = 1e-9
+#: Relative rounding allowance of the policy-improvement comparisons and of
+#: the per-edge slack in :func:`longest_path_potentials`.
+_RELATIVE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,12 @@ class CycleRatio:
     tokens: float
     queues: Tuple[Queue, ...]
 
+    @classmethod
+    def of(cls, graph: SRDFGraph, queues: Iterable[Queue]) -> "CycleRatio":
+        queues = tuple(queues)
+        duration = sum(graph.firing_duration(queue.source) for queue in queues)
+        return cls(duration, sum(queue.tokens for queue in queues), queues)
+
     @property
     def ratio(self) -> float:
         if self.tokens == 0:
@@ -50,29 +55,7 @@ class CycleRatio:
 
 def cycle_ratios(graph: SRDFGraph) -> List[CycleRatio]:
     """Compute the ratio of every simple cycle (small graphs only)."""
-    ratios: List[CycleRatio] = []
-    for cycle in graph.simple_cycles():
-        duration = sum(graph.firing_duration(queue.source) for queue in cycle)
-        tokens = sum(queue.tokens for queue in cycle)
-        ratios.append(CycleRatio(duration=duration, tokens=tokens, queues=tuple(cycle)))
-    return ratios
-
-
-def _constraint_edges(graph: SRDFGraph, period: float) -> List[Tuple[str, str, float]]:
-    """Edges of the start-time constraint graph for a candidate period.
-
-    Constraint (1) of the paper, ``s(v_j) ≥ s(v_i) + ρ(v_i) − δ(e_ij)·period``,
-    is a system of difference constraints; it is feasible iff the graph with
-    edge weights ``ρ(v_i) − δ(e_ij)·period`` has no positive-weight cycle.
-    """
-    return [
-        (
-            queue.source,
-            queue.target,
-            graph.firing_duration(queue.source) - queue.tokens * period,
-        )
-        for queue in graph.queues
-    ]
+    return [CycleRatio.of(graph, cycle) for cycle in graph.simple_cycles()]
 
 
 def longest_path_potentials(
@@ -80,25 +63,34 @@ def longest_path_potentials(
 ) -> Optional[Dict[str, float]]:
     """Bellman–Ford longest-path potentials, or ``None`` if a positive cycle exists.
 
+    Constraint (1) of the paper, ``s(v_j) ≥ s(v_i) + ρ(v_i) − δ(e_ij)·period``,
+    is a system of difference constraints; it is feasible iff the graph with
+    edge weights ``ρ(v_i) − δ(e_ij)·period`` has no positive-weight cycle.
     When feasible, the returned potentials are valid periodic start times
     ``s(v)`` for the given period (shifted so that the smallest is 0).
+
+    An edge relaxes only when it gains more than the rounding error of its
+    weight, ``1e-12·(ρ(v_i) + δ(e_ij)·period)``: a cycle that is exactly
+    tight at ``period`` is feasible, one infeasible by more is not.
     """
-    nodes = list(graph.actor_names)
-    if not nodes:
-        return {}
-    edges = _constraint_edges(graph, period)
+    edges = []
+    for queue in graph.queues:
+        duration = graph.firing_duration(queue.source)
+        delay = queue.tokens * period
+        slack = _RELATIVE_SLACK * (duration + delay)
+        edges.append((queue.source, queue.target, duration - delay, slack))
     # Longest-path Bellman-Ford from a virtual source connected to all nodes
     # with weight 0 (equivalently: initialise all potentials to 0).
-    potential = {node: 0.0 for node in nodes}
-    for _ in range(len(nodes) + 1):
+    potential = dict.fromkeys(graph.actor_names, 0.0)
+    for _ in range(len(potential) + 1):
         changed = False
-        for source, target, weight in edges:
+        for source, target, weight, slack in edges:
             candidate = potential[source] + weight
-            if candidate > potential[target] + 1e-12:
+            if candidate > potential[target] + slack:
                 potential[target] = candidate
                 changed = True
         if not changed:
-            shift = min(potential.values())
+            shift = min(potential.values(), default=0.0)
             return {node: value - shift for node, value in potential.items()}
     return None
 
@@ -110,107 +102,103 @@ def is_period_feasible(graph: SRDFGraph, period: float) -> bool:
     return longest_path_potentials(graph, period) is not None
 
 
-def _has_positive_duration_cycle(graph: SRDFGraph) -> bool:
-    """True when some directed cycle contains an actor with positive duration.
-
-    Exactly the condition for ``MCR > 0``: a cycle's ratio is its total
-    firing duration over its (positive, or the graph deadlocks) token count.
-    Every cycle lies inside a strongly connected component, and inside an
-    SCC that contains at least one edge *every* node lies on a cycle, so the
-    check reduces to: does any edge-carrying SCC contain a positive-duration
-    actor?
-    """
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.actor_names)
-    digraph.add_edges_from((queue.source, queue.target) for queue in graph.queues)
-    component_of = {}
-    for index, component in enumerate(nx.strongly_connected_components(digraph)):
-        for node in component:
-            component_of[node] = index
-    cyclic = {
-        component_of[queue.source]
-        for queue in graph.queues
-        if component_of[queue.source] == component_of[queue.target]
-    }
-    return any(
-        graph.firing_duration(name) > 0.0 and component_of[name] in cyclic
-        for name in graph.actor_names
-    )
-
-
-def _upper_bound_period(graph: SRDFGraph) -> float:
-    """A period that is always feasible for a deadlock-free graph.
-
-    Every simple cycle's duration is at most the total duration, and its
-    token count is at least the smallest positive token count of any queue
-    (deadlock-freedom puts at least one such queue on every cycle).  For
-    integer-token graphs that smallest count is ≥ 1 and the bound is the
-    classic total duration; queues lowered from true CSDF buffers can carry
-    fractional token counts below one, which scale the bound up.
-    """
-    total = sum(actor.firing_duration for actor in graph.actors)
-    positive = [queue.tokens for queue in graph.queues if queue.tokens > 0]
-    smallest = min(positive) if positive else 1.0
-    if smallest < 1.0:
-        total /= smallest
-    return max(total, 1e-12)
-
-
-def maximum_cycle_ratio(
-    graph: SRDFGraph,
-    method: str = "lawler",
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> float:
+def maximum_cycle_ratio(graph: SRDFGraph, method: str = "howard") -> float:
     """Return the maximum cycle ratio (minimum feasible period) of the graph.
 
     Returns ``0.0`` for acyclic graphs (any positive period is feasible) and
     ``math.inf`` when the graph deadlocks (a cycle without tokens).
     """
-    if not graph.queues:
-        return 0.0
+    if method not in ("howard", "enumerate"):
+        raise AnalysisError(f"unknown MCR method {method!r}")
     if not graph.is_deadlock_free():
         return math.inf
-
     if method == "enumerate":
-        ratios = cycle_ratios(graph)
-        if not ratios:
-            return 0.0
-        return max(ratio.ratio for ratio in ratios)
-    if method != "lawler":
-        raise AnalysisError(f"unknown MCR method {method!r}")
+        return max((ratio.ratio for ratio in cycle_ratios(graph)), default=0.0)
+    cycle = critical_cycle(graph)
+    return 0.0 if cycle is None else cycle.ratio
 
-    # Exact trivial-cycle classification: MCR == 0 iff no cycle carries a
-    # positive firing duration.  Probing feasibility at an epsilon period —
-    # absolute or duration-scaled — cannot get this right at every scale (a
-    # genuinely positive MCR near the epsilon, of either sign of error), so
-    # the structure is checked directly instead.
-    if not _has_positive_duration_cycle(graph):
-        # Only zero-duration cycles; any positive period works.
-        return 0.0
-    high = _upper_bound_period(graph)
-    low = 0.0
-    if not is_period_feasible(graph, high):
+
+def critical_cycle(graph: SRDFGraph) -> Optional[CycleRatio]:
+    """A cycle of maximum ratio, the witness of :func:`maximum_cycle_ratio`.
+
+    Returns ``None`` when the graph has no cycle and raises
+    :class:`AnalysisError` when it deadlocks.
+    """
+    if not graph.is_deadlock_free():
         raise AnalysisError(
-            "no feasible period found below the total-duration upper bound; "
-            "the graph structure is inconsistent"
+            f"graph {graph.name!r} deadlocks: a cycle without initial tokens exists"
         )
-    # Binary search for the smallest feasible period.  Convergence is
-    # relative to the *current* upper bound: when the true MCR is orders of
-    # magnitude below the total-duration starting bound (tiny cycles next to
-    # large acyclic actors), the target shrinks with the interval and the
-    # result stays accurate to ``tolerance`` relative at every scale.
-    while high - low > tolerance * high:
-        mid = 0.5 * (low + high)
-        if is_period_feasible(graph, mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    # Howard runs on every strongly connected component that carries a queue.
+    component_of = {}
+    edges = [(queue.source, queue.target) for queue in graph.queues]
+    for index, component in enumerate(strongly_connected_components(graph.actor_names, edges)):
+        component_of.update(dict.fromkeys(component, index))
+    inner: Dict[int, List[Queue]] = {}
+    for queue in graph.queues:
+        if component_of[queue.source] == component_of[queue.target]:
+            inner.setdefault(component_of[queue.source], []).append(queue)
+    cycles = [_howard(graph, queues) for queues in inner.values()]
+    return max(cycles, key=lambda cycle: cycle.ratio, default=None)
 
 
-def minimum_feasible_period(graph: SRDFGraph, tolerance: float = DEFAULT_TOLERANCE) -> float:
-    """Alias of :func:`maximum_cycle_ratio` with the Lawler method."""
-    return maximum_cycle_ratio(graph, method="lawler", tolerance=tolerance)
+def _howard(graph: SRDFGraph, queues: List[Queue]) -> CycleRatio:
+    """Howard's policy iteration on the queues of one strongly connected component.
+
+    A policy picks one output queue per actor, so every actor leads to one
+    policy cycle.  Evaluation gives each actor the ratio ``η`` of that cycle
+    and a value ``x(v) = ρ(v) − η·δ(e) + x(target(e))`` along its policy
+    queue ``e``.  Improvement moves actors towards a larger ``η`` or, when no
+    actor can, towards a larger value at equal ``η``.  When neither applies,
+    the largest policy cycle is critical.
+    """
+    duration = {queue.source: graph.firing_duration(queue.source) for queue in queues}
+    outgoing: Dict[str, List[Queue]] = {}
+    for queue in queues:
+        outgoing.setdefault(queue.source, []).append(queue)
+    policy = {actor: min(out, key=lambda queue: queue.tokens) for actor, out in outgoing.items()}
+    # Values are path sums of ρ − η·δ, so their rounding error is relative to
+    # the component's total duration and token count.
+    total_duration = sum(duration.values())
+    total_tokens = sum(queue.tokens for queue in queues)
+    # Every improvement raises (η, x) lexicographically, so no policy repeats;
+    # the cap only guards against rounding defeating that argument.
+    for _ in range(100 * len(queues) + 100):
+        ratio: Dict[str, float] = {}
+        value: Dict[str, float] = {}
+        cycles: List[CycleRatio] = []
+        for start in policy:
+            walk: Dict[str, int] = {}  # actor -> position, in walk order
+            actor = start
+            while actor not in ratio and actor not in walk:
+                walk[actor] = len(walk)
+                actor = policy[actor].target
+            if actor in walk:  # the walk closed a new policy cycle
+                loop = (policy[member] for member in list(walk)[walk[actor]:])
+                cycles.append(CycleRatio.of(graph, loop))
+                ratio[actor], value[actor] = cycles[-1].ratio, 0.0
+            for member in reversed(walk):
+                if member not in ratio:
+                    queue = policy[member]
+                    eta = ratio[member] = ratio[queue.target]
+                    value[member] = duration[member] - eta * queue.tokens + value[queue.target]
+
+        improved = False
+        for actor, out in outgoing.items():
+            best = max(out, key=lambda queue: ratio[queue.target])
+            if ratio[best.target] > ratio[actor] * (1.0 + _RELATIVE_SLACK):
+                policy[actor], improved = best, True
+        if improved:
+            continue
+        for actor, out in outgoing.items():
+            eta, best = ratio[actor], value[actor]
+            noise = _RELATIVE_SLACK * (total_duration + eta * total_tokens)
+            for queue in out:
+                candidate = duration[actor] - eta * queue.tokens + value[queue.target]
+                if ratio[queue.target] == eta and candidate > best + noise:
+                    best, policy[actor], improved = candidate, queue, True
+        if not improved:
+            return max(cycles, key=lambda cycle: cycle.ratio)
+    raise AnalysisError(f"Howard policy iteration did not converge on graph {graph.name!r}")
 
 
 def critical_cycles(graph: SRDFGraph, tolerance: float = 1e-6) -> List[CycleRatio]:
@@ -219,19 +207,11 @@ def critical_cycles(graph: SRDFGraph, tolerance: float = 1e-6) -> List[CycleRati
     Uses cycle enumeration, so it is intended for small graphs and reporting.
     """
     ratios = cycle_ratios(graph)
-    if not ratios:
-        return []
-    best = max(r.ratio for r in ratios)
-    if math.isinf(best):
-        return [r for r in ratios if math.isinf(r.ratio)]
+    best = max((r.ratio for r in ratios), default=0.0)
     return [r for r in ratios if r.ratio >= best * (1.0 - tolerance)]
 
 
 def throughput(graph: SRDFGraph) -> float:
     """Maximum sustainable throughput in iterations per time unit (1 / MCR)."""
     mcr = maximum_cycle_ratio(graph)
-    if mcr == 0.0:
-        return math.inf
-    if math.isinf(mcr):
-        return 0.0
-    return 1.0 / mcr
+    return math.inf if mcr == 0.0 else 1.0 / mcr

@@ -85,7 +85,7 @@ def compute_schedule(graph: SRDFGraph, period: float) -> Optional[PeriodicSchedu
     return PeriodicSchedule(period=period, start_times=potentials)
 
 
-def rate_optimal_schedule(graph: SRDFGraph, tolerance: float = 1e-9) -> PeriodicSchedule:
+def rate_optimal_schedule(graph: SRDFGraph) -> PeriodicSchedule:
     """Compute a PAS at the graph's minimum feasible period (its MCR).
 
     Raises
@@ -93,7 +93,7 @@ def rate_optimal_schedule(graph: SRDFGraph, tolerance: float = 1e-9) -> Periodic
     AnalysisError
         If the graph deadlocks (some cycle carries no tokens).
     """
-    mcr = maximum_cycle_ratio(graph, tolerance=tolerance)
+    mcr = maximum_cycle_ratio(graph)
     if math.isinf(mcr):
         raise AnalysisError(
             f"graph {graph.name!r} deadlocks: a cycle without initial tokens exists"

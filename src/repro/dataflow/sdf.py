@@ -18,10 +18,10 @@ their tokens, with initial tokens distributed first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
+from repro._graphs import repetition_vector
 from repro.exceptions import GraphStructureError, ModelError
 from repro.dataflow.graph import Actor, Queue, SRDFGraph
 
@@ -120,51 +120,19 @@ class SDFGraph:
             If the graph is inconsistent (the balance equations only admit the
             trivial all-zero solution).
         """
-        if not self._actors:
-            return {}
-        # Solve the balance equations with rational arithmetic via fractions.
-        from fractions import Fraction
-
-        rates: Dict[str, Optional[Fraction]] = {name: None for name in self._actors}
-        # Process connected components via BFS over channels.
-        adjacency: Dict[str, List[SDFChannel]] = {name: [] for name in self._actors}
-        for channel in self._channels.values():
-            adjacency[channel.source].append(channel)
-            adjacency[channel.target].append(channel)
-
-        for start in self._actors:
-            if rates[start] is not None:
-                continue
-            rates[start] = Fraction(1)
-            frontier = [start]
-            while frontier:
-                current = frontier.pop()
-                for channel in adjacency[current]:
-                    ratio = Fraction(channel.production_rate, channel.consumption_rate)
-                    if channel.source == current:
-                        implied = rates[current] * ratio
-                        other = channel.target
-                    else:
-                        implied = rates[current] / ratio
-                        other = channel.source
-                    if rates[other] is None:
-                        rates[other] = implied
-                        frontier.append(other)
-                    elif rates[other] != implied:
-                        raise GraphStructureError(
-                            f"SDF graph {self.name!r} is inconsistent at channel "
-                            f"{channel.name!r}"
-                        )
-
-        denominators = [rate.denominator for rate in rates.values()]  # type: ignore[union-attr]
-        lcm = 1
-        for d in denominators:
-            lcm = lcm * d // math.gcd(lcm, d)
-        counts = {name: int(rate * lcm) for name, rate in rates.items()}  # type: ignore[operator]
-        gcd_all = 0
-        for value in counts.values():
-            gcd_all = math.gcd(gcd_all, value)
-        return {name: value // gcd_all for name, value in counts.items()}
+        channels = self._channels.values()
+        repetitions = repetition_vector(
+            self._actors,
+            ((c.source, c.target, c.production_rate, c.consumption_rate) for c in channels),
+        )
+        for channel in channels:
+            produced = repetitions[channel.source] * channel.production_rate
+            if produced != repetitions[channel.target] * channel.consumption_rate:
+                raise GraphStructureError(
+                    f"SDF graph {self.name!r} is inconsistent at channel "
+                    f"{channel.name!r}"
+                )
+        return repetitions
 
     def is_consistent(self) -> bool:
         try:

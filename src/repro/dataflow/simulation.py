@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro._graphs import topological_order
 from repro.exceptions import SimulationError
 from repro.dataflow.graph import SRDFGraph
 
@@ -98,23 +99,16 @@ def simulate(graph: SRDFGraph, iterations: int = 50) -> SimulationTrace:
             f"{fractional}; the self-timed simulation needs integral tokens "
             f"(use the MCR/potential analyses instead)"
         )
-    if not graph.is_deadlock_free():
+    # Within one iteration index k, a firing can only depend on same-k firings
+    # through zero-token queues; those form a DAG exactly when the graph is
+    # deadlock-free, so processing actors in a topological order of the
+    # zero-token subgraph makes the computation purely iterative.
+    token_free = [(q.source, q.target) for q in graph.queues if q.tokens == 0]
+    actor_order = topological_order(graph.actor_names, token_free)
+    if actor_order is None:
         raise SimulationError(
             f"graph {graph.name!r} deadlocks: a cycle without initial tokens exists"
         )
-
-    # Within one iteration index k, a firing can only depend on same-k firings
-    # through zero-token queues; those form a DAG for deadlock-free graphs, so
-    # processing actors in a topological order of the zero-token subgraph makes
-    # the computation purely iterative (no recursion).
-    import networkx as nx
-
-    zero_token_dag = nx.DiGraph()
-    zero_token_dag.add_nodes_from(graph.actor_names)
-    for queue in graph.queues:
-        if queue.tokens == 0 and not queue.is_self_loop:
-            zero_token_dag.add_edge(queue.source, queue.target)
-    actor_order = list(nx.topological_sort(zero_token_dag))
 
     start: Dict[str, List[float]] = {name: [] for name in graph.actor_names}
     durations = {actor.name: actor.firing_duration for actor in graph.actors}

@@ -8,12 +8,10 @@ task must complete one execution every ``µ(T)`` time units.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isfinite
+from math import isfinite
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
+from repro._graphs import repetition_vector, undirected_components
 from repro.exceptions import GraphStructureError, ModelError
 from repro.taskgraph.buffer import Buffer
 from repro.taskgraph.task import Task
@@ -147,43 +145,22 @@ class TaskGraph:
         """Names of tasks whose data ``task_name`` consumes."""
         return sorted({b.source for b in self.input_buffers(task_name)})
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export the task graph as a :class:`networkx.MultiDiGraph`.
-
-        Node attributes carry the :class:`Task`, edge attributes the
-        :class:`Buffer`.
-        """
-        graph = nx.MultiDiGraph(name=self.name, period=self.period)
-        for task in self._tasks.values():
-            graph.add_node(task.name, task=task)
-        for buffer in self._buffers.values():
-            graph.add_edge(buffer.source, buffer.target, key=buffer.name, buffer=buffer)
-        return graph
+    def _components(self) -> List[List[str]]:
+        """Weakly connected components, in task insertion order."""
+        edges = ((buffer.source, buffer.target) for buffer in self._buffers.values())
+        return list(undirected_components(self._tasks, edges))
 
     def is_connected(self) -> bool:
         """True when the task graph is weakly connected (or has a single task)."""
-        if len(self._tasks) <= 1:
-            return True
-        return nx.is_weakly_connected(self.to_networkx())
+        return len(self._components()) <= 1
 
     def undirected_cycles_exist(self) -> bool:
         """True when the graph (ignoring direction) contains a cycle.
 
-        Self-loops and parallel buffers between the same pair of tasks count
-        as cycles; beyond those, the simple undirected graph is inspected.
+        Self-loops and parallel buffers count as cycles.  A multigraph is a
+        forest exactly when it has ``|V| − components`` edges.
         """
-        if any(b.source == b.target for b in self._buffers.values()):
-            return True
-        pair_counts: Dict[Tuple[str, str], int] = {}
-        for buffer in self._buffers.values():
-            key = tuple(sorted((buffer.source, buffer.target)))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-        if any(count > 1 for count in pair_counts.values()):
-            return True
-        graph = nx.Graph()
-        graph.add_nodes_from(self._tasks)
-        graph.add_edges_from(pair_counts.keys())
-        return bool(nx.cycle_basis(graph))
+        return len(self._buffers) > len(self._tasks) - len(self._components())
 
     # -- cyclo-static structure ---------------------------------------------------
     @property
@@ -216,65 +193,21 @@ class TaskGraph:
         """
         if self._repetitions is not None:
             return dict(self._repetitions)
-        ratios: Dict[str, Optional[Fraction]] = {name: None for name in self._tasks}
-        for root in self._tasks:
-            if ratios[root] is not None:
-                continue
-            ratios[root] = Fraction(1)
-            frontier = [root]
-            while frontier:
-                current = frontier.pop()
-                for buffer in self._buffers.values():
-                    if current not in (buffer.source, buffer.target):
-                        continue
-                    produced = buffer.total_production
-                    consumed = buffer.total_consumption
-                    src_ratio = ratios[buffer.source]
-                    dst_ratio = ratios[buffer.target]
-                    if src_ratio is not None and dst_ratio is not None:
-                        if src_ratio * produced != dst_ratio * consumed:
-                            raise ModelError(
-                                f"task graph {self.name!r}: inconsistent "
-                                f"cyclo-static rates on buffer "
-                                f"{buffer.name!r} ({buffer.source!r} -> "
-                                f"{buffer.target!r}); no repetition vector "
-                                f"exists"
-                            )
-                        continue
-                    if src_ratio is not None:
-                        ratios[buffer.target] = src_ratio * produced / consumed
-                        frontier.append(buffer.target)
-                    elif dst_ratio is not None:
-                        ratios[buffer.source] = dst_ratio * consumed / produced
-                        frontier.append(buffer.source)
-        # Normalise each weakly-connected component to smallest integers.
-        components: List[List[str]] = []
-        if self._tasks:
-            undirected = nx.Graph()
-            undirected.add_nodes_from(self._tasks)
-            for buffer in self._buffers.values():
-                undirected.add_edge(buffer.source, buffer.target)
-            components = [sorted(c) for c in nx.connected_components(undirected)]
-        repetitions: Dict[str, int] = {}
-        for component in components:
-            fractions = [ratios[name] for name in component]
-            denominator_lcm = 1
-            for fraction in fractions:
-                denominator_lcm = (
-                    denominator_lcm
-                    * fraction.denominator
-                    // gcd(denominator_lcm, fraction.denominator)
+        buffers = self._buffers.values()
+        repetitions = repetition_vector(
+            self._tasks,
+            ((b.source, b.target, b.total_production, b.total_consumption) for b in buffers),
+        )
+        for buffer in buffers:
+            produced = repetitions[buffer.source] * buffer.total_production
+            if produced != repetitions[buffer.target] * buffer.total_consumption:
+                raise ModelError(
+                    f"task graph {self.name!r}: inconsistent cyclo-static rates "
+                    f"on buffer {buffer.name!r} ({buffer.source!r} -> "
+                    f"{buffer.target!r}); no repetition vector exists"
                 )
-            integers = [
-                int(fraction * denominator_lcm) for fraction in fractions
-            ]
-            common = 0
-            for value in integers:
-                common = gcd(common, value)
-            for name, value in zip(component, integers):
-                repetitions[name] = value // common
-        self._repetitions = {name: repetitions[name] for name in self._tasks}
-        return dict(self._repetitions)
+        self._repetitions = repetitions
+        return dict(repetitions)
 
     def period_cycles(self, task_name: str, processor: object) -> float:
         """Effective execution time a task needs per throughput period.

@@ -102,8 +102,3 @@ class TestSRDFGraph:
         two_hop = [c for c in cycles if len(c) == 2][0]
         tokens = {q.name for q in two_hop}
         assert "ba2" in tokens  # the parallel edge with fewer tokens is chosen
-
-    def test_to_networkx(self):
-        nx_graph = self._graph().to_networkx()
-        assert nx_graph.number_of_nodes() == 2
-        assert nx_graph.number_of_edges() == 2

@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dataflow.construction import instantiate_from_configuration
 from repro.dataflow.graph import Actor, Queue, SRDFGraph
 from repro.dataflow.mcr import (
+    critical_cycle,
     critical_cycles,
     cycle_ratios,
     is_period_feasible,
     longest_path_potentials,
     maximum_cycle_ratio,
-    minimum_feasible_period,
     throughput,
+)
+from repro.taskgraph.generators import (
+    csdf_chain_configuration,
+    fork_join_configuration,
+    heterogeneous_random_configuration,
+    multi_job_configuration,
+    random_dag_configuration,
+    ring_configuration,
 )
 
 
@@ -42,11 +52,12 @@ class TestMaximumCycleRatio:
     def test_pipeline_with_feedback(self, pipeline_srdf):
         assert maximum_cycle_ratio(pipeline_srdf) == pytest.approx(2.0, rel=1e-6)
 
-    def test_enumeration_agrees_with_lawler(self, pipeline_srdf, two_actor_cycle):
+    def test_enumeration_agrees_with_howard(self, pipeline_srdf, two_actor_cycle):
         for graph in (pipeline_srdf, two_actor_cycle):
             exact = maximum_cycle_ratio(graph, method="enumerate")
-            lawler = maximum_cycle_ratio(graph, method="lawler")
-            assert lawler == pytest.approx(exact, rel=1e-6)
+            howard = maximum_cycle_ratio(graph, method="howard")
+            assert howard == pytest.approx(exact, rel=1e-12)
+            assert critical_cycle(graph).ratio == howard
 
     def test_acyclic_graph_has_zero_mcr(self):
         graph = SRDFGraph("dag")
@@ -69,12 +80,11 @@ class TestMaximumCycleRatio:
         from repro.exceptions import AnalysisError
 
         with pytest.raises(AnalysisError):
-            maximum_cycle_ratio(two_actor_cycle, method="howard")
+            maximum_cycle_ratio(two_actor_cycle, method="lawler")
 
     def test_tiny_durations_report_positive_mcr(self):
-        # Firing durations near the absolute tolerance (1e-9): probing the
-        # trivial-cycle case at an unscaled epsilon misreports the genuinely
-        # positive MCR of 2e-9 as 0.0.
+        # Nanosecond-scale durations: the MCR of 2e-9 is exact, not a
+        # tolerance-sized approximation or 0.0.
         graph = SRDFGraph("nano")
         graph.add_actor(Actor("a", 1e-9))
         graph.add_actor(Actor("b", 1e-9))
@@ -82,18 +92,12 @@ class TestMaximumCycleRatio:
         graph.add_queue(Queue("ba", "b", "a", tokens=1))
         exact = maximum_cycle_ratio(graph, method="enumerate")
         assert exact == pytest.approx(2e-9, rel=1e-9)
-        # At this scale the Bellman-Ford relaxation's absolute 1e-12 slack
-        # limits the attainable precision to ~1e-3 relative; the point of the
-        # fix is that the MCR is positive and approximately right, not 0.0.
-        lawler = maximum_cycle_ratio(graph, method="lawler")
-        assert lawler > 0.0
-        assert lawler == pytest.approx(exact, rel=1e-3)
-        assert throughput(graph) == pytest.approx(0.5e9, rel=1e-3)
+        assert maximum_cycle_ratio(graph) == pytest.approx(exact, rel=1e-12)
+        assert throughput(graph) == pytest.approx(0.5e9, rel=1e-12)
 
     def test_tiny_cycle_next_to_large_acyclic_actor(self):
-        # A mixed-scale graph: the duration-scaled probe must not be inflated
-        # by actors outside every cycle, or the tiny cycle's genuinely
-        # positive MCR (2e-9 here) would be misreported as 0.0.
+        # A mixed-scale graph: an actor outside every cycle must not dilute
+        # the tiny cycle's MCR of 2e-9.
         graph = SRDFGraph("mixed")
         graph.add_actor(Actor("a", 1e-9))
         graph.add_actor(Actor("b", 1e-9))
@@ -103,14 +107,11 @@ class TestMaximumCycleRatio:
         graph.add_queue(Queue("abig", "a", "big", tokens=0))
         exact = maximum_cycle_ratio(graph, method="enumerate")
         assert exact == pytest.approx(2e-9, rel=1e-9)
-        lawler = maximum_cycle_ratio(graph, method="lawler")
-        assert lawler > 0.0
-        assert lawler == pytest.approx(exact, rel=1e-2)
+        assert maximum_cycle_ratio(graph) == pytest.approx(exact, rel=1e-12)
 
     def test_sub_tolerance_cycle_next_to_large_acyclic_actor(self):
-        # Even an MCR *below* the absolute search tolerance (5e-10 here) must
-        # classify as positive when a big acyclic actor dominates the
-        # duration sum — the classification is structural, not epsilon-based.
+        # An MCR of 5e-10 next to a big acyclic actor that dominates the
+        # duration sum is still exact.
         graph = SRDFGraph("sub-tolerance")
         graph.add_actor(Actor("a", 0.25e-9))
         graph.add_actor(Actor("b", 0.25e-9))
@@ -121,7 +122,7 @@ class TestMaximumCycleRatio:
         assert maximum_cycle_ratio(graph, method="enumerate") == pytest.approx(
             5e-10, rel=1e-9
         )
-        assert maximum_cycle_ratio(graph, method="lawler") > 0.0
+        assert maximum_cycle_ratio(graph) == pytest.approx(5e-10, rel=1e-12)
 
     def test_tiny_duration_trivial_cycles_still_report_zero(self):
         # A token-carrying cycle whose actors all fire in zero time has MCR 0
@@ -174,8 +175,15 @@ class TestPeriodFeasibility:
     def test_potentials_none_when_infeasible(self, pipeline_srdf):
         assert longest_path_potentials(pipeline_srdf, 0.5) is None
 
-    def test_minimum_feasible_period_alias(self, two_actor_cycle):
-        assert minimum_feasible_period(two_actor_cycle) == pytest.approx(2.5, rel=1e-6)
+    def test_tiny_self_loop_is_infeasible_just_below_its_ratio(self):
+        # An absolute relaxation slack of 1e-12 accepted this self-loop at
+        # 9e-13 below its ratio of 4e-7; the slack is relative per edge.
+        graph = SRDFGraph("tiny-loop")
+        graph.add_actor(Actor("a", 4e-7))
+        graph.add_queue(Queue("aa", "a", "a", tokens=1))
+        assert maximum_cycle_ratio(graph) == 4e-7
+        assert is_period_feasible(graph, 4e-7)
+        assert not is_period_feasible(graph, 4e-7 - 9e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,3 +226,106 @@ def test_feasibility_is_monotone_in_the_period(duration_a, duration_b, tokens_ab
     mcr = maximum_cycle_ratio(graph)
     assert is_period_feasible(graph, mcr * scale)
     assert not is_period_feasible(graph, mcr / (scale * 1.05))
+
+
+# -- differential test: Howard against cycle enumeration ---------------------------
+
+_FAMILIES = (
+    lambda rng, seed: random_dag_configuration(
+        task_count=rng.randint(3, 6), processor_count=rng.randint(2, 4), seed=seed
+    ),
+    lambda rng, seed: heterogeneous_random_configuration(
+        task_count=rng.randint(3, 6), seed=seed
+    ),
+    lambda rng, seed: csdf_chain_configuration(
+        stages=rng.randint(2, 3), phases_per_task=rng.randint(1, 3)
+    ),
+    lambda rng, seed: ring_configuration(
+        stages=rng.randint(2, 4), initial_tokens=rng.randint(1, 3)
+    ),
+    lambda rng, seed: fork_join_configuration(branches=rng.randint(2, 3)),
+    lambda rng, seed: multi_job_configuration(job_count=2, stages_per_job=rng.randint(2, 3)),
+)
+
+
+def _generated_graphs(count):
+    """SRDF graphs of every generator family under random budgets and capacities."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        configuration = _FAMILIES[seed % len(_FAMILIES)](rng, seed)
+        budgets = {
+            task.name: rng.uniform(0.1, 1.0)
+            * configuration.platform.processor(task.processor).replenishment_interval
+            for _, task in configuration.all_tasks()
+        }
+        capacities = {
+            buffer.name: buffer.smallest_feasible_capacity + rng.randint(0, 3)
+            for _, buffer in configuration.all_buffers()
+        }
+        graphs = instantiate_from_configuration(configuration, budgets, capacities)
+        for name, graph in graphs.items():
+            yield f"seed {seed} {configuration.name}/{name}", graph
+
+
+def _random_graphs(count):
+    """Random graphs with self-loops, parallel queues, zero durations,
+    fractional tokens and, through token-free cycles, deadlocks."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        scale = 10.0 ** rng.uniform(-9, 3)
+        size = rng.randint(1, 10)
+        graph = SRDFGraph(f"random{seed}")
+        for index in range(size):
+            duration = 0.0 if rng.random() < 0.2 else rng.uniform(1e-3, 1.0) * scale
+            graph.add_actor(Actor(f"a{index}", duration))
+        for index in range(rng.randint(0, 3 * size)):
+            draw = rng.random()
+            if draw < 0.2:
+                tokens = 0
+            elif draw < 0.65:
+                tokens = rng.randint(1, 4)
+            else:
+                tokens = round(rng.uniform(0.05, 3.0), 3)
+            source, target = rng.randrange(size), rng.randrange(size)
+            graph.add_queue(Queue(f"q{index}", f"a{source}", f"a{target}", tokens))
+        yield f"seed {seed}", graph
+
+
+def _assert_matches_enumeration(label, graph):
+    howard = maximum_cycle_ratio(graph)
+    exact = maximum_cycle_ratio(graph, method="enumerate")
+    if math.isinf(exact):
+        assert math.isinf(howard), label
+        return
+    assert howard == pytest.approx(exact, rel=1e-12, abs=0.0), label
+    witness = critical_cycle(graph)
+    if howard == 0.0:
+        assert witness is None or witness.ratio == 0.0, label
+        return
+    assert witness.ratio == howard, label
+    assert is_period_feasible(graph, howard * (1.0 + 1e-9)), label
+    assert not is_period_feasible(graph, howard * (1.0 - 1e-9)), label
+
+
+def test_howard_matches_enumeration_on_generated_graphs():
+    graphs = list(_generated_graphs(120))
+    assert len(graphs) >= 120
+    for label, graph in graphs:
+        _assert_matches_enumeration(label, graph)
+
+
+def test_howard_matches_enumeration_on_random_graphs():
+    for label, graph in _random_graphs(200):
+        _assert_matches_enumeration(label, graph)
+
+
+def test_critical_cycle_of_acyclic_and_deadlocked_graphs(deadlocked_srdf):
+    from repro.exceptions import AnalysisError
+
+    graph = SRDFGraph("dag")
+    graph.add_actor(Actor("a", 1.0))
+    graph.add_actor(Actor("b", 1.0))
+    graph.add_queue(Queue("ab", "a", "b", tokens=0))
+    assert critical_cycle(graph) is None
+    with pytest.raises(AnalysisError):
+        critical_cycle(deadlocked_srdf)

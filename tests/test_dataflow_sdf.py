@@ -60,6 +60,14 @@ class TestRepetitionVector:
         graph.add_actor(SDFActor("b", 1.0))
         assert graph.repetition_vector() == {"a": 1, "b": 1}
 
+    def test_disconnected_components_are_normalised_separately(self):
+        graph = SDFGraph("two-chains")
+        for name in "abcd":
+            graph.add_actor(SDFActor(name, 1.0))
+        graph.add_channel(SDFChannel("ab", "a", "b", 1, 2))
+        graph.add_channel(SDFChannel("cd", "c", "d", 1, 3))
+        assert graph.repetition_vector() == {"a": 2, "b": 1, "c": 3, "d": 1}
+
     def test_empty_graph(self):
         assert SDFGraph("empty").repetition_vector() == {}
 

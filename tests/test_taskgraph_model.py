@@ -187,11 +187,6 @@ class TestTaskGraph:
         graph.add_buffer(Buffer("ba", source="b", target="a", memory="m1", initial_tokens=1))
         assert graph.undirected_cycles_exist()
 
-    def test_to_networkx(self):
-        nx_graph = self._graph().to_networkx()
-        assert set(nx_graph.nodes) == {"a", "b"}
-        assert nx_graph.number_of_edges() == 1
-
     def test_unknown_lookup_raises(self):
         graph = self._graph()
         with pytest.raises(GraphStructureError):
