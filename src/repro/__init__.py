@@ -26,9 +26,8 @@ The library is organised in layers:
 * :mod:`repro.experiments` — drivers that regenerate the paper's figures.
 * :mod:`repro.batch` — batch campaigns: declarative JSON campaign specs over
   the generator family, a parallel allocation engine with worker-process
-  fan-out and solver-backend fallback, a persistent content-addressed result
-  cache, and campaign-level aggregation (feasibility rates, resource
-  percentiles, allocations/sec).
+  fan-out, a persistent content-addressed result cache, and campaign-level
+  aggregation (feasibility rates, resource percentiles, allocations/sec).
 
 Quickstart
 ----------

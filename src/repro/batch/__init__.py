@@ -7,8 +7,8 @@ service:
   composing the synthetic generators, explicit configurations and
   multi-application workloads into deterministic parameter sweeps.
 * :mod:`repro.batch.executor` — the parallel engine: result-cache lookup,
-  process-pool fan-out, per-item timeouts, solver-backend fallback, and
-  streaming structured results.
+  process-pool fan-out, per-item timeouts, one solve per item with the
+  configured backend, and streaming structured results.
 * :mod:`repro.batch.cache` — the persistent content-addressed result cache.
 * :mod:`repro.batch.aggregate` — campaign-level summary statistics
   (feasibility rate, resource percentiles, allocations/sec).

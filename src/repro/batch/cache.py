@@ -58,7 +58,7 @@ def cache_key(
         (:func:`repro.taskgraph.serialization.configuration_to_dict`).
     options:
         The result-relevant allocator options (backend, weights, verify,
-        run_simulation, fallback backends).
+        run_simulation).
     capacity_limits:
         Extra per-buffer capacity bounds applied on top of the configuration.
     """

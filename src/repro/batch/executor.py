@@ -5,9 +5,10 @@ JointAllocator` into a high-throughput batch service: campaign items are
 checked against the persistent :mod:`result cache <repro.batch.cache>`,
 cache misses are fanned out over a :class:`concurrent.futures.
 ProcessPoolExecutor` (workers and submission window configurable), each item
-is bounded by an optional per-item timeout, solver failures fall back to
-alternative backends, and structured :class:`ItemResult` records stream back
-as they complete.
+is bounded by an optional per-item timeout, every item is solved exactly once
+with the configured backend (choosing between methods is the ``auto``
+backend's job), and structured :class:`ItemResult` records stream back as
+they complete.
 
 Determinism guarantees:
 
@@ -31,13 +32,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.allocator import AllocatorOptions, JointAllocator
 from repro.core.objective import ObjectiveWeights
-from repro.exceptions import FaultInjected, InfeasibleProblemError, NumericalError
+from repro.exceptions import InfeasibleProblemError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as obs_span
 from repro.batch.cache import NullCache, ResultCache, cache_key
 from repro.batch.campaign import CampaignItem
 from repro.reliability.faults import FaultPlan, armed, maybe_fail
-from repro.reliability.retry import CircuitBreaker, RetryPolicy
 from repro.taskgraph import serialization
 
 #: Objective presets usable in campaigns and on the command line.
@@ -68,10 +68,11 @@ def resolve_weights(name: str) -> ObjectiveWeights:
 class ExecutorConfig:
     """Operational knobs of the batch engine.
 
-    Only ``backend``, ``weights``, ``verify``, ``run_simulation`` and
-    ``fallback_backends`` influence the computed results (and therefore the
-    cache key); ``workers``, ``chunk_size`` and ``timeout`` are pure
-    throughput knobs.
+    Only ``backend``, ``weights``, ``verify`` and ``run_simulation``
+    influence the computed results (and therefore the cache key);
+    ``workers``, ``chunk_size`` and ``timeout`` are pure throughput knobs.
+    ``backend`` is used as given: ``"barrier"`` means the barrier solver
+    only, and ``"auto"`` (the default) is the one that falls back to scipy.
     """
 
     workers: int = 1                   #: processes; 1 solves inline (no pool)
@@ -86,7 +87,6 @@ class ExecutorConfig:
     #: never started are solved inline instead of being reported as timeouts.
     timeout: Optional[float] = None
     chunk_size: int = 16               #: submission window is workers * chunk_size
-    fallback_backends: Tuple[str, ...] = ("scipy",)  #: tried when a backend fails
     #: Capture per-item span trees and metrics inside the workers and ship
     #: them back on each :class:`ItemResult`.  A pure observability knob:
     #: telemetry stays out of :meth:`result_options` (and thus out of cache
@@ -107,7 +107,6 @@ class ExecutorConfig:
             "weights": self.weights,
             "verify": self.verify,
             "run_simulation": self.run_simulation,
-            "fallback_backends": list(self.fallback_backends),
         }
 
 
@@ -236,27 +235,26 @@ def _solve_payload(payload: Dict[str, object]) -> Dict[str, object]:
     process pool.  Never raises: every failure mode maps to a terminal
     status so a single bad item cannot abort a campaign.
 
-    Three payload shapes are accepted:
+    Every shape solves once with exactly the configured backend.  Four
+    payload shapes are accepted:
 
     * a single item (``capacity_limits``) — solved through
-      :meth:`JointAllocator.allocate` with backend fallback;
+      :meth:`JointAllocator.allocate`;
     * a *workload* item (``workload``) — a multi-application workload solved
       jointly through :meth:`JointAllocator.allocate_workload` (per-app
       budgets/capacities are reported flattened as
-      ``"<application>/<name>"``), with the same backend fallback;
+      ``"<application>/<name>"``);
     * a *sweep family* (``capacity_sweep``) — a whole capacity sweep over one
       configuration, solved through the session API
       (:meth:`~repro.core.tradeoff.TradeoffExplorer.sweep_capacity_limit`)
       so the cone program compiles once and every point warm-starts from its
       neighbour.  The result carries per-point payloads under ``"points"``
-      plus the aggregate session statistics; backend fallback does not apply
-      (a sweep must come from exactly one backend to stay explainable);
+      plus the aggregate session statistics;
     * an *admission trace* (``trace``) — an arrival/departure event sequence
       replayed through one incremental admission session
       (:func:`repro.core.admission.replay_trace`); the per-event verdicts
       ride under ``stats["events"]`` and the final platform state fills the
-      item fields.  Like sweep families, a trace is one sequential session,
-      so it runs with exactly the configured backend.
+      item fields.
     """
     plan = (
         None
@@ -368,15 +366,16 @@ def _solve_item(payload: Dict[str, object]) -> Dict[str, object]:
         ]
         return base
 
-    def solve(backend: str) -> Dict[str, object]:
-        allocator = JointAllocator(
-            weights=weights,
-            options=AllocatorOptions(
-                backend=backend,
-                verify=options["verify"],
-                run_simulation=options["run_simulation"],
-            ),
-        )
+    allocator = JointAllocator(
+        weights=weights,
+        options=AllocatorOptions(
+            backend=options["backend"],
+            verify=options["verify"],
+            run_simulation=options["run_simulation"],
+        ),
+    )
+
+    def solve() -> Dict[str, object]:
         mapped = allocator.allocate(
             configuration, capacity_limits=payload.get("capacity_limits")
         )
@@ -386,98 +385,37 @@ def _solve_item(payload: Dict[str, object]) -> Dict[str, object]:
             "relaxed_budgets": dict(mapped.relaxed_budgets),
             "relaxed_capacities": dict(mapped.relaxed_capacities),
             "objective_value": mapped.objective_value,
-            "backend_used": str(mapped.solver_info.get("backend", backend)),
+            "backend_used": str(mapped.solver_info.get("backend", options["backend"])),
             "stats": dict(mapped.solver_info.get("solve_stats", {})),
         }
 
-    return _run_with_backend_fallback(base, options, solve)
+    return _run_solve(base, options["backend"], solve)
 
 
-#: Transient failures worth retrying on the *same* backend before falling
-#: back to the next one — numerical blow-ups and injected faults, never
-#: infeasibility (a definite answer) or programming errors.
-_RETRYABLE = (NumericalError, FaultInjected, FloatingPointError, ArithmeticError)
-
-#: Per-process circuit breaker over solver backends, shared by every item a
-#: worker solves: a backend that keeps failing stops being attempted for
-#: ``reset_after`` seconds, so a campaign with a systematically broken
-#: backend pays its failure cost once per window instead of once per item.
-_BACKEND_BREAKER: Optional[CircuitBreaker] = None
-
-
-def _backend_breaker() -> CircuitBreaker:
-    global _BACKEND_BREAKER
-    if _BACKEND_BREAKER is None:
-        _BACKEND_BREAKER = CircuitBreaker(failure_threshold=3, reset_after=30.0)
-    return _BACKEND_BREAKER
-
-
-def _count_reliability(name: str) -> None:
-    from repro.obs.metrics import get_registry
-
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(name).inc()
-
-
-def _run_with_backend_fallback(
+def _run_solve(
     base: Dict[str, object],
-    options: Dict[str, object],
-    solve: Callable[[str], Dict[str, object]],
+    backend: str,
+    solve: Callable[[], Dict[str, object]],
 ) -> Dict[str, object]:
-    """Try ``solve(backend)`` over the configured backend chain.
+    """Run ``solve()`` once and map its outcome to a terminal status.
 
-    The single definition of the per-item fallback contract, shared by the
+    The single definition of the per-item outcome contract, shared by the
     single-configuration and workload payload shapes: infeasibility
     (including the validation screens' :class:`~repro.exceptions.
-    InfeasibleModelError`) is a definite answer that ends the item
-    immediately; a *transient* failure (:data:`_RETRYABLE`) is retried once
-    on the same backend, any other failure moves on to the next fallback
-    backend, and exhausting the chain yields a terminal error status.  A
-    backend whose circuit is open (see :func:`_backend_breaker`) is skipped
-    outright.  ``solve`` returns the result fields merged into ``base`` on
-    success.
+    InfeasibleModelError`) is a definite answer; any other failure is an
+    item error naming the configured backend.  There is no retry and no
+    backend chain: the solve is deterministic, so repeating it cannot change
+    the outcome, and switching method is the ``auto`` backend's job.
+    ``solve`` returns the result fields merged into ``base`` on success.
     """
-    import numpy as np
-
-    attempts = [options["backend"]] + [
-        backend
-        for backend in options["fallback_backends"]
-        if backend != options["backend"]
-    ]
-    breaker = _backend_breaker()
-    policy = RetryPolicy(attempts=2)
-    retryable = _RETRYABLE + (np.linalg.LinAlgError,)
-    last_error: Optional[str] = None
-    for position, backend in enumerate(attempts):
-        if not breaker.allow(backend):
-            last_error = f"{backend}: circuit open after repeated failures"
-            continue
-        try:
-            fields = policy.run(
-                lambda: solve(backend),
-                retryable=retryable,
-                on_retry=lambda attempt, error: _count_reliability(
-                    "reliability.retries"
-                ),
-            )
-        except InfeasibleProblemError as error:
-            # Infeasibility is a definite answer, not a solver failure:
-            # trying another backend would only burn time.
-            base.update(status=STATUS_INFEASIBLE, error=str(error), backend_used=backend)
-            breaker.record_success(backend)
-            break
-        except Exception as error:  # noqa: BLE001 - numerical failures trigger fallback
-            breaker.record_failure(backend)
-            if position + 1 < len(attempts):
-                _count_reliability("reliability.fallbacks")
-            last_error = f"{backend}: {error}"
-            continue
-        base.update(status=STATUS_OK, **fields)
-        breaker.record_success(backend)
-        break
+    try:
+        fields = solve()
+    except InfeasibleProblemError as error:
+        base.update(status=STATUS_INFEASIBLE, error=str(error), backend_used=backend)
+    except Exception as error:  # noqa: BLE001 - solver failures become item errors
+        base.update(status=STATUS_ERROR, error=f"{backend}: {error}")
     else:
-        base.update(status=STATUS_ERROR, error=last_error)
+        base.update(status=STATUS_OK, **fields)
     return base
 
 
@@ -486,11 +424,10 @@ def _solve_workload_payload(
 ) -> Dict[str, object]:
     """Solve one serialised workload item (joint multi-application allocation).
 
-    Same terminal-status and backend-fallback contract as the
-    single-configuration branch of :func:`_solve_payload`; per-application
-    results are flattened into the item fields with
-    ``"<application>/<name>"`` keys so :class:`ItemResult` and the
-    aggregation layer work unchanged.
+    Same terminal-status contract as the single-configuration branch of
+    :func:`_solve_payload`; per-application results are flattened into the
+    item fields with ``"<application>/<name>"`` keys so :class:`ItemResult`
+    and the aggregation layer work unchanged.
     """
     from repro.taskgraph.workload import workload_from_dict
 
@@ -502,15 +439,16 @@ def _solve_workload_payload(
         base.update(status=STATUS_ERROR, error=str(error))
         return base
 
-    def solve(backend: str) -> Dict[str, object]:
-        allocator = JointAllocator(
-            weights=weights,
-            options=AllocatorOptions(
-                backend=backend,
-                verify=options["verify"],
-                run_simulation=options["run_simulation"],
-            ),
-        )
+    allocator = JointAllocator(
+        weights=weights,
+        options=AllocatorOptions(
+            backend=options["backend"],
+            verify=options["verify"],
+            run_simulation=options["run_simulation"],
+        ),
+    )
+
+    def solve() -> Dict[str, object]:
         mapped = allocator.allocate_workload(
             workload, capacity_limits=payload.get("capacity_limits")
         )
@@ -520,11 +458,11 @@ def _solve_workload_payload(
             "relaxed_budgets": mapped.flattened("relaxed_budgets"),
             "relaxed_capacities": mapped.flattened("relaxed_capacities"),
             "objective_value": mapped.objective_value,
-            "backend_used": str(mapped.solver_info.get("backend", backend)),
+            "backend_used": str(mapped.solver_info.get("backend", options["backend"])),
             "stats": dict(mapped.solver_info.get("solve_stats", {})),
         }
 
-    return _run_with_backend_fallback(base, options, solve)
+    return _run_solve(base, options["backend"], solve)
 
 
 def _solve_trace_payload(
@@ -533,9 +471,8 @@ def _solve_trace_payload(
     """Replay one serialised admission trace (run-time arrival/departure events).
 
     The whole trace is one unit of work and of caching: its incremental
-    session is inherently sequential, so it runs inline in the worker with
-    exactly the configured backend (no fallback — mixed backends would make
-    the per-event timeline unexplainable).  Per-event verdicts are reported
+    session is inherently sequential, so it runs inline in the worker.
+    Per-event verdicts are reported
     under ``stats["events"]``; the item-level fields carry the *final*
     platform state (empty when the last application departed).
     """
@@ -928,16 +865,11 @@ class BatchExecutor:
         itself goes through the session API (compile once, warm-start each
         point from its neighbour), which is why it runs inline rather than
         through the process pool — the points of a family form one sequential
-        warm-start chain.  Backend fallback is not applied; a family solves
-        with exactly the configured backend or reports an error.
+        warm-start chain.
         """
         from repro.taskgraph import serialization as taskgraph_serialization
 
         options = self.config.result_options()
-        # Families never apply backend fallback (see above), so the fallback
-        # list must not fragment the family cache: two configs differing only
-        # in fallback_backends produce bit-identical sweeps.
-        del options["fallback_backends"]
         configuration_dict = taskgraph_serialization.configuration_to_dict(configuration)
         sweep = [int(value) for value in capacity_sweep]
         label = label or f"{configuration.name}@sweep"

@@ -59,10 +59,10 @@ FORMAT_VERSION = 1
 STAGE_ADMITTED = "admitted"
 STAGE_LOAD_SCREEN = "load-screen"   #: closed-form combined-load screens
 STAGE_SOLVER = "solver"             #: joint cone program proven infeasible
-#: The solver *failed* (as opposed to proving infeasibility) and kept failing
-#: through the bounded retry and the from-scratch fallback.  The candidate is
-#: rolled back and the running workload keeps its allocation — a structured
-#: outcome, never a crash and never a silently wrong admit.
+#: The solver *failed* (as opposed to proving infeasibility) and the cold
+#: from-scratch solve failed too.  The candidate is rolled back and the
+#: running workload keeps its allocation — a structured outcome, never a
+#: crash and never a silently wrong admit.
 STAGE_ERROR = "error"
 
 #: Anytime fast-path verdicts (delivered *before* the exact solve confirms).
@@ -131,7 +131,6 @@ class AdmissionController:
         weights: Optional[ObjectiveWeights] = None,
         name: str = "running",
         workload: Optional[Workload] = None,
-        retry_policy: Optional[object] = None,
     ) -> None:
         """Open a controller over ``platform``, empty or pre-loaded.
 
@@ -145,19 +144,12 @@ class AdmissionController:
         allocatable — a running workload must be feasible to ask admission
         questions against.
 
-        ``retry_policy`` bounds the degradation ladder applied when a joint
-        solve *fails* (a numerical blow-up, not proven infeasibility): the
-        failed solve is retried cold up to the policy's attempts, then falls
-        back to one from-scratch joint solve, and only when that fails too
+        When a joint solve *fails* (a numerical blow-up, not proven
+        infeasibility), the controller solves the workload once more from
+        scratch (see :meth:`_resilient_allocate`); only when that fails too
         does :meth:`admit` return a :data:`STAGE_ERROR` decision with the
-        running workload untouched.  Defaults to
-        :class:`repro.reliability.retry.RetryPolicy` ``(attempts=2)``.
+        running workload untouched.
         """
-        if retry_policy is None:
-            from repro.reliability.retry import RetryPolicy
-
-            retry_policy = RetryPolicy(attempts=2)
-        self.retry_policy = retry_policy
         self.platform = platform
         # Admission decisions are made per event at run time: keep the
         # analytical verification but skip the (slow) self-timed simulation
@@ -377,46 +369,33 @@ class AdmissionController:
             return float("inf")
         return max(capacity, 1.0) / (final_barrier * slack)
 
-    #: Solver failures worth retrying: transient numerical breakdowns (and
+    #: Solver failures worth a from-scratch solve: numerical breakdowns (and
     #: the injected faults that stand in for them under chaos testing).
     #: Definite verdicts — infeasibility, unboundedness — are *not* here: a
     #: deterministic answer must never be re-asked.
     _RETRYABLE = (NumericalError, FaultInjected, FloatingPointError, ArithmeticError)
 
     def _resilient_allocate(self, session: WorkloadSession) -> MappedWorkload:
-        """``session.allocate()`` hardened by the degradation ladder.
+        """``session.allocate()`` with one rescue: a cold from-scratch solve.
 
-        Retryable solver failures trigger up to ``retry_policy.attempts``
-        tries (the warm state is dropped before each retry — a poisoned warm
-        start is the most likely transient cause), then one from-scratch
-        joint solve of the same workload (fresh formulation, cold start, the
-        backend dispatcher's own dense fallback chain included).  Whatever
-        that raises propagates to the caller, which turns it into a
-        structured outcome.  Ladder steps are counted as
-        ``reliability.retries`` / ``reliability.fallbacks``.
+        A retryable solver failure drops the session's warm state (a
+        poisoned warm start is the most likely cause) and solves the same
+        workload once from scratch: fresh formulation, cold start, the
+        backend dispatcher's own scipy fallback included.  Re-running the
+        same warm solve would be pointless — it is deterministic — so the
+        rescue changes the start point instead.  It is counted as
+        ``reliability.fallbacks``; whatever it raises propagates to the
+        caller, which turns it into a structured outcome.
         """
         import numpy as np
 
         from repro.reliability.faults import maybe_fail
 
-        retryable = self._RETRYABLE + (np.linalg.LinAlgError,)
-        registry = _metrics_registry()
-
-        def attempt() -> MappedWorkload:
+        try:
             maybe_fail("admission.solve")
             return session.allocate()
-
-        def on_retry(attempt_number: int, error: BaseException) -> None:
-            # Cold retry: drop the (possibly poisoned) warm state first.
-            session._session.reset()
-            if registry.enabled:
-                registry.counter("reliability.retries").inc()
-
-        try:
-            return self.retry_policy.run(
-                attempt, retryable=retryable, on_retry=on_retry
-            )
-        except retryable:
+        except self._RETRYABLE + (np.linalg.LinAlgError,):
+            registry = _metrics_registry()
             if registry.enabled:
                 registry.counter("reliability.fallbacks").inc()
             session._session.reset()
@@ -440,10 +419,10 @@ class AdmissionController:
         except (InfeasibleProblemError, AllocationError) as error:
             self._session.remove_application(name)
             return AdmissionDecision(name, False, STAGE_SOLVER, reason=str(error))
-        except Exception as error:  # noqa: BLE001 - ladder exhausted
-            # The solver failed (it did not prove anything) and the retry and
-            # fallback rungs failed too: a structured error verdict, with the
-            # candidate rolled back and the running allocation untouched.
+        except Exception as error:  # noqa: BLE001 - from-scratch solve failed too
+            # The solver failed (it did not prove anything) and the cold
+            # from-scratch solve failed too: a structured error verdict, with
+            # the candidate rolled back and the running allocation untouched.
             self._session.remove_application(name)
             return AdmissionDecision(
                 name,
@@ -480,7 +459,7 @@ class AdmissionController:
         except (InfeasibleProblemError, AllocationError) as error:
             self.workload.remove_application(name)
             return AdmissionDecision(name, False, STAGE_SOLVER, reason=str(error))
-        except Exception as error:  # noqa: BLE001 - ladder exhausted
+        except Exception as error:  # noqa: BLE001 - from-scratch solve failed too
             self.workload.remove_application(name)
             return AdmissionDecision(
                 name,

@@ -44,7 +44,6 @@ def batch_capacity_sweep(
     configuration: Configuration,
     capacity_sweep: Sequence[int],
     backend: str = "auto",
-    workers: int = 1,
     cache_dir: Optional[str] = None,
 ) -> TradeoffCurve:
     """Run a capacity-bound sweep through the batch engine.
@@ -54,21 +53,14 @@ def batch_capacity_sweep(
     submitted as one *family* (:meth:`~repro.batch.executor.BatchExecutor.
     run_sweep`), so the batch engine also compiles the cone program once and
     warm-starts every point from its neighbour, and the whole family is one
-    entry in the persistent result cache.
-
-    ``workers`` is accepted for interface stability but has no effect here:
-    a sweep family is one sequential warm-start chain, so it always solves
-    inline rather than fanning points out over the process pool (which the
-    per-item campaign path still uses).
+    entry in the persistent result cache.  A family is one sequential
+    warm-start chain, so it always solves inline, with exactly the requested
+    backend.
     """
     from repro.batch import BatchExecutor, ExecutorConfig, make_cache
 
-    del workers  # families are sequential by construction; see docstring
     executor = BatchExecutor(
-        # No backend fallback: the direct engine solves with exactly the
-        # requested backend, so the batch engine must too — a silent retry
-        # on another backend would make the figure data lie about its origin.
-        config=ExecutorConfig(backend=backend, fallback_backends=()),
+        config=ExecutorConfig(backend=backend),
         cache=make_cache(cache_dir, enabled=cache_dir is not None),
     )
     result = executor.run_sweep(
@@ -108,7 +100,6 @@ def run_all(
     backend: str = "auto",
     stream=None,
     engine: str = "direct",
-    workers: int = 1,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run every experiment, print the tables, and return the raw results.
@@ -129,7 +120,6 @@ def run_all(
             build_figure2_configuration(),
             FIGURE2_SWEEP,
             backend=backend,
-            workers=workers,
             cache_dir=cache_dir,
         )
         return figure2_from_curve(curve)
@@ -142,7 +132,6 @@ def run_all(
             build_figure3_configuration(),
             FIGURE3_SWEEP,
             backend=backend,
-            workers=workers,
             cache_dir=cache_dir,
         )
         return figure3_from_curve(curve)
@@ -206,14 +195,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run the sweeps in-process or through the batch engine (default: direct)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the batch engine (kept for compatibility; "
-        "the figure sweeps run as single warm-start families and always "
-        "solve inline)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="result-cache directory for the batch engine (default: no cache)",
@@ -222,7 +203,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_all(
         backend=arguments.backend,
         engine=arguments.engine,
-        workers=arguments.workers,
         cache_dir=arguments.cache_dir,
     )
     return 0

@@ -1,9 +1,14 @@
-"""Crash safety: durable journal, snapshot/restore, fault injection, retry.
+"""Crash safety: durable journal, snapshot/restore, fault injection, interrupts.
 
-Lazy (PEP 562) exports: ``repro.reliability.faults`` and ``.retry`` are
-dependency-free leaves imported from hot paths (solver, cache, executor),
-so importing this package must not drag in the journal/snapshot layer —
-which imports ``repro.core.admission`` and everything under it.
+Lazy (PEP 562) exports: ``repro.reliability.faults`` and ``.interrupts``
+are dependency-free leaves imported from hot paths (solver, cache, CLI), so
+importing this package must not drag in the journal/snapshot layer — which
+imports ``repro.core.admission`` and everything under it.
+
+The package holds no retry helper: every solve is deterministic, so
+repeating it on the same input cannot change its outcome.  Each rescue path
+changes the method or the start point and lives next to the solve it
+rescues (see the README's "Rescue paths" table).
 """
 
 from __future__ import annotations
@@ -19,10 +24,8 @@ _EXPORTS = {
     "install": "repro.reliability.faults",
     "maybe_fail": "repro.reliability.faults",
     "uninstall": "repro.reliability.faults",
-    # retry
-    "CircuitBreaker": "repro.reliability.retry",
-    "RetryPolicy": "repro.reliability.retry",
-    "graceful_interrupts": "repro.reliability.retry",
+    # interrupts
+    "graceful_interrupts": "repro.reliability.interrupts",
     # journal
     "JOURNAL_SCHEMA_VERSION": "repro.reliability.journal",
     "AdmissionJournal": "repro.reliability.journal",

@@ -380,8 +380,8 @@ class TestAdmissionController:
 
     def test_solver_failure_degrades_to_a_structured_error_verdict(self, monkeypatch):
         """A persistent numerical failure is not an admission verdict and not a
-        crash either: the degradation ladder (retry, from-scratch fallback)
-        runs out and the event ends in a structured ``error`` decision with
+        crash either: the degradation ladder (the from-scratch solve) runs
+        out and the event ends in a structured ``error`` decision with
         the candidate rolled back out of the running workload."""
         from repro.core.admission import STAGE_ERROR
         from repro.core.allocator import JointAllocator as AllocatorClass
@@ -400,8 +400,8 @@ class TestAdmissionController:
         def exploding(self, *args, **kwargs):
             raise NumericalError("synthetic solver breakdown")
 
-        # Break the incremental path, its retry, and the from-scratch
-        # fallback alike so the whole ladder is exhausted.
+        # Break the incremental path and the from-scratch fallback alike so
+        # the whole ladder is exhausted.
         monkeypatch.setattr(WorkloadSession, "allocate", exploding)
         monkeypatch.setattr(AllocatorClass, "allocate_workload", exploding)
         decision = controller.admit(
@@ -417,8 +417,10 @@ class TestAdmissionController:
         assert controller.admit("audio", chain_configuration(stages=2, period=20.0)).admitted
 
     def test_transient_solver_failure_is_retried_and_admits(self, monkeypatch):
-        """One numerical blow-up is absorbed by the retry rung of the ladder:
-        the second attempt succeeds and the candidate is admitted normally."""
+        """One numerical blow-up of the incremental solve is absorbed by the
+        cold from-scratch solve: it runs exactly once and the candidate is
+        admitted normally."""
+        from repro.core.allocator import JointAllocator as AllocatorClass
         from repro.core.allocator import WorkloadSession
         from repro.exceptions import NumericalError
 
@@ -429,7 +431,8 @@ class TestAdmissionController:
         assert controller.admit("video", video).admitted
 
         original = WorkloadSession.allocate
-        calls = {"n": 0}
+        from_scratch = AllocatorClass.allocate_workload
+        calls = {"n": 0, "from_scratch": 0}
 
         def flaky_allocate(self, *args, **kwargs):
             calls["n"] += 1
@@ -437,12 +440,19 @@ class TestAdmissionController:
                 raise NumericalError("transient blow-up")
             return original(self, *args, **kwargs)
 
+        def counted_allocate_workload(self, *args, **kwargs):
+            calls["from_scratch"] += 1
+            return from_scratch(self, *args, **kwargs)
+
         monkeypatch.setattr(WorkloadSession, "allocate", flaky_allocate)
+        monkeypatch.setattr(
+            AllocatorClass, "allocate_workload", counted_allocate_workload
+        )
         decision = controller.admit(
             "audio", chain_configuration(stages=2, period=20.0)
         )
         assert decision.admitted
-        assert calls["n"] >= 2
+        assert calls == {"n": 1, "from_scratch": 1}
         assert sorted(controller.running) == ["audio", "video"]
 
     def test_depart_unknown_application_raises(self):

@@ -13,7 +13,6 @@ OPTIONS = {
     "weights": "prefer-budgets",
     "verify": True,
     "run_simulation": False,
-    "fallback_backends": ["scipy"],
 }
 
 

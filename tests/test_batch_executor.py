@@ -106,25 +106,6 @@ class TestSerialExecution:
 
 
 class TestFallbackAndErrors:
-    def test_unknown_primary_backend_falls_back(self):
-        configuration = producer_consumer_configuration(max_capacity=5)
-        payload = {
-            "label": "pc",
-            "key": "k",
-            "configuration": serialization.configuration_to_dict(configuration),
-            "capacity_limits": None,
-            "options": {
-                "backend": "bogus-backend",
-                "weights": "prefer-budgets",
-                "verify": True,
-                "run_simulation": False,
-                "fallback_backends": ["scipy"],
-            },
-        }
-        result = _solve_payload(payload)
-        assert result["status"] == STATUS_OK
-        assert result["backend_used"] == "scipy"
-
     def test_exhausted_fallbacks_become_an_error_result(self):
         configuration = producer_consumer_configuration(max_capacity=5)
         payload = {
@@ -137,12 +118,32 @@ class TestFallbackAndErrors:
                 "weights": "prefer-budgets",
                 "verify": True,
                 "run_simulation": False,
-                "fallback_backends": [],
             },
         }
         result = _solve_payload(payload)
         assert result["status"] == STATUS_ERROR
         assert "bogus-backend" in result["error"]
+
+    def test_failing_item_result_does_not_depend_on_process_history(self):
+        """The same failing payload solved inline, again and again, gets the
+        same error every time: no state carries over between items."""
+        configuration = producer_consumer_configuration(max_capacity=5)
+        payload = {
+            "label": "pc",
+            "key": "k",
+            "configuration": serialization.configuration_to_dict(configuration),
+            "capacity_limits": None,
+            "options": {
+                "backend": "bogus",
+                "weights": "prefer-budgets",
+                "verify": True,
+                "run_simulation": False,
+            },
+        }
+        for _ in range(4):
+            result = _solve_payload(payload)
+            assert result["status"] == STATUS_ERROR
+            assert result["error"].startswith("bogus: unknown backend")
 
     def test_unknown_weights_preset_is_an_item_error(self):
         configuration = producer_consumer_configuration(max_capacity=5)
@@ -156,7 +157,6 @@ class TestFallbackAndErrors:
                 "weights": "nonsense",
                 "verify": True,
                 "run_simulation": False,
-                "fallback_backends": [],
             },
         }
         result = _solve_payload(payload)
@@ -189,7 +189,7 @@ class TestFallbackAndErrors:
     def test_errors_are_never_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         executor = BatchExecutor(
-            config=ExecutorConfig(backend="bogus", fallback_backends=()),
+            config=ExecutorConfig(backend="bogus"),
             cache=cache,
         )
         items = [

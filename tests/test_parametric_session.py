@@ -367,12 +367,9 @@ class TestSolverFailurePropagation:
 # -- batch layer ---------------------------------------------------------------
 class TestBatchSweepFamilies:
     def test_run_sweep_returns_points_and_stats(self):
-        from repro.batch import BatchExecutor, ExecutorConfig
+        from repro.batch import BatchExecutor
 
-        executor = BatchExecutor(
-            config=ExecutorConfig(fallback_backends=())
-        )
-        result = executor.run_sweep(
+        result = BatchExecutor().run_sweep(
             producer_consumer_configuration(), range(1, 6)
         )
         assert result.status == "ok"
@@ -397,23 +394,6 @@ class TestBatchSweepFamilies:
         # A different sweep over the same configuration is a different family.
         other = BatchExecutor(cache=cache).run_sweep(configuration, range(1, 4))
         assert other.from_cache is False
-
-    def test_family_cache_key_ignores_fallback_backends(self, tmp_path):
-        """Families never apply fallback, so the fallback list must not
-        fragment the family cache."""
-        from repro.batch import BatchExecutor, ExecutorConfig, ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        configuration = producer_consumer_configuration()
-        cold = BatchExecutor(
-            config=ExecutorConfig(fallback_backends=("scipy",)), cache=cache
-        ).run_sweep(configuration, range(1, 4))
-        warm = BatchExecutor(
-            config=ExecutorConfig(fallback_backends=()), cache=cache
-        ).run_sweep(configuration, range(1, 4))
-        assert cold.from_cache is False
-        assert warm.from_cache is True
-        assert warm.points == cold.points
 
     def test_item_result_stats_round_trip(self):
         from repro.batch.executor import ItemResult, STATUS_OK

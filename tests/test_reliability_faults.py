@@ -18,9 +18,7 @@ from repro import obs
 from repro.core import AdmissionController, AllocatorOptions, JointAllocator
 from repro.exceptions import FaultInjected, JournalError, NumericalError
 from repro.reliability import (
-    CircuitBreaker,
     FaultPlan,
-    RetryPolicy,
     armed,
     graceful_interrupts,
     maybe_fail,
@@ -106,106 +104,6 @@ class TestFaultPlan:
         assert captured.metrics["reliability.faults.site"]["value"] >= 1
 
 
-class TestRetryPolicy:
-    def test_retries_then_succeeds(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise NumericalError("transient")
-            return "done"
-
-        assert RetryPolicy(attempts=3).run(flaky, retryable=(NumericalError,)) == "done"
-        assert calls["n"] == 3
-
-    def test_exhaustion_reraises_the_last_error(self):
-        with pytest.raises(NumericalError, match="always"):
-            RetryPolicy(attempts=2).run(
-                lambda: (_ for _ in ()).throw(NumericalError("always")),
-                retryable=(NumericalError,),
-            )
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = {"n": 0}
-
-        def definite():
-            calls["n"] += 1
-            raise ValueError("definite answer")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=5).run(definite, retryable=(NumericalError,))
-        assert calls["n"] == 1
-
-    def test_on_retry_counts_every_retry(self):
-        seen = []
-        with pytest.raises(NumericalError):
-            RetryPolicy(attempts=3).run(
-                lambda: (_ for _ in ()).throw(NumericalError("x")),
-                retryable=(NumericalError,),
-                on_retry=lambda attempt, error: seen.append(attempt),
-            )
-        assert seen == [1, 2]
-
-    def test_delays_follow_the_backoff_factor(self):
-        policy = RetryPolicy(attempts=4, backoff=0.1, backoff_factor=2.0)
-        assert list(policy.delays()) == pytest.approx([0.1, 0.2, 0.4])
-
-    def test_at_least_one_attempt_is_required(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_half_opens_after_reset(self):
-        now = {"t": 0.0}
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_after=10.0, clock=lambda: now["t"]
-        )
-        assert breaker.allow("barrier")
-        breaker.record_failure("barrier")
-        assert breaker.allow("barrier")
-        breaker.record_failure("barrier")
-        assert not breaker.allow("barrier")
-        assert breaker.is_open("barrier")
-        now["t"] = 11.0
-        # Half-open: one probe is allowed; its failure re-opens the circuit.
-        assert breaker.allow("barrier")
-        breaker.record_failure("barrier")
-        assert not breaker.allow("barrier")
-
-    def test_success_closes_the_circuit(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_after=1000.0)
-        breaker.record_failure("scipy")
-        assert not breaker.allow("scipy")
-        breaker.record_success("scipy")
-        assert breaker.allow("scipy")
-
-    def test_keys_are_independent(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_after=1000.0)
-        breaker.record_failure("barrier")
-        assert not breaker.allow("barrier")
-        assert breaker.allow("scipy")
-
-    def test_is_open_is_a_pure_query(self):
-        """Status checks must not consume the half-open probe."""
-        now = {"t": 0.0}
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_after=10.0, clock=lambda: now["t"]
-        )
-        breaker.record_failure("barrier")
-        breaker.record_failure("barrier")
-        assert breaker.is_open("barrier")
-        now["t"] = 11.0
-        # Half-open: any number of status checks leave the probe available.
-        for _ in range(5):
-            assert not breaker.is_open("barrier")
-        assert breaker.allow("barrier")
-        breaker.record_failure("barrier")
-        assert breaker.is_open("barrier")
-        assert not breaker.allow("barrier")
-
-
 class TestGracefulInterrupts:
     def test_sigterm_becomes_keyboard_interrupt(self):
         with pytest.raises(KeyboardInterrupt):
@@ -257,13 +155,13 @@ class TestChaosScenarios:
         assert decision.admitted
         assert decision.stage == STAGE_ADMITTED
         assert plan.fired("admission.solve") == 1
-        assert captured.metrics["reliability.retries"]["value"] >= 1
+        assert captured.metrics["reliability.fallbacks"]["value"] == 1
 
     def test_persistent_solver_fault_ends_in_an_error_verdict(self):
         from repro.core.admission import STAGE_ERROR
 
         controller = self._controller()
-        # Fire on every attempt: incremental, retry, and from-scratch fallback.
+        # Fire on every attempt: incremental and from-scratch fallback.
         plan = FaultPlan(seed=6).arm(
             "admission.solve", "numerical-error", nth=1, times=99
         )

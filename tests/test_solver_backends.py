@@ -21,6 +21,16 @@ def _knapsack_like_program(c1: float, c2: float, limit: float) -> ConeProgram:
     return program
 
 
+def _hyperbolic_program() -> ConeProgram:
+    """Minimise ``x + y`` subject to ``x·y ≥ 4`` (optimum 4 at x = y = 2)."""
+    program = ConeProgram()
+    x = program.add_variable("x", lower=0.1, upper=50.0)
+    y = program.add_variable("y", lower=0.1, upper=50.0)
+    program.add_hyperbolic(x, y, bound=4.0)
+    program.minimize(x + y)
+    return program
+
+
 class TestLinprogBackend:
     def test_simple_lp(self):
         program = _knapsack_like_program(-1.0, -2.0, 6.0)
@@ -96,14 +106,19 @@ class TestAutoDispatch:
         assert solution.backend == "linprog"
 
     def test_cone_program_uses_barrier(self):
-        program = ConeProgram()
-        x = program.add_variable("x", lower=0.1, upper=50.0)
-        y = program.add_variable("y", lower=0.1, upper=50.0)
-        program.add_hyperbolic(x, y, bound=4.0)
-        program.minimize(x + y)
-        solution = program.solve(backend="auto")
+        solution = _hyperbolic_program().solve(backend="auto")
         assert solution.is_optimal
         assert solution.backend == "barrier"
+
+    def test_auto_falls_back_to_scipy_when_the_barrier_stops_early(self):
+        """One barrier rung cannot reach OPTIMAL, so ``auto`` changes the
+        method: scipy answers, on the same optimum as the default solve."""
+        program = _hyperbolic_program()
+        default = program.solve(backend="auto")
+        solution = program.solve(backend="auto", max_outer_iterations=1)
+        assert solution.backend == "scipy"
+        assert solution.status is SolverStatus.OPTIMAL
+        assert solution.objective == pytest.approx(default.objective, abs=1e-6)
 
     def test_unknown_backend_rejected(self):
         program = _knapsack_like_program(1.0, 1.0, 4.0)
@@ -132,6 +147,36 @@ class TestAutoDispatch:
         program = _knapsack_like_program(1.0, 1.0, 4.0)
         solution = program.solve()
         assert solution.solve_time >= 0.0
+
+
+class TestBarrierColdRetry:
+    def test_unconverged_warm_rung_is_redone_cold(self):
+        """A warm start at a barrier rung too high to center within the
+        Newton budget is redone from a cold phase II: the ``cold-retry``
+        span fires and the optimum matches the cold solve's."""
+        from repro import obs
+        from repro.core.formulation import SocpFormulation
+        from repro.taskgraph.generators import chain_configuration
+
+        compiled = SocpFormulation(chain_configuration(stages=4)).build().compile()
+        cold = solve_compiled(compiled, backend="barrier")
+        assert cold.is_optimal
+        with obs.capture() as captured:
+            warm = solve_compiled(
+                compiled,
+                backend="barrier",
+                initial_point=cold.interior_point,
+                options={"warm_initial_barrier": 1e6, "warm_rung_decrement": 1e30},
+            )
+
+        def names(span):
+            yield span["name"]
+            for child in span.get("children", []):
+                yield from names(child)
+
+        assert "cold-retry" in {name for root in captured.spans for name in names(root)}
+        assert warm.is_optimal
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
