@@ -7,9 +7,9 @@ applications arriving, a few departing, a late arrival — is driven two ways:
   (fresh :class:`WorkloadSocpFormulation`, full compile, cold solve), the
   only option before the incremental session-editing API;
 * **incremental** — one :class:`WorkloadSession` edited per event
-  (``add_application`` / ``remove_application``): unchanged applications
-  keep their formulation blocks and per-block eliminations, and the previous
-  optimum warm-starts every re-solve.
+  (``add_application`` / ``remove_application``): the program is rebuilt
+  for the new membership, and the previous optimum and the first-rung
+  interior hint warm-start every re-solve.
 
 Both paths must produce the same per-event objectives within 1e-6.  The
 incremental path must also do strictly less Newton work over the trace

@@ -8,11 +8,10 @@ is admitted), a heavyweight transcode job asks to join (and is *rejected*
 with a structured reason), the main video stops, after which the transcode
 fits — through an :class:`~repro.core.admission.AdmissionController`.
 
-Every event is an incremental edit of one compile-once session: the
-applications that keep running keep their formulation blocks, their
-per-block equality eliminations and their share of the previous optimum, so
-an admission decision costs one new block plus a warm-started re-solve, not
-a from-scratch rebuild of the whole platform.
+Every event edits one running session: the program is rebuilt for the new
+membership, and the applications that keep running keep their share of the
+previous optimum, so an admission decision is a warm-started re-solve that
+usually skips phase I.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ def pipeline(name: str, stages: int, wcet: float, period: float, pin: float = No
     """A chain of ``stages`` tasks over the two shared processors.
 
     ``pin`` fixes the first task's budget exactly (a firm contract), which
-    compiles to an equality row — the case where each application's block
-    needs an equality elimination the session can then reuse across events.
+    compiles to an equality row that the solver eliminates per application.
     """
     builder = (
         ConfigurationBuilder(name=name, granularity=1.0)
@@ -98,8 +96,7 @@ def main() -> None:
     print(
         f"\n{stats.solves} joint solves across the evening: "
         f"{stats.warm_started} warm-started, phase I skipped "
-        f"{stats.phase1_skipped}x, {stats.elimination_blocks_reused} per-app "
-        f"eliminations reused across session edits"
+        f"{stats.phase1_skipped}x"
     )
 
 

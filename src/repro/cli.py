@@ -483,7 +483,7 @@ def _render_sweep_point_stats(curve) -> str:
     """Per-point warm-start/rung behaviour of a sweep (``--stats``).
 
     One row per swept point (warm start taken, phase I skipped, rungs
-    climbed, Newton iterations, elimination blocks reused), followed by the
+    climbed, Newton iterations), followed by the
     cross-point distributions — the rows feed a scoped
     :class:`~repro.obs.metrics.MetricsRegistry`, whose histogram quantiles
     summarise how the warm-start chain behaved over the whole sweep.
@@ -503,7 +503,6 @@ def _render_sweep_point_stats(curve) -> str:
                 "phase1": "skipped" if stats.get("phase1_skipped") else "run",
                 "rungs": int(stats.get("outer_iterations", 0)),
                 "newton": int(stats.get("newton_iterations", 0)),
-                "elim reused": int(stats.get("elimination_blocks_reused", 0)),
             }
         )
         if stats.get("warm_started"):

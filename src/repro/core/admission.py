@@ -22,10 +22,10 @@ session-editing API of :class:`~repro.core.allocator.WorkloadSession`:
   drives a controller through a trace and returns the per-event
   :class:`TraceRecord` timeline.
 
-Because every event is an *incremental* session edit, unchanged applications
-keep their formulation blocks, their per-block equality eliminations and
-their share of the previous optimum — re-admission after the tenth arrival
-costs one new block, not ten.
+Every event edits one running session: the joint program is rebuilt for
+the new membership, and only the previous optimum and the first-rung
+interior hint carry over (re-keyed by variable name), so the unchanged
+applications' share of the previous optimum warm-starts the next solve.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class AdmissionController:
 
     The controller owns the running :class:`~repro.taskgraph.workload.
     Workload` and a single compile-once :class:`~repro.core.allocator.
-    WorkloadSession`; arrivals and departures edit the session incrementally,
-    so unchanged applications keep their formulation blocks, eliminations and
-    warm-start values across every event.
+    WorkloadSession`; arrivals and departures rebuild the session's program
+    for the new membership, and unchanged applications keep their warm-start
+    values (the previous optimum and the interior hint) across every event.
     """
 
     def __init__(

@@ -554,22 +554,18 @@ class WorkloadSession(_LimitSession):
 
         The application joins the session's workload, the combined-load
         screens re-run (the workload — and the session — are left untouched
-        when they fail), and the block formulation is rebuilt *incrementally*:
-        every existing application keeps its :class:`~repro.core.formulation.
-        FormulationBlock` (cached SRDF specifications included), its per-block
-        equality elimination transfers onto the new compiled problem, and the
-        previous optimum warm-starts the next :meth:`allocate`.  Only the new
-        application's block is built and factorised from scratch.
+        when they fail), and the session is rebuilt from the edited workload.
+        Only the previous optimum and the interior hint carry over, re-keyed
+        by variable name, to warm-start the next :meth:`allocate`.
         """
         self._edit(lambda: self.workload.add_application(name, configuration))
 
     def remove_application(self, name: str) -> None:
         """Retire one application from the running session (the departure case).
 
-        The remaining applications keep their formulation blocks and
-        eliminations; the previous optimum restricted to the surviving
-        variables stays strictly feasible (the shared capacity rows only got
-        more slack), so the next :meth:`allocate` typically skips phase I.
+        The previous optimum restricted to the surviving variables stays
+        strictly feasible (the shared capacity rows only got more slack), so
+        the next :meth:`allocate` typically skips phase I.
         """
         if name in self.workload.application_names and len(self.workload) <= 1:
             raise ModelError(
@@ -583,9 +579,8 @@ class WorkloadSession(_LimitSession):
     def replace_application(self, name: str, configuration: Configuration) -> None:
         """Swap one application's configuration in place (reconfiguration).
 
-        Every *other* application's block and elimination are kept; the named
-        application's block is rebuilt.  The workload is restored and the
-        session left untouched when the replacement fails the load screens.
+        The workload is restored and the session left untouched when the
+        replacement fails the load screens.
         """
         self._edit(lambda: self.workload.replace_application(name, configuration))
 
@@ -593,31 +588,14 @@ class WorkloadSession(_LimitSession):
         """Apply one membership edit transactionally.
 
         The workload mutates first, then the load screens re-run and the
-        parametric program rebuilds incrementally.  *Any* failure along the
-        way — a screen rejection, but also a numerical error while compiling
-        or eliminating the new formulation — restores the exact previous
-        membership (order included) and leaves the existing session state
-        untouched, so a failed edit can never leave the workload and the
-        compiled program describing different memberships.
-
-        The block-variable snapshot matters: rebuilding reuses the current
-        :class:`~repro.core.formulation.FormulationBlock` objects, whose
-        ``build()`` re-registers fresh ``Variable``s into the (then
-        discarded) new program.  Without restoring the old registries, the
-        kept session's solution extraction would be keyed by variables its
-        compiled problem has never heard of.
+        parametric program rebuilds.  *Any* failure along the way — a screen
+        rejection, but also an error while compiling the new formulation —
+        restores the exact previous membership (order included) and leaves
+        the existing session state untouched, so a failed edit can never
+        leave the workload and the compiled program describing different
+        memberships.
         """
         snapshot = dict(self.workload._applications)
-        variable_snapshots = [
-            (
-                block,
-                dict(block.variables.budgets),
-                dict(block.variables.reciprocals),
-                dict(block.variables.capacities),
-                dict(block.variables.start_times),
-            )
-            for block in self._parametric.formulation.blocks
-        ]
         try:
             mutate()
             if validate:
@@ -626,57 +604,27 @@ class WorkloadSession(_LimitSession):
         except BaseException:
             self.workload._applications.clear()
             self.workload._applications.update(snapshot)
-            for block, budgets, reciprocals, capacities, start_times in (
-                variable_snapshots
-            ):
-                block.variables.budgets = budgets
-                block.variables.reciprocals = reciprocals
-                block.variables.capacities = capacities
-                block.variables.start_times = start_times
             raise
 
     def _rebind(self) -> None:
-        """Rebuild the parametric program incrementally after a workload edit.
+        """Rebuild the session from the edited workload.
 
-        Unchanged applications contribute their existing blocks to the new
-        :class:`~repro.core.formulation.WorkloadSocpFormulation` (via
-        ``reuse_blocks``), their per-block equality eliminations transfer onto
-        the new compiled problem
-        (:func:`repro.solver.barrier.transfer_block_eliminations`), and the
-        previous optimum — extended with heuristic values for a new
-        application's variables — seeds the next solve's warm start.
+        The new program is compiled from scratch; only the two warm-start
+        vectors — the previous optimum and the first-rung interior hint —
+        carry over, re-keyed by variable name, with heuristic values filling
+        an added application's slots.  Every new object is built before any
+        is installed, so a failure leaves the current session untouched.
         """
-        from repro.solver.barrier import transfer_block_eliminations
-
         old_session = self._session
-        old_parametric = self._parametric
-        old_formulation = old_parametric.formulation
         old_compiled = old_session.parametric.compiled
-        old_order = list(old_formulation._blocks_by_application)
-
         parametric = ParametricWorkloadFormulation(
-            self.workload,
-            weights=self.allocator.weights,
-            reuse_blocks=old_formulation._blocks_by_application,
+            self.workload, weights=self.allocator.weights
         )
-        new_formulation = parametric.formulation
         new_compiled = parametric.parametric.compiled
-        new_order = list(new_formulation._blocks_by_application)
-        block_map = {
-            old_order.index(app_name): new_order.index(app_name)
-            for app_name in new_formulation._reused_applications
-            if app_name in old_order
-        }
-        transfer_block_eliminations(old_compiled, new_compiled, block_map)
-
-        heuristic = {
-            var.name: float(value)
-            for var, value in parametric.initial_point().items()
-        }
+        initial = parametric.initial_point()
+        heuristic = {var.name: float(value) for var, value in initial.items()}
 
         def _carry_over(old_vector: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            """Old per-variable values re-keyed onto the new program by name,
-            with heuristic values filling the edited application's slots."""
             if old_vector is None:
                 return None
             old_values = {
@@ -691,37 +639,19 @@ class WorkloadSession(_LimitSession):
             )
 
         seed_vector = _carry_over(old_session.warm_vector)
-        # The first-rung central point is the far-interior re-centering start
-        # that makes warm re-solves cheap; carry it across the edit as well
-        # (the backend re-validates strict feasibility before using it).
         interior_vector = _carry_over(old_session._interior_vector)
-
-        stats = old_session.stats
-        self._parametric = parametric
-        self._session = SolveSession(
-            parametric.parametric,
-            backend=self.allocator.options.backend,
-            # A membership edit shifts the shared capacity slacks, so the
-            # carried-over point is further from the new central path than a
-            # same-problem parameter nudge; accept a larger first-centering
-            # decrement before giving up on a raised warm rung (the cold-run
-            # fallback still guards convergence).
-            options={"warm_rung_decrement": 256.0},
+        session = SolveSession(
+            parametric.parametric, backend=self.allocator.options.backend
         )
-        self._adopt_stats(stats)
-        # The central-path endpoint scale survives an edit well enough to keep
-        # seeding the warm-rung selection (it is validated per solve anyway).
-        # Enter the ladder one rung lower than a same-problem re-solve would:
-        # the extra shared rung anneals the warm trajectory onto the cold
-        # path's, keeping the returned optimum within 1e-6 of a from-scratch
-        # rebuild while still skipping the early rungs.
-        self._session.warm_rungs_back = 3
-        self._session._last_final_barrier = old_session._last_final_barrier
-        self._initial = parametric.initial_point()
+
+        self._parametric = parametric
+        self._session = session
+        self._adopt_stats(old_session.stats)
+        self._initial = initial
         if seed_vector is not None:
-            self._session.seed(seed_vector)
-        if interior_vector is not None:
-            self._session._interior_vector = interior_vector
+            session.seed(seed_vector)
+        session._interior_vector = interior_vector
+
 
 def allocate(
     configuration: Configuration,

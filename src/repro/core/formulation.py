@@ -611,50 +611,23 @@ class WorkloadSocpFormulation(_BlockAssembly):
         capacity_limits: Optional[Mapping[str, Mapping[str, int]]] = None,
         budget_limits: Optional[Mapping[str, Mapping[str, float]]] = None,
         name: Optional[str] = None,
-        reuse_blocks: Optional[Mapping[str, FormulationBlock]] = None,
     ) -> None:
-        """Create the workload formulation.
-
-        ``reuse_blocks`` optionally maps application names to
-        :class:`FormulationBlock` objects from a *previous* formulation of an
-        edited workload (incremental session rebuilds).  A block is reused
-        only when it describes exactly the same application — same
-        configuration object, namespace, weights and (absence of) limits — so
-        its cached SRDF specifications and capacity bounds carry over;
-        everything else gets a fresh block.  Reused blocks re-register their
-        variables and constraints into this formulation's new program at
-        :meth:`build` time.
-        """
         self.workload = workload
         self.weights = weights or ObjectiveWeights()
         self.capacity_limits = _per_application_limits(workload, capacity_limits)
         self.budget_limits = _per_application_limits(workload, budget_limits)
         self.name = name or f"socp[{workload.name}]"
         self.platform = workload.platform
-        self._blocks_by_application: Dict[str, FormulationBlock] = {}
-        self._reused_applications: List[str] = []
-        for application in workload.applications:
-            block = None if reuse_blocks is None else reuse_blocks.get(application.name)
-            if (
-                block is not None
-                and block.configuration is application.configuration
-                and block.namespace == application.name
-                and block.weights is self.weights
-                and not block.capacity_limits
-                and not block.budget_limits
-                and not self.capacity_limits.get(application.name)
-                and not self.budget_limits.get(application.name)
-            ):
-                self._reused_applications.append(application.name)
-            else:
-                block = FormulationBlock(
-                    application.configuration,
-                    self.weights,
-                    capacity_limits=self.capacity_limits.get(application.name),
-                    budget_limits=self.budget_limits.get(application.name),
-                    namespace=application.name,
-                )
-            self._blocks_by_application[application.name] = block
+        self._blocks_by_application: Dict[str, FormulationBlock] = {
+            application.name: FormulationBlock(
+                application.configuration,
+                self.weights,
+                capacity_limits=self.capacity_limits.get(application.name),
+                budget_limits=self.budget_limits.get(application.name),
+                namespace=application.name,
+            )
+            for application in workload.applications
+        }
         self.blocks = list(self._blocks_by_application.values())
         self.program = ConeProgram(name=self.name)
         self._built = False
@@ -872,11 +845,10 @@ class ParametricWorkloadFormulation(_ParametricAssembly):
         workload: Workload,
         weights: Optional[ObjectiveWeights] = None,
         name: Optional[str] = None,
-        reuse_blocks: Optional[Mapping[str, FormulationBlock]] = None,
     ) -> None:
         self.workload = workload
         self.formulation = WorkloadSocpFormulation(
-            workload, weights=weights, name=name, reuse_blocks=reuse_blocks
+            workload, weights=weights, name=name
         )
         self._register_blocks()
 

@@ -11,7 +11,7 @@ stack:
   timing fields) but record nothing.
 * **Metrics** (:mod:`repro.obs.metrics`): counters, gauges and quantile
   histograms in a process-global registry — per-solve Newton iterations,
-  rung-ladder progress, elimination reuse, admission verdict latencies,
+  rung-ladder progress, non-converged rungs, admission verdict latencies,
   batch cache hit rates.
 * **Export** (:mod:`repro.obs.export`): a schema-versioned JSONL event log
   safe for concurrent writers, plus the human ``--trace`` / ``--profile``

@@ -52,8 +52,8 @@ arrow-structured, and the solver exploits it:
 
 Every solve runs this one pipeline.  A program compiled without a block
 structure is solved as a single block, so term building, equality
-elimination, phase I, warm-rung selection and the Newton loop each exist
-once.  Only the *kernel* that computes a Newton direction differs, and the
+elimination, phase I, the phase-II start choice and the Newton loop each
+exist once.  Only the *kernel* that computes a Newton direction differs, and the
 solver picks it from the input, never from an option:
 
 * :class:`_StructuredWorkspace` (block factorisations + Schur complement)
@@ -168,23 +168,6 @@ class BarrierOptions:
     line_search_beta: float = 0.6
     regularization: float = 1e-11     #: Tikhonov term added to the Newton system
     unbounded_threshold: float = 1e12 #: |objective| beyond which we declare unboundedness
-    #: Phase-II starting barrier parameter used *only* when phase I is skipped
-    #: (the initial point was already strictly feasible).  Warm-started
-    #: re-solves (:class:`repro.solver.parametric.SolveSession`) set this to a
-    #: power of ``barrier_increase`` a few rungs below the previous solve's
-    #: final value, so centering restarts near the previous optimum instead of
-    #: walking the whole central path again.  The solver clamps it so that the
-    #: stopping rung — and therefore the returned point — matches a cold solve.
-    warm_initial_barrier: Optional[float] = None
-    #: Largest Newton decrement ``λ²`` at which :meth:`BarrierSolver.
-    #: _select_warm_rung` accepts a raised starting rung for a warm-started
-    #: phase II.  The default keeps the first centering within a few damped
-    #: Newton steps; callers whose warm points are systematically further
-    #: from the new central path — e.g. incremental workload-session edits,
-    #: where membership changes shift the shared capacity slacks — may raise
-    #: it (a rung that then fails to center still trips the convergence
-    #: guard and falls back to a cold run, so correctness is unaffected).
-    warm_rung_decrement: float = 4.0
 
 
 class _BarrierTerm:
@@ -475,76 +458,6 @@ def _block_nullspace(A_block: np.ndarray, b_block: np.ndarray) -> Optional[Tuple
 
 
 @dataclass
-class _BlockEliminationSeed:
-    """One block's elimination result, carried between compiled problems.
-
-    Extracted by :func:`transfer_block_eliminations` from a solved problem's
-    cached :class:`_ReducedProblem` and validated against the target block's
-    own equality data (``A_block``/``b_block``) before the basis is reused —
-    a mismatch simply recomputes the SVD, so seeding is always safe.
-    """
-
-    A_block: np.ndarray
-    b_block: np.ndarray
-    x_block: np.ndarray
-    basis: np.ndarray
-
-
-def transfer_block_eliminations(
-    source: "CompiledProblem",
-    target: "CompiledProblem",
-    block_map: Dict[int, int],
-) -> int:
-    """Seed ``target``'s blockwise elimination with ``source``'s per-block bases.
-
-    ``block_map`` maps *source* block indices to *target* block indices for
-    the blocks whose variables (and therefore equality rows) are unchanged —
-    in an incrementally edited workload session, every application except the
-    added/removed/replaced one.  The next blockwise elimination of ``target``
-    then performs one SVD per *new* block only; each seeded block's equality
-    data is verified against the stored copy first, so a wrong mapping
-    degrades to a recomputation, never to a wrong basis.
-
-    Returns the number of blocks seeded (0 when either problem lacks a usable
-    blockwise elimination).
-    """
-    reduced = source.elimination_cache
-    structure = source.block_structure
-    if (
-        not isinstance(reduced, _ReducedProblem)
-        or structure is None
-        or reduced.structure is not structure
-        or target.block_structure is None
-    ):
-        return 0
-    seeds: Dict[int, object] = {}
-    for source_index, target_index in block_map.items():
-        if not 0 <= source_index < structure.num_blocks:
-            continue
-        if not 0 <= target_index < target.block_structure.num_blocks:
-            continue
-        start, stop = structure.ranges[source_index]
-        rows = np.flatnonzero(structure.equality_blocks == source_index)
-        if rows.size == 0:
-            # A block without equality rows has nothing to eliminate; the
-            # target's elimination never consults a seed for it, so storing
-            # one would only retain dead basis copies.
-            continue
-        basis = reduced.basis_for(source_index)
-        if basis is None:
-            basis = np.eye(stop - start)
-        seeds[target_index] = _BlockEliminationSeed(
-            A_block=_eq_block(source, rows, start, stop),
-            b_block=source.b[rows].copy(),
-            x_block=reduced.x_particular[start:stop].copy(),
-            basis=basis.copy(),
-        )
-    if seeds:
-        target.elimination_seed = seeds
-    return len(seeds)
-
-
-@dataclass
 class _CenteringResult:
     """Outcome of one :meth:`BarrierSolver._barrier_minimise` run."""
 
@@ -553,13 +466,14 @@ class _CenteringResult:
     outer: int                 #: outer (centering) iterations
     newton: int                #: Newton iterations summed over the rungs
     final_barrier: float       #: barrier parameter at exit
-    #: the centered point of the first rung when that rung was the base
-    #: ``initial_barrier`` (the warm-start "interior hint" for related solves)
+    #: the centered point of the first (``initial_barrier``) rung — the
+    #: warm-start "interior hint" for related solves
     first_center: Optional[np.ndarray] = None
     #: whether the last centering met its decrement target (as opposed to
-    #: exhausting the Newton budget) — the ``m/t`` gap bound is only trusted
-    #: for raised warm rungs when this holds
+    #: exhausting the Newton budget); the ``m/t`` gap bound assumes it did
     converged: bool = True
+    #: rungs whose centering exhausted the Newton budget
+    nonconverged_rungs: int = 0
 
 
 @dataclass
@@ -599,8 +513,6 @@ class _ReducedProblem:
         x_particular: np.ndarray,
         structure: BlockStructure,
         block_bases: List[Optional[np.ndarray]],
-        blocks_computed: int = 0,
-        blocks_reused: int = 0,
     ) -> None:
         self.x_particular = x_particular
         #: the block partition this reduction follows
@@ -619,11 +531,6 @@ class _ReducedProblem:
             offset += width
         #: lazily filled solve-invariant reduction products
         self.pieces_cache: Optional[_PiecesCache] = None
-        #: accounting of the elimination that produced this reduction:
-        #: factorisations actually performed vs per-block bases reused from
-        #: an :attr:`~repro.solver.problem.CompiledProblem.elimination_seed`
-        self.blocks_computed = blocks_computed
-        self.blocks_reused = blocks_reused
 
     @property
     def dimension(self) -> int:
@@ -1114,12 +1021,14 @@ class BarrierSolver:
     ) -> Solution:
         """Solve ``problem``; both hint points are optional.
 
-        ``initial_point`` is the primary start (warm-start or heuristic).
-        ``interior_point`` is a well-interior fallback — typically the
-        first-rung central point of a related previous solve: it is tried for
-        the phase-I skip when ``initial_point`` is infeasible, and phase II
-        restarts from it at the base rung when the primary point sits too
-        close to the boundary to be worth re-centering from.
+        ``initial_point`` is the primary start (warm-start or heuristic):
+        phase I is skipped when it is strictly feasible.  ``interior_point``
+        is a well-interior hint — typically the first-rung central point of a
+        related previous solve: it is tried for the phase-I skip when
+        ``initial_point`` is infeasible, and when phase I was skipped phase II
+        re-centers from it instead of from the (near-boundary) start point.
+        Phase II always walks the cold rung ladder from ``initial_barrier``,
+        so a warm solve stops on the same rung as a cold one.
         """
         opts = self.options
         n = problem.num_variables
@@ -1141,7 +1050,7 @@ class BarrierSolver:
             )
 
         #: Structured-kernel accounting shared by every workspace of this
-        #: solve (phase I, warm-rung probing, phase II); reset per solve.
+        #: solve (phase I and phase II); reset per solve.
         self._sparse_stats = {
             "factorization_time": 0.0,
             "schur_time": 0.0,
@@ -1193,15 +1102,6 @@ class BarrierSolver:
             "outer_iterations": 0,
             "structured": structured,
             "elimination_computed": bool(elimination_computed),
-            # Per-block elimination accounting of *this* solve: factorisations
-            # actually performed vs bases reused from an elimination seed (both 0 on an
-            # elimination-cache hit, where nothing was eliminated at all).
-            "elimination_blocks_computed": (
-                int(reduced.blocks_computed) if elimination_computed else 0
-            ),
-            "elimination_blocks_reused": (
-                int(reduced.blocks_reused) if elimination_computed else 0
-            ),
             "phase1_time": phase1_time,
             "centering_time": 0.0,
         }
@@ -1215,51 +1115,21 @@ class BarrierSolver:
                 stats=stats,
             )
 
-        # Phase-II start selection for warm-started re-solves.  When the warm
-        # point is (nearly) centered for a high barrier rung, restart there
-        # and skip the early rungs entirely; otherwise prefer the interior
-        # hint at the base rung — re-centering from a well-interior point is
-        # far cheaper than crawling away from the boundary the previous
-        # optimum sits on.
-        initial_barrier: Optional[float] = None
+        # Phase II re-centers from the interior hint when phase I was skipped
+        # off a warm point: re-centering from a well-interior point is far
+        # cheaper than crawling away from the boundary the previous optimum
+        # sits on.
         z_start = z_feasible
-        if phase1["skipped"] and opts.warm_initial_barrier is not None:
-            rung = self._select_warm_rung(
-                c_reduced,
-                workspace,
-                z_feasible,
-                float(opts.warm_initial_barrier),
-                total_constraints,
-                opts.tolerance,
-            )
-            if rung > opts.initial_barrier:
-                initial_barrier = rung
-            elif (
-                z_interior is not None
-                and not np.array_equal(z_interior, z_feasible)
-                and all(term.slack(z_interior) > 0.0 for term in terms)
-            ):
-                z_start = z_interior
+        if (
+            phase1["skipped"]
+            and z_interior is not None
+            and not np.array_equal(z_interior, z_feasible)
+            and all(term.slack(z_interior) > 0.0 for term in terms)
+        ):
+            z_start = z_interior
 
         with obs_span("centering") as centering_span:
-            result = self._barrier_minimise(
-                c_reduced, workspace, z_start, initial_barrier=initial_barrier
-            )
-            if initial_barrier is not None and not result.converged:
-                # The raised rung failed to center within the Newton budget; its
-                # gap bound cannot be trusted.  Redo phase II as a cold run.
-                retry_start = z_start
-                if z_interior is not None and all(
-                    term.slack(z_interior) > 0.0 for term in terms
-                ):
-                    retry_start = z_interior
-                with obs_span("cold-retry"):
-                    retry = self._barrier_minimise(
-                        c_reduced, workspace, retry_start
-                    )
-                retry.newton += result.newton
-                retry.outer += result.outer
-                result = retry
+            result = self._barrier_minimise(c_reduced, workspace, z_start)
             centering_span.set(
                 rungs=int(result.outer), newton_iterations=int(result.newton)
             )
@@ -1267,6 +1137,7 @@ class BarrierSolver:
 
         stats["newton_iterations"] = int(result.newton)
         stats["outer_iterations"] = int(result.outer)
+        stats["nonconverged_rungs"] = int(result.nonconverged_rungs)
         stats["final_barrier"] = float(result.final_barrier)
         self._attach_sparse_stats(stats, problem, structured)
         x_opt = reduced.lift(result.z)
@@ -1340,12 +1211,6 @@ class BarrierSolver:
             registry.counter("solver.phase1_skipped").inc()
         if stats.get("elimination_computed"):
             registry.counter("solver.elimination_computed").inc()
-        registry.counter("solver.elimination_blocks_computed").inc(
-            float(stats.get("elimination_blocks_computed", 0))
-        )
-        registry.counter("solver.elimination_blocks_reused").inc(
-            float(stats.get("elimination_blocks_reused", 0))
-        )
         if stats.get("structured"):
             registry.counter("solver.structured_solves").inc()
             registry.counter("solver.sparse_solves").inc()
@@ -1376,6 +1241,11 @@ class BarrierSolver:
         registry.histogram("solver.rungs").observe(
             float(stats.get("outer_iterations", 0))
         )
+        # Phase-II rungs that exhausted the Newton budget: their ``m/t`` gap
+        # bound is not certified.
+        registry.counter("solver.rungs_nonconverged").inc(
+            float(stats.get("nonconverged_rungs", 0))
+        )
 
     # -- setup ----------------------------------------------------------------
     def _eliminate_equalities(
@@ -1401,11 +1271,6 @@ class BarrierSolver:
         reduced = self._blockwise_elimination(problem, structure)
         if reduced is not None:
             problem.elimination_cache = reduced
-            # The seed is one-shot: once an elimination has consumed (or
-            # rejected) it, keeping it would only retain dense basis copies
-            # for blocks that may no longer exist after session edits —
-            # unbounded growth over a long add/remove admission trace.
-            problem.elimination_seed = None
         return reduced, True
 
     def _blockwise_elimination(
@@ -1421,18 +1286,8 @@ class BarrierSolver:
         block partitioned without ever materialising the dense ``(n, k)``
         null-space matrix.  Returns ``None`` when a block's equalities are
         inconsistent.
-
-        Blocks present in the problem's
-        :attr:`~repro.solver.problem.CompiledProblem.elimination_seed` (bases
-        carried over from a previous compiled problem by
-        :func:`transfer_block_eliminations`) skip their QR when the seed's
-        stored equality data matches this problem's — the incremental-session
-        case where only the edited application's block pays for elimination.
         """
         b = problem.b
-        seeds = problem.elimination_seed or {}
-        computed = 0
-        reused = 0
         x_p = np.zeros(problem.num_variables)
         basis_blocks: List[Optional[np.ndarray]] = []
         for block_index, (start, stop) in enumerate(structure.ranges):
@@ -1440,31 +1295,12 @@ class BarrierSolver:
             basis: Optional[np.ndarray] = None  # identity: keeps all variables
             if rows.size:
                 A_block = _eq_block(problem, rows, start, stop)
-                b_block = b[rows]
-                seed = seeds.get(block_index)
-                if (
-                    isinstance(seed, _BlockEliminationSeed)
-                    and seed.A_block.shape == A_block.shape
-                    and np.array_equal(seed.A_block, A_block)
-                    and np.array_equal(seed.b_block, b_block)
-                ):
-                    x_p[start:stop] = seed.x_block
-                    basis = seed.basis
-                    reused += 1
-                else:
-                    result = _block_nullspace(A_block, b_block)
-                    if result is None:
-                        return None
-                    x_p[start:stop], basis = result
-                    computed += 1
+                result = _block_nullspace(A_block, b[rows])
+                if result is None:
+                    return None
+                x_p[start:stop], basis = result
             basis_blocks.append(basis)
-        return _ReducedProblem(
-            x_p,
-            structure,
-            basis_blocks,
-            blocks_computed=computed,
-            blocks_reused=reused,
-        )
+        return _ReducedProblem(x_p, structure, basis_blocks)
 
     def _structure_enabled(self, reduced: _ReducedProblem) -> bool:
         """Whether the structured kernel computes this solve's Newton steps.
@@ -1841,16 +1677,11 @@ class BarrierSolver:
         z0: np.ndarray,
         early_stop=None,
         gap_tolerance: Optional[float] = None,
-        initial_barrier: Optional[float] = None,
     ) -> _CenteringResult:
         """Minimise ``c·z`` over the strictly feasible region of the workspace's plan.
 
-        ``initial_barrier`` starts the rung schedule at a raised barrier
-        parameter (warm-started re-solves); callers select it via
-        :meth:`_select_warm_rung` so it stays on the cold schedule's geometric
-        grid and short of the cold stopping rung — the run then ends on the
-        same rung as a cold solve and returns the same central-path point to
-        Newton tolerance.
+        The rung schedule starts at ``initial_barrier`` and grows by
+        ``barrier_increase`` until the ``m/t`` gap bound meets the tolerance.
         """
         opts = self.options
         tolerance = opts.tolerance if gap_tolerance is None else gap_tolerance
@@ -1865,12 +1696,11 @@ class BarrierSolver:
             )
 
         t_barrier = opts.initial_barrier
-        if initial_barrier is not None:
-            t_barrier = max(opts.initial_barrier, float(initial_barrier))
         outer = 0
         newton_total = 0
         first_center: Optional[np.ndarray] = None
         converged = True
+        nonconverged_rungs = 0
         status = SolverStatus.MAX_ITERATIONS
         while outer < opts.max_outer_iterations:
             outer += 1
@@ -1878,9 +1708,14 @@ class BarrierSolver:
                 z, newton, converged = self._newton_minimise(
                     c, workspace, z, t_barrier, early_stop
                 )
-                rung_span.set(barrier=float(t_barrier), newton_iterations=int(newton))
+                rung_span.set(
+                    barrier=float(t_barrier),
+                    newton_iterations=int(newton),
+                    converged=bool(converged),
+                )
             newton_total += newton
-            if outer == 1 and t_barrier == opts.initial_barrier:
+            nonconverged_rungs += not converged
+            if outer == 1:
                 first_center = z.copy()
             if early_stop is not None and early_stop(z):
                 status = SolverStatus.OPTIMAL
@@ -1893,50 +1728,15 @@ class BarrierSolver:
                 break
             t_barrier *= opts.barrier_increase
         return _CenteringResult(
-            z, status, outer, newton_total, t_barrier, first_center, converged
+            z,
+            status,
+            outer,
+            newton_total,
+            t_barrier,
+            first_center,
+            converged,
+            nonconverged_rungs,
         )
-
-    def _select_warm_rung(
-        self,
-        c: np.ndarray,
-        workspace: Union[_DenseWorkspace, _StructuredWorkspace],
-        z: np.ndarray,
-        requested: float,
-        m: int,
-        tolerance: float,
-    ) -> float:
-        """Pick the starting barrier parameter for a warm-started phase II.
-
-        Starting from ``requested`` (kept on the geometric ``initial_barrier ·
-        barrier_increaseᵏ`` grid by the caller), the rung is lowered until
-
-        * it does not lie beyond the rung a cold solve would stop at (so the
-          final central-path point matches a cold solve), and
-        * the Newton decrement of the centering problem at ``z`` is small
-          enough that centering converges in a few steps — a warm point far
-          from the new optimum fails this at every rung and falls back to a
-          plain cold start at ``initial_barrier``.  A rung that still fails
-          to center trips the caller's convergence guard and falls back to a
-          cold run.
-
-        Each candidate rung costs one Newton direction of the workspace's
-        kernel.
-        """
-        opts = self.options
-        t_barrier = max(opts.initial_barrier, requested)
-        gap_start = tolerance * max(1.0, abs(float(c @ z)))
-        while (
-            t_barrier > opts.initial_barrier
-            and m / (t_barrier / opts.barrier_increase) < gap_start
-        ):
-            t_barrier /= opts.barrier_increase
-
-        while t_barrier > opts.initial_barrier:
-            grad, direction = workspace.direction(z, t_barrier * c)
-            if float(-grad @ direction) <= opts.warm_rung_decrement:
-                return t_barrier
-            t_barrier /= opts.barrier_increase
-        return opts.initial_barrier
 
     def _newton_minimise(
         self,

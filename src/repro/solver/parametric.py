@@ -145,14 +145,6 @@ class SessionStats:
     #: compile-once session's whole sweep counts exactly one — each rebuild
     #: fallback adds one more for its freshly compiled problem.
     eliminations: int = 0
-    #: per-block elimination accounting, summed over the session's solves:
-    #: block SVDs actually performed vs per-block bases reused across
-    #: incremental session edits
-    #: (:func:`repro.solver.barrier.transfer_block_eliminations`).  An
-    #: incrementally edited N-app workload session computes ~1 block per edit
-    #: and reuses N−1, where a from-scratch rebuild recomputes all N.
-    elimination_blocks_computed: int = 0
-    elimination_blocks_reused: int = 0
     #: solves that went through the sparse structured (block + Schur) path
     #: vs the dense fallback — the engagement split of the session
     sparse_solves: int = 0
@@ -174,8 +166,6 @@ class SessionStats:
             "solve_time": self.solve_time,
             "rebuilds": self.rebuilds,
             "eliminations": self.eliminations,
-            "elimination_blocks_computed": self.elimination_blocks_computed,
-            "elimination_blocks_reused": self.elimination_blocks_reused,
             "sparse_solves": self.sparse_solves,
             "sparse_pieces_reused": self.sparse_pieces_reused,
             "block_factorizations": self.block_factorizations,
@@ -194,12 +184,6 @@ class SessionStats:
             self.phase1_skipped += 1
         if solution.stats.get("elimination_computed"):
             self.eliminations += 1
-        self.elimination_blocks_computed += int(
-            solution.stats.get("elimination_blocks_computed", 0)
-        )
-        self.elimination_blocks_reused += int(
-            solution.stats.get("elimination_blocks_reused", 0)
-        )
         self.newton_iterations += int(solution.stats.get("newton_iterations", 0))
         self.phase1_newton_iterations += int(
             solution.stats.get("phase1_newton_iterations", 0)
@@ -218,11 +202,13 @@ class SolveSession:
 
     The session owns the solve-side state that :meth:`ConeProgram.solve`
     recreates from scratch every call: the compiled problem (shared through
-    the parametric wrapper) and the previous optimal point.  After each
-    optimal solve the optimum is cached; the next solve passes it to the
-    backend as the initial point, letting the barrier method skip phase I
-    whenever the point is still strictly feasible under the updated
-    parameters.
+    the parametric wrapper) and exactly two warm-start vectors.  After each
+    optimal solve it caches the optimum and the first-rung interior point;
+    the next solve passes the optimum to the backend as the initial point,
+    letting the barrier method skip phase I whenever the point is still
+    strictly feasible under the updated parameters, and the interior point
+    as the hint phase II re-centers from.  Phase II walks the same rung
+    ladder as a cold solve, so a warm solve ends on the cold solve's rung.
     """
 
     def __init__(
@@ -234,15 +220,9 @@ class SolveSession:
         self.parametric = parametric
         self.backend = backend
         self.options = dict(options or {})
-        #: How many rungs of ``barrier_increase`` below the previous solve's
-        #: final barrier parameter a warm-started phase II begins.  Two rungs
-        #: of slack absorb moderate parameter changes; the solver clamps the
-        #: value further so the stopping rung always matches a cold solve.
-        self.warm_rungs_back = 2
         self.stats = SessionStats(compiles=1)
         self._warm_vector: Optional[np.ndarray] = None
         self._interior_vector: Optional[np.ndarray] = None
-        self._last_final_barrier: Optional[float] = None
 
     # -- warm-start management ---------------------------------------------
     @property
@@ -280,7 +260,6 @@ class SolveSession:
         """Drop the warm-start state (the next solve starts cold)."""
         self._warm_vector = None
         self._interior_vector = None
-        self._last_final_barrier = None
 
     # -- durable state ------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -304,8 +283,6 @@ class SolveSession:
         return {
             "warm": by_name(self._warm_vector),
             "interior": by_name(self._interior_vector),
-            "last_final_barrier": self._last_final_barrier,
-            "warm_rungs_back": self.warm_rungs_back,
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
@@ -313,7 +290,8 @@ class SolveSession:
 
         Name-keyed vectors that do not cover every compiled variable are
         dropped (same contract as :meth:`seed`): a partial warm point is
-        worse than the heuristic start.
+        worse than the heuristic start.  Other keys are ignored, so documents
+        that still carry retired warm-rung state restore unchanged.
         """
         compiled = self.parametric.compiled
 
@@ -333,12 +311,6 @@ class SolveSession:
         interior = to_vector(state.get("interior"))
         if interior is not None:
             self._interior_vector = interior
-        barrier = state.get("last_final_barrier")
-        if barrier is not None:
-            self._last_final_barrier = float(barrier)
-        rungs_back = state.get("warm_rungs_back")
-        if rungs_back is not None:
-            self.warm_rungs_back = int(rungs_back)
 
     # -- solving ------------------------------------------------------------
     def solve(
@@ -374,24 +346,12 @@ class SolveSession:
         elif initial_point is not None:
             x0 = initial_point
 
-        options = dict(self.options)
-        if warmed and self._last_final_barrier is not None:
-            # Restart phase II a few rungs below the previous central-path
-            # endpoint (staying on the same geometric grid) instead of walking
-            # the whole path from t = 1 again.  Only takes effect when the
-            # barrier backend skips phase I off the warm point.
-            increase = float(options.get("barrier_increase", 25.0))
-            rungs = increase ** max(0, self.warm_rungs_back)
-            options.setdefault(
-                "warm_initial_barrier", max(1.0, self._last_final_barrier / rungs)
-            )
-
         with obs_span("solve", backend=self.backend, warm_started=warmed) as solve_span:
             solution = backends.solve_compiled(
                 compiled,
                 backend=self.backend,
                 initial_point=x0,
-                options=options,
+                options=self.options,
                 interior_point=self._interior_vector if warmed else None,
             )
             solve_span.set(status=solution.status.value)
@@ -409,9 +369,6 @@ class SolveSession:
             self._warm_vector = np.array(
                 [solution.values[var] for var in compiled.variables]
             )
-            final_barrier = solution.stats.get("final_barrier")
-            if final_barrier is not None:
-                self._last_final_barrier = float(final_barrier)
             if solution.interior_point is not None:
                 # The first-rung central point: a far better re-centering
                 # start for the next solve than the (near-boundary) optimum.

@@ -166,13 +166,6 @@ class CompiledProblem:
         #: re-solves mutate only ``h``, so warm-started sessions reuse one
         #: elimination across every solve.
         self.elimination_cache: Optional[object] = None
-        #: Optional per-block elimination seed (block index → validated basis
-        #: carried over from a *different* compiled problem), installed by
-        #: :func:`repro.solver.barrier.transfer_block_eliminations` when a
-        #: session is edited incrementally.  The blockwise elimination
-        #: verifies each seeded block's equality data before reusing its
-        #: basis, then drops the seed so retired blocks cannot accumulate.
-        self.elimination_seed: Optional[Dict[int, object]] = None
         self._G_dense: Optional[np.ndarray] = None
         self._A_dense: Optional[np.ndarray] = None
         self._G_sparse = None

@@ -5,9 +5,6 @@ The lock-in guarantees of the run-time layer:
 * every ``add_application`` / ``remove_application`` / ``replace_application``
   event on a :class:`WorkloadSession` matches a from-scratch
   ``allocate_workload`` rebuild within 1e-6 (budgets, capacities, objective);
-* unchanged applications keep their per-block equality eliminations across
-  events (``SessionStats.elimination_blocks_reused`` grows, and only the
-  edited application's block is factorised);
 * :class:`AdmissionController` admits/rejects with structured reasons
   (load-screen vs solver-infeasible) and leaves the running workload intact
   on every rejection;
@@ -133,8 +130,7 @@ class TestWorkloadEditing:
 class TestIncrementalSessionEquivalence:
     def test_every_event_matches_full_rebuild(self):
         """The acceptance lock-in: add/remove/replace events on a session
-        equal a from-scratch ``allocate_workload`` within 1e-6, with only the
-        edited application's elimination recomputed."""
+        equal a from-scratch ``allocate_workload`` within 1e-6."""
         video = pinned_pipeline("video", pin=6.0)
         allocator = JointAllocator(options=options())
         workload = Workload(video.platform, name="dyn")
@@ -144,8 +140,6 @@ class TestIncrementalSessionEquivalence:
 
         mapped = session.allocate()
         assert_matches_rebuild(mapped, reference_allocation(workload))
-        computed0 = session.stats.elimination_blocks_computed
-        assert computed0 == 2  # one pinned-budget SVD per application
 
         events = [
             ("add", "pip", pinned_pipeline("pip", wcet=0.6, pin=5.0)),
@@ -155,9 +149,6 @@ class TestIncrementalSessionEquivalence:
             ("add", "radio", pinned_pipeline("radio", wcet=0.4, pin=2.0)),
         ]
         for action, name, configuration in events:
-            before_computed = session.stats.elimination_blocks_computed
-            before_reused = session.stats.elimination_blocks_reused
-            unchanged = len(session.workload) - (0 if action == "add" else 1)
             if action == "add":
                 session.add_application(name, configuration)
             elif action == "remove":
@@ -166,23 +157,10 @@ class TestIncrementalSessionEquivalence:
                 session.replace_application(name, configuration)
             mapped = session.allocate()
             assert_matches_rebuild(mapped, reference_allocation(session.workload))
-            delta_computed = (
-                session.stats.elimination_blocks_computed - before_computed
-            )
-            delta_reused = session.stats.elimination_blocks_reused - before_reused
-            # Only the edited application's block is factorised; every
-            # unchanged application's elimination is reused.
-            assert delta_computed == (0 if action == "remove" else 1), action
-            assert delta_reused == unchanged, action
 
         assert session.stats.rebuilds == 0
         assert session.stats.compiles == 1 + len(events)
         assert session.stats.warm_started >= len(events)
-        # The aggregate proves reuse outweighed recomputation across the run.
-        assert (
-            session.stats.elimination_blocks_reused
-            > session.stats.elimination_blocks_computed
-        )
 
     def test_random_workload_events_match_rebuild(self):
         """Same equivalence on unpinned random DAGs (no equality rows)."""
@@ -253,14 +231,14 @@ class TestIncrementalSessionEquivalence:
         session = allocator.workload_session(workload)
         before = session.allocate()
 
-        # Fail *after* the new formulation is built: the reused blocks have
-        # already re-registered their variables into the (discarded) new
-        # program by then, which is exactly the state the rollback must undo.
-        def exploding_transfer(*args, **kwargs):
-            raise RuntimeError("synthetic elimination-transfer failure")
+        # Fail *after* the new formulation is built and compiled, when the
+        # replacement solve session is constructed: the membership has
+        # changed by then, which is exactly the state the rollback must undo.
+        def exploding_session(*args, **kwargs):
+            raise RuntimeError("synthetic solve-session failure")
 
         monkeypatch.setattr(
-            "repro.solver.barrier.transfer_block_eliminations", exploding_transfer
+            "repro.core.allocator.SolveSession", exploding_session
         )
         with pytest.raises(RuntimeError, match="synthetic"):
             session.add_application("pip", chain_configuration(stages=2, period=15.0))

@@ -538,6 +538,44 @@ class TestSolverTelemetry:
         assert captured.metrics["solver.solves"]["value"] == 1.0
         assert captured.metrics["solver.newton_iterations"]["count"] == 1
 
+    def test_rung_spans_report_convergence(self):
+        """Every rung span says whether its centering converged, and the
+        registry counts the phase-II rungs that exhausted the Newton budget."""
+        from repro.core.formulation import SocpFormulation
+        from repro.solver.backends import solve_compiled
+        from repro.taskgraph.generators import chain_configuration
+
+        compiled = SocpFormulation(chain_configuration(stages=3)).build().compile()
+        with obs.capture() as captured:
+            solve_compiled(compiled, backend="barrier")
+            capped = solve_compiled(
+                compiled, backend="barrier", options={"max_newton_iterations": 2}
+            )
+
+        rungs, centering_flags = [], []
+
+        def walk(span):
+            if span["name"] == "rung":
+                rungs.append(span)
+            if span["name"] == "centering":
+                centering_flags.extend(
+                    child["attributes"]["converged"] for child in span["children"]
+                )
+            for child in span.get("children", []):
+                walk(child)
+
+        for root in captured.spans:
+            walk(root)
+        assert rungs and all(
+            isinstance(rung["attributes"]["converged"], bool) for rung in rungs
+        )
+        nonconverged = centering_flags.count(False)
+        assert nonconverged > 0
+        assert capped.stats["nonconverged_rungs"] == nonconverged
+        assert captured.metrics["solver.rungs_nonconverged"]["value"] == float(
+            nonconverged
+        )
+
     def test_admission_metrics(self):
         from repro.core.admission import replay_trace, random_trace
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core import AllocatorOptions, JointAllocator, TradeoffExplorer
+from repro.core.admission import random_trace
 from repro.core.formulation import ParametricSocpFormulation
 from repro.exceptions import (
     FormulationError,
@@ -24,6 +26,9 @@ from repro.exceptions import (
     NumericalError,
 )
 from repro.solver import ConeProgram, SolverStatus
+from repro.solver.backends import solve_compiled
+from repro.solver.barrier import BarrierOptions
+from repro.taskgraph import Workload
 from repro.taskgraph.generators import (
     chain_configuration,
     producer_consumer_configuration,
@@ -177,6 +182,77 @@ class TestAllocationSession:
         assert session.stats.newton_iterations > 0
         reference = allocator.allocate(configuration, capacity_limits={"bab": 1})
         assert mapped.budgets == reference.budgets
+
+
+def _warm_phase_two_first_rungs(spans):
+    """The barrier of the first phase-II rung of every warm-started solve."""
+    firsts = []
+
+    def walk(span, warm):
+        if span["name"] == "solve":
+            warm = bool(span.get("attributes", {}).get("warm_started"))
+        if warm and span["name"] == "centering":
+            rungs = [c for c in span.get("children", []) if c["name"] == "rung"]
+            firsts.append(rungs[0]["attributes"]["barrier"])
+        for child in span.get("children", []):
+            walk(child, warm)
+
+    for root in spans:
+        walk(root, False)
+    return firsts
+
+
+class TestWarmEndsOnColdRung:
+    """A warm re-solve walks the cold rung ladder from ``initial_barrier``,
+    so it stops on the same rung, at the same optimum, as a cold solve of
+    the same compiled problem."""
+
+    OPTIONS = AllocatorOptions(backend="barrier", verify=False, run_simulation=False)
+
+    def _assert_warm_matches_cold(self, session, mapped, captured):
+        stats = mapped.solver_info["solve_stats"]
+        assert stats["warm_started"] is True
+        cold = solve_compiled(session._session.parametric.compiled, backend="barrier")
+        assert cold.is_optimal
+        assert stats["final_barrier"] == cold.stats["final_barrier"]
+        assert mapped.objective_value == pytest.approx(cold.objective, rel=1e-9)
+        firsts = _warm_phase_two_first_rungs(captured.spans)
+        assert firsts
+        assert all(b == BarrierOptions().initial_barrier for b in firsts), firsts
+
+    def test_limit_change(self):
+        session = JointAllocator(options=self.OPTIONS).session(
+            chain_configuration(stages=4)
+        )
+        session.allocate(capacity_limits={"bab": 3})
+        # Relaxing the limit keeps the previous optimum strictly feasible.
+        with obs.capture() as captured:
+            mapped = session.allocate(capacity_limits={"bab": 6})
+        assert mapped.solver_info["solve_stats"]["phase1_skipped"] is True
+        self._assert_warm_matches_cold(session, mapped, captured)
+
+    def test_workload_add_and_remove(self):
+        # Seed 2 opens with three arrivals and then a departure; warm
+        # re-solves after that departure used to start phase II on a raised
+        # rung that failed to center.
+        events = random_trace(seed=2).events
+        assert [e.action for e in events[:4]] == ["arrive"] * 3 + ["depart"]
+        workload = Workload(events[0].configuration.platform, name="warm-cold")
+        for event in events[:2]:
+            workload.add_application(event.application, event.configuration)
+        session = JointAllocator(options=self.OPTIONS).workload_session(workload)
+        session.allocate()
+
+        session.add_application(events[2].application, events[2].configuration)
+        with obs.capture() as captured:
+            mapped = session.allocate()
+        self._assert_warm_matches_cold(session, mapped, captured)
+
+        session.remove_application(events[3].application)
+        with obs.capture() as captured:
+            mapped = session.allocate()
+        assert mapped.solver_info["solve_stats"]["phase1_skipped"] is True
+        self._assert_warm_matches_cold(session, mapped, captured)
 
 
 class TestWarmStartEquivalence:

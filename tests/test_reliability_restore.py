@@ -167,3 +167,38 @@ def test_restore_controller_from_a_crashed_journal(trace, tmp_path):
         assert controller.mapped.objective_value == pytest.approx(
             uninterrupted.final_mapped.objective_value, abs=1e-6
         )
+
+
+def test_restore_accepts_a_snapshot_with_retired_warm_rung_state(
+    trace, baseline, tmp_path
+):
+    """Snapshots written before warm restarts were reduced to the previous
+    optimum and the interior hint still carry the final-barrier rung, the
+    rungs-back setting and per-block elimination counters.  They restore
+    unchanged: the retired keys are ignored."""
+    from repro.core import AdmissionController
+    from repro.reliability.snapshot import (
+        SessionSnapshot,
+        default_snapshot_path,
+        load_snapshot,
+    )
+
+    journal_path = tmp_path / "run.journal"
+    replay_trace_durably(
+        trace, journal_path, snapshot_every=3, allocator=allocator()
+    )
+    data = load_snapshot(default_snapshot_path(journal_path)).to_dict()
+    assert data["workload"] is not None and data["session_state"] is not None
+    data["session_state"].update(last_final_barrier=244140625.0, warm_rungs_back=3)
+    data["stats"].update(elimination_blocks_computed=5, elimination_blocks_reused=9)
+    snapshot = SessionSnapshot.from_dict(data)
+    assert snapshot.journal_seq < len(trace.events)
+
+    controller, records = AdmissionController.restore(
+        snapshot, journal_path, allocator=allocator()
+    )
+    assert [r.status for r in records] == [r.status for r in baseline.records]
+    assert sorted(controller.running) == sorted(baseline.final_mapped.applications)
+    assert controller.mapped.objective_value == pytest.approx(
+        baseline.final_mapped.objective_value, abs=1e-6
+    )

@@ -149,36 +149,6 @@ class TestAutoDispatch:
         assert solution.solve_time >= 0.0
 
 
-class TestBarrierColdRetry:
-    def test_unconverged_warm_rung_is_redone_cold(self):
-        """A warm start at a barrier rung too high to center within the
-        Newton budget is redone from a cold phase II: the ``cold-retry``
-        span fires and the optimum matches the cold solve's."""
-        from repro import obs
-        from repro.core.formulation import SocpFormulation
-        from repro.taskgraph.generators import chain_configuration
-
-        compiled = SocpFormulation(chain_configuration(stages=4)).build().compile()
-        cold = solve_compiled(compiled, backend="barrier")
-        assert cold.is_optimal
-        with obs.capture() as captured:
-            warm = solve_compiled(
-                compiled,
-                backend="barrier",
-                initial_point=cold.interior_point,
-                options={"warm_initial_barrier": 1e6, "warm_rung_decrement": 1e30},
-            )
-
-        def names(span):
-            yield span["name"]
-            for child in span.get("children", []):
-                yield from names(child)
-
-        assert "cold-retry" in {name for root in captured.spans for name in names(root)}
-        assert warm.is_optimal
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     c=st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=3, max_size=3),

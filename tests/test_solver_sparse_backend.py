@@ -16,9 +16,6 @@ merit bundle) must be a pure performance change.  These tests pin:
 
 The dense reference is a fresh compile of the same program with its block
 structure dropped, which the solver treats as a single block.
-* `CompiledProblem.elimination_seed` stays bounded over a long add/remove
-  admission trace (seeds are consumed by the first elimination, and removed
-  applications never transfer).
 """
 
 from __future__ import annotations
@@ -274,74 +271,10 @@ class TestSparseEdgeCases:
         assert_same_optimum(fallback, dense)
 
 
-def pinned_pipeline(name: str, period: float = 10.0):
-    """A two-stage pipeline with a pinned first budget (an equality row per
-    block, so every application participates in the blockwise elimination)."""
-    return (
-        ConfigurationBuilder(name=name, granularity=1.0)
-        .processor("p1", replenishment_interval=40.0)
-        .processor("p2", replenishment_interval=40.0)
-        .memory("m1")
-        .task_graph(name, period=period)
-        .task(f"{name}_in", wcet=1.0, processor="p1", min_budget=6.0, max_budget=6.0)
-        .task(f"{name}_out", wcet=1.0, processor="p2")
-        .buffer(f"{name}_b", source=f"{name}_in", target=f"{name}_out", memory="m1")
-        .build()
-    )
-
-
-class TestEliminationSeedEviction:
-    def test_seed_bounded_over_long_add_remove_trace(self):
-        """Regression: over a long admission trace the compiled problem must
-        not accumulate per-block elimination state.  The transfer seed is
-        consumed by the first solve's elimination (then dropped), it never
-        carries blocks of removed applications, and the per-edit elimination
-        work stays at one freshly computed block."""
-        base = pinned_pipeline("anchor")
-        workload = Workload(base.platform, name="trace")
-        workload.add_application("anchor", base)
-        allocator = JointAllocator(
-            options=AllocatorOptions(verify=False, run_simulation=False)
-        )
-        session = allocator.workload_session(workload)
-        session.allocate()
-
-        for round_index in range(6):
-            name = f"guest{round_index}"
-            session.add_application(name, pinned_pipeline(name, period=12.0))
-            compiled = session._session.parametric.compiled
-            seed = compiled.elimination_seed
-            # Right after the edit: one seed entry per *transferred* block,
-            # never more blocks than the new problem has.
-            assert seed is not None
-            assert len(seed) <= compiled.block_structure.num_blocks
-            assert all(
-                0 <= index < compiled.block_structure.num_blocks
-                for index in seed
-            )
-            mapped = session.allocate()
-            # The solve's elimination consumed the seed; nothing is retained.
-            assert compiled.elimination_seed is None
-            solve_stats = mapped.solver_info["solve_stats"]
-            assert solve_stats["elimination_blocks_computed"] <= 1
-            session.remove_application(name)
-            session.allocate()
-            assert (
-                session._session.parametric.compiled.elimination_seed is None
-            )
-
-        stats = session.stats
-        # 13 solves: 1 initial + 2 per round; every edit recomputes at most
-        # the edited block (the trace would blow up quadratically if removed
-        # blocks kept transferring).
-        assert stats.solves == 13
-        assert stats.elimination_blocks_computed <= 1 + 2 * 6
-        assert stats.elimination_blocks_reused >= 6
-
+class TestElimination:
     def test_repeat_solve_still_reuses_elimination_cache(self):
         compiled = compiled_workload(2)
         first = solve_compiled(compiled, backend="barrier")
         second = solve_compiled(compiled, backend="barrier")
         assert first.stats["elimination_computed"] is True
         assert second.stats["elimination_computed"] is False
-        assert compiled.elimination_seed is None
