@@ -192,6 +192,7 @@ def _single_solve_stats(solver_info: dict) -> dict:
         totals["structured"] = bool(stats["structured"])
     for key in (
         "sparse_nnz",
+        "assembly_time",
         "factorization_time",
         "schur_time",
         "block_factorizations",
@@ -343,7 +344,8 @@ def _render_solve_stats(stats: dict) -> str:
         lines.append(f"  constraint nonzeros: {stats['sparse_nnz']}")
     if "factorization_time" in stats:
         lines.append(
-            f"  sparse time split:   {float(stats['factorization_time']):.4f} s "
+            f"  sparse time split:   {float(stats.get('assembly_time', 0.0)):.4f} s "
+            f"assembly, {float(stats['factorization_time']):.4f} s "
             f"factorization, {float(stats.get('schur_time', 0.0)):.4f} s Schur "
             f"({stats.get('block_factorizations', 0)} block factorizations)"
         )

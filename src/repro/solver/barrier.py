@@ -81,11 +81,13 @@ The structured path is built to scale to hundreds of applications:
   (no dense SVD), and the null-space basis is kept *per block* — lifting,
   projecting and warm-starting are blockwise, never O(n·k) dense products;
 * each centering run owns a :class:`_StructuredWorkspace` with preallocated
-  right-hand-side/solution buffers; per-application Hessian blocks of equal
-  width are factorised in *batched* LAPACK calls (one batched Cholesky for
-  the positive-definiteness check, one batched solve), while blocks at
-  least ``_SPLU_BLOCK_WIDTH`` wide go through a sparse ``splu``
-  factorisation instead;
+  right-hand-side/solution buffers; blocks of equal width and term kinds
+  form a :class:`_BlockGroup` whose terms are stacked into padded tensors,
+  so each Newton step assembles a group's gradients and Hessian blocks in
+  a few batched numpy calls and factorises them in *batched* LAPACK calls
+  (one batched Cholesky for the positive-definiteness check, one batched
+  solve), while blocks at least ``_SPLU_BLOCK_WIDTH`` wide form groups of
+  one that go through a sparse ``splu`` factorisation instead;
 * the line-search merit is evaluated through one CSR matrix per constraint
   family spanning all blocks (a few sparse matvecs per trial point instead
   of a Python loop over per-block terms).
@@ -370,6 +372,181 @@ def _cone_blocks(
         _ConeBlock(group, support=support, block=block)
         for _, group in sorted(by_rows.items())
     ]
+
+
+def _batched_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M[j] @ x[j]`` for every batch row ``j`` of a ``(B, r, n)`` stack."""
+    return np.matmul(M, x[:, :, None])[:, :, 0]
+
+
+class _LinearStack:
+    """The ``_LinearBlock`` terms of a block group as one padded tensor.
+
+    Member ``j``'s rows fill ``G[j, :count]``; padding rows are ``0·x ≤ 1``
+    (slack 1), so they add exact zeros to the gradient and Hessian.
+    """
+
+    def __init__(self, terms: Sequence[_LinearBlock], n: int) -> None:
+        rows = max(term.count for term in terms)
+        self.G = np.zeros((len(terms), rows, n))
+        self.h = np.ones((len(terms), rows))
+        for j, term in enumerate(terms):
+            self.G[j, : term.count] = term.G
+            self.h[j, : term.count] = term.h
+        self.Gt = self.G.transpose(0, 2, 1)
+
+    def grad_hess(self, zb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        inv = 1.0 / (self.h - _batched_matvec(self.G, zb))
+        grad = _batched_matvec(self.Gt, inv)
+        hess = np.matmul(self.Gt * (inv * inv)[:, None, :], self.G)
+        return grad, hess
+
+
+class _HyperbolicStack:
+    """The ``_HyperbolicBlock`` terms of a block group as padded tensors.
+
+    Padding rows are ``(0·x + 1)(0·x + 1) ≥ 0`` (slack 1, zero gradient and
+    Hessian).
+    """
+
+    def __init__(self, terms: Sequence[_HyperbolicBlock], n: int) -> None:
+        rows = max(term.count for term in terms)
+        shape = (len(terms), rows)
+        self.P = np.zeros(shape + (n,))
+        self.Q = np.zeros(shape + (n,))
+        self.p0 = np.ones(shape)
+        self.q0 = np.ones(shape)
+        self.w = np.zeros(shape)
+        for j, term in enumerate(terms):
+            count = term.count
+            self.P[j, :count] = term.P
+            self.Q[j, :count] = term.Q
+            self.p0[j, :count] = term.p0
+            self.q0[j, :count] = term.q0
+            self.w[j, :count] = term.w
+        self.Pt = self.P.transpose(0, 2, 1)
+
+    def grad_hess(self, zb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        pv = _batched_matvec(self.P, zb) + self.p0
+        qv = _batched_matvec(self.Q, zb) + self.q0
+        inv = 1.0 / (pv * qv - self.w)
+        # Same algebra as _HyperbolicBlock.grad_hess, one member per batch row.
+        Gf = self.P * qv[:, :, None] + self.Q * pv[:, :, None]
+        Gft = Gf.transpose(0, 2, 1)
+        grad = -_batched_matvec(Gft, inv)
+        hess = np.matmul(Gft * (inv * inv)[:, None, :], Gf)
+        PQ = np.matmul(self.Pt * inv[:, None, :], self.Q)
+        hess -= PQ + PQ.transpose(0, 2, 1)
+        return grad, hess
+
+
+class _ConeStack:
+    """The ``_ConeBlock`` terms (one norm dimension) of a block group, padded.
+
+    Padding cones are ``‖0·x + 0‖ ≤ 0·x + 1`` (slack 1, zero gradient and
+    Hessian).
+    """
+
+    def __init__(self, terms: Sequence[_ConeBlock], n: int) -> None:
+        rows = max(term.count for term in terms)
+        dim = terms[0].A.shape[1]
+        shape = (len(terms), rows)
+        self.A = np.zeros(shape + (dim, n))
+        self.b = np.zeros(shape + (dim,))
+        self.C = np.zeros(shape + (n,))
+        self.d = np.ones(shape)
+        for j, term in enumerate(terms):
+            count = term.count
+            self.A[j, :count] = term.A
+            self.b[j, :count] = term.b
+            self.C[j, :count] = term.C
+            self.d[j, :count] = term.d
+        self.dim = dim
+        self.A_flat = self.A.reshape(len(terms), rows * dim, n)
+        self.A_flat_t = self.A_flat.transpose(0, 2, 1)
+        self.Ct = self.C.transpose(0, 2, 1)
+
+    def grad_hess(self, zb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        u = _batched_matvec(self.A_flat, zb).reshape(self.b.shape) + self.b
+        v = _batched_matvec(self.C, zb) + self.d
+        inv = 1.0 / (v * v - np.einsum("brm,brm->br", u, u))
+        # Same algebra as _ConeBlock.grad_hess, one member per batch row.
+        Au = np.matmul(u[:, :, None, :], self.A)[:, :, 0, :]
+        Gf = 2.0 * (self.C * v[:, :, None] - Au)
+        Gft = Gf.transpose(0, 2, 1)
+        grad = -_batched_matvec(Gft, inv)
+        hess = np.matmul(Gft * (inv * inv)[:, None, :], Gf)
+        hess -= 2.0 * np.matmul(self.Ct * inv[:, None, :], self.C)
+        per_row = np.repeat(inv, self.dim, axis=1)
+        hess += 2.0 * np.matmul(self.A_flat_t * per_row[:, None, :], self.A_flat)
+        return grad, hess
+
+
+_STACKS = {
+    _LinearBlock: _LinearStack,
+    _HyperbolicBlock: _HyperbolicStack,
+    _ConeBlock: _ConeStack,
+}
+
+
+def _term_signature(terms: Sequence[_BarrierTerm]) -> Tuple[Tuple[type, int], ...]:
+    """The term kinds of one block, in order (cones by norm dimension)."""
+    return tuple(
+        (type(term), term.A.shape[1] if isinstance(term, _ConeBlock) else 0)
+        for term in terms
+    )
+
+
+class _BlockGroup:
+    """Blocks of equal width and term signature, assembled as one batch.
+
+    Each member contributes one row of every stacked tensor; ``index[j]``
+    gathers member ``j``'s coordinates (its block followed by the border)
+    from the solver vector, so one :meth:`assemble` call builds the
+    ``(B, n)`` gradient and ``(B, n, n)`` Hessian stacks of all members.
+    """
+
+    def __init__(
+        self,
+        slices: Sequence[slice],
+        block_terms: Sequence[Sequence[_BarrierTerm]],
+        rhs: np.ndarray,
+        border: int,
+    ) -> None:
+        width = slices[0].stop - slices[0].start
+        n = width + border
+        k, cols = rhs.shape
+        self.size = len(slices)
+        self.width = width
+        self.index = np.array(
+            [np.r_[slc.start : slc.stop, k - border : k] for slc in slices],
+            dtype=np.intp,
+        )
+        #: the members' block coordinates, one row per member
+        self.block_index = self.index[:, :width]
+        self.stacks = [
+            _STACKS[type(slot[0])](slot, n) for slot in zip(*block_terms)
+        ]
+        #: sparse LU instead of the batched Cholesky (always a group of one)
+        self.splu = width >= _SPLU_BLOCK_WIDTH
+        self.grad = np.empty((self.size, n))
+        self.hess = np.empty((self.size, n, n))
+        #: strided view of the block diagonals ``hess[:, i, i]``, ``i < width``
+        self.diagonal = self.hess.reshape(self.size, n * n)[:, : width * (n + 1) : n + 1]
+        #: per-member right-hand sides ``[gradient | Gcᵀ rows | Hessian border
+        #: columns]``; the coupling columns are constant, written once here
+        self.rhs = np.empty((self.size, width, cols + border))
+        self.rhs[:, :, :cols] = rhs[self.block_index]
+
+    def assemble(self, z: np.ndarray) -> None:
+        """Fill :attr:`grad` and :attr:`hess` at ``z`` (border included)."""
+        zb = z[self.index]
+        self.grad.fill(0.0)
+        self.hess.fill(0.0)
+        for stack in self.stacks:
+            g, h = stack.grad_hess(zb)
+            self.grad += g
+            self.hess += h
 
 
 def _accumulate_dense(
@@ -797,13 +974,16 @@ class _StructuredWorkspace:
     Owns the preallocated hot-loop state of one centering run: the
     right-hand-side / solution buffers of the arrow solve (the coupling
     columns ``Gcᵀ`` are written **once** — they are constant across Newton
-    iterations, only the gradient column changes), the per-block local
-    Hessian buffers, and the batched factorisation groups: blocks of equal
-    width are stacked into one ``(B, w, w)`` tensor and factorised with a
-    single batched Cholesky (the positive-definiteness check) followed by
-    one batched solve, so the per-iteration Python cost no longer scales
-    with a per-block pair of LAPACK calls.  Blocks at least
-    ``_SPLU_BLOCK_WIDTH`` wide are instead factorised sparsely via
+    iterations, only the gradient column changes) and the block groups.
+    Blocks of equal width and term signature (:func:`_term_signature`) form
+    one :class:`_BlockGroup`: their barrier terms are stacked into padded
+    tensors once, so each Newton step assembles the group's ``(B, n)``
+    gradient and ``(B, n, n)`` Hessian in a few batched numpy calls, then
+    factorises its ``(B, w, w)`` block stack with a single batched Cholesky
+    (the positive-definiteness check) followed by one batched solve.  The
+    per-iteration Python cost therefore scales with the number of groups,
+    not with blocks × terms.  Blocks at least ``_SPLU_BLOCK_WIDTH`` wide
+    form groups of one whose block is factorised sparsely via
     :func:`scipy.sparse.linalg.splu`.
 
     The Hessian assembled here is identical to :class:`_DenseWorkspace`'s
@@ -836,33 +1016,26 @@ class _StructuredWorkspace:
             self._coupling_sq = np.einsum("ij,ij->i", coupling.G, coupling.G)
         self.solved = np.empty((k, cols))
         self.grad = np.empty(k)
-        #: (slc, width, terms, local Hessian buffer) per block
-        self.block_infos: List[Tuple[slice, int, List[_BarrierTerm], np.ndarray]] = []
-        groups: Dict[int, List[int]] = {}
-        self.splu_blocks: List[int] = []
+        members: Dict[tuple, List[int]] = {}
         for index, (slc, terms) in enumerate(
             zip(plan.block_slices, plan.block_terms)
         ):
             width = slc.stop - slc.start
-            local = np.zeros((width + self.border, width + self.border))
-            self.block_infos.append((slc, width, terms, local))
-            if width == 0:
-                continue
+            if width + self.border == 0:
+                continue  # nothing to assemble or factorise
+            key = (width, _term_signature(terms))
             if width >= _SPLU_BLOCK_WIDTH:
-                self.splu_blocks.append(index)
-            else:
-                groups.setdefault(width, []).append(index)
-        #: batched groups: (member block indices, width, H stack, rhs stack)
-        self.batch_groups: List[Tuple[List[int], int, np.ndarray, np.ndarray]] = [
-            (
-                members,
-                width,
-                np.empty((len(members), width, width)),
-                np.empty((len(members), width, cols + self.border)),
+                key += (index,)
+            members.setdefault(key, []).append(index)
+        self.groups = [
+            _BlockGroup(
+                [plan.block_slices[index] for index in indices],
+                [plan.block_terms[index] for index in indices],
+                self.rhs,
+                self.border,
             )
-            for width, members in sorted(groups.items())
+            for indices in members.values()
         ]
-        self._border_parts: Dict[int, np.ndarray] = {}
         self.merit_bundle = _MeritBundle(plan, k)
         self._dense: Optional[_DenseWorkspace] = None
 
@@ -884,17 +1057,20 @@ class _StructuredWorkspace:
     def _arrow_direction(
         self, z: np.ndarray, grad_objective: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One Newton direction via batched block factorisations + Schur.
+        """One Newton direction via stacked group assembly, batched block
+        factorisations and Schur complements.
 
         The Hessian of the centering problem is ``H = H₀ + Gcᵀ·W·Gc`` with
         ``H₀`` bordered block diagonal (per-application blocks, plus the
         phase-I relaxation column as a border) and ``W = diag(1/s²)`` over
-        the coupling-row slacks.  ``H₀⁻¹`` is applied through per-block
-        factorisations and the border's Schur complement; the coupling's
-        low-rank term is folded in through the matrix-inversion lemma — its
-        Schur matrix has coupling-row dimension (the number of shared
-        processors and memories), so the cost per step is the sum of the
-        per-block factorisations instead of one cube of the full size.
+        the coupling-row slacks.  Each block group assembles its members'
+        bordered blocks of ``H₀`` (and gradients) in one batched pass.
+        ``H₀⁻¹`` is then applied through per-group batched factorisations
+        and the border's Schur complement; the coupling's low-rank term is
+        folded in through the matrix-inversion lemma — its Schur matrix has
+        coupling-row dimension (the number of shared processors and
+        memories), so the cost per step is the sum of the per-block
+        factorisations instead of one cube of the full size.
 
         Raises :class:`numpy.linalg.LinAlgError` when any block is not
         positive definite (or a Schur system is singular), which
@@ -903,18 +1079,16 @@ class _StructuredWorkspace:
         plan = self.plan
         k, border, m, cols = self.k, self.border, self.m, self.cols
         blocks_end = k - border
+        assembly_start = time.perf_counter()
         grad = self.grad
         grad[:] = grad_objective
         trace = 0.0
-        for slc, width, terms, local in self.block_infos:
-            local.fill(0.0)
-            for term in terms:
-                g_i, h_i = term.grad_hess(z)
-                local += h_i
-                grad[slc] += g_i[:width]
-                if border:
-                    grad[blocks_end:] += g_i[width:]
-            trace += float(np.trace(local))
+        for group in self.groups:
+            group.assemble(z)
+            grad[group.block_index] += group.grad[:, : group.width]
+            if border:
+                grad[blocks_end:] += group.grad[:, group.width :].sum(axis=0)
+            trace += float(np.einsum("bii->", group.hess))
 
         coupling = plan.coupling
         W = Gc = None
@@ -930,6 +1104,7 @@ class _StructuredWorkspace:
         rhs = self.rhs
         rhs[:, 0] = grad
         solved = self.solved
+        self.stats["assembly_time"] += time.perf_counter() - assembly_start
 
         factor_start = time.perf_counter()
         # Chaos site: an armed ``newton.linalg`` fault raises the same
@@ -938,59 +1113,45 @@ class _StructuredWorkspace:
         if border:
             schur = reg * np.eye(border)
             cross_rhs = np.zeros((border, cols))
-            self._border_parts.clear()
-            # Border-border curvature of every block (including width-0
-            # blocks, e.g. the phase-I lower-bound row on t).
-            for slc, width, terms, local in self.block_infos:
-                schur += local[width:, width:]
-
-        for members, width, H_stack, R_stack in self.batch_groups:
-            for j, index in enumerate(members):
-                slc, _, _, local = self.block_infos[index]
-                H_stack[j] = local[:width, :width]
-                R_stack[j, :, :cols] = rhs[slc]
-                if border:
-                    R_stack[j, :, cols:] = local[:width, width:]
-            H_stack[:, np.arange(width), np.arange(width)] += reg
-            # Batched Cholesky is the positive-definiteness check (raises
-            # LinAlgError → dense twin); the batched LU solve then
-            # produces all block solutions in one LAPACK call.
-            np.linalg.cholesky(H_stack)
-            sol = np.linalg.solve(H_stack, R_stack)
-            self.stats["block_factorizations"] += len(members)
-            for j, index in enumerate(members):
-                slc, _, _, local = self.block_infos[index]
-                solved[slc] = sol[j, :, :cols]
-                if border:
-                    cross = local[:width, width:]
-                    cross_rhs += cross.T @ sol[j, :, :cols]
-                    schur -= cross.T @ sol[j, :, cols:]
-                    self._border_parts[index] = sol[j, :, cols:]
-
-        for index in self.splu_blocks:
-            slc, width, terms, local = self.block_infos[index]
-            diag = local[:width, :width] + reg * np.eye(width)
-            block_rhs = np.hstack([rhs[slc], local[:width, width:]])
-            try:
-                lu = _sp_splu(_sp.csc_matrix(diag))
-                block_solution = lu.solve(block_rhs)
-            except RuntimeError as error:  # singular factor → dense twin
-                raise np.linalg.LinAlgError(str(error)) from error
-            self.stats["block_factorizations"] += 1
-            solved[slc] = block_solution[:, :cols]
+        border_parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        for group in self.groups:
+            width, H, R = group.width, group.hess, group.rhs
             if border:
-                cross = local[:width, width:]
-                cross_rhs += cross.T @ block_solution[:, :cols]
-                schur -= cross.T @ block_solution[:, cols:]
-                self._border_parts[index] = block_solution[:, cols:]
+                # Border-border curvature of every block (including width-0
+                # blocks, e.g. the phase-I lower-bound row on t).
+                schur += H[:, width:, width:].sum(axis=0)
+            if width == 0:
+                continue
+            R[:, :, 0] = grad[group.block_index]
+            R[:, :, cols:] = H[:, :width, width:]
+            blocks = H[:, :width, :width]
+            if group.splu:
+                try:
+                    lu = _sp_splu(_sp.csc_matrix(blocks[0] + reg * np.eye(width)))
+                    sol = lu.solve(R[0])[None]
+                except RuntimeError as error:  # singular factor → dense twin
+                    raise np.linalg.LinAlgError(str(error)) from error
+            else:
+                group.diagonal += reg
+                # Batched Cholesky is the positive-definiteness check (raises
+                # LinAlgError → dense twin); the batched LU solve then
+                # produces all block solutions in one LAPACK call.
+                np.linalg.cholesky(blocks)
+                sol = np.linalg.solve(blocks, R)
+            self.stats["block_factorizations"] += group.size
+            solved[group.block_index] = sol[:, :, :cols]
+            if border:
+                cross = R[:, :, cols:]
+                cross_rhs += np.einsum("bwj,bwc->jc", cross, sol[:, :, :cols])
+                schur -= np.einsum("bwj,bwl->jl", cross, sol[:, :, cols:])
+                border_parts.append((group.block_index, sol[:, :, cols:]))
         self.stats["factorization_time"] += time.perf_counter() - factor_start
 
         schur_start = time.perf_counter()
         if border:
             border_solution = _spd_solve(schur, rhs[blocks_end:] - cross_rhs)
-            for index, q_part in self._border_parts.items():
-                slc = self.block_infos[index][0]
-                solved[slc] -= q_part @ border_solution
+            for block_index, q_part in border_parts:
+                solved[block_index] -= q_part @ border_solution
             solved[blocks_end:] = border_solution
         if m:
             base = solved[:, 0]
@@ -1052,6 +1213,7 @@ class BarrierSolver:
         #: Structured-kernel accounting shared by every workspace of this
         #: solve (phase I and phase II); reset per solve.
         self._sparse_stats = {
+            "assembly_time": 0.0,
             "factorization_time": 0.0,
             "schur_time": 0.0,
             "block_factorizations": 0,
@@ -1175,9 +1337,9 @@ class BarrierSolver:
         """Fold this solve's sparse-backend accounting into its stats dict.
 
         ``sparse_nnz`` (constraint-matrix nonzeros) is reported for every
-        solve; the factorisation/Schur time split, the block-factorisation
-        count, the dense-fallback count and the pieces-cache reuse flag only
-        exist for the structured kernel.
+        solve; the assembly/factorisation/Schur time split, the
+        block-factorisation count, the dense-fallback count and the
+        pieces-cache reuse flag only exist for the structured kernel.
         """
         stats["sparse_nnz"] = int(problem.constraint_nnz)
         if not structured:
@@ -1188,6 +1350,7 @@ class BarrierSolver:
         stats["structured_fallback_iterations"] = int(
             sparse["fallback_iterations"]
         )
+        stats["assembly_time"] = float(sparse["assembly_time"])
         stats["factorization_time"] = float(sparse["factorization_time"])
         stats["schur_time"] = float(sparse["schur_time"])
         stats["block_factorizations"] = int(sparse["block_factorizations"])
@@ -1223,6 +1386,9 @@ class BarrierSolver:
                 float(stats["sparse_nnz"])
             )
         if "factorization_time" in stats:
+            registry.histogram("solver.assembly_seconds").observe(
+                float(stats["assembly_time"])
+            )
             registry.histogram("solver.factorization_seconds").observe(
                 float(stats["factorization_time"])
             )

@@ -115,6 +115,16 @@ class TestAllocateWorkloadCommand:
         assert main(["allocate-workload", workload_path, "--stats"]) == EXIT_OK
         assert "solver statistics:" in capsys.readouterr().out
 
+    def test_stats_time_split_names_the_assembly(self, workload_path, capsys):
+        assert main(["allocate-workload", workload_path, "--stats"]) == EXIT_OK
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "sparse time split:" in line
+        ]
+        assert "s assembly, " in line and "s factorization, " in line
+        assert "s Schur" in line
+
     @pytest.mark.parametrize("flag", [["--mode", "joint"], ["--workers", "2"]])
     def test_solve_mode_flags_are_gone(self, workload_path, flag, capsys):
         # One solve path: the joint block-structured barrier.

@@ -576,6 +576,24 @@ class TestSolverTelemetry:
             nonconverged
         )
 
+    def test_structured_solve_splits_assembly_time(self):
+        """A structured solve reports the stacked block assembly next to the
+        factorisation and Schur times, in its stats and as a histogram."""
+        from repro.core.formulation import WorkloadSocpFormulation
+        from repro.solver.backends import solve_compiled
+        from repro.taskgraph.workload import random_workload
+
+        compiled = WorkloadSocpFormulation(random_workload(3, seed=1)).build().compile()
+        with obs.capture() as captured:
+            solution = solve_compiled(compiled, backend="barrier")
+        assert solution.stats["structured"] is True
+        assert solution.stats["assembly_time"] > 0.0
+        histogram = captured.metrics["solver.assembly_seconds"]
+        assert histogram["count"] == 1
+        assert histogram["sum"] == pytest.approx(solution.stats["assembly_time"])
+        for name in ("solver.factorization_seconds", "solver.schur_seconds"):
+            assert captured.metrics[name]["count"] == 1
+
     def test_admission_metrics(self):
         from repro.core.admission import replay_trace, random_trace
 

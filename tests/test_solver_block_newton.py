@@ -18,10 +18,11 @@ import pytest
 from repro.core import AllocatorOptions, JointAllocator
 from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
-from repro.solver import ConeProgram
+from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
+from repro.taskgraph.workload import random_workload
 
 
 def make_workload(app_count: int, seed: int = 3, task_count: int = 4) -> Workload:
@@ -254,3 +255,167 @@ class TestEliminationCache:
         assert first.stats["elimination_computed"] is True
         assert second.stats["elimination_computed"] is False
         assert second.objective == pytest.approx(first.objective, abs=1e-9)
+
+
+def both_plans(compiled):
+    """The phase-II and phase-I plans the solver builds for ``compiled``,
+    each with a strictly feasible point and its coordinate count.
+
+    Phase II is evaluated at the first-rung center of a structured solve
+    (well interior); phase I at the cold start ``z = 0`` with the relaxation
+    ``t`` and lower bound :meth:`BarrierSolver._phase_one` would pick.
+    """
+    solver = barrier.BarrierSolver()
+    reduced, _ = solver._eliminate_equalities(compiled)
+    pieces = solver._reduced_pieces(compiled, reduced)
+    k = reduced.dimension
+    solution = solve_compiled(compiled, backend="barrier")
+    z_two = reduced.project(solution.interior_point)
+    needed = solver._required_relaxation(compiled, reduced.lift(np.zeros(k)))
+    plan_one = solver._phase_one_plan(reduced, pieces, -max(1.0, abs(needed)))
+    z_one = np.concatenate([np.zeros(k), [needed + max(1.0, 0.1 * abs(needed))]])
+    return [
+        (solver._phase_two_plan(pieces, reduced), k, z_two),
+        (plan_one, k + 1, z_one),
+    ]
+
+
+def workload_plans(seed):
+    program = WorkloadSocpFormulation(random_workload(8, seed=seed)).build()
+    return both_plans(program.compile())
+
+
+def structured_workspace(plan, k):
+    stats = {
+        "assembly_time": 0.0,
+        "factorization_time": 0.0,
+        "schur_time": 0.0,
+        "block_factorizations": 0,
+        "fallback_iterations": 0,
+    }
+    return barrier._StructuredWorkspace(plan, k, barrier.BarrierOptions(), stats)
+
+
+def stacked_assembly(workspace, z):
+    """The block-term gradient and Hessian as the group stacks build them,
+    scattered back to full coordinates."""
+    k = workspace.k
+    grad, hess = np.zeros(k), np.zeros((k, k))
+    for group in workspace.groups:
+        group.assemble(z)
+        for j, index in enumerate(group.index):
+            grad[index] += group.grad[j]
+            hess[np.ix_(index, index)] += group.hess[j]
+    return grad, hess
+
+
+def relative(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def assert_stacked_matches_dense(plan, k, z):
+    """Stacked assembly = per-term assembly to 1e-12 and the structured
+    direction = the dense kernel's to 1e-10, both relative."""
+    workspace = structured_workspace(plan, k)
+    block_terms = [term for terms in plan.block_terms for term in terms]
+    grad, hess = stacked_assembly(workspace, z)
+    grad_ref, hess_ref = barrier._accumulate_dense(block_terms, z)
+    assert relative(grad, grad_ref) <= 1e-12
+    assert relative(hess, hess_ref) <= 1e-12
+    grad_objective = np.random.default_rng(0).standard_normal(k)
+    dense = barrier._DenseWorkspace(plan, k, barrier.BarrierOptions())
+    g_s, d_s = workspace.direction(z, grad_objective)
+    g_d, d_d = dense.direction(z, grad_objective)
+    assert workspace.stats["fallback_iterations"] == 0
+    assert relative(g_s, g_d) <= 1e-12
+    assert relative(d_s, d_d) <= 1e-10
+    return workspace
+
+
+def ragged_groups(plan):
+    """Width groups whose members differ in some term's row count."""
+    by_key = {}
+    for slc, terms in zip(plan.block_slices, plan.block_terms):
+        key = (slc.stop - slc.start, barrier._term_signature(terms))
+        by_key.setdefault(key, []).append(tuple(term.count for term in terms))
+    return [counts for counts in by_key.values() if len(set(counts)) > 1]
+
+
+class TestStackedAssembly:
+    """The structured kernel builds every block's gradient and Hessian from
+    padded per-group tensors; it must agree with the per-term dense
+    assembly over the same plan."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_two_matches_dense(self, seed):
+        plan, k, z = workload_plans(seed)[0]
+        assert plan.border == 0
+        assert_stacked_matches_dense(plan, k, z)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_one_matches_dense(self, seed):
+        """Phase I carries the border, block 0's lower-bound row and the
+        2-row cones of the relaxed hyperbolic constraints."""
+        plan, k, z = workload_plans(seed)[1]
+        assert plan.border == 1
+        kinds = {type(term) for term in plan.terms}
+        assert barrier._ConeBlock in kinds
+        assert_stacked_matches_dense(plan, k, z)
+
+    def test_group_with_different_row_counts(self):
+        """Block 0's extra phase-I row makes its group ragged: the padding
+        rows must contribute exact zeros."""
+        plan, k, z = workload_plans(0)[1]
+        assert ragged_groups(plan)
+        assert_stacked_matches_dense(plan, k, z)
+
+    def test_width_zero_phase_one_block(self):
+        program = ConeProgram("pinned-block")
+        x = program.add_variable("x", lower=2.0, upper=2.0)
+        y = program.add_variable("y", lower=0.0, upper=10.0)
+        program.add_less_equal(x + y, 5.0, name="coupling")
+        program.maximize(y)
+        program.declare_blocks([[x], [y]])
+        for plan, k, z in both_plans(program.compile()):
+            workspace = assert_stacked_matches_dense(plan, k, z)
+            if plan.border:
+                assert any(group.width == 0 for group in workspace.groups)
+
+    def test_splu_block(self, monkeypatch):
+        """Blocks at least ``_SPLU_BLOCK_WIDTH`` wide are groups of one whose
+        block goes to splu; the rest stay batched."""
+        monkeypatch.setattr(barrier, "_SPLU_BLOCK_WIDTH", 19)
+        calls = []
+        scipy_splu = barrier._sp_splu
+
+        def counting_splu(matrix):
+            calls.append(matrix.shape)
+            return scipy_splu(matrix)
+
+        monkeypatch.setattr(barrier, "_sp_splu", counting_splu)
+        for plan, k, z in workload_plans(0):
+            workspace = assert_stacked_matches_dense(plan, k, z)
+            splu_groups = [group for group in workspace.groups if group.splu]
+            assert splu_groups and all(g.size == 1 for g in splu_groups)
+            assert any(not group.splu for group in workspace.groups)
+        assert calls
+
+    def test_newton_step_makes_no_per_term_calls(self, monkeypatch):
+        """One structured Newton step assembles through the group stacks
+        only: no linear or hyperbolic term's ``grad_hess`` runs."""
+        plans = workload_plans(1)
+        calls = []
+        for cls in (barrier._LinearBlock, barrier._HyperbolicBlock):
+            original = cls.grad_hess
+
+            def counted(self, x, original=original):
+                calls.append(type(self).__name__)
+                return original(self, x)
+
+            monkeypatch.setattr(cls, "grad_hess", counted)
+        for plan, k, z in plans:
+            workspace = structured_workspace(plan, k)
+            workspace.direction(z, np.ones(k))
+            assert workspace.stats["fallback_iterations"] == 0
+            assert workspace.stats["block_factorizations"] == 8
+        assert calls == []
