@@ -49,127 +49,78 @@ Quickstart
 True
 """
 
-from repro.batch import (
-    BatchExecutor,
-    CampaignItem,
-    CampaignSpec,
-    CampaignSummary,
-    ExecutorConfig,
-    ItemResult,
-    ResultCache,
-    aggregate_results,
-    load_campaign,
-    run_campaign,
-)
-from repro.core import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionTrace,
-    AllocatorOptions,
-    JointAllocator,
-    ObjectiveWeights,
-    SocpFormulation,
-    TradeoffCurve,
-    TradeoffExplorer,
-    TradeoffPoint,
-    VerificationReport,
-    WorkloadSocpFormulation,
-    allocate,
-    allocate_workload,
-    random_trace,
-    replay_trace,
-    verify_mapping,
-)
-from repro.exceptions import (
-    AllocationError,
-    AnalysisError,
-    BindingError,
-    FormulationError,
-    GraphStructureError,
-    InfeasibleModelError,
-    InfeasibleProblemError,
-    ModelError,
-    NumericalError,
-    ReproError,
-    SimulationError,
-    SolverError,
-    UnboundedProblemError,
-)
-from repro.taskgraph import (
-    Buffer,
-    Configuration,
-    ConfigurationBuilder,
-    MappedConfiguration,
-    MappedWorkload,
-    Memory,
-    Platform,
-    Processor,
-    Task,
-    TaskGraph,
-    Workload,
-    homogeneous_platform,
-    load_workload,
-    random_workload,
-    save_workload,
-)
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionTrace",
-    "AllocationError",
-    "AllocatorOptions",
-    "AnalysisError",
-    "BatchExecutor",
-    "BindingError",
-    "Buffer",
-    "CampaignItem",
-    "CampaignSpec",
-    "CampaignSummary",
-    "Configuration",
-    "ConfigurationBuilder",
-    "ExecutorConfig",
-    "ItemResult",
-    "ResultCache",
-    "FormulationError",
-    "GraphStructureError",
-    "InfeasibleModelError",
-    "InfeasibleProblemError",
-    "JointAllocator",
-    "MappedConfiguration",
-    "MappedWorkload",
-    "Memory",
-    "ModelError",
-    "NumericalError",
-    "ObjectiveWeights",
-    "Platform",
-    "Processor",
-    "ReproError",
-    "SimulationError",
-    "SocpFormulation",
-    "SolverError",
-    "Task",
-    "TaskGraph",
-    "TradeoffCurve",
-    "TradeoffExplorer",
-    "TradeoffPoint",
-    "UnboundedProblemError",
-    "VerificationReport",
-    "Workload",
-    "WorkloadSocpFormulation",
-    "aggregate_results",
-    "allocate",
-    "allocate_workload",
-    "homogeneous_platform",
-    "load_campaign",
-    "load_workload",
-    "random_trace",
-    "random_workload",
-    "replay_trace",
-    "run_campaign",
-    "save_workload",
-    "verify_mapping",
-    "__version__",
-]
+#: Lazy (PEP 562) exports: ``import repro`` loads nothing else, and each
+#: name imports its home module on first access — ``repro-map allocate``
+#: therefore never loads the batch engine, admission control or the
+#: experiment drivers.
+_EXPORTS = {
+    # batch
+    "BatchExecutor": "repro.batch",
+    "CampaignItem": "repro.batch",
+    "CampaignSpec": "repro.batch",
+    "CampaignSummary": "repro.batch",
+    "ExecutorConfig": "repro.batch",
+    "ItemResult": "repro.batch",
+    "ResultCache": "repro.batch",
+    "aggregate_results": "repro.batch",
+    "load_campaign": "repro.batch",
+    "run_campaign": "repro.batch",
+    # core
+    "AdmissionController": "repro.core.admission",
+    "AdmissionDecision": "repro.core.admission",
+    "AdmissionTrace": "repro.core.admission",
+    "random_trace": "repro.core.admission",
+    "replay_trace": "repro.core.admission",
+    "AllocatorOptions": "repro.core.allocator",
+    "JointAllocator": "repro.core.allocator",
+    "allocate": "repro.core.allocator",
+    "allocate_workload": "repro.core.allocator",
+    "SocpFormulation": "repro.core.formulation",
+    "WorkloadSocpFormulation": "repro.core.formulation",
+    "ObjectiveWeights": "repro.core.objective",
+    "TradeoffCurve": "repro.core.tradeoff",
+    "TradeoffExplorer": "repro.core.tradeoff",
+    "TradeoffPoint": "repro.core.tradeoff",
+    "VerificationReport": "repro.core.validation",
+    "verify_mapping": "repro.core.validation",
+    # exceptions
+    "AllocationError": "repro.exceptions",
+    "AnalysisError": "repro.exceptions",
+    "BindingError": "repro.exceptions",
+    "FormulationError": "repro.exceptions",
+    "GraphStructureError": "repro.exceptions",
+    "InfeasibleModelError": "repro.exceptions",
+    "InfeasibleProblemError": "repro.exceptions",
+    "ModelError": "repro.exceptions",
+    "NumericalError": "repro.exceptions",
+    "ReproError": "repro.exceptions",
+    "SimulationError": "repro.exceptions",
+    "SolverError": "repro.exceptions",
+    "UnboundedProblemError": "repro.exceptions",
+    # taskgraph
+    "Buffer": "repro.taskgraph",
+    "Configuration": "repro.taskgraph",
+    "ConfigurationBuilder": "repro.taskgraph",
+    "MappedConfiguration": "repro.taskgraph",
+    "MappedWorkload": "repro.taskgraph",
+    "Memory": "repro.taskgraph",
+    "Platform": "repro.taskgraph",
+    "Processor": "repro.taskgraph",
+    "Task": "repro.taskgraph",
+    "TaskGraph": "repro.taskgraph",
+    "Workload": "repro.taskgraph",
+    "homogeneous_platform": "repro.taskgraph",
+    "load_workload": "repro.taskgraph",
+    "random_workload": "repro.taskgraph",
+    "save_workload": "repro.taskgraph",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

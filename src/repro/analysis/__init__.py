@@ -1,36 +1,31 @@
 """Analysis and reporting: throughput, feasibility screening, sensitivity, tables."""
 
-from repro.analysis.feasibility import FeasibilityScreen, screen_configuration
-from repro.analysis.latency import LatencyReport, analyse_latency, latency_lower_bound
-from repro.analysis.report import render_markdown_table, render_series, render_table
-from repro.analysis.sensitivity import (
-    BudgetReductionStep,
-    MarginalCapacityValue,
-    budget_reduction_curve,
-    diminishing_returns,
-    marginal_capacity_values,
-)
-from repro.analysis.throughput import (
-    GraphThroughputReport,
-    analyse_throughput,
-    utilisation_summary,
-)
+from __future__ import annotations
 
-__all__ = [
-    "BudgetReductionStep",
-    "FeasibilityScreen",
-    "GraphThroughputReport",
-    "LatencyReport",
-    "MarginalCapacityValue",
-    "analyse_latency",
-    "analyse_throughput",
-    "latency_lower_bound",
-    "budget_reduction_curve",
-    "diminishing_returns",
-    "marginal_capacity_values",
-    "render_markdown_table",
-    "render_series",
-    "render_table",
-    "screen_configuration",
-    "utilisation_summary",
-]
+from repro._lazy import lazy_exports
+
+#: Lazy (PEP 562) exports: each name imports its home module on first
+#: access, so reading ``render_table`` does not load the sensitivity
+#: analyses (and through them the allocator).
+_EXPORTS = {
+    "FeasibilityScreen": "repro.analysis.feasibility",
+    "screen_configuration": "repro.analysis.feasibility",
+    "LatencyReport": "repro.analysis.latency",
+    "analyse_latency": "repro.analysis.latency",
+    "latency_lower_bound": "repro.analysis.latency",
+    "render_markdown_table": "repro.analysis.report",
+    "render_series": "repro.analysis.report",
+    "render_table": "repro.analysis.report",
+    "BudgetReductionStep": "repro.analysis.sensitivity",
+    "MarginalCapacityValue": "repro.analysis.sensitivity",
+    "budget_reduction_curve": "repro.analysis.sensitivity",
+    "diminishing_returns": "repro.analysis.sensitivity",
+    "marginal_capacity_values": "repro.analysis.sensitivity",
+    "GraphThroughputReport": "repro.analysis.throughput",
+    "analyse_throughput": "repro.analysis.throughput",
+    "utilisation_summary": "repro.analysis.throughput",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -52,8 +52,8 @@ from repro.batch.executor import (
     ItemResult,
     SweepResult,
     make_cache,
-    resolve_weights,
 )
+from repro.core.objective import WEIGHT_PRESETS, resolve_weights
 
 __all__ = [
     "BatchExecutor",
@@ -67,6 +67,7 @@ __all__ = [
     "NullCache",
     "ResultCache",
     "SweepResult",
+    "WEIGHT_PRESETS",
     "aggregate_results",
     "cache_key",
     "canonical_json",

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.allocator import AllocatorOptions, JointAllocator
-from repro.core.objective import ObjectiveWeights
+from repro.core.objective import resolve_weights
 from repro.exceptions import InfeasibleProblemError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as obs_span
@@ -40,28 +40,11 @@ from repro.batch.campaign import CampaignItem
 from repro.reliability.faults import FaultPlan, armed, maybe_fail
 from repro.taskgraph import serialization
 
-#: Objective presets usable in campaigns and on the command line.
-WEIGHT_PRESETS = {
-    "balanced": ObjectiveWeights.balanced,
-    "prefer-budgets": ObjectiveWeights.prefer_budgets,
-    "prefer-buffers": ObjectiveWeights.prefer_buffers,
-}
-
 #: Item statuses (terminal, mutually exclusive).
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
-
-
-def resolve_weights(name: str) -> ObjectiveWeights:
-    try:
-        preset = WEIGHT_PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown objective preset {name!r}; expected one of {sorted(WEIGHT_PRESETS)}"
-        ) from None
-    return preset()
 
 
 @dataclass

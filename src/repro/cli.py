@@ -69,8 +69,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis import render_table, screen_configuration
-from repro.core import AllocatorOptions, JointAllocator, ObjectiveWeights, TradeoffExplorer
+from repro.analysis.report import render_table
+from repro.core.allocator import AllocatorOptions, JointAllocator
+from repro.core.objective import resolve_weights
 from repro.exceptions import InfeasibleProblemError, ReproError
 from repro.taskgraph import serialization
 
@@ -82,12 +83,6 @@ EXIT_USAGE = 2
 
 def _load_configuration(path: str):
     return serialization.load_configuration(path)
-
-
-def _weights(name: str) -> ObjectiveWeights:
-    from repro.batch.executor import resolve_weights
-
-    return resolve_weights(name)
 
 
 def _parse_capacity_range(text: str) -> List[int]:
@@ -208,7 +203,7 @@ def _single_solve_stats(solver_info: dict) -> dict:
 def _cmd_allocate(arguments: argparse.Namespace) -> int:
     configuration = _load_configuration(arguments.configuration)
     allocator = JointAllocator(
-        weights=_weights(arguments.weights),
+        weights=resolve_weights(arguments.weights),
         options=AllocatorOptions(backend=arguments.backend),
     )
     telemetry = _CliTelemetry(arguments)
@@ -247,7 +242,7 @@ def _cmd_allocate_workload(arguments: argparse.Namespace) -> int:
 
     workload = load_workload(arguments.workload)
     allocator = JointAllocator(
-        weights=_weights(arguments.weights),
+        weights=resolve_weights(arguments.weights),
         options=AllocatorOptions(backend=arguments.backend),
     )
     telemetry = _CliTelemetry(arguments)
@@ -288,6 +283,8 @@ def _cmd_allocate_workload(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_validate(arguments: argparse.Namespace) -> int:
+    from repro.analysis.feasibility import screen_configuration
+
     try:
         configuration = _load_configuration(arguments.configuration)
         configuration.validate()
@@ -367,7 +364,7 @@ def _cmd_admit(arguments: argparse.Namespace) -> int:
     from repro.taskgraph.workload import load_workload, mapped_workload_to_dict
 
     allocator = JointAllocator(
-        weights=_weights(arguments.weights),
+        weights=resolve_weights(arguments.weights),
         options=AllocatorOptions(backend=arguments.backend, run_simulation=False),
     )
     telemetry = _CliTelemetry(arguments)
@@ -526,10 +523,12 @@ def _render_sweep_point_stats(curve) -> str:
 
 
 def _cmd_sweep(arguments: argparse.Namespace) -> int:
+    from repro.core.tradeoff import TradeoffExplorer
+
     configuration = _load_configuration(arguments.configuration)
     capacities = arguments.capacities
     explorer = TradeoffExplorer(
-        weights=_weights(arguments.weights),
+        weights=resolve_weights(arguments.weights),
         allocator_options=AllocatorOptions(backend=arguments.backend, run_simulation=False),
     )
     telemetry = _CliTelemetry(arguments)

@@ -18,100 +18,65 @@
   with structured admit/reject verdicts, and replayable
   :class:`~repro.core.admission.AdmissionTrace` event sequences.
 * :class:`~repro.core.tradeoff.TradeoffExplorer` — budget/buffer trade-off sweeps.
-* :class:`~repro.core.objective.ObjectiveWeights` — objective weighting presets.
+* :class:`~repro.core.objective.ObjectiveWeights` — objective weighting; the named
+  presets (:data:`~repro.core.objective.WEIGHT_PRESETS`) resolve through
+  :func:`~repro.core.objective.resolve_weights`.
 * :mod:`~repro.core.rounding` — conservative rounding rules.
 * :mod:`~repro.core.validation` — independent verification of mappings.
 """
 
-from repro.core.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionTrace,
-    TraceEvent,
-    TraceRecord,
-    TraceResult,
-    apply_trace_event,
-    load_trace,
-    random_trace,
-    replay_trace,
-    save_trace,
-    trace_from_dict,
-    trace_from_json,
-    trace_to_dict,
-    trace_to_json,
-)
-from repro.core.allocator import (
-    AllocationSession,
-    AllocatorOptions,
-    JointAllocator,
-    WorkloadSession,
-    allocate,
-    allocate_workload,
-)
-from repro.core.formulation import (
-    FormulationBlock,
-    FormulationVariables,
-    ParametricSocpFormulation,
-    ParametricWorkloadFormulation,
-    SocpFormulation,
-    WorkloadSocpFormulation,
-)
-from repro.core.objective import ObjectiveWeights
-from repro.core.rounding import (
-    round_budget,
-    round_budgets,
-    round_capacities,
-    round_capacity,
-    rounding_overhead,
-)
-from repro.core.tradeoff import (
-    DvfsPoint,
-    DvfsSweep,
-    TradeoffCurve,
-    TradeoffExplorer,
-    TradeoffPoint,
-)
-from repro.core.validation import VerificationReport, verify_mapping
+from __future__ import annotations
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionTrace",
-    "AllocationSession",
-    "AllocatorOptions",
-    "DvfsPoint",
-    "DvfsSweep",
-    "FormulationBlock",
-    "FormulationVariables",
-    "JointAllocator",
-    "ObjectiveWeights",
-    "ParametricSocpFormulation",
-    "ParametricWorkloadFormulation",
-    "SocpFormulation",
-    "TraceEvent",
-    "TraceRecord",
-    "TraceResult",
-    "TradeoffCurve",
-    "TradeoffExplorer",
-    "TradeoffPoint",
-    "VerificationReport",
-    "WorkloadSession",
-    "WorkloadSocpFormulation",
-    "allocate",
-    "allocate_workload",
-    "apply_trace_event",
-    "load_trace",
-    "random_trace",
-    "replay_trace",
-    "round_budget",
-    "save_trace",
-    "trace_from_dict",
-    "trace_from_json",
-    "trace_to_dict",
-    "trace_to_json",
-    "round_budgets",
-    "round_capacities",
-    "round_capacity",
-    "rounding_overhead",
-    "verify_mapping",
-]
+from repro._lazy import lazy_exports
+
+#: Lazy (PEP 562) exports: importing one submodule (``repro.core.allocator``
+#: for a single allocation) does not load the others — admission control and
+#: the trade-off explorer load on first use.
+_EXPORTS = {
+    "AdmissionController": "repro.core.admission",
+    "AdmissionDecision": "repro.core.admission",
+    "AdmissionTrace": "repro.core.admission",
+    "TraceEvent": "repro.core.admission",
+    "TraceRecord": "repro.core.admission",
+    "TraceResult": "repro.core.admission",
+    "apply_trace_event": "repro.core.admission",
+    "load_trace": "repro.core.admission",
+    "random_trace": "repro.core.admission",
+    "replay_trace": "repro.core.admission",
+    "save_trace": "repro.core.admission",
+    "trace_from_dict": "repro.core.admission",
+    "trace_from_json": "repro.core.admission",
+    "trace_to_dict": "repro.core.admission",
+    "trace_to_json": "repro.core.admission",
+    "AllocationSession": "repro.core.allocator",
+    "AllocatorOptions": "repro.core.allocator",
+    "JointAllocator": "repro.core.allocator",
+    "WorkloadSession": "repro.core.allocator",
+    "allocate": "repro.core.allocator",
+    "allocate_workload": "repro.core.allocator",
+    "FormulationBlock": "repro.core.formulation",
+    "FormulationVariables": "repro.core.formulation",
+    "ParametricSocpFormulation": "repro.core.formulation",
+    "ParametricWorkloadFormulation": "repro.core.formulation",
+    "SocpFormulation": "repro.core.formulation",
+    "WorkloadSocpFormulation": "repro.core.formulation",
+    "ObjectiveWeights": "repro.core.objective",
+    "WEIGHT_PRESETS": "repro.core.objective",
+    "resolve_weights": "repro.core.objective",
+    "round_budget": "repro.core.rounding",
+    "round_budgets": "repro.core.rounding",
+    "round_capacities": "repro.core.rounding",
+    "round_capacity": "repro.core.rounding",
+    "rounding_overhead": "repro.core.rounding",
+    "DvfsPoint": "repro.core.tradeoff",
+    "DvfsSweep": "repro.core.tradeoff",
+    "TradeoffCurve": "repro.core.tradeoff",
+    "TradeoffExplorer": "repro.core.tradeoff",
+    "TradeoffPoint": "repro.core.tradeoff",
+    "VerificationReport": "repro.core.validation",
+    "verify_mapping": "repro.core.validation",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -75,3 +75,22 @@ class ObjectiveWeights:
     def buffers_only(cls) -> "ObjectiveWeights":
         """Ignore budgets in the objective entirely."""
         return cls(budget_scale=0.0, capacity_scale=1.0)
+
+
+#: Objective presets usable in campaigns and on the command line.
+WEIGHT_PRESETS = {
+    "balanced": ObjectiveWeights.balanced,
+    "prefer-budgets": ObjectiveWeights.prefer_budgets,
+    "prefer-buffers": ObjectiveWeights.prefer_buffers,
+}
+
+
+def resolve_weights(name: str) -> ObjectiveWeights:
+    """The :class:`ObjectiveWeights` of the preset called ``name``."""
+    try:
+        preset = WEIGHT_PRESETS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown objective preset {name!r}; expected one of {sorted(WEIGHT_PRESETS)}"
+        ) from None
+    return preset()

@@ -13,7 +13,7 @@ rescues (see the README's "Rescue paths" table).
 
 from __future__ import annotations
 
-from typing import List
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     # faults
@@ -46,15 +46,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

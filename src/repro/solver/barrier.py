@@ -21,7 +21,12 @@ Barrier terms used (all standard self-concordant barriers):
 Each family is evaluated as a *vectorised block* (one stacked matrix per
 family, SOC cones batched by norm dimension) so that slack checks, barrier
 values and the Newton system assembly are BLAS calls rather than Python
-loops over individual constraints.
+loops over individual constraints.  A term's :meth:`~_BarrierTerm.evaluate`
+returns its slack *state* along with the feasibility check and the barrier
+value, and :meth:`~_BarrierTerm.grad_hess` builds the gradient and Hessian
+from that state, so the Newton loop evaluates every line-search trial point
+exactly once: the accepted trial's state is carried into the next
+direction.
 
 Equality constraints are eliminated up front by restricting the search to an
 affine subspace ``x = x_p + N·z`` where ``N`` spans the null space of the
@@ -58,10 +63,11 @@ solver picks it from the input, never from an option:
 
 * :class:`_StructuredWorkspace` (block factorisations + Schur complement)
   for problems with two or more blocks and narrow coupling;
-* :class:`_DenseWorkspace` (one dense assembly and solve) otherwise — on a
-  single small block it is faster than the arrow machinery.  It is also the
-  structured kernel's per-iteration fallback when a block factorisation
-  fails.
+* :class:`_DenseWorkspace` (one dense assembly from the carried term
+  states and one Cholesky solve, with a least-squares step when the
+  Cholesky fails) otherwise — on a single small block it is faster than
+  the arrow machinery.  It is also the structured kernel's per-iteration
+  fallback when a block factorisation fails.
 
 Both kernels see the same barrier terms, so they return the same optimum to
 solver tolerance.  The equality-elimination result is cached on the
@@ -105,10 +111,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse as _sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv as _dposv
 from scipy.linalg import qr as _sp_qr, solve_triangular as _sp_solve_triangular
 from scipy.sparse.linalg import splu as _sp_splu
 
+from repro.exceptions import NumericalError
 from repro.obs.metrics import get_registry as _metrics_registry
 from repro.obs.trace import span as obs_span
 from repro.reliability.faults import maybe_fail as _maybe_fail
@@ -127,20 +134,33 @@ from repro.solver.result import Solution, SolverStatus
 _SPLU_BLOCK_WIDTH = 256
 
 
+#: Widest system :func:`_spd_solve` hands to scipy's LAPACK ``dposv``.  The
+#: OpenBLAS bundled with scipy factorises narrower matrices on one thread;
+#: wider ones go parallel, and its thread pool then competes for the cores
+#: with numpy's (a separate OpenBLAS, which runs the Hessian assembly's
+#: matmuls) — measured ~11 ms per solve on 2 cores from 128 columns up.
+_DPOSV_MAX_WIDTH = 127
+
+
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive-definite system for a (multi-column) rhs.
 
-    Raises :class:`numpy.linalg.LinAlgError` when the matrix is not positive
-    definite, which the structured kernel catches to fall back to the dense
-    one.
+    One LAPACK Cholesky solve (``dposv``) up to ``_DPOSV_MAX_WIDTH``
+    columns; wider systems take numpy's Cholesky as the check and its LU
+    solve.  Raises :class:`numpy.linalg.LinAlgError` when the matrix is not
+    positive definite, which the dense kernel catches for its least-squares
+    step and the structured kernel to fall back to the dense one.
     """
-    if matrix.shape[0] == 0:
+    width = matrix.shape[0]
+    if width == 0:
         return np.zeros_like(rhs)
-    return cho_solve(
-        cho_factor(matrix, lower=True, check_finite=False),
-        rhs,
-        check_finite=False,
-    )
+    if width > _DPOSV_MAX_WIDTH:
+        np.linalg.cholesky(matrix)
+        return np.linalg.solve(matrix, rhs)
+    _, solution, info = _dposv(matrix, rhs, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return solution
 
 
 @dataclass
@@ -173,7 +193,7 @@ class BarrierOptions:
 
 
 class _BarrierTerm:
-    """Interface of one log-barrier term: slack, barrier value, gradient, Hessian.
+    """Interface of one log-barrier term: slack state, barrier value, gradient, Hessian.
 
     A term may be *narrow*: ``support`` lists the coordinates of the solver
     vector it reads (its matrices then have ``len(support)`` columns), and
@@ -192,25 +212,24 @@ class _BarrierTerm:
     def local(self, x: np.ndarray) -> np.ndarray:
         return x if self.support is None else x[self.support]
 
-    def slack(self, x: np.ndarray) -> float:
-        """Smallest slack of the represented constraints (must stay > 0)."""
-        raise NotImplementedError
+    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
+        """Slack state, smallest slack and ``Σ −log(slack_i)`` at ``x``.
 
-    def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
-        """Smallest slack and ``Σ −log(slack_i)`` from one slack evaluation.
-
-        The line search needs the feasibility check and the merit value at
-        every trial point; one evaluation serves both (see
-        :meth:`BarrierSolver._newton_minimise`).
+        One slack evaluation serves the feasibility check, the barrier value
+        and — through the returned state — :meth:`grad_hess` at the same
+        point.  When the smallest slack is not ``> 0`` (NaN included) the
+        state is ``None`` and the value ``+inf``: an infeasible point's
+        slacks never reach ``log`` or ``1/s``.
         """
         raise NotImplementedError
 
-    def grad_hess(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def grad_hess(self, state: object) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian from the state :meth:`evaluate` returned."""
         raise NotImplementedError
 
 
 class _LinearBlock(_BarrierTerm):
-    """Vectorised barrier block for ``G·x ≤ h``."""
+    """Vectorised barrier block for ``G·x ≤ h``; its state is the slack vector."""
 
     def __init__(
         self,
@@ -228,23 +247,17 @@ class _LinearBlock(_BarrierTerm):
     def slacks(self, x: np.ndarray) -> np.ndarray:
         return self.h - self.G @ self.local(x)
 
-    def slack(self, x: np.ndarray) -> float:
-        if self.count == 0:
-            return 1.0
-        return float(np.min(self.slacks(x)))
-
-    def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
-        if self.count == 0:
-            return 1.0, 0.0
+    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
         s = self.slacks(x)
-        smallest = float(np.min(s))
-        if smallest <= 0.0:
-            return smallest, math.inf
-        return smallest, float(-np.sum(np.log(s)))
+        if self.count == 0:
+            return s, 1.0, 0.0
+        smallest = float(s.min())
+        if not smallest > 0.0:
+            return None, smallest, math.inf
+        return s, smallest, -float(np.log(s).sum())
 
-    def grad_hess(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        s = self.slacks(x)
-        inv = 1.0 / s
+    def grad_hess(self, state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        inv = 1.0 / state
         grad = self.G.T @ inv
         hess = (self.G * (inv * inv)[:, None]).T @ self.G
         return grad, hess
@@ -256,7 +269,7 @@ class _HyperbolicBlock(_BarrierTerm):
     All ``(p_i·x + p0_i)(q_i·x + q0_i) ≥ w_i`` terms (positive branch) are
     stacked into matrices so that slack, barrier value, gradient and Hessian
     are computed with a handful of BLAS calls instead of a Python loop over
-    the constraints.
+    the constraints.  The state is the triple ``(p, q, p·q − w)``.
     """
 
     def __init__(
@@ -274,27 +287,20 @@ class _HyperbolicBlock(_BarrierTerm):
         self.support = support
         self.block = block
 
-    def _pqf(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
         local = self.local(x)
         pv = self.P @ local + self.p0
         qv = self.Q @ local + self.q0
-        return pv, qv, pv * qv - self.w
+        if pv.min() <= 0.0 or qv.min() <= 0.0:
+            return None, -1.0, math.inf  # off the positive branch
+        f = pv * qv - self.w
+        smallest = float(f.min())
+        if not smallest > 0.0:
+            return None, smallest, math.inf
+        return (pv, qv, f), smallest, -float(np.log(f).sum())
 
-    def slack(self, x: np.ndarray) -> float:
-        pv, qv, f = self._pqf(x)
-        branch = np.minimum(pv, qv)
-        return float(np.min(np.where(branch <= 0.0, -1.0, f)))
-
-    def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
-        pv, qv, f = self._pqf(x)
-        branch = np.minimum(pv, qv)
-        smallest = float(np.min(np.where(branch <= 0.0, -1.0, f)))
-        if smallest <= 0.0:
-            return smallest, math.inf
-        return smallest, float(-np.sum(np.log(f)))
-
-    def grad_hess(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        pv, qv, f = self._pqf(x)
+    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        pv, qv, f = state
         inv = 1.0 / f
         # ∇f_i = q_i·P_i + p_i·Q_i, stacked row-wise.
         Gf = self.P * qv[:, None] + self.Q * pv[:, None]
@@ -312,6 +318,7 @@ class _ConeBlock(_BarrierTerm):
     Cones ``‖A_i·x + b_i‖₂ ≤ c_i·x + d_i`` (branch ``c_i·x + d_i > 0``) whose
     ``A_i`` matrices have the same number of rows are batched into a single
     3-D tensor; callers group cones by row count before constructing blocks.
+    The state is the triple ``(u, v, v² − ‖u‖²)``.
     """
 
     def __init__(
@@ -328,26 +335,20 @@ class _ConeBlock(_BarrierTerm):
         self.support = support
         self.block = block
 
-    def _uvf(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
         local = self.local(x)
         u = self.A @ local + self.b
         v = self.C @ local + self.d
+        if v.min() <= 0.0:
+            return None, -1.0, math.inf  # off the positive branch
         f = v * v - np.einsum("im,im->i", u, u)
-        return u, v, f
+        smallest = float(f.min())
+        if not smallest > 0.0:
+            return None, smallest, math.inf
+        return (u, v, f), smallest, -float(np.log(f).sum())
 
-    def slack(self, x: np.ndarray) -> float:
-        _, v, f = self._uvf(x)
-        return float(np.min(np.where(v <= 0.0, -1.0, f)))
-
-    def slack_and_barrier(self, x: np.ndarray) -> Tuple[float, float]:
-        _, v, f = self._uvf(x)
-        smallest = float(np.min(np.where(v <= 0.0, -1.0, f)))
-        if smallest <= 0.0:
-            return smallest, math.inf
-        return smallest, float(-np.sum(np.log(f)))
-
-    def grad_hess(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        u, v, f = self._uvf(x)
+    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        u, v, f = state
         inv = 1.0 / f
         # ∇f_i = 2v_i·c_i − 2A_iᵀu_i, stacked row-wise.
         Gf = 2.0 * (self.C * v[:, None] - np.einsum("imk,im->ik", self.A, u))
@@ -549,22 +550,16 @@ class _BlockGroup:
             self.hess += h
 
 
-def _accumulate_dense(
-    terms: Sequence[_BarrierTerm], z: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Assemble the full barrier gradient and Hessian, scattering narrow terms."""
-    k = z.size
-    grad = np.zeros(k)
-    hess = np.zeros((k, k))
-    for term in terms:
-        g_i, h_i = term.grad_hess(z)
-        if term.support is None:
-            grad += g_i
-            hess += h_i
-        else:
-            grad[term.support] += g_i
-            hess[np.ix_(term.support, term.support)] += h_i
-    return grad, hess
+def _kernel_stats() -> Dict[str, float]:
+    """Fresh per-solve Newton-kernel accounting, shared by every workspace."""
+    return {
+        "assembly_time": 0.0,
+        "factorization_time": 0.0,
+        "schur_time": 0.0,
+        "block_factorizations": 0,
+        "fallback_iterations": 0,
+        "lstsq_steps": 0,
+    }
 
 
 def _single_block(problem: CompiledProblem) -> BlockStructure:
@@ -813,8 +808,8 @@ class _MeritBundle:
     Python loop over every block's terms.  Term families without a vectorised
     form (the batched SOC blocks of phase I) stay on the per-term path.
 
-    The merit value is mathematically identical to
-    :meth:`_DenseWorkspace.merit` over the same terms; only the
+    The merit value is mathematically identical to the one
+    :meth:`_DenseWorkspace.evaluate` returns over the same terms; only the
     floating-point summation order differs, which the difference-form line
     search is insensitive to.
     """
@@ -912,8 +907,8 @@ class _MeritBundle:
                 return math.inf
             total -= float(np.sum(np.log(f)))
         for term in self.leftovers:
-            slack, value = term.slack_and_barrier(z)
-            if slack <= 0.0:
+            state, _, value = term.evaluate(z)
+            if state is None:
                 return math.inf
             total += value
         return total
@@ -922,50 +917,81 @@ class _MeritBundle:
 class _DenseWorkspace:
     """Newton kernel of a one-block (or widely coupled) problem: one dense solve.
 
-    Every barrier term of the plan is scattered into one ``(k, k)`` Hessian,
-    which gets the trace-scaled Tikhonov term and a dense solve (least
-    squares when the system is singular).  On one small block this beats the
-    arrow machinery of :class:`_StructuredWorkspace`, whose per-iteration
-    fallback it also is.
+    :meth:`evaluate` runs every barrier term of the plan once at a point and
+    returns the term states with the merit; :meth:`direction` builds the
+    gradient and the ``(k, k)`` Hessian from those carried states — it never
+    re-evaluates a slack — adds the trace-scaled Tikhonov term on the
+    diagonal and solves the symmetric positive-definite system with one
+    Cholesky solve (:func:`_spd_solve`).  When the Cholesky fails that step
+    is a least-squares solve instead, counted in ``stats["lstsq_steps"]``;
+    a system with an inf or NaN entry raises
+    :class:`~repro.exceptions.NumericalError` instead.  On one small block
+    this beats the arrow machinery of :class:`_StructuredWorkspace`, whose
+    per-iteration fallback it also is.
     """
 
-    def __init__(self, plan: _StructurePlan, k: int, options: BarrierOptions) -> None:
+    def __init__(
+        self,
+        plan: _StructurePlan,
+        k: int,
+        options: BarrierOptions,
+        stats: Dict[str, float],
+    ) -> None:
         self.plan = plan
         self.k = k
         self.options = options
+        self.stats = stats
+
+    def evaluate(self, z: np.ndarray) -> Tuple[Optional[List[object]], float]:
+        """Per-term states and the barrier value ``φ(z)`` from one pass.
+
+        ``(None, +inf)`` as soon as a term has a non-positive slack.  The
+        linear merit part is handled by the caller in difference form, so
+        only the barrier sum is evaluated here.
+        """
+        states: List[object] = []
+        total = 0.0
+        for term in self.plan.terms:
+            state, _, value = term.evaluate(z)
+            if state is None:
+                return None, math.inf
+            states.append(state)
+            total += value
+        return states, total
 
     def direction(
-        self, z: np.ndarray, grad_objective: np.ndarray
+        self, z: np.ndarray, grad_objective: np.ndarray, states: List[object]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The gradient and Newton direction of ``grad_objective·z + φ(z)``."""
+        """The gradient and Newton direction of ``grad_objective·z + φ(z)``.
+
+        ``states`` is :meth:`evaluate`'s output at ``z``.
+        """
         k = self.k
-        grad_barrier, hess = _accumulate_dense(self.plan.terms, z)
-        grad = grad_objective + grad_barrier
-        hess += self.options.regularization * (1.0 + np.trace(hess) / max(k, 1)) * np.eye(k)
+        grad = np.zeros(k)
+        hess = np.zeros((k, k))
+        for term, state in zip(self.plan.terms, states):
+            g_i, h_i = term.grad_hess(state)
+            if term.support is None:
+                grad += g_i
+                hess += h_i
+            else:
+                grad[term.support] += g_i
+                hess[np.ix_(term.support, term.support)] += h_i
+        grad = grad_objective + grad
+        diagonal = hess.reshape(-1)[:: k + 1]
+        diagonal += self.options.regularization * (1.0 + diagonal.sum() / max(k, 1))
         try:
             # Chaos site: an armed ``newton.linalg`` fault raises the same
             # LinAlgError a singular system would, forcing the lstsq step.
             _maybe_fail("newton.linalg")
-            direction = -np.linalg.solve(hess, grad)
+            direction = -_spd_solve(hess, grad)
         except np.linalg.LinAlgError:
+            if not np.isfinite(hess).all():
+                # LAPACK's least-squares SVD may never return on inf/NaN.
+                raise NumericalError("non-finite Newton system") from None
+            self.stats["lstsq_steps"] += 1
             direction = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         return grad, direction
-
-    def merit(self, z: np.ndarray) -> float:
-        """Barrier value ``φ(z)``; ``+inf`` when any constraint slack is ≤ 0.
-
-        One slack evaluation per term serves both the feasibility check and
-        the barrier value (:meth:`_BarrierTerm.slack_and_barrier`).  The
-        linear merit part is handled by the caller in difference form, so
-        only the barrier sum is evaluated here.
-        """
-        total = 0.0
-        for term in self.plan.terms:
-            slack, value = term.slack_and_barrier(z)
-            if slack <= 0.0:
-                return math.inf
-            total += value
-        return total
 
 
 class _StructuredWorkspace:
@@ -980,7 +1006,8 @@ class _StructuredWorkspace:
     tensors once, so each Newton step assembles the group's ``(B, n)``
     gradient and ``(B, n, n)`` Hessian in a few batched numpy calls, then
     factorises its ``(B, w, w)`` block stack with a single batched Cholesky
-    (the positive-definiteness check) followed by one batched solve.  The
+    (the positive-definiteness check) followed by one batched solve; a group
+    of one takes one Cholesky solve (:func:`_spd_solve`) instead.  The
     per-iteration Python cost therefore scales with the number of groups,
     not with blocks × terms.  Blocks at least ``_SPLU_BLOCK_WIDTH`` wide
     form groups of one whose block is factorised sparsely via
@@ -1039,20 +1066,28 @@ class _StructuredWorkspace:
         self.merit_bundle = _MeritBundle(plan, k)
         self._dense: Optional[_DenseWorkspace] = None
 
-    def merit(self, z: np.ndarray) -> float:
-        return self.merit_bundle.merit(z)
+    def evaluate(self, z: np.ndarray) -> Tuple[None, float]:
+        """The merit ``φ(z)`` through the vectorised bundle; no term states."""
+        return None, self.merit_bundle.merit(z)
 
     def direction(
-        self, z: np.ndarray, grad_objective: np.ndarray
+        self, z: np.ndarray, grad_objective: np.ndarray, states: None = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The arrow direction, or the dense twin's when a factorisation fails."""
+        """The arrow direction, or the dense twin's when a factorisation fails.
+
+        The arrow assembly gathers from ``z`` itself, so ``states`` (always
+        ``None`` here) is unused; the dense twin evaluates its terms afresh.
+        """
         try:
             return self._arrow_direction(z, grad_objective)
         except np.linalg.LinAlgError:
             self.stats["fallback_iterations"] += 1
             if self._dense is None:
-                self._dense = _DenseWorkspace(self.plan, self.k, self.options)
-            return self._dense.direction(z, grad_objective)
+                self._dense = _DenseWorkspace(
+                    self.plan, self.k, self.options, self.stats
+                )
+            dense_states, _ = self._dense.evaluate(z)
+            return self._dense.direction(z, grad_objective, dense_states)
 
     def _arrow_direction(
         self, z: np.ndarray, grad_objective: np.ndarray
@@ -1133,11 +1168,15 @@ class _StructuredWorkspace:
                     raise np.linalg.LinAlgError(str(error)) from error
             else:
                 group.diagonal += reg
-                # Batched Cholesky is the positive-definiteness check (raises
-                # LinAlgError → dense twin); the batched LU solve then
-                # produces all block solutions in one LAPACK call.
-                np.linalg.cholesky(blocks)
-                sol = np.linalg.solve(blocks, R)
+                # A failed Cholesky (the positive-definiteness check) raises
+                # LinAlgError → dense twin.  A group of one is one Cholesky
+                # solve; larger groups run one batched Cholesky, then one
+                # batched LU solve for all block solutions.
+                if group.size == 1:
+                    sol = _spd_solve(blocks[0], R[0])[None]
+                else:
+                    np.linalg.cholesky(blocks)
+                    sol = np.linalg.solve(blocks, R)
             self.stats["block_factorizations"] += group.size
             solved[group.block_index] = sol[:, :, :cols]
             if border:
@@ -1210,22 +1249,15 @@ class BarrierSolver:
                 message="equality constraints are inconsistent",
             )
 
-        #: Structured-kernel accounting shared by every workspace of this
-        #: solve (phase I and phase II); reset per solve.
-        self._sparse_stats = {
-            "assembly_time": 0.0,
-            "factorization_time": 0.0,
-            "schur_time": 0.0,
-            "block_factorizations": 0,
-            "fallback_iterations": 0,
-        }
+        #: Newton-kernel accounting shared by every workspace of this solve
+        #: (phase I and phase II); reset per solve.
+        self._kernel_stats = _kernel_stats()
         structured = self._structure_enabled(reduced)
         pieces = self._reduced_pieces(problem, reduced)
         plan = self._phase_two_plan(pieces, reduced)
         workspace = self._workspace(plan, reduced.dimension, structured)
-        terms = plan.terms
         c_reduced = reduced.reduce_direction(problem.c)
-        total_constraints = sum(term.count for term in terms)
+        total_constraints = sum(term.count for term in plan.terms)
 
         if total_constraints == 0:
             # Unconstrained affine minimisation: bounded only if c == 0.
@@ -1268,7 +1300,7 @@ class BarrierSolver:
             "centering_time": 0.0,
         }
         if z_feasible is None:
-            self._attach_sparse_stats(stats, problem, structured)
+            self._attach_kernel_stats(stats, problem, structured)
             self._record_metrics(stats, optimal=False)
             return Solution(
                 status=SolverStatus.INFEASIBLE,
@@ -1286,7 +1318,7 @@ class BarrierSolver:
             phase1["skipped"]
             and z_interior is not None
             and not np.array_equal(z_interior, z_feasible)
-            and all(term.slack(z_interior) > 0.0 for term in terms)
+            and workspace.evaluate(z_interior)[1] < math.inf
         ):
             z_start = z_interior
 
@@ -1301,7 +1333,7 @@ class BarrierSolver:
         stats["outer_iterations"] = int(result.outer)
         stats["nonconverged_rungs"] = int(result.nonconverged_rungs)
         stats["final_barrier"] = float(result.final_barrier)
-        self._attach_sparse_stats(stats, problem, structured)
+        self._attach_kernel_stats(stats, problem, structured)
         x_opt = reduced.lift(result.z)
         objective = problem.objective_value(x_opt)
 
@@ -1328,32 +1360,35 @@ class BarrierSolver:
         return solution
 
     # -- telemetry ------------------------------------------------------------
-    def _attach_sparse_stats(
+    def _attach_kernel_stats(
         self,
         stats: Dict[str, object],
         problem: CompiledProblem,
         structured: bool,
     ) -> None:
-        """Fold this solve's sparse-backend accounting into its stats dict.
+        """Fold this solve's Newton-kernel accounting into its stats dict.
 
-        ``sparse_nnz`` (constraint-matrix nonzeros) is reported for every
+        ``sparse_nnz`` (constraint-matrix nonzeros) and ``lstsq_steps``
+        (dense Newton directions that fell back to least squares, the
+        structured kernel's dense twin included) are reported for every
         solve; the assembly/factorisation/Schur time split, the
         block-factorisation count, the dense-fallback count and the
         pieces-cache reuse flag only exist for the structured kernel.
         """
+        kernel = self._kernel_stats
         stats["sparse_nnz"] = int(problem.constraint_nnz)
+        stats["lstsq_steps"] = int(kernel["lstsq_steps"])
         if not structured:
             return
-        sparse = self._sparse_stats
         # Directions the structured kernel handed to its dense twin because
         # a block factorisation failed (0 in the common case).
         stats["structured_fallback_iterations"] = int(
-            sparse["fallback_iterations"]
+            kernel["fallback_iterations"]
         )
-        stats["assembly_time"] = float(sparse["assembly_time"])
-        stats["factorization_time"] = float(sparse["factorization_time"])
-        stats["schur_time"] = float(sparse["schur_time"])
-        stats["block_factorizations"] = int(sparse["block_factorizations"])
+        stats["assembly_time"] = float(kernel["assembly_time"])
+        stats["factorization_time"] = float(kernel["factorization_time"])
+        stats["schur_time"] = float(kernel["schur_time"])
+        stats["block_factorizations"] = int(kernel["block_factorizations"])
         stats["pieces_cache_reused"] = bool(self._pieces_cache_hit)
 
     def _record_metrics(self, stats: Dict[str, object], optimal: bool) -> None:
@@ -1398,6 +1433,9 @@ class BarrierSolver:
             registry.counter("solver.block_factorizations").inc(
                 float(stats.get("block_factorizations", 0))
             )
+        registry.counter("solver.lstsq_steps").inc(
+            float(stats.get("lstsq_steps", 0))
+        )
         registry.histogram("solver.newton_iterations").observe(
             float(stats.get("newton_iterations", 0))
         )
@@ -1488,8 +1526,8 @@ class BarrierSolver:
     ) -> Union[_DenseWorkspace, _StructuredWorkspace]:
         """The Newton kernel for ``plan`` over ``k`` coordinates."""
         if structured:
-            return _StructuredWorkspace(plan, k, self.options, self._sparse_stats)
-        return _DenseWorkspace(plan, k, self.options)
+            return _StructuredWorkspace(plan, k, self.options, self._kernel_stats)
+        return _DenseWorkspace(plan, k, self.options, self._kernel_stats)
 
     def _reduced_pieces(
         self, problem: CompiledProblem, reduced: _ReducedProblem
@@ -1848,14 +1886,17 @@ class BarrierSolver:
 
         The rung schedule starts at ``initial_barrier`` and grows by
         ``barrier_increase`` until the ``m/t`` gap bound meets the tolerance.
+        The feasibility check of ``z0`` is also the first rung's evaluation,
+        and every rung starts from the previous rung's last accepted point
+        and its carried evaluation.
         """
         opts = self.options
         tolerance = opts.tolerance if gap_tolerance is None else gap_tolerance
-        terms = workspace.plan.terms
-        m = sum(term.count for term in terms)
+        m = sum(term.count for term in workspace.plan.terms)
         z = np.asarray(z0, dtype=float).copy()
 
-        if any(term.slack(z) <= 0.0 for term in terms):
+        states, phi = workspace.evaluate(z)
+        if phi == math.inf:
             # The caller is responsible for strict feasibility of z0.
             return _CenteringResult(
                 z, SolverStatus.NUMERICAL_ERROR, 0, 0, opts.initial_barrier
@@ -1871,8 +1912,8 @@ class BarrierSolver:
         while outer < opts.max_outer_iterations:
             outer += 1
             with obs_span("rung") as rung_span:
-                z, newton, converged = self._newton_minimise(
-                    c, workspace, z, t_barrier, early_stop
+                z, states, phi, newton, converged = self._newton_minimise(
+                    c, workspace, z, states, phi, t_barrier, early_stop
                 )
                 rung_span.set(
                     barrier=float(t_barrier),
@@ -1909,56 +1950,57 @@ class BarrierSolver:
         c: np.ndarray,
         workspace: Union[_DenseWorkspace, _StructuredWorkspace],
         z: np.ndarray,
+        states: object,
+        phi: float,
         t_barrier: float,
         early_stop=None,
-    ) -> Tuple[np.ndarray, int, bool]:
+    ) -> Tuple[np.ndarray, object, float, int, bool]:
         """Damped Newton minimisation of ``t_barrier·c·z + Σ −log(slack_i)``.
 
-        The workspace's kernel supplies each Newton direction and the merit.
-        The backtracking line search evaluates each trial point's slacks
-        exactly once (the merit folds the strict-feasibility check and the
-        barrier value into one pass, and the accepted value is carried into
-        the next iteration), and compares merit *differences* rather than
-        absolute merits: the linear part of the merit is ``t_barrier·cᵀz`` —
-        at the final barrier rungs its magnitude dwarfs the per-step
-        improvement, so the absolute comparison drowns in floating-point
-        cancellation and the centering stalls short of its decrement target.
-        The difference form ``t·step·(cᵀd) + Δφ`` is cancellation-free.
+        ``states`` and ``phi`` are ``workspace.evaluate(z)``.  The
+        workspace's kernel supplies each Newton direction from the carried
+        states of the current point, so each trial point of the
+        backtracking line search is evaluated exactly once: that one
+        evaluation folds the strict-feasibility check, the barrier value and
+        the term states together, and the accepted trial's states and merit
+        become the next iteration's.  The line search compares merit
+        *differences* rather than absolute merits: the linear part of the
+        merit is ``t_barrier·cᵀz`` — at the final barrier rungs its
+        magnitude dwarfs the per-step improvement, so the absolute
+        comparison drowns in floating-point cancellation and the centering
+        stalls short of its decrement target.  The difference form
+        ``t·step·(cᵀd) + Δφ`` is cancellation-free.
 
-        Returns the final point, the number of Newton iterations spent, and
-        whether the run converged (met its decrement target or stalled in the
-        line search) rather than exhausting the iteration budget.
+        Returns the final point with its states and merit, the number of
+        Newton iterations spent, and whether the run converged (met its
+        decrement target or stalled in the line search) rather than
+        exhausting the iteration budget.
         """
         opts = self.options
-        current_phi: Optional[float] = None
         for iteration in range(opts.max_newton_iterations):
-            grad, direction = workspace.direction(z, t_barrier * c)
+            grad, direction = workspace.direction(z, t_barrier * c, states)
             decrement = float(-grad @ direction)
             if decrement / 2.0 <= opts.newton_tolerance * max(1.0, t_barrier):
-                return z, iteration, True
+                return z, states, phi, iteration, True
 
             # Backtracking line search maintaining strict feasibility; an
             # infeasible trial point has barrier value +inf and is rejected
-            # by the sufficient-decrease test without a second slack
-            # evaluation.
-            if current_phi is None:
-                current_phi = workspace.merit(z)
+            # by the sufficient-decrease test.
             linear_slope = t_barrier * float(c @ direction)
             step = 1.0
             while step > 1e-14:
                 candidate = z + step * direction
-                candidate_phi = workspace.merit(candidate)
-                delta = step * linear_slope + (candidate_phi - current_phi)
+                candidate_states, candidate_phi = workspace.evaluate(candidate)
+                delta = step * linear_slope + (candidate_phi - phi)
                 if delta <= -opts.line_search_alpha * step * decrement:
                     break
                 step *= opts.line_search_beta
             else:
-                return z, iteration + 1, True
-            z = candidate
-            current_phi = candidate_phi
+                return z, states, phi, iteration + 1, True
+            z, states, phi = candidate, candidate_states, candidate_phi
             if early_stop is not None and early_stop(z):
-                return z, iteration + 1, True
-        return z, opts.max_newton_iterations, False
+                return z, states, phi, iteration + 1, True
+        return z, states, phi, opts.max_newton_iterations, False
 
 
 def solve_with_barrier(

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,39 @@ class TestAllocateCommand:
             )
             == EXIT_OK
         )
+
+
+_ALLOCATE_IMPORTS = """
+import sys
+from repro.cli import main
+
+assert main(["allocate", sys.argv[1], "--stats"]) == 0
+loaded = sorted(
+    name for name in sys.modules
+    if name.startswith(("repro.batch", "repro.experiments"))
+    or name == "repro.core.admission"
+)
+print("loaded:", ",".join(loaded))
+"""
+
+
+def test_allocate_loads_no_batch_admission_or_experiment_module(config_path):
+    """A single allocation imports the leaf modules it needs only: the batch
+    engine, admission control and the experiment drivers stay unloaded."""
+    environment = dict(os.environ)
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, environment.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _ALLOCATE_IMPORTS, config_path],
+        capture_output=True,
+        text=True,
+        env=environment,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "loaded: "
 
 
 class TestAllocateStatsFlag:

@@ -181,14 +181,18 @@ class TestChaosScenarios:
 
     def test_linalg_fault_degrades_to_the_dense_newton_step(self):
         """An injected factorisation failure in the dense kernel (a single
-        configuration) is absorbed by its least-squares step: the site fires
-        and the solve still lands on the optimum."""
+        configuration) is absorbed by its least-squares step: the site fires,
+        the step is counted (solve stat and registry counter) and the solve
+        still lands on the optimum."""
         video = chain_configuration(stages=2)
         baseline = JointAllocator(options=options()).allocate(video)
+        assert baseline.solver_info["solve_stats"]["lstsq_steps"] == 0
         plan = FaultPlan(seed=7).arm("newton.linalg", "linalg-error", nth=1)
-        with armed(plan):
+        with obs.capture() as captured, armed(plan):
             perturbed = JointAllocator(options=options()).allocate(video)
         assert plan.fired("newton.linalg") == 1
+        assert perturbed.solver_info["solve_stats"]["lstsq_steps"] > 0
+        assert captured.metrics["solver.lstsq_steps"]["value"] > 0
         assert perturbed.objective_value == pytest.approx(
             baseline.objective_value, abs=1e-6
         )
@@ -212,6 +216,30 @@ class TestChaosScenarios:
         stats = perturbed.solver_info["solve_stats"]
         assert stats["structured"] is True
         assert stats["structured_fallback_iterations"] >= 1
+        assert stats["lstsq_steps"] == 0
+        assert perturbed.objective_value == pytest.approx(
+            baseline.objective_value, abs=1e-6
+        )
+
+    def test_lstsq_step_inside_the_dense_twin_is_counted(self):
+        """Two consecutive injected failures: the block factorisation hands
+        the iteration to the dense twin, whose Cholesky then fails too — the
+        twin's least-squares step counts in ``lstsq_steps``."""
+        workload = Workload(chain_configuration(stages=2).platform, name="duo")
+        workload.add_application("video", chain_configuration(stages=2))
+        workload.add_application(
+            "audio", chain_configuration(stages=2, period=20.0)
+        )
+        baseline = JointAllocator(options=options()).allocate_workload(workload)
+        plan = FaultPlan(seed=7).arm("newton.linalg", "linalg-error", nth=1, times=2)
+        with armed(plan):
+            perturbed = JointAllocator(options=options()).allocate_workload(
+                workload
+            )
+        assert plan.fired("newton.linalg") == 2
+        stats = perturbed.solver_info["solve_stats"]
+        assert stats["structured_fallback_iterations"] == 1
+        assert stats["lstsq_steps"] == 1
         assert perturbed.objective_value == pytest.approx(
             baseline.objective_value, abs=1e-6
         )

@@ -286,14 +286,9 @@ def workload_plans(seed):
 
 
 def structured_workspace(plan, k):
-    stats = {
-        "assembly_time": 0.0,
-        "factorization_time": 0.0,
-        "schur_time": 0.0,
-        "block_factorizations": 0,
-        "fallback_iterations": 0,
-    }
-    return barrier._StructuredWorkspace(plan, k, barrier.BarrierOptions(), stats)
+    return barrier._StructuredWorkspace(
+        plan, k, barrier.BarrierOptions(), barrier._kernel_stats()
+    )
 
 
 def stacked_assembly(workspace, z):
@@ -309,6 +304,20 @@ def stacked_assembly(workspace, z):
     return grad, hess
 
 
+def per_term_assembly(terms, z, k):
+    """Reference gradient and Hessian: each term evaluated on its own at
+    ``z`` and scattered through its support."""
+    grad, hess = np.zeros(k), np.zeros((k, k))
+    for term in terms:
+        state, smallest, _ = term.evaluate(z)
+        assert smallest > 0.0
+        g_i, h_i = term.grad_hess(state)
+        support = np.arange(k) if term.support is None else term.support
+        grad[support] += g_i
+        hess[np.ix_(support, support)] += h_i
+    return grad, hess
+
+
 def relative(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
@@ -319,13 +328,16 @@ def assert_stacked_matches_dense(plan, k, z):
     workspace = structured_workspace(plan, k)
     block_terms = [term for terms in plan.block_terms for term in terms]
     grad, hess = stacked_assembly(workspace, z)
-    grad_ref, hess_ref = barrier._accumulate_dense(block_terms, z)
+    grad_ref, hess_ref = per_term_assembly(block_terms, z, k)
     assert relative(grad, grad_ref) <= 1e-12
     assert relative(hess, hess_ref) <= 1e-12
     grad_objective = np.random.default_rng(0).standard_normal(k)
-    dense = barrier._DenseWorkspace(plan, k, barrier.BarrierOptions())
+    dense = barrier._DenseWorkspace(
+        plan, k, barrier.BarrierOptions(), barrier._kernel_stats()
+    )
     g_s, d_s = workspace.direction(z, grad_objective)
-    g_d, d_d = dense.direction(z, grad_objective)
+    g_d, d_d = dense.direction(z, grad_objective, dense.evaluate(z)[0])
+    assert dense.stats["lstsq_steps"] == 0
     assert workspace.stats["fallback_iterations"] == 0
     assert relative(g_s, g_d) <= 1e-12
     assert relative(d_s, d_d) <= 1e-10
