@@ -24,9 +24,9 @@ Actions
     Raise :class:`repro.exceptions.NumericalError` (a solver blow-up).
 ``linalg-error``
     Raise :class:`numpy.linalg.LinAlgError` (a factorisation failure inside
-    a Newton iteration; at ``newton.linalg`` the dense kernel then takes a
-    least-squares step and the structured kernel hands the iteration to its
-    dense twin).
+    a Newton iteration; at ``newton.linalg`` a failed arrow factorisation
+    hands the iteration to a dense step on the assembled system, and a
+    failed dense Cholesky takes a least-squares step).
 ``oserror``
     Raise :class:`OSError` (a failed journal/cache write).
 ``exit``

@@ -18,14 +18,15 @@ Barrier terms used (all standard self-concordant barriers):
 * hyperbolic ``p(x)·q(x) ≥ w``:  ``−log(p·q − w)`` on the branch ``p, q > 0``
 * SOC ``‖u(x)‖ ≤ v(x)``:         ``−log(v² − ‖u‖²)`` on the branch ``v > 0``
 
-Each family is evaluated as a *vectorised block* (one stacked matrix per
-family, SOC cones batched by norm dimension) so that slack checks, barrier
-values and the Newton system assembly are BLAS calls rather than Python
-loops over individual constraints.  A term's :meth:`~_BarrierTerm.evaluate`
-returns its slack *state* along with the feasibility check and the barrier
-value, and :meth:`~_BarrierTerm.grad_hess` builds the gradient and Hessian
-from that state, so the Newton loop evaluates every line-search trial point
-exactly once: the accepted trial's state is carried into the next
+Each family is built as a *vectorised term* (one stacked matrix per family,
+SOC cones batched by norm dimension).  A term's
+:meth:`~_BarrierTerm.evaluate` returns its slack *state* along with the
+feasibility check and the barrier value, and :meth:`~_BarrierTerm.grad_hess`
+builds the gradient and Hessian from that state; these per-term methods are
+the reference the Newton kernel is tested against.  The kernel itself stacks
+the terms of equal-shaped blocks into padded tensors (see below) and keeps
+the same split: the Newton loop evaluates every line-search trial point
+exactly once, and the accepted trial's state is carried into the next
 direction.
 
 Equality constraints are eliminated up front by restricting the search to an
@@ -58,20 +59,20 @@ arrow-structured, and the solver exploits it:
 Every solve runs this one pipeline.  A program compiled without a block
 structure is solved as a single block, so term building, equality
 elimination, phase I, the phase-II start choice and the Newton loop each
-exist once.  Only the *kernel* that computes a Newton direction differs, and the
-solver picks it from the input, never from an option:
+exist once, and one kernel, :class:`_StructuredWorkspace`, computes every
+Newton direction.  Only the final linear solve follows the plan, never an
+option:
 
-* :class:`_StructuredWorkspace` (block factorisations + Schur complement)
-  for problems with two or more blocks and narrow coupling;
-* :class:`_DenseWorkspace` (one dense assembly from the carried term
-  states and one Cholesky solve, with a least-squares step when the
-  Cholesky fails) otherwise — on a single small block it is faster than
-  the arrow machinery.  It is also the structured kernel's per-iteration
-  fallback when a block factorisation fails.
+* a plan with one block, no border and no coupling — every one-block
+  program, phase I included, since there ``t`` is simply the block's last
+  coordinate — solves its assembled block with one Cholesky solve;
+* every other plan takes the arrow solve (block factorisations + Schur
+  complements).
 
-Both kernels see the same barrier terms, so they return the same optimum to
-solver tolerance.  The equality-elimination result is cached on the
-compiled problem
+When a factorisation of the arrow solve fails, that iteration takes one
+dense step on the assembled ``k×k`` system; when a ``k×k`` Cholesky fails,
+the step is a least-squares solve.  The equality-elimination result is
+cached on the compiled problem
 (:attr:`~repro.solver.problem.CompiledProblem.elimination_cache`), so
 warm-started parametric re-solves pay for the factorisations exactly once.
 
@@ -88,15 +89,14 @@ The structured path is built to scale to hundreds of applications:
   projecting and warm-starting are blockwise, never O(n·k) dense products;
 * each centering run owns a :class:`_StructuredWorkspace` with preallocated
   right-hand-side/solution buffers; blocks of equal width and term kinds
-  form a :class:`_BlockGroup` whose terms are stacked into padded tensors,
-  so each Newton step assembles a group's gradients and Hessian blocks in
-  a few batched numpy calls and factorises them in *batched* LAPACK calls
-  (one batched Cholesky for the positive-definiteness check, one batched
-  solve), while blocks at least ``_SPLU_BLOCK_WIDTH`` wide form groups of
-  one that go through a sparse ``splu`` factorisation instead;
-* the line-search merit is evaluated through one CSR matrix per constraint
-  family spanning all blocks (a few sparse matvecs per trial point instead
-  of a Python loop over per-block terms).
+  form a :class:`_BlockGroup` whose terms are stacked into padded tensors
+  — all of a group's affine rows in one ``(B, R, n)`` tensor, so a
+  line-search trial costs one batched matvec per group, and each Newton
+  step assembles a group's gradients and Hessian blocks from the carried
+  states in a few batched numpy calls and factorises them in *batched*
+  LAPACK calls (one batched Cholesky for the positive-definiteness check,
+  one batched solve), while blocks at least ``_SPLU_BLOCK_WIDTH`` wide form
+  groups of one that go through a sparse ``splu`` factorisation instead.
 
 Per-iteration cost is therefore linear in the number of applications; the
 ``benchmarks/test_bench_block_newton.py`` scaling curve pins this.
@@ -107,7 +107,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse as _sp
@@ -148,8 +148,8 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     One LAPACK Cholesky solve (``dposv``) up to ``_DPOSV_MAX_WIDTH``
     columns; wider systems take numpy's Cholesky as the check and its LU
     solve.  Raises :class:`numpy.linalg.LinAlgError` when the matrix is not
-    positive definite, which the dense kernel catches for its least-squares
-    step and the structured kernel to fall back to the dense one.
+    positive definite: a ``k×k`` system then takes a least-squares step, an
+    arrow block the dense step.
     """
     width = matrix.shape[0]
     if width == 0:
@@ -376,110 +376,173 @@ def _cone_blocks(
 
 
 def _batched_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M[j] @ x[j]`` for every batch row ``j`` of a ``(B, r, n)`` stack."""
+    """``M[j] @ x[j]`` for every batch row ``j`` of a ``(B, r, n)`` stack
+    (or ``M @ x`` for an unbatched one)."""
+    if x.ndim == 1:
+        return M @ x
     return np.matmul(M, x[:, :, None])[:, :, 0]
 
 
-class _LinearStack:
-    """The ``_LinearBlock`` terms of a block group as one padded tensor.
+def _members(array: np.ndarray) -> np.ndarray:
+    """``array`` without its member axis when it has one member.
 
-    Member ``j``'s rows fill ``G[j, :count]``; padding rows are ``0·x ≤ 1``
-    (slack 1), so they add exact zeros to the gradient and Hessian.
+    The stack math is written for both ranks, and a group of one — every
+    one-block program — then runs plain 2-D numpy calls, which cost less
+    than their batched forms.
+    """
+    return array[0] if array.shape[0] == 1 else array
+
+
+class _LinearStack:
+    """The ``_LinearBlock`` terms of a block group, padded to one row count.
+
+    ``G`` is a view into the group's row tensor: member ``j``'s rows fill
+    ``G[j, :count]``; padding rows are ``0·x ≤ 1`` (slack 1), so they add
+    exact zeros to the gradient and Hessian.  The state is the slack stack.
     """
 
-    def __init__(self, terms: Sequence[_LinearBlock], n: int) -> None:
-        rows = max(term.count for term in terms)
-        self.G = np.zeros((len(terms), rows, n))
-        self.h = np.ones((len(terms), rows))
-        for j, term in enumerate(terms):
-            self.G[j, : term.count] = term.G
-            self.h[j, : term.count] = term.h
-        self.Gt = self.G.transpose(0, 2, 1)
+    @staticmethod
+    def height(terms: Sequence[_LinearBlock]) -> int:
+        return max(term.count for term in terms)
 
-    def grad_hess(self, zb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        inv = 1.0 / (self.h - _batched_matvec(self.G, zb))
+    def __init__(
+        self, terms: Sequence[_LinearBlock], rows: np.ndarray, start: int
+    ) -> None:
+        height = self.height(terms)
+        self.span = slice(start, start + height)
+        G = rows[:, self.span]
+        h = np.ones((len(terms), height))
+        for j, term in enumerate(terms):
+            G[j, : term.count] = term.G
+            h[j, : term.count] = term.h
+        self.G, self.h = _members(G), _members(h)
+        self.Gt = self.G.swapaxes(-1, -2)
+
+    def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
+        s = self.h - values[..., self.span]
+        if not s.min() > 0.0:
+            return None, math.inf
+        return s, -float(np.log(s).sum())
+
+    def grad_hess(self, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        inv = 1.0 / s
         grad = _batched_matvec(self.Gt, inv)
-        hess = np.matmul(self.Gt * (inv * inv)[:, None, :], self.G)
+        hess = np.matmul(self.Gt * (inv * inv)[..., None, :], self.G)
         return grad, hess
 
 
 class _HyperbolicStack:
-    """The ``_HyperbolicBlock`` terms of a block group as padded tensors.
+    """The ``_HyperbolicBlock`` terms of a block group, padded.
 
-    Padding rows are ``(0·x + 1)(0·x + 1) ≥ 0`` (slack 1, zero gradient and
-    Hessian).
+    ``P`` and ``Q`` are views into the group's row tensor.  Padding rows are
+    ``(0·x + 1)(0·x + 1) ≥ 0`` (slack 1, zero gradient and Hessian).  The
+    state is the triple ``(p, q, p·q − w)``.
     """
 
-    def __init__(self, terms: Sequence[_HyperbolicBlock], n: int) -> None:
-        rows = max(term.count for term in terms)
-        shape = (len(terms), rows)
-        self.P = np.zeros(shape + (n,))
-        self.Q = np.zeros(shape + (n,))
-        self.p0 = np.ones(shape)
-        self.q0 = np.ones(shape)
-        self.w = np.zeros(shape)
-        for j, term in enumerate(terms):
-            count = term.count
-            self.P[j, :count] = term.P
-            self.Q[j, :count] = term.Q
-            self.p0[j, :count] = term.p0
-            self.q0[j, :count] = term.q0
-            self.w[j, :count] = term.w
-        self.Pt = self.P.transpose(0, 2, 1)
+    @staticmethod
+    def height(terms: Sequence[_HyperbolicBlock]) -> int:
+        return 2 * max(term.count for term in terms)
 
-    def grad_hess(self, zb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        pv = _batched_matvec(self.P, zb) + self.p0
-        qv = _batched_matvec(self.Q, zb) + self.q0
-        inv = 1.0 / (pv * qv - self.w)
+    def __init__(
+        self, terms: Sequence[_HyperbolicBlock], rows: np.ndarray, start: int
+    ) -> None:
+        count = self.height(terms) // 2
+        self.p_span = slice(start, start + count)
+        self.q_span = slice(start + count, start + 2 * count)
+        P, Q = rows[:, self.p_span], rows[:, self.q_span]
+        shape = (len(terms), count)
+        p0, q0, w = np.ones(shape), np.ones(shape), np.zeros(shape)
+        for j, term in enumerate(terms):
+            used = term.count
+            P[j, :used] = term.P
+            Q[j, :used] = term.Q
+            p0[j, :used] = term.p0
+            q0[j, :used] = term.q0
+            w[j, :used] = term.w
+        self.P, self.Q = _members(P), _members(Q)
+        self.p0, self.q0, self.w = _members(p0), _members(q0), _members(w)
+        self.Pt = self.P.swapaxes(-1, -2)
+
+    def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
+        pv = values[..., self.p_span] + self.p0
+        qv = values[..., self.q_span] + self.q0
+        if pv.min() <= 0.0 or qv.min() <= 0.0:
+            return None, math.inf  # off the positive branch
+        f = pv * qv - self.w
+        if not f.min() > 0.0:
+            return None, math.inf
+        return (pv, qv, f), -float(np.log(f).sum())
+
+    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        pv, qv, f = state
+        inv = 1.0 / f
         # Same algebra as _HyperbolicBlock.grad_hess, one member per batch row.
-        Gf = self.P * qv[:, :, None] + self.Q * pv[:, :, None]
-        Gft = Gf.transpose(0, 2, 1)
+        Gf = self.P * qv[..., None] + self.Q * pv[..., None]
+        Gft = Gf.swapaxes(-1, -2)
         grad = -_batched_matvec(Gft, inv)
-        hess = np.matmul(Gft * (inv * inv)[:, None, :], Gf)
-        PQ = np.matmul(self.Pt * inv[:, None, :], self.Q)
-        hess -= PQ + PQ.transpose(0, 2, 1)
+        hess = np.matmul(Gft * (inv * inv)[..., None, :], Gf)
+        PQ = np.matmul(self.Pt * inv[..., None, :], self.Q)
+        hess -= PQ + PQ.swapaxes(-1, -2)
         return grad, hess
 
 
 class _ConeStack:
     """The ``_ConeBlock`` terms (one norm dimension) of a block group, padded.
 
-    Padding cones are ``‖0·x + 0‖ ≤ 0·x + 1`` (slack 1, zero gradient and
-    Hessian).
+    The flattened ``A`` rows and the ``C`` rows are views into the group's
+    row tensor.  Padding cones are ``‖0·x + 0‖ ≤ 0·x + 1`` (slack 1, zero
+    gradient and Hessian).  The state is the triple ``(u, v, v² − ‖u‖²)``.
     """
 
-    def __init__(self, terms: Sequence[_ConeBlock], n: int) -> None:
-        rows = max(term.count for term in terms)
-        dim = terms[0].A.shape[1]
-        shape = (len(terms), rows)
-        self.A = np.zeros(shape + (dim, n))
-        self.b = np.zeros(shape + (dim,))
-        self.C = np.zeros(shape + (n,))
-        self.d = np.ones(shape)
-        for j, term in enumerate(terms):
-            count = term.count
-            self.A[j, :count] = term.A
-            self.b[j, :count] = term.b
-            self.C[j, :count] = term.C
-            self.d[j, :count] = term.d
-        self.dim = dim
-        self.A_flat = self.A.reshape(len(terms), rows * dim, n)
-        self.A_flat_t = self.A_flat.transpose(0, 2, 1)
-        self.Ct = self.C.transpose(0, 2, 1)
+    @staticmethod
+    def height(terms: Sequence[_ConeBlock]) -> int:
+        return max(term.count for term in terms) * (terms[0].A.shape[1] + 1)
 
-    def grad_hess(self, zb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        u = _batched_matvec(self.A_flat, zb).reshape(self.b.shape) + self.b
-        v = _batched_matvec(self.C, zb) + self.d
-        inv = 1.0 / (v * v - np.einsum("brm,brm->br", u, u))
+    def __init__(
+        self, terms: Sequence[_ConeBlock], rows: np.ndarray, start: int
+    ) -> None:
+        dim = terms[0].A.shape[1]
+        count = self.height(terms) // (dim + 1)
+        size, _, n = rows.shape
+        self.a_span = slice(start, start + count * dim)
+        self.c_span = slice(start + count * dim, start + count * (dim + 1))
+        A_flat, C = rows[:, self.a_span], rows[:, self.c_span]
+        A = A_flat.reshape(size, count, dim, n)
+        b, d = np.zeros((size, count, dim)), np.ones((size, count))
+        for j, term in enumerate(terms):
+            used = term.count
+            A[j, :used] = term.A
+            b[j, :used] = term.b
+            C[j, :used] = term.C
+            d[j, :used] = term.d
+        self.A_flat, self.A, self.C = _members(A_flat), _members(A), _members(C)
+        self.b, self.d = _members(b), _members(d)
+        self.dim = dim
+        self.A_flat_t = self.A_flat.swapaxes(-1, -2)
+        self.Ct = self.C.swapaxes(-1, -2)
+
+    def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
+        u = values[..., self.a_span].reshape(self.b.shape) + self.b
+        v = values[..., self.c_span] + self.d
+        if v.min() <= 0.0:
+            return None, math.inf  # off the positive branch
+        f = v * v - np.einsum("...rm,...rm->...r", u, u)
+        if not f.min() > 0.0:
+            return None, math.inf
+        return (u, v, f), -float(np.log(f).sum())
+
+    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        u, v, f = state
+        inv = 1.0 / f
         # Same algebra as _ConeBlock.grad_hess, one member per batch row.
-        Au = np.matmul(u[:, :, None, :], self.A)[:, :, 0, :]
-        Gf = 2.0 * (self.C * v[:, :, None] - Au)
-        Gft = Gf.transpose(0, 2, 1)
+        Au = np.matmul(u[..., None, :], self.A)[..., 0, :]
+        Gf = 2.0 * (self.C * v[..., None] - Au)
+        Gft = Gf.swapaxes(-1, -2)
         grad = -_batched_matvec(Gft, inv)
-        hess = np.matmul(Gft * (inv * inv)[:, None, :], Gf)
-        hess -= 2.0 * np.matmul(self.Ct * inv[:, None, :], self.C)
-        per_row = np.repeat(inv, self.dim, axis=1)
-        hess += 2.0 * np.matmul(self.A_flat_t * per_row[:, None, :], self.A_flat)
+        hess = np.matmul(Gft * (inv * inv)[..., None, :], Gf)
+        hess -= 2.0 * np.matmul(self.Ct * inv[..., None, :], self.C)
+        per_row = np.repeat(inv, self.dim, axis=-1)
+        hess += 2.0 * np.matmul(self.A_flat_t * per_row[..., None, :], self.A_flat)
         return grad, hess
 
 
@@ -499,12 +562,16 @@ def _term_signature(terms: Sequence[_BarrierTerm]) -> Tuple[Tuple[type, int], ..
 
 
 class _BlockGroup:
-    """Blocks of equal width and term signature, assembled as one batch.
+    """Blocks of equal width and term signature, evaluated and assembled as one batch.
 
     Each member contributes one row of every stacked tensor; ``index[j]``
     gathers member ``j``'s coordinates (its block followed by the border)
-    from the solver vector, so one :meth:`assemble` call builds the
-    ``(B, n)`` gradient and ``(B, n, n)`` Hessian stacks of all members.
+    from the solver vector.  All stacks' affine rows live in one ``(B, R,
+    n)`` tensor, :attr:`rows` (the stacks hold views into it), so
+    :meth:`evaluate` costs one batched matvec per trial point, and
+    :meth:`assemble` builds the ``(B, n)`` gradient and ``(B, n, n)`` Hessian
+    stacks of all members from the states it returned.  A group of one drops
+    the member axis of its stack tensors (:func:`_members`).
     """
 
     def __init__(
@@ -522,32 +589,65 @@ class _BlockGroup:
         self.index = np.array(
             [np.r_[slc.start : slc.stop, k - border : k] for slc in slices],
             dtype=np.intp,
+        ).reshape(self.size, n)
+        #: the members' block coordinates, one row per member; for a group of
+        #: one a basic slice, so reading and writing them makes no copy
+        self.block_index = (
+            (None, slices[0]) if self.size == 1 else self.index[:, :width]
         )
-        #: the members' block coordinates, one row per member
-        self.block_index = self.index[:, :width]
-        self.stacks = [
-            _STACKS[type(slot[0])](slot, n) for slot in zip(*block_terms)
-        ]
+        slots = [(_STACKS[type(slot[0])], slot) for slot in zip(*block_terms)]
+        height = sum(stack.height(slot) for stack, slot in slots)
+        rows = np.zeros((self.size, height, n))
+        self.stacks = []
+        start = 0
+        for stack, slot in slots:
+            self.stacks.append(stack(slot, rows, start))
+            start += stack.height(slot)
+        self.rows = _members(rows)
+        #: gathers the members' coordinates (border included) from ``z``
+        self.gather = _members(self.index)
         #: sparse LU instead of the batched Cholesky (always a group of one)
         self.splu = width >= _SPLU_BLOCK_WIDTH
         self.grad = np.empty((self.size, n))
         self.hess = np.empty((self.size, n, n))
-        #: strided view of the block diagonals ``hess[:, i, i]``, ``i < width``
-        self.diagonal = self.hess.reshape(self.size, n * n)[:, : width * (n + 1) : n + 1]
+        #: views of the two without the member axis of a group of one, which
+        #: :meth:`assemble` accumulates into at the cost of plain 2-D calls
+        self._grad_sum, self._hess_sum = _members(self.grad), _members(self.hess)
+        diagonals = _members(self.hess.reshape(self.size, n * n)[:, :: n + 1])
+        #: strided view of every diagonal entry ``hess[:, i, i]``
+        self.trace = diagonals
+        #: the block part of it, ``i < width``
+        self.diagonal = diagonals[..., :width]
         #: per-member right-hand sides ``[gradient | Gcᵀ rows | Hessian border
         #: columns]``; the coupling columns are constant, written once here
         self.rhs = np.empty((self.size, width, cols + border))
         self.rhs[:, :, :cols] = rhs[self.block_index]
 
-    def assemble(self, z: np.ndarray) -> None:
-        """Fill :attr:`grad` and :attr:`hess` at ``z`` (border included)."""
-        zb = z[self.index]
-        self.grad.fill(0.0)
-        self.hess.fill(0.0)
+    def evaluate(self, z: np.ndarray) -> Tuple[Optional[List[object]], float]:
+        """Per-stack states and the members' summed barrier value at ``z``.
+
+        ``(None, +inf)`` as soon as a stack has a non-positive (or NaN)
+        slack: an infeasible point's slacks never reach ``log`` or ``1/s``.
+        """
+        values = _batched_matvec(self.rows, z[self.gather])
+        states: List[object] = []
+        total = 0.0
         for stack in self.stacks:
-            g, h = stack.grad_hess(zb)
-            self.grad += g
-            self.hess += h
+            state, value = stack.evaluate(values)
+            if state is None:
+                return None, math.inf
+            states.append(state)
+            total += value
+        return states, total
+
+    def assemble(self, states: Sequence[object]) -> None:
+        """Fill :attr:`grad` and :attr:`hess` from :meth:`evaluate`'s states."""
+        self._grad_sum.fill(0.0)
+        self._hess_sum.fill(0.0)
+        for stack, state in zip(self.stacks, states):
+            g, h = stack.grad_hess(state)
+            self._grad_sum += g
+            self._hess_sum += h
 
 
 def _kernel_stats() -> Dict[str, float]:
@@ -799,226 +899,33 @@ class _StructurePlan:
             self.terms.append(self.coupling)
 
 
-class _MeritBundle:
-    """Vectorised line-search merit for a structured plan.
-
-    All per-block *linear* terms (plus coupling) are scattered into one CSR
-    matrix over the full reduced coordinates, and all *hyperbolic* terms into
-    a CSR pair — one trial point then costs a few sparse matvecs instead of a
-    Python loop over every block's terms.  Term families without a vectorised
-    form (the batched SOC blocks of phase I) stay on the per-term path.
-
-    The merit value is mathematically identical to the one
-    :meth:`_DenseWorkspace.evaluate` returns over the same terms; only the
-    floating-point summation order differs, which the difference-form line
-    search is insensitive to.
-    """
-
-    def __init__(self, plan: _StructurePlan, k: int) -> None:
-        self.G = self.h = self.P = self.Q = None
-        self.leftovers: List[_BarrierTerm] = []
-        lin_data: List[np.ndarray] = []
-        lin_rows: List[np.ndarray] = []
-        lin_cols: List[np.ndarray] = []
-        lin_h: List[np.ndarray] = []
-        lin_count = 0
-        hyp_entries: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        hyp_p0: List[np.ndarray] = []
-        hyp_q0: List[np.ndarray] = []
-        hyp_w: List[np.ndarray] = []
-        hyp_count = 0
-
-        def scatter(matrix: np.ndarray, support: Optional[np.ndarray], row_offset: int):
-            rows_local, cols_local = np.nonzero(matrix)
-            cols = cols_local if support is None else support[cols_local]
-            return matrix[rows_local, cols_local], rows_local + row_offset, cols
-
-        for term in plan.terms:
-            if isinstance(term, _LinearBlock):
-                data, rows, cols = scatter(term.G, term.support, lin_count)
-                lin_data.append(data)
-                lin_rows.append(rows)
-                lin_cols.append(cols)
-                lin_h.append(term.h)
-                lin_count += term.count
-            elif isinstance(term, _HyperbolicBlock):
-                for matrix in (term.P, term.Q):
-                    hyp_entries.append(scatter(matrix, term.support, hyp_count))
-                hyp_p0.append(term.p0)
-                hyp_q0.append(term.q0)
-                hyp_w.append(term.w)
-                hyp_count += term.count
-            else:
-                self.leftovers.append(term)
-
-        if lin_count:
-            self.G = _sp.csr_matrix(
-                (
-                    np.concatenate(lin_data),
-                    (np.concatenate(lin_rows), np.concatenate(lin_cols)),
-                ),
-                shape=(lin_count, k),
-            )
-            self.h = np.concatenate(lin_h)
-        if hyp_count:
-            p_parts = hyp_entries[0::2]
-            q_parts = hyp_entries[1::2]
-            self.P = _sp.csr_matrix(
-                (
-                    np.concatenate([e[0] for e in p_parts]),
-                    (
-                        np.concatenate([e[1] for e in p_parts]),
-                        np.concatenate([e[2] for e in p_parts]),
-                    ),
-                ),
-                shape=(hyp_count, k),
-            )
-            self.Q = _sp.csr_matrix(
-                (
-                    np.concatenate([e[0] for e in q_parts]),
-                    (
-                        np.concatenate([e[1] for e in q_parts]),
-                        np.concatenate([e[2] for e in q_parts]),
-                    ),
-                ),
-                shape=(hyp_count, k),
-            )
-            self.p0 = np.concatenate(hyp_p0)
-            self.q0 = np.concatenate(hyp_q0)
-            self.w = np.concatenate(hyp_w)
-
-    def merit(self, z: np.ndarray) -> float:
-        """Barrier value ``φ(z)``; ``+inf`` when any slack is non-positive."""
-        total = 0.0
-        if self.G is not None:
-            s = self.h - self.G @ z
-            if s.size and float(s.min()) <= 0.0:
-                return math.inf
-            total -= float(np.sum(np.log(s)))
-        if self.P is not None:
-            pv = self.P @ z + self.p0
-            qv = self.Q @ z + self.q0
-            f = pv * qv - self.w
-            if (
-                float(pv.min(initial=1.0)) <= 0.0
-                or float(qv.min(initial=1.0)) <= 0.0
-                or float(f.min(initial=1.0)) <= 0.0
-            ):
-                return math.inf
-            total -= float(np.sum(np.log(f)))
-        for term in self.leftovers:
-            state, _, value = term.evaluate(z)
-            if state is None:
-                return math.inf
-            total += value
-        return total
-
-
-class _DenseWorkspace:
-    """Newton kernel of a one-block (or widely coupled) problem: one dense solve.
-
-    :meth:`evaluate` runs every barrier term of the plan once at a point and
-    returns the term states with the merit; :meth:`direction` builds the
-    gradient and the ``(k, k)`` Hessian from those carried states — it never
-    re-evaluates a slack — adds the trace-scaled Tikhonov term on the
-    diagonal and solves the symmetric positive-definite system with one
-    Cholesky solve (:func:`_spd_solve`).  When the Cholesky fails that step
-    is a least-squares solve instead, counted in ``stats["lstsq_steps"]``;
-    a system with an inf or NaN entry raises
-    :class:`~repro.exceptions.NumericalError` instead.  On one small block
-    this beats the arrow machinery of :class:`_StructuredWorkspace`, whose
-    per-iteration fallback it also is.
-    """
-
-    def __init__(
-        self,
-        plan: _StructurePlan,
-        k: int,
-        options: BarrierOptions,
-        stats: Dict[str, float],
-    ) -> None:
-        self.plan = plan
-        self.k = k
-        self.options = options
-        self.stats = stats
-
-    def evaluate(self, z: np.ndarray) -> Tuple[Optional[List[object]], float]:
-        """Per-term states and the barrier value ``φ(z)`` from one pass.
-
-        ``(None, +inf)`` as soon as a term has a non-positive slack.  The
-        linear merit part is handled by the caller in difference form, so
-        only the barrier sum is evaluated here.
-        """
-        states: List[object] = []
-        total = 0.0
-        for term in self.plan.terms:
-            state, _, value = term.evaluate(z)
-            if state is None:
-                return None, math.inf
-            states.append(state)
-            total += value
-        return states, total
-
-    def direction(
-        self, z: np.ndarray, grad_objective: np.ndarray, states: List[object]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The gradient and Newton direction of ``grad_objective·z + φ(z)``.
-
-        ``states`` is :meth:`evaluate`'s output at ``z``.
-        """
-        k = self.k
-        grad = np.zeros(k)
-        hess = np.zeros((k, k))
-        for term, state in zip(self.plan.terms, states):
-            g_i, h_i = term.grad_hess(state)
-            if term.support is None:
-                grad += g_i
-                hess += h_i
-            else:
-                grad[term.support] += g_i
-                hess[np.ix_(term.support, term.support)] += h_i
-        grad = grad_objective + grad
-        diagonal = hess.reshape(-1)[:: k + 1]
-        diagonal += self.options.regularization * (1.0 + diagonal.sum() / max(k, 1))
-        try:
-            # Chaos site: an armed ``newton.linalg`` fault raises the same
-            # LinAlgError a singular system would, forcing the lstsq step.
-            _maybe_fail("newton.linalg")
-            direction = -_spd_solve(hess, grad)
-        except np.linalg.LinAlgError:
-            if not np.isfinite(hess).all():
-                # LAPACK's least-squares SVD may never return on inf/NaN.
-                raise NumericalError("non-finite Newton system") from None
-            self.stats["lstsq_steps"] += 1
-            direction = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-        return grad, direction
-
-
 class _StructuredWorkspace:
-    """Newton kernel of a multi-block problem: block factorisations + Schur.
+    """The Newton kernel: stacked block-group evaluation and assembly.
 
-    Owns the preallocated hot-loop state of one centering run: the
-    right-hand-side / solution buffers of the arrow solve (the coupling
-    columns ``Gcᵀ`` are written **once** — they are constant across Newton
-    iterations, only the gradient column changes) and the block groups.
-    Blocks of equal width and term signature (:func:`_term_signature`) form
-    one :class:`_BlockGroup`: their barrier terms are stacked into padded
-    tensors once, so each Newton step assembles the group's ``(B, n)``
-    gradient and ``(B, n, n)`` Hessian in a few batched numpy calls, then
-    factorises its ``(B, w, w)`` block stack with a single batched Cholesky
-    (the positive-definiteness check) followed by one batched solve; a group
-    of one takes one Cholesky solve (:func:`_spd_solve`) instead.  The
-    per-iteration Python cost therefore scales with the number of groups,
-    not with blocks × terms.  Blocks at least ``_SPLU_BLOCK_WIDTH`` wide
-    form groups of one whose block is factorised sparsely via
-    :func:`scipy.sparse.linalg.splu`.
+    Owns the preallocated hot-loop state of one centering run.  Blocks of
+    equal width and term signature (:func:`_term_signature`) form one
+    :class:`_BlockGroup` whose barrier terms are stacked into padded tensors
+    once.  :meth:`evaluate` runs every group once at a point and returns the
+    group states and the coupling slacks with the merit; :meth:`direction`
+    builds the gradient and the group Hessian stacks from those carried
+    states — it never re-evaluates a slack — and adds the trace-scaled
+    Tikhonov term.  The step is then solved one of two ways, picked from the
+    plan:
 
-    The Hessian assembled here is identical to :class:`_DenseWorkspace`'s
-    (including the trace-scaled Tikhonov regularisation), so both kernels
-    produce the same Newton iterates up to floating-point rounding.  When a
-    block factorisation fails, that iteration's direction comes from a
-    dense twin over the same plan instead (counted in
-    ``stats["fallback_iterations"]``).
+    * a plan with one block, no border and no coupling (every one-block
+      program, phase I included: its ``t`` is a coordinate of the block)
+      solves its assembled block with one Cholesky solve (:func:`_spd_solve`);
+    * every other plan takes the arrow solve (:meth:`_arrow_direction`):
+      batched block factorisations plus the Schur complements of the border
+      and the coupling rows.  The right-hand-side / solution buffers are
+      preallocated and the coupling columns ``Gcᵀ`` written **once**.
+
+    When a factorisation of the arrow solve fails, that iteration's
+    direction comes from one ``k×k`` system assembled from the same group
+    blocks (:meth:`_dense_step`, counted in ``stats["fallback_iterations"]``).
+    A failed Cholesky of a ``k×k`` system is a least-squares step instead,
+    counted in ``stats["lstsq_steps"]``; a system with an inf or NaN entry
+    raises :class:`~repro.exceptions.NumericalError` instead.
     """
 
     def __init__(
@@ -1035,6 +942,8 @@ class _StructuredWorkspace:
         self.border = plan.border
         coupling = plan.coupling
         self.m = int(coupling.count) if coupling is not None else 0
+        #: one block, no border, no coupling: a direct solve of that block
+        self.direct = len(plan.block_slices) == 1 and not self.border and not self.m
         cols = 1 + self.m
         self.cols = cols
         self.rhs = np.empty((k, cols))
@@ -1042,14 +951,13 @@ class _StructuredWorkspace:
             self.rhs[:, 1:] = coupling.G.T
             self._coupling_sq = np.einsum("ij,ij->i", coupling.G, coupling.G)
         self.solved = np.empty((k, cols))
-        self.grad = np.empty(k)
+        #: ``1/s²`` over the coupling slacks of the last assembled point
+        self.weights = np.zeros(self.m)
         members: Dict[tuple, List[int]] = {}
         for index, (slc, terms) in enumerate(
             zip(plan.block_slices, plan.block_terms)
         ):
             width = slc.stop - slc.start
-            if width + self.border == 0:
-                continue  # nothing to assemble or factorise
             key = (width, _term_signature(terms))
             if width >= _SPLU_BLOCK_WIDTH:
                 key += (index,)
@@ -1063,83 +971,100 @@ class _StructuredWorkspace:
             )
             for indices in members.values()
         ]
-        self.merit_bundle = _MeritBundle(plan, k)
-        self._dense: Optional[_DenseWorkspace] = None
 
-    def evaluate(self, z: np.ndarray) -> Tuple[None, float]:
-        """The merit ``φ(z)`` through the vectorised bundle; no term states."""
-        return None, self.merit_bundle.merit(z)
+    def evaluate(self, z: np.ndarray) -> Tuple[Optional[tuple], float]:
+        """Group states and coupling slacks at ``z``, with ``φ(z)``.
+
+        ``(None, +inf)`` as soon as a slack is not positive.  The linear
+        merit part is handled by the caller in difference form, so only the
+        barrier sum is evaluated here.
+        """
+        group_states: List[object] = []
+        total = 0.0
+        for group in self.groups:
+            state, value = group.evaluate(z)
+            if state is None:
+                return None, math.inf
+            group_states.append(state)
+            total += value
+        slacks = None
+        if self.m:
+            slacks = self.plan.coupling.slacks(z)
+            if not slacks.min() > 0.0:
+                return None, math.inf
+            total -= float(np.log(slacks).sum())
+        return (group_states, slacks), total
 
     def direction(
-        self, z: np.ndarray, grad_objective: np.ndarray, states: None = None
+        self, grad_objective: np.ndarray, states: tuple
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The arrow direction, or the dense twin's when a factorisation fails.
+        """The gradient and Newton direction of ``grad_objective·z + φ(z)``.
 
-        The arrow assembly gathers from ``z`` itself, so ``states`` (always
-        ``None`` here) is unused; the dense twin evaluates its terms afresh.
+        ``states`` is :meth:`evaluate`'s output at ``z``.  The Hessian is
+        ``H = H₀ + Gcᵀ·W·Gc`` with ``H₀`` bordered block diagonal
+        (per-application blocks, plus the phase-I relaxation column as a
+        border) and ``W = diag(1/s²)`` over the coupling-row slacks.  Each
+        block group assembles its members' bordered blocks of ``H₀`` (and
+        gradients) in one batched pass.
         """
-        try:
-            return self._arrow_direction(z, grad_objective)
-        except np.linalg.LinAlgError:
-            self.stats["fallback_iterations"] += 1
-            if self._dense is None:
-                self._dense = _DenseWorkspace(
-                    self.plan, self.k, self.options, self.stats
-                )
-            dense_states, _ = self._dense.evaluate(z)
-            return self._dense.direction(z, grad_objective, dense_states)
-
-    def _arrow_direction(
-        self, z: np.ndarray, grad_objective: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One Newton direction via stacked group assembly, batched block
-        factorisations and Schur complements.
-
-        The Hessian of the centering problem is ``H = H₀ + Gcᵀ·W·Gc`` with
-        ``H₀`` bordered block diagonal (per-application blocks, plus the
-        phase-I relaxation column as a border) and ``W = diag(1/s²)`` over
-        the coupling-row slacks.  Each block group assembles its members'
-        bordered blocks of ``H₀`` (and gradients) in one batched pass.
-        ``H₀⁻¹`` is then applied through per-group batched factorisations
-        and the border's Schur complement; the coupling's low-rank term is
-        folded in through the matrix-inversion lemma — its Schur matrix has
-        coupling-row dimension (the number of shared processors and
-        memories), so the cost per step is the sum of the per-block
-        factorisations instead of one cube of the full size.
-
-        Raises :class:`numpy.linalg.LinAlgError` when any block is not
-        positive definite (or a Schur system is singular), which
-        :meth:`direction` catches to fall back to the dense twin.
-        """
-        plan = self.plan
-        k, border, m, cols = self.k, self.border, self.m, self.cols
+        group_states, slacks = states
+        k, border = self.k, self.border
         blocks_end = k - border
         assembly_start = time.perf_counter()
-        grad = self.grad
-        grad[:] = grad_objective
+        grad = grad_objective.copy()
         trace = 0.0
-        for group in self.groups:
-            group.assemble(z)
+        for group, state in zip(self.groups, group_states):
+            group.assemble(state)
             grad[group.block_index] += group.grad[:, : group.width]
             if border:
                 grad[blocks_end:] += group.grad[:, group.width :].sum(axis=0)
-            trace += float(np.einsum("bii->", group.hess))
-
-        coupling = plan.coupling
-        W = Gc = None
-        if m:
-            s = coupling.slacks(z)
-            inv = 1.0 / s
-            grad += coupling.G.T @ inv
-            W = inv * inv
-            Gc = coupling.G
-            trace += float(W @ self._coupling_sq)
-
+            trace += float(group.trace.sum())
+        if self.m:
+            inv = 1.0 / slacks
+            grad += self.plan.coupling.G.T @ inv
+            self.weights = inv * inv
+            trace += float(self.weights @ self._coupling_sq)
         reg = self.options.regularization * (1.0 + trace / max(k, 1))
+        for group in self.groups:
+            group.diagonal += reg
+        self.stats["assembly_time"] += time.perf_counter() - assembly_start
+
+        if self.direct:
+            factor_start = time.perf_counter()
+            direction = -self._dense_solve(self.groups[0].hess[0], grad)
+            self.stats["block_factorizations"] += 1
+            self.stats["factorization_time"] += time.perf_counter() - factor_start
+            return grad, direction
+        try:
+            return grad, self._arrow_direction(grad, reg)
+        except np.linalg.LinAlgError:
+            self.stats["fallback_iterations"] += 1
+            return grad, self._dense_step(grad, reg)
+
+    def _arrow_direction(self, grad: np.ndarray, reg: float) -> np.ndarray:
+        """The Newton direction via batched block factorisations and Schur
+        complements of the assembled arrow system.
+
+        ``H₀⁻¹`` is applied through per-group batched factorisations and the
+        border's Schur complement; the coupling's low-rank term is folded in
+        through the matrix-inversion lemma — its Schur matrix has
+        coupling-row dimension (the number of shared processors and
+        memories), so the cost per step is the sum of the per-block
+        factorisations instead of one cube of the full size.  A group of one
+        takes one Cholesky solve (:func:`_spd_solve`); larger groups run one
+        batched Cholesky (the positive-definiteness check) followed by one
+        batched solve; blocks at least ``_SPLU_BLOCK_WIDTH`` wide are
+        factorised sparsely via :func:`scipy.sparse.linalg.splu`.
+
+        Raises :class:`numpy.linalg.LinAlgError` when any block is not
+        positive definite (or a Schur system is singular), which
+        :meth:`direction` catches to take the dense step instead.
+        """
+        k, border, m, cols = self.k, self.border, self.m, self.cols
+        blocks_end = k - border
         rhs = self.rhs
         rhs[:, 0] = grad
         solved = self.solved
-        self.stats["assembly_time"] += time.perf_counter() - assembly_start
 
         factor_start = time.perf_counter()
         # Chaos site: an armed ``newton.linalg`` fault raises the same
@@ -1162,21 +1087,14 @@ class _StructuredWorkspace:
             blocks = H[:, :width, :width]
             if group.splu:
                 try:
-                    lu = _sp_splu(_sp.csc_matrix(blocks[0] + reg * np.eye(width)))
-                    sol = lu.solve(R[0])[None]
-                except RuntimeError as error:  # singular factor → dense twin
+                    sol = _sp_splu(_sp.csc_matrix(blocks[0])).solve(R[0])[None]
+                except RuntimeError as error:  # singular factor → dense step
                     raise np.linalg.LinAlgError(str(error)) from error
+            elif group.size == 1:
+                sol = _spd_solve(blocks[0], R[0])[None]
             else:
-                group.diagonal += reg
-                # A failed Cholesky (the positive-definiteness check) raises
-                # LinAlgError → dense twin.  A group of one is one Cholesky
-                # solve; larger groups run one batched Cholesky, then one
-                # batched LU solve for all block solutions.
-                if group.size == 1:
-                    sol = _spd_solve(blocks[0], R[0])[None]
-                else:
-                    np.linalg.cholesky(blocks)
-                    sol = np.linalg.solve(blocks, R)
+                np.linalg.cholesky(blocks)
+                sol = np.linalg.solve(blocks, R)
             self.stats["block_factorizations"] += group.size
             solved[group.block_index] = sol[:, :, :cols]
             if border:
@@ -1195,15 +1113,46 @@ class _StructuredWorkspace:
         if m:
             base = solved[:, 0]
             lifted = solved[:, 1:]
+            Gc = self.plan.coupling.G
             # Matrix-inversion lemma: (W⁻¹ + Gc·H₀⁻¹·Gcᵀ) is the coupling
             # Schur complement of the arrow-structured KKT system.
-            schur_c = np.diag(1.0 / W) + Gc @ lifted
-            weights = np.linalg.solve(schur_c, Gc @ base)
-            direction = -(base - lifted @ weights)
+            schur_c = np.diag(1.0 / self.weights) + Gc @ lifted
+            multipliers = np.linalg.solve(schur_c, Gc @ base)
+            direction = -(base - lifted @ multipliers)
         else:
             direction = -solved[:, 0]
         self.stats["schur_time"] += time.perf_counter() - schur_start
-        return grad, direction
+        return direction
+
+    def _dense_step(self, grad: np.ndarray, reg: float) -> np.ndarray:
+        """The Newton direction from one ``k×k`` system: the assembled group
+        blocks scattered into place plus ``Gcᵀ·W·Gc``, no re-evaluation."""
+        k = self.k
+        hess = np.zeros((k, k))
+        for group in self.groups:
+            index = group.index
+            np.add.at(hess, (index[:, :, None], index[:, None, :]), group.hess)
+        # The block diagonals already carry the regularization; the border's
+        # is a sum over the groups, so it is added here once.
+        hess.reshape(-1)[(k - self.border) * (k + 1) :: k + 1] += reg
+        if self.m:
+            Gc = self.plan.coupling.G
+            hess += (Gc.T * self.weights) @ Gc
+        return -self._dense_solve(hess, grad)
+
+    def _dense_solve(self, hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """``hess⁻¹·grad`` by one Cholesky solve; least squares when it fails."""
+        try:
+            # Chaos site: an armed ``newton.linalg`` fault raises the same
+            # LinAlgError a singular system would, forcing the lstsq step.
+            _maybe_fail("newton.linalg")
+            return _spd_solve(hess, grad)
+        except np.linalg.LinAlgError:
+            if not np.isfinite(hess).all():
+                # LAPACK's least-squares SVD may never return on inf/NaN.
+                raise NumericalError("non-finite Newton system") from None
+            self.stats["lstsq_steps"] += 1
+            return np.linalg.lstsq(hess, grad, rcond=None)[0]
 
 
 class BarrierSolver:
@@ -1252,10 +1201,9 @@ class BarrierSolver:
         #: Newton-kernel accounting shared by every workspace of this solve
         #: (phase I and phase II); reset per solve.
         self._kernel_stats = _kernel_stats()
-        structured = self._structure_enabled(reduced)
+        structured = reduced.structure.num_blocks >= 2
         pieces = self._reduced_pieces(problem, reduced)
         plan = self._phase_two_plan(pieces, reduced)
-        workspace = self._workspace(plan, reduced.dimension, structured)
         c_reduced = reduced.reduce_direction(problem.c)
         total_constraints = sum(term.count for term in plan.terms)
 
@@ -1275,6 +1223,9 @@ class BarrierSolver:
                 message="no constraints and a non-zero objective",
             )
 
+        workspace = _StructuredWorkspace(
+            plan, reduced.dimension, self.options, self._kernel_stats
+        )
         z0 = self._initial_reduced_point(problem, reduced, initial_point)
         z_interior: Optional[np.ndarray] = None
         if interior_point is not None:
@@ -1282,7 +1233,7 @@ class BarrierSolver:
         fallbacks = [z_interior] if z_interior is not None else []
         with obs_span("phase1") as phase1_span:
             z_feasible, feasibility, phase1 = self._phase_one(
-                problem, reduced, pieces, structured, z0, fallbacks=fallbacks
+                problem, reduced, pieces, z0, fallbacks=fallbacks
             )
             phase1_span.set(
                 skipped=bool(phase1["skipped"]),
@@ -1368,27 +1319,27 @@ class BarrierSolver:
     ) -> None:
         """Fold this solve's Newton-kernel accounting into its stats dict.
 
-        ``sparse_nnz`` (constraint-matrix nonzeros) and ``lstsq_steps``
-        (dense Newton directions that fell back to least squares, the
-        structured kernel's dense twin included) are reported for every
-        solve; the assembly/factorisation/Schur time split, the
-        block-factorisation count, the dense-fallback count and the
-        pieces-cache reuse flag only exist for the structured kernel.
+        ``sparse_nnz`` (constraint-matrix nonzeros), ``lstsq_steps`` (Newton
+        directions whose ``k×k`` Cholesky failed and took least squares),
+        the assembly/factorisation/Schur time split and the
+        block-factorisation count are reported for every solve; the
+        dense-step count and the pieces-cache reuse flag only for
+        ``structured`` (two or more blocks) solves.
         """
         kernel = self._kernel_stats
         stats["sparse_nnz"] = int(problem.constraint_nnz)
         stats["lstsq_steps"] = int(kernel["lstsq_steps"])
-        if not structured:
-            return
-        # Directions the structured kernel handed to its dense twin because
-        # a block factorisation failed (0 in the common case).
-        stats["structured_fallback_iterations"] = int(
-            kernel["fallback_iterations"]
-        )
         stats["assembly_time"] = float(kernel["assembly_time"])
         stats["factorization_time"] = float(kernel["factorization_time"])
         stats["schur_time"] = float(kernel["schur_time"])
         stats["block_factorizations"] = int(kernel["block_factorizations"])
+        if not structured:
+            return
+        # Directions that took the dense step because an arrow
+        # factorisation failed (0 in the common case).
+        stats["structured_fallback_iterations"] = int(
+            kernel["fallback_iterations"]
+        )
         stats["pieces_cache_reused"] = bool(self._pieces_cache_hit)
 
     def _record_metrics(self, stats: Dict[str, object], optimal: bool) -> None:
@@ -1505,29 +1456,6 @@ class BarrierSolver:
                 x_p[start:stop], basis = result
             basis_blocks.append(basis)
         return _ReducedProblem(x_p, structure, basis_blocks)
-
-    def _structure_enabled(self, reduced: _ReducedProblem) -> bool:
-        """Whether the structured kernel computes this solve's Newton steps.
-
-        It needs at least two blocks and a coupling narrow enough that the
-        Schur complement stays far smaller than the full system; otherwise
-        (one block above all) the dense kernel is faster.
-        """
-        structure = reduced.structure
-        if reduced.dimension == 0:
-            return False
-        coupling = int(structure.coupling_rows.size)
-        return structure.num_blocks >= 2 and coupling <= max(
-            4, reduced.dimension // 2
-        )
-
-    def _workspace(
-        self, plan: _StructurePlan, k: int, structured: bool
-    ) -> Union[_DenseWorkspace, _StructuredWorkspace]:
-        """The Newton kernel for ``plan`` over ``k`` coordinates."""
-        if structured:
-            return _StructuredWorkspace(plan, k, self.options, self._kernel_stats)
-        return _DenseWorkspace(plan, k, self.options, self._kernel_stats)
 
     def _reduced_pieces(
         self, problem: CompiledProblem, reduced: _ReducedProblem
@@ -1708,7 +1636,6 @@ class BarrierSolver:
         problem: CompiledProblem,
         reduced: _ReducedProblem,
         pieces: _ReducedPieces,
-        structured: bool,
         z0: np.ndarray,
         fallbacks: Sequence[np.ndarray] = (),
     ) -> Tuple[Optional[np.ndarray], float, Dict[str, object]]:
@@ -1717,9 +1644,10 @@ class BarrierSolver:
         ``z0`` and then each entry of ``fallbacks`` is checked for strict
         feasibility; the first hit skips the phase entirely.  Otherwise the
         auxiliary relaxation program runs from ``z0`` on the same Newton
-        kernel as phase II (``structured``); the relaxation variable ``t``
-        becomes the one-column *border* of the arrow system, since every
-        relaxed constraint touches it.
+        kernel as phase II; the relaxation variable ``t`` becomes the
+        one-column *border* of the arrow system, since every relaxed
+        constraint touches it (in a one-block program it is simply the
+        block's last coordinate).
 
         Returns the feasible reduced point (or ``None``), the final
         infeasibility measure, and phase-I statistics (whether the phase was
@@ -1762,7 +1690,7 @@ class BarrierSolver:
 
         phase_result = self._barrier_minimise(
             c_phase,
-            self._workspace(plan, k + 1, structured),
+            _StructuredWorkspace(plan, k + 1, self.options, self._kernel_stats),
             zt,
             early_stop=early_stop,
             gap_tolerance=1e-3,
@@ -1786,7 +1714,9 @@ class BarrierSolver:
         relaxation column, so block ``b``'s terms live in the coordinates
         ``[block b, t]`` and the per-block factorisation carries over to
         phase I unchanged; the coupling rows (now with a ``−t`` column) go
-        through the Schur complement as before.
+        through the Schur complement as before.  A one-block program has no
+        arrow to border: ``t`` becomes the block's last coordinate, so its
+        phase I takes the direct solve like its phase II.
         """
         k = reduced.dimension
         block_terms: List[List[_BarrierTerm]] = []
@@ -1848,6 +1778,8 @@ class BarrierSolver:
             coupling = _LinearBlock(
                 np.hstack([Gc, -np.ones((Gc.shape[0], 1))]), hc
             )
+        if len(block_terms) == 1:
+            return _StructurePlan([slice(0, k + 1)], 0, block_terms, coupling)
         return _StructurePlan(
             block_slices=list(reduced.block_slices),
             border=1,
@@ -1877,7 +1809,7 @@ class BarrierSolver:
     def _barrier_minimise(
         self,
         c: np.ndarray,
-        workspace: Union[_DenseWorkspace, _StructuredWorkspace],
+        workspace: _StructuredWorkspace,
         z0: np.ndarray,
         early_stop=None,
         gap_tolerance: Optional[float] = None,
@@ -1948,7 +1880,7 @@ class BarrierSolver:
     def _newton_minimise(
         self,
         c: np.ndarray,
-        workspace: Union[_DenseWorkspace, _StructuredWorkspace],
+        workspace: _StructuredWorkspace,
         z: np.ndarray,
         states: object,
         phi: float,
@@ -1978,7 +1910,7 @@ class BarrierSolver:
         """
         opts = self.options
         for iteration in range(opts.max_newton_iterations):
-            grad, direction = workspace.direction(z, t_barrier * c, states)
+            grad, direction = workspace.direction(t_barrier * c, states)
             decrement = float(-grad @ direction)
             if decrement / 2.0 <= opts.newton_tolerance * max(1.0, t_barrier):
                 return z, states, phi, iteration, True

@@ -145,8 +145,8 @@ class SessionStats:
     #: compile-once session's whole sweep counts exactly one — each rebuild
     #: fallback adds one more for its freshly compiled problem.
     eliminations: int = 0
-    #: solves that went through the sparse structured (block + Schur) path
-    #: vs the dense fallback — the engagement split of the session
+    #: solves with two or more blocks (the block + Schur arrow solve) vs
+    #: one-block direct solves — the engagement split of the session
     sparse_solves: int = 0
     #: structured solves that reused the cached per-block factorisation
     #: pieces (CSR slices, supports) instead of rebuilding them; warm

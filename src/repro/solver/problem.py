@@ -91,9 +91,9 @@ class BlockStructure:
     :class:`repro.core.formulation._BlockAssembly` — and every non-linear and
     equality constraint turned out to be confined to a single block.  The
     barrier backend uses it to eliminate equalities blockwise and, for two
-    or more blocks with narrow coupling, to solve each Newton step with
-    block-Cholesky factorisations + a Schur complement on the
-    arrow-structured KKT system (see
+    or more blocks, to solve each Newton step with block-Cholesky
+    factorisations + a Schur complement on the arrow-structured KKT system
+    (see
     :class:`repro.solver.barrier.BarrierSolver`).
 
     ``ranges`` are half-open variable index ranges, one per block, covering

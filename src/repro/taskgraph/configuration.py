@@ -10,6 +10,7 @@ per buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -35,9 +36,10 @@ class Configuration:
         granularity: float = 1.0,
         name: str = "configuration",
     ) -> None:
-        if granularity <= 0.0:
+        if not (math.isfinite(granularity) and granularity > 0.0):
             raise ModelError(
-                f"budget allocation granularity must be positive, got {granularity!r}"
+                "budget allocation granularity must be positive and finite, "
+                f"got {granularity!r}"
             )
         self.name = name
         self.platform = platform

@@ -17,6 +17,7 @@ reproduce the paper's uniform platform exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -59,14 +60,20 @@ class Processor:
     def __post_init__(self) -> None:
         if not self.name:
             raise ModelError("processor name must be non-empty")
-        if self.replenishment_interval <= 0.0:
+        if not (
+            math.isfinite(self.replenishment_interval)
+            and self.replenishment_interval > 0.0
+        ):
             raise ModelError(
-                f"processor {self.name!r} needs a positive replenishment interval, "
-                f"got {self.replenishment_interval!r}"
+                f"processor {self.name!r} needs a positive finite replenishment "
+                f"interval, got {self.replenishment_interval!r}"
             )
-        if self.scheduling_overhead < 0.0:
+        if not (
+            math.isfinite(self.scheduling_overhead) and self.scheduling_overhead >= 0.0
+        ):
             raise ModelError(
-                f"processor {self.name!r} has negative scheduling overhead"
+                f"processor {self.name!r} needs a finite non-negative scheduling "
+                f"overhead, got {self.scheduling_overhead!r}"
             )
         if self.scheduling_overhead >= self.replenishment_interval:
             raise ModelError(
@@ -76,9 +83,10 @@ class Processor:
             )
         if not self.proc_type:
             raise ModelError(f"processor {self.name!r} needs a non-empty proc_type")
-        if self.speed <= 0.0:
+        if not (math.isfinite(self.speed) and self.speed > 0.0):
             raise ModelError(
-                f"processor {self.name!r} needs a positive speed, got {self.speed!r}"
+                f"processor {self.name!r} needs a positive finite speed, "
+                f"got {self.speed!r}"
             )
         if self.dvfs_levels is not None:
             levels = tuple(float(level) for level in self.dvfs_levels)
@@ -88,10 +96,10 @@ class Processor:
                     f"when given"
                 )
             for level in levels:
-                if level <= 0.0:
+                if not (math.isfinite(level) and level > 0.0):
                     raise ModelError(
                         f"processor {self.name!r}: DVFS level {level!r} must "
-                        f"be positive"
+                        f"be positive and finite"
                     )
             if len(set(levels)) != len(levels):
                 raise ModelError(
@@ -143,9 +151,12 @@ class Memory:
     def __post_init__(self) -> None:
         if not self.name:
             raise ModelError("memory name must be non-empty")
-        if self.capacity is not None and self.capacity <= 0.0:
+        if self.capacity is not None and not (
+            math.isfinite(self.capacity) and self.capacity > 0.0
+        ):
             raise ModelError(
-                f"memory {self.name!r} needs a positive capacity or None, got {self.capacity!r}"
+                f"memory {self.name!r} needs a positive finite capacity or None, "
+                f"got {self.capacity!r}"
             )
 
     @property

@@ -188,17 +188,17 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
         target=str(data["target"]),
         memory=str(data["memory"]),
         container_size=float(data.get("container_size", 1.0)),
-        initial_tokens=int(data.get("initial_tokens", 0)),
+        initial_tokens=_count(data.get("initial_tokens", 0), "initial_tokens"),
         capacity_weight=float(data.get("capacity_weight", 1.0)),
-        min_capacity=_optional_int(data.get("min_capacity")),
-        max_capacity=_optional_int(data.get("max_capacity")),
+        min_capacity=_optional_count(data.get("min_capacity"), "min_capacity"),
+        max_capacity=_optional_count(data.get("max_capacity"), "max_capacity"),
         production_rates=(
-            tuple(int(r) for r in production_rates)
+            tuple(_count(r, "production_rates") for r in production_rates)
             if production_rates is not None
             else None
         ),
         consumption_rates=(
-            tuple(int(r) for r in consumption_rates)
+            tuple(_count(r, "consumption_rates") for r in consumption_rates)
             if consumption_rates is not None
             else None
         ),
@@ -260,8 +260,22 @@ def _optional_float(value: object) -> object:
     return None if value is None else float(value)  # type: ignore[arg-type]
 
 
-def _optional_int(value: object) -> object:
-    return None if value is None else int(value)  # type: ignore[arg-type]
+def _count(value: object, field: str) -> int:
+    """``value`` as an integer count.
+
+    A fractional, NaN or infinite number is a :class:`ModelError` — never
+    truncated by ``int()`` into a different, silently accepted model.
+    """
+    if isinstance(value, int):
+        return value
+    number = float(value)  # type: ignore[arg-type]
+    if not number.is_integer():
+        raise ModelError(f"{field} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _optional_count(value: object, field: str) -> object:
+    return None if value is None else _count(value, field)
 
 
 # -- JSON convenience ------------------------------------------------------------------

@@ -180,7 +180,7 @@ class TestChaosScenarios:
         ).admitted
 
     def test_linalg_fault_degrades_to_the_dense_newton_step(self):
-        """An injected factorisation failure in the dense kernel (a single
+        """An injected factorisation failure in the direct solve (a single
         configuration) is absorbed by its least-squares step: the site fires,
         the step is counted (solve stat and registry counter) and the solve
         still lands on the optimum."""
@@ -199,7 +199,7 @@ class TestChaosScenarios:
 
     def test_linalg_fault_in_block_factorisation_uses_the_dense_twin(self):
         """An injected block-factorisation failure in the structured kernel
-        (two applications) hands that iteration to the dense twin: the
+        (two applications) hands that iteration to the dense step: the
         fallback is counted and the optimum does not move."""
         workload = Workload(chain_configuration(stages=2).platform, name="duo")
         workload.add_application("video", chain_configuration(stages=2))
@@ -223,8 +223,9 @@ class TestChaosScenarios:
 
     def test_lstsq_step_inside_the_dense_twin_is_counted(self):
         """Two consecutive injected failures: the block factorisation hands
-        the iteration to the dense twin, whose Cholesky then fails too — the
-        twin's least-squares step counts in ``lstsq_steps``."""
+        the iteration to the dense step on the assembled system, whose
+        Cholesky then fails too — its least-squares step counts in
+        ``lstsq_steps``."""
         workload = Workload(chain_configuration(stages=2).platform, name="duo")
         workload.add_application("video", chain_configuration(stages=2))
         workload.add_application(

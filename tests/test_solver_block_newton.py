@@ -1,13 +1,12 @@
 """Structured-vs-dense Newton equivalence and engagement tests.
 
-The structured Newton kernel (per-application block factorisations +
+The arrow solve of the Newton kernel (per-application block factorisations +
 Schur-complement coupling solve, see :mod:`repro.solver.barrier`) must be a
 pure performance change: on any workload program it has to return the same
-optimum as the dense kernel to solver precision, engage exactly for
-multi-application programs with narrow coupling, and leave unstructured
-programs on the dense kernel.  The dense reference is a fresh compile of the
-same program with its block structure dropped, which the solver treats as a
-single block.
+optimum as the one-block direct solve to solver precision, engage exactly
+for multi-application programs, and leave unstructured programs on the
+direct solve.  The dense reference is a fresh compile of the same program
+with its block structure dropped, which the solver treats as a single block.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AllocatorOptions, JointAllocator
+from repro.core import AllocatorOptions, JointAllocator, SocpFormulation
 from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, barrier
@@ -45,7 +44,7 @@ def make_workload(app_count: int, seed: int = 3, task_count: int = 4) -> Workloa
 def dense_reference(program: ConeProgram):
     """A fresh compile of ``program`` without its block structure.
 
-    The solver treats it as a single block, so it runs the dense kernel.
+    The solver treats it as a single block, so it takes the direct solve.
     """
     compiled = program.compile()
     compiled.block_structure = None
@@ -94,7 +93,7 @@ class TestStructuredDenseEquivalence:
     def test_phase_one_required_case(self):
         """Cold start from zeros violates λ·β ≥ 1, so phase I must run — and
         the structured kernel's phase I (relaxation variable as the arrow
-        border) has to match the dense kernel's."""
+        border) has to match the one-block direct solve's."""
         formulation = WorkloadSocpFormulation(make_workload(2, seed=5))
         structured, dense = solve_both(formulation, initial_point=None)
         assert structured.stats["phase1_skipped"] is False
@@ -129,7 +128,7 @@ class TestEngagement:
         assert mapped.solver_info["solve_stats"]["structured"] is True
 
     def test_single_application_stays_dense(self):
-        """One block has nothing to decouple; it runs the dense kernel."""
+        """One block has nothing to decouple; it takes the direct solve."""
         formulation = WorkloadSocpFormulation(make_workload(1, seed=3))
         solution = formulation.solve(backend="barrier")
         assert solution.is_optimal
@@ -137,7 +136,7 @@ class TestEngagement:
 
     def test_unstructured_program_falls_back_to_dense(self):
         """A program without declared blocks carries no structure, so it is
-        solved as one block on (and reports) the dense kernel."""
+        solved as one block (a direct solve, reported as not structured)."""
         program = ConeProgram("plain")
         x = program.add_variable("x", lower=0.1, upper=10.0)
         y = program.add_variable("y", lower=0.1, upper=10.0)
@@ -285,19 +284,28 @@ def workload_plans(seed):
     return both_plans(program.compile())
 
 
-def structured_workspace(plan, k):
+def one_block_plans():
+    """Phase II and phase I of a one-block program: ``t`` is folded into
+    the block, so both plans take the direct solve."""
+    program = SocpFormulation(random_dag_configuration(6, 4, seed=1)).build()
+    return both_plans(program.compile())
+
+
+def new_workspace(plan, k):
     return barrier._StructuredWorkspace(
         plan, k, barrier.BarrierOptions(), barrier._kernel_stats()
     )
 
 
 def stacked_assembly(workspace, z):
-    """The block-term gradient and Hessian as the group stacks build them,
-    scattered back to full coordinates."""
+    """The block-term gradient and Hessian as the group stacks build them
+    from one evaluation, scattered back to full coordinates."""
+    (group_states, _), phi = workspace.evaluate(z)
+    assert phi < np.inf
     k = workspace.k
     grad, hess = np.zeros(k), np.zeros((k, k))
-    for group in workspace.groups:
-        group.assemble(z)
+    for group, states in zip(workspace.groups, group_states):
+        group.assemble(states)
         for j, index in enumerate(group.index):
             grad[index] += group.grad[j]
             hess[np.ix_(index, index)] += group.hess[j]
@@ -323,24 +331,24 @@ def relative(a, b):
 
 
 def assert_stacked_matches_dense(plan, k, z):
-    """Stacked assembly = per-term assembly to 1e-12 and the structured
-    direction = the dense kernel's to 1e-10, both relative."""
-    workspace = structured_workspace(plan, k)
+    """Stacked assembly = per-term assembly to 1e-12, and the kernel's
+    direction = a dense solve of the per-term reference system (coupling
+    and regularization included) to 1e-10, both relative."""
+    workspace = new_workspace(plan, k)
     block_terms = [term for terms in plan.block_terms for term in terms]
     grad, hess = stacked_assembly(workspace, z)
     grad_ref, hess_ref = per_term_assembly(block_terms, z, k)
     assert relative(grad, grad_ref) <= 1e-12
     assert relative(hess, hess_ref) <= 1e-12
     grad_objective = np.random.default_rng(0).standard_normal(k)
-    dense = barrier._DenseWorkspace(
-        plan, k, barrier.BarrierOptions(), barrier._kernel_stats()
-    )
-    g_s, d_s = workspace.direction(z, grad_objective)
-    g_d, d_d = dense.direction(z, grad_objective, dense.evaluate(z)[0])
-    assert dense.stats["lstsq_steps"] == 0
+    g_s, d_s = workspace.direction(grad_objective, workspace.evaluate(z)[0])
+    g_ref, h_ref = per_term_assembly(plan.terms, z, k)
+    g_ref += grad_objective
+    h_ref += workspace.options.regularization * (1.0 + np.trace(h_ref) / k) * np.eye(k)
+    assert workspace.stats["lstsq_steps"] == 0
     assert workspace.stats["fallback_iterations"] == 0
-    assert relative(g_s, g_d) <= 1e-12
-    assert relative(d_s, d_d) <= 1e-10
+    assert relative(g_s, g_ref) <= 1e-12
+    assert relative(d_s, -np.linalg.solve(h_ref, g_ref)) <= 1e-10
     return workspace
 
 
@@ -354,8 +362,8 @@ def ragged_groups(plan):
 
 
 class TestStackedAssembly:
-    """The structured kernel builds every block's gradient and Hessian from
-    padded per-group tensors; it must agree with the per-term dense
+    """The Newton kernel builds every block's gradient and Hessian from
+    padded per-group tensors; it must agree with the per-term reference
     assembly over the same plan."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -373,6 +381,29 @@ class TestStackedAssembly:
         kinds = {type(term) for term in plan.terms}
         assert barrier._ConeBlock in kinds
         assert_stacked_matches_dense(plan, k, z)
+
+    def test_one_block_plans_match_dense(self):
+        """A one-block program's phase II, and its phase I with ``t`` folded
+        into the block, assemble one group of one and take the direct
+        solve."""
+        (two, k, z_two), (one, k_one, z_one) = one_block_plans()
+        assert two.border == 0 and one.border == 0
+        assert one.block_slices == [slice(0, k + 1)] and k_one == k + 1
+        assert barrier._ConeBlock in {type(term) for term in one.terms}
+        for plan, width, z in ((two, k, z_two), (one, k_one, z_one)):
+            workspace = assert_stacked_matches_dense(plan, width, z)
+            assert workspace.direct
+            assert [group.size for group in workspace.groups] == [1]
+            assert workspace.stats["block_factorizations"] == 1
+
+    def test_stacks_are_views_into_the_group_rows(self):
+        """Every stack's affine rows live in its group's one row tensor."""
+        for plan, k, _ in workload_plans(0):
+            for group in new_workspace(plan, k).groups:
+                for stack in group.stacks:
+                    for name in ("G", "P", "Q", "A_flat", "A", "C"):
+                        if hasattr(stack, name):
+                            assert np.shares_memory(getattr(stack, name), group.rows)
 
     def test_group_with_different_row_counts(self):
         """Block 0's extra phase-I row makes its group ragged: the padding
@@ -413,21 +444,22 @@ class TestStackedAssembly:
         assert calls
 
     def test_newton_step_makes_no_per_term_calls(self, monkeypatch):
-        """One structured Newton step assembles through the group stacks
-        only: no linear or hyperbolic term's ``grad_hess`` runs."""
+        """One structured evaluation and Newton step run through the group
+        stacks only: no term's ``evaluate`` or ``grad_hess`` runs."""
         plans = workload_plans(1)
         calls = []
-        for cls in (barrier._LinearBlock, barrier._HyperbolicBlock):
-            original = cls.grad_hess
+        for cls in (barrier._LinearBlock, barrier._HyperbolicBlock, barrier._ConeBlock):
+            for method in ("evaluate", "grad_hess"):
+                original = getattr(cls, method)
 
-            def counted(self, x, original=original):
-                calls.append(type(self).__name__)
-                return original(self, x)
+                def counted(self, x, original=original):
+                    calls.append(type(self).__name__)
+                    return original(self, x)
 
-            monkeypatch.setattr(cls, "grad_hess", counted)
+                monkeypatch.setattr(cls, method, counted)
         for plan, k, z in plans:
-            workspace = structured_workspace(plan, k)
-            workspace.direction(z, np.ones(k))
+            workspace = new_workspace(plan, k)
+            workspace.direction(np.ones(k), workspace.evaluate(z)[0])
             assert workspace.stats["fallback_iterations"] == 0
             assert workspace.stats["block_factorizations"] == 8
         assert calls == []

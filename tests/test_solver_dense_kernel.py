@@ -1,10 +1,14 @@
-"""The dense Newton kernel: one evaluation per trial point, one Cholesky per step.
+"""The Newton kernel: one evaluation per trial point, one Cholesky per step.
 
-A single-application program runs on :class:`repro.solver.barrier._DenseWorkspace`.
-Its Newton loop must evaluate every line-search trial point exactly once
-(the accepted trial's term states feed the next direction), solve the
-symmetric positive-definite Newton system with one LAPACK Cholesky, and take
-a counted least-squares step only when that Cholesky fails.
+Every solve runs on :class:`repro.solver.barrier._StructuredWorkspace`.  Its
+Newton loop must evaluate every line-search trial point exactly once — one
+batched evaluation per block group, none inside a direction (the accepted
+trial's group states feed the next direction).  A one-block program solves
+its assembled block with one LAPACK Cholesky and takes a counted
+least-squares step only when that Cholesky fails; a multi-block program
+whose arrow factorisation fails takes one dense step on the assembled
+system.  The per-term ``evaluate``/``grad_hess`` methods are the reference
+the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ import numpy as np
 import pytest
 
 from repro.core import SocpFormulation
+from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import NumericalError
-from repro.solver import barrier
+from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
+from repro.taskgraph import Workload
 from repro.taskgraph.generators import (
     chain_configuration,
     heterogeneous_random_configuration,
@@ -27,17 +33,15 @@ from repro.taskgraph.generators import (
 TERM_CLASSES = (barrier._LinearBlock, barrier._HyperbolicBlock, barrier._ConeBlock)
 
 
-def dense_setup(configuration):
-    """The phase-II dense workspace of ``configuration``'s program and a
-    strictly feasible start (the first-rung center of a barrier solve)."""
-    compiled = SocpFormulation(configuration).build().compile()
+def kernel_setup(compiled):
+    """The phase-II workspace of ``compiled`` and a strictly feasible start
+    (the first-rung center of a barrier solve)."""
     solver = barrier.BarrierSolver()
     reduced, _ = solver._eliminate_equalities(compiled)
     pieces = solver._reduced_pieces(compiled, reduced)
     plan = solver._phase_two_plan(pieces, reduced)
-    k = reduced.dimension
-    workspace = barrier._DenseWorkspace(
-        plan, k, solver.options, barrier._kernel_stats()
+    workspace = barrier._StructuredWorkspace(
+        plan, reduced.dimension, solver.options, barrier._kernel_stats()
     )
     solution = solve_compiled(compiled, backend="barrier")
     z = reduced.project(solution.interior_point)
@@ -45,111 +49,167 @@ def dense_setup(configuration):
     return solver, workspace, c, z
 
 
+def duo_workload() -> Workload:
+    workload = Workload(chain_configuration(stages=2).platform, name="duo")
+    workload.add_application("video", chain_configuration(stages=2))
+    workload.add_application("audio", chain_configuration(stages=2, period=20.0))
+    return workload
+
+
 @pytest.fixture
 def chain():
-    return dense_setup(chain_configuration(stages=3))
+    """A one-block program: the direct solve."""
+    compiled = SocpFormulation(chain_configuration(stages=3)).build().compile()
+    setup = kernel_setup(compiled)
+    assert setup[1].direct
+    return setup
+
+
+@pytest.fixture
+def duo():
+    """A two-application program: the arrow solve with coupling rows."""
+    compiled = WorkloadSocpFormulation(duo_workload()).build().compile()
+    setup = kernel_setup(compiled)
+    assert not setup[1].direct and setup[1].m
+    return setup
+
+
+def reference_system(workspace, z, grad_objective):
+    """The Newton system rebuilt term by term: every term of the plan
+    (coupling included) evaluated on its own and scattered through its
+    support, plus the trace-scaled Tikhonov diagonal."""
+    k = workspace.k
+    grad, hess = grad_objective.astype(float).copy(), np.zeros((k, k))
+    for term in workspace.plan.terms:
+        state, smallest, _ = term.evaluate(z)
+        assert smallest > 0.0
+        g_i, h_i = term.grad_hess(state)
+        support = np.arange(k) if term.support is None else term.support
+        grad[support] += g_i
+        hess[np.ix_(support, support)] += h_i
+    scale = workspace.options.regularization * (1.0 + np.trace(hess) / k)
+    return grad, hess + scale * np.eye(k)
+
+
+def relative(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
 class TestOneEvaluationPerTrialPoint:
-    def test_newton_run_evaluates_each_trial_once(self, chain, monkeypatch):
-        """Term ``evaluate`` runs only inside a line-search trial, at most
-        once per term and trial (all terms on a feasible trial), never twice
-        at the same point and never inside a direction."""
-        solver, workspace, c, z = chain
-        states, phi = workspace.evaluate(z)
+    def test_newton_run_evaluates_each_trial_once(self, chain, duo, monkeypatch):
+        """Each block group (and the coupling rows) is evaluated only inside
+        a line-search trial, at most once per trial (all of them on a
+        feasible trial), never twice at the same point and never inside a
+        direction; no per-term evaluation runs at all."""
         events = []
+        original_group = barrier._BlockGroup.evaluate
+        original_slacks = barrier._LinearBlock.slacks
+
+        def group_evaluate(self, z):
+            events.append(("eval", id(self)))
+            return original_group(self, z)
+
+        def slacks(self, x):
+            events.append(("eval", id(self)))
+            return original_slacks(self, x)
+
+        monkeypatch.setattr(barrier._BlockGroup, "evaluate", group_evaluate)
+        monkeypatch.setattr(barrier._LinearBlock, "slacks", slacks)
         for cls in TERM_CLASSES:
-            original = cls.evaluate
+            monkeypatch.setattr(
+                cls,
+                "evaluate",
+                lambda *args: pytest.fail("a per-term evaluation in the Newton loop"),
+            )
+        for solver, workspace, c, z in (chain, duo):
+            states, phi = workspace.evaluate(z)
+            events.clear()
+            trial_points = []
+            workspace_evaluate = workspace.evaluate
+            workspace_direction = workspace.direction
 
-            def counted(self, x, original=original):
-                events.append(("term", id(self)))
-                return original(self, x)
+            def trial(point):
+                trial_points.append(point.copy())
+                events.append(("trial", len(trial_points)))
+                return workspace_evaluate(point)
 
-            monkeypatch.setattr(cls, "evaluate", counted)
-        trial_points = []
-        workspace_evaluate = workspace.evaluate
-        workspace_direction = workspace.direction
+            def direction(*args):
+                events.append(("direction", None))
+                result = workspace_direction(*args)
+                events.append(("direction-end", None))
+                return result
 
-        def trial(point):
-            trial_points.append(point.copy())
-            events.append(("trial", len(trial_points)))
-            return workspace_evaluate(point)
+            monkeypatch.setattr(workspace, "evaluate", trial)
+            monkeypatch.setattr(workspace, "direction", direction)
+            # The next rung of the schedule makes the run move.
+            z_end, _, _, newton, converged = solver._newton_minimise(
+                c, workspace, z, states, phi, 25.0
+            )
+            assert newton >= 3 and converged
+            assert not np.array_equal(z_end, z)
 
-        def direction(*args):
-            events.append(("direction", None))
-            result = workspace_direction(*args)
-            events.append(("direction-end", None))
-            return result
+            evaluated_parts = len(workspace.groups) + (1 if workspace.m else 0)
+            in_direction = False
+            per_trial = {}
+            trial_index = None
+            for kind, value in events:
+                if kind == "direction":
+                    in_direction, trial_index = True, None
+                elif kind == "direction-end":
+                    in_direction = False
+                elif kind == "trial":
+                    trial_index = value
+                    per_trial[value] = []
+                else:
+                    assert not in_direction, "a direction re-evaluated a slack"
+                    assert trial_index is not None, "an evaluation outside a trial"
+                    per_trial[trial_index].append(value)
+            assert len(per_trial) == len(trial_points) >= newton
+            for evaluated in per_trial.values():
+                assert len(evaluated) == len(set(evaluated)) <= evaluated_parts
+            assert (
+                sum(len(v) == evaluated_parts for v in per_trial.values()) >= newton
+            )
+            for i, point in enumerate(trial_points):
+                assert not any(np.array_equal(point, p) for p in trial_points[:i])
+                assert not np.array_equal(point, z)
 
-        monkeypatch.setattr(workspace, "evaluate", trial)
-        monkeypatch.setattr(workspace, "direction", direction)
-        # The next rung of the schedule makes the run move.
-        z_end, _, _, newton, converged = solver._newton_minimise(
-            c, workspace, z, states, phi, 25.0
-        )
-        assert newton >= 3 and converged
-        assert not np.array_equal(z_end, z)
-
-        terms = len(workspace.plan.terms)
-        in_direction = False
-        per_trial = {}
-        trial_index = None
-        for kind, value in events:
-            if kind == "direction":
-                in_direction, trial_index = True, None
-            elif kind == "direction-end":
-                in_direction = False
-            elif kind == "trial":
-                trial_index = value
-                per_trial[value] = []
-            else:
-                assert not in_direction, "a direction re-evaluated a term"
-                assert trial_index is not None, "a term evaluated outside a trial"
-                per_trial[trial_index].append(value)
-        assert len(per_trial) == len(trial_points) >= newton
-        for evaluated in per_trial.values():
-            assert len(evaluated) == len(set(evaluated)) <= terms
-        assert sum(len(v) == terms for v in per_trial.values()) >= newton
-        for i, point in enumerate(trial_points):
-            assert not any(np.array_equal(point, p) for p in trial_points[:i])
-            assert not np.array_equal(point, z)
-
-    def test_carried_state_direction_is_bitwise_fresh(self, chain):
+    def test_carried_state_direction_is_bitwise_fresh(self, chain, duo):
         """The direction from the carried states of the last accepted trial
         equals one from a fresh evaluation at the same point, bit for bit."""
-        solver, workspace, c, z = chain
-        states, phi = workspace.evaluate(z)
-        z_end, carried, carried_phi, _, _ = solver._newton_minimise(
-            c, workspace, z, states, phi, 25.0
-        )
-        fresh, fresh_phi = workspace.evaluate(z_end)
-        assert carried_phi == fresh_phi
-        grad_objective = 25.0 * c
-        g_carried, d_carried = workspace.direction(z_end, grad_objective, carried)
-        g_fresh, d_fresh = workspace.direction(z_end, grad_objective, fresh)
-        assert np.array_equal(g_carried, g_fresh)
-        assert np.array_equal(d_carried, d_fresh)
+        for solver, workspace, c, z in (chain, duo):
+            states, phi = workspace.evaluate(z)
+            z_end, carried, carried_phi, _, _ = solver._newton_minimise(
+                c, workspace, z, states, phi, 25.0
+            )
+            fresh, fresh_phi = workspace.evaluate(z_end)
+            assert carried_phi == fresh_phi
+            grad_objective = 25.0 * c
+            g_carried, d_carried = workspace.direction(grad_objective, carried)
+            g_fresh, d_fresh = workspace.direction(grad_objective, fresh)
+            assert np.array_equal(g_carried, g_fresh)
+            assert np.array_equal(d_carried, d_fresh)
 
     @pytest.mark.parametrize("shift", [1e6, math.nan], ids=["outside", "nan"])
-    def test_infeasible_trial_carries_no_state(self, chain, shift):
+    def test_infeasible_trial_carries_no_state(self, chain, duo, shift):
         """A point outside the domain, or with a NaN coordinate, is
         ``(None, +inf)``: no state of it can reach ``log`` or ``1/s``."""
-        _, workspace, c, z = chain
-        point = z + shift * c
-        assert workspace.evaluate(point) == (None, math.inf)
+        for _, workspace, c, z in (chain, duo):
+            point = z + shift * c
+            assert workspace.evaluate(point) == (None, math.inf)
 
 
 class TestCholeskyStep:
     def test_cholesky_matches_a_dense_solve(self, chain):
         _, workspace, c, z = chain
         states, _ = workspace.evaluate(z)
-        grad, direction = workspace.direction(z, 1e2 * c, states)
-        hess = regularized_hessian(workspace, states)
-        expected = -np.linalg.solve(hess, grad)
-        assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(
-            expected
-        )
+        grad, direction = workspace.direction(1e2 * c, states)
+        grad_ref, hess = reference_system(workspace, z, 1e2 * c)
+        assert relative(grad, grad_ref) <= 1e-12
+        expected = -np.linalg.solve(hess, grad_ref)
+        assert relative(direction, expected) <= 1e-10
         assert workspace.stats["lstsq_steps"] == 0
+        assert workspace.stats["block_factorizations"] == 1
 
     def test_failed_cholesky_takes_the_counted_lstsq_step(self, chain, monkeypatch):
         """A Cholesky that reports ``info > 0`` hands the step to least
@@ -163,26 +223,83 @@ class TestCholeskyStep:
             return a, b, 1
 
         monkeypatch.setattr(barrier, "_dposv", failing_dposv)
-        grad, direction = workspace.direction(z, 1e2 * c, states)
+        grad, direction = workspace.direction(1e2 * c, states)
         assert len(systems) == 1
         hess, rhs = systems[0]
         assert np.array_equal(rhs, grad)
-        assert np.array_equal(hess, regularized_hessian(workspace, states))
+        _, hess_ref = reference_system(workspace, z, 1e2 * c)
+        assert relative(hess, hess_ref) <= 1e-12
         expected = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         assert np.array_equal(direction, expected)
         assert workspace.stats["lstsq_steps"] == 1
 
 
-def regularized_hessian(workspace, states):
-    """The dense Newton matrix rebuilt from the terms: per-term Hessians
-    plus the trace-scaled Tikhonov diagonal."""
-    k = workspace.k
-    hess = np.zeros((k, k))
-    for term, state in zip(workspace.plan.terms, states):
-        assert term.support is None
-        hess += term.grad_hess(state)[1]
-    scale = workspace.options.regularization * (1.0 + np.trace(hess) / k)
-    return hess + scale * np.eye(k)
+class TestDenseStep:
+    def test_failed_arrow_factorisation_solves_the_reference_system(
+        self, duo, monkeypatch
+    ):
+        """When a block factorisation fails, the direction comes from one
+        ``k×k`` system built from the assembled group blocks plus the
+        coupling term: it equals a solve of the per-term reference system,
+        in phase II (coupling rows) and phase I (the ``t`` border)."""
+        solver, workspace, c, z = duo
+        compiled = WorkloadSocpFormulation(duo_workload()).build().compile()
+        reduced, _ = solver._eliminate_equalities(compiled)
+        pieces = solver._reduced_pieces(compiled, reduced)
+        k = reduced.dimension
+        needed = solver._required_relaxation(compiled, reduced.lift(np.zeros(k)))
+        phase_one = barrier._StructuredWorkspace(
+            solver._phase_one_plan(reduced, pieces, -max(1.0, abs(needed))),
+            k + 1,
+            solver.options,
+            barrier._kernel_stats(),
+        )
+        z_one = np.concatenate([np.zeros(k), [needed + max(1.0, 0.1 * abs(needed))]])
+        assert phase_one.border == 1 and phase_one.m
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("forced singular block factor")
+
+        monkeypatch.setattr(barrier._StructuredWorkspace, "_arrow_direction", singular)
+        for space, point in ((workspace, z), (phase_one, z_one)):
+            grad_objective = np.random.default_rng(0).standard_normal(space.k)
+            states, _ = space.evaluate(point)
+            grad, direction = space.direction(grad_objective, states)
+            grad_ref, hess_ref = reference_system(space, point, grad_objective)
+            assert relative(grad, grad_ref) <= 1e-12
+            assert relative(direction, -np.linalg.solve(hess_ref, grad_ref)) <= 1e-10
+            assert space.stats["fallback_iterations"] == 1
+            assert space.stats["lstsq_steps"] == 0
+
+
+class TestTermlessBlock:
+    def test_block_reached_only_through_coupling_rows(self):
+        """A block whose variable appears only in coupling rows has no
+        barrier terms: its group evaluates to zero and its Hessian block is
+        the regularization alone, and the solve matches the one-block
+        solve of the same program."""
+        program = ConeProgram("termless")
+        x = program.add_variable("x", lower=0.0, upper=4.0)
+        y = program.add_variable("y")
+        program.add_less_equal(x + y, 5.0, name="cap")
+        program.add_less_equal(x - y, 3.0, name="floor")
+        program.minimize(x - y)
+        program.declare_blocks([[x], [y]])
+        compiled = program.compile()
+        structure = compiled.block_structure
+        assert structure is not None and structure.coupling_rows.size == 2
+        solver = barrier.BarrierSolver()
+        reduced, _ = solver._eliminate_equalities(compiled)
+        plan = solver._phase_two_plan(solver._reduced_pieces(compiled, reduced), reduced)
+        assert plan.block_terms[1] == []
+        structured = solve_compiled(compiled, backend="barrier")
+        compiled_one = program.compile()
+        compiled_one.block_structure = None
+        one_block = solve_compiled(compiled_one, backend="barrier")
+        assert structured.is_optimal and one_block.is_optimal
+        assert structured.stats["structured"] is True
+        assert structured.objective == pytest.approx(-5.0, abs=1e-6)
+        assert structured.objective == pytest.approx(one_block.objective, abs=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +312,7 @@ def regularized_hessian(workspace, states):
 )
 def test_cholesky_never_rejects_a_barrier_hessian(family):
     """Over 40 seeds per family (phase I and phase II, feasible or not) the
-    dense kernel never needs its least-squares step."""
+    one-block direct solve never needs its least-squares step."""
     for seed in range(40):
         compiled = SocpFormulation(family(seed)).build().compile()
         solution = solve_compiled(compiled, backend="barrier")
@@ -211,9 +328,10 @@ class TestNonFiniteSystem:
         ``lstsq`` (whose SVD may not return on it): the step raises
         ``NumericalError``."""
         _, workspace, c, z = chain
-        states, _ = workspace.evaluate(z)
-        states[0] = states[0].copy()
-        states[0][0] = 1e-300  # 1/s² overflows to inf
+        (group_states, slacks), _ = workspace.evaluate(z)
+        linear_slacks = group_states[0][0].copy()
+        linear_slacks[0] = 1e-300  # 1/s² overflows to inf
+        group_states[0][0] = linear_slacks
         monkeypatch.setattr(barrier, "_dposv", lambda a, b, lower=0: (a, b, 1))
         monkeypatch.setattr(
             barrier.np.linalg,
@@ -222,5 +340,5 @@ class TestNonFiniteSystem:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
-                workspace.direction(z, c, states)
+                workspace.direction(c, (group_states, slacks))
         assert workspace.stats["lstsq_steps"] == 0

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.exceptions import BindingError, ModelError
 from repro.taskgraph import (
     Configuration,
@@ -217,6 +220,45 @@ class TestSerialization:
         data["format_version"] = 99
         with pytest.raises(ModelError):
             serialization.configuration_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("granularity",), math.nan),
+            (("platform", "processors", 0, "replenishment_interval"), math.nan),
+            (("platform", "processors", 0, "replenishment_interval"), math.inf),
+            (("platform", "processors", 0, "scheduling_overhead"), math.nan),
+            (("platform", "processors", 0, "speed"), math.nan),
+            (("platform", "memories", 0, "capacity"), math.nan),
+            (("task_graphs", 0, "buffers", 0, "initial_tokens"), 1.5),
+            (("task_graphs", 0, "buffers", 0, "max_capacity"), 7.5),
+            (("task_graphs", 0, "buffers", 0, "production_rates"), [1.5]),
+        ],
+        ids=[
+            "granularity-nan",
+            "replenishment-nan",
+            "replenishment-inf",
+            "overhead-nan",
+            "speed-nan",
+            "memory-capacity-nan",
+            "initial-tokens-fractional",
+            "max-capacity-fractional",
+            "rate-fractional",
+        ],
+    )
+    def test_non_finite_or_fractional_input_is_a_model_error(self, path, value):
+        """NaN, inf and fractional counts are rejected at the model boundary:
+        never a raw ValueError / OverflowError / FormulationError from deeper
+        down, never accepted, and never truncated into another model."""
+        data = serialization.configuration_to_dict(
+            _simple_configuration(memory_capacity=64.0)
+        )
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ModelError):
+            repro.allocate(serialization.configuration_from_dict(data))
 
     def test_mapped_configuration_to_dict_embeds_configuration(self):
         config = _simple_configuration()
