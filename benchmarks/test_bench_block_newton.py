@@ -8,9 +8,12 @@ scaling win on workloads of 1, 2, 4 and 8 applications sharing one platform:
 
 * the structured and dense kernels must return **identical optima** (every
   variable within 1e-8) — the structure is a pure performance change;
-* the structured kernel must be **strictly faster** than the dense one on
-  the 4- and 8-application workloads (best-of-``REPEATS`` wall time,
-  elimination cache primed for both);
+* from two applications on, the structured solve must **never hand a
+  full-width system** to the Cholesky solve: the widest one it factorises
+  is a block, the border or the coupling Schur matrix, while the dense
+  reference factorises its whole ``k×k`` system — a deterministic count,
+  not a wall-clock race (best-of-``REPEATS`` wall times are recorded
+  beside it);
 * the structured kernel must engage automatically for workloads of two or
   more applications.
 
@@ -29,21 +32,18 @@ import time
 import pytest
 
 from repro.core.formulation import WorkloadSocpFormulation
+from repro.solver import barrier
 from repro.solver.backends import solve_compiled
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
 
-#: Workload sizes of the scaling series; the strict speedup assertion applies
-#: from ASSERT_FASTER_FROM applications on (small systems are dominated by
-#: Python overhead, where the dense path is competitive).
+#: Workload sizes of the scaling series.
 SIZES = (1, 2, 4, 8)
-ASSERT_FASTER_FROM = 4
-#: Best-of-REPEATS wall times: three repetitions absorb one-off noise spikes
-#: (the 4-app margin is ~2x, the 8-app one ~6x).
+#: Best-of-REPEATS wall times, recorded for trend inspection: three
+#: repetitions absorb one-off noise spikes.
 REPEATS = 3
-#: The strict structured-faster-than-dense assertion holds comfortably on a
-#: quiet machine but is a wall-clock race on shared CI runners, whose smoke
-#: job collects timings for trend inspection, not gating — skip it there.
+#: The near-linearity gate of the scaling curve compares wall times, which
+#: race on shared CI runners; the CI smoke job records them instead.
 STRICT_TIMING = not os.environ.get("CI")
 
 
@@ -111,6 +111,49 @@ def _best_time(compiled, initial):
     return best, solution
 
 
+def _solve_widths(compiled, initial):
+    """One solve with the kernel's Cholesky solve and workspace wrapped.
+
+    Returns the solution, the widest system handed to ``_spd_solve``, the
+    widest one an arrow solve may hand it (a block, the border or the
+    coupling Schur matrix) and the widest workspace ``k``.
+    """
+    received, blocks, full = [0], [0], [0]
+    spd_solve = barrier._spd_solve
+    workspace_init = barrier._StructuredWorkspace.__init__
+
+    def recording_solve(matrix, rhs):
+        received[0] = max(received[0], matrix.shape[0])
+        return spd_solve(matrix, rhs)
+
+    def recording_init(self, plan, k, options, stats):
+        workspace_init(self, plan, k, options, stats)
+        widths = [slc.stop - slc.start for slc in plan.block_slices]
+        blocks[0] = max(blocks[0], *widths, self.border, self.m)
+        full[0] = max(full[0], k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(barrier, "_spd_solve", recording_solve)
+        patch.setattr(barrier._StructuredWorkspace, "__init__", recording_init)
+        solution = _solve(compiled, initial)
+    return solution, received[0], blocks[0], full[0]
+
+
+def _assert_no_full_width_solve(structured_widths, dense_widths):
+    """The structured solve factorises nothing wider than a block, the
+    border or the coupling rows, and takes no dense or least-squares step;
+    the one-block reference factorises its full ``k×k`` system.  Both
+    arguments are :func:`_solve_widths` results."""
+    structured, widest, bound, k = structured_widths
+    assert widest <= bound < k, (widest, bound, k)
+    assert structured.stats["structured_fallback_iterations"] == 0
+    assert structured.stats["lstsq_steps"] == 0
+    dense, dense_widest, _, dense_k = dense_widths
+    assert dense_widest == dense_k
+    assert dense.stats["lstsq_steps"] == 0
+    return widest, dense_widest
+
+
 def _newton_total(solution):
     return int(solution.stats.get("newton_iterations", 0)) + int(
         solution.stats.get("phase1_newton_iterations", 0)
@@ -121,9 +164,10 @@ def _newton_total(solution):
 def test_bench_block_newton_scaling(app_count, benchmark, record_series):
     compiled, dense_compiled, initial = _compiled(app_count)
     # Prime both equality-elimination caches so both kernels time the
-    # Newton work, not the one-off factorisations.
-    _solve(compiled, initial)
-    _solve(dense_compiled, initial)
+    # Newton work, not the one-off factorisations; the priming solves also
+    # record the widths the kernel factorises.
+    structured_widths = _solve_widths(compiled, initial)
+    dense_widths = _solve_widths(dense_compiled, initial)
 
     dense_time, dense = _best_time(dense_compiled, initial)
     structured_time, structured = _best_time(compiled, initial)
@@ -140,11 +184,12 @@ def test_bench_block_newton_scaling(app_count, benchmark, record_series):
     for name, value in point_s.items():
         assert value == pytest.approx(point_d[name], abs=1e-8), name
 
-    if STRICT_TIMING and app_count >= ASSERT_FASTER_FROM:
-        assert structured_time < dense_time, (
-            f"{app_count}-app workload: structured backend took "
-            f"{structured_time * 1e3:.1f} ms vs {dense_time * 1e3:.1f} ms dense"
+    if app_count >= 2:
+        widest, dense_widest = _assert_no_full_width_solve(
+            structured_widths, dense_widths
         )
+        record_series(benchmark, "widest_structured_solve", widest)
+        record_series(benchmark, "widest_dense_solve", dense_widest)
 
     record_series(benchmark, "variables", compiled.num_variables)
     record_series(benchmark, "dense_seconds", dense_time)
@@ -165,9 +210,11 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
     * **parity** — wherever the dense reference is solved (up to DENSE_UPTO
       applications), the sparse backend returns the identical optimum, every
       variable within 1e-8.  This assertion always runs, CI included.
-    * **strictly faster** — from 8 applications up, the sparse wall clock
-      beats the dense one (quiet machines only; on CI the race is recorded,
-      not gated).
+    * **no full-width solve** — wherever the dense reference is solved, the
+      sparse solve hands the Cholesky solve nothing wider than a block, the
+      border or the coupling rows, and takes no dense or least-squares
+      step, while the reference factorises its full ``k×k`` system (both
+      wall times are recorded, not compared).
     * **near-linear per-iteration cost** — wall time per Newton iteration
       from the smallest to the largest size of the curve grows at most as
       apps^LINEARITY_EXPONENT (the dense path is ~cubic here).
@@ -177,7 +224,8 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
         compiled, dense_compiled, initial = _compiled(app_count, light=True)
         # Prime the elimination + pieces caches with one cheap sparse solve
         # so every timed solve measures the Newton work.
-        primed = _solve(compiled, initial)
+        primed_widths = _solve_widths(compiled, initial)
+        primed = primed_widths[0]
         assert primed.is_optimal
         assert primed.stats["structured"] is (app_count >= 2)
 
@@ -188,8 +236,9 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
         dense_time = None
         if app_count <= DENSE_UPTO:
             start = time.perf_counter()
-            dense = _solve(dense_compiled, initial)
+            dense_widths = _solve_widths(dense_compiled, initial)
             dense_time = time.perf_counter() - start
+            dense = dense_widths[0]
             assert dense.is_optimal
             # Parity gate: the sparse core never moves the optimum.
             point_s, point_d = sparse.by_name(), dense.by_name()
@@ -198,10 +247,13 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
                 assert value == pytest.approx(point_d[name], abs=1e-8), (
                     f"{app_count} apps: {name}"
                 )
-            if STRICT_TIMING and app_count >= 8:
-                assert sparse_time < dense_time, (
-                    f"{app_count}-app workload: sparse backend took "
-                    f"{sparse_time * 1e3:.1f} ms vs {dense_time * 1e3:.1f} ms dense"
+            if app_count >= 2:
+                widest, dense_widest = _assert_no_full_width_solve(
+                    primed_widths, dense_widths
+                )
+                record_series(benchmark, f"widest_sparse_solve_{app_count}", widest)
+                record_series(
+                    benchmark, f"widest_dense_solve_{app_count}", dense_widest
                 )
 
         curve.append((app_count, sparse_time, per_iteration))

@@ -45,13 +45,14 @@ diagonal block, and each coupling row ``g`` adds the rank-one term
 ``g·gᵀ/s²``.  Equivalently, the KKT system of the Newton step is
 arrow-structured, and the solver exploits it:
 
-* equalities are eliminated **blockwise** (one SVD per application instead
-  of one on the full matrix), keeping the null-space basis block diagonal so
-  the reduced problem inherits the partition;
+* equalities are eliminated **blockwise** (one pivoted QR per application
+  instead of one on the full matrix), keeping the null-space basis block
+  diagonal so the reduced problem inherits the partition;
 * each Newton step factorises the per-application diagonal blocks
-  independently (Cholesky) and folds the coupling rows in through the Schur
-  complement of the arrow system (a matrix of coupling-row dimension, typically the number
-  of shared processors and memories);
+  independently (one Cholesky solve each) and folds the coupling rows in
+  through the Schur complement of the arrow system (a matrix of
+  coupling-row dimension, typically the number of shared processors and
+  memories);
 * phase I, whose relaxation variable ``t`` touches every constraint, is
   solved with the same machinery by treating ``t`` as a one-column *border*
   of the arrow.
@@ -90,13 +91,18 @@ The structured path is built to scale to hundreds of applications:
 * each centering run owns a :class:`_StructuredWorkspace` with preallocated
   right-hand-side/solution buffers; blocks of equal width and term kinds
   form a :class:`_BlockGroup` whose terms are stacked into padded tensors
-  — all of a group's affine rows in one ``(B, R, n)`` tensor, so a
-  line-search trial costs one batched matvec per group, and each Newton
-  step assembles a group's gradients and Hessian blocks from the carried
-  states in a few batched numpy calls and factorises them in *batched*
-  LAPACK calls (one batched Cholesky for the positive-definiteness check,
-  one batched solve), while blocks at least ``_SPLU_BLOCK_WIDTH`` wide form
-  groups of one that go through a sparse ``splu`` factorisation instead.
+  — all of a group's affine rows ``R`` in one ``(B, R, n)`` tensor, so a
+  line-search trial costs one batched matvec per group;
+* every member's barrier Hessian is the weighted Gram ``Rᵀ·W·R`` with a
+  block-diagonal ``W`` (one small block per term) and its gradient
+  ``Rᵀ·g``: each Newton step writes the row weights from the carried
+  states, then assembles all members' gradients and Hessian blocks in one
+  batched matmul each;
+* each member block is factorised and solved by one LAPACK Cholesky solve
+  (``dposv``, whose pivot check is the positive-definiteness test), and so
+  is the coupling Schur matrix, while blocks at least ``_SPLU_BLOCK_WIDTH``
+  wide form groups of one that go through a sparse ``splu`` factorisation
+  instead.
 
 Per-iteration cost is therefore linear in the number of applications; the
 ``benchmarks/test_bench_block_newton.py`` scaling curve pins this.
@@ -128,8 +134,8 @@ from repro.solver.problem import (
 from repro.solver.result import Solution, SolverStatus
 
 #: Per-application Hessian blocks at least this wide are factorised with a
-#: sparse LU (:func:`scipy.sparse.linalg.splu`) instead of joining a batched
-#: dense Cholesky group.  Workload blocks are narrow (a few dozen variables),
+#: sparse LU (:func:`scipy.sparse.linalg.splu`) instead of joining a dense
+#: Cholesky group.  Workload blocks are narrow (a few dozen variables),
 #: so this only engages for unusually large applications.
 _SPLU_BLOCK_WIDTH = 256
 
@@ -161,6 +167,18 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return solution
+
+
+def _splu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a wide block through a sparse LU (:func:`scipy.sparse.linalg.splu`).
+
+    Raises :class:`numpy.linalg.LinAlgError` on a singular factor, like
+    :func:`_spd_solve` on a matrix that is not positive definite.
+    """
+    try:
+        return _sp_splu(_sp.csc_matrix(matrix)).solve(rhs)
+    except RuntimeError as error:
+        raise np.linalg.LinAlgError(str(error)) from error
 
 
 @dataclass
@@ -406,7 +424,12 @@ class _LinearStack:
         return max(term.count for term in terms)
 
     def __init__(
-        self, terms: Sequence[_LinearBlock], rows: np.ndarray, start: int
+        self,
+        terms: Sequence[_LinearBlock],
+        rows: np.ndarray,
+        wrows: np.ndarray,
+        wgrad: np.ndarray,
+        start: int,
     ) -> None:
         height = self.height(terms)
         self.span = slice(start, start + height)
@@ -416,7 +439,8 @@ class _LinearStack:
             G[j, : term.count] = term.G
             h[j, : term.count] = term.h
         self.G, self.h = _members(G), _members(h)
-        self.Gt = self.G.swapaxes(-1, -2)
+        self.wG = _members(wrows[:, self.span])
+        self.g = _members(wgrad[:, self.span])
 
     def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
         s = self.h - values[..., self.span]
@@ -424,19 +448,23 @@ class _LinearStack:
             return None, math.inf
         return s, -float(np.log(s).sum())
 
-    def grad_hess(self, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        inv = 1.0 / s
-        grad = _batched_matvec(self.Gt, inv)
-        hess = np.matmul(self.Gt * (inv * inv)[..., None, :], self.G)
-        return grad, hess
+    def weigh(self, s: np.ndarray) -> None:
+        """Row gradients ``1/s`` and weighted rows ``G/s²``."""
+        np.divide(1.0, s, out=self.g)
+        # einsum fills a strided view of many short rows about twice as fast
+        # as the equivalent broadcast multiply.
+        np.einsum("...rn,...r->...rn", self.G, self.g * self.g, out=self.wG)
 
 
 class _HyperbolicStack:
     """The ``_HyperbolicBlock`` terms of a block group, padded.
 
-    ``P`` and ``Q`` are views into the group's row tensor.  Padding rows are
-    ``(0·x + 1)(0·x + 1) ≥ 0`` (slack 1, zero gradient and Hessian).  The
-    state is the triple ``(p, q, p·q − w)``.
+    The ``P`` rows followed by the ``Q`` rows are one view into the group's
+    row tensor, ``PQ``, with ``PQ[..., 0, :, :]`` = ``P`` and
+    ``PQ[..., 1, :, :]`` = ``Q``.  Padding rows are ``(0·x + 1)(0·x + 1) ≥
+    0`` (slack 1, zero gradient and Hessian).  The state is the pair
+    ``(pq, p·q − w)`` with ``pq[..., 0, :]`` = ``p`` and ``pq[..., 1, :]`` =
+    ``q``.
     """
 
     @staticmethod
@@ -444,54 +472,62 @@ class _HyperbolicStack:
         return 2 * max(term.count for term in terms)
 
     def __init__(
-        self, terms: Sequence[_HyperbolicBlock], rows: np.ndarray, start: int
+        self,
+        terms: Sequence[_HyperbolicBlock],
+        rows: np.ndarray,
+        wrows: np.ndarray,
+        wgrad: np.ndarray,
+        start: int,
     ) -> None:
         count = self.height(terms) // 2
-        self.p_span = slice(start, start + count)
-        self.q_span = slice(start + count, start + 2 * count)
-        P, Q = rows[:, self.p_span], rows[:, self.q_span]
-        shape = (len(terms), count)
-        p0, q0, w = np.ones(shape), np.ones(shape), np.zeros(shape)
+        size, _, n = rows.shape
+        self.span = slice(start, start + 2 * count)
+        PQ = rows[:, self.span].reshape(size, 2, count, n)
+        pq0, w = np.ones((size, 2, count)), np.zeros((size, count))
         for j, term in enumerate(terms):
             used = term.count
-            P[j, :used] = term.P
-            Q[j, :used] = term.Q
-            p0[j, :used] = term.p0
-            q0[j, :used] = term.q0
+            PQ[j, 0, :used] = term.P
+            PQ[j, 1, :used] = term.Q
+            pq0[j, 0, :used] = term.p0
+            pq0[j, 1, :used] = term.q0
             w[j, :used] = term.w
-        self.P, self.Q = _members(P), _members(Q)
-        self.p0, self.q0, self.w = _members(p0), _members(q0), _members(w)
-        self.Pt = self.P.swapaxes(-1, -2)
+        self.PQ, self.pq0, self.w = _members(PQ), _members(pq0), _members(w)
+        self.wPQ = _members(wrows[:, self.span].reshape(size, 2, count, n))
+        self.gPQ = _members(wgrad[:, self.span].reshape(size, 2, count))
 
     def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
-        pv = values[..., self.p_span] + self.p0
-        qv = values[..., self.q_span] + self.q0
-        if pv.min() <= 0.0 or qv.min() <= 0.0:
+        pq = values[..., self.span].reshape(self.pq0.shape) + self.pq0
+        if not pq.min() > 0.0:
             return None, math.inf  # off the positive branch
-        f = pv * qv - self.w
+        f = pq[..., 0, :] * pq[..., 1, :] - self.w
         if not f.min() > 0.0:
             return None, math.inf
-        return (pv, qv, f), -float(np.log(f).sum())
+        return (pq, f), -float(np.log(f).sum())
 
-    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        pv, qv, f = state
-        inv = 1.0 / f
-        # Same algebra as _HyperbolicBlock.grad_hess, one member per batch row.
-        Gf = self.P * qv[..., None] + self.Q * pv[..., None]
-        Gft = Gf.swapaxes(-1, -2)
-        grad = -_batched_matvec(Gft, inv)
-        hess = np.matmul(Gft * (inv * inv)[..., None, :], Gf)
-        PQ = np.matmul(self.Pt * inv[..., None, :], self.Q)
-        hess -= PQ + PQ.swapaxes(-1, -2)
-        return grad, hess
+    def weigh(self, state: Tuple[np.ndarray, ...]) -> None:
+        """The ``_HyperbolicBlock.grad_hess`` algebra as row weights.
+
+        With ``a = q/f``, ``b = p/f`` and ``β = ab − 1/f`` the gradient is
+        ``−(a·P + b·Q)`` and the Hessian ``[P; Q]ᵀ [[a², β], [β, b²]] [P; Q]``.
+        """
+        pq, f = state
+        neg_inv = np.divide(-1.0, f)
+        g = self.gPQ
+        np.multiply(pq[..., ::-1, :], neg_inv[..., None, :], out=g)  # −a, −b
+        beta = g[..., 0, :] * g[..., 1, :] + neg_inv
+        np.multiply(self.PQ, (g * g)[..., None], out=self.wPQ)
+        self.wPQ += self.PQ[..., ::-1, :, :] * beta[..., None, :, None]  # β·[Q; P]
 
 
 class _ConeStack:
     """The ``_ConeBlock`` terms (one norm dimension) of a block group, padded.
 
-    The flattened ``A`` rows and the ``C`` rows are views into the group's
-    row tensor.  Padding cones are ``‖0·x + 0‖ ≤ 0·x + 1`` (slack 1, zero
-    gradient and Hessian).  The state is the triple ``(u, v, v² − ‖u‖²)``.
+    Each cone owns ``dim + 1`` consecutive rows of the group's row tensor,
+    its ``A`` rows followed by its ``c`` row; ``AC`` views them as
+    ``(..., count, dim + 1, n)``.
+    Padding cones are ``‖0·x + 0‖ ≤ 0·x + 1`` (slack 1, zero gradient and
+    Hessian).  The state is the pair ``(uv, v² − ‖u‖²)`` with
+    ``uv[..., :dim]`` = ``u`` and ``uv[..., dim]`` = ``v``.
     """
 
     @staticmethod
@@ -499,51 +535,61 @@ class _ConeStack:
         return max(term.count for term in terms) * (terms[0].A.shape[1] + 1)
 
     def __init__(
-        self, terms: Sequence[_ConeBlock], rows: np.ndarray, start: int
+        self,
+        terms: Sequence[_ConeBlock],
+        rows: np.ndarray,
+        wrows: np.ndarray,
+        wgrad: np.ndarray,
+        start: int,
     ) -> None:
         dim = terms[0].A.shape[1]
         count = self.height(terms) // (dim + 1)
         size, _, n = rows.shape
-        self.a_span = slice(start, start + count * dim)
-        self.c_span = slice(start + count * dim, start + count * (dim + 1))
-        A_flat, C = rows[:, self.a_span], rows[:, self.c_span]
-        A = A_flat.reshape(size, count, dim, n)
-        b, d = np.zeros((size, count, dim)), np.ones((size, count))
+        self.span = slice(start, start + count * (dim + 1))
+        AC = rows[:, self.span].reshape(size, count, dim + 1, n)
+        bd = np.zeros((size, count, dim + 1))
+        bd[..., dim] = 1.0
         for j, term in enumerate(terms):
             used = term.count
-            A[j, :used] = term.A
-            b[j, :used] = term.b
-            C[j, :used] = term.C
-            d[j, :used] = term.d
-        self.A_flat, self.A, self.C = _members(A_flat), _members(A), _members(C)
-        self.b, self.d = _members(b), _members(d)
+            AC[j, :used, :dim] = term.A
+            AC[j, :used, dim] = term.C
+            bd[j, :used, :dim] = term.b
+            bd[j, :used, dim] = term.d
+        self.AC, self.bd = _members(AC), _members(bd)
         self.dim = dim
-        self.A_flat_t = self.A_flat.swapaxes(-1, -2)
-        self.Ct = self.C.swapaxes(-1, -2)
+        #: ``+1`` on the ``A`` rows, ``−1`` on the ``c`` row
+        self.sign = np.ones(dim + 1)
+        self.sign[dim] = -1.0
+        self.wAC = _members(wrows[:, self.span].reshape(size, count, dim + 1, n))
+        self.gAC = _members(wgrad[:, self.span].reshape(size, count, dim + 1))
 
     def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
-        u = values[..., self.a_span].reshape(self.b.shape) + self.b
-        v = values[..., self.c_span] + self.d
+        uv = values[..., self.span].reshape(self.bd.shape) + self.bd
+        u, v = uv[..., : self.dim], uv[..., self.dim]
         if v.min() <= 0.0:
             return None, math.inf  # off the positive branch
         f = v * v - np.einsum("...rm,...rm->...r", u, u)
         if not f.min() > 0.0:
             return None, math.inf
-        return (u, v, f), -float(np.log(f).sum())
+        return (uv, f), -float(np.log(f).sum())
 
-    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        u, v, f = state
-        inv = 1.0 / f
-        # Same algebra as _ConeBlock.grad_hess, one member per batch row.
-        Au = np.matmul(u[..., None, :], self.A)[..., 0, :]
-        Gf = 2.0 * (self.C * v[..., None] - Au)
-        Gft = Gf.swapaxes(-1, -2)
-        grad = -_batched_matvec(Gft, inv)
-        hess = np.matmul(Gft * (inv * inv)[..., None, :], Gf)
-        hess -= 2.0 * np.matmul(self.Ct * inv[..., None, :], self.C)
-        per_row = np.repeat(inv, self.dim, axis=-1)
-        hess += 2.0 * np.matmul(self.A_flat_t * per_row[..., None, :], self.A_flat)
-        return grad, hess
+    def weigh(self, state: Tuple[np.ndarray, ...]) -> None:
+        """The ``_ConeBlock.grad_hess`` algebra as row weights.
+
+        With ``∇f = 2(v·c − Aᵀu)`` the gradient is ``2uᵀA/f − 2v·c/f`` and
+        the Hessian ``∇f∇fᵀ/f² − 2ccᵀ/f + 2AᵀA/f`` is ``Aᵀ(W·A) + cᵀ(W·c)``
+        with ``W·A = 2A/f − 2u⊗∇f/f²`` and ``W·c = 2v·∇f/f² − 2c/f``.  In
+        the stacked rows ``[A; c]`` the gradient coefficients are
+        ``g = (2/f)·[u; −v]``, ``∇f/f = −gᵀ[A; c]``, and so
+        ``W·[A; c] = (2/f)·diag(1, …, 1, −1)·[A; c] + g⊗(gᵀ[A; c])``.
+        """
+        uv, f = state
+        scale = np.multiply.outer(2.0 / f, self.sign)
+        g = self.gAC
+        np.multiply(uv, scale, out=g)
+        grad_f = np.matmul(g[..., None, :], self.AC)[..., 0, :]  # −∇f/f
+        np.einsum("...rmn,...rm->...rmn", self.AC, scale, out=self.wAC)
+        self.wAC += np.einsum("...rm,...rn->...rmn", g, grad_f)
 
 
 _STACKS = {
@@ -568,10 +614,14 @@ class _BlockGroup:
     gathers member ``j``'s coordinates (its block followed by the border)
     from the solver vector.  All stacks' affine rows live in one ``(B, R,
     n)`` tensor, :attr:`rows` (the stacks hold views into it), so
-    :meth:`evaluate` costs one batched matvec per trial point, and
-    :meth:`assemble` builds the ``(B, n)`` gradient and ``(B, n, n)`` Hessian
-    stacks of all members from the states it returned.  A group of one drops
-    the member axis of its stack tensors (:func:`_members`).
+    :meth:`evaluate` costs one batched matvec per trial point.  The barrier
+    Hessian of every member is a weighted Gram ``Rᵀ·W·R`` of its rows with a
+    block-diagonal ``W`` (one small block per term), and its gradient
+    ``Rᵀ·g``: each stack writes its rows' weights into :attr:`wrows`
+    (``W·R``) and :attr:`wgrad` (``g``), and :meth:`assemble` builds the
+    ``(B, n)`` gradient and ``(B, n, n)`` Hessian stacks of all members in one
+    batched matmul each.  A group of one drops the member axis of its stack
+    tensors (:func:`_members`).
     """
 
     def __init__(
@@ -598,21 +648,29 @@ class _BlockGroup:
         slots = [(_STACKS[type(slot[0])], slot) for slot in zip(*block_terms)]
         height = sum(stack.height(slot) for stack, slot in slots)
         rows = np.zeros((self.size, height, n))
+        #: ``W·R`` and ``g``: each stack writes its rows' Hessian weights and
+        #: gradient coefficients through its spans; padding rows of ``rows``
+        #: are zero, so whatever they weigh adds exact zeros
+        wrows = np.zeros((self.size, height, n))
+        wgrad = np.zeros((self.size, height))
         self.stacks = []
         start = 0
         for stack, slot in slots:
-            self.stacks.append(stack(slot, rows, start))
+            self.stacks.append(stack(slot, rows, wrows, wgrad, start))
             start += stack.height(slot)
         self.rows = _members(rows)
+        self.wrows, self.wgrad = _members(wrows), _members(wgrad)
+        self._rows_t = self.rows.swapaxes(-1, -2)
         #: gathers the members' coordinates (border included) from ``z``
         self.gather = _members(self.index)
-        #: sparse LU instead of the batched Cholesky (always a group of one)
+        #: sparse LU instead of the Cholesky solve (always a group of one)
         self.splu = width >= _SPLU_BLOCK_WIDTH
         self.grad = np.empty((self.size, n))
         self.hess = np.empty((self.size, n, n))
         #: views of the two without the member axis of a group of one, which
-        #: :meth:`assemble` accumulates into at the cost of plain 2-D calls
-        self._grad_sum, self._hess_sum = _members(self.grad), _members(self.hess)
+        #: :meth:`assemble` writes at the cost of plain 2-D calls
+        self._grad_out = _members(self.grad)[..., None]
+        self._hess_out = _members(self.hess)
         diagonals = _members(self.hess.reshape(self.size, n * n)[:, :: n + 1])
         #: strided view of every diagonal entry ``hess[:, i, i]``
         self.trace = diagonals
@@ -622,6 +680,14 @@ class _BlockGroup:
         #: columns]``; the coupling columns are constant, written once here
         self.rhs = np.empty((self.size, width, cols + border))
         self.rhs[:, :, :cols] = rhs[self.block_index]
+        #: per member: its block's coordinates, its Hessian block (without
+        #: the border) and its right-hand sides, as views into the buffers
+        self.members = [
+            (slc, self.hess[j, :width, :width], self.rhs[j])
+            for j, slc in enumerate(slices)
+        ]
+        #: the members' stacked solutions, used when there is a border
+        self.sol = np.empty_like(self.rhs) if border else None
 
     def evaluate(self, z: np.ndarray) -> Tuple[Optional[List[object]], float]:
         """Per-stack states and the members' summed barrier value at ``z``.
@@ -641,13 +707,12 @@ class _BlockGroup:
         return states, total
 
     def assemble(self, states: Sequence[object]) -> None:
-        """Fill :attr:`grad` and :attr:`hess` from :meth:`evaluate`'s states."""
-        self._grad_sum.fill(0.0)
-        self._hess_sum.fill(0.0)
+        """Fill :attr:`grad` and :attr:`hess` from :meth:`evaluate`'s states:
+        ``Rᵀ·g`` and ``Rᵀ·(W·R)`` in one matmul each."""
         for stack, state in zip(self.stacks, states):
-            g, h = stack.grad_hess(state)
-            self._grad_sum += g
-            self._hess_sum += h
+            stack.weigh(state)
+        np.matmul(self._rows_t, self.wgrad[..., None], out=self._grad_out)
+        np.matmul(self._rows_t, self.wrows, out=self._hess_out)
 
 
 def _kernel_stats() -> Dict[str, float]:
@@ -916,7 +981,7 @@ class _StructuredWorkspace:
       program, phase I included: its ``t`` is a coordinate of the block)
       solves its assembled block with one Cholesky solve (:func:`_spd_solve`);
     * every other plan takes the arrow solve (:meth:`_arrow_direction`):
-      batched block factorisations plus the Schur complements of the border
+      one Cholesky solve per block plus the Schur complements of the border
       and the coupling rows.  The right-hand-side / solution buffers are
       preallocated and the coupling columns ``Gcᵀ`` written **once**.
 
@@ -1005,7 +1070,8 @@ class _StructuredWorkspace:
         (per-application blocks, plus the phase-I relaxation column as a
         border) and ``W = diag(1/s²)`` over the coupling-row slacks.  Each
         block group assembles its members' bordered blocks of ``H₀`` (and
-        gradients) in one batched pass.
+        gradients) as one weighted Gram of its rows
+        (:meth:`_BlockGroup.assemble`).
         """
         group_states, slacks = states
         k, border = self.k, self.border
@@ -1042,23 +1108,26 @@ class _StructuredWorkspace:
             return grad, self._dense_step(grad, reg)
 
     def _arrow_direction(self, grad: np.ndarray, reg: float) -> np.ndarray:
-        """The Newton direction via batched block factorisations and Schur
+        """The Newton direction via block factorisations and Schur
         complements of the assembled arrow system.
 
-        ``H₀⁻¹`` is applied through per-group batched factorisations and the
+        ``H₀⁻¹`` is applied through per-block factorisations and the
         border's Schur complement; the coupling's low-rank term is folded in
         through the matrix-inversion lemma — its Schur matrix has
         coupling-row dimension (the number of shared processors and
         memories), so the cost per step is the sum of the per-block
-        factorisations instead of one cube of the full size.  A group of one
-        takes one Cholesky solve (:func:`_spd_solve`); larger groups run one
-        batched Cholesky (the positive-definiteness check) followed by one
-        batched solve; blocks at least ``_SPLU_BLOCK_WIDTH`` wide are
-        factorised sparsely via :func:`scipy.sparse.linalg.splu`.
+        factorisations instead of one cube of the full size.  Every member
+        block takes one Cholesky solve (:func:`_spd_solve`), which is also
+        its positive-definiteness check; in phase II (no border) the
+        solution is written straight into the member's rows of the solution
+        buffer.  Blocks at least ``_SPLU_BLOCK_WIDTH`` wide are factorised
+        sparsely via :func:`scipy.sparse.linalg.splu`.  The border and the
+        coupling Schur matrices are symmetric positive definite too and take
+        one Cholesky solve each.
 
-        Raises :class:`numpy.linalg.LinAlgError` when any block is not
-        positive definite (or a Schur system is singular), which
-        :meth:`direction` catches to take the dense step instead.
+        Raises :class:`numpy.linalg.LinAlgError` when any block or Schur
+        matrix is not positive definite (or a sparse factor is singular),
+        which :meth:`direction` catches to take the dense step instead.
         """
         k, border, m, cols = self.k, self.border, self.m, self.cols
         blocks_end = k - border
@@ -1084,24 +1153,20 @@ class _StructuredWorkspace:
                 continue
             R[:, :, 0] = grad[group.block_index]
             R[:, :, cols:] = H[:, :width, width:]
-            blocks = H[:, :width, :width]
-            if group.splu:
-                try:
-                    sol = _sp_splu(_sp.csc_matrix(blocks[0])).solve(R[0])[None]
-                except RuntimeError as error:  # singular factor → dense step
-                    raise np.linalg.LinAlgError(str(error)) from error
-            elif group.size == 1:
-                sol = _spd_solve(blocks[0], R[0])[None]
-            else:
-                np.linalg.cholesky(blocks)
-                sol = np.linalg.solve(blocks, R)
-            self.stats["block_factorizations"] += group.size
-            solved[group.block_index] = sol[:, :, :cols]
+            solve = _splu_solve if group.splu else _spd_solve
             if border:
+                sol = group.sol
+                for j, (_, block, member_rhs) in enumerate(group.members):
+                    sol[j] = solve(block, member_rhs)
+                solved[group.block_index] = sol[:, :, :cols]
                 cross = R[:, :, cols:]
                 cross_rhs += np.einsum("bwj,bwc->jc", cross, sol[:, :, :cols])
                 schur -= np.einsum("bwj,bwl->jl", cross, sol[:, :, cols:])
                 border_parts.append((group.block_index, sol[:, :, cols:]))
+            else:
+                for slc, block, member_rhs in group.members:
+                    solved[slc] = solve(block, member_rhs)
+            self.stats["block_factorizations"] += group.size
         self.stats["factorization_time"] += time.perf_counter() - factor_start
 
         schur_start = time.perf_counter()
@@ -1117,7 +1182,7 @@ class _StructuredWorkspace:
             # Matrix-inversion lemma: (W⁻¹ + Gc·H₀⁻¹·Gcᵀ) is the coupling
             # Schur complement of the arrow-structured KKT system.
             schur_c = np.diag(1.0 / self.weights) + Gc @ lifted
-            multipliers = np.linalg.solve(schur_c, Gc @ base)
+            multipliers = _spd_solve(schur_c, Gc @ base)
             direction = -(base - lifted @ multipliers)
         else:
             direction = -solved[:, 0]

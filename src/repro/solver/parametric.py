@@ -139,9 +139,9 @@ class SessionStats:
     phase1_newton_iterations: int = 0  #: phase-I Newton iterations, summed
     solve_time: float = 0.0      #: wall-clock seconds inside the backends
     rebuilds: int = 0            #: full rebuild fallbacks (set by callers)
-    #: equality-elimination null-space computations (SVDs) performed by the
-    #: barrier backend.  The compiled problem caches the basis
-    #: (:attr:`repro.solver.problem.CompiledProblem.elimination_cache`), so a
+    #: equality-elimination null-space computations (one pivoted QR per
+    #: block) performed by the barrier backend.  The compiled problem caches
+    #: the basis (:attr:`repro.solver.problem.CompiledProblem.elimination_cache`), so a
     #: compile-once session's whole sweep counts exactly one — each rebuild
     #: fallback adds one more for its freshly compiled problem.
     eliminations: int = 0

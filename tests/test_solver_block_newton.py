@@ -19,6 +19,7 @@ from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
+from repro.solver.problem import CompiledCone, CompiledHyperbolic
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
 from repro.taskgraph.workload import random_workload
@@ -397,13 +398,26 @@ class TestStackedAssembly:
             assert workspace.stats["block_factorizations"] == 1
 
     def test_stacks_are_views_into_the_group_rows(self):
-        """Every stack's affine rows live in its group's one row tensor."""
+        """Every stack's affine rows live in its group's one row tensor, and
+        its row weights and gradient coefficients in the group's weighted
+        rows and row-gradient buffers."""
+        buffers = {
+            "rows": ("G", "PQ", "AC"),
+            "wrows": ("wG", "wPQ", "wAC"),
+            "wgrad": ("g", "gPQ", "gAC"),
+        }
         for plan, k, _ in workload_plans(0):
             for group in new_workspace(plan, k).groups:
                 for stack in group.stacks:
-                    for name in ("G", "P", "Q", "A_flat", "A", "C"):
-                        if hasattr(stack, name):
-                            assert np.shares_memory(getattr(stack, name), group.rows)
+                    for buffer, names in buffers.items():
+                        views = [
+                            getattr(stack, name)
+                            for name in names
+                            if hasattr(stack, name)
+                        ]
+                        assert views
+                        for view in views:
+                            assert np.shares_memory(view, getattr(group, buffer))
 
     def test_group_with_different_row_counts(self):
         """Block 0's extra phase-I row makes its group ragged: the padding
@@ -463,3 +477,120 @@ class TestStackedAssembly:
             assert workspace.stats["fallback_iterations"] == 0
             assert workspace.stats["block_factorizations"] == 8
         assert calls == []
+
+
+def hand_terms(kind, count, width, rng, z, bound=0.5):
+    """One ``kind`` term over ``count`` constraints and ``width`` block
+    coordinates, strictly feasible at ``z`` (its support is set by the
+    caller)."""
+    if kind is barrier._LinearBlock:
+        G = rng.standard_normal((count, width))
+        return barrier._LinearBlock(G, G @ z + rng.uniform(0.5, 2.0, count))
+    if kind is barrier._HyperbolicBlock:
+        hyps = []
+        for _ in range(count):
+            p, q = rng.standard_normal(width), rng.standard_normal(width)
+            hyps.append(
+                CompiledHyperbolic(
+                    p=p, p0=1.0 - p @ z, q=q, q0=2.0 - q @ z, bound=bound
+                )
+            )
+        return barrier._HyperbolicBlock(hyps)
+    cones = []
+    for _ in range(count):
+        A, c = rng.standard_normal((2, width)), rng.standard_normal(width)
+        cones.append(
+            CompiledCone(A=A, b=rng.uniform(-0.5, 0.5, 2), c=c, d=3.0 - c @ z)
+        )
+    return barrier._ConeBlock(cones)
+
+
+def hand_group(kind, counts, width, seed=0):
+    """A ``_BlockGroup`` of one stack kind, member ``j`` holding
+    ``counts[j]`` constraints, with its terms and a feasible point."""
+    rng = np.random.default_rng(seed)
+    k = width * len(counts)
+    z = rng.uniform(-0.5, 0.5, k)
+    slices = [slice(j * width, (j + 1) * width) for j in range(len(counts))]
+    terms = []
+    for slc, count in zip(slices, counts):
+        term = hand_terms(kind, count, width, rng, z[slc])
+        term.support = np.arange(slc.start, slc.stop)
+        terms.append(term)
+    group = barrier._BlockGroup(slices, [[term] for term in terms], np.zeros((k, 1)), 0)
+    return group, terms, z, k
+
+
+class TestGramAssembly:
+    """A group's gradient and Hessian stacks are one weighted Gram of its
+    rows; each stack kind's weights must reproduce the per-term
+    ``grad_hess`` reference."""
+
+    @pytest.mark.parametrize(
+        "kind", [barrier._LinearBlock, barrier._HyperbolicBlock, barrier._ConeBlock]
+    )
+    @pytest.mark.parametrize("counts", [(3, 5, 1), (4,)], ids=["ragged", "one"])
+    def test_weighted_gram_matches_grad_hess(self, kind, counts):
+        group, terms, z, k = hand_group(kind, counts, width=4)
+        if len(counts) > 1:
+            assert len({term.count for term in terms}) > 1  # padding rows
+        states, phi = group.evaluate(z)
+        assert phi < np.inf
+        group.assemble(states)
+        grad, hess = np.zeros(k), np.zeros((k, k))
+        for j, index in enumerate(group.index):
+            grad[index] += group.grad[j]
+            hess[np.ix_(index, index)] += group.hess[j]
+        grad_ref, hess_ref = per_term_assembly(terms, z, k)
+        assert relative(grad, grad_ref) <= 1e-12
+        assert relative(hess, hess_ref) <= 1e-12
+
+
+class TestNaturalFactorisationFailure:
+    def test_indefinite_block_takes_the_dense_step(self):
+        """No fault armed: the second block's hyperbolic term has a negative
+        bound, which makes its Hessian indefinite; the coupling rows make
+        the whole system positive definite again.  The arrow solve must
+        raise, and the direction must come from the dense step on the same
+        system."""
+        rng = np.random.default_rng(4)
+        width, k = 2, 4
+        z = np.zeros(k)
+        slices = [slice(0, width), slice(width, k)]
+        block_terms = []
+        for slc, bound in zip(slices, (0.5, -10.0)):
+            G = np.vstack([np.eye(width), -np.eye(width)])
+            linear = barrier._LinearBlock(G, np.full(2 * width, 20.0))
+            hyperbolic = barrier._HyperbolicBlock(
+                [CompiledHyperbolic(
+                    p=np.array([1.0, 0.0]), p0=1.0,
+                    q=np.array([0.0, 1.0]), q0=1.0, bound=bound,
+                )]
+            )
+            for term in (linear, hyperbolic):
+                term.support = np.arange(slc.start, slc.stop)
+            block_terms.append([linear, hyperbolic])
+        coupling = barrier._LinearBlock(np.eye(k), np.full(k, 0.1))
+        plan = barrier._StructurePlan(slices, 0, block_terms, coupling)
+        workspace = new_workspace(plan, k)
+        (group,) = workspace.groups
+        assert group.size == 2
+
+        grad_objective = rng.standard_normal(k)
+        grad, direction = workspace.direction(
+            grad_objective, workspace.evaluate(z)[0]
+        )
+        eigenvalues = [np.linalg.eigvalsh(block).min() for block in group.hess]
+        assert eigenvalues[0] > 0.0 > eigenvalues[1]
+        assert workspace.stats["fallback_iterations"] == 1
+        assert workspace.stats["lstsq_steps"] == 0
+
+        g_ref, h_ref = per_term_assembly(plan.terms, z, k)
+        g_ref += grad_objective
+        reg = workspace.options.regularization * (1.0 + np.trace(h_ref) / k)
+        h_ref += reg * np.eye(k)
+        assert np.linalg.eigvalsh(h_ref).min() > 0.0
+        assert relative(grad, g_ref) <= 1e-12
+        assert relative(direction, -np.linalg.solve(h_ref, g_ref)) <= 1e-10
+        with pytest.raises(np.linalg.LinAlgError):
+            workspace._arrow_direction(grad, reg)
