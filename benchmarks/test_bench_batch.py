@@ -3,8 +3,9 @@
 A ~50-instance random-DAG campaign is pushed through the batch engine three
 ways: inline on one worker, fanned out over four worker processes, and with
 a fully warm result cache.  The recorded metric is end-to-end throughput in
-allocations per second; the warm cache must beat solving, and on a
-multi-core machine the process pool must beat the serial run.
+allocations per second; the warm cache must serve every result without a
+single solver call, and on a multi-core machine the process pool must beat
+the serial run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.batch import (
     ResultCache,
     aggregate_results,
 )
+from repro.solver import backends
 
 CAMPAIGN = {
     "name": "bench-batch",
@@ -92,16 +94,28 @@ def test_batch_parallel(benchmark, run_timed, items):
 
 
 @pytest.mark.benchmark(group="batch-engine")
-def test_batch_warm_cache(benchmark, run_timed, items, tmp_path_factory):
+def test_batch_warm_cache(benchmark, run_timed, items, tmp_path_factory, monkeypatch):
+    # Every compiled program reaches a backend through this one dispatcher;
+    # the inline (one-worker) runs below call it in this process.
+    calls = []
+    dispatch = backends.solve_compiled
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dispatch(*args, **kwargs)
+
+    monkeypatch.setattr(backends, "solve_compiled", counting)
     cache = ResultCache(tmp_path_factory.mktemp("bench-cache"))
     cold_results = _run(items, workers=1, cache=cache)
     cold_elapsed = sum(result.solve_seconds for result in cold_results)
+    cold_calls = len(calls)
+    assert cold_calls >= aggregate_results("bench-batch", cold_results).feasible > 0
 
     results, wall = run_timed(lambda: _run(items, workers=1, cache=cache))
-    warm_throughput = _throughput(benchmark, items, results, wall)
+    _throughput(benchmark, items, results, wall)
     benchmark.extra_info["cold_allocations_per_second"] = round(
         len(items) / cold_elapsed, 2
     )
     assert all(result.from_cache for result in results)
-    # a warm cache serves results orders of magnitude faster than solving
-    assert warm_throughput > len(items) / cold_elapsed
+    # a warm cache serves every result without solving anything
+    assert len(calls) == cold_calls

@@ -225,13 +225,17 @@ class AdmissionController:
 
         1. The committed allocation's *residual slack* on every shared
            capacity row is computed (``capacity − committed usage``).
-        2. The candidate is solved **standalone** against those residuals:
+        2. The candidate is checked **standalone** against those residuals:
            its own single-application cone program with the shared
            ``processor[...]`` / ``memory[...]`` rows tightened by the
-           committed usage.  Feasibility of that small program proves the
-           joint program feasible (the running applications keep their
-           committed allocation untouched), so the verdict is
-           :data:`VERDICT_ADMIT` (:data:`STAGE_ANYTIME_FIT`).
+           committed usage.  Only the barrier solver's phase I runs
+           (:meth:`~repro.solver.barrier.BarrierSolver.feasible_point`); no
+           optimum is computed.  The strictly feasible point it returns is
+           the certificate: Constraints (9)/(10) pre-charge the rounding,
+           so the point rounds to a valid allocation of the residual
+           capacity, and the joint program is feasible with the running
+           applications keeping their committed allocation untouched.  The
+           verdict is :data:`VERDICT_ADMIT` (:data:`STAGE_ANYTIME_FIT`).
         3. When the candidate does *not* fit the residuals, the warm
            shared-capacity **prices** — ``1/(t_final · slack)`` per row from
            the previous joint solve's final barrier rung — arbitrate: if
@@ -260,15 +264,13 @@ class AdmissionController:
         return (verdict, stage)
 
     def _residual_verdict(self, configuration: Configuration) -> Tuple[str, str]:
-        """The standalone-against-residuals solve behind :meth:`anytime_verdict`."""
+        """The standalone-against-residuals check behind :meth:`anytime_verdict`."""
         from repro.core.formulation import SocpFormulation
-        from repro.solver.backends import solve_compiled
-        from repro.solver.result import SolverStatus
+        from repro.solver.barrier import BarrierSolver
 
         committed = self._committed_usage()
         formulation = SocpFormulation(configuration, weights=self.allocator.weights)
-        program = formulation.build()
-        compiled = program.compile()
+        compiled = formulation.build().compile()
         shortfall_rows = []
         for index, row_name in enumerate(compiled.inequality_names):
             used = committed.get(row_name)
@@ -277,16 +279,16 @@ class AdmissionController:
             compiled.h[index] -= used
             if compiled.h[index] < 0.0:
                 shortfall_rows.append(row_name)
-        solution = solve_compiled(
+        # Phase I alone answers the question: Constraints (9)/(10) pre-charge
+        # the rounding, so any strictly feasible point of the tightened
+        # program rounds to a valid allocation of the residual capacity.
+        point = BarrierSolver().feasible_point(
             compiled,
-            backend="barrier",
-            initial_point=formulation.initial_point(),
+            initial_point=compiled.vector_from_mapping(formulation.initial_point()),
         )
-        if solution.is_optimal:
+        if point is not None:
             return (VERDICT_ADMIT, STAGE_ANYTIME_FIT)
-        if solution.status is not SolverStatus.INFEASIBLE:
-            return (VERDICT_UNCERTAIN, STAGE_ANYTIME_UNCERTAIN)
-        priced = self._shared_prices()
+        priced = self._shared_prices(committed)
         if priced is None:
             return (VERDICT_UNCERTAIN, STAGE_ANYTIME_UNCERTAIN)
         prices, tight_price = priced
@@ -330,7 +332,9 @@ class AdmissionController:
                 )
         return usage
 
-    def _shared_prices(self) -> Optional[Tuple[Dict[str, float], float]]:
+    def _shared_prices(
+        self, committed: Mapping[str, float]
+    ) -> Optional[Tuple[Dict[str, float], float]]:
         """Warm shared-capacity prices from the previous joint solve.
 
         At the final barrier rung ``t`` the multiplier of an inequality row
@@ -339,13 +343,13 @@ class AdmissionController:
         capacity, so they are comparable across rows) together with the
         *tight-price* threshold: the price of a reference row holding 1%
         relative slack.  A row priced at or above it sits essentially on its
-        capacity at the committed optimum.
+        capacity at the committed optimum.  ``committed`` is the
+        :meth:`_committed_usage` the caller already computed.
         """
         stats = (self.mapped.solver_info or {}).get("solve_stats", {})
         final_barrier = stats.get("final_barrier")
         if not final_barrier:
             return None
-        committed = self._committed_usage()
         prices: Dict[str, float] = {}
         for processor_name, processor in self.platform.processors.items():
             row = f"processor[{processor_name}]"

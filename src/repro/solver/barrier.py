@@ -12,6 +12,14 @@ method described in Boyd & Vandenberghe, *Convex Optimization*, chapter 11:
   a geometrically increasing barrier parameter ``t_barrier``, where ``φ`` is
   the sum of the logarithmic barriers of all constraints.
 
+:meth:`BarrierSolver.solve` runs both phases.
+:meth:`BarrierSolver.feasible_point` runs phase I alone (§11.4) and returns
+the strictly feasible point it exits with, or ``None`` exactly when ``solve``
+would report ``INFEASIBLE``; it answers feasibility questions, such as the
+admission controller's anytime verdict, without computing an optimum.  Both
+share one prefix: equality elimination, the per-block reduction, the start
+point and phase I are set up in one place.
+
 Barrier terms used (all standard self-concordant barriers):
 
 * linear ``G·x ≤ h``:            ``−Σ log(h_i − g_iᵀx)``
@@ -1220,13 +1228,35 @@ class _StructuredWorkspace:
             return np.linalg.lstsq(hess, grad, rcond=None)[0]
 
 
+@dataclass
+class _PhaseOneStart:
+    """Where the prefix shared by ``solve`` and ``feasible_point`` ends.
+
+    ``decided`` is set when the program is settled without phase II: no
+    variables, inconsistent equalities, no inequality rows, or phase I
+    ending infeasible.  ``point`` is then a feasible point in the original
+    coordinates, or ``None`` when ``decided`` is ``INFEASIBLE``.  Otherwise
+    ``z`` is the strictly feasible reduced point phase I exits with (the
+    start point when it was skipped), ``z_interior`` the reduced interior
+    hint, and ``stats`` the phase-I statistics.
+    """
+
+    decided: Optional[Solution] = None
+    point: Optional[np.ndarray] = None
+    reduced: Optional[_ReducedProblem] = None
+    pieces: Optional[_ReducedPieces] = None
+    z: Optional[np.ndarray] = None
+    z_interior: Optional[np.ndarray] = None
+    stats: Optional[Dict[str, object]] = None
+
+
 class BarrierSolver:
     """Two-phase log-barrier interior-point solver."""
 
     def __init__(self, options: Optional[BarrierOptions] = None) -> None:
         self.options = options or BarrierOptions()
 
-    # -- public entry point -------------------------------------------------
+    # -- public entry points ------------------------------------------------
     def solve(
         self,
         problem: CompiledProblem,
@@ -1245,95 +1275,25 @@ class BarrierSolver:
         so a warm solve stops on the same rung as a cold one.
         """
         opts = self.options
-        n = problem.num_variables
-
-        if n == 0:
-            return Solution(
-                status=SolverStatus.OPTIMAL,
-                objective=problem.c0,
-                values={},
-                backend="barrier",
-            )
-
-        reduced, elimination_computed = self._eliminate_equalities(problem)
-        if reduced is None:
-            return Solution(
-                status=SolverStatus.INFEASIBLE,
-                backend="barrier",
-                message="equality constraints are inconsistent",
-            )
-
-        #: Newton-kernel accounting shared by every workspace of this solve
-        #: (phase I and phase II); reset per solve.
-        self._kernel_stats = _kernel_stats()
-        structured = reduced.structure.num_blocks >= 2
-        pieces = self._reduced_pieces(problem, reduced)
-        plan = self._phase_two_plan(pieces, reduced)
+        start = self._phase_one_prefix(problem, initial_point, interior_point)
+        if start.decided is not None:
+            return start.decided
+        reduced, stats, z_interior = start.reduced, start.stats, start.z_interior
+        plan = self._phase_two_plan(start.pieces, reduced)
         c_reduced = reduced.reduce_direction(problem.c)
-        total_constraints = sum(term.count for term in plan.terms)
-
-        if total_constraints == 0:
-            # Unconstrained affine minimisation: bounded only if c == 0.
-            if np.allclose(c_reduced, 0.0):
-                x = reduced.lift(np.zeros(reduced.dimension))
-                return Solution(
-                    status=SolverStatus.OPTIMAL,
-                    objective=problem.objective_value(x),
-                    values=problem.point_as_mapping(x),
-                    backend="barrier",
-                )
-            return Solution(
-                status=SolverStatus.UNBOUNDED,
-                backend="barrier",
-                message="no constraints and a non-zero objective",
-            )
-
         workspace = _StructuredWorkspace(
             plan, reduced.dimension, self.options, self._kernel_stats
         )
-        z0 = self._initial_reduced_point(problem, reduced, initial_point)
-        z_interior: Optional[np.ndarray] = None
-        if interior_point is not None:
-            z_interior = self._initial_reduced_point(problem, reduced, interior_point)
-        fallbacks = [z_interior] if z_interior is not None else []
-        with obs_span("phase1") as phase1_span:
-            z_feasible, feasibility, phase1 = self._phase_one(
-                problem, reduced, pieces, z0, fallbacks=fallbacks
-            )
-            phase1_span.set(
-                skipped=bool(phase1["skipped"]),
-                newton_iterations=int(phase1["newton_iterations"]),
-            )
-        phase1_time = phase1_span.seconds
-        stats: Dict[str, object] = {
-            "phase1_skipped": bool(phase1["skipped"]),
-            "phase1_newton_iterations": int(phase1["newton_iterations"]),
-            "newton_iterations": 0,
-            "outer_iterations": 0,
-            "structured": structured,
-            "elimination_computed": bool(elimination_computed),
-            "phase1_time": phase1_time,
-            "centering_time": 0.0,
-        }
-        if z_feasible is None:
-            self._attach_kernel_stats(stats, problem, structured)
-            self._record_metrics(stats, optimal=False)
-            return Solution(
-                status=SolverStatus.INFEASIBLE,
-                backend="barrier",
-                message=f"phase I ended with infeasibility {feasibility:.3e}",
-                stats=stats,
-            )
 
         # Phase II re-centers from the interior hint when phase I was skipped
         # off a warm point: re-centering from a well-interior point is far
         # cheaper than crawling away from the boundary the previous optimum
         # sits on.
-        z_start = z_feasible
+        z_start = start.z
         if (
-            phase1["skipped"]
+            stats["phase1_skipped"]
             and z_interior is not None
-            and not np.array_equal(z_interior, z_feasible)
+            and not np.array_equal(z_interior, z_start)
             and workspace.evaluate(z_interior)[1] < math.inf
         ):
             z_start = z_interior
@@ -1349,7 +1309,7 @@ class BarrierSolver:
         stats["outer_iterations"] = int(result.outer)
         stats["nonconverged_rungs"] = int(result.nonconverged_rungs)
         stats["final_barrier"] = float(result.final_barrier)
-        self._attach_kernel_stats(stats, problem, structured)
+        self._attach_kernel_stats(stats, problem)
         x_opt = reduced.lift(result.z)
         objective = problem.objective_value(x_opt)
 
@@ -1375,12 +1335,137 @@ class BarrierSolver:
             solution.interior_point = reduced.lift(result.first_center)
         return solution
 
+    def feasible_point(
+        self,
+        problem: CompiledProblem,
+        initial_point: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """A strictly feasible point of ``problem``, or ``None`` if infeasible.
+
+        Runs only the prefix :meth:`solve` starts with — equality
+        elimination and phase I from ``initial_point`` — and returns the
+        point phase I exits with (the projected start point when phase I is
+        skipped).  ``None`` comes back exactly when :meth:`solve` would
+        report ``INFEASIBLE``: inconsistent equalities, or phase I ending
+        with positive infeasibility.  A program without variables or without
+        inequality rows is feasible when its equalities are consistent.  The
+        phase-I statistics are published to the metrics registry like any
+        solve's, with zero phase-II iterations.
+        """
+        start = self._phase_one_prefix(problem, initial_point)
+        if start.decided is not None:
+            return start.point
+        stats = start.stats
+        self._attach_kernel_stats(stats, problem)
+        self._record_metrics(stats, optimal=False)
+        return start.reduced.lift(start.z)
+
+    def _phase_one_prefix(
+        self,
+        problem: CompiledProblem,
+        initial_point: Optional[np.ndarray],
+        interior_point: Optional[np.ndarray] = None,
+    ) -> _PhaseOneStart:
+        """Equality elimination, reduction and phase I: up to a feasible start.
+
+        The one place phase I is set up, for both :meth:`solve` and
+        :meth:`feasible_point`.  A phase-I infeasibility verdict is published
+        to the metrics registry here, since it ends either caller.
+        """
+        if problem.num_variables == 0:
+            return _PhaseOneStart(
+                decided=Solution(
+                    status=SolverStatus.OPTIMAL,
+                    objective=problem.c0,
+                    values={},
+                    backend="barrier",
+                ),
+                point=np.zeros(0),
+            )
+
+        reduced, elimination_computed = self._eliminate_equalities(problem)
+        if reduced is None:
+            return _PhaseOneStart(
+                decided=Solution(
+                    status=SolverStatus.INFEASIBLE,
+                    backend="barrier",
+                    message="equality constraints are inconsistent",
+                )
+            )
+
+        #: Newton-kernel accounting shared by every workspace of this solve
+        #: (phase I and phase II); reset per solve.
+        self._kernel_stats = _kernel_stats()
+        pieces = self._reduced_pieces(problem, reduced)
+        z0 = self._initial_reduced_point(problem, reduced, initial_point)
+        total_constraints = (
+            sum(G.shape[0] for G, _ in pieces.linear)
+            + sum(len(hyps) for hyps in pieces.hyps)
+            + sum(len(cones) for cones in pieces.cones)
+            + pieces.coupling[0].shape[0]
+        )
+        if total_constraints == 0:
+            # Unconstrained affine minimisation: bounded only if c == 0.
+            if np.allclose(reduced.reduce_direction(problem.c), 0.0):
+                x = reduced.lift(np.zeros(reduced.dimension))
+                decided = Solution(
+                    status=SolverStatus.OPTIMAL,
+                    objective=problem.objective_value(x),
+                    values=problem.point_as_mapping(x),
+                    backend="barrier",
+                )
+            else:
+                decided = Solution(
+                    status=SolverStatus.UNBOUNDED,
+                    backend="barrier",
+                    message="no constraints and a non-zero objective",
+                )
+            return _PhaseOneStart(decided=decided, point=reduced.lift(z0))
+
+        z_interior: Optional[np.ndarray] = None
+        if interior_point is not None:
+            z_interior = self._initial_reduced_point(problem, reduced, interior_point)
+        fallbacks = [z_interior] if z_interior is not None else []
+        with obs_span("phase1") as phase1_span:
+            z_feasible, feasibility, phase1 = self._phase_one(
+                problem, reduced, pieces, z0, fallbacks=fallbacks
+            )
+            phase1_span.set(
+                skipped=bool(phase1["skipped"]),
+                newton_iterations=int(phase1["newton_iterations"]),
+            )
+        stats: Dict[str, object] = {
+            "phase1_skipped": bool(phase1["skipped"]),
+            "phase1_newton_iterations": int(phase1["newton_iterations"]),
+            "newton_iterations": 0,
+            "outer_iterations": 0,
+            "structured": reduced.structure.num_blocks >= 2,
+            "elimination_computed": bool(elimination_computed),
+            "phase1_time": phase1_span.seconds,
+            "centering_time": 0.0,
+        }
+        if z_feasible is None:
+            self._attach_kernel_stats(stats, problem)
+            self._record_metrics(stats, optimal=False)
+            return _PhaseOneStart(
+                decided=Solution(
+                    status=SolverStatus.INFEASIBLE,
+                    backend="barrier",
+                    message=f"phase I ended with infeasibility {feasibility:.3e}",
+                    stats=stats,
+                )
+            )
+        return _PhaseOneStart(
+            reduced=reduced,
+            pieces=pieces,
+            z=z_feasible,
+            z_interior=z_interior,
+            stats=stats,
+        )
+
     # -- telemetry ------------------------------------------------------------
     def _attach_kernel_stats(
-        self,
-        stats: Dict[str, object],
-        problem: CompiledProblem,
-        structured: bool,
+        self, stats: Dict[str, object], problem: CompiledProblem
     ) -> None:
         """Fold this solve's Newton-kernel accounting into its stats dict.
 
@@ -1389,7 +1474,7 @@ class BarrierSolver:
         the assembly/factorisation/Schur time split and the
         block-factorisation count are reported for every solve; the
         dense-step count and the pieces-cache reuse flag only for
-        ``structured`` (two or more blocks) solves.
+        ``stats["structured"]`` (two or more blocks) solves.
         """
         kernel = self._kernel_stats
         stats["sparse_nnz"] = int(problem.constraint_nnz)
@@ -1398,7 +1483,7 @@ class BarrierSolver:
         stats["factorization_time"] = float(kernel["factorization_time"])
         stats["schur_time"] = float(kernel["schur_time"])
         stats["block_factorizations"] = int(kernel["block_factorizations"])
-        if not structured:
+        if not stats["structured"]:
             return
         # Directions that took the dense step because an arrow
         # factorisation failed (0 in the common case).

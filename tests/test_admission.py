@@ -9,7 +9,9 @@ The lock-in guarantees of the run-time layer:
   (load-screen vs solver-infeasible) and leaves the running workload intact
   on every rejection;
 * every firm anytime verdict (admit/reject before the exact solve) agrees
-  with the exact solve's outcome;
+  with the exact solve's outcome, and the verdict's phase-I-only check
+  gives the verdict a full solve of the same residual program would give,
+  without any phase-II Newton iterations;
 * traces replay deterministically and round-trip through JSON, including as
   batch-campaign ``trace`` entries.
 """
@@ -40,7 +42,11 @@ from repro.core.admission import (
     AdmissionTrace,
     TraceEvent,
 )
+from repro import obs
+from repro.core.formulation import SocpFormulation
 from repro.exceptions import InfeasibleModelError, ModelError
+from repro.solver import SolverStatus
+from repro.solver.backends import solve_compiled
 from repro.taskgraph import ConfigurationBuilder, Workload, random_workload
 from repro.taskgraph.generators import chain_configuration, random_dag_configuration
 
@@ -727,3 +733,88 @@ class TestAnytimeAdmission:
         assert second.verdict_stage is not None
         payload = second.as_dict()
         assert "verdict" in payload and "verdict_stage" in payload
+
+
+#: The heavy trace of the firm-verdict test: it has anytime-fit admits and an
+#: anytime-price reject.
+HEAVY_TRACE = dict(event_count=12, seed=12, wcet_range=(0.8, 2.4), concurrency=6)
+
+
+def full_solve_verdict(controller, configuration):
+    """The anytime verdict recomputed from a full barrier solve.
+
+    Builds the same residual-tightened program as the controller, solves it
+    to optimality with ``solve_compiled`` and reads the status; infeasible
+    programs go to the controller's price arbitration.
+    """
+    committed = controller._committed_usage()
+    formulation = SocpFormulation(configuration, weights=controller.allocator.weights)
+    compiled = formulation.build().compile()
+    shortfall = []
+    for index, row in enumerate(compiled.inequality_names):
+        if row in committed:
+            compiled.h[index] -= committed[row]
+            if compiled.h[index] < 0.0:
+                shortfall.append(row)
+    solution = solve_compiled(
+        compiled, backend="barrier", initial_point=formulation.initial_point()
+    )
+    if solution.is_optimal:
+        return (VERDICT_ADMIT, "anytime-fit")
+    if solution.status is not SolverStatus.INFEASIBLE:
+        return (VERDICT_UNCERTAIN, "anytime-uncertain")
+    priced = controller._shared_prices(committed)
+    if priced is None:
+        return (VERDICT_UNCERTAIN, "anytime-uncertain")
+    prices, tight_price = priced
+    contended = shortfall or sorted(set(compiled.inequality_names) & set(committed))
+    if contended and all(prices.get(row, 0.0) >= tight_price for row in contended):
+        return (VERDICT_REJECT, "anytime-price")
+    return (VERDICT_UNCERTAIN, "anytime-uncertain")
+
+
+class TestPhaseOneVerdicts:
+    def test_verdicts_add_no_phase_two_iterations(self):
+        with obs.capture() as captured:
+            result = replay_trace(
+                random_trace(**HEAVY_TRACE),
+                allocator=JointAllocator(options=options()),
+            )
+        verdicts = sum(
+            record.verdict_stage not in (None, "anytime-empty")
+            for record in result.records
+        )
+        assert verdicts > 0
+        exact = result.solver_stats
+        metrics = captured.metrics
+        # Every verdict publishes its phase-I solve ...
+        assert metrics["solver.solves"]["value"] == exact["solves"] + verdicts
+        assert (
+            metrics["solver.newton_iterations"]["count"]
+            == exact["solves"] + verdicts
+        )
+        # ... but only the exact solves add phase-II Newton iterations.
+        assert metrics["solver.newton_iterations"]["sum"] == exact["newton_iterations"]
+        assert (
+            metrics["solver.phase1_newton_iterations"]["sum"]
+            > exact["phase1_newton_iterations"]
+        )
+
+    def test_verdicts_match_a_full_solve_of_the_residual_program(self, monkeypatch):
+        pairs = []
+        verdict_of = AdmissionController._residual_verdict
+
+        def recording(controller, configuration):
+            reference = full_solve_verdict(controller, configuration)
+            verdict = verdict_of(controller, configuration)
+            pairs.append((verdict, reference))
+            return verdict
+
+        monkeypatch.setattr(AdmissionController, "_residual_verdict", recording)
+        replay_trace(
+            random_trace(**HEAVY_TRACE), allocator=JointAllocator(options=options())
+        )
+        assert pairs
+        assert all(verdict == reference for verdict, reference in pairs), pairs
+        stages = {verdict[1] for verdict, _ in pairs}
+        assert {"anytime-fit", "anytime-price"} <= stages
