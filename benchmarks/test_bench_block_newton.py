@@ -163,8 +163,8 @@ def _newton_total(solution):
 @pytest.mark.parametrize("app_count", SIZES)
 def test_bench_block_newton_scaling(app_count, benchmark, record_series):
     compiled, dense_compiled, initial = _compiled(app_count)
-    # Prime both equality-elimination caches so both kernels time the
-    # Newton work, not the one-off factorisations; the priming solves also
+    # Prime both pieces caches so both kernels time the
+    # Newton work, not the one-off slicing; the priming solves also
     # record the widths the kernel factorises.
     structured_widths = _solve_widths(compiled, initial)
     dense_widths = _solve_widths(dense_compiled, initial)
@@ -222,7 +222,7 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
     curve = []
     for app_count in SCALING_SIZES:
         compiled, dense_compiled, initial = _compiled(app_count, light=True)
-        # Prime the elimination + pieces caches with one cheap sparse solve
+        # Prime the pieces cache with one cheap sparse solve
         # so every timed solve measures the Newton work.
         primed_widths = _solve_widths(compiled, initial)
         primed = primed_widths[0]

@@ -80,7 +80,7 @@ def _disabled_span_seconds():
 
 def test_bench_disabled_telemetry_overhead(benchmark, record_series):
     compiled, initial = _compiled()
-    _solve(compiled, initial)  # prime the elimination cache
+    _solve(compiled, initial)  # prime the pieces cache
 
     assert not obs.enabled()
     best = float("inf")

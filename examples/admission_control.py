@@ -24,7 +24,7 @@ def pipeline(name: str, stages: int, wcet: float, period: float, pin: float = No
     """A chain of ``stages`` tasks over the two shared processors.
 
     ``pin`` fixes the first task's budget exactly (a firm contract), which
-    compiles to an equality row that the solver eliminates per application.
+    compilation substitutes out of the program.
     """
     builder = (
         ConfigurationBuilder(name=name, granularity=1.0)

@@ -19,8 +19,8 @@ from repro.exceptions import (
 from repro.core.objective import ObjectiveWeights
 from repro.core.rounding import round_capacities
 from repro.dataflow.construction import (
-    ActorRole,
     build_srdf_specification,
+    task_actor_duration,
 )
 from repro.solver.expression import AffineExpression, Variable, linear_sum
 from repro.solver.problem import ConeProgram
@@ -99,10 +99,9 @@ def minimal_buffer_capacities(
                     f"budget {budget} of task {task.name!r} is outside "
                     f"(0, {processor.replenishment_interval}]"
                 )
-            if queue.source_role is ActorRole.START:
-                duration = processor.replenishment_interval - budget
-            else:
-                duration = processor.replenishment_interval * task.wcet / budget
+            duration = task_actor_duration(
+                task, processor, queue.source_role, queue.source_phase, budget
+            )
             if queue.fixed_tokens is not None:
                 tokens: AffineExpression = AffineExpression({}, float(queue.fixed_tokens))
             else:

@@ -64,14 +64,21 @@ def minimum_throughput_budgets(configuration: Configuration) -> Dict[str, float]
     """Smallest per-task budgets that any buffer sizing could ever work with.
 
     With unbounded buffers the only binding constraint involving a single task
-    is its self-loop: ``̺(p)·χ(w)/β(w) ≤ µ(T)``, i.e. ``β(w) ≥ ̺(p)·χ(w)/µ(T)``.
-    The result is rounded up to the allocation granularity.
+    is its self-loop: ``̺(p)·χ(w)/β(w) ≤ µ(T)``, i.e. ``β(w) ≥ ̺(p)·χ(w)/µ(T)``,
+    with ``χ(w)`` the task's effective cycles per period
+    (:meth:`~repro.taskgraph.graph.TaskGraph.period_cycles`, as in the joint
+    formulation's budget bound).  The result is rounded up to the allocation
+    granularity.
     """
     budgets: Dict[str, float] = {}
     for graph in configuration.task_graphs:
         for task in graph.tasks:
             processor = configuration.platform.processor(task.processor)
-            minimal = processor.replenishment_interval * task.wcet / graph.period
+            minimal = (
+                processor.replenishment_interval
+                * graph.period_cycles(task.name, processor)
+                / graph.period
+            )
             if task.min_budget is not None:
                 minimal = max(minimal, task.min_budget)
             budgets[task.name] = round_budget(minimal, configuration.granularity)

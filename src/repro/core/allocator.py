@@ -455,8 +455,8 @@ class AllocationSession(_LimitSession):
     that phase I is skipped whenever that point is still strictly feasible.
 
     One structural case falls back to a per-point rebuild: a limit that lands
-    exactly on a variable's lower bound, which the formulation represents as
-    an equality row (counted in :attr:`stats` as a rebuild; the rebuilt
+    exactly on a variable's lower bound, which compilation substitutes out
+    of the program (counted in :attr:`stats` as a rebuild; the rebuilt
     optimum still seeds the warm start of subsequent points).
 
     :meth:`allocate` has the same contract as :meth:`JointAllocator.allocate`

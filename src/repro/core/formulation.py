@@ -689,8 +689,8 @@ class _ParametricAssembly:
       kept at ``1 / β'_max`` so the relaxation stays exactly as tight as the
       rebuilt program's.
 
-    Variables whose static bounds already coincide compile to equality rows
-    and expose no parametric slot; the registration records which slots exist
+    Variables whose static bounds already coincide are substituted out at
+    compile time and expose no parametric slot; the registration records which slots exist
     so the per-point application skips the rest.
     """
 
@@ -790,8 +790,8 @@ class ParametricSocpFormulation(_ParametricAssembly):
     :func:`effective_capacity_bounds` — ``min`` of the stored bounds and the
     sweep limit) and writes them into the compiled problem.  One structural
     case cannot be expressed by mutating right-hand sides: a limit that lands
-    *exactly on* a variable's lower bound, which the rebuild path turns into
-    an equality row.  ``apply_limits`` reports such pinned variables so the
+    *exactly on* a variable's lower bound, which the rebuild path substitutes
+    out of the program.  ``apply_limits`` reports such pinned variables so the
     caller can fall back to a one-off rebuild for that point.
     """
 

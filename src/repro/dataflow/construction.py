@@ -60,8 +60,8 @@ from repro.exceptions import AllocationError, ModelError
 from repro.dataflow.graph import Actor, Queue, SRDFGraph
 from repro.taskgraph.configuration import Configuration
 from repro.taskgraph.graph import TaskGraph
-from repro.taskgraph.platform import Platform
-from repro.taskgraph.task import effective_cycles
+from repro.taskgraph.platform import Platform, Processor
+from repro.taskgraph.task import Task, effective_cycles
 
 
 class QueueKind(enum.Enum):
@@ -539,6 +539,27 @@ def actor_firing_duration(
     return replenishment_interval * cycles / budget
 
 
+def task_actor_duration(
+    task: Task,
+    processor: Processor,
+    role: ActorRole,
+    phase: Optional[int],
+    budget: float,
+) -> float:
+    """Firing duration of one actor of ``task`` on ``processor`` for a budget.
+
+    :func:`actor_firing_duration` on the task's effective (type-, speed- and
+    phase-resolved) cycle count, :func:`~repro.taskgraph.task.effective_cycles`:
+    the one duration the SRDF construction and the baselines share.
+    """
+    return actor_firing_duration(
+        role,
+        processor.replenishment_interval,
+        effective_cycles(task, processor, phase),
+        budget,
+    )
+
+
 def _queue_tokens(
     queue_spec: QueueSpec, graph: TaskGraph, capacities: Mapping[str, int]
 ) -> float:
@@ -581,11 +602,8 @@ def instantiate_srdf(
         processor = platform.processor(task.processor)
         if task.name not in budgets:
             raise AllocationError(f"no budget provided for task {task.name!r}")
-        duration = actor_firing_duration(
-            actor_spec.role,
-            processor.replenishment_interval,
-            effective_cycles(task, processor, actor_spec.phase),
-            float(budgets[task.name]),
+        duration = task_actor_duration(
+            task, processor, actor_spec.role, actor_spec.phase, float(budgets[task.name])
         )
         actors.append(Actor(name=actor_spec.name, firing_duration=duration))
 

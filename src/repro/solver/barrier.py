@@ -17,8 +17,8 @@ method described in Boyd & Vandenberghe, *Convex Optimization*, chapter 11:
 the strictly feasible point it exits with, or ``None`` exactly when ``solve``
 would report ``INFEASIBLE``; it answers feasibility questions, such as the
 admission controller's anytime verdict, without computing an optimum.  Both
-share one prefix: equality elimination, the per-block reduction, the start
-point and phase I are set up in one place.
+share one prefix: the per-block slicing, the start point and phase I are set
+up in one place.
 
 Barrier terms used (all standard self-concordant barriers):
 
@@ -37,9 +37,10 @@ the same split: the Newton loop evaluates every line-search trial point
 exactly once, and the accepted trial's state is carried into the next
 direction.
 
-Equality constraints are eliminated up front by restricting the search to an
-affine subspace ``x = x_p + N·z`` where ``N`` spans the null space of the
-equality matrix.
+The solver sees no equality constraints: :meth:`ConeProgram.compile
+<repro.solver.problem.ConeProgram.compile>` substitutes fixed variables and
+equality rows out, so the barrier works on ``G``, the cones and the block
+structure exactly as compiled, over the free columns.
 
 Structured Newton solves
 ------------------------
@@ -53,9 +54,6 @@ diagonal block, and each coupling row ``g`` adds the rank-one term
 ``g·gᵀ/s²``.  Equivalently, the KKT system of the Newton step is
 arrow-structured, and the solver exploits it:
 
-* equalities are eliminated **blockwise** (one pivoted QR per application
-  instead of one on the full matrix), keeping the null-space basis block
-  diagonal so the reduced problem inherits the partition;
 * each Newton step factorises the per-application diagonal blocks
   independently (one Cholesky solve each) and folds the coupling rows in
   through the Schur complement of the arrow system (a matrix of
@@ -66,9 +64,8 @@ arrow-structured, and the solver exploits it:
   of the arrow.
 
 Every solve runs this one pipeline.  A program compiled without a block
-structure is solved as a single block, so term building, equality
-elimination, phase I, the phase-II start choice and the Newton loop each
-exist once, and one kernel, :class:`_StructuredWorkspace`, computes every
+structure is solved as a single block, so term building, phase I, the
+phase-II start choice and the Newton loop each exist once, and one kernel, :class:`_StructuredWorkspace`, computes every
 Newton direction.  Only the final linear solve follows the plan, never an
 option:
 
@@ -80,22 +77,19 @@ option:
 
 When a factorisation of the arrow solve fails, that iteration takes one
 dense step on the assembled ``k×k`` system; when a ``k×k`` Cholesky fails,
-the step is a least-squares solve.  The equality-elimination result is
-cached on the compiled problem
-(:attr:`~repro.solver.problem.CompiledProblem.elimination_cache`), so
-warm-started parametric re-solves pay for the factorisations exactly once.
+the step is a least-squares solve.  The per-block slices of ``G`` and the
+cone data are cached on the compiled problem
+(:attr:`~repro.solver.problem.CompiledProblem.pieces_cache`), so
+warm-started parametric re-solves slice exactly once.
 
 Sparse backend
 --------------
 
 The structured path is built to scale to hundreds of applications:
 
-* the compiled constraint matrices arrive in CSR form
-  (:attr:`~repro.solver.problem.CompiledProblem.G_sparse`) and every
-  per-block reduction slices them without densifying the full matrix;
-* blockwise equality elimination uses a pivoted QR factorisation per block
-  (no dense SVD), and the null-space basis is kept *per block* — lifting,
-  projecting and warm-starting are blockwise, never O(n·k) dense products;
+* the compiled constraint matrix arrives in CSR form
+  (:attr:`~repro.solver.problem.CompiledProblem.G_sparse`) and each block
+  slices it without densifying the full matrix;
 * each centering run owns a :class:`_StructuredWorkspace` with preallocated
   right-hand-side/solution buffers; blocks of equal width and term kinds
   form a :class:`_BlockGroup` whose terms are stacked into padded tensors
@@ -126,7 +120,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse as _sp
 from scipy.linalg.lapack import dposv as _dposv
-from scipy.linalg import qr as _sp_qr, solve_triangular as _sp_solve_triangular
 from scipy.sparse.linalg import splu as _sp_splu
 
 from repro.exceptions import NumericalError
@@ -740,7 +733,6 @@ def _single_block(problem: CompiledProblem) -> BlockStructure:
     return BlockStructure(
         ranges=[(0, problem.num_variables)],
         row_blocks=np.zeros(problem.h.shape[0], dtype=int),
-        equality_blocks=np.zeros(problem.b.shape[0], dtype=int),
         hyperbolic_blocks=[0] * len(problem.hyperbolic),
         cone_blocks=[0] * len(problem.cones),
     )
@@ -760,46 +752,9 @@ def _block_support(slc: slice, k: int, border: int) -> Optional[np.ndarray]:
     )
 
 
-def _eq_block(problem: CompiledProblem, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Dense copy of the narrow equality sub-matrix ``A[rows, start:stop]``.
-
-    Sliced from the CSR form so the full dense ``A`` is never materialised.
-    """
-    return np.asarray(problem.A_sparse[rows][:, start:stop].todense())
-
-
 def _ineq_block(problem: CompiledProblem, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Dense copy of the narrow inequality sub-matrix ``G[rows, start:stop]``."""
     return np.asarray(problem.G_sparse[rows][:, start:stop].todense())
-
-
-def _block_nullspace(A_block: np.ndarray, b_block: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Particular solution and orthonormal null-space basis of one block.
-
-    Uses one pivoted QR factorisation of ``A_blockᵀ``: ``A_blockᵀ·P = Q·R``
-    gives both the min-norm particular solution through a triangular solve
-    and the null space as the trailing columns of ``Q``.  Returns ``None``
-    when the block's equalities are inconsistent.
-    """
-    width = A_block.shape[1]
-    Q, R, perm = _sp_qr(A_block.T, mode="full", pivoting=True)
-    diag = np.abs(np.diag(R)) if R.size else np.zeros(0)
-    scale = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > max(A_block.shape) * np.finfo(float).eps * scale))
-    if rank:
-        y = _sp_solve_triangular(
-            R[:rank, :rank].T, b_block[perm][:rank], lower=True
-        )
-        x_block = Q[:, :rank] @ y
-    else:
-        x_block = np.zeros(width)
-    basis = Q[:, rank:]
-    tolerance = 1e-7 * max(1.0, float(np.abs(b_block).max(initial=0.0)))
-    if not np.allclose(A_block @ x_block, b_block, atol=tolerance):
-        return None
-    if basis.size == 0:
-        basis = np.zeros((width, 0))
-    return x_block, basis
 
 
 @dataclass
@@ -823,127 +778,39 @@ class _CenteringResult:
 
 @dataclass
 class _PiecesCache:
-    """Solve-invariant parts of the per-block reduction.
+    """Per-block slices of a compiled program's constraints.
 
-    Everything here depends only on ``G``, the cone data and the elimination
-    (``A``/``b``) — never on ``h``, the only array parametric re-solves
-    mutate.  Cached on the :class:`_ReducedProblem` (itself cached on the
-    compiled problem), so a warm-started session pays for the basis
-    projections once and refreshes only the ``h``-derived right-hand sides
-    per solve.
+    Everything here depends only on ``G``, the cone data and the block
+    structure — never on ``h``, the only array parametric re-solves mutate.
+    Cached on the compiled problem
+    (:attr:`~repro.solver.problem.CompiledProblem.pieces_cache`), so a
+    warm-started session slices once and each solve reads only the current
+    ``h`` rows (:meth:`blocks`, :meth:`coupling`).
     """
 
+    dimension: int                     #: number of columns
+    block_slices: List[slice]          #: the columns of each block
     block_rows: List[np.ndarray]       #: inequality row indices per block
-    block_G: List[np.ndarray]          #: ``G[rows][:, block] @ basis`` per block
-    block_offsets: List[np.ndarray]    #: ``G[rows] @ x_p`` per block
-    hyps: List[List[CompiledHyperbolic]]
-    cones: List[List[CompiledCone]]
+    block_G: List[np.ndarray]          #: ``G[rows][:, block]`` per block
+    hyps: List[List[CompiledHyperbolic]]  #: per block, on its own columns
+    cones: List[List[CompiledCone]]       #: per block, on its own columns
     coupling_rows: np.ndarray
-    coupling_G: np.ndarray
-    coupling_offset: np.ndarray
+    coupling_G: np.ndarray             #: ``G[coupling_rows]``, full width
 
+    def blocks(self, h: np.ndarray):
+        """Per block: its columns, its rows ``(G, h)`` and its non-linear
+        constraints."""
+        return zip(
+            self.block_slices,
+            self.block_G,
+            (h[rows] for rows in self.block_rows),
+            self.hyps,
+            self.cones,
+        )
 
-class _ReducedProblem:
-    """A problem restricted to the affine subspace ``x = x_p + N·z``.
-
-    The elimination runs block by block over :attr:`structure` (a single
-    block for a program compiled without one), so ``N`` is block diagonal:
-    only the per-block bases (``ranges[b]`` rows × ``block_slices[b]``
-    columns) are stored, and lift / projection / row reduction run block by
-    block in ``O(Σ width·k_b)`` instead of ``O(n·k)``.
-    """
-
-    def __init__(
-        self,
-        x_particular: np.ndarray,
-        structure: BlockStructure,
-        block_bases: List[Optional[np.ndarray]],
-    ) -> None:
-        self.x_particular = x_particular
-        #: the block partition this reduction follows
-        self.structure = structure
-        #: per-block variable index ranges
-        self.ranges = structure.ranges
-        #: per-block null-space bases; ``None`` entries mean the identity
-        #: (a block without equality rows keeps all its variables)
-        self.block_bases = block_bases
-        #: contiguous per-block coordinate slices of the reduced space
-        self.block_slices: List[slice] = []
-        offset = 0
-        for (start, stop), basis in zip(self.ranges, block_bases):
-            width = stop - start if basis is None else basis.shape[1]
-            self.block_slices.append(slice(offset, offset + width))
-            offset += width
-        #: lazily filled solve-invariant reduction products
-        self.pieces_cache: Optional[_PiecesCache] = None
-
-    @property
-    def dimension(self) -> int:
-        return self.block_slices[-1].stop if self.block_slices else 0
-
-    def basis_for(self, block_index: int) -> Optional[np.ndarray]:
-        """Block ``block_index``'s basis; ``None`` means identity."""
-        return self.block_bases[block_index]
-
-    def lift(self, z: np.ndarray) -> np.ndarray:
-        x = self.x_particular.copy()
-        for (start, stop), slc, basis in zip(
-            self.ranges, self.block_slices, self.block_bases
-        ):
-            if basis is None:
-                x[start:stop] += z[slc]
-            else:
-                x[start:stop] += basis @ z[slc]
-        return x
-
-    def reduce_direction(self, row: np.ndarray) -> np.ndarray:
-        out = np.empty(self.dimension)
-        for (start, stop), slc, basis in zip(
-            self.ranges, self.block_slices, self.block_bases
-        ):
-            if basis is None:
-                out[slc] = row[start:stop]
-            else:
-                out[slc] = row[start:stop] @ basis
-        return out
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Least-squares coordinates of ``x − x_p`` in the basis.
-
-        With a block-diagonal ``N`` the least-squares problem decouples
-        exactly, so it is solved as one small problem per block.
-        """
-        residual = x - self.x_particular
-        z = np.empty(self.dimension)
-        for (start, stop), slc, basis in zip(
-            self.ranges, self.block_slices, self.block_bases
-        ):
-            if basis is None:
-                z[slc] = residual[start:stop]
-            else:
-                # Bases are orthonormal (QR columns), but solve the block
-                # least-squares problem anyway so seeded bases of any
-                # provenance project correctly.
-                z[slc], *_ = np.linalg.lstsq(
-                    basis, residual[start:stop], rcond=None
-                )
-        return z
-
-
-@dataclass
-class _ReducedPieces:
-    """Per-block narrow reduced data of one solve.
-
-    ``linear[b]`` is block ``b``'s reduced inequality rows ``(G, h)`` in its
-    own coordinates; ``hyps[b]`` / ``cones[b]`` its reduced non-linear
-    constraints; ``coupling`` the full-width reduced coupling rows.  Both the
-    phase-II terms and the phase-I relaxation are assembled from these.
-    """
-
-    linear: List[Tuple[np.ndarray, np.ndarray]]
-    hyps: List[List[CompiledHyperbolic]]
-    cones: List[List[CompiledCone]]
-    coupling: Tuple[np.ndarray, np.ndarray]
+    def coupling(self, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The full-width coupling rows ``(G, h)``."""
+        return self.coupling_G, h[self.coupling_rows]
 
 
 @dataclass
@@ -1233,18 +1100,16 @@ class _PhaseOneStart:
     """Where the prefix shared by ``solve`` and ``feasible_point`` ends.
 
     ``decided`` is set when the program is settled without phase II: no
-    variables, inconsistent equalities, no inequality rows, or phase I
-    ending infeasible.  ``point`` is then a feasible point in the original
-    coordinates, or ``None`` when ``decided`` is ``INFEASIBLE``.  Otherwise
-    ``z`` is the strictly feasible reduced point phase I exits with (the
-    start point when it was skipped), ``z_interior`` the reduced interior
-    hint, and ``stats`` the phase-I statistics.
+    free columns, no constraints, or phase I ending infeasible.  ``point``
+    is then a feasible point, or ``None`` when ``decided`` is
+    ``INFEASIBLE``.  Otherwise ``z`` is the strictly feasible point phase I
+    exits with (the start point when it was skipped), ``z_interior`` the
+    interior hint, and ``stats`` the phase-I statistics.
     """
 
     decided: Optional[Solution] = None
     point: Optional[np.ndarray] = None
-    reduced: Optional[_ReducedProblem] = None
-    pieces: Optional[_ReducedPieces] = None
+    pieces: Optional[_PiecesCache] = None
     z: Optional[np.ndarray] = None
     z_interior: Optional[np.ndarray] = None
     stats: Optional[Dict[str, object]] = None
@@ -1278,11 +1143,10 @@ class BarrierSolver:
         start = self._phase_one_prefix(problem, initial_point, interior_point)
         if start.decided is not None:
             return start.decided
-        reduced, stats, z_interior = start.reduced, start.stats, start.z_interior
-        plan = self._phase_two_plan(start.pieces, reduced)
-        c_reduced = reduced.reduce_direction(problem.c)
+        stats, z_interior = start.stats, start.z_interior
+        plan = self._phase_two_plan(start.pieces, problem.h)
         workspace = _StructuredWorkspace(
-            plan, reduced.dimension, self.options, self._kernel_stats
+            plan, problem.num_variables, self.options, self._kernel_stats
         )
 
         # Phase II re-centers from the interior hint when phase I was skipped
@@ -1299,7 +1163,7 @@ class BarrierSolver:
             z_start = z_interior
 
         with obs_span("centering") as centering_span:
-            result = self._barrier_minimise(c_reduced, workspace, z_start)
+            result = self._barrier_minimise(problem.c, workspace, z_start)
             centering_span.set(
                 rungs=int(result.outer), newton_iterations=int(result.newton)
             )
@@ -1310,8 +1174,7 @@ class BarrierSolver:
         stats["nonconverged_rungs"] = int(result.nonconverged_rungs)
         stats["final_barrier"] = float(result.final_barrier)
         self._attach_kernel_stats(stats, problem)
-        x_opt = reduced.lift(result.z)
-        objective = problem.objective_value(x_opt)
+        objective = problem.objective_value(result.z)
 
         if abs(objective) > opts.unbounded_threshold:
             self._record_metrics(stats, optimal=False)
@@ -1323,17 +1186,15 @@ class BarrierSolver:
             )
 
         self._record_metrics(stats, optimal=result.status is SolverStatus.OPTIMAL)
-        solution = Solution(
+        return Solution(
             status=result.status,
             objective=objective,
-            values=problem.point_as_mapping(x_opt),
+            values=problem.point_as_mapping(result.z),
             backend="barrier",
             iterations=result.outer,
             stats=stats,
+            interior_point=result.first_center,
         )
-        if result.first_center is not None:
-            solution.interior_point = reduced.lift(result.first_center)
-        return solution
 
     def feasible_point(
         self,
@@ -1342,15 +1203,14 @@ class BarrierSolver:
     ) -> Optional[np.ndarray]:
         """A strictly feasible point of ``problem``, or ``None`` if infeasible.
 
-        Runs only the prefix :meth:`solve` starts with — equality
-        elimination and phase I from ``initial_point`` — and returns the
-        point phase I exits with (the projected start point when phase I is
-        skipped).  ``None`` comes back exactly when :meth:`solve` would
-        report ``INFEASIBLE``: inconsistent equalities, or phase I ending
-        with positive infeasibility.  A program without variables or without
-        inequality rows is feasible when its equalities are consistent.  The
-        phase-I statistics are published to the metrics registry like any
-        solve's, with zero phase-II iterations.
+        Runs only the prefix :meth:`solve` starts with — phase I from
+        ``initial_point`` — and returns the point phase I exits with
+        (``initial_point`` itself when phase I is skipped).  ``None`` comes
+        back exactly when :meth:`solve` would report ``INFEASIBLE``: phase I
+        ending with positive infeasibility, or a violated constant row (such
+        as an inconsistent equality).  A program without constraints is
+        feasible.  The phase-I statistics are published to the metrics
+        registry like any solve's, with zero phase-II iterations.
         """
         start = self._phase_one_prefix(problem, initial_point)
         if start.decided is not None:
@@ -1358,7 +1218,7 @@ class BarrierSolver:
         stats = start.stats
         self._attach_kernel_stats(stats, problem)
         self._record_metrics(stats, optimal=False)
-        return start.reduced.lift(start.z)
+        return start.z
 
     def _phase_one_prefix(
         self,
@@ -1366,48 +1226,25 @@ class BarrierSolver:
         initial_point: Optional[np.ndarray],
         interior_point: Optional[np.ndarray] = None,
     ) -> _PhaseOneStart:
-        """Equality elimination, reduction and phase I: up to a feasible start.
+        """Block slicing and phase I: up to a feasible start.
 
         The one place phase I is set up, for both :meth:`solve` and
         :meth:`feasible_point`.  A phase-I infeasibility verdict is published
         to the metrics registry here, since it ends either caller.
         """
         if problem.num_variables == 0:
+            decided = problem.constant_solution("barrier")
             return _PhaseOneStart(
-                decided=Solution(
-                    status=SolverStatus.OPTIMAL,
-                    objective=problem.c0,
-                    values={},
-                    backend="barrier",
-                ),
-                point=np.zeros(0),
+                decided=decided, point=np.zeros(0) if decided.is_optimal else None
             )
 
-        reduced, elimination_computed = self._eliminate_equalities(problem)
-        if reduced is None:
-            return _PhaseOneStart(
-                decided=Solution(
-                    status=SolverStatus.INFEASIBLE,
-                    backend="barrier",
-                    message="equality constraints are inconsistent",
-                )
-            )
-
-        #: Newton-kernel accounting shared by every workspace of this solve
-        #: (phase I and phase II); reset per solve.
-        self._kernel_stats = _kernel_stats()
-        pieces = self._reduced_pieces(problem, reduced)
-        z0 = self._initial_reduced_point(problem, reduced, initial_point)
-        total_constraints = (
-            sum(G.shape[0] for G, _ in pieces.linear)
-            + sum(len(hyps) for hyps in pieces.hyps)
-            + sum(len(cones) for cones in pieces.cones)
-            + pieces.coupling[0].shape[0]
-        )
-        if total_constraints == 0:
+        z0 = np.zeros(problem.num_variables)
+        if initial_point is not None:
+            z0 = np.array(initial_point, dtype=float)
+        if not (problem.h.size or problem.hyperbolic or problem.cones):
             # Unconstrained affine minimisation: bounded only if c == 0.
-            if np.allclose(reduced.reduce_direction(problem.c), 0.0):
-                x = reduced.lift(np.zeros(reduced.dimension))
+            if np.allclose(problem.c, 0.0):
+                x = np.zeros(problem.num_variables)
                 decided = Solution(
                     status=SolverStatus.OPTIMAL,
                     objective=problem.objective_value(x),
@@ -1420,15 +1257,19 @@ class BarrierSolver:
                     backend="barrier",
                     message="no constraints and a non-zero objective",
                 )
-            return _PhaseOneStart(decided=decided, point=reduced.lift(z0))
+            return _PhaseOneStart(decided=decided, point=z0)
 
+        #: Newton-kernel accounting shared by every workspace of this solve
+        #: (phase I and phase II); reset per solve.
+        self._kernel_stats = _kernel_stats()
+        pieces = self._pieces(problem)
         z_interior: Optional[np.ndarray] = None
         if interior_point is not None:
-            z_interior = self._initial_reduced_point(problem, reduced, interior_point)
+            z_interior = np.array(interior_point, dtype=float)
         fallbacks = [z_interior] if z_interior is not None else []
         with obs_span("phase1") as phase1_span:
             z_feasible, feasibility, phase1 = self._phase_one(
-                problem, reduced, pieces, z0, fallbacks=fallbacks
+                problem, pieces, z0, fallbacks=fallbacks
             )
             phase1_span.set(
                 skipped=bool(phase1["skipped"]),
@@ -1439,8 +1280,7 @@ class BarrierSolver:
             "phase1_newton_iterations": int(phase1["newton_iterations"]),
             "newton_iterations": 0,
             "outer_iterations": 0,
-            "structured": reduced.structure.num_blocks >= 2,
-            "elimination_computed": bool(elimination_computed),
+            "structured": len(pieces.block_slices) >= 2,
             "phase1_time": phase1_span.seconds,
             "centering_time": 0.0,
         }
@@ -1456,7 +1296,6 @@ class BarrierSolver:
                 )
             )
         return _PhaseOneStart(
-            reduced=reduced,
             pieces=pieces,
             z=z_feasible,
             z_interior=z_interior,
@@ -1508,8 +1347,6 @@ class BarrierSolver:
             registry.counter("solver.optimal").inc()
         if stats.get("phase1_skipped"):
             registry.counter("solver.phase1_skipped").inc()
-        if stats.get("elimination_computed"):
-            registry.counter("solver.elimination_computed").inc()
         if stats.get("structured"):
             registry.counter("solver.structured_solves").inc()
             registry.counter("solver.sparse_solves").inc()
@@ -1553,112 +1390,30 @@ class BarrierSolver:
         )
 
     # -- setup ----------------------------------------------------------------
-    def _eliminate_equalities(
-        self, problem: CompiledProblem
-    ) -> Tuple[Optional[_ReducedProblem], bool]:
-        """Equality elimination with a per-compiled-problem cache.
+    def _pieces(self, problem: CompiledProblem) -> _PiecesCache:
+        """The per-block slices of ``problem``, cached on it.
 
-        Successful reductions are cached on the compiled problem: the basis
-        depends only on ``A`` and ``b``, which parametric re-solves never
-        mutate (only ``h`` changes), so a warm-started
-        :class:`~repro.solver.parametric.SolveSession` computes the
-        factorisations once for the whole sweep.  Returns the reduction
-        (``None`` when the equalities are inconsistent) and whether this
-        call computed it (``False`` = cache hit), surfaced as the
-        ``elimination_computed`` solve statistic.
+        The slices depend only on ``G``, the cone data and the block
+        structure, so they are computed once per compiled problem; each
+        solve reads only the ``h`` rows, the one array parametric re-solves
+        mutate.
         """
-        cached = problem.elimination_cache
-        if isinstance(cached, _ReducedProblem):
-            return cached, False
-        structure = problem.block_structure
-        if structure is None or structure.equality_blocks.shape[0] != problem.b.shape[0]:
-            structure = _single_block(problem)
-        reduced = self._blockwise_elimination(problem, structure)
-        if reduced is not None:
-            problem.elimination_cache = reduced
-        return reduced, True
-
-    def _blockwise_elimination(
-        self, problem: CompiledProblem, structure: BlockStructure
-    ) -> Optional[_ReducedProblem]:
-        """Per-block elimination producing a block-diagonal null-space basis.
-
-        Every equality row is confined to one block (multi-block equalities
-        drop the structure at compile time, and a program without one is a
-        single block), so the null space factors per block: one small
-        pivoted QR per application instead of one factorisation of the full
-        equality matrix, and the per-block bases keep the reduced problem
-        block partitioned without ever materialising the dense ``(n, k)``
-        null-space matrix.  Returns ``None`` when a block's equalities are
-        inconsistent.
-        """
-        b = problem.b
-        x_p = np.zeros(problem.num_variables)
-        basis_blocks: List[Optional[np.ndarray]] = []
-        for block_index, (start, stop) in enumerate(structure.ranges):
-            rows = np.flatnonzero(structure.equality_blocks == block_index)
-            basis: Optional[np.ndarray] = None  # identity: keeps all variables
-            if rows.size:
-                A_block = _eq_block(problem, rows, start, stop)
-                result = _block_nullspace(A_block, b[rows])
-                if result is None:
-                    return None
-                x_p[start:stop], basis = result
-            basis_blocks.append(basis)
-        return _ReducedProblem(x_p, structure, basis_blocks)
-
-    def _reduced_pieces(
-        self, problem: CompiledProblem, reduced: _ReducedProblem
-    ) -> _ReducedPieces:
-        """Reduce each block's constraints through its own null-space basis.
-
-        Equivalent to the ``G @ N`` reduction of the whole problem, but block
-        by block: with a block-diagonal basis, a block-local row only meets
-        its own basis columns, so each product is narrow — the reduction
-        cost drops from ``O(rows·n·k)`` to the sum of the per-block products.
-
-        The basis projections depend only on ``G``/cone data and the cached
-        elimination, so they are computed once per compiled problem
-        (:class:`_PiecesCache` on the reduced problem); each solve refreshes
-        only the ``h``-derived right-hand sides — the one array parametric
-        re-solves mutate.
-        """
-        cache = reduced.pieces_cache
-        #: whether this solve reused the cached basis projections (surfaced
-        #: as the ``pieces_cache_reused`` stat → SessionStats sparse reuse)
+        cache = problem.pieces_cache
+        #: whether this solve reused the cached slices (surfaced as the
+        #: ``pieces_cache_reused`` stat → SessionStats sparse reuse)
         self._pieces_cache_hit = cache is not None
         if cache is None:
-            cache = self._build_pieces_cache(problem, reduced)
-            reduced.pieces_cache = cache
-        linear = [
-            (G, problem.h[rows] - offset)
-            for G, rows, offset in zip(
-                cache.block_G, cache.block_rows, cache.block_offsets
-            )
-        ]
-        if cache.coupling_rows.size:
-            coupling = (
-                cache.coupling_G,
-                problem.h[cache.coupling_rows] - cache.coupling_offset,
-            )
-        else:
-            coupling = (cache.coupling_G, np.zeros(0))
-        return _ReducedPieces(
-            linear=linear, hyps=cache.hyps, cones=cache.cones, coupling=coupling
-        )
+            cache = self._build_pieces_cache(problem)
+            problem.pieces_cache = cache
+        return cache
 
-    def _build_pieces_cache(
-        self, problem: CompiledProblem, reduced: _ReducedProblem
-    ) -> _PiecesCache:
-        structure = reduced.structure
-        xp = reduced.x_particular
+    def _build_pieces_cache(self, problem: CompiledProblem) -> _PiecesCache:
+        structure = problem.block_structure or _single_block(problem)
+        n = problem.num_variables
         block_rows: List[np.ndarray] = []
         block_G: List[np.ndarray] = []
-        block_offsets: List[np.ndarray] = []
         hyps: List[List[CompiledHyperbolic]] = []
         cones: List[List[CompiledCone]] = []
-        coupling_parts: List[np.ndarray] = []
-        coupling_rows = structure.coupling_rows
         # Group constraints by owning block up front (one pass each) instead
         # of scanning every constraint once per block.
         hyps_by_block: Dict[int, List[CompiledHyperbolic]] = {}
@@ -1667,33 +1422,20 @@ class BarrierSolver:
         cones_by_block: Dict[int, List[CompiledCone]] = {}
         for cone, owner in zip(problem.cones, structure.cone_blocks):
             cones_by_block.setdefault(owner, []).append(cone)
-        for block_index, ((start, stop), slc) in enumerate(
-            zip(structure.ranges, reduced.block_slices)
-        ):
-            basis = reduced.basis_for(block_index)
-            basis_width = slc.stop - slc.start
-            xp_block = xp[start:stop]
+        for block_index, (start, stop) in enumerate(structure.ranges):
             rows = np.flatnonzero(structure.row_blocks == block_index)
             block_rows.append(rows)
             if rows.size:
-                G_narrow = _ineq_block(problem, rows, start, stop)
-                block_G.append(G_narrow if basis is None else G_narrow @ basis)
-                block_offsets.append(G_narrow @ xp_block)
+                block_G.append(_ineq_block(problem, rows, start, stop))
             else:
-                block_G.append(np.zeros((0, basis_width)))
-                block_offsets.append(np.zeros(0))
-
-            def reduce_row(vec: np.ndarray) -> np.ndarray:
-                narrow = vec[start:stop]
-                return narrow.copy() if basis is None else narrow @ basis
-
+                block_G.append(np.zeros((0, stop - start)))
             hyps.append(
                 [
                     CompiledHyperbolic(
-                        p=reduce_row(hyp.p),
-                        p0=float(hyp.p[start:stop] @ xp_block + hyp.p0),
-                        q=reduce_row(hyp.q),
-                        q0=float(hyp.q[start:stop] @ xp_block + hyp.q0),
+                        p=hyp.p[start:stop].copy(),
+                        p0=float(hyp.p0),
+                        q=hyp.q[start:stop].copy(),
+                        q0=float(hyp.q0),
                         bound=hyp.bound,
                     )
                     for hyp in hyps_by_block.get(block_index, [])
@@ -1702,94 +1444,66 @@ class BarrierSolver:
             cones.append(
                 [
                     CompiledCone(
-                        A=(
-                            cone.A[:, start:stop].copy()
-                            if basis is None
-                            else cone.A[:, start:stop] @ basis
-                        ),
-                        b=cone.A[:, start:stop] @ xp_block + cone.b,
-                        c=reduce_row(cone.c),
-                        d=float(cone.c[start:stop] @ xp_block + cone.d),
+                        A=cone.A[:, start:stop].copy(),
+                        b=cone.b,
+                        c=cone.c[start:stop].copy(),
+                        d=float(cone.d),
                     )
                     for cone in cones_by_block.get(block_index, [])
                 ]
             )
-            if coupling_rows.size:
-                Gc_narrow = _ineq_block(problem, coupling_rows, start, stop)
-                coupling_parts.append(
-                    Gc_narrow if basis is None else Gc_narrow @ basis
-                )
+        coupling_rows = structure.coupling_rows
         if coupling_rows.size:
-            coupling_G = np.hstack(coupling_parts)
-            coupling_offset = np.asarray(
-                problem._apply_G(xp)[coupling_rows], dtype=float
-            )
+            coupling_G = _ineq_block(problem, coupling_rows, 0, n)
         else:
-            coupling_G = np.zeros((0, reduced.dimension))
-            coupling_offset = np.zeros(0)
+            coupling_G = np.zeros((0, n))
         return _PiecesCache(
+            dimension=n,
+            block_slices=[slice(start, stop) for start, stop in structure.ranges],
             block_rows=block_rows,
             block_G=block_G,
-            block_offsets=block_offsets,
             hyps=hyps,
             cones=cones,
             coupling_rows=coupling_rows,
             coupling_G=coupling_G,
-            coupling_offset=coupling_offset,
         )
 
-    def _phase_two_plan(
-        self, pieces: _ReducedPieces, reduced: _ReducedProblem
-    ) -> _StructurePlan:
+    def _phase_two_plan(self, pieces: _PiecesCache, h: np.ndarray) -> _StructurePlan:
         """Phase-II (borderless) plan: narrow per-block terms + coupling rows."""
-        k = reduced.dimension
+        k = pieces.dimension
         block_terms: List[List[_BarrierTerm]] = []
-        for (G, h), hyp_list, cone_list, slc in zip(
-            pieces.linear, pieces.hyps, pieces.cones, reduced.block_slices
-        ):
+        for slc, G, h_block, hyp_list, cone_list in pieces.blocks(h):
             support = _block_support(slc, k, border=0)
             block_index = len(block_terms)
             terms: List[_BarrierTerm] = []
             if G.shape[0]:
-                terms.append(_LinearBlock(G, h, support=support, block=block_index))
+                terms.append(
+                    _LinearBlock(G, h_block, support=support, block=block_index)
+                )
             if hyp_list:
                 terms.append(
                     _HyperbolicBlock(hyp_list, support=support, block=block_index)
                 )
             terms.extend(_cone_blocks(cone_list, support=support, block=block_index))
             block_terms.append(terms)
-        Gc, hc = pieces.coupling
+        Gc, hc = pieces.coupling(h)
         coupling = _LinearBlock(Gc, hc) if Gc.shape[0] else None
         return _StructurePlan(
-            block_slices=list(reduced.block_slices),
+            block_slices=list(pieces.block_slices),
             border=0,
             block_terms=block_terms,
             coupling=coupling,
         )
 
-    def _initial_reduced_point(
-        self,
-        problem: CompiledProblem,
-        reduced: _ReducedProblem,
-        initial_point: Optional[np.ndarray],
-    ) -> np.ndarray:
-        if initial_point is not None:
-            x0 = np.asarray(initial_point, dtype=float)
-            # Project onto the affine subspace of the equality constraints
-            # (blockwise — no dense (n, k) factorisation).
-            return reduced.project(x0)
-        return np.zeros(reduced.dimension)
-
     # -- phase I -----------------------------------------------------------------
     def _phase_one(
         self,
         problem: CompiledProblem,
-        reduced: _ReducedProblem,
-        pieces: _ReducedPieces,
+        pieces: _PiecesCache,
         z0: np.ndarray,
         fallbacks: Sequence[np.ndarray] = (),
     ) -> Tuple[Optional[np.ndarray], float, Dict[str, object]]:
-        """Find a strictly feasible reduced point, or report infeasibility.
+        """Find a strictly feasible point, or report infeasibility.
 
         ``z0`` and then each entry of ``fallbacks`` is checked for strict
         feasibility; the first hit skips the phase entirely.  Otherwise the
@@ -1799,7 +1513,7 @@ class BarrierSolver:
         constraint touches it (in a one-block program it is simply the
         block's last coordinate).
 
-        Returns the feasible reduced point (or ``None``), the final
+        Returns the feasible point (or ``None``), the final
         infeasibility measure, and phase-I statistics (whether the phase was
         skipped because a candidate was already strictly feasible, and how
         many Newton iterations the auxiliary program took).
@@ -1812,19 +1526,18 @@ class BarrierSolver:
         * SOC:         ``‖u(x)‖ ≤ v(x) + t``
         """
         opts = self.options
-        x0 = reduced.lift(z0)
-        needed = self._required_relaxation(problem, x0)
+        needed = self._required_relaxation(problem, z0)
         if needed < -opts.feasibility_margin:
             return z0, needed, {"skipped": True, "newton_iterations": 0}
         for candidate in fallbacks:
-            required = self._required_relaxation(problem, reduced.lift(candidate))
+            required = self._required_relaxation(problem, candidate)
             if required < -opts.feasibility_margin:
                 return candidate, required, {"skipped": True, "newton_iterations": 0}
 
-        k = reduced.dimension
+        k = problem.num_variables
         # Keep the phase-I objective bounded below.
         lower_bound = -max(1.0, abs(needed))
-        plan = self._phase_one_plan(reduced, pieces, lower_bound)
+        plan = self._phase_one_plan(pieces, problem.h, lower_bound)
 
         t0 = needed + max(1.0, 0.1 * abs(needed))
         zt = np.concatenate([z0, [t0]])
@@ -1854,8 +1567,8 @@ class BarrierSolver:
 
     def _phase_one_plan(
         self,
-        reduced: _ReducedProblem,
-        pieces: _ReducedPieces,
+        pieces: _PiecesCache,
+        h: np.ndarray,
         lower_bound: float,
     ) -> _StructurePlan:
         """Narrow phase-I terms over ``(z, t)``: ``t`` is the arrow's border.
@@ -1868,10 +1581,10 @@ class BarrierSolver:
         arrow to border: ``t`` becomes the block's last coordinate, so its
         phase I takes the direct solve like its phase II.
         """
-        k = reduced.dimension
+        k = pieces.dimension
         block_terms: List[List[_BarrierTerm]] = []
-        for block_index, ((G, h), hyp_list, cone_list, slc) in enumerate(
-            zip(pieces.linear, pieces.hyps, pieces.cones, reduced.block_slices)
+        for block_index, (slc, G, h_block, hyp_list, cone_list) in enumerate(
+            pieces.blocks(h)
         ):
             width = slc.stop - slc.start
             support = _block_support(slc, k, border=1)
@@ -1880,7 +1593,7 @@ class BarrierSolver:
             rhs: List[np.ndarray] = []
             if G.shape[0]:
                 rows.append(np.hstack([G, -np.ones((G.shape[0], 1))]))
-                rhs.append(h)
+                rhs.append(h_block)
             if block_index == 0:
                 # The phase-I objective's lower bound (−t ≤ −lower_bound):
                 # border-only, homed in the first block's local term.
@@ -1922,7 +1635,7 @@ class BarrierSolver:
                 _cone_blocks(phase_cones, support=support, block=block_index)
             )
             block_terms.append(terms)
-        Gc, hc = pieces.coupling
+        Gc, hc = pieces.coupling(h)
         coupling = None
         if Gc.shape[0]:
             coupling = _LinearBlock(
@@ -1931,7 +1644,7 @@ class BarrierSolver:
         if len(block_terms) == 1:
             return _StructurePlan([slice(0, k + 1)], 0, block_terms, coupling)
         return _StructurePlan(
-            block_slices=list(reduced.block_slices),
+            block_slices=list(pieces.block_slices),
             border=1,
             block_terms=block_terms,
             coupling=coupling,
@@ -1939,9 +1652,7 @@ class BarrierSolver:
 
     def _required_relaxation(self, problem: CompiledProblem, x: np.ndarray) -> float:
         """Smallest ``t`` that makes ``x`` strictly feasible for the relaxed problem."""
-        needed = -math.inf
-        if problem.h.size:
-            needed = max(needed, float(np.max(problem._apply_G(x) - problem.h)))
+        needed = problem.max_linear_violation(x)
         for hyp in problem.hyperbolic:
             p = float(hyp.p @ x + hyp.p0)
             q = float(hyp.q @ x + hyp.q0)

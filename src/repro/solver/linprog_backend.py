@@ -41,24 +41,15 @@ def solve_with_linprog(
 
     n = problem.num_variables
     if n == 0:
-        return Solution(
-            status=SolverStatus.OPTIMAL,
-            objective=problem.c0,
-            values={},
-            backend="linprog",
-        )
+        return problem.constant_solution("linprog")
 
     A_ub: Optional[np.ndarray] = problem.G if problem.G.size else None
     b_ub: Optional[np.ndarray] = problem.h if problem.G.size else None
-    A_eq: Optional[np.ndarray] = problem.A if problem.A.size else None
-    b_eq: Optional[np.ndarray] = problem.b if problem.A.size else None
 
     result = linprog(
         c=problem.c,
         A_ub=A_ub,
         b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
         bounds=[(None, None)] * n,
         method=method,
     )

@@ -10,8 +10,11 @@ this module provides the compile-once/solve-many counterpart of
   ConeProgram` **once** and exposes *named parameter slots* over the compiled
   inequality right-hand sides ``h`` — both named constraint rows and the
   variable-bound rows (``lb[x]`` / ``ub[x]``) that compilation emits.  Setting
-  a parameter mutates ``h`` in place; the matrices ``G``, ``A`` and the cone
-  blocks are shared across all solves.
+  a parameter mutates ``h`` in place; the matrix ``G`` and the cone blocks
+  are shared across all solves.  Compilation substitutes fixed variables and
+  equality rows out, which can shift a row's constant; a parameter on such a
+  row keeps that shift, so it solves like a fresh compile with the same
+  value.
 * :class:`SolveSession` re-solves the parametric problem after parameter
   updates.  Each solve is warm-started from the previous optimum; the barrier
   backend skips phase I entirely whenever that point is still strictly
@@ -21,7 +24,8 @@ this module provides the compile-once/solve-many counterpart of
   iterations, wall time — for reporting layers.
 
 Only inequality right-hand sides are parametric.  Structural changes (adding
-constraints, turning a bound pair into an equality) require a fresh compile;
+constraints, collapsing a bound pair so the variable is substituted out)
+require a fresh compile;
 callers detect those cases and rebuild (see
 :class:`repro.core.formulation.ParametricSocpFormulation`).
 """
@@ -43,10 +47,15 @@ from repro.solver.result import Solution
 
 @dataclass
 class _Slot:
-    """One registered parameter: ``h[row] = scale · value``."""
+    """One registered parameter: ``h[row] = scale · value + shift``.
+
+    ``shift`` is what compilation's substitution added to the row's
+    constant (:attr:`~repro.solver.problem.CompiledProblem.h_shifts`).
+    """
 
     row: int
     scale: float
+    shift: float = 0.0
     value: Optional[float] = None
 
 
@@ -71,7 +80,8 @@ class ParametricProblem:
         """Expose the inequality row ``row_name`` as parameter ``name``.
 
         After registration, ``set(name, value)`` rewrites the compiled
-        right-hand side of that row to ``scale · value``.
+        right-hand side of that row to ``scale · value`` plus the row's
+        substitution shift.
         """
         if name in self._slots:
             raise FormulationError(f"duplicate parameter name {name!r}")
@@ -85,10 +95,12 @@ class ParametricProblem:
         except KeyError:
             raise FormulationError(
                 f"no inequality row named {row_name!r} in the compiled problem "
-                f"(equality-collapsed bounds and unnamed constraints cannot be "
-                f"parameters)"
+                f"(bounds of substituted variables and unnamed constraints "
+                f"cannot be parameters)"
             ) from None
-        self._slots[name] = _Slot(row=row, scale=float(scale))
+        self._slots[name] = _Slot(
+            row=row, scale=float(scale), shift=self.compiled.h_shifts.get(row, 0.0)
+        )
 
     def register_upper_bound(self, name: str, variable: Variable) -> None:
         """Expose a variable's compiled upper-bound row (``x ≤ value``)."""
@@ -106,7 +118,7 @@ class ParametricProblem:
         except KeyError:
             raise FormulationError(f"unknown parameter {name!r}") from None
         slot.value = float(value)
-        self.compiled.h[slot.row] = slot.scale * slot.value
+        self.compiled.h[slot.row] = slot.scale * slot.value + slot.shift
 
     def set_many(self, values: Mapping[str, float]) -> None:
         for name, value in values.items():
@@ -139,12 +151,6 @@ class SessionStats:
     phase1_newton_iterations: int = 0  #: phase-I Newton iterations, summed
     solve_time: float = 0.0      #: wall-clock seconds inside the backends
     rebuilds: int = 0            #: full rebuild fallbacks (set by callers)
-    #: equality-elimination null-space computations (one pivoted QR per
-    #: block) performed by the barrier backend.  The compiled problem caches
-    #: the basis (:attr:`repro.solver.problem.CompiledProblem.elimination_cache`), so a
-    #: compile-once session's whole sweep counts exactly one — each rebuild
-    #: fallback adds one more for its freshly compiled problem.
-    eliminations: int = 0
     #: solves with two or more blocks (the block + Schur arrow solve) vs
     #: one-block direct solves — the engagement split of the session
     sparse_solves: int = 0
@@ -165,7 +171,6 @@ class SessionStats:
             "phase1_newton_iterations": self.phase1_newton_iterations,
             "solve_time": self.solve_time,
             "rebuilds": self.rebuilds,
-            "eliminations": self.eliminations,
             "sparse_solves": self.sparse_solves,
             "sparse_pieces_reused": self.sparse_pieces_reused,
             "block_factorizations": self.block_factorizations,
@@ -182,8 +187,6 @@ class SessionStats:
         self.solve_time += solution.solve_time
         if solution.stats.get("phase1_skipped"):
             self.phase1_skipped += 1
-        if solution.stats.get("elimination_computed"):
-            self.eliminations += 1
         self.newton_iterations += int(solution.stats.get("newton_iterations", 0))
         self.phase1_newton_iterations += int(
             solution.stats.get("phase1_newton_iterations", 0)

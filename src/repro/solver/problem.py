@@ -12,13 +12,27 @@ The numerical backends do not operate on the symbolic objects directly;
 
 * objective vector ``c`` and offset ``c0``,
 * inequalities ``G·x ≤ h`` (variable bounds folded in),
-* equalities ``A·x = b``,
 * hyperbolic constraints as coefficient-vector tuples,
 * second-order cone constraints as matrix/vector tuples.
+
+A compiled problem has no equality rows.  Compilation substitutes them out,
+as LP presolve does (Andersen & Andersen, *Math. Programming* 71, 1995): a
+variable whose bounds collapse (:func:`bounds_collapse`) is replaced by its
+value, and each :meth:`ConeProgram.add_equality` row by solving it for its
+pivot — the term with the largest ``|coefficient|`` once the earlier
+substitutions are applied.  Every row, hyperbolic and cone offset and the
+objective is written over the remaining *free* columns only; each
+substituted variable is kept as an affine function of them, so
+:meth:`CompiledProblem.point_as_mapping` still lists every registered
+variable.  An equality row that substitution reduces to a constant is
+dropped when the constant is zero (a redundant row) and otherwise becomes
+the constant row ``0 ≤ −|residual|``, which every backend reports as
+infeasible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -42,21 +56,62 @@ from repro.solver.expression import (
     Variable,
     linear_sum,
 )
-from repro.solver.result import Solution
+from repro.solver.result import Solution, SolverStatus
 
 Constraint = Union[LinearConstraint, HyperbolicConstraint, SecondOrderConeConstraint]
 
 
 def bounds_collapse(lower: float, upper: float) -> bool:
-    """Bounds close enough that compilation emits an equality row.
+    """Bounds close enough that compilation substitutes the variable out.
 
-    The single definition shared by :meth:`ConeProgram.compile` and the
-    parametric layers (:class:`repro.core.formulation.
-    ParametricSocpFormulation` detects this case to fall back to a rebuild,
-    since an equality row cannot be produced by mutating inequality
-    right-hand sides).
+    Such a variable is fixed at its lower bound: it gets no column and no
+    bound rows.  This is the single definition shared by
+    :meth:`ConeProgram.compile` and the parametric layers
+    (:class:`repro.core.formulation.ParametricSocpFormulation` detects this
+    case to fall back to a rebuild, since dropping a column cannot be done
+    by mutating inequality right-hand sides).
     """
     return abs(upper - lower) <= 1e-12 * max(1.0, abs(lower))
+
+
+def _is_fixed(var: Variable) -> bool:
+    """Whether ``var``'s bounds collapse, so compilation substitutes its value."""
+    return (
+        var.lower is not None
+        and var.upper is not None
+        and bounds_collapse(var.lower, var.upper)
+    )
+
+
+def _substitute(
+    expression: AffineExpression, substitutions: Mapping[Variable, AffineExpression]
+) -> AffineExpression:
+    """``expression`` with every substituted variable replaced by its expression.
+
+    Returns ``expression`` itself when it mentions none of them.  A
+    coefficient that cancels to within 1e-12 of the largest term summed
+    into it is dropped: the cancellation is exact in real arithmetic.
+    """
+    if substitutions.keys().isdisjoint(expression.terms):
+        return expression
+    terms: Dict[Variable, float] = {}
+    scale: Dict[Variable, float] = {}
+    constant = expression.constant
+    for var, coeff in expression.terms.items():
+        replacement = substitutions.get(var)
+        if replacement is None:
+            parts: Mapping[Variable, float] = {var: 1.0}
+        else:
+            constant += coeff * replacement.constant
+            parts = replacement.terms
+        for term, weight in parts.items():
+            value = coeff * weight
+            terms[term] = terms.get(term, 0.0) + value
+            scale[term] = max(scale.get(term, 0.0), abs(value))
+    return AffineExpression(
+        {term: value for term, value in terms.items() if abs(value) > 1e-12 * scale[term]},
+        constant,
+    )
 
 
 @dataclass
@@ -88,16 +143,16 @@ class BlockStructure:
 
     Emitted by :meth:`ConeProgram.compile` when the program declared variable
     blocks (:meth:`ConeProgram.declare_blocks`) — per-application blocks in
-    :class:`repro.core.formulation._BlockAssembly` — and every non-linear and
-    equality constraint turned out to be confined to a single block.  The
-    barrier backend uses it to eliminate equalities blockwise and, for two
-    or more blocks, to solve each Newton step with block-Cholesky
-    factorisations + a Schur complement on the arrow-structured KKT system
-    (see
+    :class:`repro.core.formulation._BlockAssembly` — and every non-linear
+    constraint turned out to be confined to a single block once the
+    equalities were substituted.  For two or more blocks the barrier backend
+    uses it to solve each Newton step with block-Cholesky factorisations + a
+    Schur complement on the arrow-structured KKT system (see
     :class:`repro.solver.barrier.BarrierSolver`).
 
-    ``ranges`` are half-open variable index ranges, one per block, covering
-    every variable exactly once in order.  ``row_blocks`` assigns each
+    ``ranges`` are half-open ranges over the free columns, one per block,
+    covering every column exactly once in order; a block whose variables
+    were all substituted out has an empty range.  ``row_blocks`` assigns each
     inequality row the block its support lies in, with ``-1`` marking the
     *coupling rows* whose support spans several blocks (the shared processor
     and memory capacity rows of a workload program).
@@ -105,7 +160,6 @@ class BlockStructure:
 
     ranges: List[Tuple[int, int]]
     row_blocks: np.ndarray          #: block per inequality row; -1 = coupling
-    equality_blocks: np.ndarray     #: block per equality row (always single-block)
     hyperbolic_blocks: List[int]    #: block per hyperbolic constraint
     cone_blocks: List[int]          #: block per SOC constraint
 
@@ -122,16 +176,19 @@ class BlockStructure:
 class CompiledProblem:
     """Numerical representation of a :class:`ConeProgram`.
 
-    The constraint matrices ``G`` (inequalities) and ``A`` (equalities) are
-    stored in CSR form — for workload programs they are extremely sparse (a few entries per row against thousands of columns)
-    and the block-Newton solver consumes them blockwise.  The dense views
-    remain available as the :attr:`G` / :attr:`A` properties, densified
-    lazily and cached, so backends and tests that want plain arrays keep
-    working; sparse-aware code uses :attr:`G_sparse` / :attr:`A_sparse`.
+    The columns are the *free* variables, :attr:`variables`: every
+    registered variable that compilation did not substitute out (see the
+    module docstring).  The inequality matrix ``G`` is stored in CSR form —
+    for workload programs it is extremely sparse (a few entries per row
+    against thousands of columns) and the block-Newton solver consumes it
+    blockwise.  The dense view remains available as the :attr:`G` property,
+    densified lazily and cached, so backends and tests that want plain
+    arrays keep working; sparse-aware code uses :attr:`G_sparse`.
 
-    ``h`` and ``b`` stay plain mutable ndarrays: the parametric layer
+    ``h`` stays a plain mutable ndarray: the parametric layer
     (:class:`repro.solver.parametric.ParametricProblem`) re-solves a compiled
-    program by mutating ``h`` rows in place.
+    program by mutating ``h`` rows in place.  :attr:`h_shifts` records, per
+    row, what substitution added to that row's ``h``.
     """
 
     def __init__(
@@ -141,18 +198,18 @@ class CompiledProblem:
         c0: float,
         G: object,
         h: np.ndarray,
-        A: object,
-        b: np.ndarray,
         hyperbolic: List[CompiledHyperbolic],
         cones: List[CompiledCone],
         inequality_names: Optional[List[str]] = None,
         block_structure: Optional[BlockStructure] = None,
+        registered_variables: Optional[List[Variable]] = None,
+        substitutions: Optional[Dict[Variable, Tuple[np.ndarray, np.ndarray, float]]] = None,
+        h_shifts: Optional[Dict[int, float]] = None,
     ) -> None:
         self.variables = variables
         self.c = c
         self.c0 = c0
         self.h = h
-        self.b = b
         self.hyperbolic = hyperbolic
         self.cones = cones
         self.inequality_names = list(inequality_names or [])
@@ -160,24 +217,26 @@ class CompiledProblem:
         #: :class:`BlockStructure`); ``None`` for unstructured programs,
         #: which the barrier backend solves as a single block.
         self.block_structure = block_structure
-        #: Cache of the equality-elimination result (particular point +
-        #: null-space basis), written by the barrier backend on first use.
-        #: Valid as long as ``A`` and ``b`` are unchanged — parametric
-        #: re-solves mutate only ``h``, so warm-started sessions reuse one
-        #: elimination across every solve.
-        self.elimination_cache: Optional[object] = None
+        #: every registered variable, free or substituted, in registration order
+        self.registered_variables = (
+            variables if registered_variables is None else registered_variables
+        )
+        #: substituted variable → ``(columns, coefficients, constant)``: its
+        #: value is ``constant + coefficients · x[columns]``
+        self.substitutions = dict(substitutions or {})
+        #: row index → the amount substitution added to that row's ``h``
+        self.h_shifts = dict(h_shifts or {})
+        #: The barrier backend's per-block slices of ``G`` and the cone data,
+        #: written on first use.  Valid as long as ``G``, the cones and the
+        #: block structure are unchanged — parametric re-solves mutate only
+        #: ``h``, so warm-started sessions reuse one set of slices.
+        self.pieces_cache: Optional[object] = None
         self._G_dense: Optional[np.ndarray] = None
-        self._A_dense: Optional[np.ndarray] = None
         self._G_sparse = None
-        self._A_sparse = None
         if _sparse.issparse(G):
             self._G_sparse = G.tocsr()
         else:
             self._G_dense = np.asarray(G, dtype=float)
-        if _sparse.issparse(A):
-            self._A_sparse = A.tocsr()
-        else:
-            self._A_dense = np.asarray(A, dtype=float)
 
     # -- constraint matrix views ------------------------------------------
     @property
@@ -188,13 +247,6 @@ class CompiledProblem:
         return self._G_dense
 
     @property
-    def A(self) -> np.ndarray:
-        """Dense equality matrix (densified lazily from CSR, then cached)."""
-        if self._A_dense is None:
-            self._A_dense = self._A_sparse.toarray()
-        return self._A_dense
-
-    @property
     def G_sparse(self):
         """CSR inequality matrix (built lazily from a dense ``G``)."""
         if self._G_sparse is None:
@@ -202,28 +254,15 @@ class CompiledProblem:
         return self._G_sparse
 
     @property
-    def A_sparse(self):
-        """CSR equality matrix (built lazily from a dense ``A``)."""
-        if self._A_sparse is None:
-            self._A_sparse = _sparse.csr_matrix(self._A_dense)
-        return self._A_sparse
-
-    @property
     def constraint_nnz(self) -> int:
-        """Stored non-zeros across ``G`` and ``A`` (sparse-backend telemetry)."""
-        total = 0
-        for sparse_mat, dense_mat in (
-            (self._G_sparse, self._G_dense),
-            (self._A_sparse, self._A_dense),
-        ):
-            if sparse_mat is not None:
-                total += int(sparse_mat.nnz)
-            elif dense_mat is not None:
-                total += int(np.count_nonzero(dense_mat))
-        return total
+        """Stored non-zeros of ``G`` (sparse-backend telemetry)."""
+        if self._G_sparse is not None:
+            return int(self._G_sparse.nnz)
+        return int(np.count_nonzero(self._G_dense))
 
     @property
     def num_variables(self) -> int:
+        """Number of free columns."""
         return len(self.variables)
 
     def index_of(self, variable: Variable) -> int:
@@ -237,7 +276,13 @@ class CompiledProblem:
         return float(self.c @ x + self.c0)
 
     def point_as_mapping(self, x: np.ndarray) -> Dict[Variable, float]:
-        return {var: float(x[i]) for i, var in enumerate(self.variables)}
+        """Every registered variable's value at the free-column point ``x``."""
+        values = {var: float(x[i]) for i, var in enumerate(self.variables)}
+        if not self.substitutions:
+            return values
+        for var, (columns, coefficients, constant) in self.substitutions.items():
+            values[var] = float(constant + coefficients @ x[columns])
+        return {var: values[var] for var in self.registered_variables}
 
     def vector_from_mapping(
         self, values: Mapping[Variable, float], default: float = 0.0
@@ -249,23 +294,13 @@ class CompiledProblem:
         return x
 
     # -- feasibility inspection -------------------------------------------
-    def _apply_G(self, x: np.ndarray) -> np.ndarray:
-        """``G @ x`` via whichever representation is already materialised."""
-        matrix = self._G_sparse if self._G_dense is None else self._G_dense
-        return matrix @ x
-
-    def _apply_A(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` via whichever representation is already materialised."""
-        matrix = self._A_sparse if self._A_dense is None else self._A_dense
-        return matrix @ x
-
     def max_linear_violation(self, x: np.ndarray) -> float:
-        violation = 0.0
-        if self.h.size:
-            violation = max(violation, float(np.max(self._apply_G(x) - self.h)))
-        if self.b.size:
-            violation = max(violation, float(np.max(np.abs(self._apply_A(x) - self.b))))
-        return violation
+        """``max(G·x − h)``: negative when ``x`` satisfies every row strictly,
+        ``-inf`` when there are no rows."""
+        if not self.h.size:
+            return -math.inf
+        matrix = self._G_sparse if self._G_dense is None else self._G_dense
+        return float(np.max(matrix @ x - self.h))
 
     def min_cone_margin(self, x: np.ndarray) -> float:
         margin = np.inf
@@ -278,6 +313,27 @@ class CompiledProblem:
             v = float(cone.c @ x + cone.d)
             margin = min(margin, v - float(np.linalg.norm(u)))
         return margin
+
+    def constant_solution(self, backend: str) -> Solution:
+        """The outcome of a program without free columns.
+
+        Its one point is the empty vector: ``OPTIMAL`` at ``c0`` when every
+        constraint holds there, ``INFEASIBLE`` otherwise.  Every backend
+        answers such a program with this.
+        """
+        x = np.zeros(0)
+        if self.max_linear_violation(x) > 0.0 or self.min_cone_margin(x) < 0.0:
+            return Solution(
+                status=SolverStatus.INFEASIBLE,
+                backend=backend,
+                message="a constant constraint is violated",
+            )
+        return Solution(
+            status=SolverStatus.OPTIMAL,
+            objective=self.c0,
+            values=self.point_as_mapping(x),
+            backend=backend,
+        )
 
 
 class ConeProgram:
@@ -342,8 +398,8 @@ class ConeProgram:
         ``groups`` lists the variables of each block (per application, in the
         workload formulation).  :meth:`compile` turns the declaration into a
         :class:`BlockStructure` when the groups partition the variables into
-        contiguous index ranges and every equality / hyperbolic / SOC
-        constraint is confined to one block; otherwise the compiled problem
+        contiguous index ranges and, once the equalities are substituted,
+        every hyperbolic / SOC constraint is confined to one block; otherwise the compiled problem
         simply carries no structure and the solver treats it as one block,
         so declaring blocks is always safe.
         """
@@ -474,7 +530,7 @@ class ConeProgram:
 
     # -- compilation -----------------------------------------------------------
     def _vectorise(self, expression: AffineExpression, index: Dict[Variable, int]) -> Tuple[np.ndarray, float]:
-        row = np.zeros(len(self._variables))
+        row = np.zeros(len(index))
         for var, coeff in expression.terms.items():
             row[index[var]] = coeff
         return row, expression.constant
@@ -496,68 +552,117 @@ class ConeProgram:
         matrix.sort_indices()
         return matrix
 
+    def _substitutions(self) -> Tuple[Dict[Variable, AffineExpression], Dict[int, float]]:
+        """Every substituted variable as an affine expression over free variables.
+
+        Fixed variables (:func:`bounds_collapse`) come first, then one pivot
+        per equality row in registration order.  Each new pivot is also
+        substituted into the earlier expressions, so every expression only
+        ever mentions free variables.  Returns the substitutions and the
+        ``|residual|`` of each equality row (keyed by its position among the
+        linear constraints) that reduced to a non-zero constant; a row that
+        reduced to zero is redundant and simply dropped.
+        """
+        substitutions = {
+            var: AffineExpression({}, var.lower)
+            for var in self._variables
+            if _is_fixed(var)
+        }
+        inconsistent: Dict[int, float] = {}
+        for position, constraint in enumerate(self._linear):
+            if not constraint.is_equality:
+                continue
+            row = _substitute(constraint.expression, substitutions)
+            if not row.terms:
+                tolerance = 1e-9 * max(1.0, abs(constraint.expression.constant))
+                if abs(row.constant) > tolerance:
+                    inconsistent[position] = abs(row.constant)
+                continue
+            pivot, weight = max(row.terms.items(), key=lambda term: abs(term[1]))
+            solved = AffineExpression(
+                {var: -coeff / weight for var, coeff in row.terms.items() if var is not pivot},
+                -row.constant / weight,
+            )
+            for var, expression in substitutions.items():
+                if pivot in expression.terms:
+                    substitutions[var] = _substitute(expression, {pivot: solved})
+            substitutions[pivot] = solved
+        return substitutions, inconsistent
+
     def compile(self) -> CompiledProblem:
-        """Lower the symbolic program into numerical (CSR + dense) form."""
-        index = {var: i for i, var in enumerate(self._variables)}
-        n = len(self._variables)
+        """Lower the symbolic program into numerical (CSR + dense) form.
+
+        Equalities are substituted out first (see the module docstring), so
+        every array is written over the free columns only.
+        """
+        substitutions, inconsistent = self._substitutions()
+        free = [var for var in self._variables if var not in substitutions]
+        index = {var: i for i, var in enumerate(free)}
+        n = len(free)
+
+        def expand(expression: AffineExpression) -> AffineExpression:
+            if not substitutions:
+                return expression
+            return _substitute(expression, substitutions)
 
         # Objective (always converted to minimisation form).
-        c, c0 = self._vectorise(self._objective, index)
+        c, c0 = self._vectorise(expand(self._objective), index)
         if self._sense == "max":
             c, c0 = -c, -c0
 
         g_rows: List[Tuple[List[int], List[float]]] = []
         h_vals: List[float] = []
         ineq_names: List[str] = []
-        a_rows: List[Tuple[List[int], List[float]]] = []
-        b_vals: List[float] = []
+        h_shifts: Dict[int, float] = {}
 
-        def sparse_row(expression: AffineExpression) -> Tuple[List[int], List[float], float]:
+        def add_row(expression: AffineExpression, name: str) -> None:
+            """Append ``expression ≤ 0`` as the row ``row @ x ≤ −constant``."""
+            row = _substitute(expression, substitutions) if substitutions else expression
             cols: List[int] = []
             vals: List[float] = []
-            for var, coeff in expression.terms.items():
+            for var, coeff in row.terms.items():
                 if coeff != 0.0:
                     cols.append(index[var])
                     vals.append(float(coeff))
-            return cols, vals, expression.constant
+            g_rows.append((cols, vals))
+            h_vals.append(-row.constant)
+            ineq_names.append(name)
+            if row.constant != expression.constant:
+                h_shifts[len(h_vals) - 1] = expression.constant - row.constant
 
-        # Variable bounds become inequality rows.  A variable whose bounds
-        # coincide is emitted as an equality instead: two opposing
-        # inequalities would leave the feasible region without an interior,
-        # which the barrier method cannot handle.
-        for var, i in index.items():
-            if (
-                var.lower is not None
-                and var.upper is not None
-                and bounds_collapse(var.lower, var.upper)
-            ):
-                a_rows.append(([i], [1.0]))
-                b_vals.append(var.lower)
+        # Variable bounds become inequality rows.  A fixed variable has none:
+        # two opposing inequalities would leave the feasible region without
+        # an interior, which the barrier method cannot handle.  An equality
+        # pivot keeps its bounds, written over the free columns.
+        for var in self._variables:
+            pivot = var not in index
+            if pivot and _is_fixed(var):
                 continue
-            if var.lower is not None:
-                g_rows.append(([i], [-1.0]))
-                h_vals.append(-var.lower)
-                ineq_names.append(f"lb[{var.name}]")
-            if var.upper is not None:
-                g_rows.append(([i], [1.0]))
-                h_vals.append(var.upper)
-                ineq_names.append(f"ub[{var.name}]")
+            for name, sign, bound in (
+                (f"lb[{var.name}]", -1.0, var.lower),
+                (f"ub[{var.name}]", 1.0, var.upper),
+            ):
+                if bound is None:
+                    continue
+                if pivot:
+                    add_row(AffineExpression({var: sign}, -sign * bound), name)
+                else:
+                    g_rows.append(([index[var]], [sign]))
+                    h_vals.append(sign * bound)
+                    ineq_names.append(name)
 
-        for constraint in self._linear:
-            cols, vals, const = sparse_row(constraint.expression)
-            if constraint.is_equality:
-                a_rows.append((cols, vals))
-                b_vals.append(-const)
-            else:
-                # expression <= 0  ->  row @ x <= -const
-                g_rows.append((cols, vals))
-                h_vals.append(-const)
+        for position, constraint in enumerate(self._linear):
+            if position in inconsistent:
+                g_rows.append(([], []))
+                h_vals.append(-inconsistent[position])
                 ineq_names.append(constraint.name)
+            elif not constraint.is_equality:
+                add_row(constraint.expression, constraint.name)
 
         hyperbolic = []
         for constraint in self._hyperbolic:
-            p, p0 = self._vectorise(constraint.x, index)
-            q, q0 = self._vectorise(constraint.y, index)
+            p, p0 = self._vectorise(expand(constraint.x), index)
+            q, q0 = self._vectorise(expand(constraint.y), index)
             hyperbolic.append(
                 CompiledHyperbolic(p=p, p0=p0, q=q, q0=q0, bound=constraint.bound,
                                    name=constraint.name)
@@ -565,50 +670,57 @@ class ConeProgram:
 
         cones = []
         for constraint in self._cones:
-            rows = [self._vectorise(row, index) for row in constraint.rows]
+            rows = [self._vectorise(expand(row), index) for row in constraint.rows]
             A = np.vstack([r for r, _ in rows]) if rows else np.zeros((0, n))
             b = np.array([const for _, const in rows])
-            cvec, d = self._vectorise(constraint.rhs, index)
+            cvec, d = self._vectorise(expand(constraint.rhs), index)
             cones.append(CompiledCone(A=A, b=b, c=cvec, d=d, name=constraint.name))
 
         G = self._build_rows(g_rows, n)
         h = np.array(h_vals)
-        A = self._build_rows(a_rows, n)
-        b = np.array(b_vals)
 
         return CompiledProblem(
-            variables=list(self._variables),
+            variables=free,
             c=c,
             c0=c0,
             G=G,
             h=h,
-            A=A,
-            b=b,
             hyperbolic=hyperbolic,
             cones=cones,
             inequality_names=ineq_names,
             block_structure=self._compile_block_structure(
-                index, G, A, hyperbolic, cones
+                index, G, hyperbolic, cones
             ),
+            registered_variables=list(self._variables),
+            substitutions={
+                var: (
+                    np.array([index[term] for term in expression.terms], dtype=np.intp),
+                    np.array(list(expression.terms.values()), dtype=float),
+                    expression.constant,
+                )
+                for var, expression in substitutions.items()
+            },
+            h_shifts=h_shifts,
         )
 
     def _compile_block_structure(
         self,
         index: Dict[Variable, int],
         G: object,
-        A: object,
         hyperbolic: List[CompiledHyperbolic],
         cones: List[CompiledCone],
     ) -> Optional[BlockStructure]:
         """Turn a :meth:`declare_blocks` declaration into a :class:`BlockStructure`.
 
-        Returns ``None`` (no structure: the solver treats the program as one
-        block) when no blocks were
-        declared, when the groups do not form contiguous index ranges covering
-        every variable, or when an equality / hyperbolic / SOC constraint
-        spans several blocks — only *linear inequality* rows may couple
-        blocks, because only their barrier Hessian contribution is the
-        low-rank term the Schur-complement solve handles.
+        ``index`` maps the free variables to their columns.  Returns ``None``
+        (no structure: the solver treats the program as one block) when no
+        blocks were declared, when the groups do not form contiguous runs of
+        registered variables covering every one of them, or when a
+        hyperbolic / SOC constraint spans several blocks after substitution
+        — only *linear inequality* rows may couple blocks, because only
+        their barrier Hessian contribution is the low-rank term the
+        Schur-complement solve handles.  Substituted variables have no
+        column, so each block's range covers the free columns of its group.
 
         Row/block membership is detected in O(nnz) straight from the CSR
         index arrays; no dense column scans, so compilation stays linear in
@@ -616,19 +728,25 @@ class ConeProgram:
         """
         if not self._block_groups:
             return None
-        n = len(self._variables)
-        col_block = np.full(n, -1, dtype=int)
+        registered = {var: i for i, var in enumerate(self._variables)}
+        #: ``free_before[i]``: the free columns among the first ``i`` variables
+        free_before = np.zeros(len(self._variables) + 1, dtype=int)
+        np.cumsum([var in index for var in self._variables], out=free_before[1:])
+        covered = np.zeros(len(self._variables), dtype=bool)
+        col_block = np.full(len(index), -1, dtype=int)
         ranges: List[Tuple[int, int]] = []
         for block_index, group in enumerate(self._block_groups):
             if not group:
                 return None
-            columns = sorted(index[var] for var in group)
-            start, stop = columns[0], columns[-1] + 1
-            if stop - start != len(columns) or np.any(col_block[start:stop] >= 0):
+            positions = sorted(registered[var] for var in group)
+            start, stop = positions[0], positions[-1] + 1
+            if stop - start != len(positions) or np.any(covered[start:stop]):
                 return None
-            col_block[start:stop] = block_index
-            ranges.append((start, stop))
-        if np.any(col_block < 0):
+            covered[start:stop] = True
+            first, last = int(free_before[start]), int(free_before[stop])
+            col_block[first:last] = block_index
+            ranges.append((first, last))
+        if not np.all(covered):
             return None
 
         def blocks_of(rows: np.ndarray) -> np.ndarray:
@@ -661,10 +779,6 @@ class ConeProgram:
 
         g_lo, g_hi = row_block_spans(G)
         row_blocks = np.where(g_lo != g_hi, -1, g_lo).astype(int)
-        a_lo, a_hi = row_block_spans(A)
-        if np.any(a_lo != a_hi):
-            return None
-        equality_blocks = a_lo.astype(int)
         hyperbolic_blocks: List[int] = []
         for hyp in hyperbolic:
             block = single_block(np.vstack([hyp.p, hyp.q]))
@@ -680,7 +794,6 @@ class ConeProgram:
         return BlockStructure(
             ranges=ranges,
             row_blocks=row_blocks,
-            equality_blocks=equality_blocks,
             hyperbolic_blocks=hyperbolic_blocks,
             cone_blocks=cone_blocks,
         )

@@ -9,8 +9,9 @@ This backend exists for two reasons:
   ill-conditioned instance.
 
 It handles exactly the same constraint families as the barrier solver:
-linear (in)equalities, hyperbolic constraints ``p(x)·q(x) ≥ w`` and general
-second-order cone constraints ``‖A·x + b‖ ≤ c·x + d``.
+linear inequalities (compilation has substituted the equalities out),
+hyperbolic constraints ``p(x)·q(x) ≥ w`` and general second-order cone
+constraints ``‖A·x + b‖ ≤ c·x + d``.
 """
 
 from __future__ import annotations
@@ -54,15 +55,6 @@ def _build_constraints(problem: CompiledProblem) -> List[dict]:
                 "jac": lambda x, G=G: -G,
             }
         )
-    if problem.A.size:
-        A, b = problem.A, problem.b
-        constraints.append(
-            {
-                "type": "eq",
-                "fun": lambda x, A=A, b=b: A @ x - b,
-                "jac": lambda x, A=A: A,
-            }
-        )
     for hyp in problem.hyperbolic:
         p, p0, q, q0, w = hyp.p, hyp.p0, hyp.q, hyp.q0, hyp.bound
 
@@ -91,14 +83,8 @@ def solve_with_scipy(
     max_iterations: int = 500,
 ) -> Solution:
     """Solve a compiled problem with a scipy general-purpose NLP method."""
-    n = problem.num_variables
-    if n == 0:
-        return Solution(
-            status=SolverStatus.OPTIMAL,
-            objective=problem.c0,
-            values={},
-            backend="scipy",
-        )
+    if problem.num_variables == 0:
+        return problem.constant_solution("scipy")
 
     x0 = _initial_guess(problem, initial_point)
     constraints = _build_constraints(problem)

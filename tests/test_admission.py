@@ -58,9 +58,9 @@ def options() -> AllocatorOptions:
 def pinned_pipeline(name: str, wcet: float = 1.0, period: float = 10.0, pin: float = 6.0):
     """A two-stage pipeline whose first task's budget is pinned exactly.
 
-    The pinned bound compiles to an equality row, so every application block
-    needs an equality elimination — the thing incremental session edits must
-    reuse for unchanged applications.
+    Compilation substitutes the pinned budget out of every application
+    block, so incremental session edits must carry that substitution through
+    each re-compile.
     """
     return (
         ConfigurationBuilder(name=name, granularity=1.0)

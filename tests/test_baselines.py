@@ -20,8 +20,14 @@ from repro.baselines import (
     producer_consumer_minimum_budget,
     run_two_phase,
 )
-from repro.core import ObjectiveWeights, allocate
-from repro.taskgraph.generators import chain_configuration, producer_consumer_configuration
+from repro.core import ObjectiveWeights, allocate, verify_mapping
+from repro.core.formulation import effective_budget_bounds
+from repro.taskgraph import MappedConfiguration
+from repro.taskgraph.generators import (
+    chain_configuration,
+    heterogeneous_random_configuration,
+    producer_consumer_configuration,
+)
 
 
 class TestClosedForm:
@@ -112,12 +118,37 @@ class TestBufferSizingLP:
             # 2 Mcycles < the 4-Mcycle floor: no finite buffer can help.
             minimal_buffer_capacities(config, {"wa": 2.0, "wb": 2.0})
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_sizes_heterogeneous_budgets_with_effective_cycles(self, seed):
+        """On a big/little platform the firing durations come from the type-
+        and speed-resolved cycle counts, as in the SRDF construction: at
+        budgets the joint allocator verified, the LP finds capacities that
+        verify too."""
+        config = heterogeneous_random_configuration(seed=seed)
+        joint = allocate(config)
+        assert verify_mapping(joint).is_valid
+        capacities = minimal_buffer_capacities(config, joint.budgets)
+        sized = MappedConfiguration(
+            configuration=config, budgets=joint.budgets, buffer_capacities=capacities
+        )
+        assert verify_mapping(sized).is_valid
+
 
 class TestTwoPhaseFlows:
     def test_minimum_throughput_budgets(self):
         config = producer_consumer_configuration()
         budgets = minimum_throughput_budgets(config)
         assert budgets == {"wa": 4.0, "wb": 4.0}
+
+    def test_minimum_throughput_budgets_use_effective_cycles(self):
+        """The budget floor is the joint formulation's self-loop bound, with
+        the task's effective cycles on its processor type and speed."""
+        config = heterogeneous_random_configuration(seed=0)
+        budgets = minimum_throughput_budgets(config)
+        for graph in config.task_graphs:
+            for task in graph.tasks:
+                lower, _ = effective_budget_bounds(config, graph, task, {})
+                assert lower <= budgets[task.name] < lower + config.granularity + 1e-9
 
     def test_minimum_buffer_capacities(self):
         config = producer_consumer_configuration()

@@ -174,8 +174,10 @@ def test_restore_accepts_a_snapshot_with_retired_warm_rung_state(
 ):
     """Snapshots written before warm restarts were reduced to the previous
     optimum and the interior hint still carry the final-barrier rung, the
-    rungs-back setting and per-block elimination counters.  They restore
-    unchanged: the retired keys are ignored."""
+    rungs-back setting and per-block elimination counters, and snapshots
+    written before equalities were substituted at compile time still carry
+    the retired ``eliminations`` session counter.  They restore unchanged:
+    the retired keys are ignored."""
     from repro.core import AdmissionController
     from repro.reliability.snapshot import (
         SessionSnapshot,
@@ -190,7 +192,9 @@ def test_restore_accepts_a_snapshot_with_retired_warm_rung_state(
     data = load_snapshot(default_snapshot_path(journal_path)).to_dict()
     assert data["workload"] is not None and data["session_state"] is not None
     data["session_state"].update(last_final_barrier=244140625.0, warm_rungs_back=3)
-    data["stats"].update(elimination_blocks_computed=5, elimination_blocks_reused=9)
+    data["stats"].update(
+        elimination_blocks_computed=5, elimination_blocks_reused=9, eliminations=2
+    )
     snapshot = SessionSnapshot.from_dict(data)
     assert snapshot.journal_seq < len(trace.events)
 

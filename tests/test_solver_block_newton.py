@@ -103,9 +103,9 @@ class TestStructuredDenseEquivalence:
         assert_equivalent(structured, dense)
 
     def test_pinned_bound_case(self):
-        """A capacity limit landing on a buffer's lower bound compiles to an
-        equality row; the per-application elimination must agree with the
-        one-block elimination."""
+        """A capacity limit landing on a buffer's lower bound substitutes the
+        capacity out; the per-application solve must agree with the
+        one-block solve."""
         workload = make_workload(2, seed=3)
         application = workload.applications[0]
         buffer = application.configuration.task_graphs[0].buffers[0]
@@ -115,7 +115,7 @@ class TestStructuredDenseEquivalence:
             capacity_limits={application.name: {buffer.name: pinned}},
         )
         compiled = formulation.build().compile()
-        assert compiled.A.size > 0 or pinned > buffer.smallest_feasible_capacity
+        assert compiled.substitutions or pinned > buffer.smallest_feasible_capacity
         structured, dense = solve_both(formulation)
         assert_equivalent(structured, dense)
 
@@ -163,8 +163,7 @@ class TestEngagement:
         assert program.compile().block_structure is None
 
     def test_fully_pinned_block_with_phase_one(self):
-        """A block whose only variable collapses to an equality reduces to
-        width zero; its border-only phase-I curvature (the ``t`` bound row is
+        """A block whose only variable is substituted out has width zero; its border-only phase-I curvature (the ``t`` bound row is
         homed in block 0) must still enter the border Schur complement."""
         program = ConeProgram("pinned-block")
         x = program.add_variable("x", lower=2.0, upper=2.0)
@@ -174,7 +173,9 @@ class TestEngagement:
         program.declare_blocks([[x], [y]])
         compiled = program.compile()
         assert compiled.block_structure is not None
-        assert compiled.A.size > 0  # the collapsed bound became an equality
+        # The collapsed bound substituted x out, leaving block 0 empty.
+        assert compiled.variables == [y]
+        assert compiled.block_structure.ranges == [(0, 0), (0, 1)]
         structured = solve_compiled(compiled, backend="barrier")
         dense = solve_compiled(dense_reference(program), backend="barrier")
         assert structured.is_optimal and dense.is_optimal
@@ -226,34 +227,16 @@ class TestBlockStructureCompilation:
         assert compiled.block_structure.num_blocks == 1
 
 
-class TestEliminationCache:
-    def test_session_computes_elimination_once(self):
-        """A compile-once workload session reuses the cached null-space basis
-        across every re-solve of the sweep."""
-        workload = make_workload(2, seed=3)
-        allocator = JointAllocator(
-            options=AllocatorOptions(verify=False, run_simulation=False)
-        )
-        session = allocator.workload_session(workload)
-        application = workload.applications[0]
-        buffers = application.configuration.task_graphs[0].buffers
-        for limit in (8, 7, 6):
-            session.allocate(
-                capacity_limits={
-                    application.name: {buffer.name: limit for buffer in buffers}
-                }
-            )
-        assert session.stats.solves == 3
-        assert session.stats.rebuilds == 0
-        assert session.stats.eliminations == 1
-
+class TestPiecesCache:
     def test_repeat_solve_reuses_cache(self):
         formulation = WorkloadSocpFormulation(make_workload(2, seed=3))
         compiled = formulation.build().compile()
         first = solve_compiled(compiled, backend="barrier")
+        pieces = compiled.pieces_cache
         second = solve_compiled(compiled, backend="barrier")
-        assert first.stats["elimination_computed"] is True
-        assert second.stats["elimination_computed"] is False
+        assert first.stats["pieces_cache_reused"] is False
+        assert second.stats["pieces_cache_reused"] is True
+        assert compiled.pieces_cache is pieces
         assert second.objective == pytest.approx(first.objective, abs=1e-9)
 
 
@@ -266,16 +249,15 @@ def both_plans(compiled):
     ``t`` and lower bound :meth:`BarrierSolver._phase_one` would pick.
     """
     solver = barrier.BarrierSolver()
-    reduced, _ = solver._eliminate_equalities(compiled)
-    pieces = solver._reduced_pieces(compiled, reduced)
-    k = reduced.dimension
+    pieces = solver._pieces(compiled)
+    k = compiled.num_variables
     solution = solve_compiled(compiled, backend="barrier")
-    z_two = reduced.project(solution.interior_point)
-    needed = solver._required_relaxation(compiled, reduced.lift(np.zeros(k)))
-    plan_one = solver._phase_one_plan(reduced, pieces, -max(1.0, abs(needed)))
+    z_two = solution.interior_point
+    needed = solver._required_relaxation(compiled, np.zeros(k))
+    plan_one = solver._phase_one_plan(pieces, compiled.h, -max(1.0, abs(needed)))
     z_one = np.concatenate([np.zeros(k), [needed + max(1.0, 0.1 * abs(needed))]])
     return [
-        (solver._phase_two_plan(pieces, reduced), k, z_two),
+        (solver._phase_two_plan(pieces, compiled.h), k, z_two),
         (plan_one, k + 1, z_one),
     ]
 

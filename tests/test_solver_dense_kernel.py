@@ -37,16 +37,12 @@ def kernel_setup(compiled):
     """The phase-II workspace of ``compiled`` and a strictly feasible start
     (the first-rung center of a barrier solve)."""
     solver = barrier.BarrierSolver()
-    reduced, _ = solver._eliminate_equalities(compiled)
-    pieces = solver._reduced_pieces(compiled, reduced)
-    plan = solver._phase_two_plan(pieces, reduced)
+    plan = solver._phase_two_plan(solver._pieces(compiled), compiled.h)
     workspace = barrier._StructuredWorkspace(
-        plan, reduced.dimension, solver.options, barrier._kernel_stats()
+        plan, compiled.num_variables, solver.options, barrier._kernel_stats()
     )
     solution = solve_compiled(compiled, backend="barrier")
-    z = reduced.project(solution.interior_point)
-    c = reduced.reduce_direction(compiled.c)
-    return solver, workspace, c, z
+    return solver, workspace, compiled.c, solution.interior_point
 
 
 def duo_workload() -> Workload:
@@ -244,12 +240,11 @@ class TestDenseStep:
         in phase II (coupling rows) and phase I (the ``t`` border)."""
         solver, workspace, c, z = duo
         compiled = WorkloadSocpFormulation(duo_workload()).build().compile()
-        reduced, _ = solver._eliminate_equalities(compiled)
-        pieces = solver._reduced_pieces(compiled, reduced)
-        k = reduced.dimension
-        needed = solver._required_relaxation(compiled, reduced.lift(np.zeros(k)))
+        pieces = solver._pieces(compiled)
+        k = compiled.num_variables
+        needed = solver._required_relaxation(compiled, np.zeros(k))
         phase_one = barrier._StructuredWorkspace(
-            solver._phase_one_plan(reduced, pieces, -max(1.0, abs(needed))),
+            solver._phase_one_plan(pieces, compiled.h, -max(1.0, abs(needed))),
             k + 1,
             solver.options,
             barrier._kernel_stats(),
@@ -289,8 +284,7 @@ class TestTermlessBlock:
         structure = compiled.block_structure
         assert structure is not None and structure.coupling_rows.size == 2
         solver = barrier.BarrierSolver()
-        reduced, _ = solver._eliminate_equalities(compiled)
-        plan = solver._phase_two_plan(solver._reduced_pieces(compiled, reduced), reduced)
+        plan = solver._phase_two_plan(solver._pieces(compiled), compiled.h)
         assert plan.block_terms[1] == []
         structured = solve_compiled(compiled, backend="barrier")
         compiled_one = program.compile()

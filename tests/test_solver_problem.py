@@ -44,16 +44,17 @@ class TestCompilation:
         program.add_variable("x", lower=0.0, upper=2.0)
         compiled = program.compile()
         assert compiled.G.shape == (2, 1)
-        assert compiled.A.shape[0] == 0
+        assert compiled.substitutions == {}
 
-    def test_pinched_bounds_become_equality(self):
-        """lower == upper must compile to an equality row, not two inequalities."""
+    def test_pinched_bounds_are_substituted(self):
+        """lower == upper must substitute the variable out, not emit two
+        inequalities."""
         program = ConeProgram()
-        program.add_variable("x", lower=3.0, upper=3.0)
+        x = program.add_variable("x", lower=3.0, upper=3.0)
         compiled = program.compile()
-        assert compiled.G.shape[0] == 0
-        assert compiled.A.shape == (1, 1)
-        assert compiled.b[0] == pytest.approx(3.0)
+        assert compiled.G.shape == (0, 0)
+        assert compiled.num_variables == 0
+        assert compiled.point_as_mapping(np.zeros(0)) == {x: 3.0}
 
     def test_linear_constraints_compile_to_rows(self):
         program = ConeProgram()
@@ -62,10 +63,13 @@ class TestCompilation:
         program.add_less_equal(x + 2.0 * y, 4.0)
         program.add_equality(x - y, 1.0)
         compiled = program.compile()
-        assert compiled.G.shape == (1, 2)
-        assert compiled.h[0] == pytest.approx(4.0)
-        assert compiled.A.shape == (1, 2)
-        assert compiled.b[0] == pytest.approx(1.0)
+        # The equality's pivot x (first of the tied largest terms) becomes
+        # 1 + y, so the row reads 3·y ≤ 3 over the one free column y.
+        assert compiled.variables == [y]
+        assert compiled.G.tolist() == [[3.0]]
+        assert compiled.h.tolist() == [3.0]
+        assert compiled.h_shifts == {0: -1.0}
+        assert compiled.point_as_mapping(np.array([0.5])) == {x: 1.5, y: 0.5}
 
     def test_hyperbolic_compiles_with_offsets(self):
         program = ConeProgram()
@@ -107,6 +111,11 @@ class TestCompilation:
         good = np.array([2.0, 2.0])
         assert compiled.min_cone_margin(good) > 0.0
         assert compiled.max_linear_violation(good) == pytest.approx(3.0)
+        # Signed: negative at a point satisfying every row strictly.
+        inside = np.array([0.25, 0.5])
+        assert compiled.max_linear_violation(inside) == pytest.approx(-0.25)
+        assert compiled.max_linear_violation(inside) < 0.0
+        assert ConeProgram().compile().max_linear_violation(np.zeros(0)) == -np.inf
 
 
 class TestSolveDispatch:

@@ -1,17 +1,17 @@
 """Sparse block-Newton backend tests: CSR compilation, telemetry, edge cases.
 
 The sparse rebuild of the block-Newton core (CSR constraint assembly,
-QR-based blockwise elimination, batched/`splu` block factorisations) must
+per-block slicing, batched/`splu` block factorisations) must
 be a pure performance change.  These tests pin:
 
-* the compiled problem carries CSR constraint matrices that agree exactly
-  with the lazily densified ``G``/``A`` properties;
+* the compiled problem carries a CSR constraint matrix that agrees exactly
+  with the lazily densified ``G`` property;
 * per-solve telemetry (nnz, factorisation/Schur time split, block
   factorisation counts, pieces-cache reuse) lands in the solve stats, the
   metrics registry and the session aggregates;
 * the `BlockStructure` edge cases survive the sparse path: a 1-app workload
-  takes the direct solve, a zero-buffer application solves, pinned
-  (equality-collapsed) blocks eliminate blockwise, and a failing block
+  takes the direct solve, a zero-buffer application solves, a pinned
+  (substituted) capacity keeps the blocks, and a failing block
   factorisation falls back to a dense step with the same optimum;
 
 The dense reference is a fresh compile of the same program with its block
@@ -87,16 +87,10 @@ class TestSparseCompilation:
         # The dense properties stay available (scipy/linprog backends, tests)
         # and agree entry-for-entry with the sparse originals.
         np.testing.assert_array_equal(compiled.G, compiled.G_sparse.toarray())
-        if compiled.A_sparse is not None and compiled.A_sparse.shape[0]:
-            np.testing.assert_array_equal(
-                compiled.A, compiled.A_sparse.toarray()
-            )
 
     def test_constraint_nnz_counts_both_matrices(self):
         compiled = compiled_workload(2)
-        expected = int(np.count_nonzero(compiled.G)) + int(
-            np.count_nonzero(compiled.A)
-        )
+        expected = int(np.count_nonzero(compiled.G))
         assert compiled.constraint_nnz == expected
         assert compiled.constraint_nnz > 0
 
@@ -170,7 +164,8 @@ class TestSparseTelemetry:
                 }
             )
         stats = session.stats
-        assert stats.sparse_solves == 3
+        assert stats.solves == stats.sparse_solves == 3
+        assert stats.rebuilds == 0
         # The first solve builds the reduction pieces; the re-solves reuse.
         assert stats.sparse_pieces_reused == 2
         assert stats.block_factorizations > 0
@@ -223,9 +218,9 @@ class TestSparseEdgeCases:
         assert_same_optimum(structured, dense)
 
     def test_pinned_bound_block_eliminates_blockwise(self):
-        """A capacity limit landing on a buffer's lower bound compiles to an
-        equality row; the QR blockwise elimination must agree with the
-        one-block reference on the resulting collapsed block."""
+        """A capacity limit landing on a buffer's lower bound substitutes the
+        capacity out; the per-block solve must agree with the one-block
+        reference on the resulting narrower block."""
         workload = make_workload(2)
         application = workload.applications[0]
         buffer = application.configuration.task_graphs[0].buffers[0]
@@ -279,11 +274,3 @@ class TestSparseEdgeCases:
         assert fallback.stats["structured_fallback_iterations"] > 0
         assert_same_optimum(fallback, dense)
 
-
-class TestElimination:
-    def test_repeat_solve_still_reuses_elimination_cache(self):
-        compiled = compiled_workload(2)
-        first = solve_compiled(compiled, backend="barrier")
-        second = solve_compiled(compiled, backend="barrier")
-        assert first.stats["elimination_computed"] is True
-        assert second.stats["elimination_computed"] is False
