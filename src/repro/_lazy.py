@@ -2,7 +2,8 @@
 
 A package lists its public names with their home modules; each name imports
 its module on first access, so importing the package (or one of its leaf
-modules) loads nothing else.
+modules) loads nothing else.  A name whose home module is the package's own
+submodule of that name exports the submodule itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ def lazy_exports(
         module_name = exports.get(name)
         if module_name is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        return getattr(importlib.import_module(module_name), name)
+        module = importlib.import_module(module_name)
+        if module_name == f"{package}.{name}":
+            return module
+        return getattr(module, name)
 
     def __dir__() -> List[str]:
         return sorted(set(vars(sys.modules[package])) | set(exports))

@@ -20,6 +20,7 @@ from repro.core.objective import ObjectiveWeights
 from repro.core.rounding import round_capacities
 from repro.dataflow.construction import (
     build_srdf_specification,
+    queue_token_terms,
     task_actor_duration,
 )
 from repro.solver.expression import AffineExpression, Variable, linear_sum
@@ -102,13 +103,12 @@ def minimal_buffer_capacities(
             duration = task_actor_duration(
                 task, processor, queue.source_role, queue.source_phase, budget
             )
-            if queue.fixed_tokens is not None:
-                tokens: AffineExpression = AffineExpression({}, float(queue.fixed_tokens))
-            else:
-                buffer = graph.buffer(queue.buffer)  # type: ignore[arg-type]
-                tokens = AffineExpression(
-                    {capacity_vars[buffer.name]: 1.0}, -float(buffer.initial_tokens)
-                )
+            # δ(e) as the joint formulation writes it: cyclo-static space
+            # queues carry token_scale·γ + token_offset, not γ − ι.
+            buffer_name, scale, offset = queue_token_terms(queue, graph)
+            tokens = AffineExpression(
+                {capacity_vars[buffer_name]: scale} if buffer_name else {}, offset
+            )
             lhs = start_exprs[queue.target]
             rhs = start_exprs[queue.source] + duration - tokens * graph.period
             program.add_greater_equal(lhs, rhs, name=f"pas[{queue.name}]")

@@ -69,7 +69,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.report import render_table
 from repro.core.allocator import AllocatorOptions, JointAllocator
 from repro.core.objective import resolve_weights
 from repro.exceptions import InfeasibleProblemError, ReproError
@@ -79,6 +78,13 @@ from repro.taskgraph import serialization
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
+
+
+def render_table(rows, columns=None) -> str:
+    """:func:`repro.analysis.report.render_table`, imported on first use."""
+    from repro.analysis.report import render_table as render
+
+    return render(rows, columns)
 
 
 def _load_configuration(path: str):

@@ -25,7 +25,7 @@ families of workload allocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -46,10 +46,12 @@ from repro.core.formulation import (
 from repro.core.objective import ObjectiveWeights
 from repro.core.rounding import round_budgets, round_capacities
 from repro.core.validation import VerificationReport, verify_mapping
-from repro.solver.parametric import SessionStats, SolveSession
 from repro.solver.result import Solution, SolverStatus
 from repro.taskgraph.configuration import Configuration, MappedConfiguration
-from repro.taskgraph.workload import MappedWorkload, Workload
+
+if TYPE_CHECKING:  # sessions and workloads load on first use
+    from repro.solver.parametric import SessionStats
+    from repro.taskgraph.workload import MappedWorkload, Workload
 
 
 def _phase_timings(solution: Solution, rounding_time: float) -> Dict[str, float]:
@@ -243,6 +245,8 @@ class JointAllocator:
         solution: Solution,
     ) -> MappedWorkload:
         """Round per application, package and (optionally) verify one optimum."""
+        from repro.taskgraph.workload import MappedWorkload
+
         relaxed_budgets = formulation.budgets_by_application(solution)
         relaxed_capacities = formulation.capacities_by_application(solution)
         solver_info = {
@@ -377,6 +381,8 @@ class _LimitSession:
         self.allocator = allocator
         self._parametric = parametric
         self._subject_name = subject_name
+        from repro.solver.parametric import SolveSession
+
         self._session = SolveSession(
             parametric.parametric, backend=allocator.options.backend
         )
@@ -640,6 +646,8 @@ class WorkloadSession(_LimitSession):
 
         seed_vector = _carry_over(old_session.warm_vector)
         interior_vector = _carry_over(old_session._interior_vector)
+        from repro.solver.parametric import SolveSession
+
         session = SolveSession(
             parametric.parametric, backend=self.allocator.options.backend
         )

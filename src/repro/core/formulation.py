@@ -39,32 +39,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import FormulationError, InfeasibleProblemError
 from repro.core.objective import ObjectiveWeights
 from repro.dataflow.construction import (
     SrdfSpecification,
     build_srdf_specification,
+    queue_token_terms,
 )
-from repro.solver.expression import AffineExpression, Variable, linear_sum
-from repro.solver.parametric import ParametricProblem
-from repro.solver.problem import ConeProgram, bounds_collapse
+from repro.solver.expression import AffineExpression, Variable
+from repro.solver.problem import AffineRows, ConeProgram, bounds_collapse
 from repro.solver.result import Solution
 from repro.taskgraph.configuration import Configuration
 from repro.taskgraph.platform import Platform
 from repro.taskgraph.task import effective_cycles
-from repro.taskgraph.workload import Workload
+
+if TYPE_CHECKING:  # parametric re-solve and workloads load on first use
+    from repro.solver.parametric import ParametricProblem
+    from repro.taskgraph.workload import Workload
 
 
 @dataclass
 class FormulationVariables:
-    """Handles to the decision variables of the SOCP, keyed by model names."""
+    """Handles to the decision variables of the SOCP, keyed by model names.
+
+    ``start_times`` maps every SRDF actor to its start-time variable, or to
+    ``None`` for the reference actor of a weak component, pinned to 0.
+    """
 
     budgets: Dict[str, Variable] = field(default_factory=dict)
     reciprocals: Dict[str, Variable] = field(default_factory=dict)
     capacities: Dict[str, Variable] = field(default_factory=dict)
-    start_times: Dict[str, AffineExpression] = field(default_factory=dict)
+    start_times: Dict[str, Optional[Variable]] = field(default_factory=dict)
 
 
 # -- shared bound arithmetic -------------------------------------------------------
@@ -73,6 +82,7 @@ def effective_budget_bounds(
     graph,
     task,
     budget_limits: Mapping[str, float],
+    period_cycles: Optional[float] = None,
 ) -> Tuple[float, float]:
     """The effective ``β'(w)`` bounds under ``budget_limits``.
 
@@ -80,6 +90,8 @@ def effective_budget_bounds(
     it at build time, and the parametric layer re-evaluates it per sweep
     point — both paths therefore raise the same
     :class:`InfeasibleProblemError` for contradictory bounds.
+    ``period_cycles`` is the task's ``graph.period_cycles`` when the caller
+    already has it.
 
     ``β'(w) ≥ ̺·χ/µ`` is implied by Constraints (7)+(8) on the self-loop;
     stating it as a bound tightens the relaxation the solver works with
@@ -87,7 +99,9 @@ def effective_budget_bounds(
     """
     processor = configuration.platform.processor(task.processor)
     rho = processor.replenishment_interval
-    lower = rho * graph.period_cycles(task.name, processor) / graph.period
+    if period_cycles is None:
+        period_cycles = graph.period_cycles(task.name, processor)
+    lower = rho * period_cycles / graph.period
     if task.min_budget is not None:
         lower = max(lower, task.min_budget)
     upper = processor.allocatable_capacity - configuration.granularity
@@ -167,6 +181,44 @@ def sufficient_capacity_bound(configuration: Configuration, graph) -> float:
     return base * iteration_factor
 
 
+class _RowWriter:
+    """Rows ``values·x[columns] + constant ≤ 0`` collected as flat lists.
+
+    Every block writes one constraint family into the same writer, which
+    then enters the program as one batch (:meth:`add_to`).
+    """
+
+    def __init__(self) -> None:
+        self.lengths: List[int] = []
+        self.columns: List[int] = []
+        self.values: List[float] = []
+        self.constants: List[float] = []
+        self.names: List[str] = []
+
+    def add_to(self, program: ConeProgram) -> None:
+        program.add_rows(
+            AffineRows(
+                np.concatenate([[0], np.cumsum(self.lengths, dtype=np.intp)]),
+                np.array(self.columns, dtype=np.intp),
+                np.array(self.values, dtype=float),
+                np.array(self.constants, dtype=float),
+            ),
+            self.names,
+        )
+
+
+@dataclass
+class _GraphFacts:
+    """Per-graph quantities the block reads for every task and queue.
+
+    Computed once per specification: ``TaskGraph.period_cycles`` walks the
+    whole graph on every call.
+    """
+
+    period_cycles: Dict[str, float]   #: per task, ``graph.period_cycles``
+    capacity_bound: float             #: :func:`sufficient_capacity_bound`
+
+
 class FormulationBlock:
     """The per-application slice of the cone program.
 
@@ -178,9 +230,13 @@ class FormulationBlock:
     workloads), so blocks from different applications never collide even when
     their task names do.
 
-    Blocks expose their per-resource usage (:meth:`processor_budget_terms`,
-    :meth:`memory_usage_terms`) so the assembler can join them through the
-    shared capacity rows — the only coupling between applications.
+    Constraints are written as rows over variable positions
+    (:meth:`ConeProgram.add_rows <repro.solver.problem.ConeProgram.add_rows>`):
+    Constraints (6)/(7) straight from the SRDF queue table, one row per
+    queue, and Constraint (8) as ``(λ, β')`` column pairs.  Blocks expose
+    their per-resource columns (:meth:`processor_budget_columns`,
+    :meth:`memory_capacity_columns`) so the assembler can join them through
+    the shared capacity rows — the only coupling between applications.
     """
 
     def __init__(
@@ -201,41 +257,72 @@ class FormulationBlock:
             for graph in configuration.task_graphs
         }
         self.variables = FormulationVariables()
-        self._capacity_defaults: Dict[str, float] = {}
+        self._facts: Dict[str, _GraphFacts] = {}
+        #: variable positions in the program: per task ``(β', λ)``, per
+        #: buffer ``γ'``, per actor its start time (``-1``: pinned to 0)
+        self._task_columns: Dict[str, Tuple[int, int]] = {}
+        self._capacity_columns: Dict[str, int] = {}
+        self._start_columns: Dict[str, int] = {}
 
     def qualify(self, name: str) -> str:
         """The program-level (namespaced) name of a model entity."""
         return f"{self.namespace}/{name}" if self.namespace else name
 
+    def facts(self, graph) -> _GraphFacts:
+        """The graph's per-task period cycles and capacity bound, cached
+        (the graph is immutable)."""
+        facts = self._facts.get(graph.name)
+        if facts is None:
+            platform = self.configuration.platform
+            facts = _GraphFacts(
+                period_cycles={
+                    task.name: graph.period_cycles(
+                        task.name, platform.processor(task.processor)
+                    )
+                    for task in graph.tasks
+                },
+                capacity_bound=sufficient_capacity_bound(self.configuration, graph),
+            )
+            self._facts[graph.name] = facts
+        return facts
+
     def capacity_default_bound(self, graph) -> float:
         """Per-graph sufficient capacity bound, cached (the graph is immutable)."""
-        if graph.name not in self._capacity_defaults:
-            self._capacity_defaults[graph.name] = sufficient_capacity_bound(
-                self.configuration, graph
-            )
-        return self._capacity_defaults[graph.name]
+        return self.facts(graph).capacity_bound
+
+    def budget_bounds(
+        self, graph, task, budget_limits: Mapping[str, float]
+    ) -> Tuple[float, float]:
+        """:func:`effective_budget_bounds` with the cached period cycles."""
+        return effective_budget_bounds(
+            self.configuration,
+            graph,
+            task,
+            budget_limits,
+            period_cycles=self.facts(graph).period_cycles[task.name],
+        )
 
     # -- variable creation -------------------------------------------------------
     def add_task_variables(self, program: ConeProgram) -> None:
         configuration = self.configuration
         for graph in configuration.task_graphs:
+            cycles = self.facts(graph).period_cycles
             for task in graph.tasks:
                 processor = configuration.platform.processor(task.processor)
                 rho = processor.replenishment_interval
-                lower, upper = effective_budget_bounds(
-                    configuration, graph, task, self.budget_limits
-                )
+                lower, upper = self.budget_bounds(graph, task, self.budget_limits)
+                column = program.num_variables
                 beta = program.add_variable(
                     f"beta[{self.qualify(task.name)}]", lower=lower, upper=upper
                 )
                 lam = program.add_variable(
                     f"lambda[{self.qualify(task.name)}]",
                     lower=1.0 / max(upper, 1e-12),
-                    upper=graph.period
-                    / (rho * graph.period_cycles(task.name, processor)),
+                    upper=graph.period / (rho * cycles[task.name]),
                 )
                 self.variables.budgets[task.name] = beta
                 self.variables.reciprocals[task.name] = lam
+                self._task_columns[task.name] = (column, column + 1)
 
     def add_capacity_variables(self, program: ConeProgram) -> None:
         for graph in self.configuration.task_graphs:
@@ -244,6 +331,7 @@ class FormulationBlock:
                 lower, upper = effective_capacity_bounds(
                     buffer, default_bound, self.capacity_limits
                 )
+                self._capacity_columns[buffer.name] = program.num_variables
                 capacity = program.add_variable(
                     f"capacity[{self.qualify(buffer.name)}]", lower=lower, upper=upper
                 )
@@ -259,102 +347,124 @@ class FormulationBlock:
         """
         for spec in self.specifications.values():
             for reference, *others in spec.components():
-                self.variables.start_times[reference] = AffineExpression({}, 0.0)
+                self.variables.start_times[reference] = None
+                self._start_columns[reference] = -1
                 for actor_name in others:
-                    var = program.add_variable(f"s[{self.qualify(actor_name)}]")
-                    self.variables.start_times[actor_name] = AffineExpression({var: 1.0})
+                    self._start_columns[actor_name] = program.num_variables
+                    self.variables.start_times[actor_name] = program.add_variable(
+                        f"s[{self.qualify(actor_name)}]"
+                    )
 
     # -- constraints -----------------------------------------------------------------
-    def _queue_token_expression(self, graph_name: str, queue) -> AffineExpression:
-        """The token count ``δ(e)`` of a queue as an affine expression."""
-        if queue.fixed_tokens is not None:
-            return AffineExpression({}, float(queue.fixed_tokens))
-        graph = self.configuration.task_graph(graph_name)
-        buffer = graph.buffer(queue.buffer)
-        capacity = self.variables.capacities[buffer.name]
-        if queue.token_offset is not None:
-            return AffineExpression(
-                {capacity: queue.token_scale}, float(queue.token_offset)
-            )
-        return AffineExpression({capacity: 1.0}, -float(buffer.initial_tokens))
+    def write_precedence_rows(self, rows: _RowWriter) -> None:
+        """Constraints (6) and (7), one row ``expr ≤ 0`` per SRDF queue.
 
-    def add_precedence_constraints(self, program: ConeProgram) -> None:
-        configuration = self.configuration
+        * (6), queue set E1: ``s_i − β' − s_j + ̺ ≤ 0``;
+        * (7), queue set E2: ``s_i + ̺·χ·λ − µ·δ(e) − s_j ≤ 0``, with χ the
+          effective (type/speed/phase-resolved) cycle count of the source
+          copy — exactly ``task.wcet`` for plain models — and ``δ(e)`` from
+          :func:`~repro.dataflow.construction.queue_token_terms`.
+
+        A self-loop's start times cancel.  The terms of each row are in the
+        order ``s_i``, then ``β'`` or ``λ`` and ``γ'``, then ``s_j``.
+        """
+        platform = self.configuration.platform
+        starts = self._start_columns
+        prefix = self.qualify("")
+        columns, values = rows.columns, rows.values
         for graph_name, spec in self.specifications.items():
-            graph = configuration.task_graph(graph_name)
+            graph = self.configuration.task_graph(graph_name)
             period = graph.period
+            #: per (task, phase): ``((β', λ) columns, ̺, ̺·χ)``
+            sources: Dict[Tuple[str, Optional[int]], tuple] = {}
             for queue in spec.queues:
-                task = graph.task(queue.source_task)
-                processor = configuration.platform.processor(task.processor)
-                rho = processor.replenishment_interval
-                s_source = self.variables.start_times[queue.source]
-                s_target = self.variables.start_times[queue.target]
-
+                key = (queue.source_task, queue.source_phase)
+                source_facts = sources.get(key)
+                if source_facts is None:
+                    task = graph.task(queue.source_task)
+                    processor = platform.processor(task.processor)
+                    rho = processor.replenishment_interval
+                    source_facts = sources[key] = (
+                        self._task_columns[task.name],
+                        rho,
+                        float(rho * effective_cycles(task, processor, queue.source_phase)),
+                    )
+                (beta, lam), rho, rho_chi = source_facts
+                source, target = starts[queue.source], starts[queue.target]
+                first = len(columns)
+                if source >= 0:
+                    columns.append(source)
+                    values.append(1.0)
                 if queue.in_queue_set_e1:
-                    # Constraint (6): s_j ≥ s_i + ̺ − β'
-                    beta = self.variables.budgets[task.name]
-                    rhs = s_source + rho - beta
-                    program.add_greater_equal(
-                        s_target, rhs, name=f"e1[{self.qualify(queue.name)}]"
-                    )
+                    columns.append(beta)
+                    values.append(-1.0)
+                    rows.constants.append(float(rho))
+                    rows.names.append(f"e1[{prefix}{queue.name}]")
                 else:
-                    # Constraint (7): s_j ≥ s_i + ̺·χ·λ − δ(e)·µ, with χ the
-                    # effective (type/speed/phase-resolved) cycle count of
-                    # the source copy — exactly task.wcet for plain models.
-                    lam = self.variables.reciprocals[task.name]
-                    tokens = self._queue_token_expression(graph_name, queue)
-                    chi = effective_cycles(task, processor, queue.source_phase)
-                    rhs = s_source + lam * (rho * chi) - tokens * period
-                    program.add_greater_equal(
-                        s_target, rhs, name=f"e2[{self.qualify(queue.name)}]"
-                    )
+                    columns.append(lam)
+                    values.append(rho_chi)
+                    buffer, scale, offset = queue_token_terms(queue, graph)
+                    coefficient = (scale * period) * -1.0
+                    if buffer is not None and coefficient != 0.0:
+                        columns.append(self._capacity_columns[buffer])
+                        values.append(coefficient)
+                    rows.constants.append(0.0 + (offset * period) * -1.0)
+                    rows.names.append(f"e2[{prefix}{queue.name}]")
+                if target >= 0:
+                    if target == source:
+                        del columns[first], values[first]
+                    else:
+                        columns.append(target)
+                        values.append(-1.0)
+                rows.lengths.append(len(columns) - first)
 
-    def add_reciprocal_constraints(self, program: ConeProgram) -> None:
-        for task_name, beta in self.variables.budgets.items():
-            lam = self.variables.reciprocals[task_name]
-            # Constraint (8): λ·β' ≥ 1
-            program.add_hyperbolic(
-                lam, beta, 1.0, name=f"recip[{self.qualify(task_name)}]"
-            )
-
-    # -- coupling contributions ---------------------------------------------------
-    def processor_budget_terms(
-        self, processor_name: str
-    ) -> Tuple[List[Variable], float]:
-        """This block's contribution to Constraint (9) on one processor.
-
-        Returns the budget variables of the block's tasks bound to the
-        processor and the constant slack they carry (one granule of rounding
-        slack per task, at *this application's* granularity).
-        """
-        tasks = self.configuration.tasks_on_processor(processor_name)
-        budgets = [self.variables.budgets[task.name] for task in tasks]
-        return budgets, self.configuration.granularity * len(tasks)
-
-    def memory_usage_terms(self, memory_name: str) -> List[AffineExpression]:
-        """This block's contribution to Constraint (10) on one memory.
-
-        The +1 per buffer pre-charges the conservative rounding of the
-        capacity.
-        """
-        buffers = self.configuration.buffers_in_memory(memory_name)
+    def reciprocal_pairs(self) -> List[Tuple[int, int, str]]:
+        """Constraint (8), ``λ·β' ≥ 1``: per task its ``(λ, β')`` columns
+        and the constraint name."""
+        prefix = self.qualify("")
         return [
-            (self.variables.capacities[buffer.name] + 1.0) * buffer.container_size
-            for buffer in buffers
+            (lam, beta, f"recip[{prefix}{task_name}]")
+            for task_name, (beta, lam) in self._task_columns.items()
         ]
 
-    def objective_terms(self) -> List[AffineExpression]:
-        """This block's terms of Objective (5)."""
-        terms: List[AffineExpression] = []
+    # -- coupling contributions ---------------------------------------------------
+    def processor_budget_columns(self, processor_name: str) -> Tuple[List[int], float]:
+        """This block's contribution to Constraint (9) on one processor.
+
+        Returns the columns of the block's budgets on the processor and the
+        constant slack they carry (one granule of rounding slack per task,
+        at *this application's* granularity).
+        """
+        tasks = self.configuration.tasks_on_processor(processor_name)
+        columns = [self._task_columns[task.name][0] for task in tasks]
+        return columns, self.configuration.granularity * len(tasks)
+
+    def memory_capacity_columns(self, memory_name: str) -> List[Tuple[int, float]]:
+        """This block's contribution to Constraint (10) on one memory: the
+        ``(capacity column, container size)`` of each of its buffers there.
+
+        Each buffer also pre-charges one container for the conservative
+        rounding of its capacity.
+        """
+        return [
+            (self._capacity_columns[buffer.name], float(buffer.container_size))
+            for buffer in self.configuration.buffers_in_memory(memory_name)
+        ]
+
+    def objective_terms(self) -> List[Tuple[Variable, float]]:
+        """This block's terms of Objective (5), as ``(variable, coefficient)``."""
+        terms: List[Tuple[Variable, float]] = []
         for graph in self.configuration.task_graphs:
             for task in graph.tasks:
                 coefficient = self.weights.budget_coefficient(task)
                 if coefficient:
-                    terms.append(self.variables.budgets[task.name] * coefficient)
+                    terms.append((self.variables.budgets[task.name], float(coefficient)))
             for buffer in graph.buffers:
                 coefficient = self.weights.capacity_coefficient(buffer)
                 if coefficient:
-                    terms.append(self.variables.capacities[buffer.name] * coefficient)
+                    terms.append(
+                        (self.variables.capacities[buffer.name], float(coefficient))
+                    )
         return terms
 
     def objective_value(self, solution: Solution) -> float:
@@ -364,7 +474,10 @@ class FormulationBlock:
         term belongs to exactly one block; the shares sum to the joint
         optimum.
         """
-        return sum(solution.value(term) for term in self.objective_terms())
+        return sum(
+            coefficient * solution.value(variable)
+            for variable, coefficient in self.objective_terms()
+        )
 
     # -- warm start and extraction ------------------------------------------------
     def initial_point_into(self, values: Dict[Variable, float]) -> None:
@@ -410,8 +523,8 @@ class FormulationBlock:
     def extract_start_times(self, solution: Solution) -> Dict[str, float]:
         """Start times ``s(v)`` of this block's SRDF actors at a solution."""
         return {
-            name: solution.value(expr)
-            for name, expr in self.variables.start_times.items()
+            name: 0.0 if var is None else solution.value(var)
+            for name, var in self.variables.start_times.items()
         }
 
 
@@ -452,12 +565,18 @@ class _BlockAssembly:
             block.add_capacity_variables(self.program)
             block.add_start_time_variables(self.program)
             groups.append(self.program.variable_slice(first))
+        precedence = _RowWriter()
         for block in self.blocks:
-            block.add_precedence_constraints(self.program)
-        for block in self.blocks:
-            block.add_reciprocal_constraints(self.program)
-        self._add_processor_coupling()
-        self._add_memory_coupling()
+            block.write_precedence_rows(precedence)
+        precedence.add_to(self.program)
+        pairs = [pair for block in self.blocks for pair in block.reciprocal_pairs()]
+        self.program.add_hyperbolic_pairs(
+            [lam for lam, _, _ in pairs],
+            [beta for _, beta, _ in pairs],
+            np.ones(len(pairs)),
+            [name for _, _, name in pairs],
+        )
+        self._add_coupling_rows()
         self._set_objective()
         self.program.declare_blocks(groups)
         self._built = True
@@ -480,45 +599,64 @@ class _BlockAssembly:
         )
 
     # -- coupling rows ----------------------------------------------------------
-    def _add_processor_coupling(self) -> None:
-        """Constraint (9): all applications' budgets share each processor."""
+    def _add_coupling_rows(self) -> None:
+        """Constraints (9) and (10), one row ``expr ≤ 0`` per shared resource.
+
+        (9): every application's budgets on a processor, one granule of
+        rounding slack per task and the scheduling overhead fit in its
+        replenishment interval.  (10): every application's relaxed
+        capacities, plus one container each, fit in a bounded memory.
+        """
+        rows = _RowWriter()
         for processor_name, processor in self.platform.processors.items():
-            budgets: List[Variable] = []
+            budgets: List[int] = []
             slack = processor.scheduling_overhead
             for block in self.blocks:
-                block_budgets, block_slack = block.processor_budget_terms(
+                block_budgets, block_slack = block.processor_budget_columns(
                     processor_name
                 )
                 budgets.extend(block_budgets)
                 slack += block_slack
             if not budgets:
                 continue
-            total = linear_sum(budgets) + slack
-            self.program.add_less_equal(
-                total,
-                processor.replenishment_interval,
-                name=f"processor[{processor_name}]",
+            rows.lengths.append(len(budgets))
+            rows.columns.extend(budgets)
+            rows.values.extend([1.0] * len(budgets))
+            rows.constants.append(
+                (0.0 + float(slack)) + float(processor.replenishment_interval) * -1.0
             )
-
-    def _add_memory_coupling(self) -> None:
-        """Constraint (10): all applications' buffers share each bounded memory."""
+            rows.names.append(f"processor[{processor_name}]")
         for memory_name, memory in self.platform.memories.items():
             if not memory.is_bounded:
                 continue
-            usage_terms: List[AffineExpression] = []
-            for block in self.blocks:
-                usage_terms.extend(block.memory_usage_terms(memory_name))
-            if not usage_terms:
+            usage = [
+                term
+                for block in self.blocks
+                for term in block.memory_capacity_columns(memory_name)
+            ]
+            if not usage:
                 continue
-            self.program.add_less_equal(
-                linear_sum(usage_terms), memory.capacity, name=f"memory[{memory_name}]"
-            )
+            charged = 0.0
+            for column, size in usage:
+                charged += size
+                if size != 0.0:
+                    rows.columns.append(column)
+                    rows.values.append(size)
+            rows.lengths.append(sum(size != 0.0 for _, size in usage))
+            rows.constants.append(charged + float(memory.capacity) * -1.0)
+            rows.names.append(f"memory[{memory_name}]")
+        rows.add_to(self.program)
 
     def _set_objective(self) -> None:
-        terms: List[AffineExpression] = []
-        for block in self.blocks:
-            terms.extend(block.objective_terms())
-        self.program.minimize(linear_sum(terms))
+        self.program.minimize(
+            AffineExpression(
+                {
+                    variable: coefficient
+                    for block in self.blocks
+                    for variable, coefficient in block.objective_terms()
+                }
+            )
+        )
 
 
 class SocpFormulation(_BlockAssembly):
@@ -699,6 +837,8 @@ class _ParametricAssembly:
 
     def _register_blocks(self) -> None:
         self.formulation.build()
+        from repro.solver.parametric import ParametricProblem
+
         self.parametric = ParametricProblem(self.formulation.program)
         self._budget_slots: Dict[str, bool] = {}
         self._reciprocal_slots: Dict[str, bool] = {}
@@ -742,9 +882,7 @@ class _ParametricAssembly:
     ) -> None:
         for graph in block.configuration.task_graphs:
             for task in graph.tasks:
-                lower, upper = effective_budget_bounds(
-                    block.configuration, graph, task, budget_limits
-                )
+                lower, upper = block.budget_bounds(graph, task, budget_limits)
                 qualified = block.qualify(task.name)
                 if not self._budget_slots[qualified]:
                     continue

@@ -14,42 +14,47 @@ Contents:
   work).
 """
 
-from repro.dataflow.graph import Actor, Queue, SRDFGraph
-from repro.dataflow.construction import (
-    ActorRole,
-    ActorSpec,
-    QueueKind,
-    QueueSpec,
-    SrdfSpecification,
-    build_configuration_specifications,
-    build_srdf_specification,
-    finish_actor_name,
-    instantiate_from_configuration,
-    instantiate_srdf,
-    start_actor_name,
-)
-from repro.dataflow.mcr import (
-    CycleRatio,
-    critical_cycle,
-    critical_cycles,
-    cycle_ratios,
-    is_period_feasible,
-    maximum_cycle_ratio,
-    throughput,
-)
-from repro.dataflow.monotonicity import check_monotonicity, speedup_graph
-from repro.dataflow.schedule import (
-    PeriodicSchedule,
-    compute_schedule,
-    rate_optimal_schedule,
-)
-from repro.dataflow.sdf import SDFActor, SDFChannel, SDFGraph
-from repro.dataflow.simulation import (
-    SimulationTrace,
-    measured_period,
-    meets_period,
-    simulate,
-)
+from repro._lazy import lazy_exports
+
+#: Every name loads its module on first use: verifying one mapping needs the
+#: construction, MCR and simulation, never SDF expansion, schedules or the
+#: monotonicity checks.
+_EXPORTS = {
+    "ActorRole": "repro.dataflow.construction",
+    "ActorSpec": "repro.dataflow.construction",
+    "QueueKind": "repro.dataflow.construction",
+    "QueueSpec": "repro.dataflow.construction",
+    "SrdfSpecification": "repro.dataflow.construction",
+    "build_configuration_specifications": "repro.dataflow.construction",
+    "build_srdf_specification": "repro.dataflow.construction",
+    "finish_actor_name": "repro.dataflow.construction",
+    "instantiate_from_configuration": "repro.dataflow.construction",
+    "instantiate_srdf": "repro.dataflow.construction",
+    "start_actor_name": "repro.dataflow.construction",
+    "Actor": "repro.dataflow.graph",
+    "Queue": "repro.dataflow.graph",
+    "SRDFGraph": "repro.dataflow.graph",
+    "CycleRatio": "repro.dataflow.mcr",
+    "critical_cycle": "repro.dataflow.mcr",
+    "critical_cycles": "repro.dataflow.mcr",
+    "cycle_ratios": "repro.dataflow.mcr",
+    "is_period_feasible": "repro.dataflow.mcr",
+    "maximum_cycle_ratio": "repro.dataflow.mcr",
+    "throughput": "repro.dataflow.mcr",
+    "check_monotonicity": "repro.dataflow.monotonicity",
+    "speedup_graph": "repro.dataflow.monotonicity",
+    "PeriodicSchedule": "repro.dataflow.schedule",
+    "compute_schedule": "repro.dataflow.schedule",
+    "rate_optimal_schedule": "repro.dataflow.schedule",
+    "SDFActor": "repro.dataflow.sdf",
+    "SDFChannel": "repro.dataflow.sdf",
+    "SDFGraph": "repro.dataflow.sdf",
+    "SimulationTrace": "repro.dataflow.simulation",
+    "measured_period": "repro.dataflow.simulation",
+    "meets_period": "repro.dataflow.simulation",
+    "simulate": "repro.dataflow.simulation",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Actor",

@@ -560,6 +560,26 @@ def task_actor_duration(
     )
 
 
+def queue_token_terms(
+    queue: QueueSpec, graph: TaskGraph
+) -> Tuple[Optional[str], float, float]:
+    """The token count ``δ(e)`` of a queue as ``(buffer, scale, offset)``:
+    ``δ(e) = scale·γ(buffer) + offset``.
+
+    The one definition of ``δ(e)`` in terms of the capacity variable, shared
+    by the joint formulation (Constraint (7)) and the fixed-budget
+    buffer-sizing LP.  A queue whose tokens do not depend on a capacity has
+    no buffer and scale 0; a single-rate space queue carries ``γ(b) − ι(b)``
+    and a cyclo-static one ``token_scale·γ(b) + token_offset``.
+    """
+    if queue.fixed_tokens is not None:
+        return None, 0.0, float(queue.fixed_tokens)
+    buffer = graph.buffer(queue.buffer)  # type: ignore[arg-type]
+    if queue.token_offset is None:
+        return buffer.name, 1.0, -float(buffer.initial_tokens)
+    return buffer.name, float(queue.token_scale), float(queue.token_offset)
+
+
 def _queue_tokens(
     queue_spec: QueueSpec, graph: TaskGraph, capacities: Mapping[str, int]
 ) -> float:

@@ -38,19 +38,28 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro._lazy import lazy_exports
 from repro.obs import metrics
-from repro.obs.export import (
-    SCHEMA_VERSION,
-    JsonlSink,
-    read_records,
-    render_metrics,
-    render_profile,
-    render_trace_tree,
-    validate_record,
-)
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.progress import ProgressReporter
 from repro.obs.trace import Span, Tracer, get_tracer, span, span_tree_size
+
+#: The JSONL export and the progress reporter load on first use: a solve
+#: with telemetry off never needs them.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "SCHEMA_VERSION": "repro.obs.export",
+        "JsonlSink": "repro.obs.export",
+        "read_records": "repro.obs.export",
+        "render_metrics": "repro.obs.export",
+        "render_profile": "repro.obs.export",
+        "render_trace_tree": "repro.obs.export",
+        "validate_record": "repro.obs.export",
+        "ProgressReporter": "repro.obs.progress",
+        "export": "repro.obs.export",
+        "progress": "repro.obs.progress",
+    },
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -76,6 +85,15 @@ __all__ = [
 ]
 
 
+def _as_sink(sink: Optional[Union[JsonlSink, str, Path]]) -> Optional[JsonlSink]:
+    """``sink`` as a :class:`~repro.obs.export.JsonlSink` (a path opens one)."""
+    if sink is None:
+        return None
+    from repro.obs.export import JsonlSink
+
+    return sink if isinstance(sink, JsonlSink) else JsonlSink(sink)
+
+
 def enabled() -> bool:
     """Whether telemetry collection is currently on."""
     return get_tracer().enabled
@@ -93,8 +111,7 @@ def configure(
     """
     tracer = get_tracer()
     registry = get_registry()
-    if sink is not None and not isinstance(sink, JsonlSink):
-        sink = JsonlSink(sink)
+    sink = _as_sink(sink)
     tracer.enabled = bool(enabled)
     registry.enabled = bool(enabled)
     tracer.sink = sink if enabled else None
@@ -120,6 +137,8 @@ class Capture:
 
     def as_dict(self) -> Dict[str, object]:
         """The cross-process payload (schema-versioned, JSON-serialisable)."""
+        from repro.obs.export import SCHEMA_VERSION
+
         return {
             "schema": SCHEMA_VERSION,
             "spans": list(self.spans),
@@ -145,8 +164,7 @@ def capture(sink: Optional[Union[JsonlSink, str, Path]] = None):
     """
     tracer = get_tracer()
     registry = get_registry()
-    if sink is not None and not isinstance(sink, JsonlSink):
-        sink = JsonlSink(sink)
+    sink = _as_sink(sink)
 
     previous_enabled = tracer.enabled
     previous_sink = tracer.sink

@@ -1,16 +1,22 @@
 """Budget schedulers: latency-rate characterisation, TDM model and allocations."""
 
-from repro.scheduling.budget import (
-    BudgetAllocation,
-    allocations_from_mapping,
-    validate_budget_feasibility,
-)
-from repro.scheduling.latency_rate import LatencyRateServer, required_budget_for_completion
-from repro.scheduling.tdm import (
-    TdmScheduler,
-    TdmSimulationResult,
-    TdmSlotTable,
-    build_slot_table,
+from repro._lazy import lazy_exports
+
+#: Every name loads its module on first use: verification only needs the
+#: budget check, not the TDM or latency-rate models.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "BudgetAllocation": "repro.scheduling.budget",
+        "allocations_from_mapping": "repro.scheduling.budget",
+        "validate_budget_feasibility": "repro.scheduling.budget",
+        "LatencyRateServer": "repro.scheduling.latency_rate",
+        "required_budget_for_completion": "repro.scheduling.latency_rate",
+        "TdmScheduler": "repro.scheduling.tdm",
+        "TdmSimulationResult": "repro.scheduling.tdm",
+        "TdmSlotTable": "repro.scheduling.tdm",
+        "build_slot_table": "repro.scheduling.tdm",
+    },
 )
 
 __all__ = [

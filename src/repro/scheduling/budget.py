@@ -10,13 +10,15 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.exceptions import AllocationError
-from repro.scheduling.latency_rate import LatencyRateServer
-from repro.scheduling.tdm import TdmScheduler, TdmSlotTable, build_slot_table
 from repro.taskgraph.configuration import MappedConfiguration
 from repro.taskgraph.platform import Processor
+
+if TYPE_CHECKING:  # the TDM and latency-rate models load on first use
+    from repro.scheduling.latency_rate import LatencyRateServer
+    from repro.scheduling.tdm import TdmScheduler, TdmSlotTable
 
 
 @dataclass
@@ -45,6 +47,8 @@ class BudgetAllocation:
 
     def latency_rate_bounds(self) -> Dict[str, LatencyRateServer]:
         """Latency-rate guarantee per task under this allocation."""
+        from repro.scheduling.latency_rate import LatencyRateServer
+
         return {
             task: LatencyRateServer.from_budget(
                 budget, self.processor.replenishment_interval
@@ -54,6 +58,8 @@ class BudgetAllocation:
 
     def slot_table(self, interleave: bool = True) -> TdmSlotTable:
         """Materialise a TDM slot table realising these budgets."""
+        from repro.scheduling.tdm import build_slot_table
+
         if not self.is_feasible():
             raise AllocationError(
                 f"budgets on processor {self.processor.name!r} exceed its "
@@ -68,6 +74,8 @@ class BudgetAllocation:
         )
 
     def scheduler(self, interleave: bool = True) -> TdmScheduler:
+        from repro.scheduling.tdm import TdmScheduler
+
         return TdmScheduler(self.slot_table(interleave=interleave))
 
 

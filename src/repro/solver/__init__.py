@@ -28,9 +28,18 @@ from repro.solver.constraints import (
     SecondOrderConeConstraint,
 )
 from repro.solver.expression import AffineExpression, Variable, linear_sum
+from repro._lazy import lazy_exports
 from repro.solver.barrier import BarrierOptions, BarrierSolver
-from repro.solver.parametric import ParametricProblem, SessionStats, SolveSession
 from repro.solver.problem import BlockStructure, CompiledProblem, ConeProgram
+
+#: Parametric re-solve loads on first use: a one-shot solve never needs it.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        name: "repro.solver.parametric"
+        for name in ("ParametricProblem", "SessionStats", "SolveSession")
+    },
+)
 from repro.solver.result import Solution, SolverStatus
 
 __all__ = [

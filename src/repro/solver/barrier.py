@@ -126,12 +126,7 @@ from repro.exceptions import NumericalError
 from repro.obs.metrics import get_registry as _metrics_registry
 from repro.obs.trace import span as obs_span
 from repro.reliability.faults import maybe_fail as _maybe_fail
-from repro.solver.problem import (
-    BlockStructure,
-    CompiledCone,
-    CompiledHyperbolic,
-    CompiledProblem,
-)
+from repro.solver.problem import BlockStructure, CompiledCone, CompiledProblem
 from repro.solver.result import Solution, SolverStatus
 
 #: Per-application Hessian blocks at least this wide are factorised with a
@@ -293,16 +288,20 @@ class _HyperbolicBlock(_BarrierTerm):
 
     def __init__(
         self,
-        hyps: Sequence[CompiledHyperbolic],
+        P: np.ndarray,
+        p0: np.ndarray,
+        Q: np.ndarray,
+        q0: np.ndarray,
+        w: np.ndarray,
         support: Optional[np.ndarray] = None,
         block: Optional[int] = None,
     ) -> None:
-        self.P = np.vstack([np.asarray(h.p, dtype=float) for h in hyps])
-        self.p0 = np.array([float(h.p0) for h in hyps])
-        self.Q = np.vstack([np.asarray(h.q, dtype=float) for h in hyps])
-        self.q0 = np.array([float(h.q0) for h in hyps])
-        self.w = np.array([float(h.bound) for h in hyps])
-        self.count = len(hyps)
+        self.P = np.asarray(P, dtype=float)
+        self.p0 = np.asarray(p0, dtype=float)
+        self.Q = np.asarray(Q, dtype=float)
+        self.q0 = np.asarray(q0, dtype=float)
+        self.w = np.asarray(w, dtype=float)
+        self.count = int(self.w.size)
         self.support = support
         self.block = block
 
@@ -342,15 +341,18 @@ class _ConeBlock(_BarrierTerm):
 
     def __init__(
         self,
-        cones: Sequence[CompiledCone],
+        A: np.ndarray,
+        b: np.ndarray,
+        C: np.ndarray,
+        d: np.ndarray,
         support: Optional[np.ndarray] = None,
         block: Optional[int] = None,
     ) -> None:
-        self.A = np.stack([np.asarray(c.A, dtype=float) for c in cones])
-        self.b = np.stack([np.asarray(c.b, dtype=float) for c in cones])
-        self.C = np.vstack([np.asarray(c.c, dtype=float) for c in cones])
-        self.d = np.array([float(c.d) for c in cones])
-        self.count = len(cones)
+        self.A = np.asarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.C = np.asarray(C, dtype=float)
+        self.d = np.asarray(d, dtype=float)
+        self.count = int(self.d.size)
         self.support = support
         self.block = block
 
@@ -379,18 +381,38 @@ class _ConeBlock(_BarrierTerm):
         return grad, hess
 
 
+#: Cones sharing one norm dimension, stacked: ``(A, b, C, d)`` with shapes
+#: ``(count, dim, width)``, ``(count, dim)``, ``(count, width)``, ``(count,)``.
+_ConeStackArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _stack_cone(cone: CompiledCone) -> _ConeStackArrays:
+    """One compiled cone as a stack of one."""
+    return (
+        np.asarray(cone.A, dtype=float)[None],
+        np.asarray(cone.b, dtype=float)[None],
+        np.asarray(cone.c, dtype=float)[None],
+        np.array([float(cone.d)]),
+    )
+
+
 def _cone_blocks(
-    cones: Sequence[CompiledCone],
+    stacks: Sequence[_ConeStackArrays],
     support: Optional[np.ndarray] = None,
     block: Optional[int] = None,
 ) -> List[_ConeBlock]:
-    """Batch cones into vectorised blocks, grouped by norm dimension."""
-    by_rows: Dict[int, List[CompiledCone]] = {}
-    for cone in cones:
-        by_rows.setdefault(int(np.asarray(cone.A).shape[0]), []).append(cone)
+    """Batch cone stacks into vectorised blocks, one per norm dimension
+    (ascending), keeping the order of the cones within a dimension."""
+    by_dim: Dict[int, List[_ConeStackArrays]] = {}
+    for stack in stacks:
+        by_dim.setdefault(int(stack[0].shape[1]), []).append(stack)
     return [
-        _ConeBlock(group, support=support, block=block)
-        for _, group in sorted(by_rows.items())
+        _ConeBlock(
+            *(np.concatenate(arrays) for arrays in zip(*group)),
+            support=support,
+            block=block,
+        )
+        for _, group in sorted(by_dim.items())
     ]
 
 
@@ -733,7 +755,7 @@ def _single_block(problem: CompiledProblem) -> BlockStructure:
     return BlockStructure(
         ranges=[(0, problem.num_variables)],
         row_blocks=np.zeros(problem.h.shape[0], dtype=int),
-        hyperbolic_blocks=[0] * len(problem.hyperbolic),
+        hyperbolic_blocks=np.zeros(len(problem.hyperbolic), dtype=int),
         cone_blocks=[0] * len(problem.cones),
     )
 
@@ -752,9 +774,39 @@ def _block_support(slc: slice, k: int, border: int) -> Optional[np.ndarray]:
     )
 
 
-def _ineq_block(problem: CompiledProblem, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Dense copy of the narrow inequality sub-matrix ``G[rows, start:stop]``."""
-    return np.asarray(problem.G_sparse[rows][:, start:stop].todense())
+def _owned_blocks(
+    matrix: object, owner: np.ndarray, ranges: Sequence[Tuple[int, int]]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per block: the rows of the CSR ``matrix`` it owns, and those rows
+    restricted to its columns as a dense array.
+
+    ``owner[i]`` is the block of row ``i`` (``-1``: owned by none, a coupling
+    row); an owned row's support lies in its block's columns.  The entries
+    of all owned rows are gathered in one pass, then written per block.
+    """
+    count = len(ranges)
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(count + 1))
+    rows = order[bounds[0]:]
+    indptr = matrix.indptr
+    lengths = indptr[rows + 1] - indptr[rows]
+    firsts = np.cumsum(lengths) - lengths
+    entries = np.repeat(indptr[rows] - firsts, lengths) + np.arange(int(lengths.sum()))
+    local_rows = np.repeat(np.arange(rows.size), lengths)
+    entry_bounds = np.concatenate([[0], np.cumsum(lengths)])[bounds - bounds[0]]
+    members: List[np.ndarray] = []
+    dense: List[np.ndarray] = []
+    for block, (start, stop) in enumerate(ranges):
+        first, last = bounds[block] - bounds[0], bounds[block + 1] - bounds[0]
+        block_entries = slice(entry_bounds[block], entry_bounds[block + 1])
+        values = np.zeros((last - first, stop - start))
+        values[
+            local_rows[block_entries] - first,
+            matrix.indices[entries[block_entries]] - start,
+        ] = matrix.data[entries[block_entries]]
+        members.append(rows[first:last])
+        dense.append(values)
+    return members, dense
 
 
 @dataclass
@@ -792,14 +844,16 @@ class _PiecesCache:
     block_slices: List[slice]          #: the columns of each block
     block_rows: List[np.ndarray]       #: inequality row indices per block
     block_G: List[np.ndarray]          #: ``G[rows][:, block]`` per block
-    hyps: List[List[CompiledHyperbolic]]  #: per block, on its own columns
-    cones: List[List[CompiledCone]]       #: per block, on its own columns
+    #: per block, its hyperbolic terms on its own columns as dense
+    #: ``(P, p0, Q, q0, bound)`` (``None`` without terms)
+    hyps: List[Optional[Tuple[np.ndarray, ...]]]
+    cones: List[List[CompiledCone]]    #: per block, on its own columns
     coupling_rows: np.ndarray
     coupling_G: np.ndarray             #: ``G[coupling_rows]``, full width
 
     def blocks(self, h: np.ndarray):
-        """Per block: its columns, its rows ``(G, h)`` and its non-linear
-        constraints."""
+        """Per block: its columns, its rows ``(G, h)``, its hyperbolic
+        terms and its cones."""
         return zip(
             self.block_slices,
             self.block_G,
@@ -1410,69 +1464,48 @@ class BarrierSolver:
     def _build_pieces_cache(self, problem: CompiledProblem) -> _PiecesCache:
         structure = problem.block_structure or _single_block(problem)
         n = problem.num_variables
-        block_rows: List[np.ndarray] = []
-        block_G: List[np.ndarray] = []
-        hyps: List[List[CompiledHyperbolic]] = []
-        cones: List[List[CompiledCone]] = []
-        # Group constraints by owning block up front (one pass each) instead
-        # of scanning every constraint once per block.
-        hyps_by_block: Dict[int, List[CompiledHyperbolic]] = {}
-        for hyp, owner in zip(problem.hyperbolic, structure.hyperbolic_blocks):
-            hyps_by_block.setdefault(owner, []).append(hyp)
+        ranges = structure.ranges
+        G = problem.G_sparse
+        block_rows, block_G = _owned_blocks(G, structure.row_blocks, ranges)
+        hyp = problem.hyperbolic
+        hyp_terms, block_P = _owned_blocks(hyp.P, structure.hyperbolic_blocks, ranges)
+        _, block_Q = _owned_blocks(hyp.Q, structure.hyperbolic_blocks, ranges)
+        hyps = [
+            (P, hyp.p0[terms], Q, hyp.q0[terms], hyp.bound[terms]) if terms.size else None
+            for terms, P, Q in zip(hyp_terms, block_P, block_Q)
+        ]
         cones_by_block: Dict[int, List[CompiledCone]] = {}
         for cone, owner in zip(problem.cones, structure.cone_blocks):
             cones_by_block.setdefault(owner, []).append(cone)
-        for block_index, (start, stop) in enumerate(structure.ranges):
-            rows = np.flatnonzero(structure.row_blocks == block_index)
-            block_rows.append(rows)
-            if rows.size:
-                block_G.append(_ineq_block(problem, rows, start, stop))
-            else:
-                block_G.append(np.zeros((0, stop - start)))
-            hyps.append(
-                [
-                    CompiledHyperbolic(
-                        p=hyp.p[start:stop].copy(),
-                        p0=float(hyp.p0),
-                        q=hyp.q[start:stop].copy(),
-                        q0=float(hyp.q0),
-                        bound=hyp.bound,
-                    )
-                    for hyp in hyps_by_block.get(block_index, [])
-                ]
-            )
-            cones.append(
-                [
-                    CompiledCone(
-                        A=cone.A[:, start:stop].copy(),
-                        b=cone.b,
-                        c=cone.c[start:stop].copy(),
-                        d=float(cone.d),
-                    )
-                    for cone in cones_by_block.get(block_index, [])
-                ]
-            )
+        cones = [
+            [
+                CompiledCone(
+                    A=cone.A[:, start:stop].copy(),
+                    b=cone.b,
+                    c=cone.c[start:stop].copy(),
+                    d=float(cone.d),
+                )
+                for cone in cones_by_block.get(block_index, [])
+            ]
+            for block_index, (start, stop) in enumerate(ranges)
+        ]
         coupling_rows = structure.coupling_rows
-        if coupling_rows.size:
-            coupling_G = _ineq_block(problem, coupling_rows, 0, n)
-        else:
-            coupling_G = np.zeros((0, n))
         return _PiecesCache(
             dimension=n,
-            block_slices=[slice(start, stop) for start, stop in structure.ranges],
+            block_slices=[slice(start, stop) for start, stop in ranges],
             block_rows=block_rows,
             block_G=block_G,
             hyps=hyps,
             cones=cones,
             coupling_rows=coupling_rows,
-            coupling_G=coupling_G,
+            coupling_G=G[coupling_rows].toarray(),
         )
 
     def _phase_two_plan(self, pieces: _PiecesCache, h: np.ndarray) -> _StructurePlan:
         """Phase-II (borderless) plan: narrow per-block terms + coupling rows."""
         k = pieces.dimension
         block_terms: List[List[_BarrierTerm]] = []
-        for slc, G, h_block, hyp_list, cone_list in pieces.blocks(h):
+        for slc, G, h_block, hyp, cone_list in pieces.blocks(h):
             support = _block_support(slc, k, border=0)
             block_index = len(block_terms)
             terms: List[_BarrierTerm] = []
@@ -1480,11 +1513,17 @@ class BarrierSolver:
                 terms.append(
                     _LinearBlock(G, h_block, support=support, block=block_index)
                 )
-            if hyp_list:
+            if hyp is not None:
                 terms.append(
-                    _HyperbolicBlock(hyp_list, support=support, block=block_index)
+                    _HyperbolicBlock(*hyp, support=support, block=block_index)
                 )
-            terms.extend(_cone_blocks(cone_list, support=support, block=block_index))
+            terms.extend(
+                _cone_blocks(
+                    [_stack_cone(cone) for cone in cone_list],
+                    support=support,
+                    block=block_index,
+                )
+            )
             block_terms.append(terms)
         Gc, hc = pieces.coupling(h)
         coupling = _LinearBlock(Gc, hc) if Gc.shape[0] else None
@@ -1583,7 +1622,7 @@ class BarrierSolver:
         """
         k = pieces.dimension
         block_terms: List[List[_BarrierTerm]] = []
-        for block_index, (slc, G, h_block, hyp_list, cone_list) in enumerate(
+        for block_index, (slc, G, h_block, hyp, cone_list) in enumerate(
             pieces.blocks(h)
         ):
             width = slc.stop - slc.start
@@ -1610,25 +1649,27 @@ class BarrierSolver:
                         block=block_index,
                     )
                 )
-            phase_cones: List[CompiledCone] = []
-            for hyp in hyp_list:
-                p_row = np.concatenate([hyp.p, [0.0]])
-                q_row = np.concatenate([hyp.q, [0.0]])
-                A = np.vstack([np.zeros(width + 1), p_row - q_row])
-                b = np.array([2.0 * math.sqrt(hyp.bound), hyp.p0 - hyp.q0])
-                c = p_row + q_row
-                c[-1] = 1.0
+            phase_cones: List[_ConeStackArrays] = []
+            if hyp is not None:
+                # p·q ≥ w as ‖(2√w, p − q)‖ ≤ p + q, relaxed by t.
+                P, p0, Q, q0, w = hyp
+                count = w.size
+                A = np.zeros((count, 2, width + 1))
+                A[:, 1, :width] = P - Q
+                C = np.empty((count, width + 1))
+                C[:, :width] = P + Q
+                C[:, width] = 1.0
                 phase_cones.append(
-                    CompiledCone(A=A, b=b, c=c, d=hyp.p0 + hyp.q0, name="phase1")
+                    (A, np.stack([2.0 * np.sqrt(w), p0 - q0], axis=1), C, p0 + q0)
                 )
             for cone in cone_list:
+                A, b, C, d = _stack_cone(cone)
                 phase_cones.append(
-                    CompiledCone(
-                        A=np.hstack([cone.A, np.zeros((cone.A.shape[0], 1))]),
-                        b=cone.b,
-                        c=np.concatenate([cone.c, [1.0]]),
-                        d=cone.d,
-                        name="phase1",
+                    (
+                        np.concatenate([A, np.zeros(A.shape[:2] + (1,))], axis=2),
+                        b,
+                        np.hstack([C, [[1.0]]]),
+                        d,
                     )
                 )
             terms.extend(
@@ -1653,11 +1694,17 @@ class BarrierSolver:
     def _required_relaxation(self, problem: CompiledProblem, x: np.ndarray) -> float:
         """Smallest ``t`` that makes ``x`` strictly feasible for the relaxed problem."""
         needed = problem.max_linear_violation(x)
-        for hyp in problem.hyperbolic:
-            p = float(hyp.p @ x + hyp.p0)
-            q = float(hyp.q @ x + hyp.q0)
-            norm = math.hypot(2.0 * math.sqrt(hyp.bound), p - q)
-            needed = max(needed, norm - (p + q))
+        if len(problem.hyperbolic):
+            # p·q ≥ w relaxed in its SOC form, ‖(2√w, p − q)‖ ≤ p + q + t.
+            # The norm is math.hypot term by term: numpy's hypot rounds
+            # differently in the last bit, which would move phase I's start.
+            p, q = problem.hyperbolic_sides(x)
+            norms = map(
+                math.hypot,
+                (2.0 * np.sqrt(problem.hyperbolic.bound)).tolist(),
+                (p - q).tolist(),
+            )
+            needed = max(needed, max(map(float.__sub__, norms, (p + q).tolist())))
         for cone in problem.cones:
             u = cone.A @ x + cone.b
             v = float(cone.c @ x + cone.d)

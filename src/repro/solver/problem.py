@@ -6,13 +6,20 @@ objective is chosen, and :meth:`ConeProgram.solve` dispatches to one of the
 backends (:mod:`repro.solver.barrier`, :mod:`repro.solver.linprog_backend`,
 :mod:`repro.solver.scipy_backend`).
 
-The numerical backends do not operate on the symbolic objects directly;
-:meth:`ConeProgram.compile` lowers the program into a
-:class:`CompiledProblem` made of CSR and dense numpy arrays:
+A program keeps its linear constraints, and both sides of its hyperbolic
+constraints, as :class:`AffineRows`: affine rows in CSR layout over the
+registered variables.  Two front ends write them.  The expression API
+(:meth:`ConeProgram.add_linear`, :meth:`ConeProgram.add_hyperbolic`, ...)
+turns each constraint into one row; model builders that emit a whole
+constraint family at once use the array API (:meth:`ConeProgram.add_rows`,
+:meth:`ConeProgram.add_hyperbolic_pairs`).  :meth:`ConeProgram.compile`
+lowers both the same way into a :class:`CompiledProblem` made of CSR and
+dense numpy arrays, concatenating the stored rows:
 
 * objective vector ``c`` and offset ``c0``,
-* inequalities ``G·x ≤ h`` (variable bounds folded in),
-* hyperbolic constraints as coefficient-vector tuples,
+* inequalities ``G·x ≤ h`` in CSR form (variable bounds folded in),
+* hyperbolic constraints as two CSR matrices ``P``/``Q`` with one row per
+  term, plus the offset and bound vectors (:class:`CompiledHyperbolic`),
 * second-order cone constraints as matrix/vector tuples.
 
 A compiled problem has no equality rows.  Compilation substitutes them out,
@@ -33,7 +40,7 @@ infeasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -60,6 +67,10 @@ from repro.solver.result import Solution, SolverStatus
 
 Constraint = Union[LinearConstraint, HyperbolicConstraint, SecondOrderConeConstraint]
 
+#: A substituted variable over the free ones, keyed by registered position:
+#: ``(coefficient by position, constant)``.
+_Substitution = Tuple[Dict[int, float], float]
+
 
 def bounds_collapse(lower: float, upper: float) -> bool:
     """Bounds close enough that compilation substitutes the variable out.
@@ -84,46 +95,116 @@ def _is_fixed(var: Variable) -> bool:
 
 
 def _substitute(
-    expression: AffineExpression, substitutions: Mapping[Variable, AffineExpression]
-) -> AffineExpression:
-    """``expression`` with every substituted variable replaced by its expression.
+    columns: Sequence[int],
+    values: Sequence[float],
+    constant: float,
+    substitutions: Mapping[int, _Substitution],
+) -> _Substitution:
+    """The affine row ``values·x[columns] + constant`` with every substituted
+    position replaced by its expression, as ``(coefficients, constant)``.
 
-    Returns ``expression`` itself when it mentions none of them.  A
-    coefficient that cancels to within 1e-12 of the largest term summed
+    A coefficient that cancels to within 1e-12 of the largest term summed
     into it is dropped: the cancellation is exact in real arithmetic.
     """
-    if substitutions.keys().isdisjoint(expression.terms):
-        return expression
-    terms: Dict[Variable, float] = {}
-    scale: Dict[Variable, float] = {}
-    constant = expression.constant
-    for var, coeff in expression.terms.items():
-        replacement = substitutions.get(var)
+    if substitutions.keys().isdisjoint(columns):
+        return dict(zip(columns, values)), constant
+    terms: Dict[int, float] = {}
+    scale: Dict[int, float] = {}
+    for column, coeff in zip(columns, values):
+        replacement = substitutions.get(column)
         if replacement is None:
-            parts: Mapping[Variable, float] = {var: 1.0}
+            parts: Mapping[int, float] = {column: 1.0}
         else:
-            constant += coeff * replacement.constant
-            parts = replacement.terms
+            constant += coeff * replacement[1]
+            parts = replacement[0]
         for term, weight in parts.items():
             value = coeff * weight
             terms[term] = terms.get(term, 0.0) + value
             scale[term] = max(scale.get(term, 0.0), abs(value))
-    return AffineExpression(
+    return (
         {term: value for term, value in terms.items() if abs(value) > 1e-12 * scale[term]},
-        constant,
+        float(constant),
     )
 
 
 @dataclass
-class CompiledHyperbolic:
-    """Numerical form of ``(p·x + p0)·(q·x + q0) ≥ bound``."""
+class AffineRows:
+    """Affine rows ``values·x[columns] + constant`` in CSR layout.
 
-    p: np.ndarray
-    p0: float
-    q: np.ndarray
-    q0: float
-    bound: float
-    name: str = ""
+    Row ``i`` holds the terms ``indptr[i]:indptr[i + 1]`` of ``columns``
+    (registered variable positions, each at most once per row, in the row's
+    term order) and ``values``, and the constant ``constants[i]``.
+    """
+
+    indptr: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+    constants: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(self.constants.size)
+
+    @classmethod
+    def single(
+        cls, columns: Sequence[int], values: Sequence[float], constant: float
+    ) -> "AffineRows":
+        """One row."""
+        return cls(
+            np.array([0, len(columns)], dtype=np.intp),
+            np.array(columns, dtype=np.intp),
+            np.array(values, dtype=float),
+            np.array([constant], dtype=float),
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["AffineRows"]) -> "AffineRows":
+        """The rows of ``parts``, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls(
+                np.zeros(1, dtype=np.intp),
+                np.zeros(0, dtype=np.intp),
+                np.zeros(0),
+                np.zeros(0),
+            )
+        offsets = np.cumsum([0] + [part.columns.size for part in parts])
+        return cls(
+            np.concatenate(
+                [np.zeros(1, dtype=np.intp)]
+                + [part.indptr[1:] + offset for part, offset in zip(parts, offsets)]
+            ),
+            np.concatenate([part.columns for part in parts]),
+            np.concatenate([part.values for part in parts]),
+            np.concatenate([part.constants for part in parts]),
+        )
+
+    def row(self, index: int) -> Tuple[List[int], List[float], float]:
+        """Row ``index`` as plain ``(columns, values, constant)``."""
+        start, stop = self.indptr[index], self.indptr[index + 1]
+        return (
+            self.columns[start:stop].tolist(),
+            self.values[start:stop].tolist(),
+            float(self.constants[index]),
+        )
+
+
+@dataclass
+class CompiledHyperbolic:
+    """Numerical form of the hyperbolic constraints
+    ``(P·x + p0)ᵢ·(Q·x + q0)ᵢ ≥ boundᵢ``: one CSR row of ``P`` and ``Q`` per
+    term, the representation ``G`` uses for the linear rows."""
+
+    P: object
+    p0: np.ndarray
+    Q: object
+    q0: np.ndarray
+    bound: np.ndarray
+    names: List[str] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return int(self.bound.size)
 
 
 @dataclass
@@ -160,7 +241,7 @@ class BlockStructure:
 
     ranges: List[Tuple[int, int]]
     row_blocks: np.ndarray          #: block per inequality row; -1 = coupling
-    hyperbolic_blocks: List[int]    #: block per hyperbolic constraint
+    hyperbolic_blocks: np.ndarray   #: block per hyperbolic term
     cone_blocks: List[int]          #: block per SOC constraint
 
     @property
@@ -183,7 +264,8 @@ class CompiledProblem:
     against thousands of columns) and the block-Newton solver consumes it
     blockwise.  The dense view remains available as the :attr:`G` property,
     densified lazily and cached, so backends and tests that want plain
-    arrays keep working; sparse-aware code uses :attr:`G_sparse`.
+    arrays keep working; sparse-aware code uses :attr:`G_sparse`.  The
+    hyperbolic terms are CSR too (:class:`CompiledHyperbolic`).
 
     ``h`` stays a plain mutable ndarray: the parametric layer
     (:class:`repro.solver.parametric.ParametricProblem`) re-solves a compiled
@@ -198,7 +280,7 @@ class CompiledProblem:
         c0: float,
         G: object,
         h: np.ndarray,
-        hyperbolic: List[CompiledHyperbolic],
+        hyperbolic: CompiledHyperbolic,
         cones: List[CompiledCone],
         inequality_names: Optional[List[str]] = None,
         block_structure: Optional[BlockStructure] = None,
@@ -226,10 +308,10 @@ class CompiledProblem:
         self.substitutions = dict(substitutions or {})
         #: row index → the amount substitution added to that row's ``h``
         self.h_shifts = dict(h_shifts or {})
-        #: The barrier backend's per-block slices of ``G`` and the cone data,
-        #: written on first use.  Valid as long as ``G``, the cones and the
-        #: block structure are unchanged — parametric re-solves mutate only
-        #: ``h``, so warm-started sessions reuse one set of slices.
+        #: The barrier backend's per-block slices of ``G``, the hyperbolic
+        #: terms and the cone data, written on first use.  Valid as long as
+        #: those and the block structure are unchanged — parametric re-solves
+        #: mutate only ``h``, so warm-started sessions reuse one set of slices.
         self.pieces_cache: Optional[object] = None
         self._G_dense: Optional[np.ndarray] = None
         self._G_sparse = None
@@ -294,6 +376,11 @@ class CompiledProblem:
         return x
 
     # -- feasibility inspection -------------------------------------------
+    def hyperbolic_sides(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Both sides ``(P·x + p0, Q·x + q0)`` of every hyperbolic term at ``x``."""
+        hyp = self.hyperbolic
+        return hyp.P @ x + hyp.p0, hyp.Q @ x + hyp.q0
+
     def max_linear_violation(self, x: np.ndarray) -> float:
         """``max(G·x − h)``: negative when ``x`` satisfies every row strictly,
         ``-inf`` when there are no rows."""
@@ -303,11 +390,10 @@ class CompiledProblem:
         return float(np.max(matrix @ x - self.h))
 
     def min_cone_margin(self, x: np.ndarray) -> float:
-        margin = np.inf
-        for hyp in self.hyperbolic:
-            p = float(hyp.p @ x + hyp.p0)
-            q = float(hyp.q @ x + hyp.q0)
-            margin = min(margin, p * q - hyp.bound, p, q)
+        margin = math.inf
+        if len(self.hyperbolic):
+            p, q = self.hyperbolic_sides(x)
+            margin = float(min(np.min(p * q - self.hyperbolic.bound), p.min(), q.min()))
         for cone in self.cones:
             u = cone.A @ x + cone.b
             v = float(cone.c @ x + cone.d)
@@ -343,8 +429,11 @@ class ConeProgram:
         self.name = name
         self._variables: List[Variable] = []
         self._names: Dict[str, Variable] = {}
-        self._linear: List[LinearConstraint] = []
-        self._hyperbolic: List[HyperbolicConstraint] = []
+        self._positions: Dict[Variable, int] = {}
+        #: linear constraint batches: ``(rows, names, equality)``
+        self._linear: List[Tuple[AffineRows, List[str], bool]] = []
+        #: hyperbolic batches: ``(x rows, y rows, bounds, names)``
+        self._hyperbolic: List[Tuple[AffineRows, AffineRows, np.ndarray, List[str]]] = []
         self._cones: List[SecondOrderConeConstraint] = []
         self._objective: AffineExpression = AffineExpression()
         self._sense: str = "min"
@@ -357,10 +446,16 @@ class ConeProgram:
         lower: Optional[float] = None,
         upper: Optional[float] = None,
     ) -> Variable:
-        """Create and register a decision variable with optional bounds."""
+        """Create and register a decision variable with optional bounds.
+
+        Its position — the column index the array API
+        (:meth:`add_rows`, :meth:`add_hyperbolic_pairs`) uses — is the
+        number of variables registered before it.
+        """
         if name in self._names:
             raise FormulationError(f"duplicate variable name {name!r}")
         variable = Variable(name, lower, upper)
+        self._positions[variable] = len(self._variables)
         self._variables.append(variable)
         self._names[name] = variable
         return variable
@@ -412,16 +507,34 @@ class ConeProgram:
                     )
         self._block_groups = [tuple(group) for group in groups]
 
-    # -- constraints --------------------------------------------------------
+    # -- constraints: expression API ------------------------------------------
+    def _row(self, expression: AffineExpression) -> AffineRows:
+        self._check_known_variables(expression)
+        return AffineRows.single(
+            [self._positions[var] for var in expression.terms],
+            list(expression.terms.values()),
+            expression.constant,
+        )
+
     def add_constraint(self, constraint: Constraint) -> Constraint:
         """Register an already-constructed constraint object."""
         if isinstance(constraint, LinearConstraint):
-            self._check_known_variables(constraint.expression)
-            self._linear.append(constraint)
+            self._linear.append(
+                (
+                    self._row(constraint.expression),
+                    [constraint.name],
+                    constraint.is_equality,
+                )
+            )
         elif isinstance(constraint, HyperbolicConstraint):
-            self._check_known_variables(constraint.x)
-            self._check_known_variables(constraint.y)
-            self._hyperbolic.append(constraint)
+            self._hyperbolic.append(
+                (
+                    self._row(constraint.x),
+                    self._row(constraint.y),
+                    np.array([constraint.bound]),
+                    [constraint.name],
+                )
+            )
         elif isinstance(constraint, SecondOrderConeConstraint):
             for row in constraint.rows:
                 self._check_known_variables(row)
@@ -480,13 +593,90 @@ class ConeProgram:
         constraint = SecondOrderConeConstraint(rows, rhs, name=name)
         return self.add_constraint(constraint)  # type: ignore[return-value]
 
+    # -- constraints: array API -------------------------------------------------
+    def add_rows(self, rows: AffineRows, names: Sequence[str]) -> None:
+        """Add the inequalities ``values·x[columns] + constant ≤ 0``, one per row.
+
+        Columns are variable positions (see :meth:`add_variable`), each at
+        most once per row; ``names`` names the rows in order.
+        """
+        self._check_rows(rows, names)
+        self._linear.append((rows, list(names), False))
+
+    def add_hyperbolic_pairs(
+        self,
+        x_columns: Sequence[int],
+        y_columns: Sequence[int],
+        bounds: Sequence[float],
+        names: Sequence[str],
+    ) -> None:
+        """Add ``x[x_columns[i]]·x[y_columns[i]] ≥ bounds[i]`` for every ``i``."""
+        bounds = np.asarray(bounds, dtype=float)
+        if not (np.isfinite(bounds).all() and (bounds > 0.0).all()):
+            raise FormulationError(
+                "hyperbolic constraint bounds must be positive finite numbers"
+            )
+        count = bounds.size
+        indptr = np.arange(count + 1, dtype=np.intp)
+        ones, zeros = np.ones(count), np.zeros(count)
+        x_rows = AffineRows(indptr, np.asarray(x_columns, dtype=np.intp), ones, zeros)
+        y_rows = AffineRows(indptr, np.asarray(y_columns, dtype=np.intp), ones, zeros)
+        self._check_rows(x_rows, names)
+        self._check_rows(y_rows, names)
+        self._hyperbolic.append((x_rows, y_rows, bounds, list(names)))
+
+    def _check_rows(self, rows: AffineRows, names: Sequence[str]) -> None:
+        count = rows.count
+        if len(names) != count or rows.indptr.size != count + 1:
+            raise FormulationError(
+                f"{count} rows with {rows.indptr.size} row pointers and "
+                f"{len(names)} names"
+            )
+        if rows.indptr[0] != 0 or rows.indptr[-1] != rows.columns.size:
+            raise FormulationError("row pointers do not cover the row terms")
+        if rows.columns.size and not (
+            0 <= rows.columns.min() and rows.columns.max() < len(self._variables)
+        ):
+            raise FormulationError(
+                f"rows reference a variable position outside program {self.name!r}"
+            )
+        if not (np.isfinite(rows.values).all() and np.isfinite(rows.constants).all()):
+            raise FormulationError("non-finite coefficient or constant in rows")
+
+    # -- constraints: inspection ---------------------------------------------------
+    def _expression(self, rows: AffineRows, index: int) -> AffineExpression:
+        columns, values, constant = rows.row(index)
+        return AffineExpression(
+            {self._variables[column]: value for column, value in zip(columns, values)},
+            constant,
+        )
+
     @property
     def linear_constraints(self) -> Tuple[LinearConstraint, ...]:
-        return tuple(self._linear)
+        """Every linear constraint, as ``expression <= 0`` / ``== 0`` objects."""
+        return tuple(
+            LinearConstraint(
+                self._expression(rows, index),
+                EQUAL if equality else LESS_EQUAL,
+                0.0,
+                name=names[index],
+            )
+            for rows, names, equality in self._linear
+            for index in range(rows.count)
+        )
 
     @property
     def hyperbolic_constraints(self) -> Tuple[HyperbolicConstraint, ...]:
-        return tuple(self._hyperbolic)
+        return tuple(
+            HyperbolicConstraint(
+                self._expression(x_rows, index),
+                self._expression(y_rows, index),
+                float(bounds[index]),
+                name=names[index],
+            )
+            for x_rows, y_rows, bounds, names in self._hyperbolic
+            for index in range(bounds.size)
+        )
 
     @property
     def cone_constraints(self) -> Tuple[SecondOrderConeConstraint, ...]:
@@ -529,155 +719,213 @@ class ConeProgram:
                 )
 
     # -- compilation -----------------------------------------------------------
-    def _vectorise(self, expression: AffineExpression, index: Dict[Variable, int]) -> Tuple[np.ndarray, float]:
-        row = np.zeros(len(index))
-        for var, coeff in expression.terms.items():
-            row[index[var]] = coeff
-        return row, expression.constant
+    def _substitutions(self) -> Tuple[Dict[int, _Substitution], Dict[int, float]]:
+        """Every substituted variable as an affine function of the free ones.
 
-    @staticmethod
-    def _build_rows(
-        rows: List[Tuple[List[int], List[float]]], n: int
-    ) -> object:
-        """Stack sparse row triplets into a CSR matrix."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        for i, (cols, _) in enumerate(rows):
-            indptr[i + 1] = indptr[i] + len(cols)
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1])
-        for i, (cols, vals) in enumerate(rows):
-            indices[indptr[i]:indptr[i + 1]] = cols
-            data[indptr[i]:indptr[i + 1]] = vals
-        matrix = _sparse.csr_matrix((data, indices, indptr), shape=(len(rows), n))
-        matrix.sort_indices()
-        return matrix
-
-    def _substitutions(self) -> Tuple[Dict[Variable, AffineExpression], Dict[int, float]]:
-        """Every substituted variable as an affine expression over free variables.
-
-        Fixed variables (:func:`bounds_collapse`) come first, then one pivot
-        per equality row in registration order.  Each new pivot is also
-        substituted into the earlier expressions, so every expression only
-        ever mentions free variables.  Returns the substitutions and the
-        ``|residual|`` of each equality row (keyed by its position among the
-        linear constraints) that reduced to a non-zero constant; a row that
-        reduced to zero is redundant and simply dropped.
+        Keyed by registered position.  Fixed variables
+        (:func:`bounds_collapse`) come first, then one pivot per equality row
+        in registration order.  Each new pivot is also substituted into the
+        earlier expressions, so every expression only ever mentions free
+        variables.  Returns the substitutions and the ``|residual|`` of each
+        equality row (keyed by its batch in the linear constraints) that
+        reduced to a non-zero constant; a row that reduced to zero is
+        redundant and simply dropped.
         """
-        substitutions = {
-            var: AffineExpression({}, var.lower)
-            for var in self._variables
+        substitutions: Dict[int, _Substitution] = {
+            position: ({}, var.lower)
+            for position, var in enumerate(self._variables)
             if _is_fixed(var)
         }
         inconsistent: Dict[int, float] = {}
-        for position, constraint in enumerate(self._linear):
-            if not constraint.is_equality:
+        for batch, (rows, _, equality) in enumerate(self._linear):
+            if not equality:
                 continue
-            row = _substitute(constraint.expression, substitutions)
-            if not row.terms:
-                tolerance = 1e-9 * max(1.0, abs(constraint.expression.constant))
-                if abs(row.constant) > tolerance:
-                    inconsistent[position] = abs(row.constant)
+            columns, values, constant = rows.row(0)
+            terms, residual = _substitute(columns, values, constant, substitutions)
+            if not terms:
+                if abs(residual) > 1e-9 * max(1.0, abs(constant)):
+                    inconsistent[batch] = abs(residual)
                 continue
-            pivot, weight = max(row.terms.items(), key=lambda term: abs(term[1]))
-            solved = AffineExpression(
-                {var: -coeff / weight for var, coeff in row.terms.items() if var is not pivot},
-                -row.constant / weight,
+            pivot, weight = max(terms.items(), key=lambda term: abs(term[1]))
+            solved = (
+                {term: -coeff / weight for term, coeff in terms.items() if term != pivot},
+                -residual / weight,
             )
-            for var, expression in substitutions.items():
-                if pivot in expression.terms:
-                    substitutions[var] = _substitute(expression, {pivot: solved})
+            for position, (sub_terms, sub_constant) in substitutions.items():
+                if pivot in sub_terms:
+                    substitutions[position] = _substitute(
+                        list(sub_terms), list(sub_terms.values()), sub_constant,
+                        {pivot: solved},
+                    )
             substitutions[pivot] = solved
         return substitutions, inconsistent
 
+    def _bound_rows(
+        self, substitutions: Mapping[int, _Substitution]
+    ) -> Tuple[AffineRows, List[str]]:
+        """Variable bounds as rows ``−x + lower ≤ 0`` / ``x − upper ≤ 0``.
+
+        A fixed variable has none: two opposing inequalities would leave the
+        feasible region without an interior, which the barrier method cannot
+        handle.  An equality pivot keeps its bounds (written over the free
+        columns by substitution, like any row).
+        """
+        columns: List[int] = []
+        values: List[float] = []
+        constants: List[float] = []
+        names: List[str] = []
+        for position, var in enumerate(self._variables):
+            if position in substitutions and _is_fixed(var):
+                continue
+            if var.lower is not None:
+                columns.append(position)
+                values.append(-1.0)
+                constants.append(var.lower)
+                names.append(f"lb[{var.name}]")
+            if var.upper is not None:
+                columns.append(position)
+                values.append(1.0)
+                constants.append(-var.upper)
+                names.append(f"ub[{var.name}]")
+        rows = AffineRows(
+            np.arange(len(columns) + 1, dtype=np.intp),
+            np.array(columns, dtype=np.intp),
+            np.array(values, dtype=float),
+            np.array(constants, dtype=float),
+        )
+        return rows, names
+
+    @staticmethod
+    def _lower(
+        rows: AffineRows,
+        substitutions: Mapping[int, _Substitution],
+        column: np.ndarray,
+        n: int,
+    ) -> Tuple[object, np.ndarray, Dict[int, float]]:
+        """``rows`` over the free columns: a sorted CSR matrix, the row
+        constants after substitution and the shift substitution added to
+        each changed row's constant (as ``old − new``)."""
+        indptr, columns, values = rows.indptr, rows.columns, rows.values
+        constants = rows.constants
+        shifts: Dict[int, float] = {}
+        if substitutions and columns.size:
+            entry_rows = np.repeat(np.arange(rows.count), np.diff(indptr))
+            touched = np.unique(entry_rows[column[columns] < 0])
+            if touched.size:
+                constants = constants.copy()
+                lengths = np.diff(indptr)
+                column_parts: List[np.ndarray] = []
+                value_parts: List[np.ndarray] = []
+                done = 0
+                for row in touched.tolist():
+                    start, stop = int(indptr[row]), int(indptr[row + 1])
+                    column_parts.append(columns[done:start])
+                    value_parts.append(values[done:start])
+                    old_columns, old_values, old_constant = rows.row(row)
+                    terms, constant = _substitute(
+                        old_columns, old_values, old_constant, substitutions
+                    )
+                    column_parts.append(np.array(list(terms), dtype=np.intp))
+                    value_parts.append(np.array(list(terms.values()), dtype=float))
+                    lengths[row] = len(terms)
+                    if constant != old_constant:
+                        shifts[row] = old_constant - constant
+                    constants[row] = constant
+                    done = stop
+                column_parts.append(columns[done:])
+                value_parts.append(values[done:])
+                columns = np.concatenate(column_parts)
+                values = np.concatenate(value_parts)
+                indptr = np.concatenate([[0], np.cumsum(lengths)])
+        keep = values != 0.0
+        if not keep.all():
+            kept_before = np.concatenate([[0], np.cumsum(keep)])
+            indptr = kept_before[indptr]
+            columns, values = columns[keep], values[keep]
+        matrix = _sparse.csr_matrix(
+            (values, column[columns], indptr), shape=(rows.count, n)
+        )
+        matrix.sort_indices()
+        return matrix, constants, shifts
+
+    def _dense(
+        self,
+        expression: AffineExpression,
+        substitutions: Mapping[int, _Substitution],
+        column: np.ndarray,
+        n: int,
+    ) -> Tuple[np.ndarray, float]:
+        """``expression`` over the free columns as a dense vector and constant."""
+        terms, constant = _substitute(
+            [self._positions[var] for var in expression.terms],
+            list(expression.terms.values()),
+            expression.constant,
+            substitutions,
+        )
+        row = np.zeros(n)
+        for position, coeff in terms.items():
+            row[column[position]] = coeff
+        return row, constant
+
     def compile(self) -> CompiledProblem:
-        """Lower the symbolic program into numerical (CSR + dense) form.
+        """Lower the program into numerical (CSR + dense) form.
 
         Equalities are substituted out first (see the module docstring), so
-        every array is written over the free columns only.
+        every array is written over the free columns only.  ``G`` is the
+        bound rows followed by every linear batch in registration order,
+        lowered in one pass; the hyperbolic sides become ``P`` and ``Q`` the
+        same way.
         """
         substitutions, inconsistent = self._substitutions()
-        free = [var for var in self._variables if var not in substitutions]
-        index = {var: i for i, var in enumerate(free)}
+        count = len(self._variables)
+        column = np.full(count, -1, dtype=np.intp)
+        free_positions = np.setdiff1d(
+            np.arange(count), np.fromiter(substitutions, dtype=np.intp, count=len(substitutions))
+        )
+        column[free_positions] = np.arange(free_positions.size)
+        free = [self._variables[position] for position in free_positions.tolist()]
         n = len(free)
 
-        def expand(expression: AffineExpression) -> AffineExpression:
-            if not substitutions:
-                return expression
-            return _substitute(expression, substitutions)
-
         # Objective (always converted to minimisation form).
-        c, c0 = self._vectorise(expand(self._objective), index)
+        c, c0 = self._dense(self._objective, substitutions, column, n)
         if self._sense == "max":
             c, c0 = -c, -c0
 
-        g_rows: List[Tuple[List[int], List[float]]] = []
-        h_vals: List[float] = []
-        ineq_names: List[str] = []
-        h_shifts: Dict[int, float] = {}
-
-        def add_row(expression: AffineExpression, name: str) -> None:
-            """Append ``expression ≤ 0`` as the row ``row @ x ≤ −constant``."""
-            row = _substitute(expression, substitutions) if substitutions else expression
-            cols: List[int] = []
-            vals: List[float] = []
-            for var, coeff in row.terms.items():
-                if coeff != 0.0:
-                    cols.append(index[var])
-                    vals.append(float(coeff))
-            g_rows.append((cols, vals))
-            h_vals.append(-row.constant)
-            ineq_names.append(name)
-            if row.constant != expression.constant:
-                h_shifts[len(h_vals) - 1] = expression.constant - row.constant
-
-        # Variable bounds become inequality rows.  A fixed variable has none:
-        # two opposing inequalities would leave the feasible region without
-        # an interior, which the barrier method cannot handle.  An equality
-        # pivot keeps its bounds, written over the free columns.
-        for var in self._variables:
-            pivot = var not in index
-            if pivot and _is_fixed(var):
+        bounds, ineq_names = self._bound_rows(substitutions)
+        parts = [bounds]
+        for batch, (rows, names, equality) in enumerate(self._linear):
+            if batch in inconsistent:
+                parts.append(AffineRows.single([], [], inconsistent[batch]))
+            elif equality:
                 continue
-            for name, sign, bound in (
-                (f"lb[{var.name}]", -1.0, var.lower),
-                (f"ub[{var.name}]", 1.0, var.upper),
-            ):
-                if bound is None:
-                    continue
-                if pivot:
-                    add_row(AffineExpression({var: sign}, -sign * bound), name)
-                else:
-                    g_rows.append(([index[var]], [sign]))
-                    h_vals.append(sign * bound)
-                    ineq_names.append(name)
+            else:
+                parts.append(rows)
+            ineq_names.extend(names)
+        G, constants, h_shifts = self._lower(
+            AffineRows.concatenate(parts), substitutions, column, n
+        )
+        h = -constants
 
-        for position, constraint in enumerate(self._linear):
-            if position in inconsistent:
-                g_rows.append(([], []))
-                h_vals.append(-inconsistent[position])
-                ineq_names.append(constraint.name)
-            elif not constraint.is_equality:
-                add_row(constraint.expression, constraint.name)
-
-        hyperbolic = []
-        for constraint in self._hyperbolic:
-            p, p0 = self._vectorise(expand(constraint.x), index)
-            q, q0 = self._vectorise(expand(constraint.y), index)
-            hyperbolic.append(
-                CompiledHyperbolic(p=p, p0=p0, q=q, q0=q0, bound=constraint.bound,
-                                   name=constraint.name)
-            )
+        hyperbolic = CompiledHyperbolic(
+            *self._lower(
+                AffineRows.concatenate([x for x, _, _, _ in self._hyperbolic]),
+                substitutions, column, n,
+            )[:2],
+            *self._lower(
+                AffineRows.concatenate([y for _, y, _, _ in self._hyperbolic]),
+                substitutions, column, n,
+            )[:2],
+            bound=np.concatenate([np.zeros(0)] + [b for _, _, b, _ in self._hyperbolic]),
+            names=[name for _, _, _, names in self._hyperbolic for name in names],
+        )
 
         cones = []
         for constraint in self._cones:
-            rows = [self._vectorise(expand(row), index) for row in constraint.rows]
+            rows = [self._dense(row, substitutions, column, n) for row in constraint.rows]
             A = np.vstack([r for r, _ in rows]) if rows else np.zeros((0, n))
             b = np.array([const for _, const in rows])
-            cvec, d = self._vectorise(expand(constraint.rhs), index)
+            cvec, d = self._dense(constraint.rhs, substitutions, column, n)
             cones.append(CompiledCone(A=A, b=b, c=cvec, d=d, name=constraint.name))
-
-        G = self._build_rows(g_rows, n)
-        h = np.array(h_vals)
 
         return CompiledProblem(
             variables=free,
@@ -689,56 +937,56 @@ class ConeProgram:
             cones=cones,
             inequality_names=ineq_names,
             block_structure=self._compile_block_structure(
-                index, G, hyperbolic, cones
+                column, G, hyperbolic, cones
             ),
             registered_variables=list(self._variables),
             substitutions={
-                var: (
-                    np.array([index[term] for term in expression.terms], dtype=np.intp),
-                    np.array(list(expression.terms.values()), dtype=float),
-                    expression.constant,
+                self._variables[position]: (
+                    column[np.fromiter(terms, dtype=np.intp, count=len(terms))],
+                    np.array(list(terms.values()), dtype=float),
+                    constant,
                 )
-                for var, expression in substitutions.items()
+                for position, (terms, constant) in substitutions.items()
             },
             h_shifts=h_shifts,
         )
 
     def _compile_block_structure(
         self,
-        index: Dict[Variable, int],
+        column: np.ndarray,
         G: object,
-        hyperbolic: List[CompiledHyperbolic],
+        hyperbolic: CompiledHyperbolic,
         cones: List[CompiledCone],
     ) -> Optional[BlockStructure]:
         """Turn a :meth:`declare_blocks` declaration into a :class:`BlockStructure`.
 
-        ``index`` maps the free variables to their columns.  Returns ``None``
-        (no structure: the solver treats the program as one block) when no
-        blocks were declared, when the groups do not form contiguous runs of
-        registered variables covering every one of them, or when a
-        hyperbolic / SOC constraint spans several blocks after substitution
-        — only *linear inequality* rows may couple blocks, because only
-        their barrier Hessian contribution is the low-rank term the
-        Schur-complement solve handles.  Substituted variables have no
-        column, so each block's range covers the free columns of its group.
+        ``column`` maps registered positions to free columns (``-1`` for a
+        substituted variable).  Returns ``None`` (no structure: the solver
+        treats the program as one block) when no blocks were declared, when
+        the groups do not form contiguous runs of registered variables
+        covering every one of them, or when a hyperbolic / SOC constraint
+        spans several blocks after substitution — only *linear inequality*
+        rows may couple blocks, because only their barrier Hessian
+        contribution is the low-rank term the Schur-complement solve
+        handles.  Substituted variables have no column, so each block's range
+        covers the free columns of its group.
 
-        Row/block membership is detected in O(nnz) straight from the CSR
-        index arrays; no dense column scans, so compilation stays linear in
-        the number of applications.
+        Row/block membership of ``G``, ``P`` and ``Q`` is read in O(nnz)
+        straight from the CSR index arrays; no dense column scans, so
+        compilation stays linear in the number of applications.
         """
         if not self._block_groups:
             return None
-        registered = {var: i for i, var in enumerate(self._variables)}
         #: ``free_before[i]``: the free columns among the first ``i`` variables
         free_before = np.zeros(len(self._variables) + 1, dtype=int)
-        np.cumsum([var in index for var in self._variables], out=free_before[1:])
+        np.cumsum(column >= 0, out=free_before[1:])
         covered = np.zeros(len(self._variables), dtype=bool)
-        col_block = np.full(len(index), -1, dtype=int)
+        col_block = np.full(int(free_before[-1]), -1, dtype=int)
         ranges: List[Tuple[int, int]] = []
         for block_index, group in enumerate(self._block_groups):
             if not group:
                 return None
-            positions = sorted(registered[var] for var in group)
+            positions = sorted(self._positions[var] for var in group)
             start, stop = positions[0], positions[-1] + 1
             if stop - start != len(positions) or np.any(covered[start:stop]):
                 return None
@@ -748,28 +996,18 @@ class ConeProgram:
             ranges.append((first, last))
         if not np.all(covered):
             return None
+        empty = len(ranges)
 
-        def blocks_of(rows: np.ndarray) -> np.ndarray:
-            """Distinct blocks touched by the support of stacked row vectors."""
-            columns = np.flatnonzero(np.any(np.atleast_2d(rows) != 0.0, axis=0))
-            return np.unique(col_block[columns])
-
-        def single_block(rows: np.ndarray) -> Optional[int]:
-            touched = blocks_of(rows)
-            if touched.size > 1:
-                return None
-            return int(touched[0]) if touched.size else 0
-
-        def row_block_spans(matrix: object) -> Tuple[np.ndarray, np.ndarray]:
-            """Per-row (lowest, highest) touched block; empty rows give (0, 0)."""
-            csr = matrix.tocsr()
-            counts = np.diff(csr.indptr)
-            lo = np.zeros(csr.shape[0], dtype=int)
-            hi = np.zeros(csr.shape[0], dtype=int)
+        def spans(matrix: object) -> Tuple[np.ndarray, np.ndarray]:
+            """Per-row (lowest, highest) touched block; an empty row gives
+            (``empty``, −1)."""
+            counts = np.diff(matrix.indptr)
+            lo = np.full(matrix.shape[0], empty, dtype=int)
+            hi = np.full(matrix.shape[0], -1, dtype=int)
             nonempty = np.flatnonzero(counts > 0)
             if nonempty.size:
-                entry_blocks = col_block[csr.indices]
-                starts = csr.indptr[nonempty]
+                entry_blocks = col_block[matrix.indices]
+                starts = matrix.indptr[nonempty]
                 # reduceat segments between consecutive non-empty row
                 # starts cover exactly those rows' entries (empty rows
                 # contribute no gap), so this is per-row min/max.
@@ -777,14 +1015,22 @@ class ConeProgram:
                 hi[nonempty] = np.maximum.reduceat(entry_blocks, starts)
             return lo, hi
 
-        g_lo, g_hi = row_block_spans(G)
-        row_blocks = np.where(g_lo != g_hi, -1, g_lo).astype(int)
-        hyperbolic_blocks: List[int] = []
-        for hyp in hyperbolic:
-            block = single_block(np.vstack([hyp.p, hyp.q]))
-            if block is None:
+        g_lo, g_hi = spans(G)
+        row_blocks = np.where(g_hi < g_lo, 0, np.where(g_lo != g_hi, -1, g_lo))
+        p_lo, p_hi = spans(hyperbolic.P)
+        q_lo, q_hi = spans(hyperbolic.Q)
+        h_lo, h_hi = np.minimum(p_lo, q_lo), np.maximum(p_hi, q_hi)
+        if np.any((h_hi >= 0) & (h_lo != h_hi)):
+            return None
+        hyperbolic_blocks = np.where(h_hi < 0, 0, h_lo)
+
+        def single_block(rows: np.ndarray) -> Optional[int]:
+            columns = np.flatnonzero(np.any(np.atleast_2d(rows) != 0.0, axis=0))
+            touched = np.unique(col_block[columns])
+            if touched.size > 1:
                 return None
-            hyperbolic_blocks.append(block)
+            return int(touched[0]) if touched.size else 0
+
         cone_blocks: List[int] = []
         for cone in cones:
             block = single_block(np.vstack([cone.A, cone.c.reshape(1, -1)]))

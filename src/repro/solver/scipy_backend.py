@@ -55,14 +55,16 @@ def _build_constraints(problem: CompiledProblem) -> List[dict]:
                 "jac": lambda x, G=G: -G,
             }
         )
-    for hyp in problem.hyperbolic:
-        p, p0, q, q0, w = hyp.p, hyp.p0, hyp.q, hyp.q0, hyp.bound
+    if len(problem.hyperbolic):
+        hyp = problem.hyperbolic
+        P, Q = hyp.P.toarray(), hyp.Q.toarray()
 
-        def fun(x, p=p, p0=p0, q=q, q0=q0, w=w):
-            return np.array([(p @ x + p0) * (q @ x + q0) - w])
+        def fun(x, P=P, Q=Q):
+            return (P @ x + hyp.p0) * (Q @ x + hyp.q0) - hyp.bound
 
-        def jac(x, p=p, p0=p0, q=q, q0=q0):
-            return ((q @ x + q0) * p + (p @ x + p0) * q).reshape(1, -1)
+        def jac(x, P=P, Q=Q):
+            p, q = P @ x + hyp.p0, Q @ x + hyp.q0
+            return q[:, None] * P + p[:, None] * Q
 
         constraints.append({"type": "ineq", "fun": fun, "jac": jac})
     for cone in problem.cones:

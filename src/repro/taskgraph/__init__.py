@@ -6,8 +6,8 @@ This package implements Section II-A of the paper: the configuration tuple
 serialisation and synthetic workload generators.
 """
 
+from repro._lazy import lazy_exports
 from repro.taskgraph.buffer import Buffer
-from repro.taskgraph.builder import ConfigurationBuilder
 from repro.taskgraph.configuration import Configuration, MappedConfiguration
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.platform import (
@@ -18,20 +18,35 @@ from repro.taskgraph.platform import (
     homogeneous_platform,
 )
 from repro.taskgraph.task import Task
-from repro.taskgraph.workload import (
-    Application,
-    MappedWorkload,
-    Workload,
-    load_workload,
-    random_workload,
-    save_workload,
-    workload_from_configurations,
-    workload_from_dict,
-    workload_from_json,
-    workload_to_dict,
-    workload_to_json,
+
+#: The builder, workloads, generators and the remaining submodules load on
+#: first use: allocating one configuration file needs none of them.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ConfigurationBuilder": "repro.taskgraph.builder",
+        **{
+            name: "repro.taskgraph.workload"
+            for name in (
+                "Application",
+                "MappedWorkload",
+                "Workload",
+                "load_workload",
+                "random_workload",
+                "save_workload",
+                "workload_from_configurations",
+                "workload_from_dict",
+                "workload_from_json",
+                "workload_to_dict",
+                "workload_to_json",
+            )
+        },
+        **{
+            name: f"repro.taskgraph.{name}"
+            for name in ("builder", "generators", "serialization", "validate", "workload")
+        },
+    },
 )
-from repro.taskgraph import generators, serialization, validate, workload
 
 __all__ = [
     "Application",

@@ -51,6 +51,7 @@ class TaskGraph:
         self._tasks: Dict[str, Task] = {}
         self._buffers: Dict[str, Buffer] = {}
         self._repetitions: Optional[Dict[str, int]] = None
+        self._cyclo_static: Optional[bool] = None
         for task in tasks:
             self.add_task(task)
         for buffer in buffers:
@@ -64,6 +65,7 @@ class TaskGraph:
             )
         self._tasks[task.name] = task
         self._repetitions = None
+        self._cyclo_static = None
         return task
 
     def add_buffer(self, buffer: Buffer) -> Buffer:
@@ -79,6 +81,7 @@ class TaskGraph:
                 )
         self._buffers[buffer.name] = buffer
         self._repetitions = None
+        self._cyclo_static = None
         return buffer
 
     # -- lookup ---------------------------------------------------------------
@@ -169,11 +172,14 @@ class TaskGraph:
 
         Single-phase, one-token-per-firing graphs — including ones built
         through the CSDF fields with trivial values — take the legacy
-        single-rate lowering path unchanged.
+        single-rate lowering path unchanged.  Cached until the next task or
+        buffer is added (tasks and buffers are immutable).
         """
-        if any(task.phase_count > 1 for task in self._tasks.values()):
-            return True
-        return any(buffer.is_multi_rate for buffer in self._buffers.values())
+        if self._cyclo_static is None:
+            self._cyclo_static = any(
+                task.phase_count > 1 for task in self._tasks.values()
+            ) or any(buffer.is_multi_rate for buffer in self._buffers.values())
+        return self._cyclo_static
 
     def repetitions(self) -> Dict[str, int]:
         """The repetition vector ``q``: phase-cycle iterations per task per graph

@@ -244,7 +244,7 @@ class TestIncrementalSessionEquivalence:
             raise RuntimeError("synthetic solve-session failure")
 
         monkeypatch.setattr(
-            "repro.core.allocator.SolveSession", exploding_session
+            "repro.solver.parametric.SolveSession", exploding_session
         )
         with pytest.raises(RuntimeError, match="synthetic"):
             session.add_application("pip", chain_configuration(stages=2, period=15.0))

@@ -25,6 +25,7 @@ from repro.core.formulation import effective_budget_bounds
 from repro.taskgraph import MappedConfiguration
 from repro.taskgraph.generators import (
     chain_configuration,
+    csdf_chain_configuration,
     heterogeneous_random_configuration,
     producer_consumer_configuration,
 )
@@ -132,6 +133,23 @@ class TestBufferSizingLP:
             configuration=config, budgets=joint.budgets, buffer_capacities=capacities
         )
         assert verify_mapping(sized).is_valid
+
+
+    @pytest.mark.parametrize("phases", [2, 3])
+    def test_sizes_cyclo_static_space_queues_like_the_formulation(self, phases):
+        """A cyclo-static space queue carries ``token_scale·γ + token_offset``
+        tokens, not ``γ − ι``: at the joint allocator's budgets the LP's
+        capacities verify and need no more containers than the joint's."""
+        config = csdf_chain_configuration(stages=2, phases_per_task=phases)
+        joint = allocate(config)
+        capacities = minimal_buffer_capacities(config, joint.budgets)
+        sized = MappedConfiguration(
+            configuration=config, budgets=joint.budgets, buffer_capacities=capacities
+        )
+        assert verify_mapping(sized).is_valid
+        assert set(capacities) == set(joint.buffer_capacities)
+        for name, capacity in capacities.items():
+            assert capacity <= joint.buffer_capacities[name]
 
 
 class TestTwoPhaseFlows:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -69,3 +70,57 @@ def test_allocation_and_analysis_need_only_declared_dependencies(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.splitlines()[-1] == "ok"
+
+
+#: Modules ``repro-map allocate`` never runs: the builder, workloads and
+#: generators, parametric re-solve, telemetry export and progress, SDF
+#: expansion, schedules, monotonicity checks, the TDM and latency-rate
+#: models and table rendering.
+_UNUSED_ON_ALLOCATE = (
+    "repro.taskgraph.generators",
+    "repro.taskgraph.workload",
+    "repro.taskgraph.builder",
+    "repro.solver.parametric",
+    "repro.obs.export",
+    "repro.obs.progress",
+    "repro.dataflow.sdf",
+    "repro.dataflow.schedule",
+    "repro.dataflow.monotonicity",
+    "repro.scheduling.tdm",
+    "repro.scheduling.latency_rate",
+    "repro.analysis.report",
+)
+
+_ALLOCATE_SCRIPT = """
+import json
+import sys
+
+import repro.cli
+
+config, output = sys.argv[1], sys.argv[2]
+assert repro.cli.main(["allocate", config, "--output", output, "--stats"]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+"""
+
+
+def test_cli_allocate_leaves_unused_modules_unimported(tmp_path):
+    from repro.taskgraph import serialization
+    from repro.taskgraph.generators import producer_consumer_configuration
+
+    config = tmp_path / "config.json"
+    serialization.save_configuration(producer_consumer_configuration(max_capacity=5), config)
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SOURCE_ROOT), environment.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _ALLOCATE_SCRIPT, str(config), str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+        env=environment,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    loaded = set(json.loads(completed.stdout.splitlines()[-1]))
+    assert "repro.solver.barrier" in loaded
+    assert loaded.isdisjoint(_UNUSED_ON_ALLOCATE), sorted(loaded & set(_UNUSED_ON_ALLOCATE))

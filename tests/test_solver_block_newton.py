@@ -19,7 +19,6 @@ from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
-from repro.solver.problem import CompiledCone, CompiledHyperbolic
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
 from repro.taskgraph.workload import random_workload
@@ -469,22 +468,14 @@ def hand_terms(kind, count, width, rng, z, bound=0.5):
         G = rng.standard_normal((count, width))
         return barrier._LinearBlock(G, G @ z + rng.uniform(0.5, 2.0, count))
     if kind is barrier._HyperbolicBlock:
-        hyps = []
-        for _ in range(count):
-            p, q = rng.standard_normal(width), rng.standard_normal(width)
-            hyps.append(
-                CompiledHyperbolic(
-                    p=p, p0=1.0 - p @ z, q=q, q0=2.0 - q @ z, bound=bound
-                )
-            )
-        return barrier._HyperbolicBlock(hyps)
-    cones = []
-    for _ in range(count):
-        A, c = rng.standard_normal((2, width)), rng.standard_normal(width)
-        cones.append(
-            CompiledCone(A=A, b=rng.uniform(-0.5, 0.5, 2), c=c, d=3.0 - c @ z)
+        P = rng.standard_normal((count, width))
+        Q = rng.standard_normal((count, width))
+        return barrier._HyperbolicBlock(
+            P, 1.0 - P @ z, Q, 2.0 - Q @ z, np.full(count, bound)
         )
-    return barrier._ConeBlock(cones)
+    A = rng.standard_normal((count, 2, width))
+    C = rng.standard_normal((count, width))
+    return barrier._ConeBlock(A, rng.uniform(-0.5, 0.5, (count, 2)), C, 3.0 - C @ z)
 
 
 def hand_group(kind, counts, width, seed=0):
@@ -544,10 +535,8 @@ class TestNaturalFactorisationFailure:
             G = np.vstack([np.eye(width), -np.eye(width)])
             linear = barrier._LinearBlock(G, np.full(2 * width, 20.0))
             hyperbolic = barrier._HyperbolicBlock(
-                [CompiledHyperbolic(
-                    p=np.array([1.0, 0.0]), p0=1.0,
-                    q=np.array([0.0, 1.0]), q0=1.0, bound=bound,
-                )]
+                np.array([[1.0, 0.0]]), np.array([1.0]),
+                np.array([[0.0, 1.0]]), np.array([1.0]), np.array([bound]),
             )
             for term in (linear, hyperbolic):
                 term.support = np.arange(slc.start, slc.stop)

@@ -77,10 +77,13 @@ class TestCompilation:
         y = program.add_variable("y")
         program.add_hyperbolic(x + 1.0, y, bound=2.0)
         compiled = program.compile()
-        assert len(compiled.hyperbolic) == 1
-        hyp = compiled.hyperbolic[0]
-        assert hyp.p0 == pytest.approx(1.0)
-        assert hyp.bound == pytest.approx(2.0)
+        hyp = compiled.hyperbolic
+        assert len(hyp) == 1
+        # One CSR row per side: (x + 1)·y ≥ 2.
+        assert hyp.P.toarray().tolist() == [[1.0, 0.0]]
+        assert hyp.Q.toarray().tolist() == [[0.0, 1.0]]
+        assert hyp.p0.tolist() == [1.0] and hyp.q0.tolist() == [0.0]
+        assert hyp.bound.tolist() == [2.0]
 
     def test_maximisation_negates_objective(self):
         program = ConeProgram()
