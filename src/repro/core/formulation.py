@@ -211,8 +211,8 @@ class _RowWriter:
 class _GraphFacts:
     """Per-graph quantities the block reads for every task and queue.
 
-    Computed once per specification: ``TaskGraph.period_cycles`` walks the
-    whole graph on every call.
+    Computed once per specification and shared by variable creation and
+    every sweep point's bound re-evaluation.
     """
 
     period_cycles: Dict[str, float]   #: per task, ``graph.period_cycles``
