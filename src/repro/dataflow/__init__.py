@@ -56,38 +56,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Actor",
-    "ActorRole",
-    "ActorSpec",
-    "CycleRatio",
-    "PeriodicSchedule",
-    "Queue",
-    "QueueKind",
-    "QueueSpec",
-    "SDFActor",
-    "SDFChannel",
-    "SDFGraph",
-    "SRDFGraph",
-    "SimulationTrace",
-    "SrdfSpecification",
-    "build_configuration_specifications",
-    "build_srdf_specification",
-    "check_monotonicity",
-    "compute_schedule",
-    "critical_cycle",
-    "critical_cycles",
-    "cycle_ratios",
-    "finish_actor_name",
-    "instantiate_from_configuration",
-    "instantiate_srdf",
-    "is_period_feasible",
-    "maximum_cycle_ratio",
-    "measured_period",
-    "meets_period",
-    "rate_optimal_schedule",
-    "simulate",
-    "speedup_graph",
-    "start_actor_name",
-    "throughput",
-]
+__all__ = sorted(_EXPORTS)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro._lazy import lazy_exports
 from repro.obs import metrics
@@ -45,28 +45,26 @@ from repro.obs.trace import Span, Tracer, get_tracer, span, span_tree_size
 
 #: The JSONL export and the progress reporter load on first use: a solve
 #: with telemetry off never needs them.
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "SCHEMA_VERSION": "repro.obs.export",
-        "JsonlSink": "repro.obs.export",
-        "read_records": "repro.obs.export",
-        "render_metrics": "repro.obs.export",
-        "render_profile": "repro.obs.export",
-        "render_trace_tree": "repro.obs.export",
-        "validate_record": "repro.obs.export",
-        "ProgressReporter": "repro.obs.progress",
-        "export": "repro.obs.export",
-        "progress": "repro.obs.progress",
-    },
-)
+_EXPORTS = {
+    "SCHEMA_VERSION": "repro.obs.export",
+    "JsonlSink": "repro.obs.export",
+    "read_records": "repro.obs.export",
+    "render_metrics": "repro.obs.export",
+    "render_profile": "repro.obs.export",
+    "render_trace_tree": "repro.obs.export",
+    "validate_record": "repro.obs.export",
+    "ProgressReporter": "repro.obs.progress",
+    "export": "repro.obs.export",
+    "progress": "repro.obs.progress",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.obs.export import JsonlSink
 
 __all__ = [
-    "SCHEMA_VERSION",
     "Capture",
-    "JsonlSink",
     "MetricsRegistry",
-    "ProgressReporter",
     "Span",
     "Tracer",
     "capture",
@@ -75,14 +73,10 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "metrics",
-    "read_records",
-    "render_metrics",
-    "render_profile",
-    "render_trace_tree",
     "span",
     "span_tree_size",
-    "validate_record",
 ]
+__all__ += sorted(_EXPORTS)
 
 
 def _as_sink(sink: Optional[Union[JsonlSink, str, Path]]) -> Optional[JsonlSink]:

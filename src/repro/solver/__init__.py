@@ -33,13 +33,11 @@ from repro.solver.barrier import BarrierOptions, BarrierSolver
 from repro.solver.problem import BlockStructure, CompiledProblem, ConeProgram
 
 #: Parametric re-solve loads on first use: a one-shot solve never needs it.
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        name: "repro.solver.parametric"
-        for name in ("ParametricProblem", "SessionStats", "SolveSession")
-    },
-)
+_EXPORTS = {
+    name: "repro.solver.parametric"
+    for name in ("ParametricProblem", "SessionStats", "SolveSession")
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 from repro.solver.result import Solution, SolverStatus
 
 __all__ = [
@@ -49,9 +47,6 @@ __all__ = [
     "BlockStructure",
     "CompiledProblem",
     "ConeProgram",
-    "ParametricProblem",
-    "SessionStats",
-    "SolveSession",
     "EQUAL",
     "GREATER_EQUAL",
     "LESS_EQUAL",
@@ -63,3 +58,4 @@ __all__ = [
     "Variable",
     "linear_sum",
 ]
+__all__ += sorted(_EXPORTS)

@@ -21,58 +21,41 @@ from repro.taskgraph.task import Task
 
 #: The builder, workloads, generators and the remaining submodules load on
 #: first use: allocating one configuration file needs none of them.
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "ConfigurationBuilder": "repro.taskgraph.builder",
-        **{
-            name: "repro.taskgraph.workload"
-            for name in (
-                "Application",
-                "MappedWorkload",
-                "Workload",
-                "load_workload",
-                "random_workload",
-                "save_workload",
-                "workload_from_configurations",
-                "workload_from_dict",
-                "workload_from_json",
-                "workload_to_dict",
-                "workload_to_json",
-            )
-        },
-        **{
-            name: f"repro.taskgraph.{name}"
-            for name in ("builder", "generators", "serialization", "validate", "workload")
-        },
+_EXPORTS = {
+    "ConfigurationBuilder": "repro.taskgraph.builder",
+    **{
+        name: "repro.taskgraph.workload"
+        for name in (
+            "Application",
+            "MappedWorkload",
+            "Workload",
+            "load_workload",
+            "random_workload",
+            "save_workload",
+            "workload_from_configurations",
+            "workload_from_dict",
+            "workload_from_json",
+            "workload_to_dict",
+            "workload_to_json",
+        )
     },
-)
+    **{
+        name: f"repro.taskgraph.{name}"
+        for name in ("builder", "generators", "serialization", "validate", "workload")
+    },
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
-    "Application",
     "Buffer",
     "Configuration",
-    "ConfigurationBuilder",
     "MappedConfiguration",
-    "MappedWorkload",
     "Memory",
     "Platform",
     "Processor",
     "Task",
     "TaskGraph",
-    "Workload",
-    "generators",
     "heterogeneous_platform",
     "homogeneous_platform",
-    "load_workload",
-    "random_workload",
-    "save_workload",
-    "serialization",
-    "validate",
-    "workload",
-    "workload_from_configurations",
-    "workload_from_dict",
-    "workload_from_json",
-    "workload_to_dict",
-    "workload_to_json",
 ]
+__all__ += sorted(_EXPORTS)
