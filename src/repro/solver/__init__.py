@@ -7,9 +7,9 @@ with a self-contained modelling layer and solvers:
 * :class:`~repro.solver.expression.Variable` /
   :class:`~repro.solver.expression.AffineExpression` — expression algebra.
 * :class:`~repro.solver.constraints.LinearConstraint`,
-  :class:`~repro.solver.constraints.HyperbolicConstraint`,
-  :class:`~repro.solver.constraints.SecondOrderConeConstraint` — constraint
-  families.
+  :class:`~repro.solver.constraints.HyperbolicConstraint` — the two
+  constraint families (a hyperbolic constraint is a rotated second-order
+  cone).
 * :class:`~repro.solver.barrier.BarrierSolver` — from-scratch log-barrier
   interior-point method (the default backend for cone programs).
 * :class:`~repro.solver.parametric.ParametricProblem` /
@@ -25,7 +25,6 @@ from repro.solver.constraints import (
     LESS_EQUAL,
     HyperbolicConstraint,
     LinearConstraint,
-    SecondOrderConeConstraint,
 )
 from repro.solver.expression import AffineExpression, Variable, linear_sum
 from repro._lazy import lazy_exports
@@ -52,7 +51,6 @@ __all__ = [
     "LESS_EQUAL",
     "HyperbolicConstraint",
     "LinearConstraint",
-    "SecondOrderConeConstraint",
     "Solution",
     "SolverStatus",
     "Variable",

@@ -75,7 +75,7 @@ def solve_compiled(
             interior_point=interior_point,
         )
     # backend == "auto"
-    if not problem.hyperbolic and not problem.cones:
+    if not problem.hyperbolic:
         solution = solve_with_linprog(problem)
         if solution.status in (SolverStatus.OPTIMAL, SolverStatus.INFEASIBLE, SolverStatus.UNBOUNDED):
             return solution

@@ -1,13 +1,14 @@
-"""Log-barrier interior-point solver for linear + second-order cone programs.
+"""Log-barrier interior-point solver for linear + hyperbolic cone programs.
 
 This module is the from-scratch replacement for the commercial cone solver
 (CPLEX) used in the paper.  It implements the classic two-phase barrier
 method described in Boyd & Vandenberghe, *Convex Optimization*, chapter 11:
 
 * **Phase I** finds a strictly feasible point by minimising a single scalar
-  infeasibility ``t`` that relaxes every inequality, with hyperbolic
-  constraints handled in their second-order cone form (which is jointly
-  convex in the original variables and ``t``).
+  infeasibility ``t`` that relaxes every inequality; a hyperbolic constraint
+  ``p·q ≥ w`` is relaxed by shifting both sides, ``(p + t/2)(q + t/2) ≥ w``,
+  which is again hyperbolic and jointly convex in the original variables
+  and ``t``.
 * **Phase II** minimises ``t_barrier · cᵀx + φ(x)`` by damped Newton steps for
   a geometrically increasing barrier parameter ``t_barrier``, where ``φ`` is
   the sum of the logarithmic barriers of all constraints.
@@ -20,27 +21,29 @@ admission controller's anytime verdict, without computing an optimum.  Both
 share one prefix: the per-block slicing, the start point and phase I are set
 up in one place.
 
-Barrier terms used (all standard self-concordant barriers):
+Barrier terms used (both standard self-concordant barriers):
 
 * linear ``G·x ≤ h``:            ``−Σ log(h_i − g_iᵀx)``
 * hyperbolic ``p(x)·q(x) ≥ w``:  ``−log(p·q − w)`` on the branch ``p, q > 0``
-* SOC ``‖u(x)‖ ≤ v(x)``:         ``−log(v² − ‖u‖²)`` on the branch ``v > 0``
 
-Each family is built as a *vectorised term* (one stacked matrix per family,
-SOC cones batched by norm dimension).  A term's
-:meth:`~_BarrierTerm.evaluate` returns its slack *state* along with the
-feasibility check and the barrier value, and :meth:`~_BarrierTerm.grad_hess`
-builds the gradient and Hessian from that state; these per-term methods are
-the reference the Newton kernel is tested against.  The kernel itself stacks
-the terms of equal-shaped blocks into padded tensors (see below) and keeps
-the same split: the Newton loop evaluates every line-search trial point
-exactly once, and the accepted trial's state is carried into the next
-direction.
+The hyperbolic term is a rotated second-order cone: ``p·q ≥ w`` with
+``p, q > 0`` is ``‖(2√w, p − q)‖ ≤ p + q``, and its barrier is that cone's
+``−log((p + q)² − 4w − (p − q)²)`` up to the constant ``log 4``.
+
+Each family is built as a *vectorised term* (one stacked matrix per
+family).  A term's :meth:`~_BarrierTerm.evaluate` returns its slack *state*
+along with the feasibility check and the barrier value, and
+:meth:`~_BarrierTerm.grad_hess` builds the gradient and Hessian from that
+state; these per-term methods are the reference the Newton kernel is tested
+against.  The kernel itself stacks the terms of equal-shaped blocks into
+padded tensors (see below) and keeps the same split: the Newton loop
+evaluates every line-search trial point exactly once, and the accepted
+trial's state is carried into the next direction.
 
 The solver sees no equality constraints: :meth:`ConeProgram.compile
 <repro.solver.problem.ConeProgram.compile>` substitutes fixed variables and
-equality rows out, so the barrier works on ``G``, the cones and the block
-structure exactly as compiled, over the free columns.
+equality rows out, so the barrier works on ``G``, the hyperbolic terms and
+the block structure exactly as compiled, over the free columns.
 
 Structured Newton solves
 ------------------------
@@ -78,7 +81,7 @@ option:
 When a factorisation of the arrow solve fails, that iteration takes one
 dense step on the assembled ``k×k`` system; when a ``k×k`` Cholesky fails,
 the step is a least-squares solve.  The per-block slices of ``G`` and the
-cone data are cached on the compiled problem
+hyperbolic terms are cached on the compiled problem
 (:attr:`~repro.solver.problem.CompiledProblem.pieces_cache`), so
 warm-started parametric re-solves slice exactly once.
 
@@ -100,11 +103,9 @@ The structured path is built to scale to hundreds of applications:
   ``Rᵀ·g``: each Newton step writes the row weights from the carried
   states, then assembles all members' gradients and Hessian blocks in one
   batched matmul each;
-* each member block is factorised and solved by one LAPACK Cholesky solve
-  (``dposv``, whose pivot check is the positive-definiteness test), and so
-  is the coupling Schur matrix, while blocks at least ``_SPLU_BLOCK_WIDTH``
-  wide form groups of one that go through a sparse ``splu`` factorisation
-  instead.
+* each member block is factorised and solved by one Cholesky solve
+  (:func:`_spd_solve`, whose pivot check is the positive-definiteness
+  test), and so is the coupling Schur matrix.
 
 Per-iteration cost is therefore linear in the number of applications; the
 ``benchmarks/test_bench_block_newton.py`` scaling curve pins this.
@@ -118,23 +119,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse as _sp
 from scipy.linalg.lapack import dposv as _dposv
-from scipy.sparse.linalg import splu as _sp_splu
 
 from repro.exceptions import NumericalError
 from repro.obs.metrics import get_registry as _metrics_registry
 from repro.obs.trace import span as obs_span
 from repro.reliability.faults import maybe_fail as _maybe_fail
-from repro.solver.problem import BlockStructure, CompiledCone, CompiledProblem
+from repro.solver.problem import BlockStructure, CompiledProblem
 from repro.solver.result import Solution, SolverStatus
-
-#: Per-application Hessian blocks at least this wide are factorised with a
-#: sparse LU (:func:`scipy.sparse.linalg.splu`) instead of joining a dense
-#: Cholesky group.  Workload blocks are narrow (a few dozen variables),
-#: so this only engages for unusually large applications.
-_SPLU_BLOCK_WIDTH = 256
-
 
 #: Widest system :func:`_spd_solve` hands to scipy's LAPACK ``dposv``.  The
 #: OpenBLAS bundled with scipy factorises narrower matrices on one thread;
@@ -163,18 +155,6 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return solution
-
-
-def _splu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a wide block through a sparse LU (:func:`scipy.sparse.linalg.splu`).
-
-    Raises :class:`numpy.linalg.LinAlgError` on a singular factor, like
-    :func:`_spd_solve` on a matrix that is not positive definite.
-    """
-    try:
-        return _sp_splu(_sp.csc_matrix(matrix)).solve(rhs)
-    except RuntimeError as error:
-        raise np.linalg.LinAlgError(str(error)) from error
 
 
 @dataclass
@@ -330,92 +310,6 @@ class _HyperbolicBlock(_BarrierTerm):
         return grad, hess
 
 
-class _ConeBlock(_BarrierTerm):
-    """Vectorised barrier block for SOC constraints sharing one norm dimension.
-
-    Cones ``‖A_i·x + b_i‖₂ ≤ c_i·x + d_i`` (branch ``c_i·x + d_i > 0``) whose
-    ``A_i`` matrices have the same number of rows are batched into a single
-    3-D tensor; callers group cones by row count before constructing blocks.
-    The state is the triple ``(u, v, v² − ‖u‖²)``.
-    """
-
-    def __init__(
-        self,
-        A: np.ndarray,
-        b: np.ndarray,
-        C: np.ndarray,
-        d: np.ndarray,
-        support: Optional[np.ndarray] = None,
-        block: Optional[int] = None,
-    ) -> None:
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.C = np.asarray(C, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-        self.count = int(self.d.size)
-        self.support = support
-        self.block = block
-
-    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
-        local = self.local(x)
-        u = self.A @ local + self.b
-        v = self.C @ local + self.d
-        if v.min() <= 0.0:
-            return None, -1.0, math.inf  # off the positive branch
-        f = v * v - np.einsum("im,im->i", u, u)
-        smallest = float(f.min())
-        if not smallest > 0.0:
-            return None, smallest, math.inf
-        return (u, v, f), smallest, -float(np.log(f).sum())
-
-    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        u, v, f = state
-        inv = 1.0 / f
-        # ∇f_i = 2v_i·c_i − 2A_iᵀu_i, stacked row-wise.
-        Gf = 2.0 * (self.C * v[:, None] - np.einsum("imk,im->ik", self.A, u))
-        grad = -(Gf.T @ inv)
-        # Σ ∇f∇fᵀ/f² − Σ ∇²f/f with ∇²f_i = 2(c_ic_iᵀ − A_iᵀA_i).
-        hess = (Gf * (inv * inv)[:, None]).T @ Gf
-        hess -= 2.0 * ((self.C * inv[:, None]).T @ self.C)
-        hess += 2.0 * np.einsum("imj,i,imk->jk", self.A, inv, self.A)
-        return grad, hess
-
-
-#: Cones sharing one norm dimension, stacked: ``(A, b, C, d)`` with shapes
-#: ``(count, dim, width)``, ``(count, dim)``, ``(count, width)``, ``(count,)``.
-_ConeStackArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _stack_cone(cone: CompiledCone) -> _ConeStackArrays:
-    """One compiled cone as a stack of one."""
-    return (
-        np.asarray(cone.A, dtype=float)[None],
-        np.asarray(cone.b, dtype=float)[None],
-        np.asarray(cone.c, dtype=float)[None],
-        np.array([float(cone.d)]),
-    )
-
-
-def _cone_blocks(
-    stacks: Sequence[_ConeStackArrays],
-    support: Optional[np.ndarray] = None,
-    block: Optional[int] = None,
-) -> List[_ConeBlock]:
-    """Batch cone stacks into vectorised blocks, one per norm dimension
-    (ascending), keeping the order of the cones within a dimension."""
-    by_dim: Dict[int, List[_ConeStackArrays]] = {}
-    for stack in stacks:
-        by_dim.setdefault(int(stack[0].shape[1]), []).append(stack)
-    return [
-        _ConeBlock(
-            *(np.concatenate(arrays) for arrays in zip(*group)),
-            support=support,
-            block=block,
-        )
-        for _, group in sorted(by_dim.items())
-    ]
-
-
 def _batched_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``M[j] @ x[j]`` for every batch row ``j`` of a ``(B, r, n)`` stack
     (or ``M @ x`` for an unbatched one)."""
@@ -542,92 +436,15 @@ class _HyperbolicStack:
         self.wPQ += self.PQ[..., ::-1, :, :] * beta[..., None, :, None]  # β·[Q; P]
 
 
-class _ConeStack:
-    """The ``_ConeBlock`` terms (one norm dimension) of a block group, padded.
-
-    Each cone owns ``dim + 1`` consecutive rows of the group's row tensor,
-    its ``A`` rows followed by its ``c`` row; ``AC`` views them as
-    ``(..., count, dim + 1, n)``.
-    Padding cones are ``‖0·x + 0‖ ≤ 0·x + 1`` (slack 1, zero gradient and
-    Hessian).  The state is the pair ``(uv, v² − ‖u‖²)`` with
-    ``uv[..., :dim]`` = ``u`` and ``uv[..., dim]`` = ``v``.
-    """
-
-    @staticmethod
-    def height(terms: Sequence[_ConeBlock]) -> int:
-        return max(term.count for term in terms) * (terms[0].A.shape[1] + 1)
-
-    def __init__(
-        self,
-        terms: Sequence[_ConeBlock],
-        rows: np.ndarray,
-        wrows: np.ndarray,
-        wgrad: np.ndarray,
-        start: int,
-    ) -> None:
-        dim = terms[0].A.shape[1]
-        count = self.height(terms) // (dim + 1)
-        size, _, n = rows.shape
-        self.span = slice(start, start + count * (dim + 1))
-        AC = rows[:, self.span].reshape(size, count, dim + 1, n)
-        bd = np.zeros((size, count, dim + 1))
-        bd[..., dim] = 1.0
-        for j, term in enumerate(terms):
-            used = term.count
-            AC[j, :used, :dim] = term.A
-            AC[j, :used, dim] = term.C
-            bd[j, :used, :dim] = term.b
-            bd[j, :used, dim] = term.d
-        self.AC, self.bd = _members(AC), _members(bd)
-        self.dim = dim
-        #: ``+1`` on the ``A`` rows, ``−1`` on the ``c`` row
-        self.sign = np.ones(dim + 1)
-        self.sign[dim] = -1.0
-        self.wAC = _members(wrows[:, self.span].reshape(size, count, dim + 1, n))
-        self.gAC = _members(wgrad[:, self.span].reshape(size, count, dim + 1))
-
-    def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
-        uv = values[..., self.span].reshape(self.bd.shape) + self.bd
-        u, v = uv[..., : self.dim], uv[..., self.dim]
-        if v.min() <= 0.0:
-            return None, math.inf  # off the positive branch
-        f = v * v - np.einsum("...rm,...rm->...r", u, u)
-        if not f.min() > 0.0:
-            return None, math.inf
-        return (uv, f), -float(np.log(f).sum())
-
-    def weigh(self, state: Tuple[np.ndarray, ...]) -> None:
-        """The ``_ConeBlock.grad_hess`` algebra as row weights.
-
-        With ``∇f = 2(v·c − Aᵀu)`` the gradient is ``2uᵀA/f − 2v·c/f`` and
-        the Hessian ``∇f∇fᵀ/f² − 2ccᵀ/f + 2AᵀA/f`` is ``Aᵀ(W·A) + cᵀ(W·c)``
-        with ``W·A = 2A/f − 2u⊗∇f/f²`` and ``W·c = 2v·∇f/f² − 2c/f``.  In
-        the stacked rows ``[A; c]`` the gradient coefficients are
-        ``g = (2/f)·[u; −v]``, ``∇f/f = −gᵀ[A; c]``, and so
-        ``W·[A; c] = (2/f)·diag(1, …, 1, −1)·[A; c] + g⊗(gᵀ[A; c])``.
-        """
-        uv, f = state
-        scale = np.multiply.outer(2.0 / f, self.sign)
-        g = self.gAC
-        np.multiply(uv, scale, out=g)
-        grad_f = np.matmul(g[..., None, :], self.AC)[..., 0, :]  # −∇f/f
-        np.einsum("...rmn,...rm->...rmn", self.AC, scale, out=self.wAC)
-        self.wAC += np.einsum("...rm,...rn->...rmn", g, grad_f)
-
-
 _STACKS = {
     _LinearBlock: _LinearStack,
     _HyperbolicBlock: _HyperbolicStack,
-    _ConeBlock: _ConeStack,
 }
 
 
-def _term_signature(terms: Sequence[_BarrierTerm]) -> Tuple[Tuple[type, int], ...]:
-    """The term kinds of one block, in order (cones by norm dimension)."""
-    return tuple(
-        (type(term), term.A.shape[1] if isinstance(term, _ConeBlock) else 0)
-        for term in terms
-    )
+def _term_signature(terms: Sequence[_BarrierTerm]) -> Tuple[type, ...]:
+    """The term kinds of one block, in order."""
+    return tuple(type(term) for term in terms)
 
 
 class _BlockGroup:
@@ -686,8 +503,6 @@ class _BlockGroup:
         self._rows_t = self.rows.swapaxes(-1, -2)
         #: gathers the members' coordinates (border included) from ``z``
         self.gather = _members(self.index)
-        #: sparse LU instead of the Cholesky solve (always a group of one)
-        self.splu = width >= _SPLU_BLOCK_WIDTH
         self.grad = np.empty((self.size, n))
         self.hess = np.empty((self.size, n, n))
         #: views of the two without the member axis of a group of one, which
@@ -756,7 +571,6 @@ def _single_block(problem: CompiledProblem) -> BlockStructure:
         ranges=[(0, problem.num_variables)],
         row_blocks=np.zeros(problem.h.shape[0], dtype=int),
         hyperbolic_blocks=np.zeros(len(problem.hyperbolic), dtype=int),
-        cone_blocks=[0] * len(problem.cones),
     )
 
 
@@ -832,8 +646,9 @@ class _CenteringResult:
 class _PiecesCache:
     """Per-block slices of a compiled program's constraints.
 
-    Everything here depends only on ``G``, the cone data and the block
-    structure — never on ``h``, the only array parametric re-solves mutate.
+    Everything here depends only on ``G``, the hyperbolic terms and the
+    block structure — never on ``h``, the only array parametric re-solves
+    mutate.
     Cached on the compiled problem
     (:attr:`~repro.solver.problem.CompiledProblem.pieces_cache`), so a
     warm-started session slices once and each solve reads only the current
@@ -847,19 +662,17 @@ class _PiecesCache:
     #: per block, its hyperbolic terms on its own columns as dense
     #: ``(P, p0, Q, q0, bound)`` (``None`` without terms)
     hyps: List[Optional[Tuple[np.ndarray, ...]]]
-    cones: List[List[CompiledCone]]    #: per block, on its own columns
     coupling_rows: np.ndarray
     coupling_G: np.ndarray             #: ``G[coupling_rows]``, full width
 
     def blocks(self, h: np.ndarray):
-        """Per block: its columns, its rows ``(G, h)``, its hyperbolic
-        terms and its cones."""
+        """Per block: its columns, its rows ``(G, h)`` and its hyperbolic
+        terms."""
         return zip(
             self.block_slices,
             self.block_G,
             (h[rows] for rows in self.block_rows),
             self.hyps,
-            self.cones,
         )
 
     def coupling(self, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -951,10 +764,7 @@ class _StructuredWorkspace:
         for index, (slc, terms) in enumerate(
             zip(plan.block_slices, plan.block_terms)
         ):
-            width = slc.stop - slc.start
-            key = (width, _term_signature(terms))
-            if width >= _SPLU_BLOCK_WIDTH:
-                key += (index,)
+            key = (slc.stop - slc.start, _term_signature(terms))
             members.setdefault(key, []).append(index)
         self.groups = [
             _BlockGroup(
@@ -1049,14 +859,12 @@ class _StructuredWorkspace:
         block takes one Cholesky solve (:func:`_spd_solve`), which is also
         its positive-definiteness check; in phase II (no border) the
         solution is written straight into the member's rows of the solution
-        buffer.  Blocks at least ``_SPLU_BLOCK_WIDTH`` wide are factorised
-        sparsely via :func:`scipy.sparse.linalg.splu`.  The border and the
-        coupling Schur matrices are symmetric positive definite too and take
-        one Cholesky solve each.
+        buffer.  The border and the coupling Schur matrices are symmetric
+        positive definite too and take one Cholesky solve each.
 
         Raises :class:`numpy.linalg.LinAlgError` when any block or Schur
-        matrix is not positive definite (or a sparse factor is singular),
-        which :meth:`direction` catches to take the dense step instead.
+        matrix is not positive definite, which :meth:`direction` catches to
+        take the dense step instead.
         """
         k, border, m, cols = self.k, self.border, self.m, self.cols
         blocks_end = k - border
@@ -1082,11 +890,10 @@ class _StructuredWorkspace:
                 continue
             R[:, :, 0] = grad[group.block_index]
             R[:, :, cols:] = H[:, :width, width:]
-            solve = _splu_solve if group.splu else _spd_solve
             if border:
                 sol = group.sol
                 for j, (_, block, member_rhs) in enumerate(group.members):
-                    sol[j] = solve(block, member_rhs)
+                    sol[j] = _spd_solve(block, member_rhs)
                 solved[group.block_index] = sol[:, :, :cols]
                 cross = R[:, :, cols:]
                 cross_rhs += np.einsum("bwj,bwc->jc", cross, sol[:, :, :cols])
@@ -1094,7 +901,7 @@ class _StructuredWorkspace:
                 border_parts.append((group.block_index, sol[:, :, cols:]))
             else:
                 for slc, block, member_rhs in group.members:
-                    solved[slc] = solve(block, member_rhs)
+                    solved[slc] = _spd_solve(block, member_rhs)
             self.stats["block_factorizations"] += group.size
         self.stats["factorization_time"] += time.perf_counter() - factor_start
 
@@ -1295,7 +1102,7 @@ class BarrierSolver:
         z0 = np.zeros(problem.num_variables)
         if initial_point is not None:
             z0 = np.array(initial_point, dtype=float)
-        if not (problem.h.size or problem.hyperbolic or problem.cones):
+        if not (problem.h.size or problem.hyperbolic):
             # Unconstrained affine minimisation: bounded only if c == 0.
             if np.allclose(problem.c, 0.0):
                 x = np.zeros(problem.num_variables)
@@ -1447,7 +1254,7 @@ class BarrierSolver:
     def _pieces(self, problem: CompiledProblem) -> _PiecesCache:
         """The per-block slices of ``problem``, cached on it.
 
-        The slices depend only on ``G``, the cone data and the block
+        The slices depend only on ``G``, the hyperbolic terms and the block
         structure, so they are computed once per compiled problem; each
         solve reads only the ``h`` rows, the one array parametric re-solves
         mutate.
@@ -1474,21 +1281,6 @@ class BarrierSolver:
             (P, hyp.p0[terms], Q, hyp.q0[terms], hyp.bound[terms]) if terms.size else None
             for terms, P, Q in zip(hyp_terms, block_P, block_Q)
         ]
-        cones_by_block: Dict[int, List[CompiledCone]] = {}
-        for cone, owner in zip(problem.cones, structure.cone_blocks):
-            cones_by_block.setdefault(owner, []).append(cone)
-        cones = [
-            [
-                CompiledCone(
-                    A=cone.A[:, start:stop].copy(),
-                    b=cone.b,
-                    c=cone.c[start:stop].copy(),
-                    d=float(cone.d),
-                )
-                for cone in cones_by_block.get(block_index, [])
-            ]
-            for block_index, (start, stop) in enumerate(ranges)
-        ]
         coupling_rows = structure.coupling_rows
         return _PiecesCache(
             dimension=n,
@@ -1496,7 +1288,6 @@ class BarrierSolver:
             block_rows=block_rows,
             block_G=block_G,
             hyps=hyps,
-            cones=cones,
             coupling_rows=coupling_rows,
             coupling_G=G[coupling_rows].toarray(),
         )
@@ -1505,7 +1296,7 @@ class BarrierSolver:
         """Phase-II (borderless) plan: narrow per-block terms + coupling rows."""
         k = pieces.dimension
         block_terms: List[List[_BarrierTerm]] = []
-        for slc, G, h_block, hyp, cone_list in pieces.blocks(h):
+        for slc, G, h_block, hyp in pieces.blocks(h):
             support = _block_support(slc, k, border=0)
             block_index = len(block_terms)
             terms: List[_BarrierTerm] = []
@@ -1517,13 +1308,6 @@ class BarrierSolver:
                 terms.append(
                     _HyperbolicBlock(*hyp, support=support, block=block_index)
                 )
-            terms.extend(
-                _cone_blocks(
-                    [_stack_cone(cone) for cone in cone_list],
-                    support=support,
-                    block=block_index,
-                )
-            )
             block_terms.append(terms)
         Gc, hc = pieces.coupling(h)
         coupling = _LinearBlock(Gc, hc) if Gc.shape[0] else None
@@ -1561,8 +1345,12 @@ class BarrierSolver:
         constraint relaxed by ``t``:
 
         * linear:      ``g·x − h ≤ t``
-        * hyperbolic:  ``‖(2√w, p − q)‖ ≤ p + q + t``   (SOC form)
-        * SOC:         ``‖u(x)‖ ≤ v(x) + t``
+        * hyperbolic:  ``(p + t/2)(q + t/2) ≥ w``
+
+        The hyperbolic relaxation is the rotated cone
+        ``‖(2√w, p − q)‖ ≤ p + q + t`` (Boyd & Vandenberghe, §11.4): the
+        identity ``(p + q + t)² − 4w − (p − q)² = 4·((p + t/2)(q + t/2) − w)``
+        makes the two barriers differ by the constant ``log 4`` only.
         """
         opts = self.options
         needed = self._required_relaxation(problem, z0)
@@ -1622,9 +1410,7 @@ class BarrierSolver:
         """
         k = pieces.dimension
         block_terms: List[List[_BarrierTerm]] = []
-        for block_index, (slc, G, h_block, hyp, cone_list) in enumerate(
-            pieces.blocks(h)
-        ):
+        for block_index, (slc, G, h_block, hyp) in enumerate(pieces.blocks(h)):
             width = slc.stop - slc.start
             support = _block_support(slc, k, border=1)
             terms: List[_BarrierTerm] = []
@@ -1649,32 +1435,21 @@ class BarrierSolver:
                         block=block_index,
                     )
                 )
-            phase_cones: List[_ConeStackArrays] = []
             if hyp is not None:
-                # p·q ≥ w as ‖(2√w, p − q)‖ ≤ p + q, relaxed by t.
+                # p·q ≥ w relaxed as (p + t/2)(q + t/2) ≥ w.
                 P, p0, Q, q0, w = hyp
-                count = w.size
-                A = np.zeros((count, 2, width + 1))
-                A[:, 1, :width] = P - Q
-                C = np.empty((count, width + 1))
-                C[:, :width] = P + Q
-                C[:, width] = 1.0
-                phase_cones.append(
-                    (A, np.stack([2.0 * np.sqrt(w), p0 - q0], axis=1), C, p0 + q0)
-                )
-            for cone in cone_list:
-                A, b, C, d = _stack_cone(cone)
-                phase_cones.append(
-                    (
-                        np.concatenate([A, np.zeros(A.shape[:2] + (1,))], axis=2),
-                        b,
-                        np.hstack([C, [[1.0]]]),
-                        d,
+                half = np.full((w.size, 1), 0.5)
+                terms.append(
+                    _HyperbolicBlock(
+                        np.hstack([P, half]),
+                        p0,
+                        np.hstack([Q, half]),
+                        q0,
+                        w,
+                        support=support,
+                        block=block_index,
                     )
                 )
-            terms.extend(
-                _cone_blocks(phase_cones, support=support, block=block_index)
-            )
             block_terms.append(terms)
         Gc, hc = pieces.coupling(h)
         coupling = None
@@ -1695,9 +1470,10 @@ class BarrierSolver:
         """Smallest ``t`` that makes ``x`` strictly feasible for the relaxed problem."""
         needed = problem.max_linear_violation(x)
         if len(problem.hyperbolic):
-            # p·q ≥ w relaxed in its SOC form, ‖(2√w, p − q)‖ ≤ p + q + t.
-            # The norm is math.hypot term by term: numpy's hypot rounds
-            # differently in the last bit, which would move phase I's start.
+            # The smallest t with (p + t/2)(q + t/2) ≥ w is the cone form's
+            # ‖(2√w, p − q)‖ − (p + q).  The norm is math.hypot term by term:
+            # numpy's hypot rounds differently in the last bit, which would
+            # move phase I's start.
             p, q = problem.hyperbolic_sides(x)
             norms = map(
                 math.hypot,
@@ -1705,10 +1481,6 @@ class BarrierSolver:
                 (p - q).tolist(),
             )
             needed = max(needed, max(map(float.__sub__, norms, (p + q).tolist())))
-        for cone in problem.cones:
-            u = cone.A @ x + cone.b
-            v = float(cone.c @ x + cone.d)
-            needed = max(needed, float(np.linalg.norm(u)) - v)
         if needed == -math.inf:
             needed = -1.0
         return needed

@@ -1,21 +1,19 @@
 """Constraint types accepted by :class:`repro.solver.problem.ConeProgram`.
 
-Three constraint families are supported:
+Two constraint families are supported, the two the paper's program needs:
 
-* :class:`LinearConstraint` — an affine inequality or equality.
+* :class:`LinearConstraint` — an affine inequality or equality
+  (Constraints (6), (7), (9) and (10) of Algorithm 1).
 * :class:`HyperbolicConstraint` — ``x(v)·y(v) ≥ w`` with ``x, y`` affine and
-  ``w > 0`` constant, restricted to the branch ``x > 0, y > 0``.  This is the
-  constraint family used by the paper's Algorithm 1 (Constraint (8),
-  ``λ(w_i)·β'(w_i) ≥ 1``) and is representable as a rotated second-order cone.
-* :class:`SecondOrderConeConstraint` — ``‖A·v + b‖₂ ≤ c·v + d``, the general
-  SOC form.  Hyperbolic constraints can be converted to this form via
-  :meth:`HyperbolicConstraint.to_second_order_cone`.
+  ``w > 0`` constant, restricted to the branch ``x > 0, y > 0``
+  (Constraint (8), ``λ(w_i)·β'(w_i) ≥ 1``).  It is a rotated second-order
+  cone, ``‖(2√w, x − y)‖₂ ≤ x + y``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional
 
 from repro.exceptions import FormulationError
 from repro.solver.expression import AffineExpression, ExpressionLike, Variable
@@ -124,52 +122,7 @@ class HyperbolicConstraint:
         y_val = self.y.evaluate(values)
         return x_val > 0.0 and y_val > 0.0 and x_val * y_val >= self.bound - tolerance
 
-    def to_second_order_cone(self) -> "SecondOrderConeConstraint":
-        """Rewrite as ``‖(2·sqrt(bound), x − y)‖ ≤ x + y``."""
-        rows = (
-            AffineExpression({}, 2.0 * math.sqrt(self.bound)),
-            self.x - self.y,
-        )
-        return SecondOrderConeConstraint(rows, self.x + self.y, name=self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" [{self.name}]" if self.name else ""
         return f"HyperbolicConstraint(({self.x!r})*({self.y!r}) >= {self.bound}{label})"
 
-
-class SecondOrderConeConstraint:
-    """A second-order cone constraint ``‖rows(v)‖₂ ≤ rhs(v)``.
-
-    ``rows`` is a sequence of affine expressions forming the vector inside the
-    Euclidean norm; ``rhs`` is an affine expression.
-    """
-
-    __slots__ = ("name", "rows", "rhs")
-
-    def __init__(
-        self,
-        rows: Sequence[ExpressionLike],
-        rhs: ExpressionLike,
-        name: Optional[str] = None,
-    ) -> None:
-        if not rows:
-            raise FormulationError("a second-order cone constraint needs at least one row")
-        self.rows: Tuple[AffineExpression, ...] = tuple(
-            AffineExpression.coerce(row) for row in rows
-        )
-        self.rhs = AffineExpression.coerce(rhs)
-        self.name = name or ""
-
-    def margin(self, values: Mapping[Variable, float]) -> float:
-        """Return ``rhs − ‖rows‖`` at ``values`` (negative when violated)."""
-        norm = math.sqrt(sum(row.evaluate(values) ** 2 for row in self.rows))
-        return self.rhs.evaluate(values) - norm
-
-    def is_satisfied(
-        self, values: Mapping[Variable, float], tolerance: float = 1e-8
-    ) -> bool:
-        return self.margin(values) >= -tolerance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = f" [{self.name}]" if self.name else ""
-        return f"SecondOrderConeConstraint(dim={len(self.rows)}{label})"

@@ -28,15 +28,15 @@ def solve_with_linprog(
     problem: CompiledProblem,
     method: str = "highs",
 ) -> Solution:
-    """Solve a compiled problem that contains no cone constraints."""
+    """Solve a compiled problem that contains no hyperbolic constraints."""
     # Imported lazily: scipy.optimize is a heavyweight import and the barrier
     # backend does not need it at all.
     from scipy.optimize import linprog
 
-    if problem.hyperbolic or problem.cones:
+    if problem.hyperbolic:
         raise FormulationError(
-            "the LP backend cannot handle hyperbolic or second-order cone "
-            "constraints; use the barrier backend instead"
+            "the LP backend cannot handle hyperbolic constraints; "
+            "use the barrier backend instead"
         )
 
     n = problem.num_variables

@@ -10,8 +10,8 @@ this module provides the compile-once/solve-many counterpart of
   ConeProgram` **once** and exposes *named parameter slots* over the compiled
   inequality right-hand sides ``h`` — both named constraint rows and the
   variable-bound rows (``lb[x]`` / ``ub[x]``) that compilation emits.  Setting
-  a parameter mutates ``h`` in place; the matrix ``G`` and the cone blocks
-  are shared across all solves.  Compilation substitutes fixed variables and
+  a parameter mutates ``h`` in place; the matrix ``G`` and the hyperbolic
+  terms are shared across all solves.  Compilation substitutes fixed variables and
   equality rows out, which can shift a row's constant; a parameter on such a
   row keeps that shift, so it solves like a fresh compile with the same
   value.

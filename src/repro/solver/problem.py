@@ -19,17 +19,16 @@ dense numpy arrays, concatenating the stored rows:
 * objective vector ``c`` and offset ``c0``,
 * inequalities ``G·x ≤ h`` in CSR form (variable bounds folded in),
 * hyperbolic constraints as two CSR matrices ``P``/``Q`` with one row per
-  term, plus the offset and bound vectors (:class:`CompiledHyperbolic`),
-* second-order cone constraints as matrix/vector tuples.
+  term, plus the offset and bound vectors (:class:`CompiledHyperbolic`).
 
 A compiled problem has no equality rows.  Compilation substitutes them out,
 as LP presolve does (Andersen & Andersen, *Math. Programming* 71, 1995): a
 variable whose bounds collapse (:func:`bounds_collapse`) is replaced by its
 value, and each :meth:`ConeProgram.add_equality` row by solving it for its
 pivot — the term with the largest ``|coefficient|`` once the earlier
-substitutions are applied.  Every row, hyperbolic and cone offset and the
-objective is written over the remaining *free* columns only; each
-substituted variable is kept as an affine function of them, so
+substitutions are applied.  Every row, hyperbolic offset and the objective
+is written over the remaining *free* columns only; each substituted
+variable is kept as an affine function of them, so
 :meth:`CompiledProblem.point_as_mapping` still lists every registered
 variable.  An equality row that substitution reduces to a constant is
 dropped when the constant is zero (a redundant row) and otherwise becomes
@@ -55,7 +54,6 @@ from repro.solver.constraints import (
     LESS_EQUAL,
     HyperbolicConstraint,
     LinearConstraint,
-    SecondOrderConeConstraint,
 )
 from repro.solver.expression import (
     AffineExpression,
@@ -65,7 +63,7 @@ from repro.solver.expression import (
 )
 from repro.solver.result import Solution, SolverStatus
 
-Constraint = Union[LinearConstraint, HyperbolicConstraint, SecondOrderConeConstraint]
+Constraint = Union[LinearConstraint, HyperbolicConstraint]
 
 #: A substituted variable over the free ones, keyed by registered position:
 #: ``(coefficient by position, constant)``.
@@ -208,17 +206,6 @@ class CompiledHyperbolic:
 
 
 @dataclass
-class CompiledCone:
-    """Numerical form of ``‖A·x + b‖₂ ≤ c·x + d``."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: float
-    name: str = ""
-
-
-@dataclass
 class BlockStructure:
     """Block partition of a compiled problem's variables and constraints.
 
@@ -242,7 +229,6 @@ class BlockStructure:
     ranges: List[Tuple[int, int]]
     row_blocks: np.ndarray          #: block per inequality row; -1 = coupling
     hyperbolic_blocks: np.ndarray   #: block per hyperbolic term
-    cone_blocks: List[int]          #: block per SOC constraint
 
     @property
     def num_blocks(self) -> int:
@@ -259,13 +245,13 @@ class CompiledProblem:
 
     The columns are the *free* variables, :attr:`variables`: every
     registered variable that compilation did not substitute out (see the
-    module docstring).  The inequality matrix ``G`` is stored in CSR form —
-    for workload programs it is extremely sparse (a few entries per row
-    against thousands of columns) and the block-Newton solver consumes it
-    blockwise.  The dense view remains available as the :attr:`G` property,
-    densified lazily and cached, so backends and tests that want plain
-    arrays keep working; sparse-aware code uses :attr:`G_sparse`.  The
-    hyperbolic terms are CSR too (:class:`CompiledHyperbolic`).
+    module docstring).  The inequality matrix ``G`` is stored in CSR form,
+    :attr:`G_sparse` — for workload programs it is extremely sparse (a few
+    entries per row against thousands of columns) and the block-Newton
+    solver consumes it blockwise.  The dense view :attr:`G` is densified
+    lazily and cached, for the scipy and linprog backends and for tests that
+    want plain arrays.  The hyperbolic terms are CSR too
+    (:class:`CompiledHyperbolic`).
 
     ``h`` stays a plain mutable ndarray: the parametric layer
     (:class:`repro.solver.parametric.ParametricProblem`) re-solves a compiled
@@ -281,7 +267,6 @@ class CompiledProblem:
         G: object,
         h: np.ndarray,
         hyperbolic: CompiledHyperbolic,
-        cones: List[CompiledCone],
         inequality_names: Optional[List[str]] = None,
         block_structure: Optional[BlockStructure] = None,
         registered_variables: Optional[List[Variable]] = None,
@@ -293,7 +278,6 @@ class CompiledProblem:
         self.c0 = c0
         self.h = h
         self.hyperbolic = hyperbolic
-        self.cones = cones
         self.inequality_names = list(inequality_names or [])
         #: Optional per-application block partition (see
         #: :class:`BlockStructure`); ``None`` for unstructured programs,
@@ -308,39 +292,27 @@ class CompiledProblem:
         self.substitutions = dict(substitutions or {})
         #: row index → the amount substitution added to that row's ``h``
         self.h_shifts = dict(h_shifts or {})
-        #: The barrier backend's per-block slices of ``G``, the hyperbolic
-        #: terms and the cone data, written on first use.  Valid as long as
-        #: those and the block structure are unchanged — parametric re-solves
-        #: mutate only ``h``, so warm-started sessions reuse one set of slices.
+        #: The barrier backend's per-block slices of ``G`` and the hyperbolic
+        #: terms, written on first use.  Valid as long as those and the block
+        #: structure are unchanged — parametric re-solves mutate only ``h``,
+        #: so warm-started sessions reuse one set of slices.
         self.pieces_cache: Optional[object] = None
+        #: the CSR inequality matrix
+        self.G_sparse = G
         self._G_dense: Optional[np.ndarray] = None
-        self._G_sparse = None
-        if _sparse.issparse(G):
-            self._G_sparse = G.tocsr()
-        else:
-            self._G_dense = np.asarray(G, dtype=float)
 
     # -- constraint matrix views ------------------------------------------
     @property
     def G(self) -> np.ndarray:
         """Dense inequality matrix (densified lazily from CSR, then cached)."""
         if self._G_dense is None:
-            self._G_dense = self._G_sparse.toarray()
+            self._G_dense = self.G_sparse.toarray()
         return self._G_dense
-
-    @property
-    def G_sparse(self):
-        """CSR inequality matrix (built lazily from a dense ``G``)."""
-        if self._G_sparse is None:
-            self._G_sparse = _sparse.csr_matrix(self._G_dense)
-        return self._G_sparse
 
     @property
     def constraint_nnz(self) -> int:
         """Stored non-zeros of ``G`` (sparse-backend telemetry)."""
-        if self._G_sparse is not None:
-            return int(self._G_sparse.nnz)
-        return int(np.count_nonzero(self._G_dense))
+        return int(self.G_sparse.nnz)
 
     @property
     def num_variables(self) -> int:
@@ -386,19 +358,16 @@ class CompiledProblem:
         ``-inf`` when there are no rows."""
         if not self.h.size:
             return -math.inf
-        matrix = self._G_sparse if self._G_dense is None else self._G_dense
-        return float(np.max(matrix @ x - self.h))
+        return float(np.max(self.G_sparse @ x - self.h))
 
     def min_cone_margin(self, x: np.ndarray) -> float:
-        margin = math.inf
-        if len(self.hyperbolic):
-            p, q = self.hyperbolic_sides(x)
-            margin = float(min(np.min(p * q - self.hyperbolic.bound), p.min(), q.min()))
-        for cone in self.cones:
-            u = cone.A @ x + cone.b
-            v = float(cone.c @ x + cone.d)
-            margin = min(margin, v - float(np.linalg.norm(u)))
-        return margin
+        """``min(p·q − w, p, q)`` over the hyperbolic terms at ``x``: positive
+        when ``x`` satisfies every term strictly, ``+inf`` when there are
+        none."""
+        if not len(self.hyperbolic):
+            return math.inf
+        p, q = self.hyperbolic_sides(x)
+        return float(min(np.min(p * q - self.hyperbolic.bound), p.min(), q.min()))
 
     def constant_solution(self, backend: str) -> Solution:
         """The outcome of a program without free columns.
@@ -423,7 +392,11 @@ class CompiledProblem:
 
 
 class ConeProgram:
-    """A convex optimisation problem with linear and second-order cone constraints."""
+    """A convex optimisation problem with linear and hyperbolic constraints.
+
+    A hyperbolic constraint ``x·y ≥ w`` (``x, y > 0``) is a rotated
+    second-order cone, the one cone kind the paper's program needs.
+    """
 
     def __init__(self, name: str = "program") -> None:
         self.name = name
@@ -434,7 +407,6 @@ class ConeProgram:
         self._linear: List[Tuple[AffineRows, List[str], bool]] = []
         #: hyperbolic batches: ``(x rows, y rows, bounds, names)``
         self._hyperbolic: List[Tuple[AffineRows, AffineRows, np.ndarray, List[str]]] = []
-        self._cones: List[SecondOrderConeConstraint] = []
         self._objective: AffineExpression = AffineExpression()
         self._sense: str = "min"
         self._block_groups: Optional[List[Tuple[Variable, ...]]] = None
@@ -494,9 +466,9 @@ class ConeProgram:
         workload formulation).  :meth:`compile` turns the declaration into a
         :class:`BlockStructure` when the groups partition the variables into
         contiguous index ranges and, once the equalities are substituted,
-        every hyperbolic / SOC constraint is confined to one block; otherwise the compiled problem
-        simply carries no structure and the solver treats it as one block,
-        so declaring blocks is always safe.
+        every hyperbolic constraint is confined to one block; otherwise the
+        compiled problem simply carries no structure and the solver treats it
+        as one block, so declaring blocks is always safe.
         """
         for group in groups:
             for var in group:
@@ -535,11 +507,6 @@ class ConeProgram:
                     [constraint.name],
                 )
             )
-        elif isinstance(constraint, SecondOrderConeConstraint):
-            for row in constraint.rows:
-                self._check_known_variables(row)
-            self._check_known_variables(constraint.rhs)
-            self._cones.append(constraint)
         else:
             raise FormulationError(
                 f"unsupported constraint type {type(constraint).__name__}"
@@ -581,16 +548,6 @@ class ConeProgram:
     ) -> HyperbolicConstraint:
         """Add the convex constraint ``x·y ≥ bound`` (``x, y > 0``)."""
         constraint = HyperbolicConstraint(x, y, bound, name=name)
-        return self.add_constraint(constraint)  # type: ignore[return-value]
-
-    def add_second_order_cone(
-        self,
-        rows: Sequence[ExpressionLike],
-        rhs: ExpressionLike,
-        name: Optional[str] = None,
-    ) -> SecondOrderConeConstraint:
-        """Add the constraint ``‖rows‖₂ ≤ rhs``."""
-        constraint = SecondOrderConeConstraint(rows, rhs, name=name)
         return self.add_constraint(constraint)  # type: ignore[return-value]
 
     # -- constraints: array API -------------------------------------------------
@@ -679,13 +636,9 @@ class ConeProgram:
         )
 
     @property
-    def cone_constraints(self) -> Tuple[SecondOrderConeConstraint, ...]:
-        return tuple(self._cones)
-
-    @property
     def is_linear(self) -> bool:
-        """True when the program contains no cone constraints (pure LP)."""
-        return not self._hyperbolic and not self._cones
+        """True when the program contains no hyperbolic constraints (pure LP)."""
+        return not self._hyperbolic
 
     # -- objective -----------------------------------------------------------
     def minimize(self, expression: ExpressionLike) -> None:
@@ -919,14 +872,6 @@ class ConeProgram:
             names=[name for _, _, _, names in self._hyperbolic for name in names],
         )
 
-        cones = []
-        for constraint in self._cones:
-            rows = [self._dense(row, substitutions, column, n) for row in constraint.rows]
-            A = np.vstack([r for r, _ in rows]) if rows else np.zeros((0, n))
-            b = np.array([const for _, const in rows])
-            cvec, d = self._dense(constraint.rhs, substitutions, column, n)
-            cones.append(CompiledCone(A=A, b=b, c=cvec, d=d, name=constraint.name))
-
         return CompiledProblem(
             variables=free,
             c=c,
@@ -934,11 +879,8 @@ class ConeProgram:
             G=G,
             h=h,
             hyperbolic=hyperbolic,
-            cones=cones,
             inequality_names=ineq_names,
-            block_structure=self._compile_block_structure(
-                column, G, hyperbolic, cones
-            ),
+            block_structure=self._compile_block_structure(column, G, hyperbolic),
             registered_variables=list(self._variables),
             substitutions={
                 self._variables[position]: (
@@ -956,7 +898,6 @@ class ConeProgram:
         column: np.ndarray,
         G: object,
         hyperbolic: CompiledHyperbolic,
-        cones: List[CompiledCone],
     ) -> Optional[BlockStructure]:
         """Turn a :meth:`declare_blocks` declaration into a :class:`BlockStructure`.
 
@@ -964,8 +905,8 @@ class ConeProgram:
         substituted variable).  Returns ``None`` (no structure: the solver
         treats the program as one block) when no blocks were declared, when
         the groups do not form contiguous runs of registered variables
-        covering every one of them, or when a hyperbolic / SOC constraint
-        spans several blocks after substitution — only *linear inequality*
+        covering every one of them, or when a hyperbolic constraint spans
+        several blocks after substitution — only *linear inequality*
         rows may couple blocks, because only their barrier Hessian
         contribution is the low-rank term the Schur-complement solve
         handles.  Substituted variables have no column, so each block's range
@@ -1023,25 +964,10 @@ class ConeProgram:
         if np.any((h_hi >= 0) & (h_lo != h_hi)):
             return None
         hyperbolic_blocks = np.where(h_hi < 0, 0, h_lo)
-
-        def single_block(rows: np.ndarray) -> Optional[int]:
-            columns = np.flatnonzero(np.any(np.atleast_2d(rows) != 0.0, axis=0))
-            touched = np.unique(col_block[columns])
-            if touched.size > 1:
-                return None
-            return int(touched[0]) if touched.size else 0
-
-        cone_blocks: List[int] = []
-        for cone in cones:
-            block = single_block(np.vstack([cone.A, cone.c.reshape(1, -1)]))
-            if block is None:
-                return None
-            cone_blocks.append(block)
         return BlockStructure(
             ranges=ranges,
             row_blocks=row_blocks,
             hyperbolic_blocks=hyperbolic_blocks,
-            cone_blocks=cone_blocks,
         )
 
     # -- solving -----------------------------------------------------------------
@@ -1108,6 +1034,5 @@ class ConeProgram:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ConeProgram({self.name!r}, variables={len(self._variables)}, "
-            f"linear={len(self._linear)}, hyperbolic={len(self._hyperbolic)}, "
-            f"cones={len(self._cones)})"
+            f"linear={len(self._linear)}, hyperbolic={len(self._hyperbolic)})"
         )

@@ -9,9 +9,8 @@ This backend exists for two reasons:
   ill-conditioned instance.
 
 It handles exactly the same constraint families as the barrier solver:
-linear inequalities (compilation has substituted the equalities out),
-hyperbolic constraints ``p(x)·q(x) ≥ w`` and general second-order cone
-constraints ``‖A·x + b‖ ≤ c·x + d``.
+linear inequalities (compilation has substituted the equalities out) and
+hyperbolic constraints ``p(x)·q(x) ≥ w``.
 """
 
 from __future__ import annotations
@@ -67,14 +66,6 @@ def _build_constraints(problem: CompiledProblem) -> List[dict]:
             return q[:, None] * P + p[:, None] * Q
 
         constraints.append({"type": "ineq", "fun": fun, "jac": jac})
-    for cone in problem.cones:
-        A, b, c, d = cone.A, cone.b, cone.c, cone.d
-
-        def fun(x, A=A, b=b, c=c, d=d):
-            u = A @ x + b
-            return np.array([float(c @ x + d) - np.sqrt(float(u @ u) + 1e-16)])
-
-        constraints.append({"type": "ineq", "fun": fun})
     return constraints
 
 

@@ -170,7 +170,6 @@ def assert_same_compile(formulation) -> None:
         assert structure.ranges == ref_structure.ranges
         assert same_bits(structure.row_blocks, ref_structure.row_blocks)
         assert same_bits(structure.hyperbolic_blocks, ref_structure.hyperbolic_blocks)
-        assert structure.cone_blocks == ref_structure.cone_blocks
     assert [v.name for v in compiled.substitutions] == [
         v.name for v in reference.substitutions
     ]

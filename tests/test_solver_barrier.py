@@ -140,31 +140,6 @@ class TestHyperbolicProgramsViaBarrier:
         assert barrier.objective == pytest.approx(scipy_solution.objective, rel=1e-3)
 
 
-class TestSecondOrderConeViaBarrier:
-    def test_projection_onto_cone(self):
-        """min t s.t. ||(x-3, y-4)|| <= t at fixed x=0,y=0 gives t = 5."""
-        program = ConeProgram()
-        t = program.add_variable("t", lower=0.0, upper=100.0)
-        x = program.add_variable("x", lower=0.0, upper=0.0)
-        y = program.add_variable("y", lower=0.0, upper=0.0)
-        program.add_second_order_cone([x - 3.0, y - 4.0], t)
-        program.minimize(t)
-        solution = _solve(program)
-        assert solution.is_optimal
-        assert solution.value(t) == pytest.approx(5.0, rel=1e-4)
-
-    def test_cone_constrained_lp(self):
-        """Maximise x + y inside the unit disc: optimum sqrt(2) at x = y."""
-        program = ConeProgram()
-        x = program.add_variable("x", lower=-2.0, upper=2.0)
-        y = program.add_variable("y", lower=-2.0, upper=2.0)
-        program.add_second_order_cone([x, y], 1.0)
-        program.maximize(x + y)
-        solution = program.solve(backend="barrier")
-        assert solution.is_optimal
-        assert solution.objective == pytest.approx(math.sqrt(2.0), rel=1e-3)
-
-
 class TestWarmStartAndOptions:
     def test_warm_start_accepted(self):
         program = ConeProgram()

@@ -150,9 +150,10 @@ class TestEngagement:
         assert solution.objective == pytest.approx(4.0, abs=1e-5)
 
     def test_cross_block_cone_constraint_drops_structure(self):
-        """Only linear rows may couple blocks: a hyperbolic constraint across
-        two declared blocks cannot go through the Schur solve, so compilation
-        emits no structure at all."""
+        """Only linear rows may couple blocks: a hyperbolic constraint (the
+        one cone kind) across two declared blocks cannot go through the
+        Schur solve, so compilation emits no structure at all, while the
+        same term inside one block keeps it."""
         program = ConeProgram("cross")
         x = program.add_variable("x", lower=0.1, upper=10.0)
         y = program.add_variable("y", lower=0.1, upper=10.0)
@@ -160,6 +161,10 @@ class TestEngagement:
         program.minimize(x + y)
         program.declare_blocks([[x], [y]])
         assert program.compile().block_structure is None
+        program.declare_blocks([[x, y]])
+        structure = program.compile().block_structure
+        assert structure is not None and structure.ranges == [(0, 2)]
+        assert structure.hyperbolic_blocks.tolist() == [0]
 
     def test_fully_pinned_block_with_phase_one(self):
         """A block whose only variable is substituted out has width zero; its border-only phase-I curvature (the ``t`` bound row is
@@ -334,6 +339,20 @@ def assert_stacked_matches_dense(plan, k, z):
     return workspace
 
 
+def assert_relaxed_hyperbolic_terms(plan):
+    """The plan has only linear and hyperbolic terms, and every hyperbolic
+    one is phase I's relaxation: its ``P`` and ``Q`` carry ``½`` in the
+    ``t`` column, the last of the term's coordinates."""
+    kinds = {type(term) for term in plan.terms}
+    assert kinds <= {barrier._LinearBlock, barrier._HyperbolicBlock}
+    hyperbolic = [
+        term for term in plan.terms if isinstance(term, barrier._HyperbolicBlock)
+    ]
+    assert hyperbolic
+    for term in hyperbolic:
+        assert np.all(term.P[:, -1] == 0.5) and np.all(term.Q[:, -1] == 0.5)
+
+
 def ragged_groups(plan):
     """Width groups whose members differ in some term's row count."""
     by_key = {}
@@ -357,11 +376,10 @@ class TestStackedAssembly:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_phase_one_matches_dense(self, seed):
         """Phase I carries the border, block 0's lower-bound row and the
-        2-row cones of the relaxed hyperbolic constraints."""
+        relaxed hyperbolic terms ``(p + t/2)(q + t/2) ≥ w``."""
         plan, k, z = workload_plans(seed)[1]
         assert plan.border == 1
-        kinds = {type(term) for term in plan.terms}
-        assert barrier._ConeBlock in kinds
+        assert_relaxed_hyperbolic_terms(plan)
         assert_stacked_matches_dense(plan, k, z)
 
     def test_one_block_plans_match_dense(self):
@@ -371,7 +389,7 @@ class TestStackedAssembly:
         (two, k, z_two), (one, k_one, z_one) = one_block_plans()
         assert two.border == 0 and one.border == 0
         assert one.block_slices == [slice(0, k + 1)] and k_one == k + 1
-        assert barrier._ConeBlock in {type(term) for term in one.terms}
+        assert_relaxed_hyperbolic_terms(one)
         for plan, width, z in ((two, k, z_two), (one, k_one, z_one)):
             workspace = assert_stacked_matches_dense(plan, width, z)
             assert workspace.direct
@@ -383,9 +401,9 @@ class TestStackedAssembly:
         its row weights and gradient coefficients in the group's weighted
         rows and row-gradient buffers."""
         buffers = {
-            "rows": ("G", "PQ", "AC"),
-            "wrows": ("wG", "wPQ", "wAC"),
-            "wgrad": ("g", "gPQ", "gAC"),
+            "rows": ("G", "PQ"),
+            "wrows": ("wG", "wPQ"),
+            "wgrad": ("g", "gPQ"),
         }
         for plan, k, _ in workload_plans(0):
             for group in new_workspace(plan, k).groups:
@@ -396,9 +414,8 @@ class TestStackedAssembly:
                             for name in names
                             if hasattr(stack, name)
                         ]
-                        assert views
-                        for view in views:
-                            assert np.shares_memory(view, getattr(group, buffer))
+                        assert len(views) == 1
+                        assert np.shares_memory(views[0], getattr(group, buffer))
 
     def test_group_with_different_row_counts(self):
         """Block 0's extra phase-I row makes its group ragged: the padding
@@ -419,31 +436,12 @@ class TestStackedAssembly:
             if plan.border:
                 assert any(group.width == 0 for group in workspace.groups)
 
-    def test_splu_block(self, monkeypatch):
-        """Blocks at least ``_SPLU_BLOCK_WIDTH`` wide are groups of one whose
-        block goes to splu; the rest stay batched."""
-        monkeypatch.setattr(barrier, "_SPLU_BLOCK_WIDTH", 19)
-        calls = []
-        scipy_splu = barrier._sp_splu
-
-        def counting_splu(matrix):
-            calls.append(matrix.shape)
-            return scipy_splu(matrix)
-
-        monkeypatch.setattr(barrier, "_sp_splu", counting_splu)
-        for plan, k, z in workload_plans(0):
-            workspace = assert_stacked_matches_dense(plan, k, z)
-            splu_groups = [group for group in workspace.groups if group.splu]
-            assert splu_groups and all(g.size == 1 for g in splu_groups)
-            assert any(not group.splu for group in workspace.groups)
-        assert calls
-
     def test_newton_step_makes_no_per_term_calls(self, monkeypatch):
         """One structured evaluation and Newton step run through the group
         stacks only: no term's ``evaluate`` or ``grad_hess`` runs."""
         plans = workload_plans(1)
         calls = []
-        for cls in (barrier._LinearBlock, barrier._HyperbolicBlock, barrier._ConeBlock):
+        for cls in (barrier._LinearBlock, barrier._HyperbolicBlock):
             for method in ("evaluate", "grad_hess"):
                 original = getattr(cls, method)
 
@@ -467,15 +465,11 @@ def hand_terms(kind, count, width, rng, z, bound=0.5):
     if kind is barrier._LinearBlock:
         G = rng.standard_normal((count, width))
         return barrier._LinearBlock(G, G @ z + rng.uniform(0.5, 2.0, count))
-    if kind is barrier._HyperbolicBlock:
-        P = rng.standard_normal((count, width))
-        Q = rng.standard_normal((count, width))
-        return barrier._HyperbolicBlock(
-            P, 1.0 - P @ z, Q, 2.0 - Q @ z, np.full(count, bound)
-        )
-    A = rng.standard_normal((count, 2, width))
-    C = rng.standard_normal((count, width))
-    return barrier._ConeBlock(A, rng.uniform(-0.5, 0.5, (count, 2)), C, 3.0 - C @ z)
+    P = rng.standard_normal((count, width))
+    Q = rng.standard_normal((count, width))
+    return barrier._HyperbolicBlock(
+        P, 1.0 - P @ z, Q, 2.0 - Q @ z, np.full(count, bound)
+    )
 
 
 def hand_group(kind, counts, width, seed=0):
@@ -499,9 +493,7 @@ class TestGramAssembly:
     rows; each stack kind's weights must reproduce the per-term
     ``grad_hess`` reference."""
 
-    @pytest.mark.parametrize(
-        "kind", [barrier._LinearBlock, barrier._HyperbolicBlock, barrier._ConeBlock]
-    )
+    @pytest.mark.parametrize("kind", [barrier._LinearBlock, barrier._HyperbolicBlock])
     @pytest.mark.parametrize("counts", [(3, 5, 1), (4,)], ids=["ragged", "one"])
     def test_weighted_gram_matches_grad_hess(self, kind, counts):
         group, terms, z, k = hand_group(kind, counts, width=4)
@@ -517,6 +509,89 @@ class TestGramAssembly:
         grad_ref, hess_ref = per_term_assembly(terms, z, k)
         assert relative(grad, grad_ref) <= 1e-12
         assert relative(hess, hess_ref) <= 1e-12
+
+
+def soc_barrier(P, p0, Q, q0, w, y):
+    """The phase-I hyperbolic relaxation in its second-order cone form,
+    ``‖(2√w, p − q)‖ ≤ p + q + t`` at ``y = (z, t)``: the barrier
+    ``−Σ log((p + q + t)² − 4w − (p − q)²)`` with its gradient and Hessian,
+    or ``None`` off the branch ``p + q + t > 0`` or outside the cone."""
+    z, t = y[:-1], y[-1]
+    p, q = P @ z + p0, Q @ z + q0
+    v, d = p + q + t, p - q
+    f = v * v - 4.0 * w - d * d
+    if v.min() <= 0.0 or f.min() <= 0.0:
+        return None
+    ones = np.ones((w.size, 1))
+    Dv = np.hstack([P + Q, ones])         # ∇v
+    Dd = np.hstack([P - Q, 0.0 * ones])   # ∇(p − q)
+    Df = 2.0 * v[:, None] * Dv - 2.0 * d[:, None] * Dd
+    inv = 1.0 / f
+    grad = -(Df.T @ inv)
+    # Σ ∇f∇fᵀ/f² − Σ ∇²f/f with ∇²f = 2(∇v∇vᵀ − ∇d∇dᵀ).
+    hess = (Df * (inv * inv)[:, None]).T @ Df
+    hess -= 2.0 * ((Dv * inv[:, None]).T @ Dv - (Dd * inv[:, None]).T @ Dd)
+    return -float(np.log(f).sum()), grad, hess
+
+
+def relaxed_terms(seed, count=6, width=4):
+    """Random hyperbolic data with ``(p + t/2)(q + t/2) > w`` at a random
+    ``y = (z, t)``, and the phase-I relaxed block ``[P | ½]``/``[Q | ½]``."""
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((count, width))
+    Q = rng.standard_normal((count, width))
+    z = rng.uniform(-1.0, 1.0, width)
+    t = rng.uniform(-0.5, 0.5)
+    p0 = rng.uniform(0.5, 2.0, count) - P @ z
+    q0 = rng.uniform(0.5, 2.0, count) - Q @ z
+    shifted = (P @ z + p0 + t / 2.0) * (Q @ z + q0 + t / 2.0)
+    w = rng.uniform(0.1, 0.9, count) * shifted
+    half = np.full((count, 1), 0.5)
+    term = barrier._HyperbolicBlock(np.hstack([P, half]), p0, np.hstack([Q, half]), q0, w)
+    return (P, p0, Q, q0, w), term, np.append(z, t), rng
+
+
+class TestPhaseOneRelaxation:
+    """Phase I relaxes ``p·q ≥ w`` as ``(p + t/2)(q + t/2) ≥ w``.  Since
+    ``(p + q + t)² − 4w − (p − q)² = 4·((p + t/2)(q + t/2) − w)``, its
+    barrier is the rotated cone ``‖(2√w, p − q)‖ ≤ p + q + t``'s plus the
+    constant ``log 4`` per term: same gradient, Hessian and domain."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_second_order_cone_barrier(self, seed):
+        data, term, y, _ = relaxed_terms(seed)
+        reference = soc_barrier(*data, y)
+        assert reference is not None
+        soc_value, soc_grad, soc_hess = reference
+        state, smallest, value = term.evaluate(y)
+        assert smallest > 0.0
+        grad, hess = term.grad_hess(state)
+        assert relative(grad, soc_grad) <= 1e-12
+        assert relative(hess, soc_hess) <= 1e-12
+        assert value - soc_value == pytest.approx(term.count * np.log(4.0), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rejects_the_same_points(self, seed):
+        """Random points on both sides of the cone, and points on the
+        negative branch (``p + t/2 < 0`` and ``q + t/2 < 0`` with a product
+        above ``w``), which both forms reject."""
+        data, term, y, rng = relaxed_terms(seed)
+        P, p0, Q, q0, w = data
+        points = [y + rng.normal(0.0, 1.5, y.size) for _ in range(200)]
+        z = y[:-1]
+        for scale in (1.0, 3.0):
+            # t so negative that both shifted sides are ≤ −scale·max|side|.
+            sides = np.concatenate([P @ z + p0, Q @ z + q0])
+            t = -2.0 * (np.abs(sides).max() + scale * (1.0 + np.sqrt(w.max())))
+            points.append(np.append(z, t))
+        rejected = 0
+        for point in points:
+            state, smallest, value = term.evaluate(point)
+            soc = soc_barrier(*data, point)
+            assert (state is None) == (soc is None), point
+            assert (value == np.inf) == (soc is None)
+            rejected += state is None
+        assert 0 < rejected < len(points)
 
 
 class TestNaturalFactorisationFailure:

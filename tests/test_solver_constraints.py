@@ -12,7 +12,6 @@ from repro.solver.constraints import (
     LESS_EQUAL,
     HyperbolicConstraint,
     LinearConstraint,
-    SecondOrderConeConstraint,
 )
 from repro.solver.expression import Variable
 
@@ -74,29 +73,3 @@ class TestHyperbolicConstraint:
     def test_rejects_two_constants(self):
         with pytest.raises(FormulationError):
             HyperbolicConstraint(2.0, 3.0, 1.0)
-
-    def test_second_order_cone_conversion_is_equivalent(self):
-        x, y = Variable("x"), Variable("y")
-        constraint = HyperbolicConstraint(x, y, 4.0)
-        cone = constraint.to_second_order_cone()
-        for values in ({x: 2.0, y: 2.0}, {x: 8.0, y: 0.5}, {x: 1.0, y: 1.0}, {x: 5.0, y: 0.5}):
-            assert constraint.is_satisfied(values) == cone.is_satisfied(values), values
-
-
-class TestSecondOrderConeConstraint:
-    def test_margin(self):
-        x, y = Variable("x"), Variable("y")
-        cone = SecondOrderConeConstraint([x, y], 5.0)
-        assert cone.margin({x: 3.0, y: 4.0}) == pytest.approx(0.0)
-        assert cone.is_satisfied({x: 3.0, y: 3.0})
-        assert not cone.is_satisfied({x: 4.0, y: 4.0})
-
-    def test_requires_rows(self):
-        with pytest.raises(FormulationError):
-            SecondOrderConeConstraint([], 1.0)
-
-    def test_affine_rhs(self):
-        x, t = Variable("x"), Variable("t")
-        cone = SecondOrderConeConstraint([x], t + 1.0)
-        assert cone.is_satisfied({x: 2.0, t: 1.0})
-        assert not cone.is_satisfied({x: 2.0, t: 0.5})

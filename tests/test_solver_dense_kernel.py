@@ -30,7 +30,7 @@ from repro.taskgraph.generators import (
     random_dag_configuration,
 )
 
-TERM_CLASSES = (barrier._LinearBlock, barrier._HyperbolicBlock, barrier._ConeBlock)
+TERM_CLASSES = (barrier._LinearBlock, barrier._HyperbolicBlock)
 
 
 def kernel_setup(compiled):

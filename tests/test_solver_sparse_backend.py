@@ -1,7 +1,7 @@
 """Sparse block-Newton backend tests: CSR compilation, telemetry, edge cases.
 
 The sparse rebuild of the block-Newton core (CSR constraint assembly,
-per-block slicing, batched/`splu` block factorisations) must
+per-block slicing, batched Cholesky block factorisations) must
 be a pure performance change.  These tests pin:
 
 * the compiled problem carries a CSR constraint matrix that agrees exactly
@@ -12,7 +12,7 @@ be a pure performance change.  These tests pin:
 * the `BlockStructure` edge cases survive the sparse path: a 1-app workload
   takes the direct solve, a zero-buffer application solves, a pinned
   (substituted) capacity keeps the blocks, and a failing block
-  factorisation falls back to a dense step with the same optimum;
+  factorisation falls back to a dense step with the same optimum.
 
 The dense reference is a fresh compile of the same program with its block
 structure dropped, which the solver treats as a single block.
@@ -27,7 +27,6 @@ from repro import obs
 from repro.core import AllocatorOptions, JointAllocator
 from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
-from repro.solver import barrier
 from repro.solver.backends import solve_compiled
 from repro.solver.barrier import _StructuredWorkspace
 from repro.taskgraph import ConfigurationBuilder, Workload
@@ -234,26 +233,6 @@ class TestSparseEdgeCases:
         dense = solve_compiled(dense_reference(program), backend="barrier")
         assert structured.stats["structured"] is True
         assert_same_optimum(structured, dense)
-
-    def test_wide_blocks_use_splu(self, monkeypatch):
-        """Dropping the splu width threshold to 1 routes every block through
-        the sparse LU factorisation; the optimum must not move."""
-        program = workload_program(2)
-        dense = solve_compiled(dense_reference(program), backend="barrier")
-        factorisations = []
-
-        def counting_splu(matrix):
-            factorisations.append(matrix.shape)
-            return scipy_splu(matrix)
-
-        scipy_splu = barrier._sp_splu
-        monkeypatch.setattr(barrier, "_sp_splu", counting_splu)
-        monkeypatch.setattr(barrier, "_SPLU_BLOCK_WIDTH", 1)
-        splu = solve_compiled(program.compile(), backend="barrier")
-        assert factorisations
-        assert splu.stats["structured"] is True
-        assert splu.stats.get("structured_fallback_iterations", 0) == 0
-        assert_same_optimum(splu, dense)
 
     def test_fallback_on_singular_factorization(self, monkeypatch):
         """When every arrow factorisation fails, each iteration takes the

@@ -2,7 +2,7 @@
 
 :meth:`ConeProgram.compile` emits no equality rows: a variable whose bounds
 collapse is replaced by its value, and each ``add_equality`` row is solved
-for its pivot and substituted into every row, cone and the objective.
+for its pivot and substituted into every row, hyperbolic term and the objective.
 These tests pin what that must preserve: the optimum on every backend, the
 block structure of workload programs, every registered variable in
 ``Solution.values``, infeasibility of inconsistent equalities, and
