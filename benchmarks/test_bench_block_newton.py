@@ -109,31 +109,34 @@ def _best_time(compiled, initial):
 
 
 def _solve_widths(compiled, initial):
-    """One solve with the kernel's Cholesky solve and workspace wrapped.
+    """The first solve of ``compiled``, with the kernel's Cholesky solve
+    wrapped.
 
     Returns the solution, the widest system handed to ``_spd_solve``, the
     widest one an arrow solve may hand it (a block, the border or the
-    coupling Schur matrix) and the widest workspace ``k``.
+    coupling Schur matrix) and the widest phase ``k``, both read from the
+    kernel layout the solve built for each phase it ran.
     """
-    received, blocks, full = [0], [0], [0]
+    received = [0]
     spd_solve = barrier._spd_solve
-    workspace_init = barrier._StructuredWorkspace.__init__
 
     def recording_solve(matrix, rhs):
         received[0] = max(received[0], matrix.shape[0])
         return spd_solve(matrix, rhs)
 
-    def recording_init(self, plan, k, options, stats):
-        workspace_init(self, plan, k, options, stats)
-        widths = [slc.stop - slc.start for slc in plan.block_slices]
-        blocks[0] = max(blocks[0], *widths, self.border, self.m)
-        full[0] = max(full[0], k)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(barrier, "_spd_solve", recording_solve)
-        patch.setattr(barrier._StructuredWorkspace, "__init__", recording_init)
         solution = _solve(compiled, initial)
-    return solution, received[0], blocks[0], full[0]
+    built = compiled.kernel_layout.__dict__
+    phases = [built[name] for name in ("phase_two", "phase_one") if name in built]
+    bound = max(
+        max(
+            [group.width for group in phase.groups]
+            + [phase.border, phase.coupling.shape[0]]
+        )
+        for phase in phases
+    )
+    return solution, received[0], bound, max(phase.k for phase in phases)
 
 
 def _assert_no_full_width_solve(structured_widths, dense_widths):
@@ -160,8 +163,8 @@ def _newton_total(solution):
 @pytest.mark.parametrize("app_count", SIZES)
 def test_bench_block_newton_scaling(app_count, benchmark, record_series):
     compiled, dense_compiled, initial = _compiled(app_count)
-    # Prime both pieces caches so both kernels time the
-    # Newton work, not the one-off slicing; the priming solves also
+    # Prime both kernel layouts so both kernels time the
+    # Newton work, not the one-off layout build; the priming solves also
     # record the widths the kernel factorises.
     structured_widths = _solve_widths(compiled, initial)
     dense_widths = _solve_widths(dense_compiled, initial)
@@ -220,7 +223,7 @@ def test_bench_sparse_scaling_curve(benchmark, record_series):
     curve = []
     for app_count in SCALING_SIZES:
         compiled, dense_compiled, initial = _compiled(app_count, light=True)
-        # Prime the pieces cache with one cheap sparse solve
+        # Prime the kernel layout with one cheap sparse solve
         # so every timed solve measures the Newton work.
         primed_widths = _solve_widths(compiled, initial)
         primed = primed_widths[0]

@@ -18,8 +18,8 @@ method described in Boyd & Vandenberghe, *Convex Optimization*, chapter 11:
 the strictly feasible point it exits with, or ``None`` exactly when ``solve``
 would report ``INFEASIBLE``; it answers feasibility questions, such as the
 admission controller's anytime verdict, without computing an optimum.  Both
-share one prefix: the per-block slicing, the start point and phase I are set
-up in one place.
+share one prefix: the kernel layout, the start point and phase I are set up
+in one place.
 
 Barrier terms used (both standard self-concordant barriers):
 
@@ -30,15 +30,12 @@ The hyperbolic term is a rotated second-order cone: ``p·q ≥ w`` with
 ``p, q > 0`` is ``‖(2√w, p − q)‖ ≤ p + q``, and its barrier is that cone's
 ``−log((p + q)² − 4w − (p − q)²)`` up to the constant ``log 4``.
 
-Each family is built as a *vectorised term* (one stacked matrix per
-family).  A term's :meth:`~_BarrierTerm.evaluate` returns its slack *state*
-along with the feasibility check and the barrier value, and
-:meth:`~_BarrierTerm.grad_hess` builds the gradient and Hessian from that
-state; these per-term methods are the reference the Newton kernel is tested
-against.  The kernel itself stacks the terms of equal-shaped blocks into
-padded tensors (see below) and keeps the same split: the Newton loop
-evaluates every line-search trial point exactly once, and the accepted
-trial's state is carried into the next direction.
+The Newton kernel stacks the terms of equal-shaped blocks into padded
+tensors (see below).  Evaluating a point returns the slack *state* along
+with the feasibility check and the barrier value, and the gradient and
+Hessian are built from that state: the Newton loop evaluates every
+line-search trial point exactly once, and the accepted trial's state is
+carried into the next direction.
 
 The solver sees no equality constraints: :meth:`ConeProgram.compile
 <repro.solver.problem.ConeProgram.compile>` substitutes fixed variables and
@@ -67,37 +64,42 @@ arrow-structured, and the solver exploits it:
   of the arrow.
 
 Every solve runs this one pipeline.  A program compiled without a block
-structure is solved as a single block, so term building, phase I, the
-phase-II start choice and the Newton loop each exist once, and one kernel, :class:`_StructuredWorkspace`, computes every
-Newton direction.  Only the final linear solve follows the plan, never an
-option:
+structure is solved as a single block, so the layout, phase I, the
+phase-II start choice and the Newton loop each exist once, and one kernel,
+:class:`_StructuredWorkspace`, computes every Newton direction.  Only the
+final linear solve follows the layout, never an option:
 
-* a plan with one block, no border and no coupling — every one-block
+* a layout with one block, no border and no coupling — every one-block
   program, phase I included, since there ``t`` is simply the block's last
   coordinate — solves its assembled block with one Cholesky solve;
-* every other plan takes the arrow solve (block factorisations + Schur
+* every other layout takes the arrow solve (block factorisations + Schur
   complements).
 
 When a factorisation of the arrow solve fails, that iteration takes one
 dense step on the assembled ``k×k`` system; when a ``k×k`` Cholesky fails,
-the step is a least-squares solve.  The per-block slices of ``G`` and the
-hyperbolic terms are cached on the compiled problem
-(:attr:`~repro.solver.problem.CompiledProblem.pieces_cache`), so
-warm-started parametric re-solves slice exactly once.
+the step is a least-squares solve.
 
 Sparse backend
 --------------
 
 The structured path is built to scale to hundreds of applications:
 
-* the compiled constraint matrix arrives in CSR form
-  (:attr:`~repro.solver.problem.CompiledProblem.G_sparse`) and each block
-  slices it without densifying the full matrix;
-* each centering run owns a :class:`_StructuredWorkspace` with preallocated
-  right-hand-side/solution buffers; blocks of equal width and term kinds
-  form a :class:`_BlockGroup` whose terms are stacked into padded tensors
-  — all of a group's affine rows ``R`` in one ``(B, R, n)`` tensor, so a
-  line-search trial costs one batched matvec per group;
+* the compiled constraint matrix and the hyperbolic terms arrive in CSR
+  form (:attr:`~repro.solver.problem.CompiledProblem.G_sparse`,
+  :class:`~repro.solver.problem.CompiledHyperbolic`) and are scattered,
+  without densifying the full matrix, into one *kernel layout* per compiled
+  problem (:class:`_KernelLayout`, cached as
+  :attr:`~repro.solver.problem.CompiledProblem.kernel_layout`): blocks of
+  equal width and term kinds form a group whose affine rows ``R`` sit in
+  one read-only, padded ``(B, R, n)`` tensor, so a line-search trial costs
+  one batched matvec per group.  Each phase's layout is built the first
+  time that phase runs; phase I's carries the ``t`` column and the
+  lower-bound row;
+* ``h`` is the one array parametric re-solves mutate, so the layout never
+  reads it: each centering run owns a :class:`_StructuredWorkspace` that
+  gathers the current ``h`` rows into the padded positions and allocates
+  the scratch buffers (weighted rows, gradient and Hessian stacks,
+  right-hand sides and solutions) — it copies no member's rows;
 * every member's barrier Hessian is the weighted Gram ``Rᵀ·W·R`` with a
   block-diagonal ``W`` (one small block per term) and its gradient
   ``Rᵀ·g``: each Newton step writes the row weights from the carried
@@ -116,6 +118,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,130 +189,6 @@ class BarrierOptions:
     unbounded_threshold: float = 1e12 #: |objective| beyond which we declare unboundedness
 
 
-class _BarrierTerm:
-    """Interface of one log-barrier term: slack state, barrier value, gradient, Hessian.
-
-    A term may be *narrow*: ``support`` lists the coordinates of the solver
-    vector it reads (its matrices then have ``len(support)`` columns), and
-    ``block`` tags the structure block it belongs to (``None`` for full-width
-    / coupling terms).  ``grad_hess`` always returns arrays in the term's
-    local coordinates; callers scatter through ``support``.
-    """
-
-    #: number of elementary constraints represented by this term
-    count: int = 1
-    #: coordinates of the solver vector this term reads (``None`` = all)
-    support: Optional[np.ndarray] = None
-    #: index of the structure block this term is local to (``None`` = global)
-    block: Optional[int] = None
-
-    def local(self, x: np.ndarray) -> np.ndarray:
-        return x if self.support is None else x[self.support]
-
-    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
-        """Slack state, smallest slack and ``Σ −log(slack_i)`` at ``x``.
-
-        One slack evaluation serves the feasibility check, the barrier value
-        and — through the returned state — :meth:`grad_hess` at the same
-        point.  When the smallest slack is not ``> 0`` (NaN included) the
-        state is ``None`` and the value ``+inf``: an infeasible point's
-        slacks never reach ``log`` or ``1/s``.
-        """
-        raise NotImplementedError
-
-    def grad_hess(self, state: object) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian from the state :meth:`evaluate` returned."""
-        raise NotImplementedError
-
-
-class _LinearBlock(_BarrierTerm):
-    """Vectorised barrier block for ``G·x ≤ h``; its state is the slack vector."""
-
-    def __init__(
-        self,
-        G: np.ndarray,
-        h: np.ndarray,
-        support: Optional[np.ndarray] = None,
-        block: Optional[int] = None,
-    ) -> None:
-        self.G = np.asarray(G, dtype=float)
-        self.h = np.asarray(h, dtype=float)
-        self.count = int(self.G.shape[0])
-        self.support = support
-        self.block = block
-
-    def slacks(self, x: np.ndarray) -> np.ndarray:
-        return self.h - self.G @ self.local(x)
-
-    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
-        s = self.slacks(x)
-        if self.count == 0:
-            return s, 1.0, 0.0
-        smallest = float(s.min())
-        if not smallest > 0.0:
-            return None, smallest, math.inf
-        return s, smallest, -float(np.log(s).sum())
-
-    def grad_hess(self, state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        inv = 1.0 / state
-        grad = self.G.T @ inv
-        hess = (self.G * (inv * inv)[:, None]).T @ self.G
-        return grad, hess
-
-
-class _HyperbolicBlock(_BarrierTerm):
-    """Vectorised barrier block for a family of hyperbolic constraints.
-
-    All ``(p_i·x + p0_i)(q_i·x + q0_i) ≥ w_i`` terms (positive branch) are
-    stacked into matrices so that slack, barrier value, gradient and Hessian
-    are computed with a handful of BLAS calls instead of a Python loop over
-    the constraints.  The state is the triple ``(p, q, p·q − w)``.
-    """
-
-    def __init__(
-        self,
-        P: np.ndarray,
-        p0: np.ndarray,
-        Q: np.ndarray,
-        q0: np.ndarray,
-        w: np.ndarray,
-        support: Optional[np.ndarray] = None,
-        block: Optional[int] = None,
-    ) -> None:
-        self.P = np.asarray(P, dtype=float)
-        self.p0 = np.asarray(p0, dtype=float)
-        self.Q = np.asarray(Q, dtype=float)
-        self.q0 = np.asarray(q0, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.count = int(self.w.size)
-        self.support = support
-        self.block = block
-
-    def evaluate(self, x: np.ndarray) -> Tuple[object, float, float]:
-        local = self.local(x)
-        pv = self.P @ local + self.p0
-        qv = self.Q @ local + self.q0
-        if pv.min() <= 0.0 or qv.min() <= 0.0:
-            return None, -1.0, math.inf  # off the positive branch
-        f = pv * qv - self.w
-        smallest = float(f.min())
-        if not smallest > 0.0:
-            return None, smallest, math.inf
-        return (pv, qv, f), smallest, -float(np.log(f).sum())
-
-    def grad_hess(self, state: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        pv, qv, f = state
-        inv = 1.0 / f
-        # ∇f_i = q_i·P_i + p_i·Q_i, stacked row-wise.
-        Gf = self.P * qv[:, None] + self.Q * pv[:, None]
-        grad = -(Gf.T @ inv)
-        # Σ ∇f∇fᵀ/f² − Σ ∇²f/f with ∇²f_i = P_iQ_iᵀ + Q_iP_iᵀ.
-        hess = (Gf * (inv * inv)[:, None]).T @ Gf
-        PQ = (self.P * inv[:, None]).T @ self.Q
-        hess -= PQ + PQ.T
-        return grad, hess
-
-
 def _batched_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``M[j] @ x[j]`` for every batch row ``j`` of a ``(B, r, n)`` stack
     (or ``M @ x`` for an unbatched one)."""
@@ -329,33 +208,23 @@ def _members(array: np.ndarray) -> np.ndarray:
 
 
 class _LinearStack:
-    """The ``_LinearBlock`` terms of a block group, padded to one row count.
+    """The linear rows ``G·x ≤ h`` of a block group, padded to one row count.
 
     ``G`` is a view into the group's row tensor: member ``j``'s rows fill
     ``G[j, :count]``; padding rows are ``0·x ≤ 1`` (slack 1), so they add
     exact zeros to the gradient and Hessian.  The state is the slack stack.
     """
 
-    @staticmethod
-    def height(terms: Sequence[_LinearBlock]) -> int:
-        return max(term.count for term in terms)
-
     def __init__(
         self,
-        terms: Sequence[_LinearBlock],
-        rows: np.ndarray,
+        layout: "_GroupLayout",
+        h: np.ndarray,
         wrows: np.ndarray,
         wgrad: np.ndarray,
-        start: int,
     ) -> None:
-        height = self.height(terms)
-        self.span = slice(start, start + height)
-        G = rows[:, self.span]
-        h = np.ones((len(terms), height))
-        for j, term in enumerate(terms):
-            G[j, : term.count] = term.G
-            h[j, : term.count] = term.h
-        self.G, self.h = _members(G), _members(h)
+        self.span = slice(0, layout.linear)
+        self.G = _members(layout.rows[:, self.span])
+        self.h = _members(h)
         self.wG = _members(wrows[:, self.span])
         self.g = _members(wgrad[:, self.span])
 
@@ -374,7 +243,9 @@ class _LinearStack:
 
 
 class _HyperbolicStack:
-    """The ``_HyperbolicBlock`` terms of a block group, padded.
+    """The hyperbolic terms ``(P·x + p0)(Q·x + q0) ≥ w`` of a block group,
+    padded to one term count; each term's barrier is ``−log(p·q − w)`` on
+    the branch ``p, q > 0``.
 
     The ``P`` rows followed by the ``Q`` rows are one view into the group's
     row tensor, ``PQ``, with ``PQ[..., 0, :, :]`` = ``P`` and
@@ -384,31 +255,14 @@ class _HyperbolicStack:
     ``q``.
     """
 
-    @staticmethod
-    def height(terms: Sequence[_HyperbolicBlock]) -> int:
-        return 2 * max(term.count for term in terms)
-
     def __init__(
-        self,
-        terms: Sequence[_HyperbolicBlock],
-        rows: np.ndarray,
-        wrows: np.ndarray,
-        wgrad: np.ndarray,
-        start: int,
+        self, layout: "_GroupLayout", wrows: np.ndarray, wgrad: np.ndarray
     ) -> None:
-        count = self.height(terms) // 2
-        size, _, n = rows.shape
-        self.span = slice(start, start + 2 * count)
-        PQ = rows[:, self.span].reshape(size, 2, count, n)
-        pq0, w = np.ones((size, 2, count)), np.zeros((size, count))
-        for j, term in enumerate(terms):
-            used = term.count
-            PQ[j, 0, :used] = term.P
-            PQ[j, 1, :used] = term.Q
-            pq0[j, 0, :used] = term.p0
-            pq0[j, 1, :used] = term.q0
-            w[j, :used] = term.w
-        self.PQ, self.pq0, self.w = _members(PQ), _members(pq0), _members(w)
+        count = layout.hyperbolic
+        size, _, n = layout.rows.shape
+        self.span = slice(layout.linear, layout.linear + 2 * count)
+        self.PQ = _members(layout.rows[:, self.span].reshape(size, 2, count, n))
+        self.pq0, self.w = _members(layout.pq0), _members(layout.w)
         self.wPQ = _members(wrows[:, self.span].reshape(size, 2, count, n))
         self.gPQ = _members(wgrad[:, self.span].reshape(size, 2, count))
 
@@ -422,10 +276,12 @@ class _HyperbolicStack:
         return (pq, f), -float(np.log(f).sum())
 
     def weigh(self, state: Tuple[np.ndarray, ...]) -> None:
-        """The ``_HyperbolicBlock.grad_hess`` algebra as row weights.
+        """Gradient and Hessian of ``−log(p·q − w)`` as row weights.
 
-        With ``a = q/f``, ``b = p/f`` and ``β = ab − 1/f`` the gradient is
-        ``−(a·P + b·Q)`` and the Hessian ``[P; Q]ᵀ [[a², β], [β, b²]] [P; Q]``.
+        With ``f = p·q − w`` the gradient is ``−(q·P + p·Q)/f`` and the
+        Hessian ``Σ ∇f∇fᵀ/f² − Σ (P·Qᵀ + Q·Pᵀ)/f``.  With ``a = q/f``,
+        ``b = p/f`` and ``β = ab − 1/f`` these are ``−(a·P + b·Q)`` and
+        ``[P; Q]ᵀ [[a², β], [β, b²]] [P; Q]``.
         """
         pq, f = state
         neg_inv = np.divide(-1.0, f)
@@ -436,19 +292,8 @@ class _HyperbolicStack:
         self.wPQ += self.PQ[..., ::-1, :, :] * beta[..., None, :, None]  # β·[Q; P]
 
 
-_STACKS = {
-    _LinearBlock: _LinearStack,
-    _HyperbolicBlock: _HyperbolicStack,
-}
-
-
-def _term_signature(terms: Sequence[_BarrierTerm]) -> Tuple[type, ...]:
-    """The term kinds of one block, in order."""
-    return tuple(type(term) for term in terms)
-
-
 class _BlockGroup:
-    """Blocks of equal width and term signature, evaluated and assembled as one batch.
+    """Blocks of equal width and term kinds, evaluated and assembled as one batch.
 
     Each member contributes one row of every stacked tensor; ``index[j]``
     gathers member ``j``'s coordinates (its block followed by the border)
@@ -461,68 +306,63 @@ class _BlockGroup:
     (``W·R``) and :attr:`wgrad` (``g``), and :meth:`assemble` builds the
     ``(B, n)`` gradient and ``(B, n, n)`` Hessian stacks of all members in one
     batched matmul each.  A group of one drops the member axis of its stack
-    tensors (:func:`_members`).
+    tensors (:func:`_members`).  The members, ``index`` and :attr:`rows` are
+    the phase layout's :class:`_GroupLayout`, read-only and not copied.
     """
 
     def __init__(
         self,
-        slices: Sequence[slice],
-        block_terms: Sequence[Sequence[_BarrierTerm]],
+        layout: "_GroupLayout",
+        h: np.ndarray,
         rhs: np.ndarray,
         border: int,
     ) -> None:
-        width = slices[0].stop - slices[0].start
-        n = width + border
-        k, cols = rhs.shape
-        self.size = len(slices)
+        size, height, n = layout.rows.shape
+        width = layout.width
+        cols = rhs.shape[1]
+        self.size = size
         self.width = width
-        self.index = np.array(
-            [np.r_[slc.start : slc.stop, k - border : k] for slc in slices],
-            dtype=np.intp,
-        ).reshape(self.size, n)
+        self.index = layout.index
         #: the members' block coordinates, one row per member; for a group of
         #: one a basic slice, so reading and writing them makes no copy
         self.block_index = (
-            (None, slices[0]) if self.size == 1 else self.index[:, :width]
+            (None, layout.slices[0]) if size == 1 else layout.index[:, :width]
         )
-        slots = [(_STACKS[type(slot[0])], slot) for slot in zip(*block_terms)]
-        height = sum(stack.height(slot) for stack, slot in slots)
-        rows = np.zeros((self.size, height, n))
         #: ``W·R`` and ``g``: each stack writes its rows' Hessian weights and
         #: gradient coefficients through its spans; padding rows of ``rows``
         #: are zero, so whatever they weigh adds exact zeros
-        wrows = np.zeros((self.size, height, n))
-        wgrad = np.zeros((self.size, height))
-        self.stacks = []
-        start = 0
-        for stack, slot in slots:
-            self.stacks.append(stack(slot, rows, wrows, wgrad, start))
-            start += stack.height(slot)
-        self.rows = _members(rows)
+        wrows = np.zeros((size, height, n))
+        wgrad = np.zeros((size, height))
+        self.stacks: List[object] = []
+        if layout.linear:
+            self.stacks.append(_LinearStack(layout, h, wrows, wgrad))
+        if layout.hyperbolic:
+            self.stacks.append(_HyperbolicStack(layout, wrows, wgrad))
+        self.rows = _members(layout.rows)
         self.wrows, self.wgrad = _members(wrows), _members(wgrad)
         self._rows_t = self.rows.swapaxes(-1, -2)
         #: gathers the members' coordinates (border included) from ``z``
         self.gather = _members(self.index)
-        self.grad = np.empty((self.size, n))
-        self.hess = np.empty((self.size, n, n))
+        self.grad = np.empty((size, n))
+        self.hess = np.empty((size, n, n))
         #: views of the two without the member axis of a group of one, which
         #: :meth:`assemble` writes at the cost of plain 2-D calls
         self._grad_out = _members(self.grad)[..., None]
         self._hess_out = _members(self.hess)
-        diagonals = _members(self.hess.reshape(self.size, n * n)[:, :: n + 1])
+        diagonals = _members(self.hess.reshape(size, n * n)[:, :: n + 1])
         #: strided view of every diagonal entry ``hess[:, i, i]``
         self.trace = diagonals
         #: the block part of it, ``i < width``
         self.diagonal = diagonals[..., :width]
         #: per-member right-hand sides ``[gradient | Gcᵀ rows | Hessian border
         #: columns]``; the coupling columns are constant, written once here
-        self.rhs = np.empty((self.size, width, cols + border))
+        self.rhs = np.empty((size, width, cols + border))
         self.rhs[:, :, :cols] = rhs[self.block_index]
         #: per member: its block's coordinates, its Hessian block (without
         #: the border) and its right-hand sides, as views into the buffers
         self.members = [
             (slc, self.hess[j, :width, :width], self.rhs[j])
-            for j, slc in enumerate(slices)
+            for j, slc in enumerate(layout.slices)
         ]
         #: the members' stacked solutions, used when there is a border
         self.sol = np.empty_like(self.rhs) if border else None
@@ -574,53 +414,250 @@ def _single_block(problem: CompiledProblem) -> BlockStructure:
     )
 
 
-def _block_support(slc: slice, k: int, border: int) -> Optional[np.ndarray]:
-    """Coordinates of the block ``slc`` followed by the ``border`` ones.
+def _frozen(*arrays: np.ndarray) -> None:
+    """Mark layout arrays read-only: every workspace shares them."""
+    for array in arrays:
+        array.flags.writeable = False
 
-    ``None`` (read the whole vector) when the block spans all ``k`` leading
-    coordinates — a single-block problem — which spares every term a
-    gather of the full vector.
+
+def _ranks(owner: np.ndarray, blocks: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each item's position among its block's items (in item order), and
+    each block's item count.
+
+    ``owner[i]`` is the block of item ``i``; ``-1`` (a coupling row) is in
+    no block, and its rank is ``-1``.
     """
-    if slc.start == 0 and slc.stop == k:
-        return None
-    return np.concatenate(
-        [np.arange(slc.start, slc.stop), np.arange(k, k + border)]
-    )
-
-
-def _owned_blocks(
-    matrix: object, owner: np.ndarray, ranges: Sequence[Tuple[int, int]]
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per block: the rows of the CSR ``matrix`` it owns, and those rows
-    restricted to its columns as a dense array.
-
-    ``owner[i]`` is the block of row ``i`` (``-1``: owned by none, a coupling
-    row); an owned row's support lies in its block's columns.  The entries
-    of all owned rows are gathered in one pass, then written per block.
-    """
-    count = len(ranges)
     order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(count + 1))
-    rows = order[bounds[0]:]
-    indptr = matrix.indptr
-    lengths = indptr[rows + 1] - indptr[rows]
-    firsts = np.cumsum(lengths) - lengths
-    entries = np.repeat(indptr[rows] - firsts, lengths) + np.arange(int(lengths.sum()))
-    local_rows = np.repeat(np.arange(rows.size), lengths)
-    entry_bounds = np.concatenate([[0], np.cumsum(lengths)])[bounds - bounds[0]]
-    members: List[np.ndarray] = []
-    dense: List[np.ndarray] = []
-    for block, (start, stop) in enumerate(ranges):
-        first, last = bounds[block] - bounds[0], bounds[block + 1] - bounds[0]
-        block_entries = slice(entry_bounds[block], entry_bounds[block + 1])
-        values = np.zeros((last - first, stop - start))
-        values[
-            local_rows[block_entries] - first,
-            matrix.indices[entries[block_entries]] - start,
-        ] = matrix.data[entries[block_entries]]
-        members.append(rows[first:last])
-        dense.append(values)
-    return members, dense
+    sorted_owner = owner[order]
+    owned = sorted_owner >= 0
+    first = np.searchsorted(sorted_owner, np.arange(blocks))
+    rank = np.full(owner.size, -1, dtype=np.intp)
+    rank[order[owned]] = np.flatnonzero(owned) - first[sorted_owner[owned]]
+    return rank, np.bincount(sorted_owner[owned], minlength=blocks)
+
+
+def _entries(
+    matrix: object, owner: np.ndarray, rank: np.ndarray, starts: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Every stored entry of the CSR ``matrix`` in a row some block owns,
+    in storage order: its block, its row's rank in the block (:func:`_ranks`),
+    its column within the block and its value."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    kept = owner[rows] >= 0
+    rows = rows[kept]
+    block = owner[rows]
+    return block, rank[rows], matrix.indices[kept] - starts[block], matrix.data[kept]
+
+
+@dataclass(frozen=True)
+class _GroupLayout:
+    """One block group of a phase: blocks of equal width and term kinds.
+
+    Member ``j`` is the block with columns ``slices[j]``; ``index[j]``
+    gathers its coordinates (the block followed by the border) from the
+    solver vector.  ``rows`` is the members' ``(B, R, n)`` row tensor: the
+    ``linear`` rows ``G`` first, padded with ``0·x ≤ 1``, then the
+    ``hyperbolic`` terms' ``P`` rows and their ``Q`` rows, padded with
+    ``(0·x + 1)(0·x + 1) ≥ 0``.  ``h_map`` places each linear row's
+    right-hand side: an index into ``h`` extended by the padding's ``1`` and
+    phase I's lower-bound constant (:meth:`_StructuredWorkspace.__init__`).
+    Every array is read-only.
+    """
+
+    slices: Tuple[slice, ...]
+    width: int
+    index: np.ndarray    #: ``(B, n)`` member coordinates
+    rows: np.ndarray     #: ``(B, linear + 2·hyperbolic, n)``
+    linear: int          #: padded linear rows per member
+    hyperbolic: int      #: padded hyperbolic terms per member
+    h_map: np.ndarray    #: ``(B, linear)`` positions in the extended ``h``
+    pq0: np.ndarray      #: ``(B, 2, hyperbolic)``: ``p0`` and ``q0``, padding 1
+    w: np.ndarray        #: ``(B, hyperbolic)``: the bounds, padding 0
+
+
+@dataclass(frozen=True)
+class _PhaseLayout:
+    """The kernel layout of one phase: its block groups and coupling rows.
+
+    Phase II works on the free columns.  Phase I works on ``(x, t)``: every
+    linear row gains a ``−1`` in the ``t`` column and every hyperbolic
+    term's ``P`` and ``Q`` a ``½`` (``(p + t/2)(q + t/2) ≥ w``), and block
+    0 homes the lower-bound row ``−t ≤ −lower_bound`` after its own rows.
+    ``t`` is the arrow's one-column ``border``, except in a one-block
+    program, where it is the block's last coordinate.
+    """
+
+    k: int                          #: coordinates of the solver vector
+    border: int                     #: trailing coordinates shared by all blocks
+    blocks: int                     #: number of structure blocks
+    groups: Tuple[_GroupLayout, ...]
+    coupling_rows: np.ndarray       #: the rows of ``h`` that couple blocks
+    coupling: np.ndarray            #: their dense rows, ``k`` columns each
+    coupling_sq: np.ndarray         #: each coupling row's squared norm
+    m: int                          #: barrier terms, the ``m`` of the ``m/t`` gap
+
+
+class _KernelLayout:
+    """The Newton kernel's read-only view of one compiled problem.
+
+    It depends only on ``G``, the hyperbolic terms and the block structure:
+    never on ``h``, the one array parametric re-solves mutate, nor on phase
+    I's lower bound, which each workspace gathers.  So it is built once per
+    compiled problem and cached on it
+    (:attr:`~repro.solver.problem.CompiledProblem.kernel_layout`).  Each
+    phase's :class:`_PhaseLayout` is scattered straight from the CSR
+    matrices the first time that phase runs, so warm solves that skip phase
+    I never build its layout.
+    """
+
+    def __init__(self, problem: CompiledProblem) -> None:
+        structure = problem.block_structure or _single_block(problem)
+        hyp = problem.hyperbolic
+        self.blocks = structure.num_blocks
+        self.k = problem.num_variables
+        self.h_size = int(problem.h.size)
+        ranges = np.array(structure.ranges, dtype=np.intp).reshape(-1, 2)
+        self.starts = ranges[:, 0]
+        self.widths = ranges[:, 1] - ranges[:, 0]
+        #: per linear row and per hyperbolic term: its block (``-1``: a
+        #: coupling row) and its rank among its block's rows or terms
+        self.row_block = structure.row_blocks
+        self.row_rank, self.row_count = _ranks(self.row_block, self.blocks)
+        self.term_block = structure.hyperbolic_blocks
+        self.term_rank, self.term_count = _ranks(self.term_block, self.blocks)
+        self.G_entries = _entries(
+            problem.G_sparse, self.row_block, self.row_rank, self.starts
+        )
+        self.PQ_entries = [
+            _entries(side, self.term_block, self.term_rank, self.starts)
+            for side in (hyp.P, hyp.Q)
+        ]
+        self.p0, self.q0, self.bound = hyp.p0, hyp.q0, hyp.bound
+        self.coupling_rows = structure.coupling_rows
+        self.coupling = problem.G_sparse[self.coupling_rows].toarray()
+        _frozen(self.coupling_rows, self.coupling)
+
+    @cached_property
+    def phase_two(self) -> _PhaseLayout:
+        return self._build(phase_one=False)
+
+    @cached_property
+    def phase_one(self) -> _PhaseLayout:
+        return self._build(phase_one=True)
+
+    def _build(self, phase_one: bool) -> _PhaseLayout:
+        k = self.k + phase_one
+        # A one-block program has no arrow to border: t is its last column.
+        fold = phase_one and self.blocks == 1
+        border = int(phase_one and not fold)
+        widths = self.widths + fold
+        linear_count = self.row_count.copy()
+        linear_count[0] += phase_one  # the lower-bound row, homed in block 0
+        members: Dict[Tuple[int, bool, bool], List[int]] = {}
+        kinds = zip(
+            widths.tolist(), (linear_count > 0).tolist(), (self.term_count > 0).tolist()
+        )
+        for block, key in enumerate(kinds):
+            members.setdefault(key, []).append(block)
+        group_of = np.empty(self.blocks, dtype=np.intp)
+        member_of = np.empty(self.blocks, dtype=np.intp)
+        for group, indices in enumerate(members.values()):
+            group_of[indices] = group
+            member_of[indices] = np.arange(len(indices))
+        groups = tuple(
+            self._group(np.array(indices), group_of, member_of, border, k, linear_count)
+            for indices in members.values()
+        )
+        coupling = self.coupling
+        if phase_one:
+            coupling = np.hstack([coupling, -np.ones((coupling.shape[0], 1))])
+        coupling_sq = np.einsum("ij,ij->i", coupling, coupling)
+        _frozen(coupling, coupling_sq)
+        return _PhaseLayout(
+            k=k,
+            border=border,
+            blocks=self.blocks,
+            groups=groups,
+            coupling_rows=self.coupling_rows,
+            coupling=coupling,
+            coupling_sq=coupling_sq,
+            m=int(linear_count.sum() + self.term_count.sum()) + coupling.shape[0],
+        )
+
+    def _group(
+        self,
+        indices: np.ndarray,
+        group_of: np.ndarray,
+        member_of: np.ndarray,
+        border: int,
+        k: int,
+        linear_count: np.ndarray,
+    ) -> _GroupLayout:
+        """Scatter the rows of the blocks ``indices`` into one padded tensor.
+
+        A phase-I layout (``k`` counts ``t``) writes ``t``'s column, the
+        last of each member's ``n`` coordinates, and block 0's lower-bound
+        row.
+        """
+        group = group_of[indices[0]]
+        phase_one = k > self.k
+        size = indices.size
+        width = int(self.widths[indices[0]]) + (phase_one and not border)
+        n = width + border
+        linear = int(linear_count[indices].max())
+        count = int(self.term_count[indices].max())
+        rows = np.zeros((size, linear + 2 * count, n))
+
+        def scatter(entries: Tuple[np.ndarray, ...], offset: int) -> None:
+            block, rank, column, value = entries
+            here = group_of[block] == group
+            block, rank, column = block[here], rank[here], column[here]
+            rows[member_of[block], offset + rank, column] = value[here]
+
+        owned = np.flatnonzero(
+            (self.row_block >= 0) & (group_of[self.row_block] == group)
+        )
+        member, rank = member_of[self.row_block[owned]], self.row_rank[owned]
+        h_map = np.full((size, linear), self.h_size, dtype=np.intp)
+        h_map[member, rank] = owned
+        scatter(self.G_entries, 0)
+        if phase_one:
+            rows[member, rank, n - 1] = -1.0
+            if group_of[0] == group:
+                bound_row = member_of[0], self.row_count[0]
+                rows[bound_row + (n - 1,)] = -1.0
+                h_map[bound_row] = self.h_size + 1
+
+        terms = np.flatnonzero(group_of[self.term_block] == group)
+        member, rank = member_of[self.term_block[terms]], self.term_rank[terms]
+        pq0, w = np.ones((size, 2, count)), np.zeros((size, count))
+        pq0[member, 0, rank] = self.p0[terms]
+        pq0[member, 1, rank] = self.q0[terms]
+        w[member, rank] = self.bound[terms]
+        for side, entries in enumerate(self.PQ_entries):
+            scatter(entries, linear + side * count)
+            if phase_one:
+                rows[member, linear + side * count + rank, n - 1] = 0.5
+
+        starts = self.starts[indices]
+        index = np.hstack(
+            [
+                starts[:, None] + np.arange(width, dtype=np.intp),
+                np.broadcast_to(np.arange(k - border, k), (size, border)),
+            ]
+        )
+        _frozen(rows, h_map, pq0, w, index)
+        return _GroupLayout(
+            slices=tuple(slice(start, start + width) for start in starts.tolist()),
+            width=width,
+            index=index,
+            rows=rows,
+            linear=linear,
+            hyperbolic=count,
+            h_map=h_map,
+            pq0=pq0,
+            w=w,
+        )
 
 
 @dataclass
@@ -642,87 +679,24 @@ class _CenteringResult:
     nonconverged_rungs: int = 0
 
 
-@dataclass
-class _PiecesCache:
-    """Per-block slices of a compiled program's constraints.
-
-    Everything here depends only on ``G``, the hyperbolic terms and the
-    block structure — never on ``h``, the only array parametric re-solves
-    mutate.
-    Cached on the compiled problem
-    (:attr:`~repro.solver.problem.CompiledProblem.pieces_cache`), so a
-    warm-started session slices once and each solve reads only the current
-    ``h`` rows (:meth:`blocks`, :meth:`coupling`).
-    """
-
-    dimension: int                     #: number of columns
-    block_slices: List[slice]          #: the columns of each block
-    block_rows: List[np.ndarray]       #: inequality row indices per block
-    block_G: List[np.ndarray]          #: ``G[rows][:, block]`` per block
-    #: per block, its hyperbolic terms on its own columns as dense
-    #: ``(P, p0, Q, q0, bound)`` (``None`` without terms)
-    hyps: List[Optional[Tuple[np.ndarray, ...]]]
-    coupling_rows: np.ndarray
-    coupling_G: np.ndarray             #: ``G[coupling_rows]``, full width
-
-    def blocks(self, h: np.ndarray):
-        """Per block: its columns, its rows ``(G, h)`` and its hyperbolic
-        terms."""
-        return zip(
-            self.block_slices,
-            self.block_G,
-            (h[rows] for rows in self.block_rows),
-            self.hyps,
-        )
-
-    def coupling(self, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The full-width coupling rows ``(G, h)``."""
-        return self.coupling_G, h[self.coupling_rows]
-
-
-@dataclass
-class _StructurePlan:
-    """Arrow decomposition of one centering problem.
-
-    ``block_slices`` partition the leading coordinates into per-application
-    blocks; ``border`` counts trailing shared coordinates (the phase-I
-    relaxation variable ``t``; zero in phase II).  ``block_terms[b]`` holds
-    the narrow barrier terms local to block ``b`` (their ``support`` is the
-    block's coordinates followed by the border), and ``coupling`` the
-    full-width linear rows joining the blocks.
-    """
-
-    block_slices: List[slice]
-    border: int
-    block_terms: List[List[_BarrierTerm]]
-    coupling: Optional[_LinearBlock]
-
-    def __post_init__(self) -> None:
-        #: the flat term list (block terms + coupling) for generic loops
-        self.terms: List[_BarrierTerm] = [
-            term for terms in self.block_terms for term in terms
-        ]
-        if self.coupling is not None:
-            self.terms.append(self.coupling)
-
-
 class _StructuredWorkspace:
     """The Newton kernel: stacked block-group evaluation and assembly.
 
-    Owns the preallocated hot-loop state of one centering run.  Blocks of
-    equal width and term signature (:func:`_term_signature`) form one
-    :class:`_BlockGroup` whose barrier terms are stacked into padded tensors
+    Owns the scratch buffers of one centering run around a read-only
+    :class:`_PhaseLayout`, one :class:`_BlockGroup` per layout group, and
+    gathers the current ``h`` rows (and phase I's lower-bound constant) into
+    their padded positions
     once.  :meth:`evaluate` runs every group once at a point and returns the
     group states and the coupling slacks with the merit; :meth:`direction`
     builds the gradient and the group Hessian stacks from those carried
     states — it never re-evaluates a slack — and adds the trace-scaled
     Tikhonov term.  The step is then solved one of two ways, picked from the
-    plan:
+    layout:
 
-    * a plan with one block, no border and no coupling (every one-block
+    * a layout with one block, no border and no coupling (every one-block
       program, phase I included: its ``t`` is a coordinate of the block)
       solves its assembled block with one Cholesky solve (:func:`_spd_solve`);
-    * every other plan takes the arrow solve (:meth:`_arrow_direction`):
+    * every other layout takes the arrow solve (:meth:`_arrow_direction`):
       one Cholesky solve per block plus the Schur complements of the border
       and the coupling rows.  The right-hand-side / solution buffers are
       preallocated and the coupling columns ``Gcᵀ`` written **once**.
@@ -737,43 +711,36 @@ class _StructuredWorkspace:
 
     def __init__(
         self,
-        plan: _StructurePlan,
-        k: int,
+        layout: _PhaseLayout,
+        h: np.ndarray,
         options: BarrierOptions,
         stats: Dict[str, float],
+        lower_bound: float = 0.0,
     ) -> None:
-        self.plan = plan
+        self.layout = layout
         self.options = options
         self.stats = stats
-        self.k = k
-        self.border = plan.border
-        coupling = plan.coupling
-        self.m = int(coupling.count) if coupling is not None else 0
+        self.k = k = layout.k
+        self.border = layout.border
+        #: the coupling rows, their right-hand sides and their count
+        self.Gc = layout.coupling
+        self.hc = h[layout.coupling_rows]
+        self.m = self.hc.size
         #: one block, no border, no coupling: a direct solve of that block
-        self.direct = len(plan.block_slices) == 1 and not self.border and not self.m
+        self.direct = layout.blocks == 1 and not self.border and not self.m
         cols = 1 + self.m
         self.cols = cols
         self.rhs = np.empty((k, cols))
-        if self.m:
-            self.rhs[:, 1:] = coupling.G.T
-            self._coupling_sq = np.einsum("ij,ij->i", coupling.G, coupling.G)
+        self.rhs[:, 1:] = self.Gc.T
         self.solved = np.empty((k, cols))
         #: ``1/s²`` over the coupling slacks of the last assembled point
         self.weights = np.zeros(self.m)
-        members: Dict[tuple, List[int]] = {}
-        for index, (slc, terms) in enumerate(
-            zip(plan.block_slices, plan.block_terms)
-        ):
-            key = (slc.stop - slc.start, _term_signature(terms))
-            members.setdefault(key, []).append(index)
+        # ``h`` extended by the padding rows' 1 and the constant of phase I's
+        # lower-bound row ``−t ≤ −lower_bound``, the two targets of ``h_map``
+        extended = np.concatenate([h, [1.0, -lower_bound]])
         self.groups = [
-            _BlockGroup(
-                [plan.block_slices[index] for index in indices],
-                [plan.block_terms[index] for index in indices],
-                self.rhs,
-                self.border,
-            )
-            for indices in members.values()
+            _BlockGroup(group, extended[group.h_map], self.rhs, self.border)
+            for group in layout.groups
         ]
 
     def evaluate(self, z: np.ndarray) -> Tuple[Optional[tuple], float]:
@@ -793,11 +760,15 @@ class _StructuredWorkspace:
             total += value
         slacks = None
         if self.m:
-            slacks = self.plan.coupling.slacks(z)
+            slacks = self.coupling_slacks(z)
             if not slacks.min() > 0.0:
                 return None, math.inf
             total -= float(np.log(slacks).sum())
         return (group_states, slacks), total
+
+    def coupling_slacks(self, z: np.ndarray) -> np.ndarray:
+        """The coupling rows' slacks ``hc − Gc·z``."""
+        return self.hc - self.Gc @ z
 
     def direction(
         self, grad_objective: np.ndarray, states: tuple
@@ -826,9 +797,9 @@ class _StructuredWorkspace:
             trace += float(group.trace.sum())
         if self.m:
             inv = 1.0 / slacks
-            grad += self.plan.coupling.G.T @ inv
+            grad += self.Gc.T @ inv
             self.weights = inv * inv
-            trace += float(self.weights @ self._coupling_sq)
+            trace += float(self.weights @ self.layout.coupling_sq)
         reg = self.options.regularization * (1.0 + trace / max(k, 1))
         for group in self.groups:
             group.diagonal += reg
@@ -914,7 +885,7 @@ class _StructuredWorkspace:
         if m:
             base = solved[:, 0]
             lifted = solved[:, 1:]
-            Gc = self.plan.coupling.G
+            Gc = self.Gc
             # Matrix-inversion lemma: (W⁻¹ + Gc·H₀⁻¹·Gcᵀ) is the coupling
             # Schur complement of the arrow-structured KKT system.
             schur_c = np.diag(1.0 / self.weights) + Gc @ lifted
@@ -937,8 +908,7 @@ class _StructuredWorkspace:
         # is a sum over the groups, so it is added here once.
         hess.reshape(-1)[(k - self.border) * (k + 1) :: k + 1] += reg
         if self.m:
-            Gc = self.plan.coupling.G
-            hess += (Gc.T * self.weights) @ Gc
+            hess += (self.Gc.T * self.weights) @ self.Gc
         return -self._dense_solve(hess, grad)
 
     def _dense_solve(self, hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -970,7 +940,7 @@ class _PhaseOneStart:
 
     decided: Optional[Solution] = None
     point: Optional[np.ndarray] = None
-    pieces: Optional[_PiecesCache] = None
+    layout: Optional[_KernelLayout] = None
     z: Optional[np.ndarray] = None
     z_interior: Optional[np.ndarray] = None
     stats: Optional[Dict[str, object]] = None
@@ -1005,9 +975,8 @@ class BarrierSolver:
         if start.decided is not None:
             return start.decided
         stats, z_interior = start.stats, start.z_interior
-        plan = self._phase_two_plan(start.pieces, problem.h)
         workspace = _StructuredWorkspace(
-            plan, problem.num_variables, self.options, self._kernel_stats
+            start.layout.phase_two, problem.h, self.options, self._kernel_stats
         )
 
         # Phase II re-centers from the interior hint when phase I was skipped
@@ -1087,7 +1056,7 @@ class BarrierSolver:
         initial_point: Optional[np.ndarray],
         interior_point: Optional[np.ndarray] = None,
     ) -> _PhaseOneStart:
-        """Block slicing and phase I: up to a feasible start.
+        """The kernel layout and phase I: up to a feasible start.
 
         The one place phase I is set up, for both :meth:`solve` and
         :meth:`feasible_point`.  A phase-I infeasibility verdict is published
@@ -1123,14 +1092,14 @@ class BarrierSolver:
         #: Newton-kernel accounting shared by every workspace of this solve
         #: (phase I and phase II); reset per solve.
         self._kernel_stats = _kernel_stats()
-        pieces = self._pieces(problem)
+        layout = self._layout(problem)
         z_interior: Optional[np.ndarray] = None
         if interior_point is not None:
             z_interior = np.array(interior_point, dtype=float)
         fallbacks = [z_interior] if z_interior is not None else []
         with obs_span("phase1") as phase1_span:
             z_feasible, feasibility, phase1 = self._phase_one(
-                problem, pieces, z0, fallbacks=fallbacks
+                problem, layout, z0, fallbacks=fallbacks
             )
             phase1_span.set(
                 skipped=bool(phase1["skipped"]),
@@ -1141,7 +1110,7 @@ class BarrierSolver:
             "phase1_newton_iterations": int(phase1["newton_iterations"]),
             "newton_iterations": 0,
             "outer_iterations": 0,
-            "structured": len(pieces.block_slices) >= 2,
+            "structured": layout.blocks >= 2,
             "phase1_time": phase1_span.seconds,
             "centering_time": 0.0,
         }
@@ -1157,7 +1126,7 @@ class BarrierSolver:
                 )
             )
         return _PhaseOneStart(
-            pieces=pieces,
+            layout=layout,
             z=z_feasible,
             z_interior=z_interior,
             stats=stats,
@@ -1173,8 +1142,8 @@ class BarrierSolver:
         directions whose ``k×k`` Cholesky failed and took least squares),
         the assembly/factorisation/Schur time split and the
         block-factorisation count are reported for every solve; the
-        dense-step count and the pieces-cache reuse flag only for
-        ``stats["structured"]`` (two or more blocks) solves.
+        dense-step count and the layout reuse flag (``pieces_cache_reused``)
+        only for ``stats["structured"]`` (two or more blocks) solves.
         """
         kernel = self._kernel_stats
         stats["sparse_nnz"] = int(problem.constraint_nnz)
@@ -1190,7 +1159,7 @@ class BarrierSolver:
         stats["structured_fallback_iterations"] = int(
             kernel["fallback_iterations"]
         )
-        stats["pieces_cache_reused"] = bool(self._pieces_cache_hit)
+        stats["pieces_cache_reused"] = bool(self._layout_reused)
 
     def _record_metrics(self, stats: Dict[str, object], optimal: bool) -> None:
         """Publish one solve's statistics to the metrics registry.
@@ -1209,7 +1178,6 @@ class BarrierSolver:
         if stats.get("phase1_skipped"):
             registry.counter("solver.phase1_skipped").inc()
         if stats.get("structured"):
-            registry.counter("solver.structured_solves").inc()
             registry.counter("solver.sparse_solves").inc()
         else:
             registry.counter("solver.dense_solves").inc()
@@ -1251,78 +1219,27 @@ class BarrierSolver:
         )
 
     # -- setup ----------------------------------------------------------------
-    def _pieces(self, problem: CompiledProblem) -> _PiecesCache:
-        """The per-block slices of ``problem``, cached on it.
+    def _layout(self, problem: CompiledProblem) -> _KernelLayout:
+        """The kernel layout of ``problem``, cached on it.
 
-        The slices depend only on ``G``, the hyperbolic terms and the block
-        structure, so they are computed once per compiled problem; each
-        solve reads only the ``h`` rows, the one array parametric re-solves
-        mutate.
+        The layout depends only on ``G``, the hyperbolic terms and the
+        block structure, so it is built once per compiled problem; each
+        workspace gathers only the ``h`` rows, the one array parametric
+        re-solves mutate.
         """
-        cache = problem.pieces_cache
-        #: whether this solve reused the cached slices (surfaced as the
+        layout = problem.kernel_layout
+        #: whether this solve reused the cached layout (surfaced as the
         #: ``pieces_cache_reused`` stat → SessionStats sparse reuse)
-        self._pieces_cache_hit = cache is not None
-        if cache is None:
-            cache = self._build_pieces_cache(problem)
-            problem.pieces_cache = cache
-        return cache
-
-    def _build_pieces_cache(self, problem: CompiledProblem) -> _PiecesCache:
-        structure = problem.block_structure or _single_block(problem)
-        n = problem.num_variables
-        ranges = structure.ranges
-        G = problem.G_sparse
-        block_rows, block_G = _owned_blocks(G, structure.row_blocks, ranges)
-        hyp = problem.hyperbolic
-        hyp_terms, block_P = _owned_blocks(hyp.P, structure.hyperbolic_blocks, ranges)
-        _, block_Q = _owned_blocks(hyp.Q, structure.hyperbolic_blocks, ranges)
-        hyps = [
-            (P, hyp.p0[terms], Q, hyp.q0[terms], hyp.bound[terms]) if terms.size else None
-            for terms, P, Q in zip(hyp_terms, block_P, block_Q)
-        ]
-        coupling_rows = structure.coupling_rows
-        return _PiecesCache(
-            dimension=n,
-            block_slices=[slice(start, stop) for start, stop in ranges],
-            block_rows=block_rows,
-            block_G=block_G,
-            hyps=hyps,
-            coupling_rows=coupling_rows,
-            coupling_G=G[coupling_rows].toarray(),
-        )
-
-    def _phase_two_plan(self, pieces: _PiecesCache, h: np.ndarray) -> _StructurePlan:
-        """Phase-II (borderless) plan: narrow per-block terms + coupling rows."""
-        k = pieces.dimension
-        block_terms: List[List[_BarrierTerm]] = []
-        for slc, G, h_block, hyp in pieces.blocks(h):
-            support = _block_support(slc, k, border=0)
-            block_index = len(block_terms)
-            terms: List[_BarrierTerm] = []
-            if G.shape[0]:
-                terms.append(
-                    _LinearBlock(G, h_block, support=support, block=block_index)
-                )
-            if hyp is not None:
-                terms.append(
-                    _HyperbolicBlock(*hyp, support=support, block=block_index)
-                )
-            block_terms.append(terms)
-        Gc, hc = pieces.coupling(h)
-        coupling = _LinearBlock(Gc, hc) if Gc.shape[0] else None
-        return _StructurePlan(
-            block_slices=list(pieces.block_slices),
-            border=0,
-            block_terms=block_terms,
-            coupling=coupling,
-        )
+        self._layout_reused = layout is not None
+        if layout is None:
+            layout = problem.kernel_layout = _KernelLayout(problem)
+        return layout
 
     # -- phase I -----------------------------------------------------------------
     def _phase_one(
         self,
         problem: CompiledProblem,
-        pieces: _PiecesCache,
+        layout: _KernelLayout,
         z0: np.ndarray,
         fallbacks: Sequence[np.ndarray] = (),
     ) -> Tuple[Optional[np.ndarray], float, Dict[str, object]]:
@@ -1364,7 +1281,13 @@ class BarrierSolver:
         k = problem.num_variables
         # Keep the phase-I objective bounded below.
         lower_bound = -max(1.0, abs(needed))
-        plan = self._phase_one_plan(pieces, problem.h, lower_bound)
+        workspace = _StructuredWorkspace(
+            layout.phase_one,
+            problem.h,
+            self.options,
+            self._kernel_stats,
+            lower_bound=lower_bound,
+        )
 
         t0 = needed + max(1.0, 0.1 * abs(needed))
         zt = np.concatenate([z0, [t0]])
@@ -1380,7 +1303,7 @@ class BarrierSolver:
 
         phase_result = self._barrier_minimise(
             c_phase,
-            _StructuredWorkspace(plan, k + 1, self.options, self._kernel_stats),
+            workspace,
             zt,
             early_stop=early_stop,
             gap_tolerance=1e-3,
@@ -1391,80 +1314,6 @@ class BarrierSolver:
         if t_final < -opts.feasibility_margin:
             return zt_opt[:-1], t_final, stats
         return None, t_final, stats
-
-    def _phase_one_plan(
-        self,
-        pieces: _PiecesCache,
-        h: np.ndarray,
-        lower_bound: float,
-    ) -> _StructurePlan:
-        """Narrow phase-I terms over ``(z, t)``: ``t`` is the arrow's border.
-
-        Each relaxed constraint stays local to its block plus the shared
-        relaxation column, so block ``b``'s terms live in the coordinates
-        ``[block b, t]`` and the per-block factorisation carries over to
-        phase I unchanged; the coupling rows (now with a ``−t`` column) go
-        through the Schur complement as before.  A one-block program has no
-        arrow to border: ``t`` becomes the block's last coordinate, so its
-        phase I takes the direct solve like its phase II.
-        """
-        k = pieces.dimension
-        block_terms: List[List[_BarrierTerm]] = []
-        for block_index, (slc, G, h_block, hyp) in enumerate(pieces.blocks(h)):
-            width = slc.stop - slc.start
-            support = _block_support(slc, k, border=1)
-            terms: List[_BarrierTerm] = []
-            rows: List[np.ndarray] = []
-            rhs: List[np.ndarray] = []
-            if G.shape[0]:
-                rows.append(np.hstack([G, -np.ones((G.shape[0], 1))]))
-                rhs.append(h_block)
-            if block_index == 0:
-                # The phase-I objective's lower bound (−t ≤ −lower_bound):
-                # border-only, homed in the first block's local term.
-                rows.append(
-                    np.concatenate([np.zeros(width), [-1.0]]).reshape(1, -1)
-                )
-                rhs.append(np.array([-lower_bound]))
-            if rows:
-                terms.append(
-                    _LinearBlock(
-                        np.vstack(rows),
-                        np.concatenate(rhs),
-                        support=support,
-                        block=block_index,
-                    )
-                )
-            if hyp is not None:
-                # p·q ≥ w relaxed as (p + t/2)(q + t/2) ≥ w.
-                P, p0, Q, q0, w = hyp
-                half = np.full((w.size, 1), 0.5)
-                terms.append(
-                    _HyperbolicBlock(
-                        np.hstack([P, half]),
-                        p0,
-                        np.hstack([Q, half]),
-                        q0,
-                        w,
-                        support=support,
-                        block=block_index,
-                    )
-                )
-            block_terms.append(terms)
-        Gc, hc = pieces.coupling(h)
-        coupling = None
-        if Gc.shape[0]:
-            coupling = _LinearBlock(
-                np.hstack([Gc, -np.ones((Gc.shape[0], 1))]), hc
-            )
-        if len(block_terms) == 1:
-            return _StructurePlan([slice(0, k + 1)], 0, block_terms, coupling)
-        return _StructurePlan(
-            block_slices=list(pieces.block_slices),
-            border=1,
-            block_terms=block_terms,
-            coupling=coupling,
-        )
 
     def _required_relaxation(self, problem: CompiledProblem, x: np.ndarray) -> float:
         """Smallest ``t`` that makes ``x`` strictly feasible for the relaxed problem."""
@@ -1494,7 +1343,7 @@ class BarrierSolver:
         early_stop=None,
         gap_tolerance: Optional[float] = None,
     ) -> _CenteringResult:
-        """Minimise ``c·z`` over the strictly feasible region of the workspace's plan.
+        """Minimise ``c·z`` over the strictly feasible region of the workspace's layout.
 
         The rung schedule starts at ``initial_barrier`` and grows by
         ``barrier_increase`` until the ``m/t`` gap bound meets the tolerance.
@@ -1504,7 +1353,7 @@ class BarrierSolver:
         """
         opts = self.options
         tolerance = opts.tolerance if gap_tolerance is None else gap_tolerance
-        m = sum(term.count for term in workspace.plan.terms)
+        m = workspace.layout.m
         z = np.asarray(z0, dtype=float).copy()
 
         states, phi = workspace.evaluate(z)

@@ -292,11 +292,12 @@ class CompiledProblem:
         self.substitutions = dict(substitutions or {})
         #: row index → the amount substitution added to that row's ``h``
         self.h_shifts = dict(h_shifts or {})
-        #: The barrier backend's per-block slices of ``G`` and the hyperbolic
-        #: terms, written on first use.  Valid as long as those and the block
-        #: structure are unchanged — parametric re-solves mutate only ``h``,
-        #: so warm-started sessions reuse one set of slices.
-        self.pieces_cache: Optional[object] = None
+        #: The barrier backend's kernel layout (its block groups' row
+        #: tensors), written on first use.  Valid as long as ``G``, the
+        #: hyperbolic terms and the block structure are unchanged —
+        #: parametric re-solves mutate only ``h``, so warm-started sessions
+        #: reuse one layout.
+        self.kernel_layout: Optional[object] = None
         #: the CSR inequality matrix
         self.G_sparse = G
         self._G_dense: Optional[np.ndarray] = None

@@ -19,9 +19,12 @@ from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
+from repro.solver.expression import AffineExpression
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
 from repro.taskgraph.workload import random_workload
+
+from barrier_reference import barrier_reference, relative
 
 
 def make_workload(app_count: int, seed: int = 3, task_count: int = 4) -> Workload:
@@ -232,62 +235,151 @@ class TestBlockStructureCompilation:
 
 
 class TestPiecesCache:
+    """The kernel layout is cached on the compiled problem; the
+    ``pieces_cache_reused`` stat reports its reuse."""
+
     def test_repeat_solve_reuses_cache(self):
         formulation = WorkloadSocpFormulation(make_workload(2, seed=3))
         compiled = formulation.build().compile()
         first = solve_compiled(compiled, backend="barrier")
-        pieces = compiled.pieces_cache
+        layout = compiled.kernel_layout
         second = solve_compiled(compiled, backend="barrier")
         assert first.stats["pieces_cache_reused"] is False
         assert second.stats["pieces_cache_reused"] is True
-        assert compiled.pieces_cache is pieces
+        assert compiled.kernel_layout is layout
         assert second.objective == pytest.approx(first.objective, abs=1e-9)
 
 
-def both_plans(compiled):
-    """The phase-II and phase-I plans the solver builds for ``compiled``,
-    each with a strictly feasible point and its coordinate count.
+def layout_arrays(layout):
+    """Every array of both phase layouts built so far, by a readable key."""
+    arrays = {}
+    for phase in ("phase_two", "phase_one"):
+        built = layout.__dict__.get(phase)
+        if built is None:
+            continue
+        arrays[phase, "coupling"] = built.coupling
+        arrays[phase, "coupling_sq"] = built.coupling_sq
+        arrays[phase, "coupling_rows"] = built.coupling_rows
+        for number, group in enumerate(built.groups):
+            for name in ("index", "rows", "h_map", "pq0", "w"):
+                arrays[phase, number, name] = getattr(group, name)
+    return arrays
+
+
+def newton_counts(solution):
+    stats = solution.stats
+    return stats["phase1_newton_iterations"], stats["newton_iterations"]
+
+
+class TestKernelLayoutReuse:
+    """The layout is built once per compiled problem and shared by every
+    later solve: it stays read-only and unchanged, and a solve that reuses
+    it is bit-identical to the solve that built it."""
+
+    @staticmethod
+    def session_over_processor_row():
+        """A two-application barrier session whose parameter is the right-hand
+        side of a shared processor row (a coupling row)."""
+        program = WorkloadSocpFormulation(make_workload(2, seed=3)).build()
+        session = program.session(backend="barrier")
+        compiled = session.parametric.compiled
+        row = next(
+            index
+            for index in compiled.block_structure.coupling_rows
+            if compiled.inequality_names[index].startswith("processor[")
+        )
+        session.parametric.register_rhs("cap", compiled.inequality_names[row])
+        return session, compiled, row
+
+    def test_session_sweep_leaves_the_layout_unchanged(self):
+        session, compiled, row = self.session_over_processor_row()
+        base = float(compiled.h[row])
+        assert session.solve(parameters={"cap": base}).is_optimal
+        layout = compiled.kernel_layout
+        # The cold first solve ran phase I, so both phase layouts are built.
+        assert layout.__dict__.get("phase_one") is not None
+        before = {key: array.copy() for key, array in layout_arrays(layout).items()}
+        for factor in (1.25, 1.5, 2.0):
+            solution = session.solve(parameters={"cap": base * factor})
+            assert solution.is_optimal
+            assert solution.stats["pieces_cache_reused"] is True
+        assert compiled.kernel_layout is layout
+        after = layout_arrays(layout)
+        assert after.keys() == before.keys()
+        for key, array in after.items():
+            assert not array.flags.writeable, key
+            assert np.array_equal(array, before[key]), key
+
+    def test_cold_solve_reusing_the_layout_is_bit_identical(self):
+        compiled = WorkloadSocpFormulation(make_workload(3, seed=7)).build().compile()
+        building = solve_compiled(compiled, backend="barrier")
+        reusing = solve_compiled(compiled, backend="barrier")
+        assert building.stats["pieces_cache_reused"] is False
+        assert reusing.stats["pieces_cache_reused"] is True
+        assert building.stats["phase1_skipped"] is False
+        assert reusing.objective == building.objective
+        assert newton_counts(reusing) == newton_counts(building)
+
+    def test_moving_a_row_and_back_is_bit_identical(self):
+        session, compiled, row = self.session_over_processor_row()
+        base = float(compiled.h[row])
+        building = session.solve(parameters={"cap": base}, warm_start=False)
+        moved = session.solve(parameters={"cap": 1.5 * base}, warm_start=False)
+        assert moved.is_optimal and compiled.h[row] != base
+        back = session.solve(parameters={"cap": base}, warm_start=False)
+        assert compiled.h[row] == base
+        assert back.stats["pieces_cache_reused"] is True
+        assert back.objective == building.objective
+        assert newton_counts(back) == newton_counts(building)
+
+
+def both_phases(compiled):
+    """The phase-II and phase-I workspaces of ``compiled``, each with a
+    strictly feasible point and its lower bound (``None`` in phase II).
 
     Phase II is evaluated at the first-rung center of a structured solve
     (well interior); phase I at the cold start ``z = 0`` with the relaxation
     ``t`` and lower bound :meth:`BarrierSolver._phase_one` would pick.
     """
     solver = barrier.BarrierSolver()
-    pieces = solver._pieces(compiled)
     k = compiled.num_variables
     solution = solve_compiled(compiled, backend="barrier")
+    layout = solver._layout(compiled)
     z_two = solution.interior_point
     needed = solver._required_relaxation(compiled, np.zeros(k))
-    plan_one = solver._phase_one_plan(pieces, compiled.h, -max(1.0, abs(needed)))
+    lower_bound = -max(1.0, abs(needed))
     z_one = np.concatenate([np.zeros(k), [needed + max(1.0, 0.1 * abs(needed))]])
     return [
-        (solver._phase_two_plan(pieces, compiled.h), k, z_two),
-        (plan_one, k + 1, z_one),
+        (new_workspace(layout.phase_two, compiled), None, z_two),
+        (new_workspace(layout.phase_one, compiled, lower_bound), lower_bound, z_one),
     ]
 
 
-def workload_plans(seed):
-    program = WorkloadSocpFormulation(random_workload(8, seed=seed)).build()
-    return both_plans(program.compile())
+def workload_program(seed):
+    return WorkloadSocpFormulation(random_workload(8, seed=seed)).build().compile()
 
 
-def one_block_plans():
-    """Phase II and phase I of a one-block program: ``t`` is folded into
-    the block, so both plans take the direct solve."""
-    program = SocpFormulation(random_dag_configuration(6, 4, seed=1)).build()
-    return both_plans(program.compile())
+def one_block_program():
+    """A one-block program: ``t`` is folded into the block in phase I, so
+    both phases take the direct solve."""
+    return SocpFormulation(random_dag_configuration(6, 4, seed=1)).build().compile()
 
 
-def new_workspace(plan, k):
+def new_workspace(phase_layout, compiled, lower_bound=0.0):
     return barrier._StructuredWorkspace(
-        plan, k, barrier.BarrierOptions(), barrier._kernel_stats()
+        phase_layout,
+        compiled.h,
+        barrier.BarrierOptions(),
+        barrier._kernel_stats(),
+        lower_bound=lower_bound,
     )
 
 
 def stacked_assembly(workspace, z):
-    """The block-term gradient and Hessian as the group stacks build them
-    from one evaluation, scattered back to full coordinates."""
-    (group_states, _), phi = workspace.evaluate(z)
+    """The barrier gradient and Hessian as the group stacks build them from
+    one evaluation, scattered back to full coordinates, plus the coupling
+    rows' terms."""
+    (group_states, slacks), phi = workspace.evaluate(z)
     assert phi < np.inf
     k = workspace.k
     grad, hess = np.zeros(k), np.zeros((k, k))
@@ -296,42 +388,30 @@ def stacked_assembly(workspace, z):
         for j, index in enumerate(group.index):
             grad[index] += group.grad[j]
             hess[np.ix_(index, index)] += group.hess[j]
-    return grad, hess
+    if workspace.m:
+        inv = 1.0 / slacks
+        grad += workspace.Gc.T @ inv
+        hess += (workspace.Gc.T * (inv * inv)) @ workspace.Gc
+    return phi, grad, hess
 
 
-def per_term_assembly(terms, z, k):
-    """Reference gradient and Hessian: each term evaluated on its own at
-    ``z`` and scattered through its support."""
-    grad, hess = np.zeros(k), np.zeros((k, k))
-    for term in terms:
-        state, smallest, _ = term.evaluate(z)
-        assert smallest > 0.0
-        g_i, h_i = term.grad_hess(state)
-        support = np.arange(k) if term.support is None else term.support
-        grad[support] += g_i
-        hess[np.ix_(support, support)] += h_i
-    return grad, hess
-
-
-def relative(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
-
-
-def assert_stacked_matches_dense(plan, k, z):
-    """Stacked assembly = per-term assembly to 1e-12, and the kernel's
-    direction = a dense solve of the per-term reference system (coupling
-    and regularization included) to 1e-10, both relative."""
-    workspace = new_workspace(plan, k)
-    block_terms = [term for terms in plan.block_terms for term in terms]
-    grad, hess = stacked_assembly(workspace, z)
-    grad_ref, hess_ref = per_term_assembly(block_terms, z, k)
+def assert_stacked_matches_reference(compiled, workspace, z, lower_bound):
+    """Stacked assembly = the full-width reference to 1e-12, and the
+    kernel's direction = a dense solve of the reference system (with the
+    regularization) to 1e-10, both relative."""
+    reference = barrier_reference(compiled, z, lower_bound)
+    assert reference is not None
+    value_ref, grad_ref, hess_ref = reference
+    phi, grad, hess = stacked_assembly(workspace, z)
+    assert phi == pytest.approx(value_ref, rel=1e-12, abs=1e-12)
     assert relative(grad, grad_ref) <= 1e-12
     assert relative(hess, hess_ref) <= 1e-12
+    k = workspace.k
     grad_objective = np.random.default_rng(0).standard_normal(k)
     g_s, d_s = workspace.direction(grad_objective, workspace.evaluate(z)[0])
-    g_ref, h_ref = per_term_assembly(plan.terms, z, k)
-    g_ref += grad_objective
-    h_ref += workspace.options.regularization * (1.0 + np.trace(h_ref) / k) * np.eye(k)
+    g_ref = grad_ref + grad_objective
+    reg = workspace.options.regularization * (1.0 + np.trace(hess_ref) / k)
+    h_ref = hess_ref + reg * np.eye(k)
     assert workspace.stats["lstsq_steps"] == 0
     assert workspace.stats["fallback_iterations"] == 0
     assert relative(g_s, g_ref) <= 1e-12
@@ -339,74 +419,89 @@ def assert_stacked_matches_dense(plan, k, z):
     return workspace
 
 
-def assert_relaxed_hyperbolic_terms(plan):
-    """The plan has only linear and hyperbolic terms, and every hyperbolic
-    one is phase I's relaxation: its ``P`` and ``Q`` carry ``½`` in the
-    ``t`` column, the last of the term's coordinates."""
-    kinds = {type(term) for term in plan.terms}
-    assert kinds <= {barrier._LinearBlock, barrier._HyperbolicBlock}
-    hyperbolic = [
-        term for term in plan.terms if isinstance(term, barrier._HyperbolicBlock)
-    ]
-    assert hyperbolic
-    for term in hyperbolic:
-        assert np.all(term.P[:, -1] == 0.5) and np.all(term.Q[:, -1] == 0.5)
+def assert_relaxed_t_column(compiled, workspace):
+    """Phase I's ``t`` column, the last of every member's coordinates: ``−1``
+    on every linear row (the lower-bound row included) and coupling row,
+    ``½`` in ``P`` and ``Q`` of every hyperbolic term, and 0 on padding."""
+    linear, hyperbolic = [], []
+    for group in workspace.layout.groups:
+        column = group.rows[:, :, -1]
+        linear.append(column[:, : group.linear].ravel())
+        hyperbolic.append(column[:, group.linear :].ravel())
+    linear, hyperbolic = np.concatenate(linear), np.concatenate(hyperbolic)
+    assert np.count_nonzero(linear == -1.0) == compiled.h.size - workspace.m + 1
+    assert np.count_nonzero(hyperbolic == 0.5) == 2 * len(compiled.hyperbolic)
+    assert np.count_nonzero(linear) + np.count_nonzero(hyperbolic) == (
+        compiled.h.size - workspace.m + 1 + 2 * len(compiled.hyperbolic)
+    )
+    assert np.all(workspace.Gc[:, -1] == -1.0)
 
 
-def ragged_groups(plan):
-    """Width groups whose members differ in some term's row count."""
-    by_key = {}
-    for slc, terms in zip(plan.block_slices, plan.block_terms):
-        key = (slc.stop - slc.start, barrier._term_signature(terms))
-        by_key.setdefault(key, []).append(tuple(term.count for term in terms))
-    return [counts for counts in by_key.values() if len(set(counts)) > 1]
+def ragged_groups(compiled, workspace):
+    """Groups whose members differ in their linear row count."""
+    ragged = []
+    for group in workspace.layout.groups:
+        counts = (group.h_map != compiled.h.size).sum(axis=1)
+        if len(set(counts.tolist())) > 1:
+            ragged.append(counts)
+    return ragged
 
 
 class TestStackedAssembly:
-    """The Newton kernel builds every block's gradient and Hessian from
-    padded per-group tensors; it must agree with the per-term reference
-    assembly over the same plan."""
+    """The Newton kernel builds every block's gradient and Hessian from the
+    layout's padded per-group tensors; it must agree with the full-width
+    reference barrier of the compiled problem."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_phase_two_matches_dense(self, seed):
-        plan, k, z = workload_plans(seed)[0]
-        assert plan.border == 0
-        assert_stacked_matches_dense(plan, k, z)
+        compiled = workload_program(seed)
+        workspace, lower_bound, z = both_phases(compiled)[0]
+        assert workspace.border == 0 and lower_bound is None
+        assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
+        assert workspace.stats["block_factorizations"] == 8
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_phase_one_matches_dense(self, seed):
         """Phase I carries the border, block 0's lower-bound row and the
         relaxed hyperbolic terms ``(p + t/2)(q + t/2) ≥ w``."""
-        plan, k, z = workload_plans(seed)[1]
-        assert plan.border == 1
-        assert_relaxed_hyperbolic_terms(plan)
-        assert_stacked_matches_dense(plan, k, z)
+        compiled = workload_program(seed)
+        workspace, lower_bound, z = both_phases(compiled)[1]
+        assert workspace.border == 1
+        assert_relaxed_t_column(compiled, workspace)
+        assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
+        assert workspace.stats["block_factorizations"] == 8
 
     def test_one_block_plans_match_dense(self):
         """A one-block program's phase II, and its phase I with ``t`` folded
         into the block, assemble one group of one and take the direct
         solve."""
-        (two, k, z_two), (one, k_one, z_one) = one_block_plans()
+        compiled = one_block_program()
+        k = compiled.num_variables
+        (two, _, z_two), (one, lower_bound, z_one) = both_phases(compiled)
         assert two.border == 0 and one.border == 0
-        assert one.block_slices == [slice(0, k + 1)] and k_one == k + 1
-        assert_relaxed_hyperbolic_terms(one)
-        for plan, width, z in ((two, k, z_two), (one, k_one, z_one)):
-            workspace = assert_stacked_matches_dense(plan, width, z)
+        assert one.k == k + 1
+        assert [group.slices for group in one.layout.groups] == [(slice(0, k + 1),)]
+        assert_relaxed_t_column(compiled, one)
+        for workspace, bound, z in ((two, None, z_two), (one, lower_bound, z_one)):
+            assert_stacked_matches_reference(compiled, workspace, z, bound)
             assert workspace.direct
             assert [group.size for group in workspace.groups] == [1]
             assert workspace.stats["block_factorizations"] == 1
 
     def test_stacks_are_views_into_the_group_rows(self):
-        """Every stack's affine rows live in its group's one row tensor, and
-        its row weights and gradient coefficients in the group's weighted
-        rows and row-gradient buffers."""
+        """A workspace copies no member's rows: every group's row tensor is
+        its layout's read-only tensor, every stack's affine rows a view into
+        it, and its row weights and gradient coefficients views into the
+        group's weighted rows and row-gradient buffers."""
         buffers = {
             "rows": ("G", "PQ"),
             "wrows": ("wG", "wPQ"),
             "wgrad": ("g", "gPQ"),
         }
-        for plan, k, _ in workload_plans(0):
-            for group in new_workspace(plan, k).groups:
+        for workspace, _, _ in both_phases(workload_program(0)):
+            for group, layout in zip(workspace.groups, workspace.layout.groups):
+                assert not layout.rows.flags.writeable
+                assert np.shares_memory(group.rows, layout.rows)
                 for stack in group.stacks:
                     for buffer, names in buffers.items():
                         views = [
@@ -420,9 +515,10 @@ class TestStackedAssembly:
     def test_group_with_different_row_counts(self):
         """Block 0's extra phase-I row makes its group ragged: the padding
         rows must contribute exact zeros."""
-        plan, k, z = workload_plans(0)[1]
-        assert ragged_groups(plan)
-        assert_stacked_matches_dense(plan, k, z)
+        compiled = workload_program(0)
+        workspace, lower_bound, z = both_phases(compiled)[1]
+        assert ragged_groups(compiled, workspace)
+        assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
 
     def test_width_zero_phase_one_block(self):
         program = ConeProgram("pinned-block")
@@ -431,82 +527,68 @@ class TestStackedAssembly:
         program.add_less_equal(x + y, 5.0, name="coupling")
         program.maximize(y)
         program.declare_blocks([[x], [y]])
-        for plan, k, z in both_plans(program.compile()):
-            workspace = assert_stacked_matches_dense(plan, k, z)
-            if plan.border:
+        compiled = program.compile()
+        for workspace, lower_bound, z in both_phases(compiled):
+            assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
+            if workspace.border:
                 assert any(group.width == 0 for group in workspace.groups)
 
-    def test_newton_step_makes_no_per_term_calls(self, monkeypatch):
-        """One structured evaluation and Newton step run through the group
-        stacks only: no term's ``evaluate`` or ``grad_hess`` runs."""
-        plans = workload_plans(1)
-        calls = []
-        for cls in (barrier._LinearBlock, barrier._HyperbolicBlock):
-            for method in ("evaluate", "grad_hess"):
-                original = getattr(cls, method)
 
-                def counted(self, x, original=original):
-                    calls.append(type(self).__name__)
-                    return original(self, x)
-
-                monkeypatch.setattr(cls, method, counted)
-        for plan, k, z in plans:
-            workspace = new_workspace(plan, k)
-            workspace.direction(np.ones(k), workspace.evaluate(z)[0])
-            assert workspace.stats["fallback_iterations"] == 0
-            assert workspace.stats["block_factorizations"] == 8
-        assert calls == []
-
-
-def hand_terms(kind, count, width, rng, z, bound=0.5):
-    """One ``kind`` term over ``count`` constraints and ``width`` block
-    coordinates, strictly feasible at ``z`` (its support is set by the
-    caller)."""
-    if kind is barrier._LinearBlock:
-        G = rng.standard_normal((count, width))
-        return barrier._LinearBlock(G, G @ z + rng.uniform(0.5, 2.0, count))
-    P = rng.standard_normal((count, width))
-    Q = rng.standard_normal((count, width))
-    return barrier._HyperbolicBlock(
-        P, 1.0 - P @ z, Q, 2.0 - Q @ z, np.full(count, bound)
-    )
-
-
-def hand_group(kind, counts, width, seed=0):
-    """A ``_BlockGroup`` of one stack kind, member ``j`` holding
-    ``counts[j]`` constraints, with its terms and a feasible point."""
+def hand_program(kind, counts, width, seed=0):
+    """A program of ``len(counts)`` declared blocks of ``width`` free
+    variables, block ``j`` holding ``counts[j]`` random constraints of one
+    kind (``"linear"`` rows or ``"hyperbolic"`` terms), strictly feasible
+    at the returned point."""
     rng = np.random.default_rng(seed)
-    k = width * len(counts)
-    z = rng.uniform(-0.5, 0.5, k)
-    slices = [slice(j * width, (j + 1) * width) for j in range(len(counts))]
-    terms = []
-    for slc, count in zip(slices, counts):
-        term = hand_terms(kind, count, width, rng, z[slc])
-        term.support = np.arange(slc.start, slc.stop)
-        terms.append(term)
-    group = barrier._BlockGroup(slices, [[term] for term in terms], np.zeros((k, 1)), 0)
-    return group, terms, z, k
+    program = ConeProgram(f"hand-{kind}")
+    z = rng.uniform(-0.5, 0.5, width * len(counts))
+    variables = [program.add_variable(f"x{i}") for i in range(z.size)]
+    blocks = []
+    for j, count in enumerate(counts):
+        block = variables[j * width : (j + 1) * width]
+        local = z[j * width : (j + 1) * width]
+        blocks.append(block)
+        for _ in range(count):
+            if kind == "linear":
+                g = rng.standard_normal(width)
+                program.add_less_equal(
+                    AffineExpression(dict(zip(block, g))),
+                    float(g @ local + rng.uniform(0.5, 2.0)),
+                )
+            else:
+                p, q = rng.standard_normal(width), rng.standard_normal(width)
+                program.add_hyperbolic(
+                    AffineExpression(dict(zip(block, p)), 1.0 - p @ local),
+                    AffineExpression(dict(zip(block, q)), 2.0 - q @ local),
+                    0.5,
+                )
+    program.minimize(variables[0])
+    program.declare_blocks(blocks)
+    compiled = program.compile()
+    assert compiled.block_structure is not None
+    return compiled, z
 
 
 class TestGramAssembly:
     """A group's gradient and Hessian stacks are one weighted Gram of its
-    rows; each stack kind's weights must reproduce the per-term
-    ``grad_hess`` reference."""
+    rows; each stack kind's weights must reproduce the full-width
+    reference, padding rows included."""
 
-    @pytest.mark.parametrize("kind", [barrier._LinearBlock, barrier._HyperbolicBlock])
+    @pytest.mark.parametrize("kind", ["linear", "hyperbolic"])
     @pytest.mark.parametrize("counts", [(3, 5, 1), (4,)], ids=["ragged", "one"])
-    def test_weighted_gram_matches_grad_hess(self, kind, counts):
-        group, terms, z, k = hand_group(kind, counts, width=4)
-        if len(counts) > 1:
-            assert len({term.count for term in terms}) > 1  # padding rows
-        states, phi = group.evaluate(z)
-        assert phi < np.inf
-        group.assemble(states)
-        grad, hess = np.zeros(k), np.zeros((k, k))
-        for j, index in enumerate(group.index):
-            grad[index] += group.grad[j]
-            hess[np.ix_(index, index)] += group.hess[j]
-        grad_ref, hess_ref = per_term_assembly(terms, z, k)
+    def test_gram_matches_reference(self, kind, counts):
+        compiled, z = hand_program(kind, counts, width=4)
+        layout = barrier.BarrierSolver()._layout(compiled)
+        workspace = new_workspace(layout.phase_two, compiled)
+        (group,) = workspace.groups
+        assert group.size == len(counts) and workspace.m == 0
+        assert [len(group.stacks)] == [1]
+        (group_layout,) = layout.phase_two.groups
+        padded = group_layout.linear if kind == "linear" else group_layout.hyperbolic
+        assert padded == max(counts)
+        value_ref, grad_ref, hess_ref = barrier_reference(compiled, z)
+        phi, grad, hess = stacked_assembly(workspace, z)
+        assert phi == pytest.approx(value_ref, rel=1e-12)
         assert relative(grad, grad_ref) <= 1e-12
         assert relative(hess, hess_ref) <= 1e-12
 
@@ -534,9 +616,14 @@ def soc_barrier(P, p0, Q, q0, w, y):
     return -float(np.log(f).sum()), grad, hess
 
 
-def relaxed_terms(seed, count=6, width=4):
+#: a phase-I lower bound far below every ``t`` these tests evaluate at
+FAR_BOUND = -1e9
+
+
+def relaxed_program(seed, count=6, width=4):
     """Random hyperbolic data with ``(p + t/2)(q + t/2) > w`` at a random
-    ``y = (z, t)``, and the phase-I relaxed block ``[P | ½]``/``[Q | ½]``."""
+    ``y = (z, t)``, compiled as a program of ``count`` hyperbolic terms
+    over ``width`` free variables."""
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((count, width))
     Q = rng.standard_normal((count, width))
@@ -546,37 +633,70 @@ def relaxed_terms(seed, count=6, width=4):
     q0 = rng.uniform(0.5, 2.0, count) - Q @ z
     shifted = (P @ z + p0 + t / 2.0) * (Q @ z + q0 + t / 2.0)
     w = rng.uniform(0.1, 0.9, count) * shifted
-    half = np.full((count, 1), 0.5)
-    term = barrier._HyperbolicBlock(np.hstack([P, half]), p0, np.hstack([Q, half]), q0, w)
-    return (P, p0, Q, q0, w), term, np.append(z, t), rng
+    program = ConeProgram("relaxed")
+    variables = [program.add_variable(f"x{i}") for i in range(width)]
+    for i in range(count):
+        program.add_hyperbolic(
+            AffineExpression(dict(zip(variables, P[i])), p0[i]),
+            AffineExpression(dict(zip(variables, Q[i])), q0[i]),
+            w[i],
+        )
+    program.minimize(variables[0])
+    compiled = program.compile()
+    assert compiled.h.size == 0
+    return (P, p0, Q, q0, w), compiled, np.append(z, t), rng
+
+
+def bound_row_barrier(y):
+    """Value, gradient and Hessian of phase I's lower-bound row
+    ``−t ≤ −FAR_BOUND`` at ``y = (z, t)``."""
+    slack = y[-1] - FAR_BOUND
+    grad = np.zeros(y.size)
+    grad[-1] = -1.0 / slack
+    hess = np.zeros((y.size, y.size))
+    hess[-1, -1] = 1.0 / slack**2
+    return -np.log(slack), grad, hess
 
 
 class TestPhaseOneRelaxation:
     """Phase I relaxes ``p·q ≥ w`` as ``(p + t/2)(q + t/2) ≥ w``.  Since
     ``(p + q + t)² − 4w − (p − q)² = 4·((p + t/2)(q + t/2) − w)``, its
     barrier is the rotated cone ``‖(2√w, p − q)‖ ≤ p + q + t``'s plus the
-    constant ``log 4`` per term: same gradient, Hessian and domain."""
+    constant ``log 4`` per term: same gradient, Hessian and domain.  The
+    full-width reference and the kernel's phase-I layout must both be
+    exactly that relaxation (plus the lower-bound row on ``t``)."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_second_order_cone_barrier(self, seed):
-        data, term, y, _ = relaxed_terms(seed)
-        reference = soc_barrier(*data, y)
-        assert reference is not None
-        soc_value, soc_grad, soc_hess = reference
-        state, smallest, value = term.evaluate(y)
-        assert smallest > 0.0
-        grad, hess = term.grad_hess(state)
-        assert relative(grad, soc_grad) <= 1e-12
-        assert relative(hess, soc_hess) <= 1e-12
-        assert value - soc_value == pytest.approx(term.count * np.log(4.0), rel=1e-12)
+        data, compiled, y, _ = relaxed_program(seed)
+        soc_value, soc_grad, soc_hess = soc_barrier(*data, y)
+        bound_value, bound_grad, bound_hess = bound_row_barrier(y)
+        value, grad, hess = barrier_reference(compiled, y, FAR_BOUND)
+        assert relative(grad, soc_grad + bound_grad) <= 1e-12
+        assert relative(hess, soc_hess + bound_hess) <= 1e-12
+        count = data[-1].size
+        assert value - bound_value - soc_value == pytest.approx(
+            count * np.log(4.0), rel=1e-12
+        )
+        workspace = new_workspace(
+            barrier.BarrierSolver()._layout(compiled).phase_one, compiled, FAR_BOUND
+        )
+        phi, grad_kernel, hess_kernel = stacked_assembly(workspace, y)
+        assert phi == pytest.approx(value, rel=1e-12)
+        assert relative(grad_kernel, grad) <= 1e-12
+        assert relative(hess_kernel, hess) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rejects_the_same_points(self, seed):
         """Random points on both sides of the cone, and points on the
         negative branch (``p + t/2 < 0`` and ``q + t/2 < 0`` with a product
-        above ``w``), which both forms reject."""
-        data, term, y, rng = relaxed_terms(seed)
+        above ``w``), which the cone form, the reference and the kernel all
+        reject."""
+        data, compiled, y, rng = relaxed_program(seed)
         P, p0, Q, q0, w = data
+        workspace = new_workspace(
+            barrier.BarrierSolver()._layout(compiled).phase_one, compiled, FAR_BOUND
+        )
         points = [y + rng.normal(0.0, 1.5, y.size) for _ in range(200)]
         z = y[:-1]
         for scale in (1.0, 3.0):
@@ -586,11 +706,13 @@ class TestPhaseOneRelaxation:
             points.append(np.append(z, t))
         rejected = 0
         for point in points:
-            state, smallest, value = term.evaluate(point)
             soc = soc_barrier(*data, point)
-            assert (state is None) == (soc is None), point
-            assert (value == np.inf) == (soc is None)
-            rejected += state is None
+            reference = barrier_reference(compiled, point, FAR_BOUND)
+            states, phi = workspace.evaluate(point)
+            assert (reference is None) == (soc is None), point
+            assert (states is None) == (soc is None), point
+            assert (phi == np.inf) == (soc is None)
+            rejected += soc is None
         assert 0 < rejected < len(points)
 
 
@@ -602,25 +724,30 @@ class TestNaturalFactorisationFailure:
         raise, and the direction must come from the dense step on the same
         system."""
         rng = np.random.default_rng(4)
-        width, k = 2, 4
-        z = np.zeros(k)
-        slices = [slice(0, width), slice(width, k)]
-        block_terms = []
-        for slc, bound in zip(slices, (0.5, -10.0)):
-            G = np.vstack([np.eye(width), -np.eye(width)])
-            linear = barrier._LinearBlock(G, np.full(2 * width, 20.0))
-            hyperbolic = barrier._HyperbolicBlock(
-                np.array([[1.0, 0.0]]), np.array([1.0]),
-                np.array([[0.0, 1.0]]), np.array([1.0]), np.array([bound]),
-            )
-            for term in (linear, hyperbolic):
-                term.support = np.arange(slc.start, slc.stop)
-            block_terms.append([linear, hyperbolic])
-        coupling = barrier._LinearBlock(np.eye(k), np.full(k, 0.1))
-        plan = barrier._StructurePlan(slices, 0, block_terms, coupling)
-        workspace = new_workspace(plan, k)
+        program = ConeProgram("indefinite")
+        x = [program.add_variable(f"x{i}") for i in range(4)]
+        blocks = [x[:2], x[2:]]
+        for block in blocks:
+            for variable in block:
+                program.add_less_equal(variable, 20.0)
+                program.add_less_equal(-1.0 * variable, 20.0)
+            program.add_hyperbolic(block[0] + 1.0, block[1] + 1.0, 0.5)
+        for left, right in zip(x[:2], x[2:]):
+            program.add_less_equal(left + right, 0.1)
+            program.add_less_equal(left - right, 0.1)
+        program.minimize(x[0])
+        program.declare_blocks(blocks)
+        compiled = program.compile()
+        # ConeProgram rejects a non-positive bound; the layout reads the
+        # compiled one, so this must happen before it is built.
+        assert compiled.kernel_layout is None
+        compiled.hyperbolic.bound[1] = -10.0
+        k, z = compiled.num_variables, np.zeros(4)
+        workspace = new_workspace(
+            barrier.BarrierSolver()._layout(compiled).phase_two, compiled
+        )
         (group,) = workspace.groups
-        assert group.size == 2
+        assert group.size == 2 and workspace.m == 4
 
         grad_objective = rng.standard_normal(k)
         grad, direction = workspace.direction(
@@ -631,10 +758,10 @@ class TestNaturalFactorisationFailure:
         assert workspace.stats["fallback_iterations"] == 1
         assert workspace.stats["lstsq_steps"] == 0
 
-        g_ref, h_ref = per_term_assembly(plan.terms, z, k)
-        g_ref += grad_objective
+        _, g_ref, h_ref = barrier_reference(compiled, z)
+        g_ref = g_ref + grad_objective
         reg = workspace.options.regularization * (1.0 + np.trace(h_ref) / k)
-        h_ref += reg * np.eye(k)
+        h_ref = h_ref + reg * np.eye(k)
         assert np.linalg.eigvalsh(h_ref).min() > 0.0
         assert relative(grad, g_ref) <= 1e-12
         assert relative(direction, -np.linalg.solve(h_ref, g_ref)) <= 1e-10

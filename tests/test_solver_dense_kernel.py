@@ -7,8 +7,9 @@ trial's group states feed the next direction).  A one-block program solves
 its assembled block with one LAPACK Cholesky and takes a counted
 least-squares step only when that Cholesky fails; a multi-block program
 whose arrow factorisation fails takes one dense step on the assembled
-system.  The per-term ``evaluate``/``grad_hess`` methods are the reference
-the kernel is checked against.
+system.  The full-width barrier of :mod:`barrier_reference`, computed
+straight from the compiled problem, is the reference the kernel is checked
+against.
 """
 
 from __future__ import annotations
@@ -30,19 +31,21 @@ from repro.taskgraph.generators import (
     random_dag_configuration,
 )
 
-TERM_CLASSES = (barrier._LinearBlock, barrier._HyperbolicBlock)
+from barrier_reference import barrier_reference, relative
 
 
 def kernel_setup(compiled):
     """The phase-II workspace of ``compiled`` and a strictly feasible start
-    (the first-rung center of a barrier solve)."""
+    (the first-rung center of a barrier solve), with ``compiled``."""
     solver = barrier.BarrierSolver()
-    plan = solver._phase_two_plan(solver._pieces(compiled), compiled.h)
-    workspace = barrier._StructuredWorkspace(
-        plan, compiled.num_variables, solver.options, barrier._kernel_stats()
-    )
     solution = solve_compiled(compiled, backend="barrier")
-    return solver, workspace, compiled.c, solution.interior_point
+    workspace = barrier._StructuredWorkspace(
+        solver._layout(compiled).phase_two,
+        compiled.h,
+        solver.options,
+        barrier._kernel_stats(),
+    )
+    return solver, workspace, compiled.c, solution.interior_point, compiled
 
 
 def duo_workload() -> Workload:
@@ -70,25 +73,15 @@ def duo():
     return setup
 
 
-def reference_system(workspace, z, grad_objective):
-    """The Newton system rebuilt term by term: every term of the plan
-    (coupling included) evaluated on its own and scattered through its
-    support, plus the trace-scaled Tikhonov diagonal."""
-    k = workspace.k
-    grad, hess = grad_objective.astype(float).copy(), np.zeros((k, k))
-    for term in workspace.plan.terms:
-        state, smallest, _ = term.evaluate(z)
-        assert smallest > 0.0
-        g_i, h_i = term.grad_hess(state)
-        support = np.arange(k) if term.support is None else term.support
-        grad[support] += g_i
-        hess[np.ix_(support, support)] += h_i
-    scale = workspace.options.regularization * (1.0 + np.trace(hess) / k)
-    return grad, hess + scale * np.eye(k)
-
-
-def relative(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+def reference_system(compiled, workspace, z, grad_objective, lower_bound=None):
+    """The Newton system from the full-width reference barrier of
+    ``compiled`` (coupling rows included), plus the trace-scaled Tikhonov
+    diagonal; ``lower_bound`` selects phase I."""
+    reference = barrier_reference(compiled, z, lower_bound)
+    assert reference is not None
+    _, grad, hess = reference
+    scale = workspace.options.regularization * (1.0 + np.trace(hess) / workspace.k)
+    return grad + grad_objective, hess + scale * np.eye(workspace.k)
 
 
 class TestOneEvaluationPerTrialPoint:
@@ -96,28 +89,22 @@ class TestOneEvaluationPerTrialPoint:
         """Each block group (and the coupling rows) is evaluated only inside
         a line-search trial, at most once per trial (all of them on a
         feasible trial), never twice at the same point and never inside a
-        direction; no per-term evaluation runs at all."""
+        direction."""
         events = []
         original_group = barrier._BlockGroup.evaluate
-        original_slacks = barrier._LinearBlock.slacks
+        original_slacks = barrier._StructuredWorkspace.coupling_slacks
 
         def group_evaluate(self, z):
             events.append(("eval", id(self)))
             return original_group(self, z)
 
-        def slacks(self, x):
+        def slacks(self, z):
             events.append(("eval", id(self)))
-            return original_slacks(self, x)
+            return original_slacks(self, z)
 
         monkeypatch.setattr(barrier._BlockGroup, "evaluate", group_evaluate)
-        monkeypatch.setattr(barrier._LinearBlock, "slacks", slacks)
-        for cls in TERM_CLASSES:
-            monkeypatch.setattr(
-                cls,
-                "evaluate",
-                lambda *args: pytest.fail("a per-term evaluation in the Newton loop"),
-            )
-        for solver, workspace, c, z in (chain, duo):
+        monkeypatch.setattr(barrier._StructuredWorkspace, "coupling_slacks", slacks)
+        for solver, workspace, c, z, _ in (chain, duo):
             states, phi = workspace.evaluate(z)
             events.clear()
             trial_points = []
@@ -173,7 +160,7 @@ class TestOneEvaluationPerTrialPoint:
     def test_carried_state_direction_is_bitwise_fresh(self, chain, duo):
         """The direction from the carried states of the last accepted trial
         equals one from a fresh evaluation at the same point, bit for bit."""
-        for solver, workspace, c, z in (chain, duo):
+        for solver, workspace, c, z, _ in (chain, duo):
             states, phi = workspace.evaluate(z)
             z_end, carried, carried_phi, _, _ = solver._newton_minimise(
                 c, workspace, z, states, phi, 25.0
@@ -190,17 +177,17 @@ class TestOneEvaluationPerTrialPoint:
     def test_infeasible_trial_carries_no_state(self, chain, duo, shift):
         """A point outside the domain, or with a NaN coordinate, is
         ``(None, +inf)``: no state of it can reach ``log`` or ``1/s``."""
-        for _, workspace, c, z in (chain, duo):
+        for _, workspace, c, z, _ in (chain, duo):
             point = z + shift * c
             assert workspace.evaluate(point) == (None, math.inf)
 
 
 class TestCholeskyStep:
     def test_cholesky_matches_a_dense_solve(self, chain):
-        _, workspace, c, z = chain
+        _, workspace, c, z, compiled = chain
         states, _ = workspace.evaluate(z)
         grad, direction = workspace.direction(1e2 * c, states)
-        grad_ref, hess = reference_system(workspace, z, 1e2 * c)
+        grad_ref, hess = reference_system(compiled, workspace, z, 1e2 * c)
         assert relative(grad, grad_ref) <= 1e-12
         expected = -np.linalg.solve(hess, grad_ref)
         assert relative(direction, expected) <= 1e-10
@@ -210,7 +197,7 @@ class TestCholeskyStep:
     def test_failed_cholesky_takes_the_counted_lstsq_step(self, chain, monkeypatch):
         """A Cholesky that reports ``info > 0`` hands the step to least
         squares on the same system, and the step is counted."""
-        _, workspace, c, z = chain
+        _, workspace, c, z, compiled = chain
         states, _ = workspace.evaluate(z)
         systems = []
 
@@ -223,7 +210,7 @@ class TestCholeskyStep:
         assert len(systems) == 1
         hess, rhs = systems[0]
         assert np.array_equal(rhs, grad)
-        _, hess_ref = reference_system(workspace, z, 1e2 * c)
+        _, hess_ref = reference_system(compiled, workspace, z, 1e2 * c)
         assert relative(hess, hess_ref) <= 1e-12
         expected = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         assert np.array_equal(direction, expected)
@@ -236,18 +223,18 @@ class TestDenseStep:
     ):
         """When a block factorisation fails, the direction comes from one
         ``k×k`` system built from the assembled group blocks plus the
-        coupling term: it equals a solve of the per-term reference system,
-        in phase II (coupling rows) and phase I (the ``t`` border)."""
-        solver, workspace, c, z = duo
-        compiled = WorkloadSocpFormulation(duo_workload()).build().compile()
-        pieces = solver._pieces(compiled)
+        coupling term: it equals a solve of the reference system, in phase
+        II (coupling rows) and phase I (the ``t`` border)."""
+        solver, workspace, c, z, compiled = duo
         k = compiled.num_variables
         needed = solver._required_relaxation(compiled, np.zeros(k))
+        lower_bound = -max(1.0, abs(needed))
         phase_one = barrier._StructuredWorkspace(
-            solver._phase_one_plan(pieces, compiled.h, -max(1.0, abs(needed))),
-            k + 1,
+            solver._layout(compiled).phase_one,
+            compiled.h,
             solver.options,
             barrier._kernel_stats(),
+            lower_bound=lower_bound,
         )
         z_one = np.concatenate([np.zeros(k), [needed + max(1.0, 0.1 * abs(needed))]])
         assert phase_one.border == 1 and phase_one.m
@@ -256,11 +243,14 @@ class TestDenseStep:
             raise np.linalg.LinAlgError("forced singular block factor")
 
         monkeypatch.setattr(barrier._StructuredWorkspace, "_arrow_direction", singular)
-        for space, point in ((workspace, z), (phase_one, z_one)):
+        phases = ((workspace, z, None), (phase_one, z_one, lower_bound))
+        for space, point, bound in phases:
             grad_objective = np.random.default_rng(0).standard_normal(space.k)
             states, _ = space.evaluate(point)
             grad, direction = space.direction(grad_objective, states)
-            grad_ref, hess_ref = reference_system(space, point, grad_objective)
+            grad_ref, hess_ref = reference_system(
+                compiled, space, point, grad_objective, bound
+            )
             assert relative(grad, grad_ref) <= 1e-12
             assert relative(direction, -np.linalg.solve(hess_ref, grad_ref)) <= 1e-10
             assert space.stats["fallback_iterations"] == 1
@@ -283,10 +273,13 @@ class TestTermlessBlock:
         compiled = program.compile()
         structure = compiled.block_structure
         assert structure is not None and structure.coupling_rows.size == 2
-        solver = barrier.BarrierSolver()
-        plan = solver._phase_two_plan(solver._pieces(compiled), compiled.h)
-        assert plan.block_terms[1] == []
         structured = solve_compiled(compiled, backend="barrier")
+        termless = [
+            group
+            for group in compiled.kernel_layout.phase_two.groups
+            if group.slices == (slice(1, 2),)
+        ]
+        assert [group.rows.shape[1] for group in termless] == [0]
         compiled_one = program.compile()
         compiled_one.block_structure = None
         one_block = solve_compiled(compiled_one, backend="barrier")
@@ -321,7 +314,7 @@ class TestNonFiniteSystem:
         """A non-finite Newton system whose Cholesky fails never reaches
         ``lstsq`` (whose SVD may not return on it): the step raises
         ``NumericalError``."""
-        _, workspace, c, z = chain
+        _, workspace, c, z, _ = chain
         (group_states, slacks), _ = workspace.evaluate(z)
         linear_slacks = group_states[0][0].copy()
         linear_slacks[0] = 1e-300  # 1/s² overflows to inf
