@@ -130,10 +130,7 @@ def _solve_widths(compiled, initial):
     built = compiled.kernel_layout.__dict__
     phases = [built[name] for name in ("phase_two", "phase_one") if name in built]
     bound = max(
-        max(
-            [group.width for group in phase.groups]
-            + [phase.border, phase.coupling.shape[0]]
-        )
+        max(phase.widths.tolist() + [phase.border, phase.coupling.shape[0]])
         for phase in phases
     )
     return solution, received[0], bound, max(phase.k for phase in phases)

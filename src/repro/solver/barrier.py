@@ -30,12 +30,11 @@ The hyperbolic term is a rotated second-order cone: ``p·q ≥ w`` with
 ``p, q > 0`` is ``‖(2√w, p − q)‖ ≤ p + q``, and its barrier is that cone's
 ``−log((p + q)² − 4w − (p − q)²)`` up to the constant ``log 4``.
 
-The Newton kernel stacks the terms of equal-shaped blocks into padded
-tensors (see below).  Evaluating a point returns the slack *state* along
-with the feasibility check and the barrier value, and the gradient and
-Hessian are built from that state: the Newton loop evaluates every
-line-search trial point exactly once, and the accepted trial's state is
-carried into the next direction.
+The Newton kernel works on the non-zeros of the constraint rows (see below).
+Evaluating a point returns the slack *state* along with the feasibility
+check and the barrier value, and the gradient and Hessian are built from
+that state: the Newton loop evaluates every line-search trial point exactly
+once, and the accepted trial's state is carried into the next direction.
 
 The solver sees no equality constraints: :meth:`ConeProgram.compile
 <repro.solver.problem.ConeProgram.compile>` substitutes fixed variables and
@@ -82,32 +81,35 @@ the step is a least-squares solve.
 Sparse backend
 --------------
 
-The structured path is built to scale to hundreds of applications:
+The kernel never densifies a row, so its cost follows the non-zeros:
 
 * the compiled constraint matrix and the hyperbolic terms arrive in CSR
   form (:attr:`~repro.solver.problem.CompiledProblem.G_sparse`,
-  :class:`~repro.solver.problem.CompiledHyperbolic`) and are scattered,
-  without densifying the full matrix, into one *kernel layout* per compiled
-  problem (:class:`_KernelLayout`, cached as
-  :attr:`~repro.solver.problem.CompiledProblem.kernel_layout`): blocks of
-  equal width and term kinds form a group whose affine rows ``R`` sit in
-  one read-only, padded ``(B, R, n)`` tensor, so a line-search trial costs
-  one batched matvec per group.  Each phase's layout is built the first
-  time that phase runs; phase I's carries the ``t`` column and the
-  lower-bound row;
+  :class:`~repro.solver.problem.CompiledHyperbolic`) and are stacked into
+  one *kernel layout* per compiled problem (:class:`_KernelLayout`, cached
+  as :attr:`~repro.solver.problem.CompiledProblem.kernel_layout`): per
+  phase, the entries of every barrier row in row order (phase I's with
+  the ``t`` column and the lower-bound row) and a *scatter plan*, which
+  lists for every ordered pair of non-zeros of a block's row (or of a
+  hyperbolic term's ``[P; Q]``) its position in one flat buffer of
+  bordered block Hessians, its coefficient product and its weight slot.
+  Each phase's layout is built, vectorised, the first time that phase
+  runs;
 * ``h`` is the one array parametric re-solves mutate, so the layout never
   reads it: each centering run owns a :class:`_StructuredWorkspace` that
-  gathers the current ``h`` rows into the padded positions and allocates
-  the scratch buffers (weighted rows, gradient and Hessian stacks,
-  right-hand sides and solutions) — it copies no member's rows;
-* every member's barrier Hessian is the weighted Gram ``Rᵀ·W·R`` with a
-  block-diagonal ``W`` (one small block per term) and its gradient
-  ``Rᵀ·g``: each Newton step writes the row weights from the carried
-  states, then assembles all members' gradients and Hessian blocks in one
-  batched matmul each;
-* each member block is factorised and solved by one Cholesky solve
+  copies the current ``h`` and allocates the scratch buffers (the flat
+  Hessian buffer, right-hand sides and solutions) — it copies no row;
+* a line-search trial is one ``np.bincount`` over the row entries (the
+  product ``R·z``) plus one ``min``/``log`` pass over the flat slack
+  vectors; a Newton step forms one weight vector (``1/s²`` per row; ``a²``,
+  ``β``, ``b²`` per hyperbolic term) from the carried state, then its
+  gradient is one ``np.bincount`` over the row entries (``Rᵀ·g``) and all
+  block Hessians one gather-multiply and one ``np.bincount`` over the plan;
+* each block is factorised and solved by one Cholesky solve
   (:func:`_spd_solve`, whose pivot check is the positive-definiteness
-  test), and so is the coupling Schur matrix.
+  test) of its rows of one right-hand-side array — blocks are contiguous
+  column ranges, so no block data is copied — and so is the coupling Schur
+  matrix.
 
 Per-iteration cost is therefore linear in the number of applications; the
 ``benchmarks/test_bench_block_newton.py`` scaling curve pins this.
@@ -119,7 +121,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dposv as _dposv
@@ -189,210 +191,6 @@ class BarrierOptions:
     unbounded_threshold: float = 1e12 #: |objective| beyond which we declare unboundedness
 
 
-def _batched_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M[j] @ x[j]`` for every batch row ``j`` of a ``(B, r, n)`` stack
-    (or ``M @ x`` for an unbatched one)."""
-    if x.ndim == 1:
-        return M @ x
-    return np.matmul(M, x[:, :, None])[:, :, 0]
-
-
-def _members(array: np.ndarray) -> np.ndarray:
-    """``array`` without its member axis when it has one member.
-
-    The stack math is written for both ranks, and a group of one — every
-    one-block program — then runs plain 2-D numpy calls, which cost less
-    than their batched forms.
-    """
-    return array[0] if array.shape[0] == 1 else array
-
-
-class _LinearStack:
-    """The linear rows ``G·x ≤ h`` of a block group, padded to one row count.
-
-    ``G`` is a view into the group's row tensor: member ``j``'s rows fill
-    ``G[j, :count]``; padding rows are ``0·x ≤ 1`` (slack 1), so they add
-    exact zeros to the gradient and Hessian.  The state is the slack stack.
-    """
-
-    def __init__(
-        self,
-        layout: "_GroupLayout",
-        h: np.ndarray,
-        wrows: np.ndarray,
-        wgrad: np.ndarray,
-    ) -> None:
-        self.span = slice(0, layout.linear)
-        self.G = _members(layout.rows[:, self.span])
-        self.h = _members(h)
-        self.wG = _members(wrows[:, self.span])
-        self.g = _members(wgrad[:, self.span])
-
-    def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
-        s = self.h - values[..., self.span]
-        if not s.min() > 0.0:
-            return None, math.inf
-        return s, -float(np.log(s).sum())
-
-    def weigh(self, s: np.ndarray) -> None:
-        """Row gradients ``1/s`` and weighted rows ``G/s²``."""
-        np.divide(1.0, s, out=self.g)
-        # einsum fills a strided view of many short rows about twice as fast
-        # as the equivalent broadcast multiply.
-        np.einsum("...rn,...r->...rn", self.G, self.g * self.g, out=self.wG)
-
-
-class _HyperbolicStack:
-    """The hyperbolic terms ``(P·x + p0)(Q·x + q0) ≥ w`` of a block group,
-    padded to one term count; each term's barrier is ``−log(p·q − w)`` on
-    the branch ``p, q > 0``.
-
-    The ``P`` rows followed by the ``Q`` rows are one view into the group's
-    row tensor, ``PQ``, with ``PQ[..., 0, :, :]`` = ``P`` and
-    ``PQ[..., 1, :, :]`` = ``Q``.  Padding rows are ``(0·x + 1)(0·x + 1) ≥
-    0`` (slack 1, zero gradient and Hessian).  The state is the pair
-    ``(pq, p·q − w)`` with ``pq[..., 0, :]`` = ``p`` and ``pq[..., 1, :]`` =
-    ``q``.
-    """
-
-    def __init__(
-        self, layout: "_GroupLayout", wrows: np.ndarray, wgrad: np.ndarray
-    ) -> None:
-        count = layout.hyperbolic
-        size, _, n = layout.rows.shape
-        self.span = slice(layout.linear, layout.linear + 2 * count)
-        self.PQ = _members(layout.rows[:, self.span].reshape(size, 2, count, n))
-        self.pq0, self.w = _members(layout.pq0), _members(layout.w)
-        self.wPQ = _members(wrows[:, self.span].reshape(size, 2, count, n))
-        self.gPQ = _members(wgrad[:, self.span].reshape(size, 2, count))
-
-    def evaluate(self, values: np.ndarray) -> Tuple[object, float]:
-        pq = values[..., self.span].reshape(self.pq0.shape) + self.pq0
-        if not pq.min() > 0.0:
-            return None, math.inf  # off the positive branch
-        f = pq[..., 0, :] * pq[..., 1, :] - self.w
-        if not f.min() > 0.0:
-            return None, math.inf
-        return (pq, f), -float(np.log(f).sum())
-
-    def weigh(self, state: Tuple[np.ndarray, ...]) -> None:
-        """Gradient and Hessian of ``−log(p·q − w)`` as row weights.
-
-        With ``f = p·q − w`` the gradient is ``−(q·P + p·Q)/f`` and the
-        Hessian ``Σ ∇f∇fᵀ/f² − Σ (P·Qᵀ + Q·Pᵀ)/f``.  With ``a = q/f``,
-        ``b = p/f`` and ``β = ab − 1/f`` these are ``−(a·P + b·Q)`` and
-        ``[P; Q]ᵀ [[a², β], [β, b²]] [P; Q]``.
-        """
-        pq, f = state
-        neg_inv = np.divide(-1.0, f)
-        g = self.gPQ
-        np.multiply(pq[..., ::-1, :], neg_inv[..., None, :], out=g)  # −a, −b
-        beta = g[..., 0, :] * g[..., 1, :] + neg_inv
-        np.multiply(self.PQ, (g * g)[..., None], out=self.wPQ)
-        self.wPQ += self.PQ[..., ::-1, :, :] * beta[..., None, :, None]  # β·[Q; P]
-
-
-class _BlockGroup:
-    """Blocks of equal width and term kinds, evaluated and assembled as one batch.
-
-    Each member contributes one row of every stacked tensor; ``index[j]``
-    gathers member ``j``'s coordinates (its block followed by the border)
-    from the solver vector.  All stacks' affine rows live in one ``(B, R,
-    n)`` tensor, :attr:`rows` (the stacks hold views into it), so
-    :meth:`evaluate` costs one batched matvec per trial point.  The barrier
-    Hessian of every member is a weighted Gram ``Rᵀ·W·R`` of its rows with a
-    block-diagonal ``W`` (one small block per term), and its gradient
-    ``Rᵀ·g``: each stack writes its rows' weights into :attr:`wrows`
-    (``W·R``) and :attr:`wgrad` (``g``), and :meth:`assemble` builds the
-    ``(B, n)`` gradient and ``(B, n, n)`` Hessian stacks of all members in one
-    batched matmul each.  A group of one drops the member axis of its stack
-    tensors (:func:`_members`).  The members, ``index`` and :attr:`rows` are
-    the phase layout's :class:`_GroupLayout`, read-only and not copied.
-    """
-
-    def __init__(
-        self,
-        layout: "_GroupLayout",
-        h: np.ndarray,
-        rhs: np.ndarray,
-        border: int,
-    ) -> None:
-        size, height, n = layout.rows.shape
-        width = layout.width
-        cols = rhs.shape[1]
-        self.size = size
-        self.width = width
-        self.index = layout.index
-        #: the members' block coordinates, one row per member; for a group of
-        #: one a basic slice, so reading and writing them makes no copy
-        self.block_index = (
-            (None, layout.slices[0]) if size == 1 else layout.index[:, :width]
-        )
-        #: ``W·R`` and ``g``: each stack writes its rows' Hessian weights and
-        #: gradient coefficients through its spans; padding rows of ``rows``
-        #: are zero, so whatever they weigh adds exact zeros
-        wrows = np.zeros((size, height, n))
-        wgrad = np.zeros((size, height))
-        self.stacks: List[object] = []
-        if layout.linear:
-            self.stacks.append(_LinearStack(layout, h, wrows, wgrad))
-        if layout.hyperbolic:
-            self.stacks.append(_HyperbolicStack(layout, wrows, wgrad))
-        self.rows = _members(layout.rows)
-        self.wrows, self.wgrad = _members(wrows), _members(wgrad)
-        self._rows_t = self.rows.swapaxes(-1, -2)
-        #: gathers the members' coordinates (border included) from ``z``
-        self.gather = _members(self.index)
-        self.grad = np.empty((size, n))
-        self.hess = np.empty((size, n, n))
-        #: views of the two without the member axis of a group of one, which
-        #: :meth:`assemble` writes at the cost of plain 2-D calls
-        self._grad_out = _members(self.grad)[..., None]
-        self._hess_out = _members(self.hess)
-        diagonals = _members(self.hess.reshape(size, n * n)[:, :: n + 1])
-        #: strided view of every diagonal entry ``hess[:, i, i]``
-        self.trace = diagonals
-        #: the block part of it, ``i < width``
-        self.diagonal = diagonals[..., :width]
-        #: per-member right-hand sides ``[gradient | Gcᵀ rows | Hessian border
-        #: columns]``; the coupling columns are constant, written once here
-        self.rhs = np.empty((size, width, cols + border))
-        self.rhs[:, :, :cols] = rhs[self.block_index]
-        #: per member: its block's coordinates, its Hessian block (without
-        #: the border) and its right-hand sides, as views into the buffers
-        self.members = [
-            (slc, self.hess[j, :width, :width], self.rhs[j])
-            for j, slc in enumerate(layout.slices)
-        ]
-        #: the members' stacked solutions, used when there is a border
-        self.sol = np.empty_like(self.rhs) if border else None
-
-    def evaluate(self, z: np.ndarray) -> Tuple[Optional[List[object]], float]:
-        """Per-stack states and the members' summed barrier value at ``z``.
-
-        ``(None, +inf)`` as soon as a stack has a non-positive (or NaN)
-        slack: an infeasible point's slacks never reach ``log`` or ``1/s``.
-        """
-        values = _batched_matvec(self.rows, z[self.gather])
-        states: List[object] = []
-        total = 0.0
-        for stack in self.stacks:
-            state, value = stack.evaluate(values)
-            if state is None:
-                return None, math.inf
-            states.append(state)
-            total += value
-        return states, total
-
-    def assemble(self, states: Sequence[object]) -> None:
-        """Fill :attr:`grad` and :attr:`hess` from :meth:`evaluate`'s states:
-        ``Rᵀ·g`` and ``Rᵀ·(W·R)`` in one matmul each."""
-        for stack, state in zip(self.stacks, states):
-            stack.weigh(state)
-        np.matmul(self._rows_t, self.wgrad[..., None], out=self._grad_out)
-        np.matmul(self._rows_t, self.wrows, out=self._hess_out)
-
-
 def _kernel_stats() -> Dict[str, float]:
     """Fresh per-solve Newton-kernel accounting, shared by every workspace."""
     return {
@@ -420,81 +218,91 @@ def _frozen(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def _ranks(owner: np.ndarray, blocks: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Each item's position among its block's items (in item order), and
-    each block's item count.
-
-    ``owner[i]`` is the block of item ``i``; ``-1`` (a coupling row) is in
-    no block, and its rank is ``-1``.
-    """
-    order = np.argsort(owner, kind="stable")
-    sorted_owner = owner[order]
-    owned = sorted_owner >= 0
-    first = np.searchsorted(sorted_owner, np.arange(blocks))
-    rank = np.full(owner.size, -1, dtype=np.intp)
-    rank[order[owned]] = np.flatnonzero(owned) - first[sorted_owner[owned]]
-    return rank, np.bincount(sorted_owner[owned], minlength=blocks)
-
-
-def _entries(
-    matrix: object, owner: np.ndarray, rank: np.ndarray, starts: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Every stored entry of the CSR ``matrix`` in a row some block owns,
-    in storage order: its block, its row's rank in the block (:func:`_ranks`),
-    its column within the block and its value."""
+def _entries(matrix: object) -> Tuple[np.ndarray, ...]:
+    """Every stored entry of the CSR ``matrix`` as ``(row, column, value)``."""
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    kept = owner[rows] >= 0
-    rows = rows[kept]
-    block = owner[rows]
-    return block, rank[rows], matrix.indices[kept] - starts[block], matrix.data[kept]
-
-
-@dataclass(frozen=True)
-class _GroupLayout:
-    """One block group of a phase: blocks of equal width and term kinds.
-
-    Member ``j`` is the block with columns ``slices[j]``; ``index[j]``
-    gathers its coordinates (the block followed by the border) from the
-    solver vector.  ``rows`` is the members' ``(B, R, n)`` row tensor: the
-    ``linear`` rows ``G`` first, padded with ``0·x ≤ 1``, then the
-    ``hyperbolic`` terms' ``P`` rows and their ``Q`` rows, padded with
-    ``(0·x + 1)(0·x + 1) ≥ 0``.  ``h_map`` places each linear row's
-    right-hand side: an index into ``h`` extended by the padding's ``1`` and
-    phase I's lower-bound constant (:meth:`_StructuredWorkspace.__init__`).
-    Every array is read-only.
-    """
-
-    slices: Tuple[slice, ...]
-    width: int
-    index: np.ndarray    #: ``(B, n)`` member coordinates
-    rows: np.ndarray     #: ``(B, linear + 2·hyperbolic, n)``
-    linear: int          #: padded linear rows per member
-    hyperbolic: int      #: padded hyperbolic terms per member
-    h_map: np.ndarray    #: ``(B, linear)`` positions in the extended ``h``
-    pq0: np.ndarray      #: ``(B, 2, hyperbolic)``: ``p0`` and ``q0``, padding 1
-    w: np.ndarray        #: ``(B, hyperbolic)``: the bounds, padding 0
+    return rows, matrix.indices, matrix.data
 
 
 @dataclass(frozen=True)
 class _PhaseLayout:
-    """The kernel layout of one phase: its block groups and coupling rows.
+    """The kernel layout of one phase: its rows and its scatter plan.
 
     Phase II works on the free columns.  Phase I works on ``(x, t)``: every
     linear row gains a ``−1`` in the ``t`` column and every hyperbolic
-    term's ``P`` and ``Q`` a ``½`` (``(p + t/2)(q + t/2) ≥ w``), and block
-    0 homes the lower-bound row ``−t ≤ −lower_bound`` after its own rows.
-    ``t`` is the arrow's one-column ``border``, except in a one-block
-    program, where it is the block's last coordinate.
+    term's ``P`` and ``Q`` a ``½`` (``(p + t/2)(q + t/2) ≥ w``), and the
+    lower-bound row ``−t ≤ −lower_bound``, homed in block 0, follows the
+    rows of ``G``.  ``t`` is the arrow's one-column ``border``, except in a
+    one-block program, where it is the block's last coordinate.
+
+    The stacked matrix ``R`` of every barrier row — the ``linear`` rows
+    (``G``, then the lower-bound row), then each hyperbolic term's ``P`` row
+    and ``Q`` row — is kept as its entries ``(row, column, value)`` in row
+    order, so ``R·z`` and ``Rᵀ·g`` are one ``bincount`` each.
+    The Hessian of every block, bordered by the border coordinates (block
+    columns first), is stored row-major at ``offsets[b]`` of one flat buffer
+    of ``hess_size`` entries.  The scatter plan adds ``coef·weights[slot]``
+    into ``hess[target]`` for every ordered pair of non-zeros of an owned
+    row (weight ``1/s²``) and of a hyperbolic term's ``[P; Q]`` (weight
+    ``a²``, ``β`` or ``b²``, see :meth:`_StructuredWorkspace.assemble`), so
+    its length is the structural pair count of the rows, never a dense
+    block's.  Coupling rows stay out of the plan: the arrow solve folds them
+    in through their Schur complement.  Every array is read-only.
     """
 
-    k: int                          #: coordinates of the solver vector
-    border: int                     #: trailing coordinates shared by all blocks
-    blocks: int                     #: number of structure blocks
-    groups: Tuple[_GroupLayout, ...]
-    coupling_rows: np.ndarray       #: the rows of ``h`` that couple blocks
-    coupling: np.ndarray            #: their dense rows, ``k`` columns each
-    coupling_sq: np.ndarray         #: each coupling row's squared norm
-    m: int                          #: barrier terms, the ``m`` of the ``m/t`` gap
+    k: int                   #: coordinates of the solver vector
+    border: int              #: trailing coordinates shared by all blocks
+    starts: np.ndarray       #: first column of each block
+    widths: np.ndarray       #: columns of each block (phase I's folded ``t`` included)
+    offsets: np.ndarray      #: each bordered block's position in the flat buffer
+    hess_size: int           #: entries of the flat buffer
+    row: np.ndarray          #: ``R``'s entries: row
+    column: np.ndarray       #: ``R``'s entries: column
+    value: np.ndarray        #: ``R``'s entries: value
+    linear: int              #: linear rows at the top of ``R``
+    pq0: np.ndarray          #: ``(T, 2)``: ``p0`` and ``q0``
+    w: np.ndarray            #: ``(T,)``: the hyperbolic bounds
+    target: np.ndarray       #: scatter plan: flat-buffer position
+    coef: np.ndarray         #: scatter plan: coefficient product
+    slot: np.ndarray         #: scatter plan: weight index
+    diagonal: np.ndarray     #: flat positions of every bordered block's diagonal
+    block_diagonal: np.ndarray  #: the block part of it
+    cross: np.ndarray        #: ``(k − border, border)`` block–border positions
+    corner: np.ndarray       #: ``(blocks, border, border)`` border–border positions
+    coupling_rows: np.ndarray  #: the linear rows that couple blocks
+    coupling: np.ndarray     #: their dense rows, ``k`` columns each
+    coupling_sq: np.ndarray  #: each coupling row's squared norm
+
+    @property
+    def blocks(self) -> int:
+        return int(self.starts.size)
+
+    @property
+    def m(self) -> int:
+        """Barrier terms, the ``m`` of the ``m/t`` gap."""
+        return self.linear + self.w.size
+
+    def rows_at(self, z: np.ndarray) -> np.ndarray:
+        """``R·z``: every barrier row's affine part at ``z``."""
+        height = self.linear + 2 * self.w.size
+        return np.bincount(self.row, weights=self.value * z[self.column], minlength=height)
+
+    def rows_transposed(self, g: np.ndarray) -> np.ndarray:
+        """``Rᵀ·g``: the rows weighted by ``g`` and summed."""
+        return np.bincount(self.column, weights=self.value * g[self.row], minlength=self.k)
+
+    def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(row, column)`` solver coordinates of every flat position."""
+        k, border = self.k, self.border
+        n = self.widths + border
+        block = np.repeat(np.arange(self.blocks), n * n)
+        position = np.arange(self.hess_size) - np.repeat(self.offsets, n * n)
+        widths, starts = self.widths[block], self.starts[block]
+        local = np.divmod(position, n[block])
+        return tuple(
+            np.where(part < widths, starts + part, k - border + part - widths)
+            for part in local
+        )
 
 
 class _KernelLayout:
@@ -505,37 +313,29 @@ class _KernelLayout:
     I's lower bound, which each workspace gathers.  So it is built once per
     compiled problem and cached on it
     (:attr:`~repro.solver.problem.CompiledProblem.kernel_layout`).  Each
-    phase's :class:`_PhaseLayout` is scattered straight from the CSR
+    phase's :class:`_PhaseLayout` is built from the entries of the CSR
     matrices the first time that phase runs, so warm solves that skip phase
     I never build its layout.
     """
 
     def __init__(self, problem: CompiledProblem) -> None:
         structure = problem.block_structure or _single_block(problem)
-        hyp = problem.hyperbolic
-        self.blocks = structure.num_blocks
         self.k = problem.num_variables
-        self.h_size = int(problem.h.size)
         ranges = np.array(structure.ranges, dtype=np.intp).reshape(-1, 2)
+        self.blocks = ranges.shape[0]
         self.starts = ranges[:, 0]
         self.widths = ranges[:, 1] - ranges[:, 0]
-        #: per linear row and per hyperbolic term: its block (``-1``: a
-        #: coupling row) and its rank among its block's rows or terms
-        self.row_block = structure.row_blocks
-        self.row_rank, self.row_count = _ranks(self.row_block, self.blocks)
-        self.term_block = structure.hyperbolic_blocks
-        self.term_rank, self.term_count = _ranks(self.term_block, self.blocks)
-        self.G_entries = _entries(
-            problem.G_sparse, self.row_block, self.row_rank, self.starts
-        )
-        self.PQ_entries = [
-            _entries(side, self.term_block, self.term_rank, self.starts)
-            for side in (hyp.P, hyp.Q)
-        ]
-        self.p0, self.q0, self.bound = hyp.p0, hyp.q0, hyp.bound
+        #: the block of each linear row (``-1``: a coupling row) and term
+        self.row_block = np.asarray(structure.row_blocks, dtype=np.intp)
+        self.term_block = np.asarray(structure.hyperbolic_blocks, dtype=np.intp)
+        hyp = problem.hyperbolic
+        #: the entries of ``G``, ``P`` and ``Q``
+        self.entries = [_entries(matrix) for matrix in (problem.G_sparse, hyp.P, hyp.Q)]
+        self.pq0 = np.column_stack([hyp.p0, hyp.q0]).reshape(-1, 2)
+        self.bound = np.asarray(hyp.bound, dtype=float)
         self.coupling_rows = structure.coupling_rows
         self.coupling = problem.G_sparse[self.coupling_rows].toarray()
-        _frozen(self.coupling_rows, self.coupling)
+        _frozen(self.starts, self.pq0, self.bound, self.coupling_rows, self.coupling)
 
     @cached_property
     def phase_two(self) -> _PhaseLayout:
@@ -546,117 +346,108 @@ class _KernelLayout:
         return self._build(phase_one=True)
 
     def _build(self, phase_one: bool) -> _PhaseLayout:
+        phase_one = int(phase_one)
         k = self.k + phase_one
         # A one-block program has no arrow to border: t is its last column.
-        fold = phase_one and self.blocks == 1
-        border = int(phase_one and not fold)
+        fold = int(phase_one and self.blocks == 1)
+        border = phase_one - fold
+        core = k - border
         widths = self.widths + fold
-        linear_count = self.row_count.copy()
-        linear_count[0] += phase_one  # the lower-bound row, homed in block 0
-        members: Dict[Tuple[int, bool, bool], List[int]] = {}
-        kinds = zip(
-            widths.tolist(), (linear_count > 0).tolist(), (self.term_count > 0).tolist()
+        terms = self.bound.size
+        linear = self.row_block.size + phase_one
+        height = linear + 2 * terms
+        # The stacked rows: G, phase I's lower-bound row, then the P row and
+        # the Q row of every term, so the rows of a term are adjacent.
+        g, p, q = self.entries
+        pieces = [g, (linear + 2 * p[0],) + p[1:], (linear + 1 + 2 * q[0],) + q[1:]]
+        if phase_one:
+            t_value = np.repeat([-1.0, 0.5], [linear, 2 * terms])
+            pieces.append((np.arange(height), np.full(height, k - 1), t_value))
+        row, column, value = (np.concatenate(part) for part in zip(*pieces))
+        order = np.argsort(row, kind="stable")
+        entries = row[order], column[order].astype(np.intp), value[order]
+
+        # The scatter plan.  Each owned linear row is one unit, and so is
+        # each term (its P row's entries, then its Q row's); a unit adds
+        # every ordered pair of its entries into its block's bordered
+        # Hessian.  Weights: 1/s² of linear row r at slot r; a², β and b² of
+        # term i at linear + i, linear + T + i and linear + 2T + i.
+        owner = np.concatenate(
+            [self.row_block, np.zeros(phase_one, np.intp), np.repeat(self.term_block, 2)]
         )
-        for block, key in enumerate(kinds):
-            members.setdefault(key, []).append(block)
-        group_of = np.empty(self.blocks, dtype=np.intp)
-        member_of = np.empty(self.blocks, dtype=np.intp)
-        for group, indices in enumerate(members.values()):
-            group_of[indices] = group
-            member_of[indices] = np.arange(len(indices))
-        groups = tuple(
-            self._group(np.array(indices), group_of, member_of, border, k, linear_count)
-            for indices in members.values()
+        row, column, value = entries
+        owned = owner[row] >= 0
+        row, column, value = row[owned], column[owned], value[owned]
+        block = owner[row]
+        local = np.where(
+            column < core, column - self.starts[block], widths[block] + column - core
         )
+        hyperbolic = row >= linear
+        unit = np.where(hyperbolic, (row + linear) // 2, row)
+        side = terms * (hyperbolic & ((row - linear) % 2 == 1))
+        n = widths + border
+        offsets = np.cumsum(n * n) - n * n
+        counts = np.bincount(unit)[unit]
+        # Entry e pairs with the counts[e] entries of its unit, in order.
+        ends = np.cumsum(counts)
+        second = np.arange(counts.sum()) - np.repeat(
+            ends - counts - np.searchsorted(unit, unit), counts
+        )
+        target = np.repeat(offsets[block] + local * n[block], counts) + local[second]
+        coef = np.repeat(value, counts) * value[second]
+        slot = np.repeat(np.where(hyperbolic, unit, row) + side, counts) + side[second]
+
+        # Diagonal entry i of every bordered block; i < width is the block part.
+        index = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        diagonal = np.repeat(offsets, n) + index * (np.repeat(n, n) + 1)
+        block_diagonal = diagonal[index < np.repeat(widths, n)]
+        column_block = np.repeat(np.arange(self.blocks), widths)
+        within = np.arange(core) - self.starts[column_block]
+        spare = np.arange(border)
+        cross = (
+            offsets[column_block, None]
+            + within[:, None] * n[column_block, None]
+            + widths[column_block, None]
+            + spare
+        )
+        corner = (
+            offsets[:, None, None]
+            + (widths[:, None, None] + spare[:, None]) * n[:, None, None]
+            + widths[:, None, None]
+            + spare
+        )
+
         coupling = self.coupling
         if phase_one:
             coupling = np.hstack([coupling, -np.ones((coupling.shape[0], 1))])
         coupling_sq = np.einsum("ij,ij->i", coupling, coupling)
-        _frozen(coupling, coupling_sq)
+        _frozen(
+            *entries, widths, offsets, target, coef, slot, diagonal, block_diagonal,
+            cross, corner, coupling, coupling_sq,
+        )
         return _PhaseLayout(
             k=k,
             border=border,
-            blocks=self.blocks,
-            groups=groups,
+            starts=self.starts,
+            widths=widths,
+            offsets=offsets,
+            hess_size=int((n * n).sum()),
+            row=entries[0],
+            column=entries[1],
+            value=entries[2],
+            linear=linear,
+            pq0=self.pq0,
+            w=self.bound,
+            target=target,
+            coef=coef,
+            slot=slot,
+            diagonal=diagonal,
+            block_diagonal=block_diagonal,
+            cross=cross,
+            corner=corner,
             coupling_rows=self.coupling_rows,
             coupling=coupling,
             coupling_sq=coupling_sq,
-            m=int(linear_count.sum() + self.term_count.sum()) + coupling.shape[0],
-        )
-
-    def _group(
-        self,
-        indices: np.ndarray,
-        group_of: np.ndarray,
-        member_of: np.ndarray,
-        border: int,
-        k: int,
-        linear_count: np.ndarray,
-    ) -> _GroupLayout:
-        """Scatter the rows of the blocks ``indices`` into one padded tensor.
-
-        A phase-I layout (``k`` counts ``t``) writes ``t``'s column, the
-        last of each member's ``n`` coordinates, and block 0's lower-bound
-        row.
-        """
-        group = group_of[indices[0]]
-        phase_one = k > self.k
-        size = indices.size
-        width = int(self.widths[indices[0]]) + (phase_one and not border)
-        n = width + border
-        linear = int(linear_count[indices].max())
-        count = int(self.term_count[indices].max())
-        rows = np.zeros((size, linear + 2 * count, n))
-
-        def scatter(entries: Tuple[np.ndarray, ...], offset: int) -> None:
-            block, rank, column, value = entries
-            here = group_of[block] == group
-            block, rank, column = block[here], rank[here], column[here]
-            rows[member_of[block], offset + rank, column] = value[here]
-
-        owned = np.flatnonzero(
-            (self.row_block >= 0) & (group_of[self.row_block] == group)
-        )
-        member, rank = member_of[self.row_block[owned]], self.row_rank[owned]
-        h_map = np.full((size, linear), self.h_size, dtype=np.intp)
-        h_map[member, rank] = owned
-        scatter(self.G_entries, 0)
-        if phase_one:
-            rows[member, rank, n - 1] = -1.0
-            if group_of[0] == group:
-                bound_row = member_of[0], self.row_count[0]
-                rows[bound_row + (n - 1,)] = -1.0
-                h_map[bound_row] = self.h_size + 1
-
-        terms = np.flatnonzero(group_of[self.term_block] == group)
-        member, rank = member_of[self.term_block[terms]], self.term_rank[terms]
-        pq0, w = np.ones((size, 2, count)), np.zeros((size, count))
-        pq0[member, 0, rank] = self.p0[terms]
-        pq0[member, 1, rank] = self.q0[terms]
-        w[member, rank] = self.bound[terms]
-        for side, entries in enumerate(self.PQ_entries):
-            scatter(entries, linear + side * count)
-            if phase_one:
-                rows[member, linear + side * count + rank, n - 1] = 0.5
-
-        starts = self.starts[indices]
-        index = np.hstack(
-            [
-                starts[:, None] + np.arange(width, dtype=np.intp),
-                np.broadcast_to(np.arange(k - border, k), (size, border)),
-            ]
-        )
-        _frozen(rows, h_map, pq0, w, index)
-        return _GroupLayout(
-            slices=tuple(slice(start, start + width) for start in starts.tolist()),
-            width=width,
-            index=index,
-            rows=rows,
-            linear=linear,
-            hyperbolic=count,
-            h_map=h_map,
-            pq0=pq0,
-            w=w,
         )
 
 
@@ -680,33 +471,33 @@ class _CenteringResult:
 
 
 class _StructuredWorkspace:
-    """The Newton kernel: stacked block-group evaluation and assembly.
+    """The Newton kernel: flat evaluation and scatter assembly.
 
     Owns the scratch buffers of one centering run around a read-only
-    :class:`_PhaseLayout`, one :class:`_BlockGroup` per layout group, and
-    gathers the current ``h`` rows (and phase I's lower-bound constant) into
-    their padded positions
-    once.  :meth:`evaluate` runs every group once at a point and returns the
-    group states and the coupling slacks with the merit; :meth:`direction`
-    builds the gradient and the group Hessian stacks from those carried
-    states — it never re-evaluates a slack — and adds the trace-scaled
-    Tikhonov term.  The step is then solved one of two ways, picked from the
-    layout:
+    :class:`_PhaseLayout`, and copies the current ``h`` (with phase I's
+    lower-bound constant) once.  :meth:`evaluate` computes every barrier
+    row at a point with one ``bincount`` and returns the slack state with the
+    merit; :meth:`direction` builds the gradient and the flat buffer of
+    bordered block Hessians from that carried state (:meth:`assemble`) —
+    it never re-evaluates a slack — with the trace-scaled Tikhonov term.
+    The step is then solved one of two ways, picked from the layout:
 
     * a layout with one block, no border and no coupling (every one-block
       program, phase I included: its ``t`` is a coordinate of the block)
       solves its assembled block with one Cholesky solve (:func:`_spd_solve`);
     * every other layout takes the arrow solve (:meth:`_arrow_direction`):
       one Cholesky solve per block plus the Schur complements of the border
-      and the coupling rows.  The right-hand-side / solution buffers are
-      preallocated and the coupling columns ``Gcᵀ`` written **once**.
+      and the coupling rows.  Each block reads its right-hand sides as a
+      row slice of one ``[gradient | Gcᵀ | block–border columns]`` array,
+      whose coupling columns ``Gcᵀ`` are written **once**.
 
     When a factorisation of the arrow solve fails, that iteration's
-    direction comes from one ``k×k`` system assembled from the same group
-    blocks (:meth:`_dense_step`, counted in ``stats["fallback_iterations"]``).
-    A failed Cholesky of a ``k×k`` system is a least-squares step instead,
-    counted in ``stats["lstsq_steps"]``; a system with an inf or NaN entry
-    raises :class:`~repro.exceptions.NumericalError` instead.
+    direction comes from one ``k×k`` system assembled from the same block
+    Hessians (:meth:`_dense_step`, counted in
+    ``stats["fallback_iterations"]``).  A failed Cholesky of a ``k×k``
+    system is a least-squares step instead, counted in
+    ``stats["lstsq_steps"]``; a system with an inf or NaN entry raises
+    :class:`~repro.exceptions.NumericalError` instead.
     """
 
     def __init__(
@@ -721,54 +512,94 @@ class _StructuredWorkspace:
         self.options = options
         self.stats = stats
         self.k = k = layout.k
-        self.border = layout.border
-        #: the coupling rows, their right-hand sides and their count
+        self.border = border = layout.border
+        core = k - border
+        #: the right-hand sides of the linear rows: ``h``, then phase I's
+        #: lower-bound row ``−t ≤ −lower_bound``
+        self.h = np.append(h, [-lower_bound] * (layout.linear - h.size))
+        #: the coupling rows and their count
         self.Gc = layout.coupling
-        self.hc = h[layout.coupling_rows]
-        self.m = self.hc.size
+        self.m = self.Gc.shape[0]
         #: one block, no border, no coupling: a direct solve of that block
-        self.direct = layout.blocks == 1 and not self.border and not self.m
+        self.direct = layout.blocks == 1 and not border and not self.m
         cols = 1 + self.m
         self.cols = cols
-        self.rhs = np.empty((k, cols))
-        self.rhs[:, 1:] = self.Gc.T
-        self.solved = np.empty((k, cols))
+        #: the bordered block Hessians, written by :meth:`assemble`
+        self.hess = np.empty(layout.hess_size)
+        #: ``[gradient | Gcᵀ | block–border columns]`` of the block rows, and
+        #: the border's ``[gradient | Gcᵀ]``
+        self.rhs = np.empty((core, cols + border))
+        self.rhs[:, 1:cols] = self.Gc[:, :core].T
+        self.border_rhs = np.empty((border, cols))
+        self.border_rhs[:, 1:] = self.Gc[:, core:].T
+        self.solved = np.empty((k, cols + border))
         #: ``1/s²`` over the coupling slacks of the last assembled point
         self.weights = np.zeros(self.m)
-        # ``h`` extended by the padding rows' 1 and the constant of phase I's
-        # lower-bound row ``−t ≤ −lower_bound``, the two targets of ``h_map``
-        extended = np.concatenate([h, [1.0, -lower_bound]])
-        self.groups = [
-            _BlockGroup(group, extended[group.h_map], self.rhs, self.border)
-            for group in layout.groups
-        ]
+        #: each non-empty block's rows and its Hessian, a view of ``hess``
+        self.blocks = []
+        for start, width, offset in zip(
+            layout.starts.tolist(), layout.widths.tolist(), layout.offsets.tolist()
+        ):
+            if width:
+                size = width + border
+                square = self.hess[offset : offset + size * size].reshape(size, size)
+                self.blocks.append((slice(start, start + width), square[:width, :width]))
 
     def evaluate(self, z: np.ndarray) -> Tuple[Optional[tuple], float]:
-        """Group states and coupling slacks at ``z``, with ``φ(z)``.
+        """The slack state ``(s, [p | q], p·q − w)`` at ``z``, with ``φ(z)``.
 
-        ``(None, +inf)`` as soon as a slack is not positive.  The linear
-        merit part is handled by the caller in difference form, so only the
-        barrier sum is evaluated here.
+        ``(None, +inf)`` as soon as a slack is not positive (or NaN): an
+        infeasible point's slacks never reach ``log`` or ``1/s``.  The
+        linear merit part is handled by the caller in difference form, so
+        only the barrier sum is evaluated here.
         """
-        group_states: List[object] = []
-        total = 0.0
-        for group in self.groups:
-            state, value = group.evaluate(z)
-            if state is None:
-                return None, math.inf
-            group_states.append(state)
-            total += value
-        slacks = None
-        if self.m:
-            slacks = self.coupling_slacks(z)
-            if not slacks.min() > 0.0:
-                return None, math.inf
-            total -= float(np.log(slacks).sum())
-        return (group_states, slacks), total
+        layout = self.layout
+        values = layout.rows_at(z)
+        s = self.h - values[: layout.linear]
+        pq = values[layout.linear :].reshape(-1, 2) + layout.pq0
+        # A hyperbolic side off the positive branch is rejected before p·q.
+        if not (s.min(initial=math.inf) > 0.0 and pq.min(initial=math.inf) > 0.0):
+            return None, math.inf
+        f = pq[:, 0] * pq[:, 1] - layout.w
+        if not f.min(initial=math.inf) > 0.0:
+            return None, math.inf
+        return (s, pq, f), -float(np.log(s).sum() + np.log(f).sum())
 
-    def coupling_slacks(self, z: np.ndarray) -> np.ndarray:
-        """The coupling rows' slacks ``hc − Gc·z``."""
-        return self.hc - self.Gc @ z
+    def assemble(self, grad_objective: np.ndarray, state: tuple) -> Tuple[np.ndarray, float]:
+        """The gradient, and the bordered block Hessians into :attr:`hess`.
+
+        A linear row ``g`` with slack ``s`` has gradient ``g/s`` and Hessian
+        ``g·gᵀ/s²``.  A hyperbolic term with ``f = p·q − w`` has gradient
+        ``−(a·P + b·Q)`` and Hessian ``[P; Q]ᵀ [[a², β], [β, b²]] [P; Q]``,
+        with ``a = q/f``, ``b = p/f`` and ``β = ab − 1/f``.  So the gradient
+        is one weighted ``bincount`` over the row entries and the Hessians
+        one over the scatter plan.  Adds the trace-scaled Tikhonov
+        term to the block diagonals and returns it with the gradient.
+        """
+        s, pq, f = state
+        layout = self.layout
+        inv = 1.0 / s
+        neg_inv = -1.0 / f
+        coefficients = pq[:, ::-1] * neg_inv[:, None]  # −a, −b
+        grad = grad_objective + layout.rows_transposed(
+            np.concatenate([inv, coefficients.ravel()])
+        )
+        minus_a, minus_b = coefficients.T
+        squares = inv * inv
+        weights = np.concatenate(
+            [squares, minus_a * minus_a, minus_a * minus_b + neg_inv, minus_b * minus_b]
+        )
+        hess = self.hess
+        hess[:] = np.bincount(
+            layout.target, weights=layout.coef * weights[layout.slot], minlength=hess.size
+        )
+        trace = float(hess[layout.diagonal].sum())
+        if self.m:
+            self.weights = squares[layout.coupling_rows]
+            trace += float(self.weights @ layout.coupling_sq)
+        reg = self.options.regularization * (1.0 + trace / max(self.k, 1))
+        hess[layout.block_diagonal] += reg
+        return grad, reg
 
     def direction(
         self, grad_objective: np.ndarray, states: tuple
@@ -778,36 +609,17 @@ class _StructuredWorkspace:
         ``states`` is :meth:`evaluate`'s output at ``z``.  The Hessian is
         ``H = H₀ + Gcᵀ·W·Gc`` with ``H₀`` bordered block diagonal
         (per-application blocks, plus the phase-I relaxation column as a
-        border) and ``W = diag(1/s²)`` over the coupling-row slacks.  Each
-        block group assembles its members' bordered blocks of ``H₀`` (and
-        gradients) as one weighted Gram of its rows
-        (:meth:`_BlockGroup.assemble`).
+        border) and ``W = diag(1/s²)`` over the coupling-row slacks;
+        :meth:`assemble` builds ``H₀``'s bordered blocks.
         """
-        group_states, slacks = states
-        k, border = self.k, self.border
-        blocks_end = k - border
         assembly_start = time.perf_counter()
-        grad = grad_objective.copy()
-        trace = 0.0
-        for group, state in zip(self.groups, group_states):
-            group.assemble(state)
-            grad[group.block_index] += group.grad[:, : group.width]
-            if border:
-                grad[blocks_end:] += group.grad[:, group.width :].sum(axis=0)
-            trace += float(group.trace.sum())
-        if self.m:
-            inv = 1.0 / slacks
-            grad += self.Gc.T @ inv
-            self.weights = inv * inv
-            trace += float(self.weights @ self.layout.coupling_sq)
-        reg = self.options.regularization * (1.0 + trace / max(k, 1))
-        for group in self.groups:
-            group.diagonal += reg
+        grad, reg = self.assemble(grad_objective, states)
         self.stats["assembly_time"] += time.perf_counter() - assembly_start
 
         if self.direct:
             factor_start = time.perf_counter()
-            direction = -self._dense_solve(self.groups[0].hess[0], grad)
+            k = self.k
+            direction = -self._dense_solve(self.hess.reshape(k, k), grad)
             self.stats["block_factorizations"] += 1
             self.stats["factorization_time"] += time.perf_counter() - factor_start
             return grad, direction
@@ -826,65 +638,49 @@ class _StructuredWorkspace:
         through the matrix-inversion lemma — its Schur matrix has
         coupling-row dimension (the number of shared processors and
         memories), so the cost per step is the sum of the per-block
-        factorisations instead of one cube of the full size.  Every member
-        block takes one Cholesky solve (:func:`_spd_solve`), which is also
-        its positive-definiteness check; in phase II (no border) the
-        solution is written straight into the member's rows of the solution
-        buffer.  The border and the coupling Schur matrices are symmetric
-        positive definite too and take one Cholesky solve each.
+        factorisations instead of one cube of the full size.  Every block
+        takes one Cholesky solve (:func:`_spd_solve`), which is also its
+        positive-definiteness check, of the rows of the right-hand-side
+        array it covers.  The border and the coupling Schur matrices are
+        symmetric positive definite too and take one Cholesky solve each.
 
         Raises :class:`numpy.linalg.LinAlgError` when any block or Schur
         matrix is not positive definite, which :meth:`direction` catches to
         take the dense step instead.
         """
+        layout = self.layout
         k, border, m, cols = self.k, self.border, self.m, self.cols
-        blocks_end = k - border
-        rhs = self.rhs
-        rhs[:, 0] = grad
-        solved = self.solved
+        core = k - border
+        rhs, solved = self.rhs, self.solved
+        rhs[:, 0] = grad[:core]
 
         factor_start = time.perf_counter()
         # Chaos site: an armed ``newton.linalg`` fault raises the same
         # LinAlgError a failed block factorisation would.
         _maybe_fail("newton.linalg")
         if border:
-            schur = reg * np.eye(border)
-            cross_rhs = np.zeros((border, cols))
-        border_parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for group in self.groups:
-            width, H, R = group.width, group.hess, group.rhs
-            if border:
-                # Border-border curvature of every block (including width-0
-                # blocks, e.g. the phase-I lower-bound row on t).
-                schur += H[:, width:, width:].sum(axis=0)
-            if width == 0:
-                continue
-            R[:, :, 0] = grad[group.block_index]
-            R[:, :, cols:] = H[:, :width, width:]
-            if border:
-                sol = group.sol
-                for j, (_, block, member_rhs) in enumerate(group.members):
-                    sol[j] = _spd_solve(block, member_rhs)
-                solved[group.block_index] = sol[:, :, :cols]
-                cross = R[:, :, cols:]
-                cross_rhs += np.einsum("bwj,bwc->jc", cross, sol[:, :, :cols])
-                schur -= np.einsum("bwj,bwl->jl", cross, sol[:, :, cols:])
-                border_parts.append((group.block_index, sol[:, :, cols:]))
-            else:
-                for slc, block, member_rhs in group.members:
-                    solved[slc] = _spd_solve(block, member_rhs)
-            self.stats["block_factorizations"] += group.size
+            rhs[:, cols:] = self.hess[layout.cross]
+        for rows, block in self.blocks:
+            solved[rows] = _spd_solve(block, rhs[rows])
+        self.stats["block_factorizations"] += len(self.blocks)
         self.stats["factorization_time"] += time.perf_counter() - factor_start
 
         schur_start = time.perf_counter()
         if border:
-            border_solution = _spd_solve(schur, rhs[blocks_end:] - cross_rhs)
-            for block_index, q_part in border_parts:
-                solved[block_index] -= q_part @ border_solution
-            solved[blocks_end:] = border_solution
+            cross, block_solved = rhs[:, cols:], solved[:core]
+            # Border-border curvature of every block (including width-0
+            # blocks, e.g. the phase-I lower-bound row on t).
+            schur = self.hess[layout.corner].sum(axis=0) + reg * np.eye(border)
+            schur -= cross.T @ block_solved[:, cols:]
+            self.border_rhs[:, 0] = grad[core:]
+            border_solution = _spd_solve(
+                schur, self.border_rhs - cross.T @ block_solved[:, :cols]
+            )
+            block_solved[:, :cols] -= block_solved[:, cols:] @ border_solution
+            solved[core:, :cols] = border_solution
         if m:
             base = solved[:, 0]
-            lifted = solved[:, 1:]
+            lifted = solved[:, 1:cols]
             Gc = self.Gc
             # Matrix-inversion lemma: (W⁻¹ + Gc·H₀⁻¹·Gcᵀ) is the coupling
             # Schur complement of the arrow-structured KKT system.
@@ -896,20 +692,23 @@ class _StructuredWorkspace:
         self.stats["schur_time"] += time.perf_counter() - schur_start
         return direction
 
-    def _dense_step(self, grad: np.ndarray, reg: float) -> np.ndarray:
-        """The Newton direction from one ``k×k`` system: the assembled group
-        blocks scattered into place plus ``Gcᵀ·W·Gc``, no re-evaluation."""
+    def _assembled(self, reg: float) -> np.ndarray:
+        """The ``k×k`` Newton Hessian: the assembled bordered blocks
+        scattered into place plus ``Gcᵀ·W·Gc``, no re-evaluation."""
         k = self.k
-        hess = np.zeros((k, k))
-        for group in self.groups:
-            index = group.index
-            np.add.at(hess, (index[:, :, None], index[:, None, :]), group.hess)
+        rows, columns = self.layout.coordinates()
+        hess = np.bincount(rows * k + columns, weights=self.hess, minlength=k * k)
+        hess = hess.reshape(k, k)
         # The block diagonals already carry the regularization; the border's
-        # is a sum over the groups, so it is added here once.
+        # is a sum over the blocks, so it is added here once.
         hess.reshape(-1)[(k - self.border) * (k + 1) :: k + 1] += reg
         if self.m:
             hess += (self.Gc.T * self.weights) @ self.Gc
-        return -self._dense_solve(hess, grad)
+        return hess
+
+    def _dense_step(self, grad: np.ndarray, reg: float) -> np.ndarray:
+        """The Newton direction from one ``k×k`` system (:meth:`_assembled`)."""
+        return -self._dense_solve(self._assembled(reg), grad)
 
     def _dense_solve(self, hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """``hess⁻¹·grad`` by one Cholesky solve; least squares when it fails."""

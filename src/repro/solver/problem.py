@@ -292,8 +292,8 @@ class CompiledProblem:
         self.substitutions = dict(substitutions or {})
         #: row index → the amount substitution added to that row's ``h``
         self.h_shifts = dict(h_shifts or {})
-        #: The barrier backend's kernel layout (its block groups' row
-        #: tensors), written on first use.  Valid as long as ``G``, the
+        #: The barrier backend's kernel layout (its stacked CSR rows and
+        #: scatter plan per phase), written on first use.  Valid as long as ``G``, the
         #: hyperbolic terms and the block structure are unchanged —
         #: parametric re-solves mutate only ``h``, so warm-started sessions
         #: reuse one layout.

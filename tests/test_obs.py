@@ -577,7 +577,7 @@ class TestSolverTelemetry:
         )
 
     def test_structured_solve_splits_assembly_time(self):
-        """A structured solve reports the stacked block assembly next to the
+        """A structured solve reports the block Hessian assembly next to the
         factorisation and Schur times, in its stats and as a histogram."""
         from repro.core.formulation import WorkloadSocpFormulation
         from repro.solver.backends import solve_compiled

@@ -257,12 +257,9 @@ def layout_arrays(layout):
         built = layout.__dict__.get(phase)
         if built is None:
             continue
-        arrays[phase, "coupling"] = built.coupling
-        arrays[phase, "coupling_sq"] = built.coupling_sq
-        arrays[phase, "coupling_rows"] = built.coupling_rows
-        for number, group in enumerate(built.groups):
-            for name in ("index", "rows", "h_map", "pq0", "w"):
-                arrays[phase, number, name] = getattr(group, name)
+        for name, value in vars(built).items():
+            if isinstance(value, np.ndarray):
+                arrays[phase, name] = value
     return arrays
 
 
@@ -333,6 +330,15 @@ class TestKernelLayoutReuse:
         assert newton_counts(back) == newton_counts(building)
 
 
+def phase_one_start(compiled):
+    """Phase I's start at ``z = 0``: the point ``(0, t)`` and the lower
+    bound :meth:`BarrierSolver._phase_one` would pick."""
+    k = compiled.num_variables
+    needed = barrier.BarrierSolver()._required_relaxation(compiled, np.zeros(k))
+    point = np.append(np.zeros(k), needed + max(1.0, 0.1 * abs(needed)))
+    return point, -max(1.0, abs(needed))
+
+
 def both_phases(compiled):
     """The phase-II and phase-I workspaces of ``compiled``, each with a
     strictly feasible point and its lower bound (``None`` in phase II).
@@ -341,14 +347,10 @@ def both_phases(compiled):
     (well interior); phase I at the cold start ``z = 0`` with the relaxation
     ``t`` and lower bound :meth:`BarrierSolver._phase_one` would pick.
     """
-    solver = barrier.BarrierSolver()
-    k = compiled.num_variables
     solution = solve_compiled(compiled, backend="barrier")
-    layout = solver._layout(compiled)
+    layout = barrier.BarrierSolver()._layout(compiled)
     z_two = solution.interior_point
-    needed = solver._required_relaxation(compiled, np.zeros(k))
-    lower_bound = -max(1.0, abs(needed))
-    z_one = np.concatenate([np.zeros(k), [needed + max(1.0, 0.1 * abs(needed))]])
+    z_one, lower_bound = phase_one_start(compiled)
     return [
         (new_workspace(layout.phase_two, compiled), None, z_two),
         (new_workspace(layout.phase_one, compiled, lower_bound), lower_bound, z_one),
@@ -375,34 +377,25 @@ def new_workspace(phase_layout, compiled, lower_bound=0.0):
     )
 
 
-def stacked_assembly(workspace, z):
-    """The barrier gradient and Hessian as the group stacks build them from
-    one evaluation, scattered back to full coordinates, plus the coupling
-    rows' terms."""
-    (group_states, slacks), phi = workspace.evaluate(z)
+def kernel_assembly(workspace, z):
+    """The barrier value, gradient and Hessian as the kernel assembles them
+    from one evaluation: the bordered block Hessians scattered into full
+    coordinates plus the coupling rows' terms, without the regularization."""
+    state, phi = workspace.evaluate(z)
     assert phi < np.inf
-    k = workspace.k
-    grad, hess = np.zeros(k), np.zeros((k, k))
-    for group, states in zip(workspace.groups, group_states):
-        group.assemble(states)
-        for j, index in enumerate(group.index):
-            grad[index] += group.grad[j]
-            hess[np.ix_(index, index)] += group.hess[j]
-    if workspace.m:
-        inv = 1.0 / slacks
-        grad += workspace.Gc.T @ inv
-        hess += (workspace.Gc.T * (inv * inv)) @ workspace.Gc
+    grad, reg = workspace.assemble(np.zeros(workspace.k), state)
+    hess = workspace._assembled(reg) - reg * np.eye(workspace.k)
     return phi, grad, hess
 
 
-def assert_stacked_matches_reference(compiled, workspace, z, lower_bound):
-    """Stacked assembly = the full-width reference to 1e-12, and the
-    kernel's direction = a dense solve of the reference system (with the
-    regularization) to 1e-10, both relative."""
+def assert_kernel_matches_reference(compiled, workspace, z, lower_bound):
+    """The kernel's gradient and Hessian = the full-width reference to
+    1e-12, and its direction = a dense solve of the reference system (with
+    the regularization) to 1e-10, both relative."""
     reference = barrier_reference(compiled, z, lower_bound)
     assert reference is not None
     value_ref, grad_ref, hess_ref = reference
-    phi, grad, hess = stacked_assembly(workspace, z)
+    phi, grad, hess = kernel_assembly(workspace, z)
     assert phi == pytest.approx(value_ref, rel=1e-12, abs=1e-12)
     assert relative(grad, grad_ref) <= 1e-12
     assert relative(hess, hess_ref) <= 1e-12
@@ -420,36 +413,22 @@ def assert_stacked_matches_reference(compiled, workspace, z, lower_bound):
 
 
 def assert_relaxed_t_column(compiled, workspace):
-    """Phase I's ``t`` column, the last of every member's coordinates: ``−1``
-    on every linear row (the lower-bound row included) and coupling row,
-    ``½`` in ``P`` and ``Q`` of every hyperbolic term, and 0 on padding."""
-    linear, hyperbolic = [], []
-    for group in workspace.layout.groups:
-        column = group.rows[:, :, -1]
-        linear.append(column[:, : group.linear].ravel())
-        hyperbolic.append(column[:, group.linear :].ravel())
-    linear, hyperbolic = np.concatenate(linear), np.concatenate(hyperbolic)
-    assert np.count_nonzero(linear == -1.0) == compiled.h.size - workspace.m + 1
-    assert np.count_nonzero(hyperbolic == 0.5) == 2 * len(compiled.hyperbolic)
-    assert np.count_nonzero(linear) + np.count_nonzero(hyperbolic) == (
-        compiled.h.size - workspace.m + 1 + 2 * len(compiled.hyperbolic)
-    )
+    """Phase I's ``t`` column, the last of the layout's rows: ``−1`` on
+    every linear row (the lower-bound row and the coupling rows included),
+    ``½`` in ``P`` and ``Q`` of every hyperbolic term, and nothing else."""
+    layout = workspace.layout
+    on_t = layout.column == layout.k - 1
+    linear = layout.linear
+    assert linear == compiled.h.size + 1
+    assert layout.row[on_t].tolist() == list(range(linear + 2 * len(compiled.hyperbolic)))
+    t_value = layout.value[on_t]
+    assert np.all(t_value[:linear] == -1.0) and np.all(t_value[linear:] == 0.5)
     assert np.all(workspace.Gc[:, -1] == -1.0)
-
-
-def ragged_groups(compiled, workspace):
-    """Groups whose members differ in their linear row count."""
-    ragged = []
-    for group in workspace.layout.groups:
-        counts = (group.h_map != compiled.h.size).sum(axis=1)
-        if len(set(counts.tolist())) > 1:
-            ragged.append(counts)
-    return ragged
 
 
 class TestStackedAssembly:
     """The Newton kernel builds every block's gradient and Hessian from the
-    layout's padded per-group tensors; it must agree with the full-width
+    layout's CSR rows and scatter plan; it must agree with the full-width
     reference barrier of the compiled problem."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -457,7 +436,7 @@ class TestStackedAssembly:
         compiled = workload_program(seed)
         workspace, lower_bound, z = both_phases(compiled)[0]
         assert workspace.border == 0 and lower_bound is None
-        assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
+        assert_kernel_matches_reference(compiled, workspace, z, lower_bound)
         assert workspace.stats["block_factorizations"] == 8
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -468,57 +447,25 @@ class TestStackedAssembly:
         workspace, lower_bound, z = both_phases(compiled)[1]
         assert workspace.border == 1
         assert_relaxed_t_column(compiled, workspace)
-        assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
+        assert_kernel_matches_reference(compiled, workspace, z, lower_bound)
         assert workspace.stats["block_factorizations"] == 8
 
     def test_one_block_plans_match_dense(self):
         """A one-block program's phase II, and its phase I with ``t`` folded
-        into the block, assemble one group of one and take the direct
-        solve."""
+        into the block, assemble one block and take the direct solve."""
         compiled = one_block_program()
         k = compiled.num_variables
         (two, _, z_two), (one, lower_bound, z_one) = both_phases(compiled)
         assert two.border == 0 and one.border == 0
         assert one.k == k + 1
-        assert [group.slices for group in one.layout.groups] == [(slice(0, k + 1),)]
+        assert one.layout.starts.tolist() == [0]
+        assert one.layout.widths.tolist() == [k + 1]
         assert_relaxed_t_column(compiled, one)
         for workspace, bound, z in ((two, None, z_two), (one, lower_bound, z_one)):
-            assert_stacked_matches_reference(compiled, workspace, z, bound)
+            assert_kernel_matches_reference(compiled, workspace, z, bound)
             assert workspace.direct
-            assert [group.size for group in workspace.groups] == [1]
+            assert workspace.layout.hess_size == workspace.k**2
             assert workspace.stats["block_factorizations"] == 1
-
-    def test_stacks_are_views_into_the_group_rows(self):
-        """A workspace copies no member's rows: every group's row tensor is
-        its layout's read-only tensor, every stack's affine rows a view into
-        it, and its row weights and gradient coefficients views into the
-        group's weighted rows and row-gradient buffers."""
-        buffers = {
-            "rows": ("G", "PQ"),
-            "wrows": ("wG", "wPQ"),
-            "wgrad": ("g", "gPQ"),
-        }
-        for workspace, _, _ in both_phases(workload_program(0)):
-            for group, layout in zip(workspace.groups, workspace.layout.groups):
-                assert not layout.rows.flags.writeable
-                assert np.shares_memory(group.rows, layout.rows)
-                for stack in group.stacks:
-                    for buffer, names in buffers.items():
-                        views = [
-                            getattr(stack, name)
-                            for name in names
-                            if hasattr(stack, name)
-                        ]
-                        assert len(views) == 1
-                        assert np.shares_memory(views[0], getattr(group, buffer))
-
-    def test_group_with_different_row_counts(self):
-        """Block 0's extra phase-I row makes its group ragged: the padding
-        rows must contribute exact zeros."""
-        compiled = workload_program(0)
-        workspace, lower_bound, z = both_phases(compiled)[1]
-        assert ragged_groups(compiled, workspace)
-        assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
 
     def test_width_zero_phase_one_block(self):
         program = ConeProgram("pinned-block")
@@ -529,9 +476,9 @@ class TestStackedAssembly:
         program.declare_blocks([[x], [y]])
         compiled = program.compile()
         for workspace, lower_bound, z in both_phases(compiled):
-            assert_stacked_matches_reference(compiled, workspace, z, lower_bound)
+            assert_kernel_matches_reference(compiled, workspace, z, lower_bound)
             if workspace.border:
-                assert any(group.width == 0 for group in workspace.groups)
+                assert 0 in workspace.layout.widths.tolist()
 
 
 def hand_program(kind, counts, width, seed=0):
@@ -570,9 +517,9 @@ def hand_program(kind, counts, width, seed=0):
 
 
 class TestGramAssembly:
-    """A group's gradient and Hessian stacks are one weighted Gram of its
-    rows; each stack kind's weights must reproduce the full-width
-    reference, padding rows included."""
+    """Blocks holding only linear rows or only hyperbolic terms, one or
+    several blocks with different counts: the kernel's gradient and Hessian
+    must reproduce the full-width reference."""
 
     @pytest.mark.parametrize("kind", ["linear", "hyperbolic"])
     @pytest.mark.parametrize("counts", [(3, 5, 1), (4,)], ids=["ragged", "one"])
@@ -580,17 +527,142 @@ class TestGramAssembly:
         compiled, z = hand_program(kind, counts, width=4)
         layout = barrier.BarrierSolver()._layout(compiled)
         workspace = new_workspace(layout.phase_two, compiled)
-        (group,) = workspace.groups
-        assert group.size == len(counts) and workspace.m == 0
-        assert [len(group.stacks)] == [1]
-        (group_layout,) = layout.phase_two.groups
-        padded = group_layout.linear if kind == "linear" else group_layout.hyperbolic
-        assert padded == max(counts)
+        assert workspace.layout.blocks == len(counts) and workspace.m == 0
         value_ref, grad_ref, hess_ref = barrier_reference(compiled, z)
-        phi, grad, hess = stacked_assembly(workspace, z)
+        phi, grad, hess = kernel_assembly(workspace, z)
         assert phi == pytest.approx(value_ref, rel=1e-12)
         assert relative(grad, grad_ref) <= 1e-12
         assert relative(hess, hess_ref) <= 1e-12
+
+
+def mixed_program(seed, specs, coupling, pinned):
+    """A program of declared blocks, strictly feasible at the returned point.
+
+    Block ``j`` of ``specs`` has ``(width, rows, terms)``: ``width`` free
+    variables, ``rows`` random linear rows (the first touches every column
+    of the block, the others a random subset) and ``terms`` hyperbolic
+    terms over random subsets.  ``coupling`` dense rows span every block,
+    and with ``pinned`` a first block holds one fixed variable, which
+    compilation substitutes out: a width-0 block, which homes phase I's
+    lower-bound row.
+    """
+    rng = np.random.default_rng(seed)
+    program = ConeProgram("mixed")
+    blocks, points = [], []
+    if pinned:
+        blocks.append([program.add_variable("pinned", lower=1.0, upper=1.0)])
+
+    def expression(block, local, columns, constant=0.0):
+        """Random coefficients on ``columns``, equal to ``constant`` at ``local``."""
+        coefficients = rng.standard_normal(columns.size)
+        terms = {block[i]: c for i, c in zip(columns.tolist(), coefficients)}
+        return AffineExpression(terms, constant - float(coefficients @ local[columns]))
+
+    def subset(width):
+        size = int(rng.integers(1, width + 1))
+        return np.sort(rng.choice(width, size=size, replace=False))
+
+    for j, (width, rows, terms) in enumerate(specs):
+        block = [program.add_variable(f"b{j}x{i}") for i in range(width)]
+        local = rng.uniform(-0.5, 0.5, width)
+        blocks.append(block)
+        points.append(local)
+        for r in range(rows):
+            columns = np.arange(width) if r == 0 else subset(width)
+            row = expression(block, local, columns)
+            program.add_less_equal(row, float(rng.uniform(0.5, 2.0)))
+        for _ in range(terms):
+            p = expression(block, local, subset(width), rng.uniform(0.5, 2.0))
+            q = expression(block, local, subset(width), rng.uniform(0.5, 2.0))
+            program.add_hyperbolic(p, q, 0.25)
+    z = np.concatenate(points)
+    free = [variable for block in blocks[int(pinned):] for variable in block]
+    for _ in range(coupling):
+        row = expression(free, z, np.arange(z.size))
+        if pinned:
+            row = row + 0.7 * blocks[0][0] - 0.7
+        program.add_less_equal(row, float(rng.uniform(0.5, 2.0)))
+    program.minimize(free[0])
+    program.declare_blocks(blocks)
+    compiled = program.compile()
+    assert compiled.block_structure is not None
+    assert compiled.num_variables == z.size
+    return compiled, z
+
+
+#: a one-block program, and one with a pinned width-0 block, a block
+#: without hyperbolic terms, a block without linear rows and coupling rows;
+#: each block's own terms make its Hessian well conditioned, so the arrow
+#: solve's block factorisations lose no digits
+MIXED = {
+    "one-block": dict(specs=((5, 4, 2),), coupling=0, pinned=False),
+    "multi-block": dict(
+        specs=((3, 5, 2), (2, 0, 3), (3, 5, 0)), coupling=3, pinned=True
+    ),
+}
+
+
+class TestScatterAssembly:
+    """The flat kernel against the full-width reference on hand-made
+    programs: gradient, Hessian and Newton direction, each to 1e-12
+    relative, in both phases."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(MIXED))
+    def test_matches_reference(self, case, seed):
+        compiled, z = mixed_program(seed, **MIXED[case])
+        layout = barrier.BarrierSolver()._layout(compiled)
+        z_one, lower_bound = phase_one_start(compiled)
+        phases = (
+            (new_workspace(layout.phase_two, compiled), z, None),
+            (new_workspace(layout.phase_one, compiled, lower_bound), z_one, lower_bound),
+        )
+        for workspace, point, bound in phases:
+            value_ref, grad_ref, hess_ref = barrier_reference(compiled, point, bound)
+            phi, grad, hess = kernel_assembly(workspace, point)
+            assert phi == pytest.approx(value_ref, rel=1e-12)
+            assert relative(grad, grad_ref) <= 1e-12
+            assert relative(hess, hess_ref) <= 1e-12
+            k = workspace.k
+            grad_objective = np.random.default_rng(seed).standard_normal(k)
+            g_kernel, direction = workspace.direction(
+                grad_objective, workspace.evaluate(point)[0]
+            )
+            reg = workspace.options.regularization * (1.0 + np.trace(hess_ref) / k)
+            expected = -np.linalg.solve(hess_ref + reg * np.eye(k), grad_ref + grad_objective)
+            assert relative(g_kernel, grad_ref + grad_objective) <= 1e-12
+            assert relative(direction, expected) <= 1e-12
+            assert workspace.stats["fallback_iterations"] == 0
+            assert workspace.stats["lstsq_steps"] == 0
+        two, one = (workspace for workspace, _, _ in phases)
+        if case == "one-block":
+            assert two.direct and one.direct and one.border == 0
+        else:
+            assert one.border == 1 and two.m == one.m == 3
+            assert one.layout.widths.tolist() == [0, 3, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scatter_plan_is_the_owned_pairs(self, seed):
+        """Every owned row adds ``(nnz + border)²`` plan entries and every
+        term ``(nnz(P) + nnz(Q) + 2·border)²``, phase I's lower-bound row
+        ``border²``: the plan holds the structural pairs of the rows and
+        nothing denser, and it targets the flat buffer of bordered blocks."""
+        compiled = workload_program(seed)
+        layout = barrier.BarrierSolver()._layout(compiled)
+        owned = compiled.block_structure.row_blocks >= 0
+        nnz = np.diff(compiled.G_sparse.indptr)[owned]
+        hyp = compiled.hyperbolic
+        pairs = np.diff(hyp.P.indptr) + np.diff(hyp.Q.indptr)
+        for phase, border in ((layout.phase_two, 0), (layout.phase_one, 1)):
+            assert phase.border == border and phase.blocks == 8
+            expected = (
+                ((nnz + border) ** 2).sum()
+                + border
+                + ((pairs + 2 * border) ** 2).sum()
+            )
+            assert phase.target.size == phase.coef.size == phase.slot.size == expected
+            assert phase.hess_size == ((phase.widths + border) ** 2).sum()
+            assert 0 <= phase.target.min() and phase.target.max() < phase.hess_size
 
 
 def soc_barrier(P, p0, Q, q0, w, y):
@@ -681,7 +753,7 @@ class TestPhaseOneRelaxation:
         workspace = new_workspace(
             barrier.BarrierSolver()._layout(compiled).phase_one, compiled, FAR_BOUND
         )
-        phi, grad_kernel, hess_kernel = stacked_assembly(workspace, y)
+        phi, grad_kernel, hess_kernel = kernel_assembly(workspace, y)
         assert phi == pytest.approx(value, rel=1e-12)
         assert relative(grad_kernel, grad) <= 1e-12
         assert relative(hess_kernel, hess) <= 1e-12
@@ -746,14 +818,13 @@ class TestNaturalFactorisationFailure:
         workspace = new_workspace(
             barrier.BarrierSolver()._layout(compiled).phase_two, compiled
         )
-        (group,) = workspace.groups
-        assert group.size == 2 and workspace.m == 4
+        assert workspace.layout.blocks == 2 and workspace.m == 4
 
         grad_objective = rng.standard_normal(k)
         grad, direction = workspace.direction(
             grad_objective, workspace.evaluate(z)[0]
         )
-        eigenvalues = [np.linalg.eigvalsh(block).min() for block in group.hess]
+        eigenvalues = [np.linalg.eigvalsh(block).min() for _, block in workspace.blocks]
         assert eigenvalues[0] > 0.0 > eigenvalues[1]
         assert workspace.stats["fallback_iterations"] == 1
         assert workspace.stats["lstsq_steps"] == 0

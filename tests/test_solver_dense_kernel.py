@@ -2,8 +2,8 @@
 
 Every solve runs on :class:`repro.solver.barrier._StructuredWorkspace`.  Its
 Newton loop must evaluate every line-search trial point exactly once — one
-batched evaluation per block group, none inside a direction (the accepted
-trial's group states feed the next direction).  A one-block program solves
+product with the layout's rows, none inside a direction (the accepted
+trial's state feeds the next direction).  A one-block program solves
 its assembled block with one LAPACK Cholesky and takes a counted
 least-squares step only when that Cholesky fails; a multi-block program
 whose arrow factorisation fails takes one dense step on the assembled
@@ -86,24 +86,18 @@ def reference_system(compiled, workspace, z, grad_objective, lower_bound=None):
 
 class TestOneEvaluationPerTrialPoint:
     def test_newton_run_evaluates_each_trial_once(self, chain, duo, monkeypatch):
-        """Each block group (and the coupling rows) is evaluated only inside
-        a line-search trial, at most once per trial (all of them on a
-        feasible trial), never twice at the same point and never inside a
-        direction."""
+        """The layout's rows (every barrier row, coupling rows included) are
+        evaluated only inside a line-search trial, at most once per trial
+        (exactly once on a feasible trial), never twice at the same point
+        and never inside a direction."""
         events = []
-        original_group = barrier._BlockGroup.evaluate
-        original_slacks = barrier._StructuredWorkspace.coupling_slacks
+        rows_at = barrier._PhaseLayout.rows_at
 
-        def group_evaluate(self, z):
+        def counting_rows_at(self, z):
             events.append(("eval", id(self)))
-            return original_group(self, z)
+            return rows_at(self, z)
 
-        def slacks(self, z):
-            events.append(("eval", id(self)))
-            return original_slacks(self, z)
-
-        monkeypatch.setattr(barrier._BlockGroup, "evaluate", group_evaluate)
-        monkeypatch.setattr(barrier._StructuredWorkspace, "coupling_slacks", slacks)
+        monkeypatch.setattr(barrier._PhaseLayout, "rows_at", counting_rows_at)
         for solver, workspace, c, z, _ in (chain, duo):
             states, phi = workspace.evaluate(z)
             events.clear()
@@ -131,7 +125,6 @@ class TestOneEvaluationPerTrialPoint:
             assert newton >= 3 and converged
             assert not np.array_equal(z_end, z)
 
-            evaluated_parts = len(workspace.groups) + (1 if workspace.m else 0)
             in_direction = False
             per_trial = {}
             trial_index = None
@@ -149,10 +142,8 @@ class TestOneEvaluationPerTrialPoint:
                     per_trial[trial_index].append(value)
             assert len(per_trial) == len(trial_points) >= newton
             for evaluated in per_trial.values():
-                assert len(evaluated) == len(set(evaluated)) <= evaluated_parts
-            assert (
-                sum(len(v) == evaluated_parts for v in per_trial.values()) >= newton
-            )
+                assert len(evaluated) <= 1
+            assert sum(len(v) == 1 for v in per_trial.values()) >= newton
             for i, point in enumerate(trial_points):
                 assert not any(np.array_equal(point, p) for p in trial_points[:i])
                 assert not np.array_equal(point, z)
@@ -260,8 +251,8 @@ class TestDenseStep:
 class TestTermlessBlock:
     def test_block_reached_only_through_coupling_rows(self):
         """A block whose variable appears only in coupling rows has no
-        barrier terms: its group evaluates to zero and its Hessian block is
-        the regularization alone, and the solve matches the one-block
+        barrier terms: no scatter-plan entry reaches its Hessian block, which
+        is the regularization alone, and the solve matches the one-block
         solve of the same program."""
         program = ConeProgram("termless")
         x = program.add_variable("x", lower=0.0, upper=4.0)
@@ -274,12 +265,11 @@ class TestTermlessBlock:
         structure = compiled.block_structure
         assert structure is not None and structure.coupling_rows.size == 2
         structured = solve_compiled(compiled, backend="barrier")
-        termless = [
-            group
-            for group in compiled.kernel_layout.phase_two.groups
-            if group.slices == (slice(1, 2),)
-        ]
-        assert [group.rows.shape[1] for group in termless] == [0]
+        layout = compiled.kernel_layout.phase_two
+        assert layout.starts.tolist() == [0, 1] and layout.widths.tolist() == [1, 1]
+        (termless,) = layout.offsets[1:].tolist()
+        assert layout.hess_size == termless + 1
+        assert termless not in layout.target.tolist()
         compiled_one = program.compile()
         compiled_one.block_structure = None
         one_block = solve_compiled(compiled_one, backend="barrier")
@@ -315,10 +305,9 @@ class TestNonFiniteSystem:
         ``lstsq`` (whose SVD may not return on it): the step raises
         ``NumericalError``."""
         _, workspace, c, z, _ = chain
-        (group_states, slacks), _ = workspace.evaluate(z)
-        linear_slacks = group_states[0][0].copy()
-        linear_slacks[0] = 1e-300  # 1/s² overflows to inf
-        group_states[0][0] = linear_slacks
+        (slacks, pq, f), _ = workspace.evaluate(z)
+        slacks = slacks.copy()
+        slacks[0] = 1e-300  # 1/s² overflows to inf
         monkeypatch.setattr(barrier, "_dposv", lambda a, b, lower=0: (a, b, 1))
         monkeypatch.setattr(
             barrier.np.linalg,
@@ -327,5 +316,5 @@ class TestNonFiniteSystem:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
-                workspace.direction(c, (group_states, slacks))
+                workspace.direction(c, (slacks, pq, f))
         assert workspace.stats["lstsq_steps"] == 0
