@@ -23,9 +23,9 @@ from repro.dataflow.construction import (
     queue_token_terms,
     task_actor_duration,
 )
-from repro.solver.expression import AffineExpression, Variable, linear_sum
-from repro.solver.problem import ConeProgram
+from repro.solver.problem import ConeProgram, RowWriter
 from repro.solver.result import SolverStatus
+from repro.solver.variable import Variable
 from repro.taskgraph.configuration import Configuration
 
 
@@ -63,18 +63,20 @@ def minimal_buffer_capacities(
     program = ConeProgram(name=f"buffer-sizing[{configuration.name}]")
 
     capacity_vars: Dict[str, Variable] = {}
-    start_exprs: Dict[str, AffineExpression] = {}
-    objective_terms = []
+    #: per actor its start-time column (-1: pinned to 0)
+    start_columns: Dict[str, int] = {}
+    objective_coefficients = []
+    rows = RowWriter()
 
     for graph in configuration.task_graphs:
         spec = build_srdf_specification(graph)
 
         # Start-time variables, pinning one actor per weakly connected component.
         for reference, *others in spec.components():
-            start_exprs[reference] = AffineExpression({}, 0.0)
+            start_columns[reference] = -1
             for actor_name in others:
-                var = program.add_variable(f"s[{actor_name}]")
-                start_exprs[actor_name] = AffineExpression({var: 1.0})
+                start_columns[actor_name] = program.num_variables
+                program.add_variable(f"s[{actor_name}]")
 
         for buffer in graph.buffers:
             lower = float(buffer.smallest_feasible_capacity)
@@ -84,11 +86,13 @@ def minimal_buffer_capacities(
             if buffer.name in capacity_limits:
                 limit = float(capacity_limits[buffer.name])
                 upper = limit if upper is None else min(upper, limit)
-            var = program.add_variable(f"capacity[{buffer.name}]", lower=lower, upper=upper)
-            capacity_vars[buffer.name] = var
+            capacity_vars[buffer.name] = program.add_variable(
+                f"capacity[{buffer.name}]", lower=lower, upper=upper
+            )
             coefficient = weights.capacity_coefficient(buffer)
-            objective_terms.append(var * (coefficient if coefficient else 1.0))
+            objective_coefficients.append(float(coefficient if coefficient else 1.0))
 
+        # s_source + duration − δ(e)·period − s_target ≤ 0, one row per queue.
         for queue in spec.queues:
             task = graph.task(queue.source_task)
             processor = configuration.platform.processor(task.processor)
@@ -106,12 +110,20 @@ def minimal_buffer_capacities(
             # δ(e) as the joint formulation writes it: cyclo-static space
             # queues carry token_scale·γ + token_offset, not γ − ι.
             buffer_name, scale, offset = queue_token_terms(queue, graph)
-            tokens = AffineExpression(
-                {capacity_vars[buffer_name]: scale} if buffer_name else {}, offset
-            )
-            lhs = start_exprs[queue.target]
-            rhs = start_exprs[queue.source] + duration - tokens * graph.period
-            program.add_greater_equal(lhs, rhs, name=f"pas[{queue.name}]")
+            source, target = start_columns[queue.source], start_columns[queue.target]
+            first = len(rows.columns)
+            if source >= 0 and source != target:
+                rows.columns.append(source)
+                rows.values.append(1.0)
+            if buffer_name is not None and scale != 0.0:
+                rows.columns.append(program.position(capacity_vars[buffer_name]))
+                rows.values.append(-(scale * graph.period))
+            if target >= 0 and source != target:
+                rows.columns.append(target)
+                rows.values.append(-1.0)
+            rows.lengths.append(len(rows.columns) - first)
+            rows.constants.append(duration - offset * graph.period)
+            rows.names.append(f"pas[{queue.name}]")
 
     # Memory constraints (Constraint (10) with fixed +1 rounding slack).
     for memory_name, memory in configuration.platform.memories.items():
@@ -120,15 +132,22 @@ def minimal_buffer_capacities(
         buffers = configuration.buffers_in_memory(memory_name)
         if not buffers:
             continue
-        usage = linear_sum(
-            [
-                (capacity_vars[buffer.name] + 1.0) * buffer.container_size
-                for buffer in buffers
-            ]
-        )
-        program.add_less_equal(usage, memory.capacity, name=f"memory[{memory_name}]")
+        charged = 0.0
+        first = len(rows.columns)
+        for buffer in buffers:
+            charged += buffer.container_size
+            if buffer.container_size != 0:
+                rows.columns.append(program.position(capacity_vars[buffer.name]))
+                rows.values.append(float(buffer.container_size))
+        rows.lengths.append(len(rows.columns) - first)
+        rows.constants.append(charged - memory.capacity)
+        rows.names.append(f"memory[{memory_name}]")
 
-    program.minimize(linear_sum(objective_terms))
+    rows.add_to(program)
+    program.minimize(
+        [program.position(var) for var in capacity_vars.values()],
+        objective_coefficients,
+    )
     solution = program.solve(backend=backend)
     if solution.status is SolverStatus.INFEASIBLE:
         raise InfeasibleProblemError(

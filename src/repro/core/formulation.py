@@ -50,8 +50,8 @@ from repro.dataflow.construction import (
     build_srdf_specification,
     queue_token_terms,
 )
-from repro.solver.expression import AffineExpression, Variable
-from repro.solver.problem import AffineRows, ConeProgram, bounds_collapse
+from repro.solver.problem import AffineRows, ConeProgram, RowWriter, bounds_collapse
+from repro.solver.variable import Variable
 from repro.solver.result import Solution
 from repro.taskgraph.configuration import Configuration
 from repro.taskgraph.platform import Platform
@@ -179,32 +179,6 @@ def sufficient_capacity_bound(configuration: Configuration, graph) -> float:
         default=1,
     )
     return base * iteration_factor
-
-
-class _RowWriter:
-    """Rows ``values·x[columns] + constant ≤ 0`` collected as flat lists.
-
-    Every block writes one constraint family into the same writer, which
-    then enters the program as one batch (:meth:`add_to`).
-    """
-
-    def __init__(self) -> None:
-        self.lengths: List[int] = []
-        self.columns: List[int] = []
-        self.values: List[float] = []
-        self.constants: List[float] = []
-        self.names: List[str] = []
-
-    def add_to(self, program: ConeProgram) -> None:
-        program.add_rows(
-            AffineRows(
-                np.concatenate([[0], np.cumsum(self.lengths, dtype=np.intp)]),
-                np.array(self.columns, dtype=np.intp),
-                np.array(self.values, dtype=float),
-                np.array(self.constants, dtype=float),
-            ),
-            self.names,
-        )
 
 
 @dataclass
@@ -356,7 +330,7 @@ class FormulationBlock:
                     )
 
     # -- constraints -----------------------------------------------------------------
-    def write_precedence_rows(self, rows: _RowWriter) -> None:
+    def write_precedence_rows(self, rows: RowWriter) -> None:
         """Constraints (6) and (7), one row ``expr ≤ 0`` per SRDF queue.
 
         * (6), queue set E1: ``s_i − β' − s_j + ̺ ≤ 0``;
@@ -565,14 +539,14 @@ class _BlockAssembly:
             block.add_capacity_variables(self.program)
             block.add_start_time_variables(self.program)
             groups.append(self.program.variable_slice(first))
-        precedence = _RowWriter()
+        precedence = RowWriter()
         for block in self.blocks:
             block.write_precedence_rows(precedence)
         precedence.add_to(self.program)
         pairs = [pair for block in self.blocks for pair in block.reciprocal_pairs()]
-        self.program.add_hyperbolic_pairs(
-            [lam for lam, _, _ in pairs],
-            [beta for _, beta, _ in pairs],
+        self.program.add_hyperbolic_rows(
+            AffineRows.unit([lam for lam, _, _ in pairs]),
+            AffineRows.unit([beta for _, beta, _ in pairs]),
             np.ones(len(pairs)),
             [name for _, _, name in pairs],
         )
@@ -607,7 +581,7 @@ class _BlockAssembly:
         replenishment interval.  (10): every application's relaxed
         capacities, plus one container each, fit in a bounded memory.
         """
-        rows = _RowWriter()
+        rows = RowWriter()
         for processor_name, processor in self.platform.processors.items():
             budgets: List[int] = []
             slack = processor.scheduling_overhead
@@ -648,14 +622,10 @@ class _BlockAssembly:
         rows.add_to(self.program)
 
     def _set_objective(self) -> None:
+        terms = [term for block in self.blocks for term in block.objective_terms()]
         self.program.minimize(
-            AffineExpression(
-                {
-                    variable: coefficient
-                    for block in self.blocks
-                    for variable, coefficient in block.objective_terms()
-                }
-            )
+            [self.program.position(variable) for variable, _ in terms],
+            [coefficient for _, coefficient in terms],
         )
 
 

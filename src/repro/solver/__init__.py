@@ -3,13 +3,11 @@
 This package replaces the commercial cone solver used in the paper (CPLEX)
 with a self-contained modelling layer and solvers:
 
-* :class:`~repro.solver.problem.ConeProgram` — the modelling entry point.
-* :class:`~repro.solver.expression.Variable` /
-  :class:`~repro.solver.expression.AffineExpression` — expression algebra.
-* :class:`~repro.solver.constraints.LinearConstraint`,
-  :class:`~repro.solver.constraints.HyperbolicConstraint` — the two
-  constraint families (a hyperbolic constraint is a rotated second-order
-  cone).
+* :class:`~repro.solver.problem.ConeProgram` — the modelling entry point:
+  :class:`~repro.solver.variable.Variable` handles, linear and hyperbolic
+  (rotated second-order cone) constraints written as
+  :class:`~repro.solver.problem.AffineRows` over variable positions, and
+  an affine objective row.
 * :class:`~repro.solver.barrier.BarrierSolver` — from-scratch log-barrier
   interior-point method (the default backend for cone programs).
 * :class:`~repro.solver.parametric.ParametricProblem` /
@@ -19,17 +17,10 @@ with a self-contained modelling layer and solvers:
   (:mod:`~repro.solver.scipy_backend`) backends.
 """
 
-from repro.solver.constraints import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    HyperbolicConstraint,
-    LinearConstraint,
-)
-from repro.solver.expression import AffineExpression, Variable, linear_sum
+from repro.solver.variable import Variable
 from repro._lazy import lazy_exports
 from repro.solver.barrier import BarrierOptions, BarrierSolver
-from repro.solver.problem import BlockStructure, CompiledProblem, ConeProgram
+from repro.solver.problem import AffineRows, BlockStructure, CompiledProblem, ConeProgram
 
 #: Parametric re-solve loads on first use: a one-shot solve never needs it.
 _EXPORTS = {
@@ -40,20 +31,14 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 from repro.solver.result import Solution, SolverStatus
 
 __all__ = [
-    "AffineExpression",
+    "AffineRows",
     "BarrierOptions",
     "BarrierSolver",
     "BlockStructure",
     "CompiledProblem",
     "ConeProgram",
-    "EQUAL",
-    "GREATER_EQUAL",
-    "LESS_EQUAL",
-    "HyperbolicConstraint",
-    "LinearConstraint",
     "Solution",
     "SolverStatus",
     "Variable",
-    "linear_sum",
 ]
 __all__ += sorted(_EXPORTS)

@@ -12,7 +12,7 @@ from repro.solver.barrier import BarrierOptions, solve_with_barrier
 from repro.solver.linprog_backend import solve_with_linprog
 from repro.solver.problem import CompiledProblem
 from repro.solver.result import Solution, SolverStatus
-from repro.solver.expression import Variable
+from repro.solver.variable import Variable
 
 #: Names accepted by the ``backend`` argument of :meth:`ConeProgram.solve`.
 BACKENDS = ("auto", "barrier", "linprog", "scipy")

@@ -11,8 +11,8 @@ this module provides the compile-once/solve-many counterpart of
   inequality right-hand sides ``h`` — both named constraint rows and the
   variable-bound rows (``lb[x]`` / ``ub[x]``) that compilation emits.  Setting
   a parameter mutates ``h`` in place; the matrix ``G`` and the hyperbolic
-  terms are shared across all solves.  Compilation substitutes fixed variables and
-  equality rows out, which can shift a row's constant; a parameter on such a
+  terms are shared across all solves.  Compilation substitutes fixed
+  variables out, which can shift a row's constant; a parameter on such a
   row keeps that shift, so it solves like a fresh compile with the same
   value.
 * :class:`SolveSession` re-solves the parametric problem after parameter
@@ -41,7 +41,7 @@ import numpy as np
 from repro.exceptions import FormulationError
 from repro.obs.trace import span as obs_span
 from repro.solver.problem import CompiledProblem, ConeProgram
-from repro.solver.expression import Variable
+from repro.solver.variable import Variable
 from repro.solver.result import Solution
 
 
@@ -65,7 +65,6 @@ class ParametricProblem:
     def __init__(self, program: ConeProgram) -> None:
         self.program = program
         self.compiled: CompiledProblem = program.compile()
-        self.sense = program.sense
         counts = Counter(name for name in self.compiled.inequality_names if name)
         self._rows: Dict[str, int] = {}
         for index, name in enumerate(self.compiled.inequality_names):
@@ -359,8 +358,6 @@ class SolveSession:
             )
             solve_span.set(status=solution.status.value)
         solution.solve_time = solve_span.seconds
-        if self.parametric.sense == "max" and solution.objective is not None:
-            solution.objective = -solution.objective
 
         self.stats.record_solution(solution)
         if warmed:

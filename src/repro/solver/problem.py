@@ -1,46 +1,40 @@
 """Problem container and compilation to numerical form.
 
 :class:`ConeProgram` is the modelling entry point of the optimisation
-substrate: variables and constraints are registered on it, an affine
-objective is chosen, and :meth:`ConeProgram.solve` dispatches to one of the
-backends (:mod:`repro.solver.barrier`, :mod:`repro.solver.linprog_backend`,
-:mod:`repro.solver.scipy_backend`).
+substrate: variables are registered on it, constraints and an affine
+objective are written over their positions, and :meth:`ConeProgram.solve`
+dispatches to one of the backends (:mod:`repro.solver.barrier`,
+:mod:`repro.solver.linprog_backend`, :mod:`repro.solver.scipy_backend`).
 
-A program keeps its linear constraints, and both sides of its hyperbolic
-constraints, as :class:`AffineRows`: affine rows in CSR layout over the
-registered variables.  Two front ends write them.  The expression API
-(:meth:`ConeProgram.add_linear`, :meth:`ConeProgram.add_hyperbolic`, ...)
-turns each constraint into one row; model builders that emit a whole
-constraint family at once use the array API (:meth:`ConeProgram.add_rows`,
-:meth:`ConeProgram.add_hyperbolic_pairs`).  :meth:`ConeProgram.compile`
-lowers both the same way into a :class:`CompiledProblem` made of CSR and
-dense numpy arrays, concatenating the stored rows:
+A program keeps its linear constraints, both sides of its hyperbolic
+constraints and its objective as :class:`AffineRows`: affine rows in CSR
+layout over the registered variable positions.  Model builders write a whole
+constraint family at once (:meth:`ConeProgram.add_rows`,
+:meth:`ConeProgram.add_hyperbolic_rows`); the objective is one row
+(:meth:`ConeProgram.minimize`).  :meth:`ConeProgram.compile` lowers them
+into a :class:`CompiledProblem` made of CSR and dense numpy arrays,
+concatenating the stored rows:
 
 * objective vector ``c`` and offset ``c0``,
 * inequalities ``G·x ≤ h`` in CSR form (variable bounds folded in),
 * hyperbolic constraints as two CSR matrices ``P``/``Q`` with one row per
   term, plus the offset and bound vectors (:class:`CompiledHyperbolic`).
 
-A compiled problem has no equality rows.  Compilation substitutes them out,
-as LP presolve does (Andersen & Andersen, *Math. Programming* 71, 1995): a
-variable whose bounds collapse (:func:`bounds_collapse`) is replaced by its
-value, and each :meth:`ConeProgram.add_equality` row by solving it for its
-pivot — the term with the largest ``|coefficient|`` once the earlier
-substitutions are applied.  Every row, hyperbolic offset and the objective
-is written over the remaining *free* columns only; each substituted
-variable is kept as an affine function of them, so
+A compiled problem has no equality rows.  The one equality a program can
+state is a variable whose bounds collapse (:func:`bounds_collapse`);
+compilation replaces such a variable by its value, as LP presolve does
+(Andersen & Andersen, *Math. Programming* 71, 1995).  Its terms fold into
+the constants of every row, hyperbolic side and the objective, which are
+written over the remaining *free* columns only, and
 :meth:`CompiledProblem.point_as_mapping` still lists every registered
-variable.  An equality row that substitution reduces to a constant is
-dropped when the constant is zero (a redundant row) and otherwise becomes
-the constant row ``0 ≤ −|residual|``, which every backend reports as
-infeasible.
+variable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,26 +42,8 @@ from scipy import sparse as _sparse
 
 from repro.exceptions import FormulationError
 from repro.obs.trace import span as obs_span
-from repro.solver.constraints import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    HyperbolicConstraint,
-    LinearConstraint,
-)
-from repro.solver.expression import (
-    AffineExpression,
-    ExpressionLike,
-    Variable,
-    linear_sum,
-)
 from repro.solver.result import Solution, SolverStatus
-
-Constraint = Union[LinearConstraint, HyperbolicConstraint]
-
-#: A substituted variable over the free ones, keyed by registered position:
-#: ``(coefficient by position, constant)``.
-_Substitution = Tuple[Dict[int, float], float]
+from repro.solver.variable import Variable
 
 
 def bounds_collapse(lower: float, upper: float) -> bool:
@@ -89,39 +65,6 @@ def _is_fixed(var: Variable) -> bool:
         var.lower is not None
         and var.upper is not None
         and bounds_collapse(var.lower, var.upper)
-    )
-
-
-def _substitute(
-    columns: Sequence[int],
-    values: Sequence[float],
-    constant: float,
-    substitutions: Mapping[int, _Substitution],
-) -> _Substitution:
-    """The affine row ``values·x[columns] + constant`` with every substituted
-    position replaced by its expression, as ``(coefficients, constant)``.
-
-    A coefficient that cancels to within 1e-12 of the largest term summed
-    into it is dropped: the cancellation is exact in real arithmetic.
-    """
-    if substitutions.keys().isdisjoint(columns):
-        return dict(zip(columns, values)), constant
-    terms: Dict[int, float] = {}
-    scale: Dict[int, float] = {}
-    for column, coeff in zip(columns, values):
-        replacement = substitutions.get(column)
-        if replacement is None:
-            parts: Mapping[int, float] = {column: 1.0}
-        else:
-            constant += coeff * replacement[1]
-            parts = replacement[0]
-        for term, weight in parts.items():
-            value = coeff * weight
-            terms[term] = terms.get(term, 0.0) + value
-            scale[term] = max(scale.get(term, 0.0), abs(value))
-    return (
-        {term: value for term, value in terms.items() if abs(value) > 1e-12 * scale[term]},
-        float(constant),
     )
 
 
@@ -178,13 +121,41 @@ class AffineRows:
             np.concatenate([part.constants for part in parts]),
         )
 
-    def row(self, index: int) -> Tuple[List[int], List[float], float]:
-        """Row ``index`` as plain ``(columns, values, constant)``."""
-        start, stop = self.indptr[index], self.indptr[index + 1]
-        return (
-            self.columns[start:stop].tolist(),
-            self.values[start:stop].tolist(),
-            float(self.constants[index]),
+    @classmethod
+    def unit(cls, columns: Sequence[int]) -> "AffineRows":
+        """One row ``x[column]`` per entry of ``columns``."""
+        count = len(columns)
+        return cls(
+            np.arange(count + 1, dtype=np.intp),
+            np.asarray(columns, dtype=np.intp),
+            np.ones(count),
+            np.zeros(count),
+        )
+
+
+class RowWriter:
+    """Rows ``values·x[columns] + constant ≤ 0`` collected as flat lists.
+
+    Model builders append one row at a time (its length, terms, constant
+    and name); the rows then enter a program as one batch (:meth:`add_to`).
+    """
+
+    def __init__(self) -> None:
+        self.lengths: List[int] = []
+        self.columns: List[int] = []
+        self.values: List[float] = []
+        self.constants: List[float] = []
+        self.names: List[str] = []
+
+    def add_to(self, program: "ConeProgram") -> None:
+        program.add_rows(
+            AffineRows(
+                np.concatenate([[0], np.cumsum(self.lengths, dtype=np.intp)]),
+                np.array(self.columns, dtype=np.intp),
+                np.array(self.values, dtype=float),
+                np.array(self.constants, dtype=float),
+            ),
+            self.names,
         )
 
 
@@ -212,10 +183,10 @@ class BlockStructure:
     Emitted by :meth:`ConeProgram.compile` when the program declared variable
     blocks (:meth:`ConeProgram.declare_blocks`) — per-application blocks in
     :class:`repro.core.formulation._BlockAssembly` — and every non-linear
-    constraint turned out to be confined to a single block once the
-    equalities were substituted.  For two or more blocks the barrier backend
-    uses it to solve each Newton step with block-Cholesky factorisations + a
-    Schur complement on the arrow-structured KKT system (see
+    constraint turned out to be confined to a single block.  For two or more
+    blocks the barrier backend uses it to solve each Newton step with
+    block-Cholesky factorisations + a Schur complement on the
+    arrow-structured KKT system (see
     :class:`repro.solver.barrier.BarrierSolver`).
 
     ``ranges`` are half-open ranges over the free columns, one per block,
@@ -270,7 +241,7 @@ class CompiledProblem:
         inequality_names: Optional[List[str]] = None,
         block_structure: Optional[BlockStructure] = None,
         registered_variables: Optional[List[Variable]] = None,
-        substitutions: Optional[Dict[Variable, Tuple[np.ndarray, np.ndarray, float]]] = None,
+        substitutions: Optional[Dict[Variable, float]] = None,
         h_shifts: Optional[Dict[int, float]] = None,
     ) -> None:
         self.variables = variables
@@ -287,8 +258,7 @@ class CompiledProblem:
         self.registered_variables = (
             variables if registered_variables is None else registered_variables
         )
-        #: substituted variable → ``(columns, coefficients, constant)``: its
-        #: value is ``constant + coefficients · x[columns]``
+        #: substituted (fixed) variable → its value
         self.substitutions = dict(substitutions or {})
         #: row index → the amount substitution added to that row's ``h``
         self.h_shifts = dict(h_shifts or {})
@@ -320,13 +290,6 @@ class CompiledProblem:
         """Number of free columns."""
         return len(self.variables)
 
-    def index_of(self, variable: Variable) -> int:
-        try:
-            return self._index[variable]
-        except AttributeError:
-            self._index = {var: i for i, var in enumerate(self.variables)}
-            return self._index[variable]
-
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.c @ x + self.c0)
 
@@ -335,8 +298,7 @@ class CompiledProblem:
         values = {var: float(x[i]) for i, var in enumerate(self.variables)}
         if not self.substitutions:
             return values
-        for var, (columns, coefficients, constant) in self.substitutions.items():
-            values[var] = float(constant + coefficients @ x[columns])
+        values.update(self.substitutions)
         return {var: values[var] for var in self.registered_variables}
 
     def vector_from_mapping(
@@ -404,12 +366,11 @@ class ConeProgram:
         self._variables: List[Variable] = []
         self._names: Dict[str, Variable] = {}
         self._positions: Dict[Variable, int] = {}
-        #: linear constraint batches: ``(rows, names, equality)``
-        self._linear: List[Tuple[AffineRows, List[str], bool]] = []
+        #: linear constraint batches: ``(rows, names)``
+        self._linear: List[Tuple[AffineRows, List[str]]] = []
         #: hyperbolic batches: ``(x rows, y rows, bounds, names)``
         self._hyperbolic: List[Tuple[AffineRows, AffineRows, np.ndarray, List[str]]] = []
-        self._objective: AffineExpression = AffineExpression()
-        self._sense: str = "min"
+        self._objective: AffineRows = AffineRows.single([], [], 0.0)
         self._block_groups: Optional[List[Tuple[Variable, ...]]] = None
 
     # -- variables ---------------------------------------------------------
@@ -419,11 +380,10 @@ class ConeProgram:
         lower: Optional[float] = None,
         upper: Optional[float] = None,
     ) -> Variable:
-        """Create and register a decision variable with optional bounds.
+        """Create and register a decision variable with optional finite bounds.
 
-        Its position — the column index the array API
-        (:meth:`add_rows`, :meth:`add_hyperbolic_pairs`) uses — is the
-        number of variables registered before it.
+        Its position — the column index rows and the objective use — is
+        the number of variables registered before it.
         """
         if name in self._names:
             raise FormulationError(f"duplicate variable name {name!r}")
@@ -439,6 +399,16 @@ class ConeProgram:
             return self._names[name]
         except KeyError:
             raise FormulationError(f"unknown variable {name!r}") from None
+
+    def position(self, variable: Variable) -> int:
+        """The registered position of ``variable``."""
+        try:
+            return self._positions[variable]
+        except KeyError:
+            raise FormulationError(
+                f"variable {variable.name!r} is not registered with program "
+                f"{self.name!r}"
+            ) from None
 
     @property
     def variables(self) -> Tuple[Variable, ...]:
@@ -466,10 +436,10 @@ class ConeProgram:
         ``groups`` lists the variables of each block (per application, in the
         workload formulation).  :meth:`compile` turns the declaration into a
         :class:`BlockStructure` when the groups partition the variables into
-        contiguous index ranges and, once the equalities are substituted,
-        every hyperbolic constraint is confined to one block; otherwise the
-        compiled problem simply carries no structure and the solver treats it
-        as one block, so declaring blocks is always safe.
+        contiguous index ranges and every hyperbolic constraint is confined
+        to one block; otherwise the compiled problem simply carries no
+        structure and the solver treats it as one block, so declaring blocks
+        is always safe.
         """
         for group in groups:
             for var in group:
@@ -480,78 +450,7 @@ class ConeProgram:
                     )
         self._block_groups = [tuple(group) for group in groups]
 
-    # -- constraints: expression API ------------------------------------------
-    def _row(self, expression: AffineExpression) -> AffineRows:
-        self._check_known_variables(expression)
-        return AffineRows.single(
-            [self._positions[var] for var in expression.terms],
-            list(expression.terms.values()),
-            expression.constant,
-        )
-
-    def add_constraint(self, constraint: Constraint) -> Constraint:
-        """Register an already-constructed constraint object."""
-        if isinstance(constraint, LinearConstraint):
-            self._linear.append(
-                (
-                    self._row(constraint.expression),
-                    [constraint.name],
-                    constraint.is_equality,
-                )
-            )
-        elif isinstance(constraint, HyperbolicConstraint):
-            self._hyperbolic.append(
-                (
-                    self._row(constraint.x),
-                    self._row(constraint.y),
-                    np.array([constraint.bound]),
-                    [constraint.name],
-                )
-            )
-        else:
-            raise FormulationError(
-                f"unsupported constraint type {type(constraint).__name__}"
-            )
-        return constraint
-
-    def add_linear(
-        self,
-        lhs: ExpressionLike,
-        sense: str,
-        rhs: ExpressionLike,
-        name: Optional[str] = None,
-    ) -> LinearConstraint:
-        """Add an affine constraint ``lhs <sense> rhs``."""
-        constraint = LinearConstraint(lhs, sense, rhs, name=name)
-        return self.add_constraint(constraint)  # type: ignore[return-value]
-
-    def add_less_equal(
-        self, lhs: ExpressionLike, rhs: ExpressionLike, name: Optional[str] = None
-    ) -> LinearConstraint:
-        return self.add_linear(lhs, LESS_EQUAL, rhs, name=name)
-
-    def add_greater_equal(
-        self, lhs: ExpressionLike, rhs: ExpressionLike, name: Optional[str] = None
-    ) -> LinearConstraint:
-        return self.add_linear(lhs, GREATER_EQUAL, rhs, name=name)
-
-    def add_equality(
-        self, lhs: ExpressionLike, rhs: ExpressionLike, name: Optional[str] = None
-    ) -> LinearConstraint:
-        return self.add_linear(lhs, EQUAL, rhs, name=name)
-
-    def add_hyperbolic(
-        self,
-        x: ExpressionLike,
-        y: ExpressionLike,
-        bound: float = 1.0,
-        name: Optional[str] = None,
-    ) -> HyperbolicConstraint:
-        """Add the convex constraint ``x·y ≥ bound`` (``x, y > 0``)."""
-        constraint = HyperbolicConstraint(x, y, bound, name=name)
-        return self.add_constraint(constraint)  # type: ignore[return-value]
-
-    # -- constraints: array API -------------------------------------------------
+    # -- constraints and objective ------------------------------------------
     def add_rows(self, rows: AffineRows, names: Sequence[str]) -> None:
         """Add the inequalities ``values·x[columns] + constant ≤ 0``, one per row.
 
@@ -559,29 +458,36 @@ class ConeProgram:
         most once per row; ``names`` names the rows in order.
         """
         self._check_rows(rows, names)
-        self._linear.append((rows, list(names), False))
+        self._linear.append((rows, list(names)))
 
-    def add_hyperbolic_pairs(
+    def add_hyperbolic_rows(
         self,
-        x_columns: Sequence[int],
-        y_columns: Sequence[int],
+        x_rows: AffineRows,
+        y_rows: AffineRows,
         bounds: Sequence[float],
         names: Sequence[str],
     ) -> None:
-        """Add ``x[x_columns[i]]·x[y_columns[i]] ≥ bounds[i]`` for every ``i``."""
+        """Add ``x_rows[i]·y_rows[i] ≥ bounds[i]`` (both sides positive) for
+        every ``i``."""
         bounds = np.asarray(bounds, dtype=float)
         if not (np.isfinite(bounds).all() and (bounds > 0.0).all()):
             raise FormulationError(
                 "hyperbolic constraint bounds must be positive finite numbers"
             )
-        count = bounds.size
-        indptr = np.arange(count + 1, dtype=np.intp)
-        ones, zeros = np.ones(count), np.zeros(count)
-        x_rows = AffineRows(indptr, np.asarray(x_columns, dtype=np.intp), ones, zeros)
-        y_rows = AffineRows(indptr, np.asarray(y_columns, dtype=np.intp), ones, zeros)
         self._check_rows(x_rows, names)
         self._check_rows(y_rows, names)
         self._hyperbolic.append((x_rows, y_rows, bounds, list(names)))
+
+    def minimize(
+        self,
+        columns: Sequence[int],
+        coefficients: Sequence[float],
+        constant: float = 0.0,
+    ) -> None:
+        """Set the objective to ``coefficients·x[columns] + constant``, minimised."""
+        objective = AffineRows.single(columns, coefficients, constant)
+        self._check_rows(objective, [""])
+        self._objective = objective
 
     def _check_rows(self, rows: AffineRows, names: Sequence[str]) -> None:
         count = rows.count
@@ -601,136 +507,21 @@ class ConeProgram:
         if not (np.isfinite(rows.values).all() and np.isfinite(rows.constants).all()):
             raise FormulationError("non-finite coefficient or constant in rows")
 
-    # -- constraints: inspection ---------------------------------------------------
-    def _expression(self, rows: AffineRows, index: int) -> AffineExpression:
-        columns, values, constant = rows.row(index)
-        return AffineExpression(
-            {self._variables[column]: value for column, value in zip(columns, values)},
-            constant,
-        )
-
-    @property
-    def linear_constraints(self) -> Tuple[LinearConstraint, ...]:
-        """Every linear constraint, as ``expression <= 0`` / ``== 0`` objects."""
-        return tuple(
-            LinearConstraint(
-                self._expression(rows, index),
-                EQUAL if equality else LESS_EQUAL,
-                0.0,
-                name=names[index],
-            )
-            for rows, names, equality in self._linear
-            for index in range(rows.count)
-        )
-
-    @property
-    def hyperbolic_constraints(self) -> Tuple[HyperbolicConstraint, ...]:
-        return tuple(
-            HyperbolicConstraint(
-                self._expression(x_rows, index),
-                self._expression(y_rows, index),
-                float(bounds[index]),
-                name=names[index],
-            )
-            for x_rows, y_rows, bounds, names in self._hyperbolic
-            for index in range(bounds.size)
-        )
-
-    @property
-    def is_linear(self) -> bool:
-        """True when the program contains no hyperbolic constraints (pure LP)."""
-        return not self._hyperbolic
-
-    # -- objective -----------------------------------------------------------
-    def minimize(self, expression: ExpressionLike) -> None:
-        """Set the objective to minimise the given affine expression."""
-        expr = AffineExpression.coerce(expression)
-        self._check_known_variables(expr)
-        self._objective = expr
-        self._sense = "min"
-
-    def maximize(self, expression: ExpressionLike) -> None:
-        """Set the objective to maximise the given affine expression."""
-        expr = AffineExpression.coerce(expression)
-        self._check_known_variables(expr)
-        self._objective = expr
-        self._sense = "max"
-
-    @property
-    def objective(self) -> AffineExpression:
-        return self._objective
-
-    @property
-    def sense(self) -> str:
-        return self._sense
-
-    def _check_known_variables(self, expression: AffineExpression) -> None:
-        for var in expression.variables():
-            if self._names.get(var.name) is not var:
-                raise FormulationError(
-                    f"expression references variable {var.name!r} that is not "
-                    f"registered with program {self.name!r}"
-                )
-
     # -- compilation -----------------------------------------------------------
-    def _substitutions(self) -> Tuple[Dict[int, _Substitution], Dict[int, float]]:
-        """Every substituted variable as an affine function of the free ones.
-
-        Keyed by registered position.  Fixed variables
-        (:func:`bounds_collapse`) come first, then one pivot per equality row
-        in registration order.  Each new pivot is also substituted into the
-        earlier expressions, so every expression only ever mentions free
-        variables.  Returns the substitutions and the ``|residual|`` of each
-        equality row (keyed by its batch in the linear constraints) that
-        reduced to a non-zero constant; a row that reduced to zero is
-        redundant and simply dropped.
-        """
-        substitutions: Dict[int, _Substitution] = {
-            position: ({}, var.lower)
-            for position, var in enumerate(self._variables)
-            if _is_fixed(var)
-        }
-        inconsistent: Dict[int, float] = {}
-        for batch, (rows, _, equality) in enumerate(self._linear):
-            if not equality:
-                continue
-            columns, values, constant = rows.row(0)
-            terms, residual = _substitute(columns, values, constant, substitutions)
-            if not terms:
-                if abs(residual) > 1e-9 * max(1.0, abs(constant)):
-                    inconsistent[batch] = abs(residual)
-                continue
-            pivot, weight = max(terms.items(), key=lambda term: abs(term[1]))
-            solved = (
-                {term: -coeff / weight for term, coeff in terms.items() if term != pivot},
-                -residual / weight,
-            )
-            for position, (sub_terms, sub_constant) in substitutions.items():
-                if pivot in sub_terms:
-                    substitutions[position] = _substitute(
-                        list(sub_terms), list(sub_terms.values()), sub_constant,
-                        {pivot: solved},
-                    )
-            substitutions[pivot] = solved
-        return substitutions, inconsistent
-
-    def _bound_rows(
-        self, substitutions: Mapping[int, _Substitution]
-    ) -> Tuple[AffineRows, List[str]]:
-        """Variable bounds as rows ``−x + lower ≤ 0`` / ``x − upper ≤ 0``.
+    def _bound_rows(self, free_positions: List[int]) -> Tuple[AffineRows, List[str]]:
+        """Bounds of the free variables as rows ``−x + lower ≤ 0`` /
+        ``x − upper ≤ 0``.
 
         A fixed variable has none: two opposing inequalities would leave the
         feasible region without an interior, which the barrier method cannot
-        handle.  An equality pivot keeps its bounds (written over the free
-        columns by substitution, like any row).
+        handle.
         """
         columns: List[int] = []
         values: List[float] = []
         constants: List[float] = []
         names: List[str] = []
-        for position, var in enumerate(self._variables):
-            if position in substitutions and _is_fixed(var):
-                continue
+        for position in free_positions:
+            var = self._variables[position]
             if var.lower is not None:
                 columns.append(position)
                 values.append(-1.0)
@@ -751,47 +542,35 @@ class ConeProgram:
 
     @staticmethod
     def _lower(
-        rows: AffineRows,
-        substitutions: Mapping[int, _Substitution],
-        column: np.ndarray,
-        n: int,
+        rows: AffineRows, fixed: np.ndarray, column: np.ndarray, n: int
     ) -> Tuple[object, np.ndarray, Dict[int, float]]:
         """``rows`` over the free columns: a sorted CSR matrix, the row
-        constants after substitution and the shift substitution added to
-        each changed row's constant (as ``old − new``)."""
+        constants with the fixed variables' terms folded in and the shift
+        that folding added to each changed row's constant (as ``old − new``).
+
+        ``fixed`` holds each fixed position's value, ``column`` each
+        position's free column (``-1`` for a fixed variable).  A row's terms
+        fold into its constant in the row's term order.
+        """
         indptr, columns, values = rows.indptr, rows.columns, rows.values
         constants = rows.constants
         shifts: Dict[int, float] = {}
-        if substitutions and columns.size:
+        keep = column[columns] >= 0
+        if not keep.all():
+            folded = ~keep
             entry_rows = np.repeat(np.arange(rows.count), np.diff(indptr))
-            touched = np.unique(entry_rows[column[columns] < 0])
-            if touched.size:
-                constants = constants.copy()
-                lengths = np.diff(indptr)
-                column_parts: List[np.ndarray] = []
-                value_parts: List[np.ndarray] = []
-                done = 0
-                for row in touched.tolist():
-                    start, stop = int(indptr[row]), int(indptr[row + 1])
-                    column_parts.append(columns[done:start])
-                    value_parts.append(values[done:start])
-                    old_columns, old_values, old_constant = rows.row(row)
-                    terms, constant = _substitute(
-                        old_columns, old_values, old_constant, substitutions
-                    )
-                    column_parts.append(np.array(list(terms), dtype=np.intp))
-                    value_parts.append(np.array(list(terms.values()), dtype=float))
-                    lengths[row] = len(terms)
-                    if constant != old_constant:
-                        shifts[row] = old_constant - constant
-                    constants[row] = constant
-                    done = stop
-                column_parts.append(columns[done:])
-                value_parts.append(values[done:])
-                columns = np.concatenate(column_parts)
-                values = np.concatenate(value_parts)
-                indptr = np.concatenate([[0], np.cumsum(lengths)])
-        keep = values != 0.0
+            constants = constants.copy()
+            np.add.at(
+                constants, entry_rows[folded], values[folded] * fixed[columns[folded]]
+            )
+            changed = np.flatnonzero(constants != rows.constants)
+            shifts = dict(
+                zip(
+                    changed.tolist(),
+                    (rows.constants[changed] - constants[changed]).tolist(),
+                )
+            )
+        keep &= values != 0.0
         if not keep.all():
             kept_before = np.concatenate([[0], np.cumsum(keep)])
             indptr = kept_before[indptr]
@@ -802,95 +581,60 @@ class ConeProgram:
         matrix.sort_indices()
         return matrix, constants, shifts
 
-    def _dense(
-        self,
-        expression: AffineExpression,
-        substitutions: Mapping[int, _Substitution],
-        column: np.ndarray,
-        n: int,
-    ) -> Tuple[np.ndarray, float]:
-        """``expression`` over the free columns as a dense vector and constant."""
-        terms, constant = _substitute(
-            [self._positions[var] for var in expression.terms],
-            list(expression.terms.values()),
-            expression.constant,
-            substitutions,
-        )
-        row = np.zeros(n)
-        for position, coeff in terms.items():
-            row[column[position]] = coeff
-        return row, constant
-
     def compile(self) -> CompiledProblem:
         """Lower the program into numerical (CSR + dense) form.
 
-        Equalities are substituted out first (see the module docstring), so
-        every array is written over the free columns only.  ``G`` is the
-        bound rows followed by every linear batch in registration order,
-        lowered in one pass; the hyperbolic sides become ``P`` and ``Q`` the
-        same way.
+        Fixed variables are substituted out first (see the module
+        docstring), so every array is written over the free columns only.
+        ``G`` is the bound rows followed by every linear batch in
+        registration order, lowered in one pass; the hyperbolic sides become
+        ``P`` and ``Q`` the same way.
         """
-        substitutions, inconsistent = self._substitutions()
         count = len(self._variables)
+        fixed = np.zeros(count)
         column = np.full(count, -1, dtype=np.intp)
-        free_positions = np.setdiff1d(
-            np.arange(count), np.fromiter(substitutions, dtype=np.intp, count=len(substitutions))
-        )
-        column[free_positions] = np.arange(free_positions.size)
-        free = [self._variables[position] for position in free_positions.tolist()]
-        n = len(free)
-
-        # Objective (always converted to minimisation form).
-        c, c0 = self._dense(self._objective, substitutions, column, n)
-        if self._sense == "max":
-            c, c0 = -c, -c0
-
-        bounds, ineq_names = self._bound_rows(substitutions)
-        parts = [bounds]
-        for batch, (rows, names, equality) in enumerate(self._linear):
-            if batch in inconsistent:
-                parts.append(AffineRows.single([], [], inconsistent[batch]))
-            elif equality:
-                continue
+        substitutions: Dict[Variable, float] = {}
+        free_positions: List[int] = []
+        for position, var in enumerate(self._variables):
+            if _is_fixed(var):
+                fixed[position] = substitutions[var] = var.lower
             else:
-                parts.append(rows)
+                column[position] = len(free_positions)
+                free_positions.append(position)
+        n = len(free_positions)
+
+        objective, c0, _ = self._lower(self._objective, fixed, column, n)
+        bounds, ineq_names = self._bound_rows(free_positions)
+        for _, names in self._linear:
             ineq_names.extend(names)
         G, constants, h_shifts = self._lower(
-            AffineRows.concatenate(parts), substitutions, column, n
+            AffineRows.concatenate([bounds] + [rows for rows, _ in self._linear]),
+            fixed, column, n,
         )
-        h = -constants
-
         hyperbolic = CompiledHyperbolic(
             *self._lower(
                 AffineRows.concatenate([x for x, _, _, _ in self._hyperbolic]),
-                substitutions, column, n,
+                fixed, column, n,
             )[:2],
             *self._lower(
                 AffineRows.concatenate([y for _, y, _, _ in self._hyperbolic]),
-                substitutions, column, n,
+                fixed, column, n,
             )[:2],
             bound=np.concatenate([np.zeros(0)] + [b for _, _, b, _ in self._hyperbolic]),
             names=[name for _, _, _, names in self._hyperbolic for name in names],
         )
 
         return CompiledProblem(
-            variables=free,
-            c=c,
-            c0=c0,
+            variables=[self._variables[position] for position in free_positions],
+            c=objective.toarray().ravel(),
+            c0=float(c0[0]),
             G=G,
-            h=h,
+            h=-constants,
             hyperbolic=hyperbolic,
             inequality_names=ineq_names,
             block_structure=self._compile_block_structure(column, G, hyperbolic),
             registered_variables=list(self._variables),
-            substitutions={
-                self._variables[position]: (
-                    column[np.fromiter(terms, dtype=np.intp, count=len(terms))],
-                    np.array(list(terms.values()), dtype=float),
-                    constant,
-                )
-                for position, (terms, constant) in substitutions.items()
-            },
+            substitutions=substitutions,
             h_shifts=h_shifts,
         )
 
@@ -907,8 +651,7 @@ class ConeProgram:
         treats the program as one block) when no blocks were declared, when
         the groups do not form contiguous runs of registered variables
         covering every one of them, or when a hyperbolic constraint spans
-        several blocks after substitution — only *linear inequality*
-        rows may couple blocks, because only their barrier Hessian
+        several blocks — only *linear inequality* rows may couple blocks, because only their barrier Hessian
         contribution is the low-rank term the Schur-complement solve
         handles.  Substituted variables have no column, so each block's range
         covers the free columns of its group.
@@ -1005,8 +748,6 @@ class ConeProgram:
         solution.solve_time = solve_span.seconds
         solution.stats = dict(solution.stats)
         solution.stats["compile_time"] = compile_span.seconds
-        if self._sense == "max" and solution.objective is not None:
-            solution.objective = -solution.objective
         return solution
 
     def parametric(self) -> "ParametricProblem":  # noqa: F821 - forward ref
@@ -1026,11 +767,6 @@ class ConeProgram:
         from repro.solver.parametric import SolveSession
 
         return SolveSession(self.parametric(), backend=backend, options=options)
-
-    # -- convenience -------------------------------------------------------------
-    def sum(self, values: Sequence[ExpressionLike]) -> AffineExpression:
-        """Alias for :func:`repro.solver.expression.linear_sum`."""
-        return linear_sum(values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.exceptions import FormulationError
-from repro.solver.expression import AffineExpression, ExpressionLike, Variable
+from repro.solver.variable import Variable
 
 
 class SolverStatus(enum.Enum):
@@ -73,19 +73,19 @@ class Solution:
     def is_optimal(self) -> bool:
         return self.status.is_success
 
-    def value(self, item: ExpressionLike) -> float:
-        """Evaluate a variable or affine expression at the solution point."""
+    def value(self, variable: Variable) -> float:
+        """The value of ``variable`` at the solution point."""
         if not self.values:
             raise FormulationError(
                 f"solution with status {self.status.value!r} carries no point"
             )
-        expr = AffineExpression.coerce(item)
-        return expr.evaluate(self.values)
+        try:
+            return self.values[variable]
+        except KeyError:
+            raise FormulationError(
+                f"no value for variable {variable.name!r} in this solution"
+            ) from None
 
     def by_name(self) -> Dict[str, float]:
         """Return the solution point keyed by variable name."""
         return {var.name: val for var, val in self.values.items()}
-
-    def restrict(self, names: Mapping[str, Variable]) -> Dict[str, float]:
-        """Extract values for a named subset of variables."""
-        return {name: self.value(var) for name, var in names.items()}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Mapping, Union
 
 from repro.exceptions import ModelError
 from repro.taskgraph.buffer import Buffer
@@ -239,13 +239,30 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
     return Platform(processors=processors, memories=memories, name=str(data.get("name", "platform")))
 
 
-def configuration_from_dict(data: Dict[str, object]) -> Configuration:
-    version = int(data.get("format_version", LEGACY_FORMAT_VERSION))
-    if version > FORMAT_VERSION:
+def check_format_version(
+    data: Mapping[str, object], default: int, supported: int, document: str
+) -> None:
+    """Check the document's ``format_version`` (``default`` when absent).
+
+    Only a non-bool integer in ``[1, supported]`` is a version; anything
+    else is a :class:`ModelError` naming the field, never a raw
+    ``ValueError``/``TypeError`` from ``int()``.
+    """
+    version = data.get("format_version", default)
+    if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise ModelError(
-            f"configuration format version {version} is newer than supported "
-            f"version {FORMAT_VERSION}"
+            f"{document} format_version must be an integer from 1 to "
+            f"{supported}, got {version!r}"
         )
+    if version > supported:
+        raise ModelError(
+            f"{document} format version {version} is newer than supported "
+            f"version {supported}"
+        )
+
+
+def configuration_from_dict(data: Dict[str, object]) -> Configuration:
+    check_format_version(data, LEGACY_FORMAT_VERSION, FORMAT_VERSION, "configuration")
     platform = platform_from_dict(data["platform"])
     graphs = [task_graph_from_dict(g) for g in data.get("task_graphs", [])]
     return Configuration(

@@ -370,12 +370,7 @@ def workload_to_dict(workload: Workload) -> Dict[str, object]:
 def workload_from_dict(data: Mapping[str, object]) -> Workload:
     from repro.taskgraph import serialization
 
-    version = int(data.get("format_version", FORMAT_VERSION))
-    if version > FORMAT_VERSION:
-        raise ModelError(
-            f"workload format version {version} is newer than supported "
-            f"version {FORMAT_VERSION}"
-        )
+    serialization.check_format_version(data, FORMAT_VERSION, FORMAT_VERSION, "workload")
     try:
         platform_data = data["platform"]
     except KeyError:

@@ -85,9 +85,10 @@ class TestConstraintCounts:
     def test_constraint_families(self, paper_chain3):
         formulation = SocpFormulation(paper_chain3)
         program = formulation.build()
+        compiled = program.compile()
         # One hyperbolic constraint per task (Constraint (8)).
-        assert len(program.hyperbolic_constraints) == 3
-        linear_names = [c.name for c in program.linear_constraints]
+        assert len(compiled.hyperbolic) == 3
+        linear_names = compiled.inequality_names
         # Constraint (6): one per task; Constraint (7): self-loops + data +
         # space queues = 3 + 2 + 2 = 7; Constraint (9): one per used processor.
         assert sum(name.startswith("e1[") for name in linear_names) == 3
@@ -97,12 +98,8 @@ class TestConstraintCounts:
     def test_memory_constraint_only_for_bounded_memories(self):
         unbounded = producer_consumer_configuration()
         bounded = producer_consumer_configuration(memory_capacity=16.0)
-        names_unbounded = [
-            c.name for c in SocpFormulation(unbounded).build().linear_constraints
-        ]
-        names_bounded = [
-            c.name for c in SocpFormulation(bounded).build().linear_constraints
-        ]
+        names_unbounded = SocpFormulation(unbounded).build().compile().inequality_names
+        names_bounded = SocpFormulation(bounded).build().compile().inequality_names
         assert not any(n.startswith("memory[") for n in names_unbounded)
         assert any(n.startswith("memory[") for n in names_bounded)
 
@@ -111,7 +108,7 @@ class TestConstraintCounts:
         first = formulation.build()
         second = formulation.build()
         assert first is second
-        assert len(first.hyperbolic_constraints) == 2
+        assert len(first.compile().hyperbolic) == 2
 
 
 class TestSolutionExtraction:

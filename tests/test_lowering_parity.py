@@ -1,13 +1,13 @@
-"""The formulation's array lowering against a one-expression-per-row reference.
+"""The formulation's array lowering against a one-row-per-constraint reference.
 
 :class:`~repro.core.formulation.FormulationBlock` writes Constraints (6)–(10)
 as rows straight from the SRDF queue table (``ConeProgram.add_rows`` and
-``add_hyperbolic_pairs``).  The reference below writes the same program
-through the expression API, one :class:`AffineExpression` per constraint,
-with the token count ``δ(e)`` spelled out from the queue fields.  Both go
-through the one ``ConeProgram.compile``, and every compiled array must be
-equal bit for bit: ``G``, ``h``, ``c``, ``c0``, the hyperbolic rows, the
-inequality names, the block structure, the substitutions and ``h_shifts``.
+``add_hyperbolic_rows``).  The reference below writes the same program one
+row per constraint from ``{variable: coefficient}`` terms, with the token
+count ``δ(e)`` spelled out from the queue fields.  Both go through the one
+``ConeProgram.compile``, and every compiled array must be equal bit for
+bit: ``G``, ``h``, ``c``, ``c0``, the hyperbolic rows, the inequality names,
+the block structure, the substitutions and ``h_shifts``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from program_rows import hyperbolic, le, minimize
 from repro.core.formulation import SocpFormulation, WorkloadSocpFormulation
 from repro.core.objective import ObjectiveWeights
 from repro.solver import ConeProgram
-from repro.solver.expression import AffineExpression, linear_sum
 from repro.taskgraph.generators import (
     csdf_chain_configuration,
     heterogeneous_random_configuration,
@@ -30,8 +30,14 @@ from repro.taskgraph.task import effective_cycles
 from repro.taskgraph.workload import random_workload
 
 
+def add_term(terms, variable, coefficient) -> None:
+    """Add ``coefficient·variable`` to ``terms`` (``None`` is the pinned 0)."""
+    if variable is not None:
+        terms[variable] = terms.get(variable, 0.0) + coefficient
+
+
 def reference_lowering(formulation) -> ConeProgram:
-    """The formulation's program, one expression per constraint."""
+    """The formulation's program, one row per constraint."""
     built = formulation.build()
     program = ConeProgram("reference")
     var = {
@@ -40,9 +46,7 @@ def reference_lowering(formulation) -> ConeProgram:
 
     def start(block, actor):
         handle = block.variables.start_times[actor]
-        if handle is None:
-            return AffineExpression({}, 0.0)
-        return AffineExpression({var[handle.name]: 1.0})
+        return None if handle is None else var[handle.name]
 
     groups = []
     for block in formulation.blocks:
@@ -60,38 +64,36 @@ def reference_lowering(formulation) -> ConeProgram:
                 task = graph.task(queue.source_task)
                 processor = configuration.platform.processor(task.processor)
                 rho = processor.replenishment_interval
-                s_i, s_j = start(block, queue.source), start(block, queue.target)
+                terms = {}
+                # s_j ≥ s_i + ̺ − β'  (6), written as  s_i − β' − s_j ≤ −̺
+                add_term(terms, start(block, queue.source), 1.0)
+                add_term(terms, start(block, queue.target), -1.0)
                 if queue.in_queue_set_e1:
-                    beta = var[block.variables.budgets[task.name].name]
-                    program.add_greater_equal(
-                        s_j, s_i + rho - beta, name=f"e1[{block.qualify(queue.name)}]"
-                    )
+                    add_term(terms, var[block.variables.budgets[task.name].name], -1.0)
+                    le(program, terms, -rho, name=f"e1[{block.qualify(queue.name)}]")
                     continue
-                lam = var[block.variables.reciprocals[task.name].name]
+                # s_j ≥ s_i + ̺·χ·λ − µ·δ(e)  (7), δ(e) = scale·γ' + offset
                 if queue.fixed_tokens is not None:
-                    tokens = AffineExpression({}, float(queue.fixed_tokens))
+                    capacity, scale, offset = None, 0.0, float(queue.fixed_tokens)
                 else:
                     buffer = graph.buffer(queue.buffer)
                     capacity = var[block.variables.capacities[buffer.name].name]
                     if queue.token_offset is None:
-                        tokens = AffineExpression(
-                            {capacity: 1.0}, -float(buffer.initial_tokens)
-                        )
+                        scale, offset = 1.0, -float(buffer.initial_tokens)
                     else:
-                        tokens = AffineExpression(
-                            {capacity: queue.token_scale}, float(queue.token_offset)
-                        )
+                        scale, offset = queue.token_scale, float(queue.token_offset)
                 chi = effective_cycles(task, processor, queue.source_phase)
-                program.add_greater_equal(
-                    s_j,
-                    s_i + lam * (rho * chi) - tokens * graph.period,
-                    name=f"e2[{block.qualify(queue.name)}]",
-                )
+                lam = var[block.variables.reciprocals[task.name].name]
+                add_term(terms, lam, rho * chi)
+                if scale != 0.0:
+                    add_term(terms, capacity, -(scale * graph.period))
+                le(program, terms, offset * graph.period, name=f"e2[{block.qualify(queue.name)}]")
     for block in formulation.blocks:
         for task_name, beta in block.variables.budgets.items():
-            program.add_hyperbolic(
-                var[block.variables.reciprocals[task_name].name],
-                var[beta.name],
+            hyperbolic(
+                program,
+                {var[block.variables.reciprocals[task_name].name]: 1.0}, 0.0,
+                {var[beta.name]: 1.0}, 0.0,
                 1.0,
                 name=f"recip[{block.qualify(task_name)}]",
             )
@@ -103,35 +105,36 @@ def reference_lowering(formulation) -> ConeProgram:
             budgets += [var[block.variables.budgets[t.name].name] for t in tasks]
             slack += block.configuration.granularity * len(tasks)
         if budgets:
-            program.add_less_equal(
-                linear_sum(budgets) + slack,
-                processor.replenishment_interval,
+            # Σ β' + slack ≤ ̺  (9)
+            le(
+                program,
+                {budget: 1.0 for budget in budgets},
+                processor.replenishment_interval - slack,
                 name=f"processor[{name}]",
             )
     for name, memory in platform.memories.items():
         if not memory.is_bounded:
             continue
-        usage = [
-            (var[block.variables.capacities[b.name].name] + 1.0) * b.container_size
-            for block in formulation.blocks
-            for b in block.configuration.buffers_in_memory(name)
-        ]
+        usage, charged = {}, 0.0
+        for block in formulation.blocks:
+            for b in block.configuration.buffers_in_memory(name):
+                # (γ' + 1)·size: the rounding container is charged up front
+                add_term(usage, var[block.variables.capacities[b.name].name], b.container_size)
+                charged += b.container_size
         if usage:
-            program.add_less_equal(linear_sum(usage), memory.capacity, name=f"memory[{name}]")
-    terms = []
+            le(program, usage, memory.capacity - charged, name=f"memory[{name}]")
+    terms = {}
     for block in formulation.blocks:
         for graph in block.configuration.task_graphs:
             for task in graph.tasks:
                 coefficient = block.weights.budget_coefficient(task)
                 if coefficient:
-                    terms.append(var[block.variables.budgets[task.name].name] * coefficient)
+                    add_term(terms, var[block.variables.budgets[task.name].name], coefficient)
             for buffer in graph.buffers:
                 coefficient = block.weights.capacity_coefficient(buffer)
                 if coefficient:
-                    terms.append(
-                        var[block.variables.capacities[buffer.name].name] * coefficient
-                    )
-    program.minimize(linear_sum(terms))
+                    add_term(terms, var[block.variables.capacities[buffer.name].name], coefficient)
+    minimize(program, terms)
     program.declare_blocks(groups)
     return program
 
@@ -173,11 +176,10 @@ def assert_same_compile(formulation) -> None:
     assert [v.name for v in compiled.substitutions] == [
         v.name for v in reference.substitutions
     ]
-    for (columns, weights, constant), (ref_columns, ref_weights, ref_constant) in zip(
+    for value, ref_value in zip(
         compiled.substitutions.values(), reference.substitutions.values()
     ):
-        assert same_bits(columns, ref_columns) and same_bits(weights, ref_weights)
-        assert same_bits(constant, ref_constant)
+        assert same_bits(value, ref_value)
     assert list(compiled.h_shifts.items()) == list(reference.h_shifts.items())
 
 

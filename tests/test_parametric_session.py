@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from program_rows import hyperbolic, le, minimize
 from repro import obs
 from repro.core import AllocatorOptions, JointAllocator, TradeoffExplorer
 from repro.core.admission import random_trace
@@ -42,9 +43,9 @@ class TestParametricProblem:
         program = ConeProgram("parametric-demo")
         x = program.add_variable("x", lower=0.0, upper=10.0)
         y = program.add_variable("y", lower=0.5, upper=10.0)
-        program.add_hyperbolic(x, y, bound=4.0)
-        program.add_less_equal(x + y, 12.0, name="sum")
-        program.minimize(x + 2.0 * y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=4.0)
+        le(program, {x: 1.0, y: 1.0}, 12.0, name="sum")
+        minimize(program, {x: 1.0, y: 2.0})
         return program, x, y
 
     def test_register_and_set_rhs(self):
@@ -78,9 +79,9 @@ class TestParametricProblem:
             fresh = ConeProgram("fresh")
             fx = fresh.add_variable("x", lower=0.0, upper=limit)
             fy = fresh.add_variable("y", lower=0.5, upper=10.0)
-            fresh.add_hyperbolic(fx, fy, bound=4.0)
-            fresh.add_less_equal(fx + fy, 12.0, name="sum")
-            fresh.minimize(fx + 2.0 * fy)
+            hyperbolic(fresh, {fx: 1.0}, 0.0, {fy: 1.0}, 0.0, bound=4.0)
+            le(fresh, {fx: 1.0, fy: 1.0}, 12.0, name="sum")
+            minimize(fresh, {fx: 1.0, fy: 2.0})
             reference = fresh.solve(backend="barrier")
             assert solution.is_optimal and reference.is_optimal
             assert solution.objective == pytest.approx(reference.objective, abs=1e-6)

@@ -10,6 +10,7 @@ invalidate every old campaign cache entry.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from repro.taskgraph.serialization import (
     load_configuration,
     uses_extended_model,
 )
+from repro.taskgraph.workload import Workload, workload_from_dict, workload_to_dict
 
 FIXTURE = Path(__file__).parent / "fixtures" / "legacy_configuration_v1.json"
 
@@ -134,3 +136,28 @@ class TestExtendedSchema:
         data["format_version"] = FORMAT_VERSION + 1
         with pytest.raises(ModelError, match="newer than supported"):
             configuration_from_dict(data)
+
+
+def _workload_document():
+    workload = Workload(chain_configuration().platform, name="one")
+    workload.add_application("chain", chain_configuration())
+    return workload_to_dict(workload)
+
+
+@pytest.mark.parametrize("value", ["x", None, [], math.nan, True, 0, -1])
+@pytest.mark.parametrize(
+    "document,load",
+    [
+        (lambda: configuration_to_dict(chain_configuration()), configuration_from_dict),
+        (_workload_document, workload_from_dict),
+    ],
+    ids=["configuration", "workload"],
+)
+def test_malformed_format_version_is_a_model_error(document, load, value):
+    """Only an integer from 1 to the supported version is a format version:
+    a string, null, list or NaN must not escape as a raw ``ValueError`` or
+    ``TypeError``, and ``true``, 0 or -1 must not be accepted."""
+    data = document()
+    data["format_version"] = value
+    with pytest.raises(ModelError, match="format_version"):
+        load(data)

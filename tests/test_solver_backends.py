@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from program_rows import hyperbolic, le, minimize
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, SolverStatus
 from repro.solver.backends import solve_compiled
@@ -16,8 +17,8 @@ def _knapsack_like_program(c1: float, c2: float, limit: float) -> ConeProgram:
     program = ConeProgram()
     x = program.add_variable("x", lower=0.0, upper=10.0)
     y = program.add_variable("y", lower=0.0, upper=10.0)
-    program.add_less_equal(x + y, limit)
-    program.minimize(c1 * x + c2 * y)
+    le(program, {x: 1.0, y: 1.0}, limit)
+    minimize(program, {x: c1, y: c2})
     return program
 
 
@@ -26,8 +27,8 @@ def _hyperbolic_program() -> ConeProgram:
     program = ConeProgram()
     x = program.add_variable("x", lower=0.1, upper=50.0)
     y = program.add_variable("y", lower=0.1, upper=50.0)
-    program.add_hyperbolic(x, y, bound=4.0)
-    program.minimize(x + y)
+    hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=4.0)
+    minimize(program, {x: 1.0, y: 1.0})
     return program
 
 
@@ -43,26 +44,29 @@ class TestLinprogBackend:
         program = ConeProgram()
         x = program.add_variable("x", lower=0.1)
         y = program.add_variable("y", lower=0.1)
-        program.add_hyperbolic(x, y, 1.0)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, 1.0)
         with pytest.raises(FormulationError):
             solve_with_linprog(program.compile())
 
     def test_unbounded_lp(self):
         program = ConeProgram()
         x = program.add_variable("x", upper=5.0)
-        program.minimize(x)
+        minimize(program, {x: 1.0})
         solution = solve_with_linprog(program.compile())
         assert solution.status is SolverStatus.UNBOUNDED
 
     def test_equality_constraints(self):
+        """A pinned variable (``x = 1``) reaches HiGHS as a folded constant."""
         program = ConeProgram()
-        x = program.add_variable("x", lower=0.0, upper=10.0)
+        x = program.add_variable("x", lower=1.0, upper=1.0)
         y = program.add_variable("y", lower=0.0, upper=10.0)
-        program.add_equality(x + y, 3.0)
-        program.minimize(x - y)
+        le(program, {x: 1.0, y: 1.0}, 3.0)
+        minimize(program, {x: 1.0, y: -1.0})
         solution = solve_with_linprog(program.compile())
         assert solution.is_optimal
-        assert solution.value(y) == pytest.approx(3.0, abs=1e-8)
+        assert solution.value(x) == 1.0
+        assert solution.value(y) == pytest.approx(2.0, abs=1e-8)
+        assert solution.objective == pytest.approx(-1.0, abs=1e-8)
 
     def test_empty_problem(self):
         program = ConeProgram()
@@ -75,8 +79,8 @@ class TestScipyBackend:
         program = ConeProgram()
         x = program.add_variable("x", lower=1e-3, upper=100.0)
         y = program.add_variable("y", lower=1e-3, upper=100.0)
-        program.add_hyperbolic(x, y, bound=4.0)
-        program.minimize(x + y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=4.0)
+        minimize(program, {x: 1.0, y: 1.0})
         solution = solve_with_scipy(program.compile())
         assert solution.is_optimal
         assert solution.objective == pytest.approx(4.0, rel=1e-3)
@@ -86,8 +90,8 @@ class TestScipyBackend:
         program = ConeProgram()
         x = program.add_variable("x", lower=0.0, upper=1.0)
         y = program.add_variable("y", lower=0.0, upper=1.0)
-        program.add_hyperbolic(x, y, bound=9.0)
-        program.minimize(x + y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=9.0)
+        minimize(program, {x: 1.0, y: 1.0})
         solution = solve_with_scipy(program.compile())
         assert solution.status in (SolverStatus.INFEASIBLE, SolverStatus.NUMERICAL_ERROR)
         assert not solution.is_optimal
@@ -169,9 +173,8 @@ def test_barrier_matches_linprog_on_random_bounded_lps(c, rows, rhs):
     program = ConeProgram()
     variables = [program.add_variable(f"x{i}", lower=0.0, upper=5.0) for i in range(3)]
     for i, row in enumerate(rows):
-        expr = sum(coeff * var for coeff, var in zip(row, variables))
-        program.add_less_equal(expr, rhs[i])
-    program.minimize(sum(ci * vi for ci, vi in zip(c, variables)))
+        le(program, dict(zip(variables, row)), rhs[i])
+    minimize(program, dict(zip(variables, c)))
 
     lp = program.solve(backend="linprog")
     barrier = program.solve(backend="barrier")
@@ -193,8 +196,8 @@ def test_barrier_hyperbolic_matches_closed_form(a, b, w):
     program = ConeProgram()
     x = program.add_variable("x", lower=1e-4, upper=1e4)
     y = program.add_variable("y", lower=1e-4, upper=1e4)
-    program.add_hyperbolic(x, y, bound=w)
-    program.minimize(a * x + b * y)
+    hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=w)
+    minimize(program, {x: a, y: b})
     solution = program.solve(backend="barrier")
     assert solution.is_optimal
     assert solution.objective == pytest.approx(2.0 * math.sqrt(a * b * w), rel=2e-3)

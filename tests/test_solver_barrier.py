@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from program_rows import ge, hyperbolic, le, minimize
 from repro.solver import BarrierOptions, BarrierSolver, ConeProgram, SolverStatus
 from repro.solver.barrier import solve_with_barrier
 
@@ -26,8 +27,8 @@ class TestLinearProgramsViaBarrier:
         program = ConeProgram()
         x = program.add_variable("x", lower=0.0, upper=10.0)
         y = program.add_variable("y", lower=0.0, upper=10.0)
-        program.add_less_equal(x + y, 6.0)
-        program.minimize(-x - 2.0 * y)
+        le(program, {x: 1.0, y: 1.0}, 6.0)
+        minimize(program, {x: -1.0, y: -2.0})
         solution = _solve(program)
         assert solution.is_optimal
         assert solution.value(y) == pytest.approx(6.0, abs=1e-4)
@@ -37,9 +38,9 @@ class TestLinearProgramsViaBarrier:
         program = ConeProgram()
         x = program.add_variable("x", lower=0.0, upper=4.0)
         y = program.add_variable("y", lower=0.0, upper=4.0)
-        program.add_less_equal(2.0 * x + y, 5.0)
-        program.add_less_equal(x + 3.0 * y, 7.0)
-        program.minimize(-3.0 * x - 4.0 * y)
+        le(program, {x: 2.0, y: 1.0}, 5.0)
+        le(program, {x: 1.0, y: 3.0}, 7.0)
+        minimize(program, {x: -3.0, y: -4.0})
         barrier = program.solve(backend="barrier")
         linprog = program.solve(backend="linprog")
         assert barrier.is_optimal and linprog.is_optimal
@@ -48,35 +49,39 @@ class TestLinearProgramsViaBarrier:
     def test_infeasible_linear_program(self):
         program = ConeProgram()
         x = program.add_variable("x", lower=0.0, upper=1.0)
-        program.add_greater_equal(x, 3.0)
-        program.minimize(x)
+        ge(program, {x: 1.0}, 3.0)
+        minimize(program, {x: 1.0})
         solution = _solve(program)
         assert solution.status is SolverStatus.INFEASIBLE
 
     def test_equality_constraints_are_respected(self):
+        """A pinned variable (``y = 4``) keeps its value and binds the rows
+        it appears in."""
         program = ConeProgram()
         x = program.add_variable("x", lower=0.0, upper=10.0)
-        y = program.add_variable("y", lower=0.0, upper=10.0)
-        program.add_equality(x + y, 4.0)
-        program.minimize(3.0 * x + y)
+        y = program.add_variable("y", lower=4.0, upper=4.0)
+        ge(program, {x: 1.0, y: 1.0}, 5.0)
+        minimize(program, {x: 3.0, y: 1.0})
         solution = _solve(program)
         assert solution.is_optimal
-        assert solution.value(x) == pytest.approx(0.0, abs=1e-4)
-        assert solution.value(y) == pytest.approx(4.0, abs=1e-4)
+        assert solution.value(x) == pytest.approx(1.0, abs=1e-4)
+        assert solution.value(y) == 4.0
 
     def test_inconsistent_equalities(self):
+        """``x`` pinned to 1 contradicts ``x + y ≥ 7`` with ``y ≤ 5``."""
         program = ConeProgram()
-        x = program.add_variable("x")
-        program.add_equality(x, 1.0)
-        program.add_equality(x, 2.0)
-        program.minimize(x)
+        x = program.add_variable("x", lower=1.0, upper=1.0)
+        y = program.add_variable("y")
+        ge(program, {x: 1.0, y: 1.0}, 7.0)
+        le(program, {y: 1.0}, 5.0)
+        minimize(program, {y: 1.0})
         solution = _solve(program)
         assert solution.status is SolverStatus.INFEASIBLE
 
     def test_unconstrained_nonzero_objective_is_unbounded(self):
         program = ConeProgram()
         x = program.add_variable("x")
-        program.minimize(x)
+        minimize(program, {x: 1.0})
         solution = _solve(program)
         assert solution.status is SolverStatus.UNBOUNDED
 
@@ -87,8 +92,8 @@ class TestHyperbolicProgramsViaBarrier:
         program = ConeProgram()
         x = program.add_variable("x", lower=1e-3, upper=100.0)
         y = program.add_variable("y", lower=1e-3, upper=100.0)
-        program.add_hyperbolic(x, y, bound=4.0)
-        program.minimize(x + y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=4.0)
+        minimize(program, {x: 1.0, y: 1.0})
         solution = _solve(program)
         assert solution.is_optimal
         assert solution.value(x) == pytest.approx(2.0, rel=1e-3)
@@ -100,8 +105,8 @@ class TestHyperbolicProgramsViaBarrier:
         program = ConeProgram()
         x = program.add_variable("x", lower=1e-4, upper=1e3)
         y = program.add_variable("y", lower=1e-4, upper=1e3)
-        program.add_hyperbolic(x, y, bound=w)
-        program.minimize(a * x + b * y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=w)
+        minimize(program, {x: a, y: b})
         solution = _solve(program)
         assert solution.is_optimal
         assert solution.value(x) == pytest.approx(math.sqrt(w * b / a), rel=1e-3)
@@ -112,8 +117,8 @@ class TestHyperbolicProgramsViaBarrier:
         """The hyperbolic constraint accepts affine (not just variable) sides."""
         program = ConeProgram()
         x = program.add_variable("x", lower=0.0, upper=50.0)
-        program.add_hyperbolic(x + 1.0, x + 1.0, bound=16.0)
-        program.minimize(x)
+        hyperbolic(program, {x: 1.0}, 1.0, {x: 1.0}, 1.0, bound=16.0)
+        minimize(program, {x: 1.0})
         solution = _solve(program)
         assert solution.is_optimal
         assert solution.value(x) == pytest.approx(3.0, rel=1e-3)
@@ -122,8 +127,8 @@ class TestHyperbolicProgramsViaBarrier:
         program = ConeProgram()
         x = program.add_variable("x", lower=0.0, upper=1.0)
         y = program.add_variable("y", lower=0.0, upper=1.0)
-        program.add_hyperbolic(x, y, bound=4.0)
-        program.minimize(x + y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=4.0)
+        minimize(program, {x: 1.0, y: 1.0})
         solution = _solve(program)
         assert solution.status is SolverStatus.INFEASIBLE
 
@@ -131,9 +136,9 @@ class TestHyperbolicProgramsViaBarrier:
         program = ConeProgram()
         x = program.add_variable("x", lower=0.5, upper=40.0)
         y = program.add_variable("y", lower=0.01, upper=1.0)
-        program.add_hyperbolic(x, y, bound=1.0)
-        program.add_less_equal(x + 10.0 * y, 20.0)
-        program.minimize(x + 3.0 * y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=1.0)
+        le(program, {x: 1.0, y: 10.0}, 20.0)
+        minimize(program, {x: 1.0, y: 3.0})
         barrier = program.solve(backend="barrier")
         scipy_solution = program.solve(backend="scipy")
         assert barrier.is_optimal and scipy_solution.is_optimal
@@ -145,8 +150,8 @@ class TestWarmStartAndOptions:
         program = ConeProgram()
         x = program.add_variable("x", lower=1.0, upper=9.0)
         y = program.add_variable("y", lower=1.0, upper=9.0)
-        program.add_hyperbolic(x, y, bound=4.0)
-        program.minimize(x + y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=4.0)
+        minimize(program, {x: 1.0, y: 1.0})
         solution = _solve(program, initial_point={x: 3.0, y: 3.0})
         assert solution.is_optimal
         assert solution.objective == pytest.approx(4.0, rel=1e-3)

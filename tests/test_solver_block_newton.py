@@ -19,12 +19,12 @@ from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
-from repro.solver.expression import AffineExpression
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
 from repro.taskgraph.workload import random_workload
 
 from barrier_reference import barrier_reference, relative
+from program_rows import hyperbolic, le, minimize, row
 
 
 def make_workload(app_count: int, seed: int = 3, task_count: int = 4) -> Workload:
@@ -143,8 +143,8 @@ class TestEngagement:
         program = ConeProgram("plain")
         x = program.add_variable("x", lower=0.1, upper=10.0)
         y = program.add_variable("y", lower=0.1, upper=10.0)
-        program.add_hyperbolic(x, y, 4.0, name="xy")
-        program.minimize(x + y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, 4.0, name="xy")
+        minimize(program, {x: 1.0, y: 1.0})
         compiled = program.compile()
         assert compiled.block_structure is None
         solution = solve_compiled(compiled, backend="barrier")
@@ -160,8 +160,8 @@ class TestEngagement:
         program = ConeProgram("cross")
         x = program.add_variable("x", lower=0.1, upper=10.0)
         y = program.add_variable("y", lower=0.1, upper=10.0)
-        program.add_hyperbolic(x, y, 4.0, name="xy")
-        program.minimize(x + y)
+        hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, 4.0, name="xy")
+        minimize(program, {x: 1.0, y: 1.0})
         program.declare_blocks([[x], [y]])
         assert program.compile().block_structure is None
         program.declare_blocks([[x, y]])
@@ -175,8 +175,8 @@ class TestEngagement:
         program = ConeProgram("pinned-block")
         x = program.add_variable("x", lower=2.0, upper=2.0)
         y = program.add_variable("y", lower=0.0, upper=10.0)
-        program.add_less_equal(x + y, 5.0, name="coupling")
-        program.maximize(y)
+        le(program, {x: 1.0, y: 1.0}, 5.0, name="coupling")
+        minimize(program, {y: -1.0})
         program.declare_blocks([[x], [y]])
         compiled = program.compile()
         assert compiled.block_structure is not None
@@ -471,8 +471,8 @@ class TestStackedAssembly:
         program = ConeProgram("pinned-block")
         x = program.add_variable("x", lower=2.0, upper=2.0)
         y = program.add_variable("y", lower=0.0, upper=10.0)
-        program.add_less_equal(x + y, 5.0, name="coupling")
-        program.maximize(y)
+        le(program, {x: 1.0, y: 1.0}, 5.0, name="coupling")
+        minimize(program, {y: -1.0})
         program.declare_blocks([[x], [y]])
         compiled = program.compile()
         for workspace, lower_bound, z in both_phases(compiled):
@@ -498,18 +498,16 @@ def hand_program(kind, counts, width, seed=0):
         for _ in range(count):
             if kind == "linear":
                 g = rng.standard_normal(width)
-                program.add_less_equal(
-                    AffineExpression(dict(zip(block, g))),
-                    float(g @ local + rng.uniform(0.5, 2.0)),
-                )
+                le(program, dict(zip(block, g)), float(g @ local + rng.uniform(0.5, 2.0)))
             else:
                 p, q = rng.standard_normal(width), rng.standard_normal(width)
-                program.add_hyperbolic(
-                    AffineExpression(dict(zip(block, p)), 1.0 - p @ local),
-                    AffineExpression(dict(zip(block, q)), 2.0 - q @ local),
+                hyperbolic(
+                    program,
+                    dict(zip(block, p)), 1.0 - p @ local,
+                    dict(zip(block, q)), 2.0 - q @ local,
                     0.5,
                 )
-    program.minimize(variables[0])
+    minimize(program, {variables[0]: 1.0})
     program.declare_blocks(blocks)
     compiled = program.compile()
     assert compiled.block_structure is not None
@@ -553,10 +551,11 @@ def mixed_program(seed, specs, coupling, pinned):
         blocks.append([program.add_variable("pinned", lower=1.0, upper=1.0)])
 
     def expression(block, local, columns, constant=0.0):
-        """Random coefficients on ``columns``, equal to ``constant`` at ``local``."""
+        """Random coefficients on ``columns`` and the offset that makes the
+        row equal ``constant`` at ``local``, as ``(terms, offset)``."""
         coefficients = rng.standard_normal(columns.size)
         terms = {block[i]: c for i, c in zip(columns.tolist(), coefficients)}
-        return AffineExpression(terms, constant - float(coefficients @ local[columns]))
+        return terms, constant - float(coefficients @ local[columns])
 
     def subset(width):
         size = int(rng.integers(1, width + 1))
@@ -569,20 +568,21 @@ def mixed_program(seed, specs, coupling, pinned):
         points.append(local)
         for r in range(rows):
             columns = np.arange(width) if r == 0 else subset(width)
-            row = expression(block, local, columns)
-            program.add_less_equal(row, float(rng.uniform(0.5, 2.0)))
+            linear, offset = expression(block, local, columns)
+            program.add_rows(row(program, linear, offset - float(rng.uniform(0.5, 2.0))), [""])
         for _ in range(terms):
             p = expression(block, local, subset(width), rng.uniform(0.5, 2.0))
             q = expression(block, local, subset(width), rng.uniform(0.5, 2.0))
-            program.add_hyperbolic(p, q, 0.25)
+            hyperbolic(program, *p, *q, 0.25)
     z = np.concatenate(points)
     free = [variable for block in blocks[int(pinned):] for variable in block]
     for _ in range(coupling):
-        row = expression(free, z, np.arange(z.size))
+        linear, offset = expression(free, z, np.arange(z.size))
         if pinned:
-            row = row + 0.7 * blocks[0][0] - 0.7
-        program.add_less_equal(row, float(rng.uniform(0.5, 2.0)))
-    program.minimize(free[0])
+            linear[blocks[0][0]] = 0.7
+            offset -= 0.7
+        program.add_rows(row(program, linear, offset - float(rng.uniform(0.5, 2.0))), [""])
+    minimize(program, {free[0]: 1.0})
     program.declare_blocks(blocks)
     compiled = program.compile()
     assert compiled.block_structure is not None
@@ -708,12 +708,13 @@ def relaxed_program(seed, count=6, width=4):
     program = ConeProgram("relaxed")
     variables = [program.add_variable(f"x{i}") for i in range(width)]
     for i in range(count):
-        program.add_hyperbolic(
-            AffineExpression(dict(zip(variables, P[i])), p0[i]),
-            AffineExpression(dict(zip(variables, Q[i])), q0[i]),
+        hyperbolic(
+            program,
+            dict(zip(variables, P[i])), p0[i],
+            dict(zip(variables, Q[i])), q0[i],
             w[i],
         )
-    program.minimize(variables[0])
+    minimize(program, {variables[0]: 1.0})
     compiled = program.compile()
     assert compiled.h.size == 0
     return (P, p0, Q, q0, w), compiled, np.append(z, t), rng
@@ -801,13 +802,13 @@ class TestNaturalFactorisationFailure:
         blocks = [x[:2], x[2:]]
         for block in blocks:
             for variable in block:
-                program.add_less_equal(variable, 20.0)
-                program.add_less_equal(-1.0 * variable, 20.0)
-            program.add_hyperbolic(block[0] + 1.0, block[1] + 1.0, 0.5)
+                le(program, {variable: 1.0}, 20.0)
+                le(program, {variable: -1.0}, 20.0)
+            hyperbolic(program, {block[0]: 1.0}, 1.0, {block[1]: 1.0}, 1.0, 0.5)
         for left, right in zip(x[:2], x[2:]):
-            program.add_less_equal(left + right, 0.1)
-            program.add_less_equal(left - right, 0.1)
-        program.minimize(x[0])
+            le(program, {left: 1.0, right: 1.0}, 0.1)
+            le(program, {left: 1.0, right: -1.0}, 0.1)
+        minimize(program, {x[0]: 1.0})
         program.declare_blocks(blocks)
         compiled = program.compile()
         # ConeProgram rejects a non-positive bound; the layout reads the

@@ -32,6 +32,7 @@ from repro.taskgraph.generators import (
 )
 
 from barrier_reference import barrier_reference, relative
+from program_rows import le, minimize
 
 
 def kernel_setup(compiled):
@@ -257,9 +258,9 @@ class TestTermlessBlock:
         program = ConeProgram("termless")
         x = program.add_variable("x", lower=0.0, upper=4.0)
         y = program.add_variable("y")
-        program.add_less_equal(x + y, 5.0, name="cap")
-        program.add_less_equal(x - y, 3.0, name="floor")
-        program.minimize(x - y)
+        le(program, {x: 1.0, y: 1.0}, 5.0, name="cap")
+        le(program, {x: 1.0, y: -1.0}, 3.0, name="floor")
+        minimize(program, {x: 1.0, y: -1.0})
         program.declare_blocks([[x], [y]])
         compiled = program.compile()
         structure = compiled.block_structure

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from program_rows import le, minimize
 from repro import obs
 from repro.core.formulation import SocpFormulation
 from repro.solver import BarrierSolver, ConeProgram, SolverStatus
@@ -138,8 +139,8 @@ def test_strictly_feasible_start_is_returned_as_is():
     program = ConeProgram()
     x = program.add_variable("x", lower=0.0, upper=4.0)
     y = program.add_variable("y", lower=0.0, upper=4.0)
-    program.add_less_equal(x + y, 6.0)
-    program.minimize(-x - y)
+    le(program, {x: 1.0, y: 1.0}, 6.0)
+    minimize(program, {x: -1.0, y: -1.0})
     compiled = program.compile()
     start = np.array([1.0, 2.0])
     point = BarrierSolver().feasible_point(compiled, initial_point=start)
@@ -149,31 +150,34 @@ def test_strictly_feasible_start_is_returned_as_is():
 class TestDegeneratePrograms:
     def test_no_variables_is_feasible(self):
         program = ConeProgram()
-        program.minimize(0.0)
+        minimize(program, {}, 0.0)
         compiled = program.compile()
         point = BarrierSolver().feasible_point(compiled)
         assert point is not None and point.shape == (0,)
 
     def test_no_inequality_rows_is_feasible_on_consistent_equalities(self):
+        """``x`` pinned to 3 and a free ``y``: compilation leaves no row."""
         program = ConeProgram()
-        x = program.add_variable("x")
+        x = program.add_variable("x", lower=3.0, upper=3.0)
         y = program.add_variable("y")
-        program.add_equality(x + y, 3.0)
-        program.minimize(x)  # unbounded, but feasible
+        minimize(program, {y: 1.0})  # unbounded, but feasible
         compiled = program.compile()
+        assert compiled.h.size == 0
         assert BarrierSolver().solve(compiled).status is SolverStatus.UNBOUNDED
         point = BarrierSolver().feasible_point(compiled)
         assert point is not None
         values = compiled.point_as_mapping(point)
         assert set(values) == {x, y}
-        assert sum(values.values()) == pytest.approx(3.0, abs=1e-12)
+        assert values[x] == 3.0
 
     def test_inconsistent_equalities_are_infeasible(self):
+        """``x`` pinned to 1 contradicts ``x + y ≥ 7`` with ``y ≤ 5``."""
         program = ConeProgram()
-        x = program.add_variable("x", lower=0.0)
-        program.add_equality(x, 1.0)
-        program.add_equality(x, 2.0)
-        program.minimize(x)
+        x = program.add_variable("x", lower=1.0, upper=1.0)
+        y = program.add_variable("y", lower=0.0)
+        le(program, {x: -1.0, y: -1.0}, -7.0)
+        le(program, {y: 1.0}, 5.0)
+        minimize(program, {y: 1.0})
         compiled = program.compile()
         assert BarrierSolver().solve(compiled).status is SolverStatus.INFEASIBLE
         assert BarrierSolver().feasible_point(compiled) is None

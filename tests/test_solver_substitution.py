@@ -1,12 +1,12 @@
-"""Compile-time substitution of fixed variables and equality rows.
+"""Compile-time substitution of fixed variables.
 
 :meth:`ConeProgram.compile` emits no equality rows: a variable whose bounds
-collapse is replaced by its value, and each ``add_equality`` row is solved
-for its pivot and substituted into every row, hyperbolic term and the objective.
-These tests pin what that must preserve: the optimum on every backend, the
-block structure of workload programs, every registered variable in
-``Solution.values``, infeasibility of inconsistent equalities, and
-parametric right-hand sides on rows whose constant substitution shifted.
+collapse is replaced by its value, folded into the constant of every row,
+hyperbolic term and the objective.  These tests pin what that must
+preserve: the optimum on every backend, the block structure of workload
+programs, every registered variable in ``Solution.values``, infeasibility
+of rows a pinned variable contradicts, and parametric right-hand sides on
+rows whose constant substitution shifted.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from program_rows import ge, hyperbolic, le, minimize
 from repro.core.formulation import SocpFormulation, WorkloadSocpFormulation
 from repro.solver import BarrierSolver, ConeProgram, SolverStatus
 from repro.taskgraph import random_workload
@@ -26,16 +27,27 @@ def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(b))
 
 
-def equality_lp() -> ConeProgram:
-    """``x + y + z = 4``, ``x − z = 1`` over boxes; a bounded LP."""
-    program = ConeProgram("equality-lp")
-    x = program.add_variable("x", lower=0.0, upper=10.0)
+def pinned_lp() -> ConeProgram:
+    """``x`` pinned to 1 with ``x + y + z ≤ 4`` and ``y ≤ 2.5`` over boxes;
+    a bounded LP."""
+    program = ConeProgram("pinned-lp")
+    x = program.add_variable("x", lower=1.0, upper=1.0)
     y = program.add_variable("y", lower=0.0, upper=10.0)
     z = program.add_variable("z", lower=0.0, upper=10.0)
-    program.add_equality(x + y + z, 4.0)
-    program.add_equality(x - z, 1.0)
-    program.add_less_equal(y, 2.5, name="cap")
-    program.minimize(3.0 * x + y + z)
+    le(program, {x: 1.0, y: 1.0, z: 1.0}, 4.0)
+    le(program, {y: 1.0}, 2.5, name="cap")
+    minimize(program, {x: 3.0, y: -2.0, z: -1.0})
+    return program
+
+
+def contradicted_pin() -> ConeProgram:
+    """``x`` pinned to 1, ``x + y ≥ 7`` and ``y ≤ 5``: no point exists."""
+    program = ConeProgram("contradicted")
+    x = program.add_variable("x", lower=1.0, upper=1.0)
+    y = program.add_variable("y", lower=0.0)
+    ge(program, {x: 1.0, y: 1.0}, 7.0, name="need")
+    le(program, {y: 1.0}, 5.0, name="cap")
+    minimize(program, {y: 1.0})
     return program
 
 
@@ -81,9 +93,8 @@ class TestFixedVariables:
         assert barrier.value(budget) == budget.lower
 
 
-class TestEqualityRows:
     def test_values_list_every_registered_variable(self):
-        program = equality_lp()
+        program = pinned_lp()
         solutions = {backend: program.solve(backend=backend) for backend in BACKENDS}
         reference = solutions["linprog"]
         assert reference.is_optimal
@@ -92,60 +103,18 @@ class TestEqualityRows:
             assert list(solution.values) == list(program.variables), backend
             assert relative_gap(solution.objective, reference.objective) <= 1e-6
             x, y, z = (solution.value(var) for var in program.variables)
-            assert x + y + z == pytest.approx(4.0, abs=1e-9)
-            assert x - z == pytest.approx(1.0, abs=1e-9)
+            assert x == 1.0
+            assert (y, z) == (pytest.approx(2.5, abs=1e-6), pytest.approx(0.5, abs=1e-6))
 
-    def test_redundant_pair_is_dropped(self):
-        program = ConeProgram("redundant")
-        x = program.add_variable("x", lower=0.0, upper=5.0)
-        y = program.add_variable("y", lower=0.0, upper=5.0)
-        program.add_equality(x + y, 3.0)
-        program.add_equality(2.0 * x + 2.0 * y, 6.0, name="twice")
-        program.minimize(x)
+    def test_inconsistent_pin_is_infeasible_on_every_backend(self):
+        program = contradicted_pin()
         compiled = program.compile()
-        assert compiled.variables == [y]
-        assert "twice" not in compiled.inequality_names
-        for backend in BACKENDS:
-            solution = program.solve(backend=backend)
-            assert solution.is_optimal, backend
-            assert solution.objective == pytest.approx(0.0, abs=1e-6)
-            assert solution.value(y) == pytest.approx(3.0, abs=1e-6)
-
-    def test_inconsistent_pair_is_infeasible_on_every_backend(self):
-        program = ConeProgram("inconsistent")
-        x = program.add_variable("x", lower=0.0, upper=5.0)
-        y = program.add_variable("y", lower=0.0, upper=5.0)
-        program.add_equality(x + y, 3.0)
-        program.add_equality(x + y, 4.0, name="clash")
-        program.minimize(x)
-        compiled = program.compile()
-        row = compiled.inequality_names.index("clash")
-        assert compiled.G[row].tolist() == [0.0]
-        assert compiled.h[row] == pytest.approx(-1.0)
-        for backend in BACKENDS:
+        row = compiled.inequality_names.index("need")
+        assert compiled.G[row].tolist() == [-1.0]
+        assert compiled.h[row] == pytest.approx(-6.0)
+        for backend in BACKENDS + ("auto",):
             assert program.solve(backend=backend).status is SolverStatus.INFEASIBLE
         assert BarrierSolver().feasible_point(compiled) is None
-
-    def test_cross_block_equality_leaves_no_structure(self):
-        """Substituting ``x1 = x2`` puts block 1's column into block 0's
-        hyperbolic constraint, which no block structure can hold."""
-        program = ConeProgram("cross-block")
-        x1 = program.add_variable("x1", lower=0.1, upper=10.0)
-        y1 = program.add_variable("y1", lower=0.1, upper=10.0)
-        x2 = program.add_variable("x2", lower=0.1, upper=10.0)
-        y2 = program.add_variable("y2", lower=0.1, upper=10.0)
-        program.add_hyperbolic(x1, y1, 4.0)
-        program.add_hyperbolic(x2, y2, 1.0)
-        program.add_equality(x1 - x2, 0.0)
-        program.minimize(x1 + y1 + x2 + y2)
-        program.declare_blocks([[x1, y1], [x2, y2]])
-        compiled = program.compile()
-        assert compiled.block_structure is None
-        barrier = program.solve(backend="barrier")
-        scipy = program.solve(backend="scipy")
-        assert barrier.is_optimal and scipy.is_optimal
-        assert relative_gap(barrier.objective, scipy.objective) <= 1e-6
-        assert barrier.value(x1) == pytest.approx(barrier.value(x2), abs=1e-12)
 
 
 class TestParametricShift:
@@ -159,9 +128,9 @@ class TestParametricShift:
             x = program.add_variable("x", lower=1.0, upper=1.0)
             y = program.add_variable("y", lower=0.1, upper=10.0)
             w = program.add_variable("w", lower=0.1, upper=10.0)
-            program.add_less_equal(x + y + w, rhs, name="cap")
-            program.add_hyperbolic(y, w, 2.0)
-            program.minimize(-y + 0.5 * w)
+            le(program, {x: 1.0, y: 1.0, w: 1.0}, rhs, name="cap")
+            hyperbolic(program, {y: 1.0}, 0.0, {w: 1.0}, 0.0, 2.0)
+            minimize(program, {y: -1.0, w: 0.5})
             return program
 
         parametric = build(5.0).parametric()
@@ -180,3 +149,25 @@ class TestParametricShift:
         assert session_solution.by_name() == pytest.approx(
             fresh_solution.by_name(), rel=1e-9
         )
+
+
+def test_cross_block_hyperbolic_leaves_no_structure():
+    """A hyperbolic term between block 0's ``x1`` and block 1's ``y2``
+    couples the blocks, which no block structure can hold."""
+    program = ConeProgram("cross-block")
+    x1 = program.add_variable("x1", lower=0.1, upper=10.0)
+    y1 = program.add_variable("y1", lower=0.1, upper=10.0)
+    x2 = program.add_variable("x2", lower=0.1, upper=10.0)
+    y2 = program.add_variable("y2", lower=0.1, upper=10.0)
+    hyperbolic(program, {x1: 1.0}, 0.0, {y1: 1.0}, 0.0, 4.0)
+    hyperbolic(program, {x2: 1.0}, 0.0, {y2: 1.0}, 0.0, 1.0)
+    hyperbolic(program, {x1: 1.0}, 0.0, {y2: 1.0}, 0.0, 9.0)
+    minimize(program, {x1: 1.0, y1: 1.0, x2: 1.0, y2: 1.0})
+    program.declare_blocks([[x1, y1], [x2, y2]])
+    compiled = program.compile()
+    assert compiled.block_structure is None
+    barrier = program.solve(backend="barrier")
+    scipy = program.solve(backend="scipy")
+    assert barrier.is_optimal and scipy.is_optimal
+    assert relative_gap(barrier.objective, scipy.objective) <= 1e-6
+    assert barrier.value(x1) * barrier.value(y2) == pytest.approx(9.0, rel=1e-6)

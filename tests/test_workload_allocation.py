@@ -84,8 +84,9 @@ class TestOneBlockEquivalence:
         single = SocpFormulation(configuration).build()
         joint = WorkloadSocpFormulation(one_app_workload(configuration)).build()
         assert len(joint.variables) == len(single.variables)
-        assert len(joint.linear_constraints) == len(single.linear_constraints)
-        assert len(joint.hyperbolic_constraints) == len(single.hyperbolic_constraints)
+        joint_compiled, single_compiled = joint.compile(), single.compile()
+        assert len(joint_compiled.inequality_names) == len(single_compiled.inequality_names)
+        assert len(joint_compiled.hyperbolic) == len(single_compiled.hyperbolic)
         for joint_var, single_var in zip(joint.variables, single.variables):
             # Same bounds in the same order; names carry the app prefix.
             assert joint_var.lower == single_var.lower
