@@ -217,6 +217,12 @@ class TestSolveDispatch:
         solution = program.solve()
         assert solution.value(x) + 2.0 * solution.value(y) == pytest.approx(4.0, abs=1e-5)
         assert solution.values == {x: 2.0, y: pytest.approx(1.0, abs=1e-6)}
+
+    def test_value_requires_a_solved_variable(self):
+        program = ConeProgram()
+        x = program.add_variable("x", lower=1.0, upper=5.0)
+        minimize(program, {x: 1.0})
+        solution = program.solve()
         with pytest.raises(FormulationError):
             solution.value(Variable("stranger"))
         with pytest.raises(FormulationError):
