@@ -12,6 +12,13 @@ from __future__ import annotations
 #: Number of cycles in one Mcycle.
 CYCLES_PER_MCYCLE: float = 1.0e6
 
+#: The largest throughput period or replenishment interval a model accepts.
+#: The formulation adds these up over every task of a graph
+#: (``repro.core.formulation.sufficient_capacity_bound``, the start point);
+#: below this bound the sums stay finite, where a value near the largest
+#: float (1e308) would overflow to infinity.
+MAX_DURATION: float = 1.0e100
+
 
 def mcycles(value: float) -> float:
     """Return ``value`` Mcycles expressed in cycles."""

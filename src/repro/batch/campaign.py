@@ -341,12 +341,9 @@ class CampaignSpec:
     def from_dict(
         cls, data: Mapping[str, object], base_dir: Optional[Union[str, Path]] = None
     ) -> "CampaignSpec":
-        version = int(data.get("format_version", FORMAT_VERSION))
-        if version > FORMAT_VERSION:
-            raise ModelError(
-                f"campaign format version {version} is newer than supported "
-                f"version {FORMAT_VERSION}"
-            )
+        serialization.check_format_version(
+            data, FORMAT_VERSION, FORMAT_VERSION, "campaign"
+        )
         entries_data = data.get("entries")
         if not entries_data:
             raise ModelError("a campaign needs a non-empty 'entries' list")

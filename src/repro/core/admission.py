@@ -779,12 +779,7 @@ def trace_to_dict(trace: AdmissionTrace) -> Dict[str, object]:
 def trace_from_dict(data: Mapping[str, object]) -> AdmissionTrace:
     from repro.taskgraph import serialization
 
-    version = int(data.get("format_version", FORMAT_VERSION))
-    if version > FORMAT_VERSION:
-        raise ModelError(
-            f"trace format version {version} is newer than supported "
-            f"version {FORMAT_VERSION}"
-        )
+    serialization.check_format_version(data, FORMAT_VERSION, FORMAT_VERSION, "trace")
     try:
         platform = serialization.platform_from_dict(data["platform"])
     except KeyError:

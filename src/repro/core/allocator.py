@@ -617,9 +617,10 @@ class WorkloadSession(_LimitSession):
 
         The new program is compiled from scratch; only the two warm-start
         vectors — the previous optimum and the first-rung interior hint —
-        carry over, re-keyed by variable name, with heuristic values filling
-        an added application's slots.  Every new object is built before any
-        is installed, so a failure leaves the current session untouched.
+        carry over, re-keyed by variable name, with the model-built start
+        point filling an added application's slots.  Every new object is
+        built before any is installed, so a failure leaves the current
+        session untouched.
         """
         old_session = self._session
         old_compiled = old_session.parametric.compiled
@@ -628,7 +629,7 @@ class WorkloadSession(_LimitSession):
         )
         new_compiled = parametric.parametric.compiled
         initial = parametric.initial_point()
-        heuristic = {var.name: float(value) for var, value in initial.items()}
+        start = {var.name: float(value) for var, value in initial.items()}
 
         def _carry_over(old_vector: Optional[np.ndarray]) -> Optional[np.ndarray]:
             if old_vector is None:
@@ -639,7 +640,7 @@ class WorkloadSession(_LimitSession):
             }
             return np.array(
                 [
-                    old_values.get(var.name, heuristic.get(var.name, 0.0))
+                    old_values.get(var.name, start.get(var.name, 0.0))
                     for var in new_compiled.variables
                 ]
             )

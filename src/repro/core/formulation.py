@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,6 +193,64 @@ class _GraphFacts:
     capacity_bound: float             #: :func:`sufficient_capacity_bound`
 
 
+# -- the start point ------------------------------------------------------------
+#: Shares of each processor's and bounded memory's slack the start point
+#: hands out (the rows (9)/(10) keep the rest).  The first share suits most
+#: models; when a cycle of Constraints (6)/(7) has no slack at it (small
+#: capacity limits), the next shares buy the cycle slack with larger budgets
+#: and capacities.
+_START_SHARES = (0.5, 0.9, 0.99)
+#: Where the start point puts ``λ`` between ``1/β'`` and its bound ``µ/(̺·χ)``.
+_RECIPROCAL_SHARE = 0.2
+#: Row slack the start times keep on Constraints (6)/(7), in periods spread
+#: evenly over a graph's actors; each of ``_MARGIN_TIERS`` tries takes a
+#: quarter of the previous one's margin when a cycle leaves less slack.
+_START_MARGIN = 4.0
+_MARGIN_TIERS = 6
+
+
+def _slack_share(slack: float, room: float, share: float) -> float:
+    """The fraction of their intervals the variables of one resource row take.
+
+    ``slack`` is the row's slack with every variable at its lower bound and
+    ``room`` the (weighted) sum of their interval widths.  The variables
+    take ``share`` of the slack, and never more than ``share`` of their
+    intervals; a row without slack gives 0 (lower bounds), where no start
+    is strictly feasible.
+    """
+    if slack >= room:
+        return share
+    if slack <= 0.0:
+        return 0.0
+    return share * slack / room
+
+
+def _longest_paths(
+    actors: Sequence[str], edges: Sequence[Tuple[str, str, float]], margin: float
+) -> Tuple[Dict[str, float], bool]:
+    """Longest-path (Bellman–Ford) potentials of the difference rows
+    ``s_j ≥ s_i + weight + margin`` over ``(i, j, weight)`` edges, every
+    potential starting at 0, and whether they settled within ``|V|``
+    passes (they do not on a cycle of positive weight).
+    """
+    potential = dict.fromkeys(actors, 0.0)
+    for _ in range(len(potential)):
+        changed = False
+        for source, target, weight in edges:
+            candidate = potential[source] + weight + margin
+            if candidate > potential[target]:
+                potential[target] = candidate
+                changed = True
+        if not changed:
+            return potential, True
+    return potential, False
+
+
+#: One row of Constraints (6)/(7): ``(s_i, s_j, columns, coefficients,
+#: constant, name)`` (:meth:`FormulationBlock._precedence_queues`).
+_PrecedenceRow = Tuple[str, str, List[int], List[float], float, str]
+
+
 class FormulationBlock:
     """The per-application slice of the cone program.
 
@@ -237,6 +295,9 @@ class FormulationBlock:
         self._task_columns: Dict[str, Tuple[int, int]] = {}
         self._capacity_columns: Dict[str, int] = {}
         self._start_columns: Dict[str, int] = {}
+        #: per actor, the pinned reference actor of its weak component
+        self._references: Dict[str, str] = {}
+        self._precedence: Optional[Dict[str, List[_PrecedenceRow]]] = None
 
     def qualify(self, name: str) -> str:
         """The program-level (namespaced) name of a model entity."""
@@ -323,15 +384,17 @@ class FormulationBlock:
             for reference, *others in spec.components():
                 self.variables.start_times[reference] = None
                 self._start_columns[reference] = -1
+                self._references[reference] = reference
                 for actor_name in others:
+                    self._references[actor_name] = reference
                     self._start_columns[actor_name] = program.num_variables
                     self.variables.start_times[actor_name] = program.add_variable(
                         f"s[{self.qualify(actor_name)}]"
                     )
 
     # -- constraints -----------------------------------------------------------------
-    def write_precedence_rows(self, rows: RowWriter) -> None:
-        """Constraints (6) and (7), one row ``expr ≤ 0`` per SRDF queue.
+    def _precedence_queues(self) -> Dict[str, List[_PrecedenceRow]]:
+        """Constraints (6) and (7) per graph, one row per SRDF queue, cached.
 
         * (6), queue set E1: ``s_i − β' − s_j + ̺ ≤ 0``;
         * (7), queue set E2: ``s_i + ̺·χ·λ − µ·δ(e) − s_j ≤ 0``, with χ the
@@ -339,18 +402,23 @@ class FormulationBlock:
           copy — exactly ``task.wcet`` for plain models — and ``δ(e)`` from
           :func:`~repro.dataflow.construction.queue_token_terms`.
 
-        A self-loop's start times cancel.  The terms of each row are in the
-        order ``s_i``, then ``β'`` or ``λ`` and ``γ'``, then ``s_j``.
+        Each row is ``(s_i, s_j, columns, coefficients, constant, name)``:
+        the actors of its start times and its terms over ``β'``, ``λ`` and
+        ``γ'``.  The rows depend only on the model and the variable
+        positions, so :meth:`write_precedence_rows` and the start point
+        read the same ones.
         """
+        if self._precedence is not None:
+            return self._precedence
         platform = self.configuration.platform
-        starts = self._start_columns
         prefix = self.qualify("")
-        columns, values = rows.columns, rows.values
+        self._precedence = {}
         for graph_name, spec in self.specifications.items():
             graph = self.configuration.task_graph(graph_name)
             period = graph.period
             #: per (task, phase): ``((β', λ) columns, ̺, ̺·χ)``
             sources: Dict[Tuple[str, Optional[int]], tuple] = {}
+            rows: List[_PrecedenceRow] = []
             for queue in spec.queues:
                 key = (queue.source_task, queue.source_phase)
                 source_facts = sources.get(key)
@@ -364,32 +432,48 @@ class FormulationBlock:
                         float(rho * effective_cycles(task, processor, queue.source_phase)),
                     )
                 (beta, lam), rho, rho_chi = source_facts
-                source, target = starts[queue.source], starts[queue.target]
-                first = len(columns)
-                if source >= 0:
-                    columns.append(source)
-                    values.append(1.0)
                 if queue.in_queue_set_e1:
-                    columns.append(beta)
-                    values.append(-1.0)
-                    rows.constants.append(float(rho))
-                    rows.names.append(f"e1[{prefix}{queue.name}]")
+                    columns, coefficients = [beta], [-1.0]
+                    constant = float(rho)
+                    name = f"e1[{prefix}{queue.name}]"
                 else:
-                    columns.append(lam)
-                    values.append(rho_chi)
+                    columns, coefficients = [lam], [rho_chi]
                     buffer, scale, offset = queue_token_terms(queue, graph)
                     coefficient = (scale * period) * -1.0
                     if buffer is not None and coefficient != 0.0:
                         columns.append(self._capacity_columns[buffer])
-                        values.append(coefficient)
-                    rows.constants.append(0.0 + (offset * period) * -1.0)
-                    rows.names.append(f"e2[{prefix}{queue.name}]")
-                if target >= 0:
-                    if target == source:
-                        del columns[first], values[first]
-                    else:
-                        columns.append(target)
-                        values.append(-1.0)
+                        coefficients.append(coefficient)
+                    constant = 0.0 + (offset * period) * -1.0
+                    name = f"e2[{prefix}{queue.name}]"
+                rows.append(
+                    (queue.source, queue.target, columns, coefficients, constant, name)
+                )
+            self._precedence[graph_name] = rows
+        return self._precedence
+
+    def write_precedence_rows(self, rows: RowWriter) -> None:
+        """Constraints (6) and (7), one row ``expr ≤ 0`` per SRDF queue
+        (:meth:`_precedence_queues`).
+
+        A self-loop's start times cancel.  The terms of each row are in the
+        order ``s_i``, then ``β'`` or ``λ`` and ``γ'``, then ``s_j``.
+        """
+        starts = self._start_columns
+        columns, values = rows.columns, rows.values
+        for queues in self._precedence_queues().values():
+            for source, target, terms, coefficients, constant, name in queues:
+                first = len(columns)
+                loop = source == target
+                if not loop and starts[source] >= 0:
+                    columns.append(starts[source])
+                    values.append(1.0)
+                columns.extend(terms)
+                values.extend(coefficients)
+                if not loop and starts[target] >= 0:
+                    columns.append(starts[target])
+                    values.append(-1.0)
+                rows.constants.append(constant)
+                rows.names.append(name)
                 rows.lengths.append(len(columns) - first)
 
     def reciprocal_pairs(self) -> List[Tuple[int, int, str]]:
@@ -453,33 +537,82 @@ class FormulationBlock:
             for variable, coefficient in self.objective_terms()
         )
 
-    # -- warm start and extraction ------------------------------------------------
-    def initial_point_into(self, values: Dict[Variable, float]) -> None:
-        """Write this block's heuristic warm-start values into ``values``.
+    # -- start point and extraction --------------------------------------------
+    def initial_point_into(
+        self,
+        values: Dict[Variable, float],
+        budget_shares: Mapping[str, float],
+        capacity_shares: Mapping[str, Optional[float]],
+    ) -> bool:
+        """Write this block's part of the model-built start point into ``values``.
 
-        The point strictly satisfies every hyperbolic constraint (``λ·β > 1``)
-        and the simple bound constraints; phase I of the barrier solver
-        repairs any remaining linear infeasibility.
+        ``budget_shares`` (per processor) and ``capacity_shares`` (per
+        memory) give the fraction of each ``β'`` and ``γ'`` interval the
+        value takes, as :meth:`_BlockAssembly.initial_point` derives them
+        from the slack of Constraints (9) and (10).  A capacity in an
+        unbounded memory (share ``None``) sits half a container below its
+        upper bound, where its space queue carries the most tokens (or at
+        the midpoint of an interval narrower than one container).  Each
+        ``λ`` sits ``_RECIPROCAL_SHARE`` of the way from ``1/β'`` to its
+        bound ``µ/(̺·χ)``, so Constraint (8) and the self-loop rows hold
+        strictly.
+
+        The start times are longest-path (Bellman–Ford) potentials of the
+        graph's Constraints (6)/(7) at those values, each row's weight
+        raised by a margin (see ``_START_MARGIN``), shifted so that each
+        weak component's pinned reference actor sits at 0.  Returns whether
+        they settled for every graph: when even the smallest margin leaves
+        a cycle of positive weight, the potentials stop after ``|V|`` passes
+        and some row is violated.
         """
-        configuration = self.configuration
-        for graph in configuration.task_graphs:
+        point: Dict[int, float] = {}
+        settled_everywhere = True
+        for graph in self.configuration.task_graphs:
             for task in graph.tasks:
-                processor = configuration.platform.processor(task.processor)
                 beta_var = self.variables.budgets[task.name]
-                lower = beta_var.lower if beta_var.lower is not None else 1e-3
-                upper = (
-                    beta_var.upper
-                    if beta_var.upper is not None
-                    else processor.replenishment_interval
-                )
-                beta0 = min(max(0.5 * (lower + upper), lower * 1.01), upper * 0.999)
-                values[beta_var] = beta0
-                values[self.variables.reciprocals[task.name]] = 1.05 / beta0
+                lam_var = self.variables.reciprocals[task.name]
+                share = budget_shares[task.processor]
+                beta = beta_var.lower + share * (beta_var.upper - beta_var.lower)
+                floor = 1.0 / beta
+                lam = floor + _RECIPROCAL_SHARE * (lam_var.upper - floor)
+                values[beta_var] = beta
+                values[lam_var] = lam
+                beta_column, lam_column = self._task_columns[task.name]
+                point[beta_column] = beta
+                point[lam_column] = lam
             for buffer in graph.buffers:
                 cap_var = self.variables.capacities[buffer.name]
-                lower = cap_var.lower if cap_var.lower is not None else 1.0
-                upper = cap_var.upper if cap_var.upper is not None else lower + 8.0
-                values[cap_var] = 0.5 * (lower + upper)
+                share = capacity_shares[buffer.memory]
+                width = cap_var.upper - cap_var.lower
+                if share is None:
+                    capacity = cap_var.upper - min(0.5, 0.5 * width)
+                else:
+                    capacity = cap_var.lower + share * width
+                values[cap_var] = capacity
+                point[self._capacity_columns[buffer.name]] = capacity
+        for spec_name, rows in self._precedence_queues().items():
+            spec = self.specifications[spec_name]
+            edges = [
+                (
+                    source,
+                    target,
+                    sum(c * point[column] for column, c in zip(columns, coefficients))
+                    + constant,
+                )
+                for source, target, columns, coefficients, constant, _ in rows
+                if source != target
+            ]
+            for tier in range(_MARGIN_TIERS):
+                margin = _START_MARGIN * spec.period / (len(spec.actors) * 4.0**tier)
+                potential, settled = _longest_paths(spec.actor_names(), edges, margin)
+                if settled:
+                    break
+            settled_everywhere &= settled
+            for actor, value in potential.items():
+                start = self.variables.start_times[actor]
+                if start is not None:
+                    values[start] = value - potential[self._references[actor]]
+        return settled_everywhere
 
     def extract_budgets(self, solution: Solution) -> Dict[str, float]:
         """Relaxed budgets ``β'(w)`` at a solution, keyed by bare task names."""
@@ -557,12 +690,65 @@ class _BlockAssembly:
         return self.program
 
     def initial_point(self) -> Dict[Variable, float]:
-        """A heuristic warm-start point covering every block."""
+        """A start point built from the model: strictly feasible whenever
+        every row has slack, so a cold solve skips phase I.
+
+        Each processor row (9) has ``̺ − overhead − Σ granules − Σ β'_lower``
+        of slack with its budgets (of every application) at their lower
+        bounds.  The budgets take a share of it, split in proportion to
+        their intervals ``β'_upper − β'_lower`` and never more than that
+        share of their own interval, so each budget stays strictly inside
+        its bounds and the row keeps the rest.  Bounded memory rows (10)
+        split their slack among their capacities the same way.
+        :meth:`FormulationBlock.initial_point_into` then places every value
+        and the start times.  The share is the first of ``_START_SHARES``
+        at which every graph's start times settle.  When a row has no slack
+        at any share (tight limits, pinned bounds) the point is not
+        strictly feasible, and the barrier solver runs phase I from it.
+        """
         if not self._built:
             self.build()
-        values: Dict[Variable, float] = {}
-        for block in self.blocks:
-            block.initial_point_into(values)
+        variables = self.program.variables
+        #: per processor and bounded memory: ``(slack, room)`` of its row
+        processors: Dict[str, Tuple[float, float]] = {}
+        for processor_name, processor in self.platform.processors.items():
+            slack = processor.replenishment_interval - processor.scheduling_overhead
+            room = 0.0
+            for block in self.blocks:
+                columns, granules = block.processor_budget_columns(processor_name)
+                slack -= granules
+                for column in columns:
+                    slack -= variables[column].lower
+                    room += variables[column].upper - variables[column].lower
+            processors[processor_name] = (slack, room)
+        memories: Dict[str, Tuple[float, float]] = {}
+        for memory_name, memory in self.platform.memories.items():
+            if memory.is_bounded:
+                slack = memory.capacity
+                room = 0.0
+                for block in self.blocks:
+                    for column, size in block.memory_capacity_columns(memory_name):
+                        slack -= size * (1.0 + variables[column].lower)
+                        room += size * (variables[column].upper - variables[column].lower)
+                memories[memory_name] = (slack, room)
+        for share in _START_SHARES:
+            budget_shares = {
+                name: _slack_share(slack, room, share)
+                for name, (slack, room) in processors.items()
+            }
+            capacity_shares: Dict[str, Optional[float]] = {
+                name: _slack_share(*memories[name], share) if name in memories else None
+                for name in self.platform.memories
+            }
+            values: Dict[Variable, float] = {}
+            # A list, not a short-circuiting generator: every block writes
+            # its values even after one has not settled.
+            settled = [
+                block.initial_point_into(values, budget_shares, capacity_shares)
+                for block in self.blocks
+            ]
+            if all(settled):
+                break
         return values
 
     def solve(self, backend: str = "auto", **options: object) -> Solution:
@@ -841,7 +1027,8 @@ class _ParametricAssembly:
         return True
 
     def initial_point(self) -> Dict[Variable, float]:
-        """The heuristic start point of the underlying formulation."""
+        """The model-built start point of the underlying formulation, at
+        its build-time (unlimited) bounds."""
         return self.formulation.initial_point()
 
     def _apply_block_budget_limits(

@@ -45,7 +45,7 @@ from repro.core.admission import (
     apply_trace_event,
 )
 from repro.core.allocator import JointAllocator
-from repro.exceptions import JournalError, SnapshotError
+from repro.exceptions import JournalError, ModelError, SnapshotError
 from repro.obs.metrics import get_registry as _metrics_registry
 from repro.reliability.faults import maybe_fail
 from repro.reliability.journal import (
@@ -55,6 +55,7 @@ from repro.reliability.journal import (
     read_journal,
 )
 from repro.solver.parametric import SessionStats
+from repro.taskgraph.serialization import check_format_version
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -94,12 +95,12 @@ class SessionSnapshot:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SessionSnapshot":
-        version = int(data.get("format_version", SNAPSHOT_FORMAT_VERSION))
-        if version > SNAPSHOT_FORMAT_VERSION:
-            raise SnapshotError(
-                f"snapshot format version {version} is newer than supported "
-                f"version {SNAPSHOT_FORMAT_VERSION}"
+        try:
+            check_format_version(
+                data, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_FORMAT_VERSION, "snapshot"
             )
+        except ModelError as error:
+            raise SnapshotError(str(error)) from error
         return cls(
             journal_seq=int(data["journal_seq"]),
             fingerprint=str(data["fingerprint"]),

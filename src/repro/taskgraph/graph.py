@@ -12,6 +12,7 @@ from math import isfinite
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro._graphs import repetition_vector, undirected_components
+from repro._units import MAX_DURATION
 from repro.exceptions import GraphStructureError, ModelError
 from repro.taskgraph.buffer import Buffer
 from repro.taskgraph.task import Task
@@ -45,6 +46,11 @@ class TaskGraph:
             raise ModelError(
                 f"task graph {name!r} needs a positive finite throughput period, "
                 f"got {period!r}"
+            )
+        if period > MAX_DURATION:
+            raise ModelError(
+                f"task graph {name!r}: throughput period {period!r} exceeds the "
+                f"largest supported duration {MAX_DURATION:g}"
             )
         self.name = name
         self.period = float(period)

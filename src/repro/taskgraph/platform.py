@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
+from repro._units import MAX_DURATION
 from repro.exceptions import BindingError, ModelError
 
 
@@ -67,6 +68,12 @@ class Processor:
             raise ModelError(
                 f"processor {self.name!r} needs a positive finite replenishment "
                 f"interval, got {self.replenishment_interval!r}"
+            )
+        if self.replenishment_interval > MAX_DURATION:
+            raise ModelError(
+                f"processor {self.name!r}: replenishment interval "
+                f"{self.replenishment_interval!r} exceeds the largest supported "
+                f"duration {MAX_DURATION:g}"
             )
         if not (
             math.isfinite(self.scheduling_overhead) and self.scheduling_overhead >= 0.0

@@ -15,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, SnapshotError
 from repro.batch.cache import cache_key
+from repro.batch.campaign import CampaignSpec
+from repro.core.admission import random_trace, trace_from_dict, trace_to_dict
+from repro.reliability.snapshot import SessionSnapshot
 from repro.taskgraph.generators import (
     chain_configuration,
     csdf_chain_configuration,
@@ -150,8 +153,10 @@ def _workload_document():
     [
         (lambda: configuration_to_dict(chain_configuration()), configuration_from_dict),
         (_workload_document, workload_from_dict),
+        (lambda: {"entries": [{"generator": "chain"}]}, CampaignSpec.from_dict),
+        (lambda: trace_to_dict(random_trace(event_count=2, seed=0)), trace_from_dict),
     ],
-    ids=["configuration", "workload"],
+    ids=["configuration", "workload", "campaign", "trace"],
 )
 def test_malformed_format_version_is_a_model_error(document, load, value):
     """Only an integer from 1 to the supported version is a format version:
@@ -161,3 +166,12 @@ def test_malformed_format_version_is_a_model_error(document, load, value):
     data["format_version"] = value
     with pytest.raises(ModelError, match="format_version"):
         load(data)
+
+
+@pytest.mark.parametrize("value", ["x", None, [], math.nan, True, 0, -1])
+def test_malformed_snapshot_format_version_is_a_snapshot_error(value):
+    """The snapshot loader applies the same version rule, but raises
+    :class:`SnapshotError`: restore falls back to a full replay on it."""
+    data = {"format_version": value, "journal_seq": 0, "fingerprint": "x"}
+    with pytest.raises(SnapshotError, match="format_version"):
+        SessionSnapshot.from_dict(data)

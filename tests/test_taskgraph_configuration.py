@@ -260,6 +260,27 @@ class TestSerialization:
         with pytest.raises(ModelError):
             repro.allocate(serialization.configuration_from_dict(data))
 
+    @pytest.mark.parametrize(
+        "path,field",
+        [
+            (("task_graphs", 0, "period"), "throughput period"),
+            (("platform", "processors", 0, "replenishment_interval"), "replenishment interval"),
+        ],
+        ids=["period", "replenishment-interval"],
+    )
+    def test_overflowing_duration_is_a_model_error(self, path, field):
+        """A period or replenishment interval near the largest float loads
+        into sums over the tasks that overflow to infinity; it is rejected
+        at the boundary with the field's name, never a raw OverflowError
+        from the formulation."""
+        data = serialization.configuration_to_dict(_simple_configuration())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 1e308
+        with pytest.raises(ModelError, match=field):
+            repro.allocate(serialization.configuration_from_dict(data))
+
     def test_mapped_configuration_to_dict_embeds_configuration(self):
         config = _simple_configuration()
         mapped = MappedConfiguration(
