@@ -337,7 +337,7 @@ def _render_solve_stats(stats: dict) -> str:
         )
     if "sparse_solves" in stats:
         # Session aggregate: the sparse-vs-dense engagement split and how
-        # often the cached factorisation pieces were reused across re-solves.
+        # often a re-solve reused the cached kernel layout.
         lines.append(
             f"  sparse solves:       {stats['sparse_solves']} of "
             f"{stats.get('solves', 0)} "

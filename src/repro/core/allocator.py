@@ -77,8 +77,6 @@ class AllocatorOptions:
     backend: str = "auto"              #: solver backend passed to the cone program
     verify: bool = True                #: run independent verification after rounding
     run_simulation: bool = True        #: include self-timed simulation in verification
-    simulate_iterations: int = 60      #: iterations of the validation simulation
-    raise_on_verification_failure: bool = True
 
 
 class JointAllocator:
@@ -232,7 +230,7 @@ class JointAllocator:
                 report = self.verify(mapped)
                 verify_span.set(valid=report.is_valid)
             mapped.solver_info["verification"] = report.summary()
-            if not report.is_valid and self.options.raise_on_verification_failure:
+            if not report.is_valid:
                 raise AllocationError(
                     "the rounded mapping failed verification:\n" + report.summary()
                 )
@@ -290,7 +288,7 @@ class JointAllocator:
                 report = self.verify_workload(mapped)
                 verify_span.set(valid=report.is_valid)
             mapped.solver_info["verification"] = report.summary()
-            if not report.is_valid and self.options.raise_on_verification_failure:
+            if not report.is_valid:
                 raise AllocationError(
                     "the rounded workload mapping failed verification:\n"
                     + report.summary()
@@ -299,11 +297,7 @@ class JointAllocator:
 
     def verify(self, mapped: MappedConfiguration) -> VerificationReport:
         """Verify a mapped configuration with independent dataflow analyses."""
-        return verify_mapping(
-            mapped,
-            simulate_iterations=self.options.simulate_iterations,
-            run_simulation=self.options.run_simulation,
-        )
+        return verify_mapping(mapped, run_simulation=self.options.run_simulation)
 
     def verify_workload(self, mapped: MappedWorkload) -> VerificationReport:
         """Verify a mapped workload: every application plus the shared resources.

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import FormulationError, InfeasibleProblemError
+from repro.exceptions import FormulationError, InfeasibleProblemError, ModelError
 from repro.core.objective import ObjectiveWeights
 from repro.dataflow.construction import (
     SrdfSpecification,
@@ -151,13 +151,17 @@ def sufficient_capacity_bound(configuration: Configuration, graph) -> float:
     on every cycle through it regardless of the other variables, so
     capping capacities at this value (plus the initial tokens) never cuts
     off the optimum while keeping the feasible region bounded.
+
+    Raises :class:`~repro.exceptions.ModelError` when the bound overflows a
+    float: each duration is bounded, but a tiny ``period`` against large
+    ``replenishment_interval`` values is not.
     """
     if not graph.is_cyclo_static:
         total = 0.0
         for task in graph.tasks:
             processor = configuration.platform.processor(task.processor)
             total += processor.replenishment_interval + graph.period
-        return math.ceil(total / graph.period) + 1.0
+        return _periods_covering(graph, total)
     # Cyclo-static graphs: every unrolled copy contributes one actor pair to
     # a simple cycle, and the per-task copies together execute at most
     # q(w)·ΣP phases per period — the v2 durations still sum to at most µ at
@@ -170,7 +174,6 @@ def sufficient_capacity_bound(configuration: Configuration, graph) -> float:
         processor = configuration.platform.processor(task.processor)
         copies = repetitions[task.name] * task.phase_count
         total += copies * processor.replenishment_interval + graph.period
-    base = math.ceil(total / graph.period) + 1.0
     iteration_factor = max(
         (
             repetitions[buffer.source] * buffer.total_production
@@ -178,7 +181,21 @@ def sufficient_capacity_bound(configuration: Configuration, graph) -> float:
         ),
         default=1,
     )
-    return base * iteration_factor
+    return _periods_covering(graph, total, iteration_factor)
+
+
+def _periods_covering(graph, total: float, factor: int = 1) -> float:
+    """``(⌈total / period⌉ + 1)·factor``, which must be a finite float."""
+    ratio = total / graph.period
+    if math.isfinite(ratio):
+        bound = (math.ceil(ratio) + 1.0) * factor
+        if math.isfinite(bound):
+            return bound
+    raise ModelError(
+        f"task graph {graph.name!r}: period {graph.period:g} is too short "
+        f"against the replenishment_interval of its processors: the sufficient "
+        f"buffer capacity bound ({total:g} over the period) overflows"
+    )
 
 
 @dataclass
@@ -751,12 +768,10 @@ class _BlockAssembly:
                 break
         return values
 
-    def solve(self, backend: str = "auto", **options: object) -> Solution:
+    def solve(self, backend: str = "auto") -> Solution:
         """Build (if necessary) and solve the cone program."""
         program = self.build()
-        return program.solve(
-            backend=backend, initial_point=self.initial_point(), **options
-        )
+        return program.solve(backend=backend, initial_point=self.initial_point())
 
     # -- coupling rows ----------------------------------------------------------
     def _add_coupling_rows(self) -> None:

@@ -26,6 +26,9 @@ from repro.dataflow.simulation import meets_period
 from repro.scheduling.budget import validate_budget_feasibility
 from repro.taskgraph.configuration import MappedConfiguration
 
+#: Iterations of the self-timed simulation that checks each graph's period.
+_SIMULATE_ITERATIONS = 60
+
 
 @dataclass
 class VerificationReport:
@@ -55,7 +58,6 @@ class VerificationReport:
 
 def verify_mapping(
     mapped: MappedConfiguration,
-    simulate_iterations: int = 60,
     run_simulation: bool = True,
 ) -> VerificationReport:
     """Verify a mapped configuration; returns a report rather than raising."""
@@ -102,7 +104,7 @@ def verify_mapping(
         # firings by integer token counts and is skipped for such graphs.
         simulatable = all(q.has_integral_tokens for q in srdf.queues)
         if run_simulation and simulatable and not meets_period(
-            srdf, graph.period, iterations=simulate_iterations
+            srdf, graph.period, iterations=_SIMULATE_ITERATIONS
         ):
             report.add_issue(
                 f"graph {graph.name!r}: the self-timed simulation does not sustain "

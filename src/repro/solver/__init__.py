@@ -9,7 +9,8 @@ with a self-contained modelling layer and solvers:
   :class:`~repro.solver.problem.AffineRows` over variable positions, and
   an affine objective row.
 * :class:`~repro.solver.barrier.BarrierSolver` — from-scratch log-barrier
-  interior-point method (the default backend for cone programs).
+  interior-point method (the default backend for cone programs), on one
+  fixed schedule of constants.
 * :class:`~repro.solver.parametric.ParametricProblem` /
   :class:`~repro.solver.parametric.SolveSession` — compile-once/solve-many
   parametric re-solve with warm starts between solves.
@@ -19,7 +20,7 @@ with a self-contained modelling layer and solvers:
 
 from repro.solver.variable import Variable
 from repro._lazy import lazy_exports
-from repro.solver.barrier import BarrierOptions, BarrierSolver
+from repro.solver.barrier import BarrierSolver
 from repro.solver.problem import AffineRows, BlockStructure, CompiledProblem, ConeProgram
 
 #: Parametric re-solve loads on first use: a one-shot solve never needs it.
@@ -32,7 +33,6 @@ from repro.solver.result import Solution, SolverStatus
 
 __all__ = [
     "AffineRows",
-    "BarrierOptions",
     "BarrierSolver",
     "BlockStructure",
     "CompiledProblem",

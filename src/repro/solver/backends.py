@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Dict, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import FormulationError
-from repro.solver.barrier import BarrierOptions, solve_with_barrier
+from repro.solver.barrier import BarrierSolver
 from repro.solver.linprog_backend import solve_with_linprog
 from repro.solver.problem import CompiledProblem
 from repro.solver.result import Solution, SolverStatus
@@ -38,7 +37,6 @@ def solve_compiled(
     problem: CompiledProblem,
     backend: str = "auto",
     initial_point: Optional[InitialPoint] = None,
-    options: Optional[Dict[str, object]] = None,
     interior_point: Optional[np.ndarray] = None,
 ) -> Solution:
     """Solve a compiled problem with the requested backend.
@@ -50,15 +48,12 @@ def solve_compiled(
 
     ``interior_point`` is an optional well-interior hint for the barrier
     backend (see :meth:`repro.solver.barrier.BarrierSolver.solve`); the other
-    backends ignore it.  ``options`` must name :class:`BarrierOptions`
-    fields; any other key raises :class:`FormulationError`, whatever the
-    backend.
+    backends ignore it.
     """
     if backend not in BACKENDS:
         raise FormulationError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
-    barrier_options = _barrier_options(options or {})
     x0 = _initial_vector(problem, initial_point)
 
     if backend == "linprog":
@@ -68,11 +63,8 @@ def solve_compiled(
 
         return solve_with_scipy(problem, initial_point=x0)
     if backend == "barrier":
-        return solve_with_barrier(
-            problem,
-            initial_point=x0,
-            options=barrier_options,
-            interior_point=interior_point,
+        return BarrierSolver().solve(
+            problem, initial_point=x0, interior_point=interior_point
         )
     # backend == "auto"
     if not problem.hyperbolic:
@@ -80,11 +72,8 @@ def solve_compiled(
         if solution.status in (SolverStatus.OPTIMAL, SolverStatus.INFEASIBLE, SolverStatus.UNBOUNDED):
             return solution
 
-    solution = solve_with_barrier(
-        problem,
-        initial_point=x0,
-        options=barrier_options,
-        interior_point=interior_point,
+    solution = BarrierSolver().solve(
+        problem, initial_point=x0, interior_point=interior_point
     )
     if solution.status in (SolverStatus.OPTIMAL, SolverStatus.UNBOUNDED):
         return solution
@@ -98,13 +87,3 @@ def solve_compiled(
     if solution.status is SolverStatus.INFEASIBLE or fallback.status is SolverStatus.INFEASIBLE:
         return solution if solution.status is SolverStatus.INFEASIBLE else fallback
     return fallback
-
-
-def _barrier_options(options: Mapping[str, object]) -> BarrierOptions:
-    unknown = sorted(set(options) - {field.name for field in fields(BarrierOptions)})
-    if unknown:
-        raise FormulationError(
-            f"unknown solver option(s) {', '.join(map(repr, unknown))}; "
-            f"expected BarrierOptions fields"
-        )
-    return BarrierOptions(**options)

@@ -37,9 +37,12 @@ that state: the Newton loop evaluates every line-search trial point exactly
 once, and the accepted trial's state is carried into the next direction.
 
 The solver sees no equality constraints: :meth:`ConeProgram.compile
-<repro.solver.problem.ConeProgram.compile>` substitutes fixed variables and
-equality rows out, so the barrier works on ``G``, the hyperbolic terms and
-the block structure exactly as compiled, over the free columns.
+<repro.solver.problem.ConeProgram.compile>` substitutes the variables whose
+bounds collapse to one value, so the barrier works on ``G``, the hyperbolic
+terms and the block structure exactly as compiled, over the free columns.
+
+The schedule is fixed: every solve reads the constants of ``_OPTIONS``
+(:class:`BarrierOptions`), and no entry point accepts a tuning value.
 
 Structured Newton solves
 ------------------------
@@ -162,12 +165,15 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-@dataclass
+@dataclass(frozen=True)
 class BarrierOptions:
-    """Tuning knobs of the barrier solver.
+    """The barrier solver's fixed schedule (Boyd & Vandenberghe, §11.3).
 
-    The defaults are deliberately conservative; the problem instances from the
-    paper's experiments solve in a handful of outer iterations regardless.
+    One configuration serves every solve: the solver reads these constants
+    through the module instance ``_OPTIONS`` at call time and accepts no
+    tuning value.  The values are deliberately conservative; the problem
+    instances from the paper's experiments solve in a handful of outer
+    iterations regardless.
     """
 
     tolerance: float = 1e-7           #: relative duality-gap target m / (t_barrier·max(1, |obj|))
@@ -191,6 +197,10 @@ class BarrierOptions:
     unbounded_threshold: float = 1e12 #: |objective| beyond which we declare unboundedness
 
 
+#: The one barrier configuration every solve reads.
+_OPTIONS = BarrierOptions()
+
+
 def _kernel_stats() -> Dict[str, float]:
     """Fresh per-solve Newton-kernel accounting, shared by every workspace."""
     return {
@@ -201,6 +211,35 @@ def _kernel_stats() -> Dict[str, float]:
         "fallback_iterations": 0,
         "lstsq_steps": 0,
     }
+
+
+def _attach_kernel_stats(
+    stats: Dict[str, object],
+    problem: CompiledProblem,
+    kernel: Dict[str, float],
+    layout_reused: bool,
+) -> None:
+    """Fold one solve's Newton-kernel accounting into its stats dict.
+
+    ``sparse_nnz`` (constraint-matrix nonzeros), ``lstsq_steps`` (Newton
+    directions whose ``k×k`` Cholesky failed and took least squares), the
+    assembly/factorisation/Schur time split and the block-factorisation
+    count are reported for every solve; the dense-step count and the layout
+    reuse flag (``pieces_cache_reused``) only for ``stats["structured"]``
+    (two or more blocks) solves.
+    """
+    stats["sparse_nnz"] = int(problem.constraint_nnz)
+    stats["lstsq_steps"] = int(kernel["lstsq_steps"])
+    stats["assembly_time"] = float(kernel["assembly_time"])
+    stats["factorization_time"] = float(kernel["factorization_time"])
+    stats["schur_time"] = float(kernel["schur_time"])
+    stats["block_factorizations"] = int(kernel["block_factorizations"])
+    if not stats["structured"]:
+        return
+    # Directions that took the dense step because an arrow
+    # factorisation failed (0 in the common case).
+    stats["structured_fallback_iterations"] = int(kernel["fallback_iterations"])
+    stats["pieces_cache_reused"] = bool(layout_reused)
 
 
 def _single_block(problem: CompiledProblem) -> BlockStructure:
@@ -504,12 +543,10 @@ class _StructuredWorkspace:
         self,
         layout: _PhaseLayout,
         h: np.ndarray,
-        options: BarrierOptions,
         stats: Dict[str, float],
         lower_bound: float = 0.0,
     ) -> None:
         self.layout = layout
-        self.options = options
         self.stats = stats
         self.k = k = layout.k
         self.border = border = layout.border
@@ -597,7 +634,7 @@ class _StructuredWorkspace:
         if self.m:
             self.weights = squares[layout.coupling_rows]
             trace += float(self.weights @ layout.coupling_sq)
-        reg = self.options.regularization * (1.0 + trace / max(self.k, 1))
+        reg = _OPTIONS.regularization * (1.0 + trace / max(self.k, 1))
         hess[layout.block_diagonal] += reg
         return grad, reg
 
@@ -734,7 +771,10 @@ class _PhaseOneStart:
     is then a feasible point, or ``None`` when ``decided`` is
     ``INFEASIBLE``.  Otherwise ``z`` is the strictly feasible point phase I
     exits with (the start point when it was skipped), ``z_interior`` the
-    interior hint, and ``stats`` the phase-I statistics.
+    interior hint, ``stats`` the phase-I statistics, ``kernel`` the
+    Newton-kernel accounting (:func:`_kernel_stats`) every workspace of the
+    solve adds to, and ``layout_reused`` whether the kernel layout came from
+    the compiled problem's cache.
     """
 
     decided: Optional[Solution] = None
@@ -743,13 +783,16 @@ class _PhaseOneStart:
     z: Optional[np.ndarray] = None
     z_interior: Optional[np.ndarray] = None
     stats: Optional[Dict[str, object]] = None
+    kernel: Optional[Dict[str, float]] = None
+    layout_reused: bool = False
 
 
 class BarrierSolver:
-    """Two-phase log-barrier interior-point solver."""
+    """Two-phase log-barrier interior-point solver.
 
-    def __init__(self, options: Optional[BarrierOptions] = None) -> None:
-        self.options = options or BarrierOptions()
+    Stateless: every solve reads the fixed schedule ``_OPTIONS`` and carries
+    its own accounting, so one instance may serve any number of solves.
+    """
 
     # -- public entry points ------------------------------------------------
     def solve(
@@ -769,14 +812,11 @@ class BarrierSolver:
         Phase II always walks the cold rung ladder from ``initial_barrier``,
         so a warm solve stops on the same rung as a cold one.
         """
-        opts = self.options
         start = self._phase_one_prefix(problem, initial_point, interior_point)
         if start.decided is not None:
             return start.decided
         stats, z_interior = start.stats, start.z_interior
-        workspace = _StructuredWorkspace(
-            start.layout.phase_two, problem.h, self.options, self._kernel_stats
-        )
+        workspace = _StructuredWorkspace(start.layout.phase_two, problem.h, start.kernel)
 
         # Phase II re-centers from the interior hint when phase I was skipped
         # off a warm point: re-centering from a well-interior point is far
@@ -802,10 +842,10 @@ class BarrierSolver:
         stats["outer_iterations"] = int(result.outer)
         stats["nonconverged_rungs"] = int(result.nonconverged_rungs)
         stats["final_barrier"] = float(result.final_barrier)
-        self._attach_kernel_stats(stats, problem)
+        _attach_kernel_stats(stats, problem, start.kernel, start.layout_reused)
         objective = problem.objective_value(result.z)
 
-        if abs(objective) > opts.unbounded_threshold:
+        if abs(objective) > _OPTIONS.unbounded_threshold:
             self._record_metrics(stats, optimal=False)
             return Solution(
                 status=SolverStatus.UNBOUNDED,
@@ -837,15 +877,16 @@ class BarrierSolver:
         (``initial_point`` itself when phase I is skipped).  ``None`` comes
         back exactly when :meth:`solve` would report ``INFEASIBLE``: phase I
         ending with positive infeasibility, or a violated constant row (such
-        as an inconsistent equality).  A program without constraints is
-        feasible.  The phase-I statistics are published to the metrics
-        registry like any solve's, with zero phase-II iterations.
+        as a row left infeasible once compile substituted the collapsed
+        bounds).  A program without constraints is feasible.  The phase-I
+        statistics are published to the metrics registry like any solve's,
+        with zero phase-II iterations.
         """
         start = self._phase_one_prefix(problem, initial_point)
         if start.decided is not None:
             return start.point
         stats = start.stats
-        self._attach_kernel_stats(stats, problem)
+        _attach_kernel_stats(stats, problem, start.kernel, start.layout_reused)
         self._record_metrics(stats, optimal=False)
         return start.z
 
@@ -888,9 +929,12 @@ class BarrierSolver:
                 )
             return _PhaseOneStart(decided=decided, point=z0)
 
-        #: Newton-kernel accounting shared by every workspace of this solve
-        #: (phase I and phase II); reset per solve.
-        self._kernel_stats = _kernel_stats()
+        # Newton-kernel accounting shared by every workspace of this solve
+        # (phase I and phase II).
+        kernel = _kernel_stats()
+        # Whether this solve reuses the cached layout (surfaced as the
+        # ``pieces_cache_reused`` stat → SessionStats sparse reuse).
+        layout_reused = problem.kernel_layout is not None
         layout = self._layout(problem)
         z_interior: Optional[np.ndarray] = None
         if interior_point is not None:
@@ -898,7 +942,7 @@ class BarrierSolver:
         fallbacks = [z_interior] if z_interior is not None else []
         with obs_span("phase1") as phase1_span:
             z_feasible, feasibility, phase1 = self._phase_one(
-                problem, layout, z0, fallbacks=fallbacks
+                problem, layout, kernel, z0, fallbacks=fallbacks
             )
             phase1_span.set(
                 skipped=bool(phase1["skipped"]),
@@ -914,7 +958,7 @@ class BarrierSolver:
             "centering_time": 0.0,
         }
         if z_feasible is None:
-            self._attach_kernel_stats(stats, problem)
+            _attach_kernel_stats(stats, problem, kernel, layout_reused)
             self._record_metrics(stats, optimal=False)
             return _PhaseOneStart(
                 decided=Solution(
@@ -929,37 +973,11 @@ class BarrierSolver:
             z=z_feasible,
             z_interior=z_interior,
             stats=stats,
+            kernel=kernel,
+            layout_reused=layout_reused,
         )
 
     # -- telemetry ------------------------------------------------------------
-    def _attach_kernel_stats(
-        self, stats: Dict[str, object], problem: CompiledProblem
-    ) -> None:
-        """Fold this solve's Newton-kernel accounting into its stats dict.
-
-        ``sparse_nnz`` (constraint-matrix nonzeros), ``lstsq_steps`` (Newton
-        directions whose ``k×k`` Cholesky failed and took least squares),
-        the assembly/factorisation/Schur time split and the
-        block-factorisation count are reported for every solve; the
-        dense-step count and the layout reuse flag (``pieces_cache_reused``)
-        only for ``stats["structured"]`` (two or more blocks) solves.
-        """
-        kernel = self._kernel_stats
-        stats["sparse_nnz"] = int(problem.constraint_nnz)
-        stats["lstsq_steps"] = int(kernel["lstsq_steps"])
-        stats["assembly_time"] = float(kernel["assembly_time"])
-        stats["factorization_time"] = float(kernel["factorization_time"])
-        stats["schur_time"] = float(kernel["schur_time"])
-        stats["block_factorizations"] = int(kernel["block_factorizations"])
-        if not stats["structured"]:
-            return
-        # Directions that took the dense step because an arrow
-        # factorisation failed (0 in the common case).
-        stats["structured_fallback_iterations"] = int(
-            kernel["fallback_iterations"]
-        )
-        stats["pieces_cache_reused"] = bool(self._layout_reused)
-
     def _record_metrics(self, stats: Dict[str, object], optimal: bool) -> None:
         """Publish one solve's statistics to the metrics registry.
 
@@ -1027,9 +1045,6 @@ class BarrierSolver:
         re-solves mutate.
         """
         layout = problem.kernel_layout
-        #: whether this solve reused the cached layout (surfaced as the
-        #: ``pieces_cache_reused`` stat → SessionStats sparse reuse)
-        self._layout_reused = layout is not None
         if layout is None:
             layout = problem.kernel_layout = _KernelLayout(problem)
         return layout
@@ -1039,6 +1054,7 @@ class BarrierSolver:
         self,
         problem: CompiledProblem,
         layout: _KernelLayout,
+        kernel: Dict[str, float],
         z0: np.ndarray,
         fallbacks: Sequence[np.ndarray] = (),
     ) -> Tuple[Optional[np.ndarray], float, Dict[str, object]]:
@@ -1050,7 +1066,8 @@ class BarrierSolver:
         kernel as phase II; the relaxation variable ``t`` becomes the
         one-column *border* of the arrow system, since every relaxed
         constraint touches it (in a one-block program it is simply the
-        block's last coordinate).
+        block's last coordinate).  Its workspace adds to the solve's
+        ``kernel`` accounting.
 
         Returns the feasible point (or ``None``), the final
         infeasibility measure, and phase-I statistics (whether the phase was
@@ -1068,24 +1085,20 @@ class BarrierSolver:
         identity ``(p + q + t)² − 4w − (p − q)² = 4·((p + t/2)(q + t/2) − w)``
         makes the two barriers differ by the constant ``log 4`` only.
         """
-        opts = self.options
+        margin = _OPTIONS.feasibility_margin
         needed = self._required_relaxation(problem, z0)
-        if needed < -opts.feasibility_margin:
+        if needed < -margin:
             return z0, needed, {"skipped": True, "newton_iterations": 0}
         for candidate in fallbacks:
             required = self._required_relaxation(problem, candidate)
-            if required < -opts.feasibility_margin:
+            if required < -margin:
                 return candidate, required, {"skipped": True, "newton_iterations": 0}
 
         k = problem.num_variables
         # Keep the phase-I objective bounded below.
         lower_bound = -max(1.0, abs(needed))
         workspace = _StructuredWorkspace(
-            layout.phase_one,
-            problem.h,
-            self.options,
-            self._kernel_stats,
-            lower_bound=lower_bound,
+            layout.phase_one, problem.h, kernel, lower_bound=lower_bound
         )
 
         t0 = needed + max(1.0, 0.1 * abs(needed))
@@ -1095,7 +1108,7 @@ class BarrierSolver:
         # Stop as soon as the point is comfortably interior; a modest negative
         # slack is enough for phase II, and insisting on a large one would
         # never terminate early on problems whose feasible region is thin.
-        target = -max(1e-3, 1e3 * opts.feasibility_margin)
+        target = -max(1e-3, 1e3 * margin)
 
         def early_stop(point: np.ndarray) -> bool:
             return point[-1] < target
@@ -1110,7 +1123,7 @@ class BarrierSolver:
         zt_opt = phase_result.z
         stats = {"skipped": False, "newton_iterations": phase_result.newton}
         t_final = float(zt_opt[-1])
-        if t_final < -opts.feasibility_margin:
+        if t_final < -margin:
             return zt_opt[:-1], t_final, stats
         return None, t_final, stats
 
@@ -1150,7 +1163,7 @@ class BarrierSolver:
         and every rung starts from the previous rung's last accepted point
         and its carried evaluation.
         """
-        opts = self.options
+        opts = _OPTIONS
         tolerance = opts.tolerance if gap_tolerance is None else gap_tolerance
         m = workspace.layout.m
         z = np.asarray(z0, dtype=float).copy()
@@ -1236,7 +1249,7 @@ class BarrierSolver:
         decrement target or stalled in the line search) rather than
         exhausting the iteration budget.
         """
-        opts = self.options
+        opts = _OPTIONS
         for iteration in range(opts.max_newton_iterations):
             grad, direction = workspace.direction(t_barrier * c, states)
             decrement = float(-grad @ direction)
@@ -1261,16 +1274,3 @@ class BarrierSolver:
             if early_stop is not None and early_stop(z):
                 return z, states, phi, iteration + 1, True
         return z, states, phi, opts.max_newton_iterations, False
-
-
-def solve_with_barrier(
-    problem: CompiledProblem,
-    initial_point: Optional[np.ndarray] = None,
-    options: Optional[BarrierOptions] = None,
-    interior_point: Optional[np.ndarray] = None,
-) -> Solution:
-    """Convenience wrapper used by the backend dispatcher."""
-    solver = BarrierSolver(options)
-    return solver.solve(
-        problem, initial_point=initial_point, interior_point=interior_point
-    )

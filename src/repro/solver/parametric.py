@@ -153,8 +153,8 @@ class SessionStats:
     #: solves with two or more blocks (the block + Schur arrow solve) vs
     #: one-block direct solves — the engagement split of the session
     sparse_solves: int = 0
-    #: structured solves that reused the cached per-block factorisation
-    #: pieces (CSR slices, supports) instead of rebuilding them; warm
+    #: structured solves that reused the compiled problem's cached kernel
+    #: layout (row entries and scatter plan) instead of building it; warm
     #: re-solves of an unchanged problem reuse every time
     sparse_pieces_reused: int = 0
     #: per-block matrix factorisations performed by the sparse path, summed
@@ -217,11 +217,9 @@ class SolveSession:
         self,
         parametric: ParametricProblem,
         backend: str = "auto",
-        options: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.parametric = parametric
         self.backend = backend
-        self.options = dict(options or {})
         self.stats = SessionStats(compiles=1)
         self._warm_vector: Optional[np.ndarray] = None
         self._interior_vector: Optional[np.ndarray] = None
@@ -353,7 +351,6 @@ class SolveSession:
                 compiled,
                 backend=self.backend,
                 initial_point=x0,
-                options=self.options,
                 interior_point=self._interior_vector if warmed else None,
             )
             solve_span.set(status=solution.status.value)

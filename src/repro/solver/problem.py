@@ -719,7 +719,6 @@ class ConeProgram:
         self,
         backend: str = "auto",
         initial_point: Optional[Mapping[Variable, float]] = None,
-        **options: object,
     ) -> Solution:
         """Solve the program and return a :class:`Solution`.
 
@@ -732,9 +731,6 @@ class ConeProgram:
             ``"barrier"``, ``"linprog"`` and ``"scipy"`` force a backend.
         initial_point:
             Optional warm-start / strictly feasible hint keyed by variable.
-        options:
-            :class:`~repro.solver.barrier.BarrierOptions` fields; an unknown
-            key raises :class:`~repro.exceptions.FormulationError`.
         """
         from repro.solver import backends
 
@@ -742,7 +738,7 @@ class ConeProgram:
             compiled = self.compile()
         with obs_span("solve", program=self.name, backend=backend) as solve_span:
             solution = backends.solve_compiled(
-                compiled, backend=backend, initial_point=initial_point, options=dict(options)
+                compiled, backend=backend, initial_point=initial_point
             )
             solve_span.set(backend_used=solution.backend, status=solution.status.value)
         solution.solve_time = solve_span.seconds
@@ -762,11 +758,11 @@ class ConeProgram:
 
         return ParametricProblem(self)
 
-    def session(self, backend: str = "auto", **options: object) -> "SolveSession":  # noqa: F821
-        """Shorthand for ``SolveSession(self.parametric(), backend, options)``."""
+    def session(self, backend: str = "auto") -> "SolveSession":  # noqa: F821
+        """Shorthand for ``SolveSession(self.parametric(), backend)``."""
         from repro.solver.parametric import SolveSession
 
-        return SolveSession(self.parametric(), backend=backend, options=options)
+        return SolveSession(self.parametric(), backend=backend)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

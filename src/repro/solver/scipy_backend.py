@@ -24,6 +24,8 @@ from repro.solver.problem import CompiledProblem
 from repro.solver.result import Solution, SolverStatus
 
 _FEASIBILITY_TOLERANCE = 1e-6
+#: SLSQP's iteration cap.
+_MAX_ITERATIONS = 500
 
 
 def _initial_guess(problem: CompiledProblem, initial_point: Optional[np.ndarray]) -> np.ndarray:
@@ -72,10 +74,8 @@ def _build_constraints(problem: CompiledProblem) -> List[dict]:
 def solve_with_scipy(
     problem: CompiledProblem,
     initial_point: Optional[np.ndarray] = None,
-    method: str = "SLSQP",
-    max_iterations: int = 500,
 ) -> Solution:
-    """Solve a compiled problem with a scipy general-purpose NLP method."""
+    """Solve a compiled problem with scipy's SLSQP."""
     if problem.num_variables == 0:
         return problem.constant_solution("scipy")
 
@@ -87,8 +87,8 @@ def solve_with_scipy(
         x0=x0,
         jac=lambda x: problem.c,
         constraints=constraints,
-        method=method,
-        options={"maxiter": max_iterations, "ftol": 1e-10},
+        method="SLSQP",
+        options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-10},
     )
 
     x = np.asarray(result.x, dtype=float)

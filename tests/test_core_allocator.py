@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import AllocationError, InfeasibleProblemError
 from repro.core import (
     AllocatorOptions,
     JointAllocator,
@@ -12,8 +12,9 @@ from repro.core import (
     allocate,
     verify_mapping,
 )
+from repro.core.validation import VerificationReport
 from repro.baselines.budget_minimization import producer_consumer_minimum_budget
-from repro.taskgraph import MappedConfiguration
+from repro.taskgraph import MappedConfiguration, Workload
 from repro.taskgraph.generators import (
     chain_configuration,
     fork_join_configuration,
@@ -138,6 +139,44 @@ class TestInfeasibilityAndErrors:
         mapped.budgets["wa"] = 1.0
         report = allocator.verify(mapped)
         assert not report.is_valid
+
+    @staticmethod
+    def _failing_verifier(monkeypatch):
+        """Make every mapping fail verification with one known issue."""
+        import repro.core.allocator as allocator_module
+
+        def verify_mapping(mapped, **_options):
+            report = VerificationReport()
+            report.add_issue("injected verification issue")
+            return report
+
+        monkeypatch.setattr(allocator_module, "verify_mapping", verify_mapping)
+
+    def test_allocate_raises_when_the_rounded_mapping_fails_verification(
+        self, monkeypatch
+    ):
+        self._failing_verifier(monkeypatch)
+        with pytest.raises(AllocationError) as error:
+            JointAllocator().allocate(producer_consumer_configuration(max_capacity=4))
+        message = str(error.value)
+        assert "the rounded mapping failed verification" in message
+        assert "mapping verification found 1 issue(s)" in message
+        assert "injected verification issue" in message
+
+    def test_allocate_workload_raises_when_the_rounded_mapping_fails_verification(
+        self, monkeypatch
+    ):
+        self._failing_verifier(monkeypatch)
+        workload = Workload(chain_configuration(stages=2).platform, name="duo")
+        workload.add_application("video", chain_configuration(stages=2))
+        workload.add_application("audio", chain_configuration(stages=2, period=20.0))
+        with pytest.raises(AllocationError) as error:
+            JointAllocator().allocate_workload(workload)
+        message = str(error.value)
+        assert "the rounded workload mapping failed verification" in message
+        assert "mapping verification found 2 issue(s)" in message
+        assert "application 'video': injected verification issue" in message
+        assert "application 'audio': injected verification issue" in message
 
     def test_allocator_options_disable_verification(self):
         config = producer_consumer_configuration(max_capacity=4)

@@ -538,19 +538,25 @@ class TestSolverTelemetry:
         assert captured.metrics["solver.solves"]["value"] == 1.0
         assert captured.metrics["solver.newton_iterations"]["count"] == 1
 
-    def test_rung_spans_report_convergence(self):
+    def test_rung_spans_report_convergence(self, monkeypatch):
         """Every rung span says whether its centering converged, and the
         registry counts the phase-II rungs that exhausted the Newton budget."""
+        import dataclasses
+
         from repro.core.formulation import SocpFormulation
+        from repro.solver import barrier
         from repro.solver.backends import solve_compiled
         from repro.taskgraph.generators import chain_configuration
 
         compiled = SocpFormulation(chain_configuration(stages=3)).build().compile()
         with obs.capture() as captured:
             solve_compiled(compiled, backend="barrier")
-            capped = solve_compiled(
-                compiled, backend="barrier", options={"max_newton_iterations": 2}
+            monkeypatch.setattr(
+                barrier,
+                "_OPTIONS",
+                dataclasses.replace(barrier._OPTIONS, max_newton_iterations=2),
             )
+            capped = solve_compiled(compiled, backend="barrier")
 
         rungs, centering_flags = [], []
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from program_rows import hyperbolic, le, minimize
 from repro.exceptions import FormulationError
-from repro.solver import ConeProgram, SolverStatus
+from repro.solver import ConeProgram, SolverStatus, barrier
 from repro.solver.backends import solve_compiled
 from repro.solver.linprog_backend import solve_with_linprog
 from repro.solver.scipy_backend import solve_with_scipy
@@ -114,12 +116,15 @@ class TestAutoDispatch:
         assert solution.is_optimal
         assert solution.backend == "barrier"
 
-    def test_auto_falls_back_to_scipy_when_the_barrier_stops_early(self):
+    def test_auto_falls_back_to_scipy_when_the_barrier_stops_early(self, monkeypatch):
         """One barrier rung cannot reach OPTIMAL, so ``auto`` changes the
         method: scipy answers, on the same optimum as the default solve."""
         program = _hyperbolic_program()
         default = program.solve(backend="auto")
-        solution = program.solve(backend="auto", max_outer_iterations=1)
+        monkeypatch.setattr(
+            barrier, "_OPTIONS", dataclasses.replace(barrier._OPTIONS, max_outer_iterations=1)
+        )
+        solution = program.solve(backend="auto")
         assert solution.backend == "scipy"
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.objective == pytest.approx(default.objective, abs=1e-6)
@@ -138,13 +143,13 @@ class TestAutoDispatch:
 
     @pytest.mark.parametrize("backend", ["auto", "barrier", "scipy"])
     def test_unknown_option_rejected(self, backend):
-        # Unknown keys used to be dropped silently, so a stale option such as
-        # a removed solve mode's worker count quietly ran the default solve.
+        # A solve takes no tuning keywords: a stale option such as a removed
+        # solve mode's worker count is rejected, never silently dropped.
         from repro.core.formulation import SocpFormulation
         from repro.taskgraph.generators import chain_configuration
 
         formulation = SocpFormulation(chain_configuration(stages=2))
-        with pytest.raises(FormulationError, match="workers"):
+        with pytest.raises(TypeError, match="workers"):
             formulation.solve(backend=backend, workers=4)
 
     def test_solve_records_time(self):

@@ -12,14 +12,13 @@ import math
 import pytest
 
 from program_rows import ge, hyperbolic, le, minimize
-from repro.solver import BarrierOptions, BarrierSolver, ConeProgram, SolverStatus
-from repro.solver.barrier import solve_with_barrier
+from repro.solver import BarrierSolver, ConeProgram, SolverStatus
 
 
-def _solve(program, initial_point=None, **options):
+def _solve(program, initial_point=None):
     compiled = program.compile()
     x0 = compiled.vector_from_mapping(initial_point) if initial_point else None
-    return solve_with_barrier(compiled, initial_point=x0, options=BarrierOptions(**options))
+    return BarrierSolver().solve(compiled, initial_point=x0)
 
 
 class TestLinearProgramsViaBarrier:
@@ -156,15 +155,9 @@ class TestWarmStartAndOptions:
         assert solution.is_optimal
         assert solution.objective == pytest.approx(4.0, rel=1e-3)
 
-    def test_option_overrides_are_applied(self):
-        options = BarrierOptions(max_outer_iterations=2, tolerance=1e-2)
-        assert options.max_outer_iterations == 2
-        solver = BarrierSolver(options)
-        assert solver.options.tolerance == pytest.approx(1e-2)
-
     def test_empty_problem(self):
         program = ConeProgram()
         compiled = program.compile()
-        solution = solve_with_barrier(compiled)
+        solution = BarrierSolver().solve(compiled)
         assert solution.is_optimal
         assert solution.values == {}

@@ -371,7 +371,6 @@ def new_workspace(phase_layout, compiled, lower_bound=0.0):
     return barrier._StructuredWorkspace(
         phase_layout,
         compiled.h,
-        barrier.BarrierOptions(),
         barrier._kernel_stats(),
         lower_bound=lower_bound,
     )
@@ -403,7 +402,7 @@ def assert_kernel_matches_reference(compiled, workspace, z, lower_bound):
     grad_objective = np.random.default_rng(0).standard_normal(k)
     g_s, d_s = workspace.direction(grad_objective, workspace.evaluate(z)[0])
     g_ref = grad_ref + grad_objective
-    reg = workspace.options.regularization * (1.0 + np.trace(hess_ref) / k)
+    reg = barrier._OPTIONS.regularization * (1.0 + np.trace(hess_ref) / k)
     h_ref = hess_ref + reg * np.eye(k)
     assert workspace.stats["lstsq_steps"] == 0
     assert workspace.stats["fallback_iterations"] == 0
@@ -628,7 +627,7 @@ class TestScatterAssembly:
             g_kernel, direction = workspace.direction(
                 grad_objective, workspace.evaluate(point)[0]
             )
-            reg = workspace.options.regularization * (1.0 + np.trace(hess_ref) / k)
+            reg = barrier._OPTIONS.regularization * (1.0 + np.trace(hess_ref) / k)
             expected = -np.linalg.solve(hess_ref + reg * np.eye(k), grad_ref + grad_objective)
             assert relative(g_kernel, grad_ref + grad_objective) <= 1e-12
             assert relative(direction, expected) <= 1e-12
@@ -832,7 +831,7 @@ class TestNaturalFactorisationFailure:
 
         _, g_ref, h_ref = barrier_reference(compiled, z)
         g_ref = g_ref + grad_objective
-        reg = workspace.options.regularization * (1.0 + np.trace(h_ref) / k)
+        reg = barrier._OPTIONS.regularization * (1.0 + np.trace(h_ref) / k)
         h_ref = h_ref + reg * np.eye(k)
         assert np.linalg.eigvalsh(h_ref).min() > 0.0
         assert relative(grad, g_ref) <= 1e-12

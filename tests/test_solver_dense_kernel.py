@@ -43,7 +43,6 @@ def kernel_setup(compiled):
     workspace = barrier._StructuredWorkspace(
         solver._layout(compiled).phase_two,
         compiled.h,
-        solver.options,
         barrier._kernel_stats(),
     )
     return solver, workspace, compiled.c, solution.interior_point, compiled
@@ -81,7 +80,7 @@ def reference_system(compiled, workspace, z, grad_objective, lower_bound=None):
     reference = barrier_reference(compiled, z, lower_bound)
     assert reference is not None
     _, grad, hess = reference
-    scale = workspace.options.regularization * (1.0 + np.trace(hess) / workspace.k)
+    scale = barrier._OPTIONS.regularization * (1.0 + np.trace(hess) / workspace.k)
     return grad + grad_objective, hess + scale * np.eye(workspace.k)
 
 
@@ -224,7 +223,6 @@ class TestDenseStep:
         phase_one = barrier._StructuredWorkspace(
             solver._layout(compiled).phase_one,
             compiled.h,
-            solver.options,
             barrier._kernel_stats(),
             lower_bound=lower_bound,
         )

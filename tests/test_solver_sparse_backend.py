@@ -26,7 +26,6 @@ import pytest
 from repro import obs
 from repro.core import AllocatorOptions, JointAllocator
 from repro.core.formulation import WorkloadSocpFormulation
-from repro.exceptions import FormulationError
 from repro.solver.backends import solve_compiled
 from repro.solver.barrier import _StructuredWorkspace
 from repro.taskgraph import ConfigurationBuilder, Workload
@@ -171,16 +170,6 @@ class TestSparseTelemetry:
         as_dict = stats.as_dict()
         assert as_dict["sparse_solves"] == 3
         assert as_dict["sparse_pieces_reused"] == 2
-
-
-class TestRetiredOptions:
-    @pytest.mark.parametrize(
-        "option", [{"structured": True}, {"sparse_block_width": 1}]
-    )
-    def test_kernel_options_are_rejected(self, option):
-        """The Newton kernel follows from the input, never from an option."""
-        with pytest.raises(FormulationError, match="unknown solver option"):
-            solve_compiled(compiled_workload(2), backend="barrier", options=option)
 
 
 class TestSparseEdgeCases:

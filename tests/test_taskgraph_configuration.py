@@ -281,6 +281,25 @@ class TestSerialization:
         with pytest.raises(ModelError, match=field):
             repro.allocate(serialization.configuration_from_dict(data))
 
+    def test_overflowing_period_ratio_is_a_model_error(self):
+        """Each duration within bounds, but a tiny period against large
+        replenishment intervals overflows the sufficient capacity bound:
+        a ModelError naming both fields, never a raw OverflowError."""
+        from repro.taskgraph.generators import random_dag_configuration
+
+        data = serialization.configuration_to_dict(
+            random_dag_configuration(4, 2, seed=1)
+        )
+        for graph in data["task_graphs"]:
+            graph["period"] = 1e-250
+            for task in graph["tasks"]:
+                task["wcet"] = 1e-251
+        for processor in data["platform"]["processors"]:
+            processor["replenishment_interval"] = 1e90
+        configuration = serialization.configuration_from_dict(data)
+        with pytest.raises(ModelError, match="period .*replenishment_interval"):
+            repro.allocate(configuration)
+
     def test_mapped_configuration_to_dict_embeds_configuration(self):
         config = _simple_configuration()
         mapped = MappedConfiguration(
