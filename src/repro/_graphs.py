@@ -5,9 +5,7 @@ Results follow ``nodes`` order wherever an order is observable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar
 
 Node = TypeVar("Node", bound=Hashable)
@@ -109,28 +107,37 @@ def repetition_vector(
     ``q(source)·produced = q(target)·consumed`` on a spanning tree of it.
 
     The rates are consistent exactly when that holds on every channel, which
-    callers check so they can name the offending one.
+    callers check so they can name the offending one.  Exact integer
+    arithmetic: each node's ratio to its component's root is a reduced
+    fraction ``(numerator, denominator)``.
     """
-    neighbours: Dict[Node, List[Tuple[Node, Fraction]]] = {node: [] for node in nodes}
+    neighbours: Dict[Node, List[Tuple[Node, int, int]]] = {node: [] for node in nodes}
     for source, target, produced, consumed in channels:
-        neighbours[source].append((target, Fraction(produced, consumed)))
-        neighbours[target].append((source, Fraction(consumed, produced)))
-    ratio: Dict[Node, Fraction] = {}
+        neighbours[source].append((target, produced, consumed))
+        neighbours[target].append((source, consumed, produced))
+    ratio: Dict[Node, Tuple[int, int]] = {}
     counts: Dict[Node, int] = {}
     for root in neighbours:
         if root in ratio:
             continue
-        ratio[root] = Fraction(1)
+        ratio[root] = (1, 1)
         component = [root]
         for node in component:  # breadth-first: the list grows while read
-            for other, factor in neighbours[node]:
-                if other not in ratio:
-                    ratio[other] = ratio[node] * factor
-                    component.append(other)
-        denominators = (ratio[node].denominator for node in component)
-        scale = reduce(lambda a, b: a * b // gcd(a, b), denominators, 1)
-        common = reduce(gcd, (int(ratio[node] * scale) for node in component))
-        counts.update((node, int(ratio[node] * scale) // common) for node in component)
+            numerator, denominator = ratio[node]
+            for other, times, over in neighbours[node]:
+                if other in ratio:
+                    continue
+                if times == over:
+                    ratio[other] = ratio[node]
+                else:
+                    top, bottom = numerator * times, denominator * over
+                    common = gcd(top, bottom)
+                    ratio[other] = (top // common, bottom // common)
+                component.append(other)
+        scale = lcm(*(ratio[node][1] for node in component))
+        scaled = [ratio[node][0] * (scale // ratio[node][1]) for node in component]
+        common = gcd(*scaled)
+        counts.update((node, value // common) for node, value in zip(component, scaled))
     return {node: counts[node] for node in neighbours}
 
 

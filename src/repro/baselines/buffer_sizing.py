@@ -109,7 +109,7 @@ def minimal_buffer_capacities(
             )
             # δ(e) as the joint formulation writes it: cyclo-static space
             # queues carry token_scale·γ + token_offset, not γ − ι.
-            buffer_name, scale, offset = queue_token_terms(queue, graph)
+            buffer_name, scale, offset = queue_token_terms(queue)
             source, target = start_columns[queue.source], start_columns[queue.target]
             first = len(rows.columns)
             if source >= 0 and source != target:

@@ -143,32 +143,23 @@ def effective_capacity_bounds(
 def sufficient_capacity_bound(configuration: Configuration, graph) -> float:
     """A buffer capacity that is always enough for this task graph.
 
-    Any simple cycle of the constructed SRDF graph visits each task's
-    actor pair at most once, and each pair contributes at most
-    ``̺(p) + ̺(p)·χ(w)/β_min(w) = ̺(p) + µ`` to the cycle's duration
-    (using the throughput-implied budget lower bound).  A space queue
-    carrying ``⌈Σ(̺(p) + µ)/µ⌉`` tokens therefore satisfies Constraint (1)
-    on every cycle through it regardless of the other variables, so
-    capping capacities at this value (plus the initial tokens) never cuts
-    off the optimum while keeping the feasible region bounded.
+    Any simple cycle of the constructed SRDF graph visits each firing
+    copy's actor pair at most once.  Task ``w`` has ``q(w)·P(w)`` copies;
+    each adds at most ``̺(p)`` of waiting, and at the throughput-implied
+    budget lower bound their executions together take at most ``µ``.  A
+    space queue carries its tokens in iterations of ``T``, the tokens the
+    buffer moves per graph iteration, so a capacity of
+    ``(⌈Σ(q(w)·P(w)·̺(p) + µ)/µ⌉ + 1)·max T`` satisfies Constraint (1) on
+    every cycle through it regardless of the other variables.  Capping
+    capacities at this value (plus the initial tokens) never cuts off the
+    optimum while keeping the feasible region bounded.  At single rate it
+    is ``⌈Σ(̺(p) + µ)/µ⌉ + 1``.
 
     Raises :class:`~repro.exceptions.ModelError` when the bound overflows a
     float: each duration is bounded, but a tiny ``period`` against large
     ``replenishment_interval`` values is not.
     """
-    if not graph.is_cyclo_static:
-        total = 0.0
-        for task in graph.tasks:
-            processor = configuration.platform.processor(task.processor)
-            total += processor.replenishment_interval + graph.period
-        return _periods_covering(graph, total)
-    # Cyclo-static graphs: every unrolled copy contributes one actor pair to
-    # a simple cycle, and the per-task copies together execute at most
-    # q(w)·ΣP phases per period — the v2 durations still sum to at most µ at
-    # the budget lower bound, while each copy adds one ̺(p) latency term.
-    # Scale by the largest per-iteration token batch so the (tokens/T)-scaled
-    # space queues still dominate every cycle.
-    repetitions = graph.repetitions()
+    repetitions = graph.repetition_vector
     total = 0.0
     for task in graph.tasks:
         processor = configuration.platform.processor(task.processor)
@@ -184,7 +175,7 @@ def sufficient_capacity_bound(configuration: Configuration, graph) -> float:
     return _periods_covering(graph, total, iteration_factor)
 
 
-def _periods_covering(graph, total: float, factor: int = 1) -> float:
+def _periods_covering(graph, total: float, factor: int) -> float:
     """``(⌈total / period⌉ + 1)·factor``, which must be a finite float."""
     ratio = total / graph.period
     if math.isfinite(ratio):
@@ -455,7 +446,7 @@ class FormulationBlock:
                     name = f"e1[{prefix}{queue.name}]"
                 else:
                     columns, coefficients = [lam], [rho_chi]
-                    buffer, scale, offset = queue_token_terms(queue, graph)
+                    buffer, scale, offset = queue_token_terms(queue)
                     coefficient = (scale * period) * -1.0
                     if buffer is not None and coefficient != 0.0:
                         columns.append(self._capacity_columns[buffer])

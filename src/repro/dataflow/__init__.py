@@ -8,24 +8,22 @@ Contents:
 * :mod:`~repro.dataflow.simulation` — self-timed (worst-case) execution.
 * :mod:`~repro.dataflow.monotonicity` — temporal monotonicity checks.
 * :mod:`~repro.dataflow.construction` — the two-actor-per-task construction
-  that models budget schedulers (from the paper's reference [10]).
-* :mod:`~repro.dataflow.sdf` — multi-rate SDF graphs and their expansion to
-  SRDF (the "more dynamic applications" extension the paper names as future
-  work).
+  that models budget schedulers (from the paper's reference [10]), and the
+  one lowering of task graphs to SRDF: multi-rate and cyclo-static task
+  graphs are unrolled into one firing copy per phase and repetition.
 """
 
 from repro._lazy import lazy_exports
 
 #: Every name loads its module on first use: verifying one mapping needs the
-#: construction, MCR and simulation, never SDF expansion, schedules or the
-#: monotonicity checks.
+#: construction, MCR and simulation, never schedules or the monotonicity
+#: checks.
 _EXPORTS = {
     "ActorRole": "repro.dataflow.construction",
     "ActorSpec": "repro.dataflow.construction",
     "QueueKind": "repro.dataflow.construction",
     "QueueSpec": "repro.dataflow.construction",
     "SrdfSpecification": "repro.dataflow.construction",
-    "build_configuration_specifications": "repro.dataflow.construction",
     "build_srdf_specification": "repro.dataflow.construction",
     "finish_actor_name": "repro.dataflow.construction",
     "instantiate_from_configuration": "repro.dataflow.construction",
@@ -46,9 +44,6 @@ _EXPORTS = {
     "PeriodicSchedule": "repro.dataflow.schedule",
     "compute_schedule": "repro.dataflow.schedule",
     "rate_optimal_schedule": "repro.dataflow.schedule",
-    "SDFActor": "repro.dataflow.sdf",
-    "SDFChannel": "repro.dataflow.sdf",
-    "SDFGraph": "repro.dataflow.sdf",
     "SimulationTrace": "repro.dataflow.simulation",
     "measured_period": "repro.dataflow.simulation",
     "meets_period": "repro.dataflow.simulation",

@@ -21,42 +21,39 @@ the classification of queues, independent of the unknowns) and an
 budgets and capacities).  The SOCP formulation iterates over the specification
 to emit constraints, and the validators instantiate it to check the result.
 
-Cyclo-static lowering
----------------------
+Multi-rate and cyclo-static graphs
+----------------------------------
 
-This module is the single lowering point of the model→analysis pipeline: a
-*cyclo-static* task graph (multi-phase tasks and/or non-unit token rates) is
-expanded here into the same single-rate specification the formulation and
-validators consume, so nothing downstream distinguishes the two.  The
-expansion unrolls each task ``w`` into ``R(w) = q(w)·P(w)`` firing copies per
-graph iteration (``q`` the repetition vector, ``P(w)`` the phase count), each
-with its own two-actor component whose execution cost is that copy's phase
-cost:
+This module is the one lowering from task graphs to SRDF.  It unrolls each
+task ``w`` into ``R(w) = q(w)·P(w)`` firing copies per graph iteration (``q``
+the repetition vector, ``P(w)`` the phase count), each with its own
+two-actor component whose execution cost is that copy's phase cost:
 
-* the legacy self-loop generalises to a one-token *serialisation chain*
-  through the copies' ``v2`` actors (copy ``k`` → copy ``k+1``, wrapping with
-  the single token), which reduces exactly to the self-loop at ``R = 1``;
+* the copies' ``v2`` actors form a one-token *serialisation chain* (copy
+  ``k`` → copy ``k+1``, wrapping with the single token);
 * each buffer becomes one *data* edge per consuming copy, whose constant
   token count is read off the integer cumulative production/consumption
-  staircases (reducing to ``ι(b)`` tokens at single-rate), and one *space*
-  edge per producing copy whose token count is **affine in the capacity**:
-  ``(γ(b) − ι(b) + cc − cp) / T`` with ``T`` the tokens moved per iteration
-  and ``cc``/``cp`` the staircase values at the gating copies.  At
-  single-rate this is exactly ``γ(b) − ι(b)``; for true CSDF it is a
-  conservative (throughput-safe) linearisation of the integer staircase.
+  staircases, and one *space* edge per producing copy whose token count is
+  **affine in the capacity**: ``(γ(b) − ι(b) + cc − cp) / T`` with ``T`` the
+  tokens moved per iteration and ``cc``/``cp`` the staircase values at the
+  gating copies.  For true CSDF this is a conservative (throughput-safe)
+  linearisation of the integer staircase.
 
-Non-cyclo-static graphs take the historical code path verbatim, producing
-bit-identical specifications.
+A single-rate graph has one copy per task, and the construction is then
+exactly the paper's: the chain is the self-loop, the data edge carries
+``ι(b)`` tokens and the space edge ``γ(b) − ι(b)``.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro._graphs import undirected_components
-from repro.exceptions import AllocationError, ModelError
+from repro.exceptions import AllocationError
 from repro.dataflow.graph import Actor, Queue, SRDFGraph
 from repro.taskgraph.configuration import Configuration
 from repro.taskgraph.graph import TaskGraph
@@ -107,8 +104,7 @@ class QueueSpec:
     computed buffer capacity (internal queues: 0, self-loops/serialisation
     chains: 0 or 1, data queues: the staircase constant); it is ``None`` for
     SPACE queues, whose token count is affine in the capacity:
-    ``token_scale·γ(b) + offset``, where ``offset`` is ``token_offset`` when
-    set and ``−ι(b)`` otherwise (the historical single-rate case).
+    ``token_scale·γ(b) + token_offset`` (``γ(b) − ι(b)`` at single rate).
     """
 
     name: str
@@ -144,15 +140,6 @@ def finish_actor_name(task_name: str) -> str:
     return f"{task_name}.v2"
 
 
-def copy_name(task_name: str, copy: int, copies: int) -> str:
-    """Base name of one unrolled firing copy of a cyclo-static task.
-
-    The single-copy case keeps the bare task name, so a trivially-expanded
-    graph produces the same actor names as the legacy construction.
-    """
-    return task_name if copies == 1 else f"{task_name}#{copy}"
-
-
 @dataclass
 class SrdfSpecification:
     """Topology of the SRDF graph derived from one task graph."""
@@ -173,14 +160,6 @@ class SrdfSpecification:
     def queues_of_kind(self, kind: QueueKind) -> List[QueueSpec]:
         return [queue for queue in self.queues if queue.kind is kind]
 
-    def queue_for_buffer(self, buffer_name: str, kind: QueueKind) -> QueueSpec:
-        for queue in self.queues:
-            if queue.buffer == buffer_name and queue.kind is kind:
-                return queue
-        raise ModelError(
-            f"no {kind.value} queue for buffer {buffer_name!r} in the specification"
-        )
-
     def queues_for_buffer(
         self, buffer_name: str, kind: QueueKind
     ) -> List[QueueSpec]:
@@ -195,234 +174,83 @@ class SrdfSpecification:
 def build_srdf_specification(graph: TaskGraph) -> SrdfSpecification:
     """Derive the SRDF topology of a task graph (Section II-C).
 
-    Cyclo-static graphs are phase-unrolled through
-    :func:`_build_cyclo_static_specification`; single-rate graphs take the
-    historical construction verbatim.
-    """
-    if graph.is_cyclo_static:
-        return _build_cyclo_static_specification(graph)
-    actors: List[ActorSpec] = []
-    queues: List[QueueSpec] = []
-
-    for task in graph.tasks:
-        v1 = start_actor_name(task.name)
-        v2 = finish_actor_name(task.name)
-        actors.append(ActorSpec(name=v1, task=task.name, role=ActorRole.START))
-        actors.append(ActorSpec(name=v2, task=task.name, role=ActorRole.FINISH))
-        queues.append(
-            QueueSpec(
-                name=f"{task.name}.internal",
-                source=v1,
-                target=v2,
-                kind=QueueKind.TASK_INTERNAL,
-                source_task=task.name,
-                source_role=ActorRole.START,
-                fixed_tokens=0,
-            )
-        )
-        queues.append(
-            QueueSpec(
-                name=f"{task.name}.self",
-                source=v2,
-                target=v2,
-                kind=QueueKind.SELF_LOOP,
-                source_task=task.name,
-                source_role=ActorRole.FINISH,
-                fixed_tokens=1,
-            )
-        )
-
-    for buffer in graph.buffers:
-        producer_finish = finish_actor_name(buffer.source)
-        consumer_start = start_actor_name(buffer.target)
-        consumer_finish = finish_actor_name(buffer.target)
-        producer_start = start_actor_name(buffer.source)
-        queues.append(
-            QueueSpec(
-                name=f"{buffer.name}.data",
-                source=producer_finish,
-                target=consumer_start,
-                kind=QueueKind.DATA,
-                source_task=buffer.source,
-                source_role=ActorRole.FINISH,
-                buffer=buffer.name,
-                fixed_tokens=buffer.initial_tokens,
-            )
-        )
-        queues.append(
-            QueueSpec(
-                name=f"{buffer.name}.space",
-                source=consumer_finish,
-                target=producer_start,
-                kind=QueueKind.SPACE,
-                source_task=buffer.target,
-                source_role=ActorRole.FINISH,
-                buffer=buffer.name,
-                fixed_tokens=None,
-            )
-        )
-
-    return SrdfSpecification(
-        graph_name=graph.name, period=graph.period, actors=actors, queues=queues
-    )
-
-
-def _phase_rates(
-    rates: Optional[Sequence[int]], phase_count: int, copies: int
-) -> List[int]:
-    """Per-copy token rates over one graph iteration (default: 1 per firing)."""
-    if rates is None:
-        return [1] * copies
-    return [rates[k % phase_count] for k in range(copies)]
-
-
-def _cumulative(values: Sequence[int]) -> List[int]:
-    """Cumulative-sum staircase: ``out[k] = sum(values[:k])``."""
-    out = [0]
-    for value in values:
-        out.append(out[-1] + value)
-    return out
-
-
-def _first_reaching(staircase: Sequence[int], needed: int) -> int:
-    """Smallest ``k`` with ``staircase[k] ≥ needed`` (``needed ≥ 1``)."""
-    for k, value in enumerate(staircase):
-        if value >= needed:
-            return k
-    raise ModelError(
-        f"internal lowering error: staircase {list(staircase)} never reaches "
-        f"{needed}"
-    )
-
-
-def _check_rate_lengths(graph: TaskGraph) -> None:
-    """Reject rate profiles whose length disagrees with the task's phases."""
-    for buffer in graph.buffers:
-        source = graph.task(buffer.source)
-        target = graph.task(buffer.target)
-        if (
-            buffer.production_rates is not None
-            and len(buffer.production_rates) != source.phase_count
-        ):
-            raise ModelError(
-                f"buffer {buffer.name!r}: production rates have "
-                f"{len(buffer.production_rates)} entries but task "
-                f"{source.name!r} has {source.phase_count} phase(s)"
-            )
-        if (
-            buffer.consumption_rates is not None
-            and len(buffer.consumption_rates) != target.phase_count
-        ):
-            raise ModelError(
-                f"buffer {buffer.name!r}: consumption rates have "
-                f"{len(buffer.consumption_rates)} entries but task "
-                f"{target.name!r} has {target.phase_count} phase(s)"
-            )
-
-
-def _build_cyclo_static_specification(graph: TaskGraph) -> SrdfSpecification:
-    """Phase-unroll a cyclo-static task graph into a single-rate specification.
-
     Task ``w`` becomes ``R(w) = q(w)·P(w)`` two-actor components (one per
     firing of one graph iteration); the period µ then bounds the time of one
     *iteration* — every unrolled actor fires once per µ.  See the module
     docstring for the data/space edge construction.
     """
-    _check_rate_lengths(graph)
-    repetitions = graph.repetitions()
-
+    repetitions = graph.repetition_vector
     actors: List[ActorSpec] = []
     queues: List[QueueSpec] = []
-    copies_of: Dict[str, int] = {}
+    start, finish = ActorRole.START, ActorRole.FINISH
+    # Specs are built with positional arguments, in field order: passing
+    # QueueSpec's optional fields by keyword costs ~8 % of the lowering.
+    #: per task: its copies' v1 names, v2 names and phases (``None`` for a
+    #: single-phase task)
+    copies_of: Dict[str, Tuple[List[str], List[str], List[Optional[int]]]] = {}
 
     for task in graph.tasks:
-        copies = repetitions[task.name] * task.phase_count
-        copies_of[task.name] = copies
+        name = task.name
         phase_count = task.phase_count
-        for k in range(copies):
-            base = copy_name(task.name, k, copies)
-            phase = k % phase_count if phase_count > 1 else None
-            actors.append(
-                ActorSpec(
-                    name=f"{base}.v1",
-                    task=task.name,
-                    role=ActorRole.START,
-                    phase=phase,
-                )
-            )
-            actors.append(
-                ActorSpec(
-                    name=f"{base}.v2",
-                    task=task.name,
-                    role=ActorRole.FINISH,
-                    phase=phase,
-                )
-            )
+        copies = repetitions[name] * phase_count
+        bases = [name] if copies == 1 else [f"{name}#{k}" for k in range(copies)]
+        starts = [start_actor_name(base) for base in bases]
+        finishes = [finish_actor_name(base) for base in bases]
+        if phase_count == 1:
+            phases: List[Optional[int]] = [None] * copies
+        else:
+            phases = [k % phase_count for k in range(copies)]
+        copies_of[name] = (starts, finishes, phases)
+        for base, v1, v2, phase in zip(bases, starts, finishes, phases):
+            actors.append(ActorSpec(v1, name, start, phase))
+            actors.append(ActorSpec(v2, name, finish, phase))
             queues.append(
                 QueueSpec(
-                    name=f"{base}.internal",
-                    source=f"{base}.v1",
-                    target=f"{base}.v2",
-                    kind=QueueKind.TASK_INTERNAL,
-                    source_task=task.name,
-                    source_role=ActorRole.START,
-                    fixed_tokens=0,
-                    source_phase=phase,
+                    f"{base}.internal", v1, v2, QueueKind.TASK_INTERNAL, name, start,
+                    None, 0, phase,
                 )
             )
         # Serialisation chain through the copies' v2 actors: one token
         # circulates, so the copies execute in phase order and exactly one
-        # iteration of the task is in flight — the legacy self-loop at R=1.
+        # iteration of the task is in flight — the self-loop at R = 1.
+        if copies == 1:
+            chain = [f"{name}.self"]
+        else:
+            chain = [f"{name}.seq{k}" for k in range(copies)]
         for k in range(copies):
-            successor = (k + 1) % copies
-            source_base = copy_name(task.name, k, copies)
-            target_base = copy_name(task.name, successor, copies)
             queues.append(
                 QueueSpec(
-                    name=(
-                        f"{task.name}.self"
-                        if copies == 1
-                        else f"{task.name}.seq{k}"
-                    ),
-                    source=f"{source_base}.v2",
-                    target=f"{target_base}.v2",
-                    kind=QueueKind.SELF_LOOP,
-                    source_task=task.name,
-                    source_role=ActorRole.FINISH,
-                    fixed_tokens=1 if k == copies - 1 else 0,
-                    source_phase=k % phase_count if phase_count > 1 else None,
+                    chain[k], finishes[k], finishes[(k + 1) % copies], QueueKind.SELF_LOOP,
+                    name, finish, None, 1 if k == copies - 1 else 0, phases[k],
                 )
             )
 
     for buffer in graph.buffers:
-        source = graph.task(buffer.source)
-        target = graph.task(buffer.target)
-        producer_copies = copies_of[buffer.source]
-        consumer_copies = copies_of[buffer.target]
-        production = _phase_rates(
-            buffer.production_rates, source.phase_count, producer_copies
-        )
-        consumption = _phase_rates(
-            buffer.consumption_rates, target.phase_count, consumer_copies
-        )
-        produced = _cumulative(production)   # cp: producer staircase
-        consumed = _cumulative(consumption)  # cc: consumer staircase
+        producer_starts, producer_finishes, producer_phases = copies_of[buffer.source]
+        consumer_starts, consumer_finishes, consumer_phases = copies_of[buffer.target]
+        producers, consumers = len(producer_starts), len(consumer_starts)
+        production = buffer.production_rates or (1,)
+        production *= producers // len(production)
+        consumption = buffer.consumption_rates or (1,)
+        consumption *= consumers // len(consumption)
+        produced = list(accumulate(production, initial=0))  # cp staircase
+        consumed = list(accumulate(consumption, initial=0))  # cc staircase
+        # T: both staircases end at it, as the repetition vector balances
+        # every buffer.
         iteration_tokens = produced[-1]
-        if iteration_tokens != consumed[-1]:
-            raise ModelError(
-                f"buffer {buffer.name!r}: repetition-scaled production "
-                f"{iteration_tokens} and consumption {consumed[-1]} disagree"
-            )
         initial = buffer.initial_tokens
+        data = f"{buffer.name}.data"
+        space = f"{buffer.name}.space"
 
         # Data edges: consumer copy l needs cc[l+1] − ι cumulative tokens;
         # the producer firing releasing them is found on the (periodically
         # extended) production staircase.  Its iteration offset becomes the
-        # edge's constant token count — exactly ι at single-rate.
-        for l in range(consumer_copies):
-            if consumption[l] == 0:
+        # edge's constant token count — exactly ι at single rate.
+        for l, rate in enumerate(consumption):
+            if rate == 0:
                 continue
             needed = consumed[l + 1] - initial
+            lead = 0
             if needed <= 0:
                 # Served by initial tokens in iteration 0; in steady state
                 # the dependency is on production `lead` iterations back.
@@ -430,86 +258,40 @@ def _build_cyclo_static_specification(graph: TaskGraph) -> SrdfSpecification:
                 # (0, T] and read the copy off the one-period staircase.
                 lead = 1 + (-needed) // iteration_tokens
                 needed += lead * iteration_tokens
-            else:
-                lead = 0
-            producer_index = _first_reaching(produced, needed) - 1
-            delta = lead
-            source_base = copy_name(buffer.source, producer_index, producer_copies)
-            target_base = copy_name(buffer.target, l, consumer_copies)
+            producer = bisect_left(produced, needed) - 1
             queues.append(
                 QueueSpec(
-                    name=(
-                        f"{buffer.name}.data"
-                        if consumer_copies == 1
-                        else f"{buffer.name}.data{l}"
-                    ),
-                    source=f"{source_base}.v2",
-                    target=f"{target_base}.v1",
-                    kind=QueueKind.DATA,
-                    source_task=buffer.source,
-                    source_role=ActorRole.FINISH,
-                    buffer=buffer.name,
-                    fixed_tokens=delta,
-                    source_phase=(
-                        producer_index % source.phase_count
-                        if source.phase_count > 1
-                        else None
-                    ),
+                    data if consumers == 1 else f"{data}{l}",
+                    producer_finishes[producer], consumer_starts[l], QueueKind.DATA,
+                    buffer.source, finish, buffer.name, lead, producer_phases[producer],
                 )
             )
 
         # Space edges: producer copy k needs cc to reach cp[k+1] + ι − γ.
         # The gating consumer copy is the first whose staircase covers
         # cp[k+1]; the capacity-dependent iteration offset
-        # (γ − ι + cc[l+1] − cp[k+1]) / T is affine in γ and reduces to the
-        # legacy γ − ι at single-rate.  For true CSDF it is a conservative
-        # linearisation: the modelled producer waits for a consumer firing
-        # no earlier than the one that really frees its space.
-        for k in range(producer_copies):
-            if production[k] == 0:
+        # (γ − ι + cc[l+1] − cp[k+1]) / T is affine in γ and is γ − ι at
+        # single rate.  For true CSDF it is a conservative linearisation:
+        # the modelled producer waits for a consumer firing no earlier than
+        # the one that really frees its space.
+        scale = 1.0 / iteration_tokens
+        for k, rate in enumerate(production):
+            if rate == 0:
                 continue
-            gating = _first_reaching(consumed, produced[k + 1]) - 1
-            scale = 1.0 / iteration_tokens
-            offset = (consumed[gating + 1] - produced[k + 1] - initial) * scale
-            source_base = copy_name(buffer.target, gating, consumer_copies)
-            target_base = copy_name(buffer.source, k, producer_copies)
+            gating = bisect_left(consumed, produced[k + 1]) - 1
+            offset = consumed[gating + 1] - produced[k + 1] - initial
             queues.append(
                 QueueSpec(
-                    name=(
-                        f"{buffer.name}.space"
-                        if producer_copies == 1
-                        else f"{buffer.name}.space{k}"
-                    ),
-                    source=f"{source_base}.v2",
-                    target=f"{target_base}.v1",
-                    kind=QueueKind.SPACE,
-                    source_task=buffer.target,
-                    source_role=ActorRole.FINISH,
-                    buffer=buffer.name,
-                    fixed_tokens=None,
-                    source_phase=(
-                        gating % target.phase_count
-                        if target.phase_count > 1
-                        else None
-                    ),
-                    token_scale=scale,
-                    token_offset=offset,
+                    space if producers == 1 else f"{space}{k}",
+                    consumer_finishes[gating], producer_starts[k], QueueKind.SPACE,
+                    buffer.target, finish, buffer.name, None, consumer_phases[gating],
+                    scale, offset * scale,
                 )
             )
 
     return SrdfSpecification(
         graph_name=graph.name, period=graph.period, actors=actors, queues=queues
     )
-
-
-def build_configuration_specifications(
-    configuration: Configuration,
-) -> Dict[str, SrdfSpecification]:
-    """Build one SRDF specification per task graph of a configuration."""
-    return {
-        graph.name: build_srdf_specification(graph)
-        for graph in configuration.task_graphs
-    }
 
 
 def actor_firing_duration(
@@ -560,30 +342,25 @@ def task_actor_duration(
     )
 
 
-def queue_token_terms(
-    queue: QueueSpec, graph: TaskGraph
-) -> Tuple[Optional[str], float, float]:
+def queue_token_terms(queue: QueueSpec) -> Tuple[Optional[str], float, float]:
     """The token count ``δ(e)`` of a queue as ``(buffer, scale, offset)``:
     ``δ(e) = scale·γ(buffer) + offset``.
 
     The one definition of ``δ(e)`` in terms of the capacity variable, shared
     by the joint formulation (Constraint (7)) and the fixed-budget
     buffer-sizing LP.  A queue whose tokens do not depend on a capacity has
-    no buffer and scale 0; a single-rate space queue carries ``γ(b) − ι(b)``
-    and a cyclo-static one ``token_scale·γ(b) + token_offset``.
+    no buffer and scale 0; a space queue carries
+    ``token_scale·γ(b) + token_offset``.
     """
     if queue.fixed_tokens is not None:
         return None, 0.0, float(queue.fixed_tokens)
-    buffer = graph.buffer(queue.buffer)  # type: ignore[arg-type]
-    if queue.token_offset is None:
-        return buffer.name, 1.0, -float(buffer.initial_tokens)
-    return buffer.name, float(queue.token_scale), float(queue.token_offset)
+    return queue.buffer, float(queue.token_scale), float(queue.token_offset)  # type: ignore[arg-type]
 
 
 def _queue_tokens(
     queue_spec: QueueSpec, graph: TaskGraph, capacities: Mapping[str, int]
 ) -> float:
-    """Concrete token count of one queue (int-valued for fixed/legacy queues)."""
+    """Concrete token count of one queue (an int for capacity-free queues)."""
     if queue_spec.fixed_tokens is not None:
         return queue_spec.fixed_tokens
     buffer = graph.buffer(queue_spec.buffer)  # type: ignore[arg-type]
@@ -595,9 +372,7 @@ def _queue_tokens(
             f"capacity {capacity} of buffer {buffer.name!r} is smaller than "
             f"its number of initially filled containers {buffer.initial_tokens}"
         )
-    if queue_spec.token_offset is None:
-        return capacity - buffer.initial_tokens
-    return queue_spec.token_scale * capacity + queue_spec.token_offset
+    return queue_spec.token_scale * capacity + queue_spec.token_offset  # type: ignore[operator]
 
 
 def instantiate_srdf(

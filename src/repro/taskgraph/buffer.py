@@ -141,14 +141,6 @@ class Buffer:
             )
 
     @property
-    def is_multi_rate(self) -> bool:
-        """Whether any declared rate profile differs from one-per-firing."""
-        return any(
-            rates is not None and (len(rates) > 1 or rates[0] != 1)
-            for rates in (self.production_rates, self.consumption_rates)
-        )
-
-    @property
     def total_production(self) -> int:
         """Containers produced per full source phase cycle (1 if single-rate)."""
         return sum(self.production_rates) if self.production_rates else 1

@@ -9,13 +9,14 @@ task must complete one execution every ``µ(T)`` time units.
 from __future__ import annotations
 
 from math import isfinite
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro._graphs import repetition_vector, undirected_components
 from repro._units import MAX_DURATION
 from repro.exceptions import GraphStructureError, ModelError
 from repro.taskgraph.buffer import Buffer
-from repro.taskgraph.task import Task
+from repro.taskgraph.task import Task, effective_iteration_cycles
 
 
 class TaskGraph:
@@ -56,8 +57,7 @@ class TaskGraph:
         self.period = float(period)
         self._tasks: Dict[str, Task] = {}
         self._buffers: Dict[str, Buffer] = {}
-        self._repetitions: Optional[Dict[str, int]] = None
-        self._cyclo_static: Optional[bool] = None
+        self._repetitions: Optional[Mapping[str, int]] = None
         for task in tasks:
             self.add_task(task)
         for buffer in buffers:
@@ -71,7 +71,6 @@ class TaskGraph:
             )
         self._tasks[task.name] = task
         self._repetitions = None
-        self._cyclo_static = None
         return task
 
     def add_buffer(self, buffer: Buffer) -> Buffer:
@@ -87,7 +86,6 @@ class TaskGraph:
                 )
         self._buffers[buffer.name] = buffer
         self._repetitions = None
-        self._cyclo_static = None
         return buffer
 
     # -- lookup ---------------------------------------------------------------
@@ -173,19 +171,35 @@ class TaskGraph:
 
     # -- cyclo-static structure ---------------------------------------------------
     @property
-    def is_cyclo_static(self) -> bool:
-        """Whether any task has multiple phases or any buffer non-unit rates.
+    def repetition_vector(self) -> Mapping[str, int]:
+        """The repetition vector ``q`` as a read-only view, without the copy
+        :meth:`repetitions` makes.
 
-        Single-phase, one-token-per-firing graphs — including ones built
-        through the CSDF fields with trivial values — take the legacy
-        single-rate lowering path unchanged.  Cached until the next task or
-        buffer is added (tasks and buffers are immutable).
+        Solved once and cached until the next task or buffer is added (tasks
+        and buffers are immutable).
         """
-        if self._cyclo_static is None:
-            self._cyclo_static = any(
-                task.phase_count > 1 for task in self._tasks.values()
-            ) or any(buffer.is_multi_rate for buffer in self._buffers.values())
-        return self._cyclo_static
+        if self._repetitions is None:
+            tasks = self._tasks
+            channels = []
+            for buffer in self._buffers.values():
+                source, target = tasks[buffer.source], tasks[buffer.target]
+                _check_rate_length(buffer.name, "production", buffer.production_rates, source)
+                _check_rate_length(buffer.name, "consumption", buffer.consumption_rates, target)
+                channels.append(
+                    (source.name, target.name, buffer.total_production, buffer.total_consumption)
+                )
+            repetitions = repetition_vector(tasks, channels)
+            for buffer, (source, target, produced, consumed) in zip(
+                self._buffers.values(), channels
+            ):
+                if repetitions[source] * produced != repetitions[target] * consumed:
+                    raise ModelError(
+                        f"task graph {self.name!r}: inconsistent cyclo-static rates "
+                        f"on buffer {buffer.name!r} ({source!r} -> {target!r}); "
+                        f"no repetition vector exists"
+                    )
+            self._repetitions = MappingProxyType(repetitions)
+        return self._repetitions
 
     def repetitions(self) -> Dict[str, int]:
         """The repetition vector ``q``: phase-cycle iterations per task per graph
@@ -193,9 +207,10 @@ class TaskGraph:
 
         Solved from the balance equations
         ``q(src) * Σ production = q(dst) * Σ consumption`` per buffer, with
-        exact :class:`~fractions.Fraction` arithmetic, normalised to the
-        smallest positive integers per weakly-connected component.  For a
-        single-rate graph every entry is 1.  Raises :class:`ModelError` when
+        exact integer arithmetic, normalised to the smallest positive
+        integers per weakly-connected component.  For a single-rate graph
+        every entry is 1.  Raises :class:`ModelError` when
+        a rate profile's length differs from its task's phase count, or when
         the rates are inconsistent (the graph has no periodic schedule).
 
         The throughput period ``µ(T)`` is interpreted *per graph iteration*:
@@ -203,37 +218,18 @@ class TaskGraph:
         firings) every ``µ`` time units.  For single-rate graphs this is
         exactly the paper's "one execution per period".
         """
-        if self._repetitions is not None:
-            return dict(self._repetitions)
-        buffers = self._buffers.values()
-        repetitions = repetition_vector(
-            self._tasks,
-            ((b.source, b.target, b.total_production, b.total_consumption) for b in buffers),
-        )
-        for buffer in buffers:
-            produced = repetitions[buffer.source] * buffer.total_production
-            if produced != repetitions[buffer.target] * buffer.total_consumption:
-                raise ModelError(
-                    f"task graph {self.name!r}: inconsistent cyclo-static rates "
-                    f"on buffer {buffer.name!r} ({buffer.source!r} -> "
-                    f"{buffer.target!r}); no repetition vector exists"
-                )
-        self._repetitions = repetitions
-        return dict(repetitions)
+        return dict(self.repetition_vector)
 
     def period_cycles(self, task_name: str, processor: object) -> float:
         """Effective execution time a task needs per throughput period.
 
-        One full set of firings per period: ``q(w)`` phase cycles for a
-        cyclo-static graph, a single ``wcet`` otherwise — resolved against
-        the processor's type/speed.  For a plain task on a unit-speed
+        One full set of firings per period: ``q(w)`` phase cycles, resolved
+        against the processor's type/speed.  For a plain task on a unit-speed
         processor this returns exactly ``task.wcet``.
         """
-        from repro.taskgraph.task import effective_iteration_cycles
-
-        task = self.task(task_name)
-        reps = self.repetitions()[task_name] if self.is_cyclo_static else 1
-        return effective_iteration_cycles(task, processor, reps)
+        return effective_iteration_cycles(
+            self.task(task_name), processor, self.repetition_vector[task_name]
+        )
 
     def processors_used(self) -> Tuple[str, ...]:
         """Sorted names of the processors this graph's tasks are bound to."""
@@ -247,4 +243,15 @@ class TaskGraph:
         return (
             f"TaskGraph({self.name!r}, period={self.period}, "
             f"tasks={len(self._tasks)}, buffers={len(self._buffers)})"
+        )
+
+
+def _check_rate_length(
+    buffer_name: str, which: str, rates: Optional[Tuple[int, ...]], task: Task
+) -> None:
+    """Reject a rate profile whose length differs from the task's phase count."""
+    if rates is not None and len(rates) != task.phase_count:
+        raise ModelError(
+            f"buffer {buffer_name!r}: {which} rates have {len(rates)} entries "
+            f"but task {task.name!r} has {task.phase_count} phase(s)"
         )

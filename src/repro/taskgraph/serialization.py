@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping, Sequence, Union
 
 from repro.exceptions import ModelError
 from repro.taskgraph.buffer import Buffer
@@ -170,7 +170,11 @@ def task_from_dict(data: Dict[str, object]) -> Task:
         budget_weight=float(data.get("budget_weight", 1.0)),
         min_budget=_optional_float(data.get("min_budget")),
         max_budget=_optional_float(data.get("max_budget")),
-        phases=tuple(float(p) for p in phases) if phases is not None else None,
+        phases=(
+            tuple(_number(p, "phases") for p in _list(phases, "phases"))
+            if phases is not None
+            else None
+        ),
         cycles_by_type=(
             {str(t): float(c) for t, c in dict(cycles_by_type).items()}
             if cycles_by_type is not None
@@ -193,12 +197,18 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
         min_capacity=_optional_count(data.get("min_capacity"), "min_capacity"),
         max_capacity=_optional_count(data.get("max_capacity"), "max_capacity"),
         production_rates=(
-            tuple(_count(r, "production_rates") for r in production_rates)
+            tuple(
+                _count(r, "production_rates")
+                for r in _list(production_rates, "production_rates")
+            )
             if production_rates is not None
             else None
         ),
         consumption_rates=(
-            tuple(_count(r, "consumption_rates") for r in consumption_rates)
+            tuple(
+                _count(r, "consumption_rates")
+                for r in _list(consumption_rates, "consumption_rates")
+            )
             if consumption_rates is not None
             else None
         ),
@@ -280,15 +290,32 @@ def _optional_float(value: object) -> object:
 def _count(value: object, field: str) -> int:
     """``value`` as an integer count.
 
-    A fractional, NaN or infinite number is a :class:`ModelError` — never
-    truncated by ``int()`` into a different, silently accepted model.
+    Only a number is a count: a bool or a string is a :class:`ModelError`,
+    and so is a fractional, NaN or infinite number — never truncated by
+    ``int()`` into a different, silently accepted model.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{field} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value
-    number = float(value)  # type: ignore[arg-type]
-    if not number.is_integer():
+    if not value.is_integer():
         raise ModelError(f"{field} must be an integer, got {value!r}")
-    return int(number)
+    return int(value)
+
+
+def _number(value: object, field: str) -> float:
+    """``value`` as a float; a bool, a string or ``None`` is a :class:`ModelError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{field} must hold numbers, got {value!r}")
+    return float(value)
+
+
+def _list(value: object, field: str) -> Sequence[object]:
+    """``value`` as a list: a string or a bare number is a :class:`ModelError`,
+    never iterated character by character or rejected by a raw ``TypeError``."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{field} must be a list, got {value!r}")
+    return value
 
 
 def _optional_count(value: object, field: str) -> object:

@@ -32,29 +32,9 @@ def validate_task_graph(graph: TaskGraph, platform: Platform) -> None:
     """Validate one task graph against a platform."""
     if not graph.tasks:
         raise GraphStructureError(f"task graph {graph.name!r} contains no tasks")
-    if graph.is_cyclo_static:
-        for buffer in graph.buffers:
-            source = graph.task(buffer.source)
-            target = graph.task(buffer.target)
-            if (
-                buffer.production_rates is not None
-                and len(buffer.production_rates) != source.phase_count
-            ):
-                raise ModelError(
-                    f"buffer {buffer.name!r}: production rates have "
-                    f"{len(buffer.production_rates)} entries but task "
-                    f"{source.name!r} has {source.phase_count} phase(s)"
-                )
-            if (
-                buffer.consumption_rates is not None
-                and len(buffer.consumption_rates) != target.phase_count
-            ):
-                raise ModelError(
-                    f"buffer {buffer.name!r}: consumption rates have "
-                    f"{len(buffer.consumption_rates)} entries but task "
-                    f"{target.name!r} has {target.phase_count} phase(s)"
-                )
-        graph.repetitions()  # raises ModelError on inconsistent rates
+    # Raises ModelError on rate profiles that disagree with the phases or
+    # with each other.
+    graph.repetition_vector
     for task in graph.tasks:
         if not platform.has_processor(task.processor):
             raise BindingError(

@@ -63,7 +63,6 @@ def _two_phase_chain() -> TaskGraph:
 class TestStructure:
     def test_repetition_vector_of_two_phase_chain(self):
         graph = _two_phase_chain()
-        assert graph.is_cyclo_static
         assert graph.repetitions() == {"a": 1, "b": 1}
 
     def test_repetition_vector_scales_with_rates(self):

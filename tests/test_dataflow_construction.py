@@ -50,8 +50,8 @@ class TestSpecification:
     def test_data_and_space_queue_orientation(self, paper_producer_consumer):
         graph = paper_producer_consumer.task_graphs[0]
         spec = build_srdf_specification(graph)
-        data = spec.queue_for_buffer("bab", QueueKind.DATA)
-        space = spec.queue_for_buffer("bab", QueueKind.SPACE)
+        (data,) = spec.queues_for_buffer("bab", QueueKind.DATA)
+        (space,) = spec.queues_for_buffer("bab", QueueKind.SPACE)
         assert data.source == finish_actor_name("wa")
         assert data.target == start_actor_name("wb")
         assert space.source == finish_actor_name("wb")

@@ -1,122 +1,164 @@
-"""Tests for the multi-rate SDF extension (repetition vectors, SRDF expansion)."""
+"""Multi-rate (SDF) task graphs: repetition vectors and their lowering to SRDF.
+
+A buffer with non-unit token rates makes its tasks fire ``q(w)`` times per
+graph iteration.  :meth:`TaskGraph.repetitions` solves ``q`` from the
+balance equations, and :func:`build_srdf_specification` gives every firing
+its own two-actor copy, with one data queue per consuming copy bound to the
+producing copy that releases its tokens.
+"""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphStructureError, ModelError
+from repro.dataflow.construction import (
+    QueueKind,
+    build_srdf_specification,
+    instantiate_srdf,
+)
 from repro.dataflow.mcr import maximum_cycle_ratio
-from repro.dataflow.sdf import SDFActor, SDFChannel, SDFGraph
 from repro.dataflow.simulation import simulate
+from repro.taskgraph import Buffer, Memory, Platform, Processor, Task, TaskGraph
 
 
-def _downsampler() -> SDFGraph:
-    """A 2:1 down-sampler: src produces 2 tokens, snk consumes 1 per firing."""
-    graph = SDFGraph("downsample")
-    graph.add_actor(SDFActor("src", 1.0))
-    graph.add_actor(SDFActor("snk", 1.0))
-    graph.add_channel(SDFChannel("c", "src", "snk", production_rate=2, consumption_rate=1))
+def _sdf(name, wcets, channels) -> TaskGraph:
+    """Tasks ``{name: wcet}`` on processors ``p1, p2, …`` and buffers
+    ``(name, source, target, production, consumption, initial tokens)``."""
+    graph = TaskGraph(name=name, period=100.0)
+    for index, (task, wcet) in enumerate(wcets.items()):
+        graph.add_task(Task(name=task, wcet=wcet, processor=f"p{index + 1}"))
+    for buffer, source, target, production, consumption, tokens in channels:
+        graph.add_buffer(
+            Buffer(
+                name=buffer,
+                source=source,
+                target=target,
+                memory="m1",
+                initial_tokens=tokens,
+                production_rates=(production,),
+                consumption_rates=(consumption,),
+            )
+        )
     return graph
+
+
+def _downsampler() -> TaskGraph:
+    """A 2:1 down-sampler: src produces 2 tokens, snk consumes 1 per firing."""
+    return _sdf("downsample", {"src": 1.0, "snk": 1.0}, [("c", "src", "snk", 2, 1, 0)])
+
+
+def _instantiate(graph: TaskGraph, capacities):
+    """The graph's SRDF at full budgets: ``v1`` waits 0 and ``v2`` takes ``wcet``."""
+    interval = 4.0
+    platform = Platform(
+        processors=[
+            Processor(name=f"p{index + 1}", replenishment_interval=interval)
+            for index in range(len(graph))
+        ],
+        memories=[Memory(name="m1")],
+    )
+    return instantiate_srdf(
+        build_srdf_specification(graph),
+        graph,
+        platform,
+        {task.name: interval for task in graph.tasks},
+        capacities,
+    )
 
 
 class TestRepetitionVector:
     def test_single_rate_graph(self):
-        graph = SDFGraph("sr")
-        graph.add_actor(SDFActor("a", 1.0))
-        graph.add_actor(SDFActor("b", 1.0))
-        graph.add_channel(SDFChannel("ab", "a", "b", 1, 1))
-        assert graph.repetition_vector() == {"a": 1, "b": 1}
+        graph = _sdf("sr", {"a": 1.0, "b": 1.0}, [("ab", "a", "b", 1, 1, 0)])
+        assert graph.repetitions() == {"a": 1, "b": 1}
 
     def test_downsampler(self):
-        assert _downsampler().repetition_vector() == {"src": 1, "snk": 2}
+        assert _downsampler().repetitions() == {"src": 1, "snk": 2}
 
     def test_three_actor_rates(self):
-        graph = SDFGraph("abc")
-        graph.add_actor(SDFActor("a", 1.0))
-        graph.add_actor(SDFActor("b", 1.0))
-        graph.add_actor(SDFActor("c", 1.0))
-        graph.add_channel(SDFChannel("ab", "a", "b", 3, 2))
-        graph.add_channel(SDFChannel("bc", "b", "c", 1, 2))
-        repetitions = graph.repetition_vector()
+        graph = _sdf(
+            "abc",
+            {"a": 1.0, "b": 1.0, "c": 1.0},
+            [("ab", "a", "b", 3, 2, 0), ("bc", "b", "c", 1, 2, 0)],
+        )
+        repetitions = graph.repetitions()
         assert repetitions == {"a": 4, "b": 6, "c": 3}
         # Balance equations hold.
         assert repetitions["a"] * 3 == repetitions["b"] * 2
         assert repetitions["b"] * 1 == repetitions["c"] * 2
 
     def test_inconsistent_graph_detected(self):
-        graph = SDFGraph("bad")
-        graph.add_actor(SDFActor("a", 1.0))
-        graph.add_actor(SDFActor("b", 1.0))
-        graph.add_channel(SDFChannel("ab", "a", "b", 2, 1))
-        graph.add_channel(SDFChannel("ba", "b", "a", 1, 1, tokens=2))
-        assert not graph.is_consistent()
-        with pytest.raises(GraphStructureError):
-            graph.repetition_vector()
+        graph = _sdf(
+            "bad",
+            {"a": 1.0, "b": 1.0},
+            [("ab", "a", "b", 2, 1, 0), ("ba", "b", "a", 1, 1, 2)],
+        )
+        with pytest.raises(ModelError, match="inconsistent cyclo-static rates"):
+            graph.repetitions()
+        with pytest.raises(ModelError, match="inconsistent cyclo-static rates"):
+            build_srdf_specification(graph)
 
     def test_disconnected_components(self):
-        graph = SDFGraph("two")
-        graph.add_actor(SDFActor("a", 1.0))
-        graph.add_actor(SDFActor("b", 1.0))
-        assert graph.repetition_vector() == {"a": 1, "b": 1}
+        graph = _sdf("two", {"a": 1.0, "b": 1.0}, [])
+        assert graph.repetitions() == {"a": 1, "b": 1}
 
     def test_disconnected_components_are_normalised_separately(self):
-        graph = SDFGraph("two-chains")
-        for name in "abcd":
-            graph.add_actor(SDFActor(name, 1.0))
-        graph.add_channel(SDFChannel("ab", "a", "b", 1, 2))
-        graph.add_channel(SDFChannel("cd", "c", "d", 1, 3))
-        assert graph.repetition_vector() == {"a": 2, "b": 1, "c": 3, "d": 1}
+        graph = _sdf(
+            "two-chains",
+            dict.fromkeys("abcd", 1.0),
+            [("ab", "a", "b", 1, 2, 0), ("cd", "c", "d", 1, 3, 0)],
+        )
+        assert graph.repetitions() == {"a": 2, "b": 1, "c": 3, "d": 1}
 
     def test_empty_graph(self):
-        assert SDFGraph("empty").repetition_vector() == {}
+        assert TaskGraph(name="empty", period=1.0).repetitions() == {}
 
     def test_validation_of_inputs(self):
         with pytest.raises(ModelError):
-            SDFActor("", 1.0)
-        with pytest.raises(ModelError):
-            SDFChannel("c", "a", "b", 0, 1)
-        graph = SDFGraph("g")
-        graph.add_actor(SDFActor("a", 1.0))
+            Task(name="", wcet=1.0, processor="p1")
+        with pytest.raises(ModelError, match="must not all be zero"):
+            Buffer(name="c", source="a", target="b", memory="m1", production_rates=(0,))
+        graph = _sdf("g", {"a": 1.0}, [])
         with pytest.raises(GraphStructureError):
-            graph.add_channel(SDFChannel("c", "a", "zzz", 1, 1))
+            graph.add_buffer(Buffer(name="c", source="a", target="zzz", memory="m1"))
 
 
 class TestSrdfExpansion:
     def test_actor_copies_match_repetition_vector(self):
-        srdf = _downsampler().to_srdf()
-        names = set(srdf.actor_names)
-        assert names == {"src#0", "snk#0", "snk#1"}
+        specification = build_srdf_specification(_downsampler())
+        copies = {actor.name.rsplit(".", 1)[0] for actor in specification.actors}
+        assert copies == {"src", "snk#0", "snk#1"}
 
     def test_expanded_edges_preserve_dependencies(self):
-        srdf = _downsampler().to_srdf()
+        specification = build_srdf_specification(_downsampler())
+        data = specification.queues_for_buffer("c", QueueKind.DATA)
         # Both snk firings depend on src firing 0 in the same iteration.
-        incoming = {q.source for q in srdf.input_queues("snk#0")}
-        assert incoming == {"src#0"}
-        incoming = {q.source for q in srdf.input_queues("snk#1")}
-        assert incoming == {"src#0"}
-        assert all(q.tokens == 0 for q in srdf.queues)
+        assert [(queue.source, queue.target) for queue in data] == [
+            ("src.v2", "snk#0.v1"),
+            ("src.v2", "snk#1.v1"),
+        ]
+        assert all(queue.fixed_tokens == 0 for queue in data)
 
     def test_initial_tokens_become_iteration_offsets(self):
-        graph = SDFGraph("cycle")
-        graph.add_actor(SDFActor("a", 1.0))
-        graph.add_actor(SDFActor("b", 2.0))
-        graph.add_channel(SDFChannel("ab", "a", "b", 1, 1))
-        graph.add_channel(SDFChannel("ba", "b", "a", 1, 1, tokens=1))
-        srdf = graph.to_srdf()
-        # Exactly one expanded edge of 'ba' carries the initial token.
-        ba_edges = [q for q in srdf.queues if q.name.startswith("ba#")]
-        assert sum(q.tokens for q in ba_edges) == 1
-        # The expanded graph is live and has MCR = (1 + 2) / 1 = 3.
+        graph = _sdf(
+            "cycle",
+            {"a": 1.0, "b": 2.0},
+            [("ab", "a", "b", 1, 1, 0), ("ba", "b", "a", 1, 1, 1)],
+        )
+        specification = build_srdf_specification(graph)
+        # Exactly one data queue of 'ba' carries the initial token.
+        ba = specification.queues_for_buffer("ba", QueueKind.DATA)
+        assert sum(queue.fixed_tokens for queue in ba) == 1
+        # The graph is live and has MCR = (1 + 2) / 1 = 3.
+        srdf = _instantiate(graph, {"ab": 2, "ba": 2})
         assert maximum_cycle_ratio(srdf) == pytest.approx(3.0, rel=1e-6)
 
     def test_expanded_graph_simulates(self):
-        graph = SDFGraph("cycle")
-        graph.add_actor(SDFActor("a", 1.0))
-        graph.add_actor(SDFActor("b", 1.0))
-        graph.add_channel(SDFChannel("ab", "a", "b", 2, 1))
-        graph.add_channel(SDFChannel("ba", "b", "a", 1, 2, tokens=2))
-        srdf = graph.to_srdf()
+        # src's one space queue carries γ/2 tokens: integral at γ = 4.
+        srdf = _instantiate(_downsampler(), {"c": 4})
         trace = simulate(srdf, iterations=10)
         assert trace.iterations == 10
 
@@ -125,21 +167,14 @@ class TestSrdfExpansion:
 @given(
     production=st.integers(min_value=1, max_value=4),
     consumption=st.integers(min_value=1, max_value=4),
-    duration_src=st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
-    duration_snk=st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
 )
-def test_repetition_vector_balances_every_channel(
-    production, consumption, duration_src, duration_snk
-):
+def test_repetition_vector_balances_every_channel(production, consumption):
     """Property: the repetition vector satisfies the balance equations."""
-    graph = SDFGraph("prop")
-    graph.add_actor(SDFActor("src", duration_src))
-    graph.add_actor(SDFActor("snk", duration_snk))
-    graph.add_channel(SDFChannel("c", "src", "snk", production, consumption))
-    repetitions = graph.repetition_vector()
+    graph = _sdf(
+        "prop", {"src": 1.0, "snk": 1.0}, [("c", "src", "snk", production, consumption, 0)]
+    )
+    repetitions = graph.repetitions()
     assert repetitions["src"] * production == repetitions["snk"] * consumption
-    import math
-
     assert math.gcd(repetitions["src"], repetitions["snk"]) == 1
 
 
@@ -149,12 +184,18 @@ def test_repetition_vector_balances_every_channel(
     consumption=st.integers(min_value=1, max_value=3),
 )
 def test_expansion_preserves_total_token_production(production, consumption):
-    """Property: the expanded SRDF graph has one edge per consumed token per iteration."""
-    graph = SDFGraph("prop")
-    graph.add_actor(SDFActor("src", 1.0))
-    graph.add_actor(SDFActor("snk", 1.0))
-    graph.add_channel(SDFChannel("c", "src", "snk", production, consumption))
-    repetitions = graph.repetition_vector()
-    srdf = graph.to_srdf()
-    expanded_edges = [q for q in srdf.queues if q.name.startswith("c#")]
-    assert len(expanded_edges) == consumption * repetitions["snk"]
+    """Property: one data queue per consumer firing, one space queue per
+    producer firing, and every space queue counts the ``T`` tokens the
+    buffer moves per iteration."""
+    graph = _sdf(
+        "prop", {"src": 1.0, "snk": 1.0}, [("c", "src", "snk", production, consumption, 0)]
+    )
+    repetitions = graph.repetitions()
+    specification = build_srdf_specification(graph)
+    data = specification.queues_for_buffer("c", QueueKind.DATA)
+    space = specification.queues_for_buffer("c", QueueKind.SPACE)
+    assert len(data) == repetitions["snk"]
+    assert len(space) == repetitions["src"]
+    tokens = production * repetitions["src"]
+    assert tokens == consumption * repetitions["snk"]
+    assert all(queue.token_scale == 1.0 / tokens for queue in space)

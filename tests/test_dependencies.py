@@ -73,9 +73,9 @@ def test_allocation_and_analysis_need_only_declared_dependencies(tmp_path):
 
 
 #: Modules ``repro-map allocate`` never runs: the builder, workloads and
-#: generators, parametric re-solve, telemetry export and progress, SDF
-#: expansion, schedules, monotonicity checks, the TDM and latency-rate
-#: models and table rendering.
+#: generators, parametric re-solve, telemetry export and progress,
+#: schedules, monotonicity checks, the TDM and latency-rate models and
+#: table rendering.
 _UNUSED_ON_ALLOCATE = (
     "repro.taskgraph.generators",
     "repro.taskgraph.workload",
@@ -83,7 +83,6 @@ _UNUSED_ON_ALLOCATE = (
     "repro.solver.parametric",
     "repro.obs.export",
     "repro.obs.progress",
-    "repro.dataflow.sdf",
     "repro.dataflow.schedule",
     "repro.dataflow.monotonicity",
     "repro.scheduling.tdm",

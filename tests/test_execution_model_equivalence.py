@@ -13,11 +13,7 @@ import pytest
 
 from repro.core.admission import AdmissionTrace, replay_trace
 from repro.core.allocator import allocate, allocate_workload
-from repro.dataflow.construction import (
-    _build_cyclo_static_specification,
-    build_srdf_specification,
-    instantiate_srdf,
-)
+from repro.dataflow.construction import build_srdf_specification, instantiate_srdf
 from repro.dataflow.mcr import maximum_cycle_ratio
 from repro.taskgraph import (
     Buffer,
@@ -28,6 +24,7 @@ from repro.taskgraph import (
     workload_from_configurations,
 )
 from repro.taskgraph.generators import chain_configuration
+from srdf_reference import reference_srdf
 
 
 def _single_phase_csdf_twin(configuration: Configuration) -> Configuration:
@@ -123,8 +120,14 @@ def _assert_allocations_match(mapped_a, mapped_b, tolerance: float = 1e-9):
 
 class TestSinglePhaseCsdfEqualsSdf:
     def test_not_classified_as_cyclo_static(self):
+        # One firing per iteration, so one two-actor copy per task.
         twin = _single_phase_csdf_twin(chain_configuration())
-        assert all(not graph.is_cyclo_static for graph in twin.task_graphs)
+        for graph in twin.task_graphs:
+            assert set(graph.repetitions().values()) == {1}
+            specification = build_srdf_specification(graph)
+            assert [actor.task for actor in specification.actors] == [
+                task.name for task in graph.tasks for _ in range(2)
+            ]
 
     def test_specifications_are_identical(self):
         plain = chain_configuration()
@@ -135,22 +138,15 @@ class TestSinglePhaseCsdfEqualsSdf:
             )
 
     def test_forced_expansion_instantiates_the_same_graph(self):
-        # Route the trivial graph through the CSDF expansion explicitly: the
-        # unrolled specification must instantiate token-for-token like the
-        # legacy one (the expansion's single-rate reduction).
+        # The phase-unrolled lowering at one copy per task must instantiate
+        # token-for-token like the paper's construction written out directly.
         plain = chain_configuration()
         graph = plain.task_graphs[0]
         budgets = {task.name: 8.0 for task in graph.tasks}
         capacities = {buffer.name: 3 for buffer in graph.buffers}
-        legacy = instantiate_srdf(
-            build_srdf_specification(graph),
-            graph,
-            plain.platform,
-            budgets,
-            capacities,
-        )
+        legacy = reference_srdf(graph, plain.platform, budgets, capacities)
         expanded = instantiate_srdf(
-            _build_cyclo_static_specification(graph),
+            build_srdf_specification(graph),
             graph,
             plain.platform,
             budgets,

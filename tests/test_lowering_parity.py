@@ -78,10 +78,7 @@ def reference_lowering(formulation) -> ConeProgram:
                 else:
                     buffer = graph.buffer(queue.buffer)
                     capacity = var[block.variables.capacities[buffer.name].name]
-                    if queue.token_offset is None:
-                        scale, offset = 1.0, -float(buffer.initial_tokens)
-                    else:
-                        scale, offset = queue.token_scale, float(queue.token_offset)
+                    scale, offset = queue.token_scale, float(queue.token_offset)
                 chi = effective_cycles(task, processor, queue.source_phase)
                 lam = var[block.variables.reciprocals[task.name].name]
                 add_term(terms, lam, rho * chi)

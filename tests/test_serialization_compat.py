@@ -24,6 +24,7 @@ from repro.taskgraph.generators import (
     chain_configuration,
     csdf_chain_configuration,
     heterogeneous_random_configuration,
+    random_dag_configuration,
 )
 from repro.taskgraph.serialization import (
     FORMAT_VERSION,
@@ -175,3 +176,36 @@ def test_malformed_snapshot_format_version_is_a_snapshot_error(value):
     data = {"format_version": value, "journal_seq": 0, "fingerprint": "x"}
     with pytest.raises(SnapshotError, match="format_version"):
         SessionSnapshot.from_dict(data)
+
+
+_MALFORMED_FIELDS = [
+    # A string is not a list: "12" must not load as the rates (1, 2).
+    *(("tasks", "phases", value) for value in ["12", "2", 3, True, ["x"], [None], [True]]),
+    *(
+        ("buffers", field, value)
+        for field in ("production_rates", "consumption_rates")
+        for value in ["2", "12", 2, True, ["x"], [None], [True]]
+    ),
+    # A count is a number, not a bool or a numeric string.
+    *(
+        ("buffers", field, value)
+        for field in ("initial_tokens", "min_capacity", "max_capacity")
+        for value in [True, "3", "x", [3]]
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entity,field,value",
+    _MALFORMED_FIELDS,
+    ids=[f"{field}={value!r}" for _, field, value in _MALFORMED_FIELDS],
+)
+def test_malformed_phase_rate_or_count_is_a_model_error(entity, field, value):
+    """The fields the SRDF lowering reads take JSON lists of numbers and
+    integer counts only: anything else is a :class:`ModelError` naming the
+    field, never a raw ``ValueError``/``TypeError`` or a silently different
+    model."""
+    data = configuration_to_dict(random_dag_configuration(4, 2, seed=1))
+    data["task_graphs"][0][entity][0][field] = value
+    with pytest.raises(ModelError, match=field):
+        configuration_from_dict(data)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro._graphs import topological_order
+from repro.dataflow.construction import build_srdf_specification
 from repro.exceptions import ModelError
 from repro.taskgraph.generators import (
     chain_configuration,
@@ -145,9 +146,11 @@ class TestCsdfChain:
         config = csdf_chain_configuration(stages=3, phases_per_task=2)
         config.validate()
         graph = config.task_graphs[0]
-        assert graph.is_cyclo_static
         assert all(task.phase_count == 2 for task in graph.tasks)
         assert graph.repetitions() == {task.name: 1 for task in graph.tasks}
+        # Two phase copies per task, two actors per copy.
+        specification = build_srdf_specification(graph)
+        assert len(specification.actors) == 2 * 2 * len(graph.tasks)
 
     def test_phases_sum_to_the_nominal_wcet(self):
         config = csdf_chain_configuration(wcet=2.0, phases_per_task=3)
@@ -156,7 +159,11 @@ class TestCsdfChain:
 
     def test_single_phase_degenerates_to_plain_chain(self):
         config = csdf_chain_configuration(phases_per_task=1)
-        assert not config.task_graphs[0].is_cyclo_static
+        graph = config.task_graphs[0]
+        assert graph.repetitions() == {task.name: 1 for task in graph.tasks}
+        # One copy per task: the plain two-actor construction.
+        specification = build_srdf_specification(graph)
+        assert len(specification.actors) == 2 * len(graph.tasks)
 
     def test_rejects_invalid_counts(self):
         with pytest.raises(ModelError):
