@@ -6,7 +6,7 @@ applications arriving, a few departing, a late arrival — is driven two ways:
 * **rebuild** — every event allocates the current membership from scratch
   (fresh :class:`WorkloadSocpFormulation`, full compile, cold solve), the
   only option before the incremental session-editing API;
-* **incremental** — one :class:`WorkloadSession` edited per event
+* **incremental** — one workload :class:`AllocationSession` edited per event
   (``add_application`` / ``remove_application``): the program is rebuilt
   for the new membership, and the previous optimum and the first-rung
   interior hint warm-start every re-solve.

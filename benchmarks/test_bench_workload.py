@@ -7,7 +7,7 @@ ways:
 
 * **rebuild** — a fresh :class:`WorkloadSocpFormulation` built, compiled and
   cold-started per point;
-* **compile-once / cold-start** — one :class:`WorkloadSession`, every point
+* **compile-once / cold-start** — one workload :class:`AllocationSession`, every point
   ignoring the previous optimum (isolates the compile-once gain);
 * **warm-start** — the session default: one compilation, each point seeded
   from its neighbour.

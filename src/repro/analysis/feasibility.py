@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.taskgraph.configuration import Configuration
+from repro.taskgraph.validate import processor_load_lower_bound
 
 
 @dataclass
@@ -33,25 +34,18 @@ def screen_configuration(configuration: Configuration) -> FeasibilityScreen:
     * Per processor, the sum of the throughput-implied minimum budgets
       ``̺·χ/µ`` plus one granule of rounding slack per task plus the
       scheduling overhead must fit in the replenishment interval
-      (Constraint (9) with the smallest possible budgets).
+      (Constraint (9) with the smallest possible budgets;
+      :func:`~repro.taskgraph.validate.processor_load_lower_bound`, so ``χ``
+      is the task's cycles per period on its processor).
     * Per bounded memory, the smallest feasible buffer capacities plus one
       container of rounding slack per buffer must fit (Constraint (10) with
       the smallest possible capacities).
     """
     screen = FeasibilityScreen()
     platform = configuration.platform
-    g = configuration.granularity
 
     for processor_name, processor in platform.processors.items():
-        demand = processor.scheduling_overhead
-        for graph in configuration.task_graphs:
-            for task in graph.tasks:
-                if task.processor != processor_name:
-                    continue
-                minimum = processor.replenishment_interval * task.wcet / graph.period
-                if task.min_budget is not None:
-                    minimum = max(minimum, task.min_budget)
-                demand += minimum + g
+        demand = processor_load_lower_bound(processor, processor_name, [configuration])
         load = demand / processor.replenishment_interval
         screen.processor_load[processor_name] = load
         if load > 1.0 + 1e-12:

@@ -302,12 +302,15 @@ def _solve_item(payload: Dict[str, object]) -> Dict[str, object]:
     }
     if payload.get("trace") is not None:
         return _solve_trace_payload(payload, base)
-    if payload.get("workload") is not None:
-        return _solve_workload_payload(payload, base)
-
+    is_workload = payload.get("workload") is not None
     try:
-        configuration = serialization.configuration_from_dict(payload["configuration"])
-        weights = resolve_weights(options["weights"])
+        if is_workload:
+            from repro.taskgraph.workload import workload_from_dict
+
+            subject = workload_from_dict(payload["workload"])
+        else:
+            subject = serialization.configuration_from_dict(payload["configuration"])
+        allocator = _allocator(options)
     except Exception as error:  # noqa: BLE001 - malformed payloads become item errors
         base.update(status=STATUS_ERROR, error=str(error))
         return base
@@ -316,16 +319,11 @@ def _solve_item(payload: Dict[str, object]) -> Dict[str, object]:
         from repro.core.tradeoff import TradeoffExplorer
 
         explorer = TradeoffExplorer(
-            weights=weights,
-            allocator_options=AllocatorOptions(
-                backend=options["backend"],
-                verify=options["verify"],
-                run_simulation=options["run_simulation"],
-            ),
+            weights=allocator.weights, allocator_options=allocator.options
         )
         try:
             curve = explorer.sweep_capacity_limit(
-                configuration, [int(value) for value in payload["capacity_sweep"]]
+                subject, [int(value) for value in payload["capacity_sweep"]]
             )
         except Exception as error:  # noqa: BLE001 - solver failures become family errors
             base.update(status=STATUS_ERROR, error=f"{options['backend']}: {error}")
@@ -349,30 +347,36 @@ def _solve_item(payload: Dict[str, object]) -> Dict[str, object]:
         ]
         return base
 
-    allocator = JointAllocator(
-        weights=weights,
-        options=AllocatorOptions(
-            backend=options["backend"],
-            verify=options["verify"],
-            run_simulation=options["run_simulation"],
-        ),
-    )
+    allocate = allocator.allocate_workload if is_workload else allocator.allocate
 
     def solve() -> Dict[str, object]:
-        mapped = allocator.allocate(
-            configuration, capacity_limits=payload.get("capacity_limits")
-        )
+        # A workload's per-application results are flattened to
+        # "<application>/<name>" keys, so ItemResult and the aggregation layer
+        # read both shapes alike.
+        mapped = allocate(subject, capacity_limits=payload.get("capacity_limits"))
         return {
-            "budgets": dict(mapped.budgets),
-            "buffer_capacities": dict(mapped.buffer_capacities),
-            "relaxed_budgets": dict(mapped.relaxed_budgets),
-            "relaxed_capacities": dict(mapped.relaxed_capacities),
+            "budgets": mapped.flattened("budgets"),
+            "buffer_capacities": mapped.flattened("buffer_capacities"),
+            "relaxed_budgets": mapped.flattened("relaxed_budgets"),
+            "relaxed_capacities": mapped.flattened("relaxed_capacities"),
             "objective_value": mapped.objective_value,
             "backend_used": str(mapped.solver_info.get("backend", options["backend"])),
             "stats": dict(mapped.solver_info.get("solve_stats", {})),
         }
 
     return _run_solve(base, options["backend"], solve)
+
+
+def _allocator(options: Dict[str, object]) -> JointAllocator:
+    """The allocator a payload's result-relevant options describe."""
+    return JointAllocator(
+        weights=resolve_weights(options["weights"]),
+        options=AllocatorOptions(
+            backend=options["backend"],
+            verify=options["verify"],
+            run_simulation=options["run_simulation"],
+        ),
+    )
 
 
 def _run_solve(
@@ -402,52 +406,6 @@ def _run_solve(
     return base
 
 
-def _solve_workload_payload(
-    payload: Dict[str, object], base: Dict[str, object]
-) -> Dict[str, object]:
-    """Solve one serialised workload item (joint multi-application allocation).
-
-    Same terminal-status contract as the single-configuration branch of
-    :func:`_solve_payload`; per-application results are flattened into the
-    item fields with ``"<application>/<name>"`` keys so :class:`ItemResult`
-    and the aggregation layer work unchanged.
-    """
-    from repro.taskgraph.workload import workload_from_dict
-
-    options = payload["options"]
-    try:
-        workload = workload_from_dict(payload["workload"])
-        weights = resolve_weights(options["weights"])
-    except Exception as error:  # noqa: BLE001 - malformed payloads become item errors
-        base.update(status=STATUS_ERROR, error=str(error))
-        return base
-
-    allocator = JointAllocator(
-        weights=weights,
-        options=AllocatorOptions(
-            backend=options["backend"],
-            verify=options["verify"],
-            run_simulation=options["run_simulation"],
-        ),
-    )
-
-    def solve() -> Dict[str, object]:
-        mapped = allocator.allocate_workload(
-            workload, capacity_limits=payload.get("capacity_limits")
-        )
-        return {
-            "budgets": mapped.flattened("budgets"),
-            "buffer_capacities": mapped.flattened("buffer_capacities"),
-            "relaxed_budgets": mapped.flattened("relaxed_budgets"),
-            "relaxed_capacities": mapped.flattened("relaxed_capacities"),
-            "objective_value": mapped.objective_value,
-            "backend_used": str(mapped.solver_info.get("backend", options["backend"])),
-            "stats": dict(mapped.solver_info.get("solve_stats", {})),
-        }
-
-    return _run_solve(base, options["backend"], solve)
-
-
 def _solve_trace_payload(
     payload: Dict[str, object], base: Dict[str, object]
 ) -> Dict[str, object]:
@@ -464,19 +422,11 @@ def _solve_trace_payload(
     options = payload["options"]
     try:
         trace = trace_from_dict(payload["trace"])
-        weights = resolve_weights(options["weights"])
+        allocator = _allocator(options)
     except Exception as error:  # noqa: BLE001 - malformed payloads become item errors
         base.update(status=STATUS_ERROR, error=str(error))
         return base
 
-    allocator = JointAllocator(
-        weights=weights,
-        options=AllocatorOptions(
-            backend=options["backend"],
-            verify=options["verify"],
-            run_simulation=options["run_simulation"],
-        ),
-    )
     try:
         result = replay_trace(trace, allocator=allocator)
     except Exception as error:  # noqa: BLE001 - solver failures become item errors

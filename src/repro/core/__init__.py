@@ -1,19 +1,19 @@
 """Core contribution of the paper: simultaneous budget and buffer-size computation.
 
-* :class:`~repro.core.formulation.SocpFormulation` — Algorithm 1 as a cone program.
+* :class:`~repro.core.formulation.SocpFormulation` — Algorithm 1 as a cone
+  program, assembled from one :class:`~repro.core.formulation.FormulationBlock`
+  per member: a configuration is the one member, a workload's members are its
+  applications, joined by shared capacity rows
+  (``WorkloadSocpFormulation`` names the same class).
 * :class:`~repro.core.allocator.JointAllocator` / :func:`~repro.core.allocator.allocate`
-  — solve, round conservatively, verify, and return a mapped configuration.
+  / :func:`~repro.core.allocator.allocate_workload` — solve, round each member
+  conservatively, verify, and return a mapped configuration or workload.
 * :class:`~repro.core.allocator.AllocationSession` /
   :class:`~repro.core.formulation.ParametricSocpFormulation` — compile-once,
-  warm-started re-solve for families of allocations (trade-off sweeps).
-* :class:`~repro.core.formulation.FormulationBlock` /
-  :class:`~repro.core.formulation.WorkloadSocpFormulation` — per-application
-  formulation blocks joined by shared capacity rows;
-  :meth:`~repro.core.allocator.JointAllocator.allocate_workload` and
-  :class:`~repro.core.allocator.WorkloadSession` solve whole multi-application
-  workloads on one shared platform.
+  warm-started re-solve for families of allocations (trade-off sweeps,
+  admission events), over a configuration or a workload.
 * :mod:`~repro.core.admission` — run-time admission control: incremental
-  session editing (:meth:`~repro.core.allocator.WorkloadSession.add_application`
+  session editing (:meth:`~repro.core.allocator.AllocationSession.add_application`
   / ``remove_application``), :class:`~repro.core.admission.AdmissionController`
   with structured admit/reject verdicts, and replayable
   :class:`~repro.core.admission.AdmissionTrace` event sequences.
@@ -51,13 +51,11 @@ _EXPORTS = {
     "AllocationSession": "repro.core.allocator",
     "AllocatorOptions": "repro.core.allocator",
     "JointAllocator": "repro.core.allocator",
-    "WorkloadSession": "repro.core.allocator",
     "allocate": "repro.core.allocator",
     "allocate_workload": "repro.core.allocator",
     "FormulationBlock": "repro.core.formulation",
     "FormulationVariables": "repro.core.formulation",
     "ParametricSocpFormulation": "repro.core.formulation",
-    "ParametricWorkloadFormulation": "repro.core.formulation",
     "SocpFormulation": "repro.core.formulation",
     "WorkloadSocpFormulation": "repro.core.formulation",
     "ObjectiveWeights": "repro.core.objective",

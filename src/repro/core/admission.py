@@ -4,7 +4,7 @@ The DATE 2010 setting is a *run-time* one: applications start and stop on a
 shared MPSoC, and budgets and buffer capacities must be re-allocated on the
 fly.  This module answers the run-time question — *can this application be
 admitted alongside the running workload?* — on top of the incremental
-session-editing API of :class:`~repro.core.allocator.WorkloadSession`:
+session-editing API of :class:`~repro.core.allocator.AllocationSession`:
 
 * :class:`AdmissionController` holds the running workload and one
   compile-once session.  :meth:`AdmissionController.admit` tentatively adds
@@ -47,7 +47,7 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import get_registry as _metrics_registry
 from repro.obs.trace import span as obs_span
-from repro.core.allocator import AllocatorOptions, JointAllocator, WorkloadSession
+from repro.core.allocator import AllocationSession, AllocatorOptions, JointAllocator
 from repro.core.objective import ObjectiveWeights
 from repro.taskgraph.configuration import Configuration
 from repro.taskgraph.platform import Platform
@@ -119,7 +119,7 @@ class AdmissionController:
 
     The controller owns the running :class:`~repro.taskgraph.workload.
     Workload` and a single compile-once :class:`~repro.core.allocator.
-    WorkloadSession`; arrivals and departures rebuild the session's program
+    AllocationSession`; arrivals and departures rebuild the session's program
     for the new membership, and unchanged applications keep their warm-start
     values (the previous optimum and the interior hint) across every event.
     """
@@ -158,7 +158,7 @@ class AdmissionController:
             weights=weights, options=AllocatorOptions(run_simulation=False)
         )
         self.mapped: Optional[MappedWorkload] = None
-        self._session: Optional[WorkloadSession] = None
+        self._session: Optional[AllocationSession] = None
         self._stats: Optional[object] = None
         if workload is None:
             self.workload = Workload(platform, name=name)
@@ -379,7 +379,7 @@ class AdmissionController:
     #: deterministic answer must never be re-asked.
     _RETRYABLE = (NumericalError, FaultInjected, FloatingPointError, ArithmeticError)
 
-    def _resilient_allocate(self, session: WorkloadSession) -> MappedWorkload:
+    def _resilient_allocate(self, session: AllocationSession) -> MappedWorkload:
         """``session.allocate()`` with one rescue: a cold from-scratch solve.
 
         A retryable solver failure drops the session's warm state (a

@@ -6,26 +6,29 @@ SOCP of Algorithm 1, rounds the relaxed solution conservatively, verifies the
 result with independent dataflow analyses, and returns a
 :class:`~repro.taskgraph.configuration.MappedConfiguration`.
 
-For families of allocations over one configuration — trade-off sweeps that
-vary only capacity/budget limits — :meth:`JointAllocator.session` returns an
+Multi-application workloads go through the same pipeline.  An allocation's
+subject is a list of members ``(namespace, configuration)`` on one platform
+(:class:`~repro.core.formulation.SocpFormulation` builds one block each): a
+configuration is the one member ``("", configuration)``, a
+:class:`~repro.taskgraph.workload.Workload` is its applications.  One block-structured program is solved, each member is
+rounded at its own granularity, and the result is packaged by the subject's
+kind: a configuration's one member mapping, or a
+:class:`~repro.taskgraph.workload.MappedWorkload`
+(:meth:`JointAllocator.allocate_workload`) with per-application
+verification and budget-split reporting.
+
+For families of allocations that vary only capacity/budget limits —
+trade-off sweeps, admission events — :meth:`JointAllocator.session` (or
+:meth:`JointAllocator.workload_session`) returns an
 :class:`AllocationSession` that compiles the cone program once and re-solves
 it per point with warm starts, instead of rebuilding everything from Python
 objects for every point.
-
-Multi-application workloads go through the same machinery:
-:meth:`JointAllocator.allocate_workload` solves the block-structured program
-of a :class:`~repro.taskgraph.workload.Workload` (one formulation block per
-application, coupled through the shared processor/memory rows) and returns a
-:class:`~repro.taskgraph.workload.MappedWorkload` with per-application
-rounding, verification and budget-split reporting;
-:meth:`JointAllocator.workload_session` is the compile-once counterpart for
-families of workload allocations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -37,12 +40,7 @@ from repro.exceptions import (
     NumericalError,
     UnboundedProblemError,
 )
-from repro.core.formulation import (
-    ParametricSocpFormulation,
-    ParametricWorkloadFormulation,
-    SocpFormulation,
-    WorkloadSocpFormulation,
-)
+from repro.core.formulation import ParametricSocpFormulation, SocpFormulation
 from repro.core.objective import ObjectiveWeights
 from repro.core.rounding import round_budgets, round_capacities
 from repro.core.validation import VerificationReport, verify_mapping
@@ -117,32 +115,7 @@ class JointAllocator:
             When the rounded mapping unexpectedly fails verification.
         """
         with obs_span("allocate", configuration=configuration.name):
-            configuration.validate()
-            formulation = SocpFormulation(
-                configuration,
-                weights=weights or self.weights,
-                capacity_limits=capacity_limits,
-                budget_limits=budget_limits,
-            )
-            solution = formulation.solve(backend=self.options.backend)
-            self._check_status(solution, configuration.name)
-            return self._finalize(
-                configuration,
-                solution,
-                formulation.extract_budgets(solution),
-                formulation.extract_capacities(solution),
-            )
-
-    def session(self, configuration: Configuration) -> "AllocationSession":
-        """Open a compile-once allocation session over ``configuration``.
-
-        The session validates and compiles the configuration once; each
-        :meth:`AllocationSession.allocate` call then only rewrites the
-        capacity/budget limit parameters and re-solves, warm-starting from
-        the previous point's optimum.  Use it for trade-off sweeps and any
-        other family of allocations that differ only in their limits.
-        """
-        return AllocationSession(self, configuration)
+            return self._allocate(configuration, capacity_limits, budget_limits, weights)
 
     def allocate_workload(
         self,
@@ -174,79 +147,56 @@ class JointAllocator:
         with obs_span(
             "allocate-workload", workload=workload.name, applications=len(workload)
         ):
-            workload.validate()
-            formulation = WorkloadSocpFormulation(
-                workload,
-                weights=weights or self.weights,
-                capacity_limits=capacity_limits,
-                budget_limits=budget_limits,
-            )
-            solution = formulation.solve(backend=self.options.backend)
-            self._check_status(solution, workload.name)
-            return self._finalize_workload(workload, formulation, solution)
+            return self._allocate(workload, capacity_limits, budget_limits, weights)
 
-    def workload_session(self, workload: Workload) -> "WorkloadSession":
+    def session(self, subject: Union[Configuration, Workload]) -> "AllocationSession":
+        """Open a compile-once allocation session over a configuration (or workload).
+
+        The session validates and compiles the subject once; each
+        :meth:`AllocationSession.allocate` call then only rewrites the
+        capacity/budget limit parameters and re-solves, warm-starting from
+        the previous point's optimum.  Use it for trade-off sweeps and any
+        other family of allocations that differ only in their limits.
+        """
+        return AllocationSession(self, subject)
+
+    def workload_session(self, workload: Workload) -> "AllocationSession":
         """Open a compile-once allocation session over ``workload``.
 
-        The multi-application counterpart of :meth:`session`: the
-        block-structured program compiles once, and each
-        :meth:`WorkloadSession.allocate` call rewrites only the
-        per-application limit parameters and re-solves with a warm start.
+        :meth:`session` over a workload: each :meth:`AllocationSession.allocate`
+        call takes per-application limit maps, and the session's membership
+        can be edited in place (:meth:`AllocationSession.add_application`).
         """
-        return WorkloadSession(self, workload)
+        return AllocationSession(self, workload)
+
+    def _allocate(self, subject, capacity_limits, budget_limits, weights):
+        subject.validate()
+        formulation = SocpFormulation(
+            subject,
+            weights=weights or self.weights,
+            capacity_limits=capacity_limits,
+            budget_limits=budget_limits,
+        )
+        solution = formulation.solve(backend=self.options.backend)
+        return self._finalize(subject, formulation, solution)
 
     def _finalize(
         self,
-        configuration: Configuration,
+        subject: Union[Configuration, Workload],
+        formulation: SocpFormulation,
         solution: Solution,
-        relaxed_budgets: Dict[str, float],
-        relaxed_capacities: Dict[str, float],
-    ) -> MappedConfiguration:
-        """Round, package and (optionally) verify one optimal solution."""
-        with obs_span("rounding") as rounding_span:
-            budgets = round_budgets(relaxed_budgets, configuration.granularity)
-            capacities = round_capacities(relaxed_capacities)
-        rounding_time = rounding_span.seconds
+    ) -> Union[MappedConfiguration, MappedWorkload]:
+        """Check, round per member, package and (optionally) verify one solution.
 
-        mapped = MappedConfiguration(
-            configuration=configuration,
-            budgets=budgets,
-            buffer_capacities=capacities,
-            relaxed_budgets=relaxed_budgets,
-            relaxed_capacities=relaxed_capacities,
-            objective_value=solution.objective,
-            solver_info={
-                "backend": solution.backend,
-                "status": solution.status.value,
-                "iterations": solution.iterations,
-                "solve_time": solution.solve_time,
-                "solve_stats": dict(solution.stats),
-                "timings": _phase_timings(solution, rounding_time),
-            },
-        )
-
-        if self.options.verify:
-            with obs_span("verify") as verify_span:
-                report = self.verify(mapped)
-                verify_span.set(valid=report.is_valid)
-            mapped.solver_info["verification"] = report.summary()
-            if not report.is_valid:
-                raise AllocationError(
-                    "the rounded mapping failed verification:\n" + report.summary()
-                )
-        return mapped
-
-    def _finalize_workload(
-        self,
-        workload: Workload,
-        formulation: WorkloadSocpFormulation,
-        solution: Solution,
-    ) -> MappedWorkload:
-        """Round per application, package and (optionally) verify one optimum."""
-        from repro.taskgraph.workload import MappedWorkload
-
-        relaxed_budgets = formulation.budgets_by_application(solution)
-        relaxed_capacities = formulation.capacities_by_application(solution)
+        Each member is rounded at its own granularity into a
+        :class:`MappedConfiguration` carrying its share of the objective (its
+        block's terms at the shared optimum, comparable to a stand-alone
+        allocation of that member).  A configuration's result is its one
+        member's mapping, with the joint objective and the solver information;
+        a workload's wraps the members in a
+        :class:`~repro.taskgraph.workload.MappedWorkload`.
+        """
+        self._check_status(solution, subject.name)
         solver_info = {
             "backend": solution.backend,
             "status": solution.status.value,
@@ -254,44 +204,48 @@ class JointAllocator:
             "solve_time": solution.solve_time,
             "solve_stats": dict(solution.stats),
         }
-        applications: Dict[str, MappedConfiguration] = {}
-        with obs_span("rounding", applications=len(workload)) as rounding_span:
-            for application in workload.applications:
-                configuration = application.configuration
-                budgets = round_budgets(
-                    relaxed_budgets[application.name], configuration.granularity
-                )
-                capacities = round_capacities(relaxed_capacities[application.name])
-                applications[application.name] = MappedConfiguration(
-                    configuration=configuration,
-                    budgets=budgets,
-                    buffer_capacities=capacities,
-                    relaxed_budgets=relaxed_budgets[application.name],
-                    relaxed_capacities=relaxed_capacities[application.name],
-                    # The application's own share of the joint objective (its
-                    # blocks' terms evaluated at the shared optimum), comparable
-                    # to a stand-alone allocate() of the same application.
-                    objective_value=formulation.block(
-                        application.name
-                    ).objective_value(solution),
+        relaxed = [
+            (block, block.extract_budgets(solution), block.extract_capacities(solution))
+            for block in formulation.blocks
+        ]
+        members: Dict[str, MappedConfiguration] = {}
+        with obs_span("rounding", applications=len(relaxed)) as rounding_span:
+            for block, relaxed_budgets, relaxed_capacities in relaxed:
+                members[block.namespace] = MappedConfiguration(
+                    configuration=block.configuration,
+                    budgets=round_budgets(
+                        relaxed_budgets, block.configuration.granularity
+                    ),
+                    buffer_capacities=round_capacities(relaxed_capacities),
+                    relaxed_budgets=relaxed_budgets,
+                    relaxed_capacities=relaxed_capacities,
+                    objective_value=block.objective_value(solution),
                     solver_info=dict(solver_info),
                 )
         solver_info["timings"] = _phase_timings(solution, rounding_span.seconds)
-        mapped = MappedWorkload(
-            workload=workload,
-            applications=applications,
-            objective_value=solution.objective,
-            solver_info=solver_info,
-        )
+        if isinstance(subject, Configuration):
+            mapped = members[""]
+            mapped.objective_value = solution.objective
+            mapped.solver_info = solver_info
+            verify, what = self.verify, "mapping"
+        else:
+            from repro.taskgraph.workload import MappedWorkload
+
+            mapped = MappedWorkload(
+                workload=subject,
+                applications=members,
+                objective_value=solution.objective,
+                solver_info=solver_info,
+            )
+            verify, what = self.verify_workload, "workload mapping"
         if self.options.verify:
             with obs_span("verify") as verify_span:
-                report = self.verify_workload(mapped)
+                report = verify(mapped)
                 verify_span.set(valid=report.is_valid)
             mapped.solver_info["verification"] = report.summary()
             if not report.is_valid:
                 raise AllocationError(
-                    "the rounded workload mapping failed verification:\n"
-                    + report.summary()
+                    f"the rounded {what} failed verification:\n" + report.summary()
                 )
         return mapped
 
@@ -358,38 +312,51 @@ class JointAllocator:
         )
 
 
-class _LimitSession:
-    """Shared control flow of compile-once, warm-started allocation sessions.
+class AllocationSession:
+    """Warm-started allocation over one configuration or workload, compiled once.
 
-    Subclasses provide the parametric formulation (built once in their
-    constructor), the per-point rebuild formulation and the finalisation of
-    an optimal solution; everything else — the pinned-bound rebuild fallback,
-    warm-start seeding, statistics accounting — lives here exactly once, so
-    single-configuration and workload sessions cannot diverge.
+    Created through :meth:`JointAllocator.session` (or
+    :meth:`JointAllocator.workload_session`).  The session builds and
+    compiles the cone program a single time with every member's
+    capacity/budget limits exposed as parameters; every :meth:`allocate`
+    call rewrites only those parameters and re-solves, seeding the barrier
+    method with the previous optimum so that phase I is skipped whenever
+    that point is still strictly feasible.
+
+    One structural case falls back to a per-point rebuild: a limit that lands
+    exactly on a variable's lower bound, which compilation substitutes out
+    of the program (counted in :attr:`stats` as a rebuild; the rebuilt
+    optimum still seeds the warm start of subsequent points).
+
+    :meth:`allocate` has the contract of :meth:`JointAllocator.allocate` for
+    a configuration (flat per-buffer / per-task limit maps) and of
+    :meth:`JointAllocator.allocate_workload` for a workload
+    (*per-application* limit maps).  A workload session's membership can
+    also be edited in place (:meth:`add_application`,
+    :meth:`remove_application`, :meth:`replace_application`).
     """
 
-    allocator: JointAllocator
-    _parametric: object
-
-    def _open(self, allocator: JointAllocator, parametric, subject_name: str) -> None:
+    def __init__(
+        self, allocator: JointAllocator, subject: Union[Configuration, Workload]
+    ) -> None:
+        subject.validate()
         self.allocator = allocator
-        self._parametric = parametric
-        self._subject_name = subject_name
+        self.subject = subject
+        self._parametric, self._initial, self._session = self._compile()
+
+    def _compile(self):
+        """A fresh parametric program over the subject, its model-built start
+        point and its solve session; nothing is installed."""
         from repro.solver.parametric import SolveSession
 
-        self._session = SolveSession(
-            parametric.parametric, backend=allocator.options.backend
+        parametric = ParametricSocpFormulation(
+            self.subject, weights=self.allocator.weights
         )
-        self._initial = parametric.initial_point()
+        session = SolveSession(
+            parametric.parametric, backend=self.allocator.options.backend
+        )
+        return parametric, parametric.initial_point(), session
 
-    # -- subclass hooks ----------------------------------------------------------
-    def _build_formulation(self, capacity_limits, budget_limits):
-        raise NotImplementedError
-
-    def _finalize(self, formulation, solution: Solution):
-        raise NotImplementedError
-
-    # -- shared session protocol -------------------------------------------------
     @property
     def stats(self) -> SessionStats:
         """Aggregate solve statistics across every point of the session."""
@@ -402,17 +369,17 @@ class _LimitSession:
 
     def allocate(
         self,
-        capacity_limits=None,
-        budget_limits=None,
+        capacity_limits: Optional[Mapping] = None,
+        budget_limits: Optional[Mapping] = None,
         warm_start: bool = True,
-    ):
+    ) -> Union[MappedConfiguration, MappedWorkload]:
         """Re-solve for one set of limits.
 
         ``warm_start=False`` ignores the previous optimum for this point
         (used by benchmarks to isolate the warm-start gain); the compiled
         problem is still reused.
         """
-        with obs_span("allocate", subject=self._subject_name) as point_span:
+        with obs_span("allocate", subject=self.subject.name) as point_span:
             pinned = self._parametric.apply_limits(capacity_limits, budget_limits)
             if pinned:
                 point_span.set(rebuild=True)
@@ -420,21 +387,26 @@ class _LimitSession:
             solution = self._session.solve(
                 initial_point=self._initial, warm_start=warm_start
             )
-            self.allocator._check_status(solution, self._subject_name)
-            return self._finalize(self._parametric.formulation, solution)
+            return self.allocator._finalize(
+                self.subject, self._parametric.formulation, solution
+            )
 
     def _rebuild_point(self, capacity_limits, budget_limits):
         """Solve one point the rebuild way (limits baked into fresh bounds)."""
         stats = self._session.stats
         stats.rebuilds += 1
         stats.compiles += 1
-        formulation = self._build_formulation(capacity_limits, budget_limits)
+        formulation = SocpFormulation(
+            self.subject,
+            weights=self.allocator.weights,
+            capacity_limits=capacity_limits,
+            budget_limits=budget_limits,
+        )
         solution = formulation.solve(backend=self.allocator.options.backend)
         # Fold the rebuilt point's work into the session aggregates so that
         # the reported statistics cover every point of the sweep.
         stats.record_solution(solution)
-        self.allocator._check_status(solution, self._subject_name)
-        mapped = self._finalize(formulation, solution)
+        mapped = self.allocator._finalize(self.subject, formulation, solution)
         mapped.solver_info["solve_stats"] = {
             **mapped.solver_info.get("solve_stats", {}),
             "rebuild": True,
@@ -443,110 +415,6 @@ class _LimitSession:
         # parametric program too; let it seed the next point's warm start.
         self._session.seed(solution.by_name())
         return mapped
-
-
-class AllocationSession(_LimitSession):
-    """Warm-started allocation over one configuration, compiled exactly once.
-
-    Created through :meth:`JointAllocator.session`.  The session builds and
-    compiles the SOCP a single time with the capacity/budget limits exposed
-    as parameters; every :meth:`allocate` call rewrites only those parameters
-    and re-solves, seeding the barrier method with the previous optimum so
-    that phase I is skipped whenever that point is still strictly feasible.
-
-    One structural case falls back to a per-point rebuild: a limit that lands
-    exactly on a variable's lower bound, which compilation substitutes out
-    of the program (counted in :attr:`stats` as a rebuild; the rebuilt
-    optimum still seeds the warm start of subsequent points).
-
-    :meth:`allocate` has the same contract as :meth:`JointAllocator.allocate`
-    for this session's configuration (flat per-buffer / per-task limit maps).
-    """
-
-    def __init__(self, allocator: JointAllocator, configuration: Configuration) -> None:
-        configuration.validate()
-        self.configuration = configuration
-        self._open(
-            allocator,
-            ParametricSocpFormulation(configuration, weights=allocator.weights),
-            configuration.name,
-        )
-
-    def _build_formulation(self, capacity_limits, budget_limits) -> SocpFormulation:
-        return SocpFormulation(
-            self.configuration,
-            weights=self.allocator.weights,
-            capacity_limits=capacity_limits,
-            budget_limits=budget_limits,
-        )
-
-    def _finalize(self, formulation, solution: Solution) -> MappedConfiguration:
-        return self.allocator._finalize(
-            self.configuration,
-            solution,
-            formulation.extract_budgets(solution),
-            formulation.extract_capacities(solution),
-        )
-
-    def allocate(
-        self,
-        capacity_limits: Optional[Mapping[str, int]] = None,
-        budget_limits: Optional[Mapping[str, float]] = None,
-        warm_start: bool = True,
-    ) -> MappedConfiguration:
-        return super().allocate(capacity_limits, budget_limits, warm_start)
-
-
-class WorkloadSession(_LimitSession):
-    """Warm-started allocation over one workload, compiled exactly once.
-
-    Created through :meth:`JointAllocator.workload_session`.  The session
-    builds and compiles the block-structured program a single time with every
-    application's capacity/budget limits exposed as namespaced parameters;
-    every :meth:`allocate` call rewrites only those parameters and re-solves,
-    seeding the barrier method with the previous optimum — the compile-once
-    and phase-I-skip behaviour of :class:`AllocationSession` carries over to
-    the multi-application case unchanged (both ride the same
-    :class:`_LimitSession` control flow).
-
-    As in the single-configuration session, a limit landing exactly on a
-    variable's lower bound falls back to a per-point rebuild (counted in
-    :attr:`stats`; the rebuilt optimum still seeds subsequent warm starts).
-
-    :meth:`allocate` has the same contract as
-    :meth:`JointAllocator.allocate_workload` for this session's workload
-    (*per-application* limit maps).
-    """
-
-    def __init__(self, allocator: JointAllocator, workload: Workload) -> None:
-        workload.validate()
-        self.workload = workload
-        self._open(
-            allocator,
-            ParametricWorkloadFormulation(workload, weights=allocator.weights),
-            workload.name,
-        )
-
-    def _build_formulation(
-        self, capacity_limits, budget_limits
-    ) -> WorkloadSocpFormulation:
-        return WorkloadSocpFormulation(
-            self.workload,
-            weights=self.allocator.weights,
-            capacity_limits=capacity_limits,
-            budget_limits=budget_limits,
-        )
-
-    def _finalize(self, formulation, solution: Solution) -> MappedWorkload:
-        return self.allocator._finalize_workload(self.workload, formulation, solution)
-
-    def allocate(
-        self,
-        capacity_limits: Optional[Mapping[str, Mapping[str, int]]] = None,
-        budget_limits: Optional[Mapping[str, Mapping[str, float]]] = None,
-        warm_start: bool = True,
-    ) -> MappedWorkload:
-        return super().allocate(capacity_limits, budget_limits, warm_start)
 
     # -- incremental workload editing -------------------------------------------
     def add_application(self, name: str, configuration: Configuration) -> None:
@@ -558,7 +426,7 @@ class WorkloadSession(_LimitSession):
         Only the previous optimum and the interior hint carry over, re-keyed
         by variable name, to warm-start the next :meth:`allocate`.
         """
-        self._edit(lambda: self.workload.add_application(name, configuration))
+        self._edit(lambda: self.subject.add_application(name, configuration))
 
     def remove_application(self, name: str) -> None:
         """Retire one application from the running session (the departure case).
@@ -567,14 +435,15 @@ class WorkloadSession(_LimitSession):
         strictly feasible (the shared capacity rows only got more slack), so
         the next :meth:`allocate` typically skips phase I.
         """
-        if name in self.workload.application_names and len(self.workload) <= 1:
+        workload = self._workload()
+        if name in workload.application_names and len(workload) <= 1:
             raise ModelError(
                 f"cannot remove {name!r}: a workload session needs at least one "
                 f"application (discard the session instead)"
             )
         # No re-validation: any sub-workload of a valid workload is valid
         # (removal only relaxes the combined-load screens).
-        self._edit(lambda: self.workload.remove_application(name), validate=False)
+        self._edit(lambda: workload.remove_application(name), validate=False)
 
     def replace_application(self, name: str, configuration: Configuration) -> None:
         """Swap one application's configuration in place (reconfiguration).
@@ -582,7 +451,7 @@ class WorkloadSession(_LimitSession):
         The workload is restored and the session left untouched when the
         replacement fails the load screens.
         """
-        self._edit(lambda: self.workload.replace_application(name, configuration))
+        self._edit(lambda: self.subject.replace_application(name, configuration))
 
     def _edit(self, mutate, validate: bool = True) -> None:
         """Apply one membership edit transactionally.
@@ -595,16 +464,26 @@ class WorkloadSession(_LimitSession):
         leave the workload and the compiled program describing different
         memberships.
         """
-        snapshot = dict(self.workload._applications)
+        workload = self._workload()
+        snapshot = dict(workload._applications)
         try:
             mutate()
             if validate:
-                self.workload.validate()
+                workload.validate()
             self._rebind()
         except BaseException:
-            self.workload._applications.clear()
-            self.workload._applications.update(snapshot)
+            workload._applications.clear()
+            workload._applications.update(snapshot)
             raise
+
+    def _workload(self) -> Workload:
+        """The session's workload: a configuration has no membership to edit."""
+        if isinstance(self.subject, Configuration):
+            raise ModelError(
+                f"the session over configuration {self.subject.name!r} has no "
+                f"applications to edit; open a workload session instead"
+            )
+        return self.subject
 
     def _rebind(self) -> None:
         """Rebuild the session from the edited workload.
@@ -618,11 +497,8 @@ class WorkloadSession(_LimitSession):
         """
         old_session = self._session
         old_compiled = old_session.parametric.compiled
-        parametric = ParametricWorkloadFormulation(
-            self.workload, weights=self.allocator.weights
-        )
+        parametric, initial, session = self._compile()
         new_compiled = parametric.parametric.compiled
-        initial = parametric.initial_point()
         start = {var.name: float(value) for var, value in initial.items()}
 
         def _carry_over(old_vector: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -641,12 +517,6 @@ class WorkloadSession(_LimitSession):
 
         seed_vector = _carry_over(old_session.warm_vector)
         interior_vector = _carry_over(old_session._interior_vector)
-        from repro.solver.parametric import SolveSession
-
-        session = SolveSession(
-            parametric.parametric, backend=self.allocator.options.backend
-        )
-
         self._parametric = parametric
         self._session = session
         self._adopt_stats(old_session.stats)

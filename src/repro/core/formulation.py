@@ -23,23 +23,26 @@ program of the paper:
 Block structure
 ---------------
 
-The program is not built monolithically: every application contributes one
+The program is not built monolithically: it is assembled over the members
+of a subject, ``(namespace, configuration)`` pairs on one platform
+(:func:`_subject_members`).  Every member contributes one
 :class:`FormulationBlock` holding its variables, its cone constraints
-(Constraints (6)–(8)) and its objective terms, all namespaced per
-application.  The applications are coupled **only** through the shared
-capacity rows — Constraint (9) per processor and Constraint (10) per bounded
-memory — which the assembler sums over every block.  A single-configuration
-:class:`SocpFormulation` is exactly the 1-block special case (with an empty
-namespace, so variable and constraint names are unchanged);
-:class:`WorkloadSocpFormulation` assembles one block per application of a
-:class:`~repro.taskgraph.workload.Workload`.
+(Constraints (6)–(8)) and its objective terms, all namespaced per member.
+The members are coupled **only** through the shared capacity rows —
+Constraint (9) per processor and Constraint (10) per bounded memory — which
+the assembler sums over every block.  A configuration is the one member
+``("", configuration)``, so its variable and constraint names carry no
+prefix; a :class:`~repro.taskgraph.workload.Workload` is its applications.
+:class:`SocpFormulation` builds either, and
+:class:`ParametricSocpFormulation` compiles it once with the sweep limits as
+parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,8 +60,7 @@ from repro.taskgraph.configuration import Configuration
 from repro.taskgraph.platform import Platform
 from repro.taskgraph.task import effective_cycles
 
-if TYPE_CHECKING:  # parametric re-solve and workloads load on first use
-    from repro.solver.parametric import ParametricProblem
+if TYPE_CHECKING:  # workloads load on first use
     from repro.taskgraph.workload import Workload
 
 
@@ -556,7 +558,7 @@ class FormulationBlock:
 
         ``budget_shares`` (per processor) and ``capacity_shares`` (per
         memory) give the fraction of each ``β'`` and ``γ'`` interval the
-        value takes, as :meth:`_BlockAssembly.initial_point` derives them
+        value takes, as :meth:`SocpFormulation.initial_point` derives them
         from the slack of Constraints (9) and (10).  A capacity in an
         unbounded memory (share ``None``) sits half a container below its
         upper bound, where its space queue carries the most tokens (or at
@@ -643,33 +645,104 @@ class FormulationBlock:
         }
 
 
-class _BlockAssembly:
-    """Shared assembly of per-application blocks into one cone program.
+def _subject_members(
+    subject: Union[Configuration, Workload],
+) -> List[Tuple[str, Configuration]]:
+    """The members of a configuration or a workload.
 
-    Subclasses provide ``self.blocks`` (the per-application
-    :class:`FormulationBlock` list), ``self.platform`` (the shared platform)
-    and ``self.program`` before calling :meth:`build`.  The assembler adds
-    every block's variables and cone constraints, then joins the blocks
-    through the shared capacity rows (Constraints (9) and (10)) and the
-    summed objective.
+    A configuration is the one member ``("", configuration)``, so its
+    variable, row and parameter-slot names are unqualified; a workload's
+    members are its applications, namespaced by their names.
+    """
+    if isinstance(subject, Configuration):
+        return [("", subject)]
+    return [
+        (application.name, application.configuration)
+        for application in subject.applications
+    ]
+
+
+def _member_limits(
+    subject: Union[Configuration, Workload], limits: Optional[Mapping]
+) -> Dict[str, Dict[str, float]]:
+    """Limits in ``subject``'s own shape, keyed by member.
+
+    A configuration takes one per-buffer (or per-task) map, its one member's;
+    a workload takes one such map per application, and a map naming an
+    application the workload does not have raises :class:`FormulationError`.
+    """
+    if not limits:
+        return {}
+    if isinstance(subject, Configuration):
+        return {"": dict(limits)}
+    known = set(subject.application_names)
+    unknown = sorted(set(limits) - known)
+    if unknown:
+        raise FormulationError(
+            f"limits reference unknown application(s) {unknown}; workload "
+            f"{subject.name!r} has {sorted(known)}"
+        )
+    return {name: dict(values) for name, values in limits.items()}
+
+
+class SocpFormulation:
+    """Builder of the joint budget / buffer-size cone program (Algorithm 1).
+
+    The program is assembled over the members of its subject
+    (:func:`_subject_members`), one :class:`FormulationBlock` each: a
+    configuration is the one-block case with an empty namespace, so its
+    names are ``beta[task]``, ``capacity[buf]``, ``s[actor]``; a workload
+    contributes one block per application, namespaced by the application
+    name.  The assembler adds every block's variables and cone constraints,
+    then joins the blocks through the shared capacity rows (Constraints (9)
+    and (10)) and the summed objective.
+
+    ``capacity_limits`` and ``budget_limits`` are optional upper bounds on
+    the capacities (containers) and budgets *in addition to* those stored on
+    the buffers and tasks, in the subject's own shape
+    (:func:`_member_limits`): per-buffer / per-task maps for a configuration,
+    per-application maps of them for a workload.  The trade-off sweeps of the
+    paper's experiments use them.  ``weights`` defaults to the weights stored
+    on the tasks and buffers themselves.
     """
 
-    blocks: List[FormulationBlock]
-    platform: Platform
-    program: ConeProgram
-    _built: bool
+    def __init__(
+        self,
+        subject: Union[Configuration, Workload],
+        weights: Optional[ObjectiveWeights] = None,
+        capacity_limits: Optional[Mapping] = None,
+        budget_limits: Optional[Mapping] = None,
+        name: Optional[str] = None,
+    ) -> None:
+        self.subject = subject
+        self.weights = weights or ObjectiveWeights()
+        self.platform: Platform = subject.platform
+        self.name = name or f"socp[{subject.name}]"
+        capacity_limits = _member_limits(subject, capacity_limits)
+        budget_limits = _member_limits(subject, budget_limits)
+        self.blocks = [
+            FormulationBlock(
+                configuration,
+                self.weights,
+                capacity_limits=capacity_limits.get(namespace),
+                budget_limits=budget_limits.get(namespace),
+                namespace=namespace,
+            )
+            for namespace, configuration in _subject_members(subject)
+        ]
+        self.program = ConeProgram(name=self.name)
+        self._built = False
 
     # -- public API ------------------------------------------------------------
     def build(self) -> ConeProgram:
         """Construct the cone program; idempotent.
 
         Each block's variables are registered together (tasks, capacities,
-        start times per application) so that every application occupies one
-        contiguous variable index range; the partition is declared to the
-        program (:meth:`ConeProgram.declare_blocks`) and compiles into the
+        start times per member) so that every member occupies one contiguous
+        variable index range; the partition is declared to the program
+        (:meth:`ConeProgram.declare_blocks`) and compiles into the
         :class:`~repro.solver.problem.BlockStructure` the barrier solver's
-        structured Newton path keys off.  In the 1-block case the resulting
-        variable order is exactly the historical one.
+        structured Newton path keys off.
         """
         if self._built:
             return self.program
@@ -821,167 +894,21 @@ class _BlockAssembly:
         )
 
 
-class SocpFormulation(_BlockAssembly):
-    """Builder of the joint budget / buffer-size cone program (Algorithm 1).
-
-    The single-configuration case: exactly one :class:`FormulationBlock` with
-    an empty namespace, so variable names (``beta[task]``, ``capacity[buf]``,
-    ``s[actor]``) and constraint names are the same as they always were.
-    """
-
-    def __init__(
-        self,
-        configuration: Configuration,
-        weights: Optional[ObjectiveWeights] = None,
-        capacity_limits: Optional[Mapping[str, int]] = None,
-        budget_limits: Optional[Mapping[str, float]] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        """Create the formulation.
-
-        Parameters
-        ----------
-        configuration:
-            The validated input configuration.
-        weights:
-            Objective weighting; defaults to the weights stored on the tasks
-            and buffers themselves.
-        capacity_limits:
-            Optional per-buffer upper bounds on the capacity (containers),
-            *in addition to* the bounds stored on the buffers.  Used by the
-            trade-off sweeps of the paper's experiments.
-        budget_limits:
-            Optional per-task upper bounds on the budget, in addition to the
-            bounds stored on the tasks.
-        """
-        self.configuration = configuration
-        self.weights = weights or ObjectiveWeights()
-        self.capacity_limits = dict(capacity_limits or {})
-        self.budget_limits = dict(budget_limits or {})
-        self.name = name or f"socp[{configuration.name}]"
-        self.platform = configuration.platform
-        self.blocks = [
-            FormulationBlock(
-                configuration,
-                self.weights,
-                capacity_limits=self.capacity_limits,
-                budget_limits=self.budget_limits,
-                namespace="",
-            )
-        ]
-        self.specifications = self.blocks[0].specifications
-        self.variables = self.blocks[0].variables
-        self.program = ConeProgram(name=self.name)
-        self._built = False
-
-    # -- solution extraction ------------------------------------------------------
-    def extract_budgets(self, solution: Solution) -> Dict[str, float]:
-        """Relaxed budgets ``β'(w)`` at a solution."""
-        return self.blocks[0].extract_budgets(solution)
-
-    def extract_capacities(self, solution: Solution) -> Dict[str, float]:
-        """Relaxed capacities ``γ'(b)`` at a solution."""
-        return self.blocks[0].extract_capacities(solution)
-
-    def extract_start_times(self, solution: Solution) -> Dict[str, float]:
-        """Start times ``s(v)`` of all SRDF actors at a solution."""
-        return self.blocks[0].extract_start_times(solution)
 
 
-class WorkloadSocpFormulation(_BlockAssembly):
-    """The joint cone program over every application of a workload.
-
-    One :class:`FormulationBlock` per application, namespaced by the
-    application name; the blocks are coupled only through the shared
-    processor and memory capacity rows.  A one-application workload builds a
-    program that is structurally identical to the application's own
-    :class:`SocpFormulation` (same variables, bounds and constraints in the
-    same order — only the names carry the application prefix), so both solve
-    to the same optimum.
-
-    ``capacity_limits`` and ``budget_limits`` are *per application*:
-    mappings from application name to the per-buffer / per-task limit
-    mappings :class:`SocpFormulation` takes.
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        weights: Optional[ObjectiveWeights] = None,
-        capacity_limits: Optional[Mapping[str, Mapping[str, int]]] = None,
-        budget_limits: Optional[Mapping[str, Mapping[str, float]]] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        self.workload = workload
-        self.weights = weights or ObjectiveWeights()
-        self.capacity_limits = _per_application_limits(workload, capacity_limits)
-        self.budget_limits = _per_application_limits(workload, budget_limits)
-        self.name = name or f"socp[{workload.name}]"
-        self.platform = workload.platform
-        self._blocks_by_application: Dict[str, FormulationBlock] = {
-            application.name: FormulationBlock(
-                application.configuration,
-                self.weights,
-                capacity_limits=self.capacity_limits.get(application.name),
-                budget_limits=self.budget_limits.get(application.name),
-                namespace=application.name,
-            )
-            for application in workload.applications
-        }
-        self.blocks = list(self._blocks_by_application.values())
-        self.program = ConeProgram(name=self.name)
-        self._built = False
-
-    def block(self, application: str) -> FormulationBlock:
-        try:
-            return self._blocks_by_application[application]
-        except KeyError:
-            raise FormulationError(
-                f"no application named {application!r} in workload "
-                f"{self.workload.name!r}"
-            ) from None
-
-    # -- solution extraction ------------------------------------------------------
-    def budgets_by_application(
-        self, solution: Solution
-    ) -> Dict[str, Dict[str, float]]:
-        """Relaxed budgets per application, keyed by bare task names."""
-        return {
-            block.namespace: block.extract_budgets(solution) for block in self.blocks
-        }
-
-    def capacities_by_application(
-        self, solution: Solution
-    ) -> Dict[str, Dict[str, float]]:
-        """Relaxed capacities per application, keyed by bare buffer names."""
-        return {
-            block.namespace: block.extract_capacities(solution)
-            for block in self.blocks
-        }
+#: The name the workload entry points use for the same formulation.
+WorkloadSocpFormulation = SocpFormulation
 
 
-def _per_application_limits(
-    workload: Workload, limits: Optional[Mapping[str, Mapping[str, float]]]
-) -> Dict[str, Dict[str, float]]:
-    """Validate per-application limit maps against the workload's applications."""
-    if not limits:
-        return {}
-    known = set(workload.application_names)
-    unknown = sorted(set(limits) - known)
-    if unknown:
-        raise FormulationError(
-            f"limits reference unknown application(s) {unknown}; workload "
-            f"{workload.name!r} has {sorted(known)}"
-        )
-    return {name: dict(values) for name, values in limits.items()}
+class ParametricSocpFormulation:
+    """The cone program of a subject compiled once, with limits as parameters.
 
-
-class _ParametricAssembly:
-    """Shared parametric plumbing over the blocks of an assembled formulation.
-
-    Registers one parameter slot per variable-bound row the sweeps mutate —
-    per block, so per-application limits of a workload get their own
-    namespaced slots:
+    Where :class:`SocpFormulation` bakes a sweep's ``capacity_limits`` and
+    ``budget_limits`` into freshly built variable bounds — forcing a full
+    rebuild and recompile per sweep point — this wrapper builds the program
+    *without* the limits and registers, per block (so each member's limits
+    get their own namespaced slots), the compiled rows the limits move as
+    named parameters of a :class:`~repro.solver.parametric.ParametricProblem`:
 
     * ``capacity_limit[<qualified buffer>]`` — the upper-bound row of ``γ'(b)``;
     * ``budget_limit[<qualified task>]`` — the upper-bound row of ``β'(w)``;
@@ -990,14 +917,18 @@ class _ParametricAssembly:
       rebuilt program's.
 
     Variables whose static bounds already coincide are substituted out at
-    compile time and expose no parametric slot; the registration records which slots exist
-    so the per-point application skips the rest.
+    compile time and expose no slot; the registration records which slots
+    exist so :meth:`apply_limits` skips the rest.
     """
 
-    formulation: _BlockAssembly
-    parametric: ParametricProblem
-
-    def _register_blocks(self) -> None:
+    def __init__(
+        self,
+        subject: Union[Configuration, Workload],
+        weights: Optional[ObjectiveWeights] = None,
+        name: Optional[str] = None,
+    ) -> None:
+        self.subject = subject
+        self.formulation = SocpFormulation(subject, weights=weights, name=name)
         self.formulation.build()
         from repro.solver.parametric import ParametricProblem
 
@@ -1037,144 +968,58 @@ class _ParametricAssembly:
         its build-time (unlimited) bounds."""
         return self.formulation.initial_point()
 
-    def _apply_block_budget_limits(
-        self,
-        block: FormulationBlock,
-        budget_limits: Mapping[str, float],
-        pinned: List[str],
-    ) -> None:
-        for graph in block.configuration.task_graphs:
-            for task in graph.tasks:
-                lower, upper = block.budget_bounds(graph, task, budget_limits)
-                qualified = block.qualify(task.name)
-                if not self._budget_slots[qualified]:
-                    continue
-                if bounds_collapse(lower, upper):
-                    pinned.append(f"beta[{qualified}]")
-                self.parametric.set(f"budget_limit[{qualified}]", upper)
-                if self._reciprocal_slots[qualified]:
-                    self.parametric.set(
-                        f"reciprocal_floor[{qualified}]", 1.0 / max(upper, 1e-12)
-                    )
-
-    def _apply_block_capacity_limits(
-        self,
-        block: FormulationBlock,
-        capacity_limits: Mapping[str, int],
-        pinned: List[str],
-    ) -> None:
-        for graph in block.configuration.task_graphs:
-            default_bound = block.capacity_default_bound(graph)
-            for buffer in graph.buffers:
-                lower, upper = effective_capacity_bounds(
-                    buffer, default_bound, capacity_limits
-                )
-                qualified = block.qualify(buffer.name)
-                if not self._capacity_slots[qualified]:
-                    continue
-                if bounds_collapse(lower, upper):
-                    pinned.append(f"capacity[{qualified}]")
-                self.parametric.set(f"capacity_limit[{qualified}]", upper)
-
-
-class ParametricSocpFormulation(_ParametricAssembly):
-    """The SOCP of Algorithm 1 compiled once, with limits as parameters.
-
-    Where :class:`SocpFormulation` bakes the sweep's ``capacity_limits`` and
-    ``budget_limits`` into freshly built variable bounds — forcing a full
-    rebuild and recompile per sweep point — this wrapper builds the program
-    *without* the limits and registers the affected compiled rows as named
-    parameters of a :class:`~repro.solver.parametric.ParametricProblem`.
-
-    :meth:`apply_limits` recomputes the same effective bounds the rebuild
-    path would (:func:`effective_budget_bounds` /
-    :func:`effective_capacity_bounds` — ``min`` of the stored bounds and the
-    sweep limit) and writes them into the compiled problem.  One structural
-    case cannot be expressed by mutating right-hand sides: a limit that lands
-    *exactly on* a variable's lower bound, which the rebuild path substitutes
-    out of the program.  ``apply_limits`` reports such pinned variables so the
-    caller can fall back to a one-off rebuild for that point.
-    """
-
-    def __init__(
-        self,
-        configuration: Configuration,
-        weights: Optional[ObjectiveWeights] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        self.configuration = configuration
-        self.formulation = SocpFormulation(configuration, weights=weights, name=name)
-        self._register_blocks()
-
     def apply_limits(
         self,
-        capacity_limits: Optional[Mapping[str, int]] = None,
-        budget_limits: Optional[Mapping[str, float]] = None,
+        capacity_limits: Optional[Mapping] = None,
+        budget_limits: Optional[Mapping] = None,
     ) -> List[str]:
         """Write the effective bounds for one sweep point into the program.
 
-        Re-evaluates the rebuild path's own bound arithmetic
-        (:func:`effective_budget_bounds` / :func:`effective_capacity_bounds`)
-        under the given limits — including raising
-        :class:`InfeasibleProblemError` when a limit falls below a variable's
-        lower bound, in the same variable order.  Returns the names of
-        variables the limits pin onto their lower bound (the structural case
-        that needs a rebuild, per
-        :func:`repro.solver.problem.bounds_collapse`); an empty list means
-        the compiled problem now describes exactly the limited program.
+        The limits take the subject's shape (:func:`_member_limits`); members
+        not mentioned keep (or return to) their unlimited bounds.  The
+        rebuild path's own bound arithmetic (:func:`effective_budget_bounds`
+        / :func:`effective_capacity_bounds`) is re-evaluated under them —
+        including raising :class:`InfeasibleProblemError` when a limit falls
+        below a variable's lower bound, in the same variable order.
+
+        One structural case cannot be expressed by mutating right-hand sides:
+        a limit that lands *exactly on* a variable's lower bound, which the
+        rebuild path substitutes out of the program
+        (:func:`repro.solver.problem.bounds_collapse`).  The qualified names
+        of such pinned variables are returned so the caller can rebuild that
+        point; an empty list means the compiled problem now describes
+        exactly the limited program.
         """
-        pinned: List[str] = []
-        block = self.formulation.blocks[0]
-        self._apply_block_budget_limits(block, dict(budget_limits or {}), pinned)
-        self._apply_block_capacity_limits(block, dict(capacity_limits or {}), pinned)
-        return pinned
-
-
-class ParametricWorkloadFormulation(_ParametricAssembly):
-    """A workload's cone program compiled once, with per-application limits
-    as parameters.
-
-    The multi-application counterpart of :class:`ParametricSocpFormulation`:
-    one compiled program over every block, with each application's capacity
-    and budget limits exposed as namespaced parameter slots, so
-    warm-started :class:`~repro.solver.parametric.SolveSession`\\ s work on
-    workloads exactly as they do on single configurations.
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        weights: Optional[ObjectiveWeights] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        self.workload = workload
-        self.formulation = WorkloadSocpFormulation(
-            workload, weights=weights, name=name
-        )
-        self._register_blocks()
-
-    def apply_limits(
-        self,
-        capacity_limits: Optional[Mapping[str, Mapping[str, int]]] = None,
-        budget_limits: Optional[Mapping[str, Mapping[str, float]]] = None,
-    ) -> List[str]:
-        """Write one sweep point's per-application limits into the program.
-
-        ``capacity_limits`` / ``budget_limits`` map application names to the
-        per-buffer / per-task limit maps of that application; applications not
-        mentioned keep (or return to) their unlimited bounds.  Returns the
-        qualified names of pinned variables, as in
-        :meth:`ParametricSocpFormulation.apply_limits`.
-        """
-        capacity_limits = _per_application_limits(self.workload, capacity_limits)
-        budget_limits = _per_application_limits(self.workload, budget_limits)
+        capacity_limits = _member_limits(self.subject, capacity_limits)
+        budget_limits = _member_limits(self.subject, budget_limits)
         pinned: List[str] = []
         for block in self.formulation.blocks:
-            self._apply_block_budget_limits(
-                block, budget_limits.get(block.namespace, {}), pinned
-            )
+            limits = budget_limits.get(block.namespace, {})
+            for graph in block.configuration.task_graphs:
+                for task in graph.tasks:
+                    lower, upper = block.budget_bounds(graph, task, limits)
+                    qualified = block.qualify(task.name)
+                    if not self._budget_slots[qualified]:
+                        continue
+                    if bounds_collapse(lower, upper):
+                        pinned.append(f"beta[{qualified}]")
+                    self.parametric.set(f"budget_limit[{qualified}]", upper)
+                    if self._reciprocal_slots[qualified]:
+                        self.parametric.set(
+                            f"reciprocal_floor[{qualified}]", 1.0 / max(upper, 1e-12)
+                        )
         for block in self.formulation.blocks:
-            self._apply_block_capacity_limits(
-                block, capacity_limits.get(block.namespace, {}), pinned
-            )
+            limits = capacity_limits.get(block.namespace, {})
+            for graph in block.configuration.task_graphs:
+                default_bound = block.capacity_default_bound(graph)
+                for buffer in graph.buffers:
+                    lower, upper = effective_capacity_bounds(
+                        buffer, default_bound, limits
+                    )
+                    qualified = block.qualify(buffer.name)
+                    if not self._capacity_slots[qualified]:
+                        continue
+                    if bounds_collapse(lower, upper):
+                        pinned.append(f"capacity[{qualified}]")
+                    self.parametric.set(f"capacity_limit[{qualified}]", upper)
         return pinned

@@ -6,11 +6,13 @@ recording the minimal budgets the SOCP returns (Figures 2(a), 2(b), 3).
 :class:`TradeoffExplorer` automates that sweep for arbitrary configurations.
 
 Every sweep point solves the *same* cone program up to a handful of bound
-values, so the explorer drives an :class:`~repro.core.allocator.
-AllocationSession`: the program is built and compiled once per sweep and each
-point re-solves with the previous point's optimum as a warm start.  Per-point
-solver statistics land in :attr:`TradeoffPoint.solve_stats` and the session
-aggregate in :attr:`TradeoffCurve.solver_stats`.
+values, so both capacity sweeps — over a configuration and over one
+application of a workload — drive one :class:`~repro.core.allocator.
+AllocationSession` through the same loop: the program is built and compiled
+once per sweep and each point re-solves with the previous point's optimum as
+a warm start.  Per-point solver statistics land in
+:attr:`TradeoffPoint.solve_stats` and the session aggregate in
+:attr:`TradeoffCurve.solver_stats`.
 """
 
 from __future__ import annotations
@@ -190,40 +192,12 @@ class TradeoffExplorer:
         buffer_names = list(buffers) if buffers is not None else [
             buffer.name for _, buffer in configuration.all_buffers()
         ]
-        curve = TradeoffCurve(configuration_name=configuration.name)
-        try:
-            session = self.allocator.session(configuration)
-        except InfeasibleProblemError:
-            # The *unlimited* program is already contradictory (e.g. a task's
-            # max_budget below its throughput-implied floor); capacity limits
-            # only tighten it, so every sweep point is infeasible.
-            curve.points = [
-                TradeoffPoint(capacity_limit=int(limit), feasible=False)
-                for limit in capacity_limits
-            ]
-            return curve
-        for limit in capacity_limits:
-            limits = {name: int(limit) for name in buffer_names}
-            try:
-                mapped = session.allocate(capacity_limits=limits)
-            except InfeasibleProblemError:
-                # A genuinely infeasible point is part of the curve; solver
-                # failures (any other SolverError) propagate to the caller.
-                curve.points.append(TradeoffPoint(capacity_limit=int(limit), feasible=False))
-                continue
-            curve.points.append(
-                TradeoffPoint(
-                    capacity_limit=int(limit),
-                    feasible=True,
-                    budgets=dict(mapped.budgets),
-                    relaxed_budgets=dict(mapped.relaxed_budgets),
-                    capacities=dict(mapped.buffer_capacities),
-                    objective_value=mapped.objective_value,
-                    solve_stats=dict(mapped.solver_info.get("solve_stats", {})),
-                )
-            )
-        curve.solver_stats = session.stats.as_dict()
-        return curve
+        return self._sweep(
+            configuration,
+            configuration.name,
+            capacity_limits,
+            lambda limit: {name: limit for name in buffer_names},
+        )
 
     def sweep_application_capacity(
         self,
@@ -242,8 +216,8 @@ class TradeoffExplorer:
         one application need at each buffering level, given the platform is
         already shared?
 
-        The sweep runs through a :class:`~repro.core.allocator.
-        WorkloadSession`, so the program compiles once and every point
+        The sweep runs through an :class:`~repro.core.allocator.
+        AllocationSession`, so the program compiles once and every point
         warm-starts from its neighbour.  Budgets and capacities in the
         returned points are keyed ``"<application>/<name>"`` across *all*
         applications of the workload.
@@ -268,29 +242,41 @@ class TradeoffExplorer:
             raise ModelError(
                 f"application {application!r} has no buffer(s) {unknown}"
             )
-        curve = TradeoffCurve(configuration_name=f"{workload.name}:{application}")
+        return self._sweep(
+            workload,
+            f"{workload.name}:{application}",
+            capacity_limits,
+            lambda limit: {application: {name: limit for name in buffer_names}},
+        )
+
+    def _sweep(self, subject, curve_name, capacity_limits, limits_at) -> TradeoffCurve:
+        """One warm-started session over ``subject``, one point per capacity
+        bound; ``limits_at(bound)`` gives the point's limits in the subject's
+        shape.  Budgets and capacities are keyed as the subject's
+        :meth:`flattened` views key them."""
+        curve = TradeoffCurve(configuration_name=curve_name)
         try:
-            session = self.allocator.workload_session(workload)
+            session = self.allocator.session(subject)
         except InfeasibleProblemError:
-            # The *unlimited* workload program is already contradictory;
-            # capacity limits only tighten it.
+            # The *unlimited* program is already contradictory (e.g. a task's
+            # max_budget below its throughput-implied floor); capacity limits
+            # only tighten it, so every sweep point is infeasible.
             curve.points = [
                 TradeoffPoint(capacity_limit=int(limit), feasible=False)
                 for limit in capacity_limits
             ]
             return curve
-        for limit in capacity_limits:
-            limits = {application: {name: int(limit) for name in buffer_names}}
+        for limit in map(int, capacity_limits):
             try:
-                mapped = session.allocate(capacity_limits=limits)
+                mapped = session.allocate(capacity_limits=limits_at(limit))
             except InfeasibleProblemError:
-                curve.points.append(
-                    TradeoffPoint(capacity_limit=int(limit), feasible=False)
-                )
+                # A genuinely infeasible point is part of the curve; solver
+                # failures (any other SolverError) propagate to the caller.
+                curve.points.append(TradeoffPoint(capacity_limit=limit, feasible=False))
                 continue
             curve.points.append(
                 TradeoffPoint(
-                    capacity_limit=int(limit),
+                    capacity_limit=limit,
                     feasible=True,
                     budgets=mapped.flattened("budgets"),
                     relaxed_budgets=mapped.flattened("relaxed_budgets"),

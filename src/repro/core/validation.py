@@ -21,8 +21,8 @@ from typing import Dict, List
 
 from repro.exceptions import ReproError
 from repro.dataflow.construction import build_srdf_specification, instantiate_srdf
-from repro.dataflow.mcr import is_period_feasible, maximum_cycle_ratio
-from repro.dataflow.simulation import meets_period
+from repro.dataflow.mcr import longest_path_potentials, maximum_cycle_ratio
+from repro.dataflow.simulation import _sustains_schedule
 from repro.scheduling.budget import validate_budget_feasibility
 from repro.taskgraph.configuration import MappedConfiguration
 
@@ -91,7 +91,10 @@ def verify_mapping(
             report.add_issue(f"graph {graph.name!r}: {error}")
             continue
         report.minimum_periods[graph.name] = maximum_cycle_ratio(srdf)
-        if not is_period_feasible(srdf, graph.period):
+        # One Bellman–Ford pass: the potentials decide the periodic schedule's
+        # existence and are the bounds the simulation is checked against.
+        potentials = longest_path_potentials(srdf, graph.period)
+        if potentials is None:
             report.add_issue(
                 f"graph {graph.name!r}: no periodic admissible schedule with period "
                 f"{graph.period} exists for the rounded budgets/capacities "
@@ -103,8 +106,8 @@ def verify_mapping(
         # analyses above handle them, but the self-timed simulation indexes
         # firings by integer token counts and is skipped for such graphs.
         simulatable = all(q.has_integral_tokens for q in srdf.queues)
-        if run_simulation and simulatable and not meets_period(
-            srdf, graph.period, iterations=_SIMULATE_ITERATIONS
+        if run_simulation and simulatable and not _sustains_schedule(
+            srdf, potentials, graph.period, _SIMULATE_ITERATIONS
         ):
             report.add_issue(
                 f"graph {graph.name!r}: the self-timed simulation does not sustain "

@@ -155,6 +155,19 @@ def meets_period(
     potentials = longest_path_potentials(graph, required_period)
     if potentials is None:
         return False
+    return _sustains_schedule(graph, potentials, required_period, iterations, tolerance)
+
+
+def _sustains_schedule(
+    graph: SRDFGraph,
+    potentials: Dict[str, float],
+    required_period: float,
+    iterations: int,
+    tolerance: float = 1e-6,
+) -> bool:
+    """The simulation half of :func:`meets_period`, against periodic start
+    times ``potentials`` the caller already computed at ``required_period``
+    (:func:`~repro.dataflow.mcr.longest_path_potentials`)."""
     try:
         trace = simulate(graph, iterations=iterations)
     except SimulationError:

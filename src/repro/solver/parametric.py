@@ -27,7 +27,8 @@ Only inequality right-hand sides are parametric.  Structural changes (adding
 constraints, collapsing a bound pair so the variable is substituted out)
 require a fresh compile;
 callers detect those cases and rebuild (see
-:class:`repro.core.formulation.ParametricSocpFormulation`).
+:meth:`repro.core.formulation.ParametricSocpFormulation.apply_limits`, the one
+parametric formulation over configurations and workloads alike).
 """
 
 from __future__ import annotations
@@ -180,7 +181,8 @@ class SessionStats:
 
         The single accounting path for both session solves and the rebuild
         fallbacks that solve outside the session
-        (:meth:`repro.core.allocator.AllocationSession._rebuild_point`).
+        (:meth:`repro.core.allocator.AllocationSession._rebuild_point`, for
+        configuration and workload sessions alike).
         """
         self.solves += 1
         self.solve_time += solution.solve_time

@@ -181,8 +181,8 @@ class BlockStructure:
     """Block partition of a compiled problem's variables and constraints.
 
     Emitted by :meth:`ConeProgram.compile` when the program declared variable
-    blocks (:meth:`ConeProgram.declare_blocks`) — per-application blocks in
-    :class:`repro.core.formulation._BlockAssembly` — and every non-linear
+    blocks (:meth:`ConeProgram.declare_blocks`) — per-member blocks in
+    :class:`repro.core.formulation.SocpFormulation` — and every non-linear
     constraint turned out to be confined to a single block.  For two or more
     blocks the barrier backend uses it to solve each Newton step with
     block-Cholesky factorisations + a Schur complement on the

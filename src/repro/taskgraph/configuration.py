@@ -175,6 +175,12 @@ class MappedConfiguration:
                 f"no capacity recorded for buffer {buffer_name!r}"
             ) from None
 
+    def flattened(self, attribute: str) -> Dict[str, float]:
+        """A copy of one per-name mapping (``"budgets"``, ``"relaxed_capacities"``,
+        …): the flat view :meth:`MappedWorkload.flattened
+        <repro.taskgraph.workload.MappedWorkload.flattened>` gives a workload."""
+        return dict(getattr(self, attribute))
+
     def total_budget(self, processor_name: Optional[str] = None) -> float:
         """Sum of budgets, optionally restricted to one processor."""
         if processor_name is None:

@@ -165,18 +165,21 @@ def task_from_dict(data: Dict[str, object]) -> Task:
     cycles_by_type = data.get("cycles_by_type")
     return Task(
         name=str(data["name"]),
-        wcet=float(data["wcet"]),
+        wcet=_number(data["wcet"], "wcet"),
         processor=str(data["processor"]),
-        budget_weight=float(data.get("budget_weight", 1.0)),
-        min_budget=_optional_float(data.get("min_budget")),
-        max_budget=_optional_float(data.get("max_budget")),
+        budget_weight=_number(data.get("budget_weight", 1.0), "budget_weight"),
+        min_budget=_optional_number(data.get("min_budget"), "min_budget"),
+        max_budget=_optional_number(data.get("max_budget"), "max_budget"),
         phases=(
             tuple(_number(p, "phases") for p in _list(phases, "phases"))
             if phases is not None
             else None
         ),
         cycles_by_type=(
-            {str(t): float(c) for t, c in dict(cycles_by_type).items()}
+            {
+                str(t): _number(c, "cycles_by_type")
+                for t, c in _object(cycles_by_type, "cycles_by_type").items()
+            }
             if cycles_by_type is not None
             else None
         ),
@@ -191,9 +194,9 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
         source=str(data["source"]),
         target=str(data["target"]),
         memory=str(data["memory"]),
-        container_size=float(data.get("container_size", 1.0)),
+        container_size=_number(data.get("container_size", 1.0), "container_size"),
         initial_tokens=_count(data.get("initial_tokens", 0), "initial_tokens"),
-        capacity_weight=float(data.get("capacity_weight", 1.0)),
+        capacity_weight=_number(data.get("capacity_weight", 1.0), "capacity_weight"),
         min_capacity=_optional_count(data.get("min_capacity"), "min_capacity"),
         max_capacity=_optional_count(data.get("max_capacity"), "max_capacity"),
         production_rates=(
@@ -216,7 +219,7 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
 
 
 def task_graph_from_dict(data: Dict[str, object]) -> TaskGraph:
-    graph = TaskGraph(name=str(data["name"]), period=float(data["period"]))
+    graph = TaskGraph(name=str(data["name"]), period=_number(data["period"], "period"))
     for task_data in data.get("tasks", []):
         graph.add_task(task_from_dict(task_data))
     for buffer_data in data.get("buffers", []):
@@ -231,19 +234,26 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
         processors.append(
             Processor(
                 name=str(p["name"]),
-                replenishment_interval=float(p["replenishment_interval"]),
-                scheduling_overhead=float(p.get("scheduling_overhead", 0.0)),
+                replenishment_interval=_number(
+                    p["replenishment_interval"], "replenishment_interval"
+                ),
+                scheduling_overhead=_number(
+                    p.get("scheduling_overhead", 0.0), "scheduling_overhead"
+                ),
                 proc_type=str(p.get("proc_type", "generic")),
-                speed=float(p.get("speed", 1.0)),
+                speed=_number(p.get("speed", 1.0), "speed"),
                 dvfs_levels=(
-                    tuple(float(level) for level in dvfs_levels)
+                    tuple(
+                        _number(level, "dvfs_levels")
+                        for level in _list(dvfs_levels, "dvfs_levels")
+                    )
                     if dvfs_levels is not None
                     else None
                 ),
             )
         )
     memories = [
-        Memory(name=str(m["name"]), capacity=_optional_float(m.get("capacity")))
+        Memory(name=str(m["name"]), capacity=_optional_number(m.get("capacity"), "capacity"))
         for m in data.get("memories", [])
     ]
     return Platform(processors=processors, memories=memories, name=str(data.get("name", "platform")))
@@ -278,13 +288,13 @@ def configuration_from_dict(data: Dict[str, object]) -> Configuration:
     return Configuration(
         platform=platform,
         task_graphs=graphs,
-        granularity=float(data.get("granularity", 1.0)),
+        granularity=_number(data.get("granularity", 1.0), "granularity"),
         name=str(data.get("name", "configuration")),
     )
 
 
-def _optional_float(value: object) -> object:
-    return None if value is None else float(value)  # type: ignore[arg-type]
+def _optional_number(value: object, field: str) -> object:
+    return None if value is None else _number(value, field)
 
 
 def _count(value: object, field: str) -> int:
@@ -306,7 +316,7 @@ def _count(value: object, field: str) -> int:
 def _number(value: object, field: str) -> float:
     """``value`` as a float; a bool, a string or ``None`` is a :class:`ModelError`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelError(f"{field} must hold numbers, got {value!r}")
+        raise ModelError(f"{field}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -315,6 +325,14 @@ def _list(value: object, field: str) -> Sequence[object]:
     never iterated character by character or rejected by a raw ``TypeError``."""
     if not isinstance(value, (list, tuple)):
         raise ModelError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _object(value: object, field: str) -> Mapping[str, object]:
+    """``value`` as a JSON object: anything else is a :class:`ModelError`,
+    never read pairwise by ``dict()`` into a raw ``ValueError``."""
+    if not isinstance(value, Mapping):
+        raise ModelError(f"{field} must be an object, got {value!r}")
     return value
 
 

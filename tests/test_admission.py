@@ -3,7 +3,7 @@
 The lock-in guarantees of the run-time layer:
 
 * every ``add_application`` / ``remove_application`` / ``replace_application``
-  event on a :class:`WorkloadSession` matches a from-scratch
+  event on a :class:`AllocationSession` matches a from-scratch
   ``allocate_workload`` rebuild within 1e-6 (budgets, capacities, objective);
 * :class:`AdmissionController` admits/rejects with structured reasons
   (load-screen vs solver-infeasible) and leaves the running workload intact
@@ -162,7 +162,7 @@ class TestIncrementalSessionEquivalence:
             else:
                 session.replace_application(name, configuration)
             mapped = session.allocate()
-            assert_matches_rebuild(mapped, reference_allocation(session.workload))
+            assert_matches_rebuild(mapped, reference_allocation(session.subject))
 
         assert session.stats.rebuilds == 0
         assert session.stats.compiles == 1 + len(events)
@@ -184,15 +184,15 @@ class TestIncrementalSessionEquivalence:
         session.allocate()
         session.add_application("a2", applications[2])
         assert_matches_rebuild(
-            session.allocate(), reference_allocation(session.workload)
+            session.allocate(), reference_allocation(session.subject)
         )
         session.remove_application("a1")
         assert_matches_rebuild(
-            session.allocate(), reference_allocation(session.workload)
+            session.allocate(), reference_allocation(session.subject)
         )
         session.add_application("a3", applications[3])
         assert_matches_rebuild(
-            session.allocate(), reference_allocation(session.workload)
+            session.allocate(), reference_allocation(session.subject)
         )
 
     def test_limits_still_work_after_an_edit(self):
@@ -219,7 +219,7 @@ class TestIncrementalSessionEquivalence:
         overload = chain_configuration(stages=2, period=1.1)
         with pytest.raises(InfeasibleModelError):
             session.add_application("x", overload)
-        assert session.workload.application_names == ["video"]
+        assert session.subject.application_names == ["video"]
         after = session.allocate()
         assert after.objective_value == pytest.approx(
             before.objective_value, abs=1e-9
@@ -248,10 +248,10 @@ class TestIncrementalSessionEquivalence:
         )
         with pytest.raises(RuntimeError, match="synthetic"):
             session.add_application("pip", chain_configuration(stages=2, period=15.0))
-        assert session.workload.application_names == ["video", "audio"]
+        assert session.subject.application_names == ["video", "audio"]
         with pytest.raises(RuntimeError, match="synthetic"):
             session.remove_application("audio")
-        assert session.workload.application_names == ["video", "audio"]
+        assert session.subject.application_names == ["video", "audio"]
         monkeypatch.undo()
         # The kept session must still solve and extract per-application
         # results against its original compiled problem.
@@ -265,7 +265,7 @@ class TestIncrementalSessionEquivalence:
         # And further edits still work.
         session.add_application("pip", chain_configuration(stages=2, period=15.0))
         assert_matches_rebuild(
-            session.allocate(), reference_allocation(session.workload)
+            session.allocate(), reference_allocation(session.subject)
         )
 
     def test_removing_the_last_application_is_rejected(self):
@@ -369,7 +369,7 @@ class TestAdmissionController:
         the candidate rolled back out of the running workload."""
         from repro.core.admission import STAGE_ERROR
         from repro.core.allocator import JointAllocator as AllocatorClass
-        from repro.core.allocator import WorkloadSession
+        from repro.core.allocator import AllocationSession
         from repro.exceptions import NumericalError
 
         video = chain_configuration(stages=2)
@@ -378,7 +378,7 @@ class TestAdmissionController:
         )
         assert controller.admit("video", video).admitted
 
-        session_allocate = WorkloadSession.allocate
+        session_allocate = AllocationSession.allocate
         workload_allocate = AllocatorClass.allocate_workload
 
         def exploding(self, *args, **kwargs):
@@ -386,7 +386,7 @@ class TestAdmissionController:
 
         # Break the incremental path and the from-scratch fallback alike so
         # the whole ladder is exhausted.
-        monkeypatch.setattr(WorkloadSession, "allocate", exploding)
+        monkeypatch.setattr(AllocationSession, "allocate", exploding)
         monkeypatch.setattr(AllocatorClass, "allocate_workload", exploding)
         decision = controller.admit(
             "audio", chain_configuration(stages=2, period=20.0)
@@ -394,7 +394,7 @@ class TestAdmissionController:
         assert not decision.admitted
         assert decision.stage == STAGE_ERROR
         assert "synthetic solver breakdown" in (decision.reason or "")
-        monkeypatch.setattr(WorkloadSession, "allocate", session_allocate)
+        monkeypatch.setattr(AllocationSession, "allocate", session_allocate)
         monkeypatch.setattr(AllocatorClass, "allocate_workload", workload_allocate)
         assert controller.running == ["video"]
         # The controller still works after the failure.
@@ -405,7 +405,7 @@ class TestAdmissionController:
         cold from-scratch solve: it runs exactly once and the candidate is
         admitted normally."""
         from repro.core.allocator import JointAllocator as AllocatorClass
-        from repro.core.allocator import WorkloadSession
+        from repro.core.allocator import AllocationSession
         from repro.exceptions import NumericalError
 
         video = chain_configuration(stages=2)
@@ -414,7 +414,7 @@ class TestAdmissionController:
         )
         assert controller.admit("video", video).admitted
 
-        original = WorkloadSession.allocate
+        original = AllocationSession.allocate
         from_scratch = AllocatorClass.allocate_workload
         calls = {"n": 0, "from_scratch": 0}
 
@@ -428,7 +428,7 @@ class TestAdmissionController:
             calls["from_scratch"] += 1
             return from_scratch(self, *args, **kwargs)
 
-        monkeypatch.setattr(WorkloadSession, "allocate", flaky_allocate)
+        monkeypatch.setattr(AllocationSession, "allocate", flaky_allocate)
         monkeypatch.setattr(
             AllocatorClass, "allocate_workload", counted_allocate_workload
         )

@@ -18,7 +18,13 @@ from repro.analysis import (
 )
 from repro.core import AllocatorOptions, ObjectiveWeights, TradeoffExplorer, allocate
 from repro.taskgraph import ConfigurationBuilder, MappedConfiguration
-from repro.taskgraph.generators import chain_configuration, producer_consumer_configuration
+from repro.taskgraph.generators import (
+    chain_configuration,
+    csdf_chain_configuration,
+    heterogeneous_random_configuration,
+    producer_consumer_configuration,
+)
+from repro.taskgraph.validate import processor_load_lower_bound
 
 
 class TestThroughputAnalysis:
@@ -83,6 +89,23 @@ class TestFeasibilityScreen:
         screen = screen_configuration(config)
         assert not screen.may_be_feasible
         assert "m1" in screen.memory_load
+
+    @pytest.mark.parametrize(
+        "make",
+        [csdf_chain_configuration, lambda: heterogeneous_random_configuration(seed=1)],
+        ids=["csdf", "heterogeneous"],
+    )
+    def test_processor_load_counts_cycles_per_period(self, make):
+        # A CSDF task's cycles per period and a heterogeneous task's
+        # type/speed-resolved cycles are not its wcet: the screen must agree
+        # with the load bound the workload screens use.
+        config = make()
+        screen = screen_configuration(config)
+        for name, processor in config.platform.processors.items():
+            expected = processor_load_lower_bound(processor, name, [config])
+            assert screen.processor_load[name] == pytest.approx(
+                expected / processor.replenishment_interval, rel=1e-12
+            )
 
 
 class TestSensitivity:

@@ -310,6 +310,44 @@ class TestDeterminismAndCache:
             result.deterministic_dict() for result in second
         ]
 
+    def test_cache_keys_are_pinned(self):
+        # Literal digests of one configuration item, one workload item and
+        # one sweep family: a key that moves silently drops every cached
+        # result of that shape.
+        from repro.taskgraph import Workload
+
+        video = chain_configuration(stages=2)
+        workload = Workload(video.platform, name="duo")
+        workload.add_application("video", video)
+        workload.add_application("audio", chain_configuration(stages=2, period=20.0))
+        executor = BatchExecutor()
+        configuration_item, workload_item = executor.run(
+            [
+                CampaignItem(
+                    label="configuration",
+                    configuration=producer_consumer_configuration(),
+                    capacity_limits={"bab": 4},
+                ),
+                CampaignItem(
+                    label="workload",
+                    workload=workload,
+                    workload_capacity_limits={"video": {"bab": 3}},
+                ),
+            ]
+        )
+        sweep = executor.run_sweep(producer_consumer_configuration(), [2, 3, 4])
+        assert configuration_item.status == workload_item.status == STATUS_OK
+        assert sweep.status == STATUS_OK
+        assert configuration_item.key == (
+            "9f74ffe50958a9b256cffd257199ea0ed5e27fa61d7b0cc99104133a614cffa2"
+        )
+        assert workload_item.key == (
+            "ec5b0b893239971b16638d6f691650d0842b5f5c269932d5dd084424b69332d6"
+        )
+        assert sweep.key == (
+            "478e3bf29758d8eb37e0731d74dccffb1bf26b9c47b8f63ccf9b00c9054c6f2f"
+        )
+
 
 def _sleepy_solve_payload(payload):
     """Worker function of the timeout regression test (module level so it

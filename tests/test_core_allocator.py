@@ -230,3 +230,22 @@ class TestVerifyMappingDetails:
         good = verify_mapping(self._mapped({"wa": 39.0, "wb": 39.0}, {"bab": 10}))
         assert good.is_valid
         assert "verified" in good.summary()
+
+    def test_one_longest_path_run_per_graph(self, monkeypatch):
+        # The schedule-existence check and the simulation check share one
+        # Bellman–Ford run per verified graph.
+        from repro.core import validation
+        from repro.dataflow import mcr
+
+        calls = []
+        original = mcr.longest_path_potentials
+
+        def counting(graph, period):
+            calls.append(graph.name)
+            return original(graph, period)
+
+        monkeypatch.setattr(mcr, "longest_path_potentials", counting)
+        monkeypatch.setattr(validation, "longest_path_potentials", counting, raising=False)
+        report = verify_mapping(self._mapped({"wa": 39.0, "wb": 39.0}, {"bab": 10}))
+        assert report.is_valid and report.checked_graphs == 1
+        assert len(calls) == 1

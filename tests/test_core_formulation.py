@@ -1,4 +1,7 @@
-"""Tests of the Algorithm-1 cone program builder (SocpFormulation)."""
+"""Tests of the Algorithm-1 cone program builder (SocpFormulation).
+
+A configuration is the formulation's one block, ``formulation.blocks[0]``.
+"""
 
 from __future__ import annotations
 
@@ -22,14 +25,14 @@ class TestVariableCreation:
         # 2 budgets + 2 lambdas + 1 capacity + 3 free start times (one of the
         # four actors is pinned to zero).
         assert len(program.variables) == 8
-        assert set(formulation.variables.budgets) == {"wa", "wb"}
-        assert set(formulation.variables.capacities) == {"bab"}
-        assert len(formulation.variables.start_times) == 4
+        assert set(formulation.blocks[0].variables.budgets) == {"wa", "wb"}
+        assert set(formulation.blocks[0].variables.capacities) == {"bab"}
+        assert len(formulation.blocks[0].variables.start_times) == 4
 
     def test_budget_bounds_reflect_throughput_and_capacity(self, paper_producer_consumer):
         formulation = SocpFormulation(paper_producer_consumer)
         formulation.build()
-        beta = formulation.variables.budgets["wa"]
+        beta = formulation.blocks[0].variables.budgets["wa"]
         # Lower bound ̺·χ/µ = 40/10 = 4; upper bound ̺ − o − g = 39.
         assert beta.lower == pytest.approx(4.0)
         assert beta.upper == pytest.approx(39.0)
@@ -37,14 +40,14 @@ class TestVariableCreation:
     def test_lambda_bounds(self, paper_producer_consumer):
         formulation = SocpFormulation(paper_producer_consumer)
         formulation.build()
-        lam = formulation.variables.reciprocals["wa"]
+        lam = formulation.blocks[0].variables.reciprocals["wa"]
         assert lam.upper == pytest.approx(10.0 / 40.0)
         assert lam.lower > 0.0
 
     def test_capacity_bounds_default_to_sound_upper_bound(self, paper_producer_consumer):
         formulation = SocpFormulation(paper_producer_consumer)
         formulation.build()
-        capacity = formulation.variables.capacities["bab"]
+        capacity = formulation.blocks[0].variables.capacities["bab"]
         assert capacity.lower == pytest.approx(1.0)
         # Σ(̺ + µ)/µ + 1 = (50 + 50)/10 + 1 = 11 containers are always enough.
         assert capacity.upper == pytest.approx(11.0)
@@ -52,12 +55,12 @@ class TestVariableCreation:
     def test_capacity_limits_are_applied(self, paper_producer_consumer):
         formulation = SocpFormulation(paper_producer_consumer, capacity_limits={"bab": 3})
         formulation.build()
-        assert formulation.variables.capacities["bab"].upper == pytest.approx(3.0)
+        assert formulation.blocks[0].variables.capacities["bab"].upper == pytest.approx(3.0)
 
     def test_budget_limits_are_applied(self, paper_producer_consumer):
         formulation = SocpFormulation(paper_producer_consumer, budget_limits={"wa": 20.0})
         formulation.build()
-        assert formulation.variables.budgets["wa"].upper == pytest.approx(20.0)
+        assert formulation.blocks[0].variables.budgets["wa"].upper == pytest.approx(20.0)
 
     def test_contradictory_budget_limit_is_infeasible(self, paper_producer_consumer):
         from repro.exceptions import InfeasibleProblemError
@@ -78,7 +81,7 @@ class TestVariableCreation:
         config = ring_configuration(stages=3, initial_tokens=2)
         formulation = SocpFormulation(config)
         formulation.build()
-        assert formulation.variables.capacities["b2"].lower == pytest.approx(2.0)
+        assert formulation.blocks[0].variables.capacities["b2"].lower == pytest.approx(2.0)
 
 
 class TestConstraintCounts:
@@ -118,14 +121,14 @@ class TestSolutionExtraction:
         )
         solution = formulation.solve()
         assert solution.status is SolverStatus.OPTIMAL
-        budgets = formulation.extract_budgets(solution)
-        capacities = formulation.extract_capacities(solution)
-        start_times = formulation.extract_start_times(solution)
+        budgets = formulation.blocks[0].extract_budgets(solution)
+        capacities = formulation.blocks[0].extract_capacities(solution)
+        start_times = formulation.blocks[0].extract_start_times(solution)
         assert set(budgets) == {"wa", "wb"}
         assert set(capacities) == {"bab"}
         assert len(start_times) == 4
         # Constraint (8) holds at the optimum.
-        lam = solution.value(formulation.variables.reciprocals["wa"])
+        lam = solution.value(formulation.blocks[0].variables.reciprocals["wa"])
         assert lam * budgets["wa"] >= 1.0 - 1e-6
         # With budget-preferring weights the buffer grows to its bound and the
         # budget falls to its throughput-implied minimum of 4 Mcycles.
@@ -148,7 +151,7 @@ class TestSolutionExtraction:
             values = solution.by_name()
             return sum(
                 values[budget.name]
-                for budget in formulation.variables.budgets.values()
+                for budget in formulation.blocks[0].variables.budgets.values()
             )
 
         totals = {
@@ -171,8 +174,8 @@ class TestSolutionExtraction:
         formulation = SocpFormulation(paper_chain3)
         formulation.build()
         point = formulation.initial_point()
-        for task_name, beta in formulation.variables.budgets.items():
-            lam = formulation.variables.reciprocals[task_name]
+        for task_name, beta in formulation.blocks[0].variables.budgets.items():
+            lam = formulation.blocks[0].variables.reciprocals[task_name]
             assert point[lam] * point[beta] > 1.0
 
     def test_multi_graph_configuration(self):
@@ -194,6 +197,6 @@ class TestSolutionExtraction:
         formulation = SocpFormulation(config, weights=ObjectiveWeights.prefer_budgets())
         solution = formulation.solve()
         assert solution.is_optimal
-        budgets = formulation.extract_budgets(solution)
+        budgets = formulation.blocks[0].extract_budgets(solution)
         # The slower job needs less budget than the faster one.
         assert budgets["sa"] < budgets["fa"] + 1e-6

@@ -209,3 +209,50 @@ def test_malformed_phase_rate_or_count_is_a_model_error(entity, field, value):
     data["task_graphs"][0][entity][0][field] = value
     with pytest.raises(ModelError, match=field):
         configuration_from_dict(data)
+
+
+def _set_processor(field, value):
+    def edit(data):
+        data["platform"]["processors"][0][field] = value
+
+    return edit
+
+
+def _set_task(field, value):
+    def edit(data):
+        data["task_graphs"][0]["tasks"][0][field] = value
+
+    return edit
+
+
+def _set_granularity(data):
+    data["granularity"] = True
+
+
+#: Numeric fields of the platform, tasks and configuration, one malformed
+#: value each: before they were read through the checked helpers, the
+#: accepted ones loaded as a silently different model that allocated
+#: ("12" as the DVFS levels (1, 2), ``true`` as 1.0) and the rest escaped
+#: as a raw ``ValueError``.
+_MALFORMED_NUMBERS = [
+    ("dvfs_levels", "12", _set_processor("dvfs_levels", "12")),
+    ("dvfs_levels", ["x"], _set_processor("dvfs_levels", ["x"])),
+    ("speed", True, _set_processor("speed", True)),
+    ("cycles_by_type", "ab", _set_task("cycles_by_type", "ab")),
+    ("cycles_by_type", {"big": True}, _set_task("cycles_by_type", {"big": True})),
+    ("cycles_by_type", {"big": "x"}, _set_task("cycles_by_type", {"big": "x"})),
+    ("wcet", True, _set_task("wcet", True)),
+    ("granularity", True, _set_granularity),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,edit",
+    _MALFORMED_NUMBERS,
+    ids=[f"{field}={value!r}" for field, value, _ in _MALFORMED_NUMBERS],
+)
+def test_malformed_number_is_a_model_error(field, value, edit):
+    data = configuration_to_dict(heterogeneous_random_configuration(seed=1))
+    edit(data)
+    with pytest.raises(ModelError, match=field):
+        configuration_from_dict(data)

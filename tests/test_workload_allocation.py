@@ -9,7 +9,7 @@ The lock-in guarantees of the block-structured refactor:
   within the replenishment interval) while every application meets its
   throughput constraint, verified through the independent dataflow analyses
   including self-timed simulation;
-* a workload capacity sweep through :class:`WorkloadSession` matches the
+* a workload capacity sweep through a workload :class:`AllocationSession` matches the
   rebuild-per-point path within 1e-6.
 """
 
@@ -20,7 +20,7 @@ import pytest
 from repro.core import (
     AllocatorOptions,
     JointAllocator,
-    ParametricWorkloadFormulation,
+    ParametricSocpFormulation,
     SocpFormulation,
     TradeoffExplorer,
     WorkloadSocpFormulation,
@@ -105,6 +105,31 @@ class TestOneBlockEquivalence:
         for task_name, budget in single.relaxed_budgets.items():
             assert app.relaxed_budgets[task_name] == pytest.approx(budget, abs=1e-9)
         assert app.buffer_capacities == single.buffer_capacities
+
+    def test_session_sweep_matches_through_both_entry_points(self):
+        # The Figure 2 capacity sweep through a configuration session and
+        # through the one-application workload's session: the same program,
+        # so the same rounded allocations and the same solver work.  The
+        # first point (capacity 1, the buffer's smallest feasible capacity)
+        # pins the variable and takes the rebuild path.
+        from repro.experiments import figure2
+
+        configuration = figure2.build_configuration(None)
+        allocator = JointAllocator(options=options())
+        single = allocator.session(configuration)
+        joint = allocator.workload_session(one_app_workload(configuration))
+        for limit in figure2.DEFAULT_CAPACITY_SWEEP:
+            mapped = single.allocate(capacity_limits={"bab": limit})
+            app = joint.allocate(capacity_limits={"only": {"bab": limit}}).application(
+                "only"
+            )
+            assert app.budgets == mapped.budgets
+            assert app.buffer_capacities == mapped.buffer_capacities
+        single_stats, joint_stats = single.stats.as_dict(), joint.stats.as_dict()
+        assert single_stats["rebuilds"] == 1
+        single_stats.pop("solve_time")
+        joint_stats.pop("solve_time")
+        assert joint_stats == single_stats
 
 
 class TestSharedPlatform:
@@ -245,7 +270,7 @@ class TestWorkloadSession:
         assert mapped.solver_info["solve_stats"].get("rebuild") is True
 
     def test_parametric_formulation_round_trips_limits(self):
-        parametric = ParametricWorkloadFormulation(two_app_workload())
+        parametric = ParametricSocpFormulation(two_app_workload())
         pinned = parametric.apply_limits(capacity_limits={"video": {"bab": 5}})
         assert pinned == []
         with pytest.raises(FormulationError, match="ghost"):
