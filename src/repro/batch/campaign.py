@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -360,10 +359,7 @@ class CampaignSpec:
     def from_json(
         cls, text: str, base_dir: Optional[Union[str, Path]] = None
     ) -> "CampaignSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ModelError(f"campaign is not valid JSON: {error}") from None
+        data = serialization.parse_json(text, "campaign")
         if not isinstance(data, dict):
             raise ModelError("a campaign document must be a JSON object")
         return cls.from_dict(data, base_dir=base_dir)

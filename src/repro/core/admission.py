@@ -805,7 +805,9 @@ def trace_to_json(trace: AdmissionTrace, indent: int = 2) -> str:
 
 
 def trace_from_json(text: str) -> AdmissionTrace:
-    return trace_from_dict(json.loads(text))
+    from repro.taskgraph import serialization
+
+    return trace_from_dict(serialization.parse_json(text, "trace"))
 
 
 def save_trace(trace: AdmissionTrace, path: Union[str, Path]) -> None:

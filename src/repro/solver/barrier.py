@@ -86,8 +86,9 @@ Sparse backend
 
 The kernel never densifies a row, so its cost follows the non-zeros:
 
-* the compiled constraint matrix and the hyperbolic terms arrive in CSR
-  form (:attr:`~repro.solver.problem.CompiledProblem.G_sparse`,
+* the compiled constraint matrix and the hyperbolic terms arrive as numpy
+  CSR records (:class:`~repro.solver.problem.CsrMatrix`:
+  :attr:`~repro.solver.problem.CompiledProblem.G_sparse`,
   :class:`~repro.solver.problem.CompiledHyperbolic`) and are stacked into
   one *kernel layout* per compiled problem (:class:`_KernelLayout`, cached
   as :attr:`~repro.solver.problem.CompiledProblem.kernel_layout`): per
@@ -112,7 +113,10 @@ The kernel never densifies a row, so its cost follows the non-zeros:
   (:func:`_spd_solve`, whose pivot check is the positive-definiteness
   test) of its rows of one right-hand-side array — blocks are contiguous
   column ranges, so no block data is copied — and so is the coupling Schur
-  matrix.
+  matrix.  The solve is LAPACK's ``dposv`` from scipy's compiled extension
+  ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package
+  (:func:`_lapack_dposv`), so the module imports numpy, the bare ``scipy``
+  package and that extension only.
 
 Per-iteration cost is therefore linear in the number of applications; the
 ``benchmarks/test_bench_block_newton.py`` scaling curve pins this.
@@ -120,14 +124,16 @@ Per-iteration cost is therefore linear in the number of applications; the
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dposv as _dposv
 
 from repro.exceptions import NumericalError
 from repro.obs.metrics import get_registry as _metrics_registry
@@ -135,6 +141,38 @@ from repro.obs.trace import span as obs_span
 from repro.reliability.faults import maybe_fail as _maybe_fail
 from repro.solver.problem import BlockStructure, CompiledProblem
 from repro.solver.result import Solution, SolverStatus
+
+
+def _lapack_dposv():
+    """scipy's LAPACK ``dposv``, loaded from its compiled extension.
+
+    ``scipy.linalg.lapack`` exports the ``dposv`` of the extension
+    ``scipy.linalg._flapack``, but importing it runs ``scipy/linalg/__init__.py``,
+    which loads most of ``scipy.linalg`` and, through ``scipy._lib._util``,
+    ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: a few hundred
+    milliseconds of start-up for one routine.  The extension itself needs
+    only numpy.  So it is located with the import system's own finders
+    (``find_spec`` of a submodule imports the bare ``scipy`` package only)
+    and loaded under its full name, where a later ``import scipy.linalg``
+    finds it.  Where it cannot be found, the public import is the fallback.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        package = importlib.util.find_spec("scipy.linalg")
+        locations = package.submodule_search_locations if package else None
+        spec = PathFinder.find_spec(name, locations) if locations else None
+        if spec is None:
+            from scipy.linalg.lapack import dposv
+
+            return dposv
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.dposv
+
+
+_dposv = _lapack_dposv()
 
 #: Widest system :func:`_spd_solve` hands to scipy's LAPACK ``dposv``.  The
 #: OpenBLAS bundled with scipy factorises narrower matrices on one thread;
@@ -257,12 +295,6 @@ def _frozen(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def _entries(matrix: object) -> Tuple[np.ndarray, ...]:
-    """Every stored entry of the CSR ``matrix`` as ``(row, column, value)``."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return rows, matrix.indices, matrix.data
-
-
 @dataclass(frozen=True)
 class _PhaseLayout:
     """The kernel layout of one phase: its rows and its scatter plan.
@@ -353,7 +385,7 @@ class _KernelLayout:
     compiled problem and cached on it
     (:attr:`~repro.solver.problem.CompiledProblem.kernel_layout`).  Each
     phase's :class:`_PhaseLayout` is built from the entries of the CSR
-    matrices the first time that phase runs, so warm solves that skip phase
+    records the first time that phase runs, so warm solves that skip phase
     I never build its layout.
     """
 
@@ -369,11 +401,11 @@ class _KernelLayout:
         self.term_block = np.asarray(structure.hyperbolic_blocks, dtype=np.intp)
         hyp = problem.hyperbolic
         #: the entries of ``G``, ``P`` and ``Q``
-        self.entries = [_entries(matrix) for matrix in (problem.G_sparse, hyp.P, hyp.Q)]
+        self.entries = [matrix.entries() for matrix in (problem.G_sparse, hyp.P, hyp.Q)]
         self.pq0 = np.column_stack([hyp.p0, hyp.q0]).reshape(-1, 2)
         self.bound = np.asarray(hyp.bound, dtype=float)
         self.coupling_rows = structure.coupling_rows
-        self.coupling = problem.G_sparse[self.coupling_rows].toarray()
+        self.coupling = problem.G_sparse.dense_rows(self.coupling_rows)
         _frozen(self.starts, self.pq0, self.bound, self.coupling_rows, self.coupling)
 
     @cached_property

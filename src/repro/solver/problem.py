@@ -12,13 +12,19 @@ layout over the registered variable positions.  Model builders write a whole
 constraint family at once (:meth:`ConeProgram.add_rows`,
 :meth:`ConeProgram.add_hyperbolic_rows`); the objective is one row
 (:meth:`ConeProgram.minimize`).  :meth:`ConeProgram.compile` lowers them
-into a :class:`CompiledProblem` made of CSR and dense numpy arrays,
-concatenating the stored rows:
+into a :class:`CompiledProblem` made of numpy arrays, concatenating the
+stored rows:
 
 * objective vector ``c`` and offset ``c0``,
-* inequalities ``G·x ≤ h`` in CSR form (variable bounds folded in),
-* hyperbolic constraints as two CSR matrices ``P``/``Q`` with one row per
-  term, plus the offset and bound vectors (:class:`CompiledHyperbolic`).
+* inequalities ``G·x ≤ h`` as a :class:`CsrMatrix` (variable bounds folded
+  in),
+* hyperbolic constraints as two :class:`CsrMatrix` ``P``/``Q`` with one
+  row per term, plus the offset and bound vectors
+  (:class:`CompiledHyperbolic`).
+
+:class:`CsrMatrix` is a small record of CSR arrays, not a
+``scipy.sparse`` matrix: the allocation path imports no part of
+``scipy.sparse``.
 
 A compiled problem has no equality rows.  The one equality a program can
 state is a variable whose bounds collapse (:func:`bounds_collapse`);
@@ -37,8 +43,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from scipy import sparse as _sparse
 
 from repro.exceptions import FormulationError
 from repro.obs.trace import span as obs_span
@@ -133,6 +137,55 @@ class AffineRows:
         )
 
 
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A sparse matrix in CSR layout: row ``i`` holds the entries
+    ``indptr[i]:indptr[i + 1]`` of ``indices`` (its columns, ascending) and
+    ``data``.
+
+    The compiled form of ``G``, ``P``, ``Q`` and the objective.  Its arrays
+    are laid out as scipy's ``csr_matrix`` lays them out after
+    ``sort_indices()``, with ``int32`` indices wherever they fit, and its
+    product sums each row in column order from zero, as scipy's does.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored entry as ``(row, column, value)``, in storage order."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return rows, self.indices, self.data
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with the vector ``x``."""
+        if np.shape(x) != (self.shape[1],):
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {np.shape(x)}")
+        rows, columns, values = self.entries()
+        product = np.bincount(rows, weights=values * x[columns], minlength=self.shape[0])
+        return product.astype(float, copy=False)  # integer zeros without entries
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        rows, columns, values = self.entries()
+        dense[rows, columns] = values
+        return dense
+
+    def dense_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """The rows ``rows`` (indices, in order) as a dense array."""
+        dense = np.zeros((len(rows), self.shape[1]))
+        for index, row in enumerate(rows):
+            start, stop = self.indptr[row], self.indptr[row + 1]
+            dense[index, self.indices[start:stop]] = self.data[start:stop]
+        return dense
+
+
 class RowWriter:
     """Rows ``values·x[columns] + constant ≤ 0`` collected as flat lists.
 
@@ -162,12 +215,12 @@ class RowWriter:
 @dataclass
 class CompiledHyperbolic:
     """Numerical form of the hyperbolic constraints
-    ``(P·x + p0)ᵢ·(Q·x + q0)ᵢ ≥ boundᵢ``: one CSR row of ``P`` and ``Q`` per
-    term, the representation ``G`` uses for the linear rows."""
+    ``(P·x + p0)ᵢ·(Q·x + q0)ᵢ ≥ boundᵢ``: one row of the CSR matrices ``P``
+    and ``Q`` per term, the representation ``G`` uses for the linear rows."""
 
-    P: object
+    P: CsrMatrix
     p0: np.ndarray
-    Q: object
+    Q: CsrMatrix
     q0: np.ndarray
     bound: np.ndarray
     names: List[str] = field(default_factory=list)
@@ -216,13 +269,13 @@ class CompiledProblem:
 
     The columns are the *free* variables, :attr:`variables`: every
     registered variable that compilation did not substitute out (see the
-    module docstring).  The inequality matrix ``G`` is stored in CSR form,
-    :attr:`G_sparse` — for workload programs it is extremely sparse (a few
-    entries per row against thousands of columns) and the block-Newton
-    solver consumes it blockwise.  The dense view :attr:`G` is densified
-    lazily and cached, for the scipy and linprog backends and for tests that
-    want plain arrays.  The hyperbolic terms are CSR too
-    (:class:`CompiledHyperbolic`).
+    module docstring).  The inequality matrix ``G`` is stored as a
+    :class:`CsrMatrix`, :attr:`G_sparse` — for workload programs it is
+    extremely sparse (a few entries per row against thousands of columns)
+    and the block-Newton solver consumes its entries directly.  The dense
+    view :attr:`G` is densified lazily and cached, for the scipy and linprog
+    backends and for tests that want plain arrays.  The hyperbolic terms are
+    :class:`CsrMatrix` too (:class:`CompiledHyperbolic`).
 
     ``h`` stays a plain mutable ndarray: the parametric layer
     (:class:`repro.solver.parametric.ParametricProblem`) re-solves a compiled
@@ -235,7 +288,7 @@ class CompiledProblem:
         variables: List[Variable],
         c: np.ndarray,
         c0: float,
-        G: object,
+        G: CsrMatrix,
         h: np.ndarray,
         hyperbolic: CompiledHyperbolic,
         inequality_names: Optional[List[str]] = None,
@@ -543,8 +596,8 @@ class ConeProgram:
     @staticmethod
     def _lower(
         rows: AffineRows, fixed: np.ndarray, column: np.ndarray, n: int
-    ) -> Tuple[object, np.ndarray, Dict[int, float]]:
-        """``rows`` over the free columns: a sorted CSR matrix, the row
+    ) -> Tuple[CsrMatrix, np.ndarray, Dict[int, float]]:
+        """``rows`` over the free columns: a :class:`CsrMatrix`, the row
         constants with the fixed variables' terms folded in and the shift
         that folding added to each changed row's constant (as ``old − new``).
 
@@ -575,10 +628,23 @@ class ConeProgram:
             kept_before = np.concatenate([[0], np.cumsum(keep)])
             indptr = kept_before[indptr]
             columns, values = columns[keep], values[keep]
-        matrix = _sparse.csr_matrix(
-            (values, column[columns], indptr), shape=(rows.count, n)
+        columns = column[columns]
+        # Sort each row's columns; a row is sorted when its columns ascend
+        # up to the row's end, so only a descent inside a row costs a sort.
+        descents = np.flatnonzero(columns[1:] <= columns[:-1]) + 1
+        if descents.size and not np.isin(descents, indptr).all():
+            entry_rows = np.repeat(np.arange(rows.count), np.diff(indptr))
+            order = np.argsort(entry_rows * n + columns, kind="stable")
+            columns, values = columns[order], values[order]
+        # scipy's index type: int32 wherever every index fits.
+        fits = max(rows.count, n, columns.size) <= np.iinfo(np.int32).max
+        index_dtype = np.int32 if fits else np.int64
+        matrix = CsrMatrix(
+            values,
+            columns.astype(index_dtype),
+            indptr.astype(index_dtype),
+            (rows.count, n),
         )
-        matrix.sort_indices()
         return matrix, constants, shifts
 
     def compile(self) -> CompiledProblem:
@@ -641,7 +707,7 @@ class ConeProgram:
     def _compile_block_structure(
         self,
         column: np.ndarray,
-        G: object,
+        G: CsrMatrix,
         hyperbolic: CompiledHyperbolic,
     ) -> Optional[BlockStructure]:
         """Turn a :meth:`declare_blocks` declaration into a :class:`BlockStructure`.
@@ -683,7 +749,7 @@ class ConeProgram:
             return None
         empty = len(ranges)
 
-        def spans(matrix: object) -> Tuple[np.ndarray, np.ndarray]:
+        def spans(matrix: CsrMatrix) -> Tuple[np.ndarray, np.ndarray]:
             """Per-row (lowest, highest) touched block; an empty row gives
             (``empty``, −1)."""
             counts = np.diff(matrix.indptr)

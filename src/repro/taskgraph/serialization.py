@@ -219,17 +219,20 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
 
 
 def task_graph_from_dict(data: Dict[str, object]) -> TaskGraph:
+    data = _object(data, "task graph")
     graph = TaskGraph(name=str(data["name"]), period=_number(data["period"], "period"))
-    for task_data in data.get("tasks", []):
-        graph.add_task(task_from_dict(task_data))
-    for buffer_data in data.get("buffers", []):
-        graph.add_buffer(buffer_from_dict(buffer_data))
+    for task_data in _list(data.get("tasks", []), "tasks"):
+        graph.add_task(task_from_dict(_object(task_data, "task")))
+    for buffer_data in _list(data.get("buffers", []), "buffers"):
+        graph.add_buffer(buffer_from_dict(_object(buffer_data, "buffer")))
     return graph
 
 
 def platform_from_dict(data: Dict[str, object]) -> Platform:
+    data = _object(data, "platform")
     processors = []
-    for p in data.get("processors", []):
+    for p in _list(data.get("processors", []), "processors"):
+        p = _object(p, "processor")
         dvfs_levels = p.get("dvfs_levels")
         processors.append(
             Processor(
@@ -254,7 +257,7 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
         )
     memories = [
         Memory(name=str(m["name"]), capacity=_optional_number(m.get("capacity"), "capacity"))
-        for m in data.get("memories", [])
+        for m in (_object(m, "memory") for m in _list(data.get("memories", []), "memories"))
     ]
     return Platform(processors=processors, memories=memories, name=str(data.get("name", "platform")))
 
@@ -262,13 +265,14 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
 def check_format_version(
     data: Mapping[str, object], default: int, supported: int, document: str
 ) -> None:
-    """Check the document's ``format_version`` (``default`` when absent).
+    """Check that the document is an object and its ``format_version``
+    (``default`` when absent).
 
     Only a non-bool integer in ``[1, supported]`` is a version; anything
     else is a :class:`ModelError` naming the field, never a raw
     ``ValueError``/``TypeError`` from ``int()``.
     """
-    version = data.get("format_version", default)
+    version = _object(data, document).get("format_version", default)
     if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise ModelError(
             f"{document} format_version must be an integer from 1 to "
@@ -283,8 +287,12 @@ def check_format_version(
 
 def configuration_from_dict(data: Dict[str, object]) -> Configuration:
     check_format_version(data, LEGACY_FORMAT_VERSION, FORMAT_VERSION, "configuration")
+    if "platform" not in data:
+        raise ModelError("a configuration document needs a 'platform' object")
     platform = platform_from_dict(data["platform"])
-    graphs = [task_graph_from_dict(g) for g in data.get("task_graphs", [])]
+    graphs = [
+        task_graph_from_dict(g) for g in _list(data.get("task_graphs", []), "task_graphs")
+    ]
     return Configuration(
         platform=platform,
         task_graphs=graphs,
@@ -345,8 +353,16 @@ def configuration_to_json(configuration: Configuration, indent: int = 2) -> str:
     return json.dumps(configuration_to_dict(configuration), indent=indent, sort_keys=True)
 
 
+def parse_json(text: str, document: str) -> object:
+    """``text`` parsed as JSON; a syntax error is a :class:`ModelError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ModelError(f"{document} is not valid JSON: {error}") from None
+
+
 def configuration_from_json(text: str) -> Configuration:
-    return configuration_from_dict(json.loads(text))
+    return configuration_from_dict(parse_json(text, "configuration"))
 
 
 def save_configuration(configuration: Configuration, path: Union[str, Path]) -> None:

@@ -403,7 +403,9 @@ def workload_to_json(workload: Workload, indent: int = 2) -> str:
 
 
 def workload_from_json(text: str) -> Workload:
-    return workload_from_dict(json.loads(text))
+    from repro.taskgraph import serialization
+
+    return workload_from_dict(serialization.parse_json(text, "workload"))
 
 
 def save_workload(workload: Workload, path: Union[str, Path]) -> None:

@@ -199,6 +199,52 @@ class TestValidateCommand:
         assert "violation" in capsys.readouterr().err
 
 
+class TestMalformedDocuments:
+    """A malformed input document is one ``error:`` line and a non-zero exit,
+    never an exception escaping ``main`` (a traceback on the command line)."""
+
+    @staticmethod
+    def run_on(tmp_path, capsys, text, command=("allocate",), extra=()):
+        path = tmp_path / "document.json"
+        path.write_text(text, encoding="utf-8")
+        code = main([*command, str(path), *extra])
+        err = capsys.readouterr().err
+        assert code != EXIT_OK
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    def test_truncated_configuration(self, tmp_path, capsys):
+        line = self.run_on(tmp_path, capsys, '{"platform": ')
+        assert "configuration is not valid JSON" in line
+
+    def test_truncated_workload(self, tmp_path, capsys, config_path):
+        line = self.run_on(tmp_path, capsys, '{"platform": ', ("admit",), (config_path,))
+        assert "workload is not valid JSON" in line
+
+    def test_truncated_trace(self, tmp_path, capsys):
+        line = self.run_on(tmp_path, capsys, '{"events": [', ("admit", "--trace"))
+        assert "trace is not valid JSON" in line
+
+    def test_number_at_top_level(self, tmp_path, capsys):
+        assert "configuration must be an object" in self.run_on(tmp_path, capsys, "42")
+
+    def test_list_at_top_level(self, tmp_path, capsys):
+        assert "configuration must be an object" in self.run_on(tmp_path, capsys, "[1, 2]")
+
+    def test_empty_object(self, tmp_path, capsys):
+        assert "'platform'" in self.run_on(tmp_path, capsys, "{}")
+
+    def test_platform_not_an_object(self, tmp_path, capsys):
+        line = self.run_on(tmp_path, capsys, '{"platform": 5}')
+        assert "platform must be an object" in line
+
+    def test_task_graphs_not_a_list(self, tmp_path, capsys):
+        line = self.run_on(tmp_path, capsys, '{"platform": {}, "task_graphs": 3}')
+        assert "task_graphs must be a list" in line
+
+
 class TestSweepCommand:
     def test_range_syntax(self, config_path, capsys):
         assert main(["sweep", config_path, "--capacities", "2:4"]) == EXIT_OK

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SOURCE_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 #: Refuses every top-level module installed under site-packages except the
@@ -90,6 +92,21 @@ _UNUSED_ON_ALLOCATE = (
     "repro.analysis.report",
 )
 
+#: Third-party modules ``repro-map allocate`` never loads.  The barrier takes
+#: ``dposv`` from scipy's compiled LAPACK extension and the compiled rows are
+#: numpy arrays, so neither the ``scipy.linalg`` package nor ``scipy.sparse``
+#: is imported; both would pull in ``scipy._lib._util``, whose vendored
+#: array-API clone of numpy loads ``numpy.f2py``, ``numpy.testing`` and
+#: ``numpy.ma`` (a few hundred milliseconds of start-up).
+_UNUSED_THIRD_PARTY_ON_ALLOCATE = (
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy._lib._util",
+    "numpy.f2py",
+    "numpy.testing",
+    "numpy.ma",
+)
+
 _ALLOCATE_SCRIPT = """
 import json
 import sys
@@ -98,28 +115,116 @@ import repro.cli
 
 config, output = sys.argv[1], sys.argv[2]
 assert repro.cli.main(["allocate", config, "--output", output, "--stats"]) == 0
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_cli_allocate_leaves_unused_modules_unimported(tmp_path):
-    from repro.taskgraph import serialization
-    from repro.taskgraph.generators import producer_consumer_configuration
-
-    config = tmp_path / "config.json"
-    serialization.save_configuration(producer_consumer_configuration(max_capacity=5), config)
+def _environment():
     environment = dict(os.environ)
     environment["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SOURCE_ROOT), environment.get("PYTHONPATH")])
     )
+    return environment
+
+
+def _configuration_file(directory: Path) -> Path:
+    from repro.taskgraph import serialization
+    from repro.taskgraph.generators import producer_consumer_configuration
+
+    config = directory / "config.json"
+    serialization.save_configuration(producer_consumer_configuration(max_capacity=5), config)
+    return config
+
+
+@pytest.fixture(scope="module")
+def allocate_modules(tmp_path_factory):
+    """Every module a fresh ``repro-map allocate`` process has loaded at exit."""
+    directory = tmp_path_factory.mktemp("allocate")
     completed = subprocess.run(
-        [sys.executable, "-c", _ALLOCATE_SCRIPT, str(config), str(tmp_path / "out.json")],
+        [
+            sys.executable,
+            "-c",
+            _ALLOCATE_SCRIPT,
+            str(_configuration_file(directory)),
+            str(directory / "out.json"),
+        ],
         capture_output=True,
         text=True,
-        env=environment,
+        env=_environment(),
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    loaded = set(json.loads(completed.stdout.splitlines()[-1]))
-    assert "repro.solver.barrier" in loaded
-    assert loaded.isdisjoint(_UNUSED_ON_ALLOCATE), sorted(loaded & set(_UNUSED_ON_ALLOCATE))
+    return set(json.loads(completed.stdout.splitlines()[-1]))
+
+
+def test_cli_allocate_leaves_unused_modules_unimported(allocate_modules):
+    assert "repro.solver.barrier" in allocate_modules
+    unused = allocate_modules & set(_UNUSED_ON_ALLOCATE)
+    assert not unused, sorted(unused)
+
+
+def test_cli_allocate_loads_only_scipys_lapack_extension(allocate_modules):
+    """The start-up import set: scipy's LAPACK extension, not its packages."""
+    assert "scipy.linalg._flapack" in allocate_modules
+    unused = allocate_modules & set(_UNUSED_THIRD_PARTY_ON_ALLOCATE)
+    assert not unused, sorted(unused)
+
+
+#: After an allocation has loaded the LAPACK extension on its own, the rest
+#: of scipy still imports and works in the same process: the public
+#: ``dposv`` is the kernel's and solves identically, and the scipy (SLSQP)
+#: and HiGHS paths run.
+_AFTER_ALLOCATE_SCRIPT = """
+import sys
+
+import numpy as np
+
+import repro.cli
+
+assert repro.cli.main(["allocate", sys.argv[1], "--output", sys.argv[2]]) == 0
+assert "scipy.linalg" not in sys.modules
+
+import scipy.linalg
+import scipy.optimize
+from scipy.linalg.lapack import dposv
+
+from repro import allocate
+from repro.baselines.buffer_sizing import minimal_buffer_capacities
+from repro.solver.barrier import _dposv
+from repro.taskgraph.generators import producer_consumer_configuration
+
+rng = np.random.default_rng(0)
+factor = rng.standard_normal((6, 6))
+matrix = factor @ factor.T + 6.0 * np.eye(6)
+rhs = rng.standard_normal((6, 2))
+ours, theirs = _dposv(matrix, rhs, lower=1), dposv(matrix, rhs, lower=1)
+assert ours[2] == theirs[2] == 0
+assert ours[1].tobytes() == theirs[1].tobytes()
+np.testing.assert_allclose(matrix @ theirs[1], rhs)
+np.testing.assert_allclose(scipy.linalg.solve(matrix, rhs), theirs[1])
+
+configuration = producer_consumer_configuration(max_capacity=5)
+mapped = allocate(configuration, backend="scipy")
+assert mapped.solver_info["backend"] == "scipy", mapped.solver_info
+capacities = minimal_buffer_capacities(configuration, mapped.budgets)
+assert capacities and all(value >= 1 for value in capacities.values()), capacities
+print("ok")
+"""
+
+
+def test_scipy_works_after_allocate_loaded_its_lapack_extension(tmp_path):
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            _AFTER_ALLOCATE_SCRIPT,
+            str(_configuration_file(tmp_path)),
+            str(tmp_path / "out.json"),
+        ],
+        capture_output=True,
+        text=True,
+        env=_environment(),
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "ok"

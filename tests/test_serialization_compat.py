@@ -256,3 +256,52 @@ def test_malformed_number_is_a_model_error(field, value, edit):
     edit(data)
     with pytest.raises(ModelError, match=field):
         configuration_from_dict(data)
+
+
+def _set_platform(field, value):
+    def edit(data):
+        data["platform"][field] = value
+
+    return edit
+
+
+def _set_graph(field, value):
+    def edit(data):
+        data["task_graphs"][0][field] = value
+
+    return edit
+
+
+def _set_first_graph(value):
+    def edit(data):
+        data["task_graphs"][0] = value
+
+    return edit
+
+
+#: Containers of the model documents with the wrong JSON shape: each is a
+#: :class:`ModelError` naming it, never a raw ``AttributeError`` or
+#: ``TypeError`` from reading a number as an object or a list.
+_MALFORMED_SHAPES = [
+    ("processors", 3, _set_platform("processors", 3)),
+    ("processor", [5], _set_platform("processors", [5])),
+    ("memories", "m", _set_platform("memories", "m")),
+    ("memory", [1], _set_platform("memories", [1])),
+    ("task graph", 5, _set_first_graph(5)),
+    ("tasks", 3, _set_graph("tasks", 3)),
+    ("task", [1], _set_graph("tasks", [1])),
+    ("buffers", {}, _set_graph("buffers", {})),
+    ("buffer", [2], _set_graph("buffers", [2])),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,edit",
+    _MALFORMED_SHAPES,
+    ids=[f"{field}={value!r}" for field, value, _ in _MALFORMED_SHAPES],
+)
+def test_malformed_container_is_a_model_error(field, value, edit):
+    data = configuration_to_dict(random_dag_configuration(4, 2, seed=1))
+    edit(data)
+    with pytest.raises(ModelError, match=field):
+        configuration_from_dict(data)

@@ -4,8 +4,8 @@ The sparse rebuild of the block-Newton core (CSR constraint assembly,
 per-block slicing, batched Cholesky block factorisations) must
 be a pure performance change.  These tests pin:
 
-* the compiled problem carries a CSR constraint matrix that agrees exactly
-  with the lazily densified ``G`` property;
+* the compiled problem carries a numpy CSR constraint matrix that agrees
+  exactly with the lazily densified ``G`` property;
 * per-solve telemetry (nnz, factorisation/Schur time split, block
   factorisation counts, pieces-cache reuse) lands in the solve stats, the
   metrics registry and the session aggregates;
@@ -28,6 +28,7 @@ from repro.core import AllocatorOptions, JointAllocator
 from repro.core.formulation import WorkloadSocpFormulation
 from repro.solver.backends import solve_compiled
 from repro.solver.barrier import _StructuredWorkspace
+from repro.solver.problem import CsrMatrix
 from repro.taskgraph import ConfigurationBuilder, Workload
 from repro.taskgraph.generators import chain_configuration, random_dag_configuration
 
@@ -79,9 +80,22 @@ def assert_same_optimum(structured, dense, atol: float = 1e-8) -> None:
 
 class TestSparseCompilation:
     def test_compiled_matrices_are_csr(self):
+        """``G``, ``P`` and ``Q`` compile to numpy CSR records whose arrays
+        are scipy's ``csr_matrix`` arrays after ``sort_indices()``."""
         compiled = compiled_workload(2)
-        assert scipy_sparse.issparse(compiled.G_sparse)
-        assert compiled.G_sparse.format == "csr"
+        hyp = compiled.hyperbolic
+        for matrix in (compiled.G_sparse, hyp.P, hyp.Q):
+            assert isinstance(matrix, CsrMatrix)
+            for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:]):
+                assert np.all(np.diff(matrix.indices[start:stop]) > 0)
+            reference = scipy_sparse.csr_matrix(
+                (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+            )
+            reference.sort_indices()
+            for field in ("data", "indices", "indptr"):
+                mine, theirs = getattr(matrix, field), getattr(reference, field)
+                assert mine.dtype == theirs.dtype, field
+                assert mine.tobytes() == theirs.tobytes(), field
         # The dense properties stay available (scipy/linprog backends, tests)
         # and agree entry-for-entry with the sparse originals.
         np.testing.assert_array_equal(compiled.G, compiled.G_sparse.toarray())
