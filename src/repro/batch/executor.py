@@ -230,8 +230,8 @@ def _solve_payload(payload: Dict[str, object]) -> Dict[str, object]:
     * a *sweep family* (``capacity_sweep``) — a whole capacity sweep over one
       configuration, solved through the session API
       (:meth:`~repro.core.tradeoff.TradeoffExplorer.sweep_capacity_limit`)
-      so the cone program compiles once and every point warm-starts from its
-      neighbour.  The result carries per-point payloads under ``"points"``
+      so every point warm-starts from its neighbour.  The result carries
+      per-point payloads under ``"points"``
       plus the aggregate session statistics;
     * an *admission trace* (``trace``) — an arrival/departure event sequence
       replayed through one incremental admission session
@@ -795,8 +795,8 @@ class BatchExecutor:
         The family is the unit of work *and* of caching: its cache key covers
         the configuration, the result-relevant options and the full sweep, so
         a cached family reproduces the original run bit-for-bit.  The sweep
-        itself goes through the session API (compile once, warm-start each
-        point from its neighbour), which is why it runs inline rather than
+        itself goes through the session API (each point warm-starts from its
+        neighbour), which is why it runs inline rather than
         through the process pool — the points of a family form one sequential
         warm-start chain.
         """

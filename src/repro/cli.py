@@ -315,15 +315,13 @@ def _render_solve_stats(stats: dict) -> str:
     """Human-readable solver statistics block for ``--stats`` output.
 
     Only values the caller actually measured are rendered: the session-backed
-    sweep reports compilations and rebuild fallbacks, the per-item batch path
-    does not (it has no session, so those numbers would be fabricated).
+    sweep reports compilations, the per-item batch path does not (it has no
+    session, so that number would be fabricated).
     """
     lines = ["solver statistics:"]
     if "compiles" in stats:
         lines.append(f"  compilations:        {stats['compiles']}")
     lines.append(f"  solves:              {stats.get('solves', 0)}")
-    if "rebuilds" in stats:
-        lines.append(f"  rebuild fallbacks:   {stats['rebuilds']}")
     lines.append(f"  warm-started solves: {stats.get('warm_started', 0)}")
     lines.append(f"  phase I skipped:     {stats.get('phase1_skipped', 0)}")
     lines.append(

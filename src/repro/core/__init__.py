@@ -8,10 +8,9 @@
 * :class:`~repro.core.allocator.JointAllocator` / :func:`~repro.core.allocator.allocate`
   / :func:`~repro.core.allocator.allocate_workload` — solve, round each member
   conservatively, verify, and return a mapped configuration or workload.
-* :class:`~repro.core.allocator.AllocationSession` /
-  :class:`~repro.core.formulation.ParametricSocpFormulation` — compile-once,
-  warm-started re-solve for families of allocations (trade-off sweeps,
-  admission events), over a configuration or a workload.
+* :class:`~repro.core.allocator.AllocationSession` — warm-started solves
+  for families of allocations (trade-off sweeps, admission events), over a
+  configuration or a workload.
 * :mod:`~repro.core.admission` — run-time admission control: incremental
   session editing (:meth:`~repro.core.allocator.AllocationSession.add_application`
   / ``remove_application``), :class:`~repro.core.admission.AdmissionController`
@@ -55,7 +54,6 @@ _EXPORTS = {
     "allocate_workload": "repro.core.allocator",
     "FormulationBlock": "repro.core.formulation",
     "FormulationVariables": "repro.core.formulation",
-    "ParametricSocpFormulation": "repro.core.formulation",
     "SocpFormulation": "repro.core.formulation",
     "WorkloadSocpFormulation": "repro.core.formulation",
     "ObjectiveWeights": "repro.core.objective",

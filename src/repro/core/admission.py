@@ -7,7 +7,7 @@ admitted alongside the running workload?* — on top of the incremental
 session-editing API of :class:`~repro.core.allocator.AllocationSession`:
 
 * :class:`AdmissionController` holds the running workload and one
-  compile-once session.  :meth:`AdmissionController.admit` tentatively adds
+  warm-started session.  :meth:`AdmissionController.admit` tentatively adds
   the candidate, re-running the combined-load screens and the joint solve;
   an admitted application stays (with a fresh :class:`~repro.taskgraph.
   workload.MappedWorkload` for the whole platform), a rejected one is rolled
@@ -118,7 +118,7 @@ class AdmissionController:
     """Run-time admission control over one shared platform.
 
     The controller owns the running :class:`~repro.taskgraph.workload.
-    Workload` and a single compile-once :class:`~repro.core.allocator.
+    Workload` and a single warm-started :class:`~repro.core.allocator.
     AllocationSession`; arrivals and departures rebuild the session's program
     for the new membership, and unchanged applications keep their warm-start
     values (the previous optimum and the interior hint) across every event.
@@ -785,12 +785,12 @@ def trace_from_dict(data: Mapping[str, object]) -> AdmissionTrace:
     except KeyError:
         raise ModelError("a trace document needs a 'platform' object") from None
     trace = AdmissionTrace(platform=platform, name=str(data.get("name", "trace")))
-    for event_data in data.get("events", []):
-        try:
-            action = str(event_data["action"])
-            application = str(event_data["application"])
-        except KeyError as error:
-            raise ModelError(f"every trace event needs an {error}") from None
+    for event_data in serialization._list(data.get("events", []), "events"):
+        event_data = serialization._object(event_data, "trace event")
+        action = str(serialization._required(event_data, "action", "trace event"))
+        application = str(
+            serialization._required(event_data, "application", "trace event")
+        )
         configuration = None
         if event_data.get("configuration") is not None:
             configuration = serialization.configuration_from_dict(

@@ -17,20 +17,19 @@ kind: a configuration's one member mapping, or a
 (:meth:`JointAllocator.allocate_workload`) with per-application
 verification and budget-split reporting.
 
-For families of allocations that vary only capacity/budget limits —
-trade-off sweeps, admission events — :meth:`JointAllocator.session` (or
+For families of related allocations — trade-off sweeps over
+capacity/budget limits, admission events that change a workload's
+membership — :meth:`JointAllocator.session` (or
 :meth:`JointAllocator.workload_session`) returns an
-:class:`AllocationSession` that compiles the cone program once and re-solves
-it per point with warm starts, instead of rebuilding everything from Python
-objects for every point.
+:class:`AllocationSession`: each point is built at its own limits and
+warm-started from the previous point's optimum, carried over by variable
+name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
-
-import numpy as np
 
 from repro.obs.trace import span as obs_span
 from repro.exceptions import (
@@ -40,7 +39,7 @@ from repro.exceptions import (
     NumericalError,
     UnboundedProblemError,
 )
-from repro.core.formulation import ParametricSocpFormulation, SocpFormulation
+from repro.core.formulation import SocpFormulation
 from repro.core.objective import ObjectiveWeights
 from repro.core.rounding import round_budgets, round_capacities
 from repro.core.validation import VerificationReport, verify_mapping
@@ -150,18 +149,17 @@ class JointAllocator:
             return self._allocate(workload, capacity_limits, budget_limits, weights)
 
     def session(self, subject: Union[Configuration, Workload]) -> "AllocationSession":
-        """Open a compile-once allocation session over a configuration (or workload).
+        """Open a warm-started allocation session over a configuration (or workload).
 
-        The session validates and compiles the subject once; each
-        :meth:`AllocationSession.allocate` call then only rewrites the
-        capacity/budget limit parameters and re-solves, warm-starting from
-        the previous point's optimum.  Use it for trade-off sweeps and any
-        other family of allocations that differ only in their limits.
+        The session validates the subject once; each
+        :meth:`AllocationSession.allocate` call solves the program at its
+        limits, warm-starting from the previous point's optimum.  Use it for
+        trade-off sweeps and any other family of related allocations.
         """
         return AllocationSession(self, subject)
 
     def workload_session(self, workload: Workload) -> "AllocationSession":
-        """Open a compile-once allocation session over ``workload``.
+        """Open a warm-started allocation session over ``workload``.
 
         :meth:`session` over a workload: each :meth:`AllocationSession.allocate`
         call takes per-application limit maps, and the session's membership
@@ -313,20 +311,16 @@ class JointAllocator:
 
 
 class AllocationSession:
-    """Warm-started allocation over one configuration or workload, compiled once.
+    """Warm-started allocation over one configuration or workload.
 
     Created through :meth:`JointAllocator.session` (or
-    :meth:`JointAllocator.workload_session`).  The session builds and
-    compiles the cone program a single time with every member's
-    capacity/budget limits exposed as parameters; every :meth:`allocate`
-    call rewrites only those parameters and re-solves, seeding the barrier
-    method with the previous optimum so that phase I is skipped whenever
-    that point is still strictly feasible.
-
-    One structural case falls back to a per-point rebuild: a limit that lands
-    exactly on a variable's lower bound, which compilation substitutes out
-    of the program (counted in :attr:`stats` as a rebuild; the rebuilt
-    optimum still seeds the warm start of subsequent points).
+    :meth:`JointAllocator.workload_session`).  Every :meth:`allocate` call
+    solves the subject's program at its own limits — a limited point is
+    built and compiled afresh, the unlimited program is built once per
+    membership — and seeds the barrier method with the previous point's
+    optimum, carried over by variable name, so that phase I is skipped
+    whenever that point is still strictly feasible.  A cold point starts at
+    the model-built start of its own limits.
 
     :meth:`allocate` has the contract of :meth:`JointAllocator.allocate` for
     a configuration (flat per-buffer / per-task limit maps) and of
@@ -339,23 +333,27 @@ class AllocationSession:
     def __init__(
         self, allocator: JointAllocator, subject: Union[Configuration, Workload]
     ) -> None:
+        from repro.solver.parametric import SolveSession
+
         subject.validate()
         self.allocator = allocator
         self.subject = subject
-        self._parametric, self._initial, self._session = self._compile()
+        self._session = SolveSession(backend=allocator.options.backend)
+        self._unlimited = self._build()
 
-    def _compile(self):
-        """A fresh parametric program over the subject, its model-built start
-        point and its solve session; nothing is installed."""
-        from repro.solver.parametric import SolveSession
-
-        parametric = ParametricSocpFormulation(
-            self.subject, weights=self.allocator.weights
+    def _build(self, capacity_limits=None, budget_limits=None):
+        """The subject's formulation at these limits, its compiled program
+        and its model-built start point."""
+        formulation = SocpFormulation(
+            self.subject,
+            weights=self.allocator.weights,
+            capacity_limits=capacity_limits,
+            budget_limits=budget_limits,
         )
-        session = SolveSession(
-            parametric.parametric, backend=self.allocator.options.backend
-        )
-        return parametric, parametric.initial_point(), session
+        compiled = formulation.build().compile()
+        start = formulation.initial_point()
+        self._session.stats.compiles += 1
+        return formulation, compiled, start
 
     @property
     def stats(self) -> SessionStats:
@@ -371,50 +369,16 @@ class AllocationSession:
         self,
         capacity_limits: Optional[Mapping] = None,
         budget_limits: Optional[Mapping] = None,
-        warm_start: bool = True,
     ) -> Union[MappedConfiguration, MappedWorkload]:
-        """Re-solve for one set of limits.
-
-        ``warm_start=False`` ignores the previous optimum for this point
-        (used by benchmarks to isolate the warm-start gain); the compiled
-        problem is still reused.
-        """
-        with obs_span("allocate", subject=self.subject.name) as point_span:
-            pinned = self._parametric.apply_limits(capacity_limits, budget_limits)
-            if pinned:
-                point_span.set(rebuild=True)
-                return self._rebuild_point(capacity_limits, budget_limits)
-            solution = self._session.solve(
-                initial_point=self._initial, warm_start=warm_start
-            )
-            return self.allocator._finalize(
-                self.subject, self._parametric.formulation, solution
-            )
-
-    def _rebuild_point(self, capacity_limits, budget_limits):
-        """Solve one point the rebuild way (limits baked into fresh bounds)."""
-        stats = self._session.stats
-        stats.rebuilds += 1
-        stats.compiles += 1
-        formulation = SocpFormulation(
-            self.subject,
-            weights=self.allocator.weights,
-            capacity_limits=capacity_limits,
-            budget_limits=budget_limits,
-        )
-        solution = formulation.solve(backend=self.allocator.options.backend)
-        # Fold the rebuilt point's work into the session aggregates so that
-        # the reported statistics cover every point of the sweep.
-        stats.record_solution(solution)
-        mapped = self.allocator._finalize(self.subject, formulation, solution)
-        mapped.solver_info["solve_stats"] = {
-            **mapped.solver_info.get("solve_stats", {}),
-            "rebuild": True,
-        }
-        # The rebuilt optimum is a valid (usually near-boundary) point of the
-        # parametric program too; let it seed the next point's warm start.
-        self._session.seed(solution.by_name())
-        return mapped
+        """Solve for one set of limits, warm-started from the previous point."""
+        with obs_span("allocate", subject=self.subject.name):
+            if capacity_limits or budget_limits:
+                point = self._build(capacity_limits, budget_limits)
+            else:
+                point = self._unlimited
+            formulation, compiled, start = point
+            solution = self._session.solve(compiled, start)
+            return self.allocator._finalize(self.subject, formulation, solution)
 
     # -- incremental workload editing -------------------------------------------
     def add_application(self, name: str, configuration: Configuration) -> None:
@@ -422,9 +386,10 @@ class AllocationSession:
 
         The application joins the session's workload, the combined-load
         screens re-run (the workload — and the session — are left untouched
-        when they fail), and the session is rebuilt from the edited workload.
-        Only the previous optimum and the interior hint carry over, re-keyed
-        by variable name, to warm-start the next :meth:`allocate`.
+        when they fail), and the session's program is rebuilt from the edited
+        workload.  The next :meth:`allocate` warm-starts from the previous
+        optimum by variable name; the added application starts at its
+        model-built values.
         """
         self._edit(lambda: self.subject.add_application(name, configuration))
 
@@ -457,12 +422,12 @@ class AllocationSession:
         """Apply one membership edit transactionally.
 
         The workload mutates first, then the load screens re-run and the
-        parametric program rebuilds.  *Any* failure along the way — a screen
-        rejection, but also an error while compiling the new formulation —
+        program rebuilds.  *Any* failure along the way — a screen rejection,
+        but also an error while building or compiling the new formulation —
         restores the exact previous membership (order included) and leaves
-        the existing session state untouched, so a failed edit can never
-        leave the workload and the compiled program describing different
-        memberships.
+        the session untouched, so a failed edit can never leave the workload
+        and the program describing different memberships.  On success the
+        warm state forgets the variables the edit removed.
         """
         workload = self._workload()
         snapshot = dict(workload._applications)
@@ -470,11 +435,12 @@ class AllocationSession:
             mutate()
             if validate:
                 workload.validate()
-            self._rebind()
+            self._unlimited = self._build()
         except BaseException:
             workload._applications.clear()
             workload._applications.update(snapshot)
             raise
+        self._session.keep(var.name for var in self._unlimited[1].variables)
 
     def _workload(self) -> Workload:
         """The session's workload: a configuration has no membership to edit."""
@@ -484,46 +450,6 @@ class AllocationSession:
                 f"applications to edit; open a workload session instead"
             )
         return self.subject
-
-    def _rebind(self) -> None:
-        """Rebuild the session from the edited workload.
-
-        The new program is compiled from scratch; only the two warm-start
-        vectors — the previous optimum and the first-rung interior hint —
-        carry over, re-keyed by variable name, with the model-built start
-        point filling an added application's slots.  Every new object is
-        built before any is installed, so a failure leaves the current
-        session untouched.
-        """
-        old_session = self._session
-        old_compiled = old_session.parametric.compiled
-        parametric, initial, session = self._compile()
-        new_compiled = parametric.parametric.compiled
-        start = {var.name: float(value) for var, value in initial.items()}
-
-        def _carry_over(old_vector: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            if old_vector is None:
-                return None
-            old_values = {
-                var.name: float(value)
-                for var, value in zip(old_compiled.variables, old_vector)
-            }
-            return np.array(
-                [
-                    old_values.get(var.name, start.get(var.name, 0.0))
-                    for var in new_compiled.variables
-                ]
-            )
-
-        seed_vector = _carry_over(old_session.warm_vector)
-        interior_vector = _carry_over(old_session._interior_vector)
-        self._parametric = parametric
-        self._session = session
-        self._adopt_stats(old_session.stats)
-        self._initial = initial
-        if seed_vector is not None:
-            session.seed(seed_vector)
-        session._interior_vector = interior_vector
 
 
 def allocate(

@@ -33,9 +33,7 @@ Constraint (9) per processor and Constraint (10) per bounded memory — which
 the assembler sums over every block.  A configuration is the one member
 ``("", configuration)``, so its variable and constraint names carry no
 prefix; a :class:`~repro.taskgraph.workload.Workload` is its applications.
-:class:`SocpFormulation` builds either, and
-:class:`ParametricSocpFormulation` compiles it once with the sweep limits as
-parameters.
+:class:`SocpFormulation` builds either, at any capacity and budget limits.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from repro.dataflow.construction import (
     build_srdf_specification,
     queue_token_terms,
 )
-from repro.solver.problem import AffineRows, ConeProgram, RowWriter, bounds_collapse
+from repro.solver.problem import AffineRows, ConeProgram, RowWriter
 from repro.solver.variable import Variable
 from repro.solver.result import Solution
 from repro.taskgraph.configuration import Configuration
@@ -88,11 +86,9 @@ def effective_budget_bounds(
 ) -> Tuple[float, float]:
     """The effective ``β'(w)`` bounds under ``budget_limits``.
 
-    The single definition of the budget-bound arithmetic: block assembly uses
-    it at build time, and the parametric layer re-evaluates it per sweep
-    point — both paths therefore raise the same
-    :class:`InfeasibleProblemError` for contradictory bounds.
-    ``period_cycles`` is the task's ``graph.period_cycles`` when the caller
+    The single definition of the budget-bound arithmetic, used by block
+    assembly at build time; contradictory bounds raise
+    :class:`InfeasibleProblemError`.  ``period_cycles`` is the task's ``graph.period_cycles`` when the caller
     already has it.
 
     ``β'(w) ≥ ̺·χ/µ`` is implied by Constraints (7)+(8) on the self-loop;
@@ -125,8 +121,7 @@ def effective_capacity_bounds(
 ) -> Tuple[float, float]:
     """The effective ``γ'(b)`` bounds under ``capacity_limits``.
 
-    Like :func:`effective_budget_bounds`, shared between build-time variable
-    creation and the parametric per-point re-evaluation.
+    The capacity counterpart of :func:`effective_budget_bounds`.
     """
     lower = float(buffer.smallest_feasible_capacity)
     upper = default_bound + buffer.initial_tokens
@@ -195,8 +190,7 @@ def _periods_covering(graph, total: float, factor: int) -> float:
 class _GraphFacts:
     """Per-graph quantities the block reads for every task and queue.
 
-    Computed once per specification and shared by variable creation and
-    every sweep point's bound re-evaluation.
+    Computed once per graph, when the block creates its variables.
     """
 
     period_cycles: Dict[str, float]   #: per task, ``graph.period_cycles``
@@ -331,22 +325,6 @@ class FormulationBlock:
             self._facts[graph.name] = facts
         return facts
 
-    def capacity_default_bound(self, graph) -> float:
-        """Per-graph sufficient capacity bound, cached (the graph is immutable)."""
-        return self.facts(graph).capacity_bound
-
-    def budget_bounds(
-        self, graph, task, budget_limits: Mapping[str, float]
-    ) -> Tuple[float, float]:
-        """:func:`effective_budget_bounds` with the cached period cycles."""
-        return effective_budget_bounds(
-            self.configuration,
-            graph,
-            task,
-            budget_limits,
-            period_cycles=self.facts(graph).period_cycles[task.name],
-        )
-
     # -- variable creation -------------------------------------------------------
     def add_task_variables(self, program: ConeProgram) -> None:
         configuration = self.configuration
@@ -355,7 +333,13 @@ class FormulationBlock:
             for task in graph.tasks:
                 processor = configuration.platform.processor(task.processor)
                 rho = processor.replenishment_interval
-                lower, upper = self.budget_bounds(graph, task, self.budget_limits)
+                lower, upper = effective_budget_bounds(
+                    configuration,
+                    graph,
+                    task,
+                    self.budget_limits,
+                    period_cycles=cycles[task.name],
+                )
                 column = program.num_variables
                 beta = program.add_variable(
                     f"beta[{self.qualify(task.name)}]", lower=lower, upper=upper
@@ -371,7 +355,7 @@ class FormulationBlock:
 
     def add_capacity_variables(self, program: ConeProgram) -> None:
         for graph in self.configuration.task_graphs:
-            default_bound = self.capacity_default_bound(graph)
+            default_bound = self.facts(graph).capacity_bound
             for buffer in graph.buffers:
                 lower, upper = effective_capacity_bounds(
                     buffer, default_bound, self.capacity_limits
@@ -651,7 +635,7 @@ def _subject_members(
     """The members of a configuration or a workload.
 
     A configuration is the one member ``("", configuration)``, so its
-    variable, row and parameter-slot names are unqualified; a workload's
+    variable and row names are unqualified; a workload's
     members are its applications, namespaced by their names.
     """
     if isinstance(subject, Configuration):
@@ -894,132 +878,5 @@ class SocpFormulation:
         )
 
 
-
-
 #: The name the workload entry points use for the same formulation.
 WorkloadSocpFormulation = SocpFormulation
-
-
-class ParametricSocpFormulation:
-    """The cone program of a subject compiled once, with limits as parameters.
-
-    Where :class:`SocpFormulation` bakes a sweep's ``capacity_limits`` and
-    ``budget_limits`` into freshly built variable bounds — forcing a full
-    rebuild and recompile per sweep point — this wrapper builds the program
-    *without* the limits and registers, per block (so each member's limits
-    get their own namespaced slots), the compiled rows the limits move as
-    named parameters of a :class:`~repro.solver.parametric.ParametricProblem`:
-
-    * ``capacity_limit[<qualified buffer>]`` — the upper-bound row of ``γ'(b)``;
-    * ``budget_limit[<qualified task>]`` — the upper-bound row of ``β'(w)``;
-    * ``reciprocal_floor[<qualified task>]`` — the lower-bound row of ``λ(w)``,
-      kept at ``1 / β'_max`` so the relaxation stays exactly as tight as the
-      rebuilt program's.
-
-    Variables whose static bounds already coincide are substituted out at
-    compile time and expose no slot; the registration records which slots
-    exist so :meth:`apply_limits` skips the rest.
-    """
-
-    def __init__(
-        self,
-        subject: Union[Configuration, Workload],
-        weights: Optional[ObjectiveWeights] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        self.subject = subject
-        self.formulation = SocpFormulation(subject, weights=weights, name=name)
-        self.formulation.build()
-        from repro.solver.parametric import ParametricProblem
-
-        self.parametric = ParametricProblem(self.formulation.program)
-        self._budget_slots: Dict[str, bool] = {}
-        self._reciprocal_slots: Dict[str, bool] = {}
-        self._capacity_slots: Dict[str, bool] = {}
-        for block in self.formulation.blocks:
-            for task_name, beta in block.variables.budgets.items():
-                qualified = block.qualify(task_name)
-                self._budget_slots[qualified] = self._register(
-                    f"budget_limit[{qualified}]", beta, upper=True
-                )
-                self._reciprocal_slots[qualified] = self._register(
-                    f"reciprocal_floor[{qualified}]",
-                    block.variables.reciprocals[task_name],
-                    upper=False,
-                )
-            for buffer_name, capacity in block.variables.capacities.items():
-                qualified = block.qualify(buffer_name)
-                self._capacity_slots[qualified] = self._register(
-                    f"capacity_limit[{qualified}]", capacity, upper=True
-                )
-
-    def _register(self, slot: str, variable: Variable, upper: bool) -> bool:
-        try:
-            if upper:
-                self.parametric.register_upper_bound(slot, variable)
-            else:
-                self.parametric.register_lower_bound(slot, variable)
-        except FormulationError:
-            return False
-        return True
-
-    def initial_point(self) -> Dict[Variable, float]:
-        """The model-built start point of the underlying formulation, at
-        its build-time (unlimited) bounds."""
-        return self.formulation.initial_point()
-
-    def apply_limits(
-        self,
-        capacity_limits: Optional[Mapping] = None,
-        budget_limits: Optional[Mapping] = None,
-    ) -> List[str]:
-        """Write the effective bounds for one sweep point into the program.
-
-        The limits take the subject's shape (:func:`_member_limits`); members
-        not mentioned keep (or return to) their unlimited bounds.  The
-        rebuild path's own bound arithmetic (:func:`effective_budget_bounds`
-        / :func:`effective_capacity_bounds`) is re-evaluated under them —
-        including raising :class:`InfeasibleProblemError` when a limit falls
-        below a variable's lower bound, in the same variable order.
-
-        One structural case cannot be expressed by mutating right-hand sides:
-        a limit that lands *exactly on* a variable's lower bound, which the
-        rebuild path substitutes out of the program
-        (:func:`repro.solver.problem.bounds_collapse`).  The qualified names
-        of such pinned variables are returned so the caller can rebuild that
-        point; an empty list means the compiled problem now describes
-        exactly the limited program.
-        """
-        capacity_limits = _member_limits(self.subject, capacity_limits)
-        budget_limits = _member_limits(self.subject, budget_limits)
-        pinned: List[str] = []
-        for block in self.formulation.blocks:
-            limits = budget_limits.get(block.namespace, {})
-            for graph in block.configuration.task_graphs:
-                for task in graph.tasks:
-                    lower, upper = block.budget_bounds(graph, task, limits)
-                    qualified = block.qualify(task.name)
-                    if not self._budget_slots[qualified]:
-                        continue
-                    if bounds_collapse(lower, upper):
-                        pinned.append(f"beta[{qualified}]")
-                    self.parametric.set(f"budget_limit[{qualified}]", upper)
-                    if self._reciprocal_slots[qualified]:
-                        self.parametric.set(
-                            f"reciprocal_floor[{qualified}]", 1.0 / max(upper, 1e-12)
-                        )
-        for block in self.formulation.blocks:
-            limits = capacity_limits.get(block.namespace, {})
-            for graph in block.configuration.task_graphs:
-                default_bound = block.capacity_default_bound(graph)
-                for buffer in graph.buffers:
-                    lower, upper = effective_capacity_bounds(
-                        buffer, default_bound, limits
-                    )
-                    qualified = block.qualify(buffer.name)
-                    if not self._capacity_slots[qualified]:
-                        continue
-                    if bounds_collapse(lower, upper):
-                        pinned.append(f"capacity[{qualified}]")
-                    self.parametric.set(f"capacity_limit[{qualified}]", upper)
-        return pinned

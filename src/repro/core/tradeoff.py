@@ -5,12 +5,12 @@ and buffer capacities by constraining the maximum buffer capacity and
 recording the minimal budgets the SOCP returns (Figures 2(a), 2(b), 3).
 :class:`TradeoffExplorer` automates that sweep for arbitrary configurations.
 
-Every sweep point solves the *same* cone program up to a handful of bound
+Every sweep point solves the same cone program up to a handful of bound
 values, so both capacity sweeps — over a configuration and over one
 application of a workload — drive one :class:`~repro.core.allocator.
-AllocationSession` through the same loop: the program is built and compiled
-once per sweep and each point re-solves with the previous point's optimum as
-a warm start.  Per-point solver statistics land in
+AllocationSession` through the same loop: each point is built at its own
+bounds and solved with the previous point's optimum as a warm start.
+Per-point solver statistics land in
 :attr:`TradeoffPoint.solve_stats` and the session aggregate in
 :attr:`TradeoffCurve.solver_stats`.
 """
@@ -217,8 +217,8 @@ class TradeoffExplorer:
         already shared?
 
         The sweep runs through an :class:`~repro.core.allocator.
-        AllocationSession`, so the program compiles once and every point
-        warm-starts from its neighbour.  Budgets and capacities in the
+        AllocationSession`, so every point warm-starts from its neighbour.
+        Budgets and capacities in the
         returned points are keyed ``"<application>/<name>"`` across *all*
         applications of the workload.
 
@@ -297,10 +297,10 @@ class TradeoffExplorer:
 
         The cartesian product of the ``dvfs_levels`` of the swept processors
         (default: every processor that declares levels) is enumerated in
-        deterministic order.  Unlike the capacity sweeps, a speed change
-        alters the *coefficients* of the throughput constraints, which the
-        parametric warm-start layer cannot express — so each point rebuilds
-        the configuration via :meth:`~repro.taskgraph.platform.Platform.
+        deterministic order.  A speed change alters the *coefficients* of
+        the throughput constraints and the variables' bounds alike, so a
+        previous point's optimum is no useful start: each point builds the
+        configuration via :meth:`~repro.taskgraph.platform.Platform.
         with_speeds` and solves it from scratch.  Operating points whose
         load screen or cone program is infeasible become infeasible sweep
         points rather than errors.

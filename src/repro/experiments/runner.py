@@ -11,8 +11,8 @@ The figure sweeps can run through two engines:
 * ``batch`` — the sweeps are submitted as sweep *families* to
   :class:`~repro.batch.executor.BatchExecutor`, adding the persistent result
   cache (``--cache-dir``).  Both engines produce identical figure data and
-  both solve each sweep through the session API: the cone program compiles
-  once per figure and every sweep point warm-starts from its neighbour.
+  both solve each sweep through the session API: every sweep point is built
+  at its own capacity bound and warm-starts from its neighbour.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def batch_capacity_sweep(
     Produces the same :class:`~repro.core.tradeoff.TradeoffCurve` a
     :class:`~repro.core.tradeoff.TradeoffExplorer` sweep would — the sweep is
     submitted as one *family* (:meth:`~repro.batch.executor.BatchExecutor.
-    run_sweep`), so the batch engine also compiles the cone program once and
-    warm-starts every point from its neighbour, and the whole family is one
+    run_sweep`), so the batch engine also warm-starts every point from its
+    neighbour, and the whole family is one
     entry in the persistent result cache.  A family is one sequential
     warm-start chain, so it always solves inline, with exactly the requested
     backend.

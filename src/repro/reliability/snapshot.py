@@ -2,7 +2,7 @@
 
 A :class:`SessionSnapshot` captures everything a killed admission run needs
 to resume without re-solving its history: the committed workload document,
-the warm-start and interior vectors of the live
+the warm-start and interior points of the live
 :class:`~repro.solver.parametric.SolveSession` (keyed by variable *name*,
 so they re-apply cleanly to a freshly compiled program), the aggregate
 session statistics and the journal sequence number the snapshot covers.  Snapshots are written atomically (temp file +

@@ -11,9 +11,8 @@ with a self-contained modelling layer and solvers:
 * :class:`~repro.solver.barrier.BarrierSolver` — from-scratch log-barrier
   interior-point method (the default backend for cone programs), on one
   fixed schedule of constants.
-* :class:`~repro.solver.parametric.ParametricProblem` /
-  :class:`~repro.solver.parametric.SolveSession` — compile-once/solve-many
-  parametric re-solve with warm starts between solves.
+* :class:`~repro.solver.parametric.SolveSession` — warm starts between
+  related solves, carried over by variable name.
 * scipy-based LP (:mod:`~repro.solver.linprog_backend`) and NLP
   (:mod:`~repro.solver.scipy_backend`) backends.
 """
@@ -23,10 +22,9 @@ from repro._lazy import lazy_exports
 from repro.solver.barrier import BarrierSolver
 from repro.solver.problem import AffineRows, BlockStructure, CompiledProblem, ConeProgram
 
-#: Parametric re-solve loads on first use: a one-shot solve never needs it.
+#: Solve sessions load on first use: a one-shot solve never needs them.
 _EXPORTS = {
-    name: "repro.solver.parametric"
-    for name in ("ParametricProblem", "SessionStats", "SolveSession")
+    name: "repro.solver.parametric" for name in ("SessionStats", "SolveSession")
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 from repro.solver.result import Solution, SolverStatus

@@ -19,7 +19,7 @@ BACKENDS = ("auto", "barrier", "linprog", "scipy")
 
 #: Warm-start forms accepted by :func:`solve_compiled`: a point keyed by
 #: variable, or a dense vector already in compiled variable order (the form
-#: :class:`repro.solver.parametric.SolveSession` caches between solves).
+#: :class:`repro.solver.parametric.SolveSession` builds from its warm point).
 InitialPoint = Union[Mapping[Variable, float], np.ndarray]
 
 

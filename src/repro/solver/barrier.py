@@ -99,8 +99,8 @@ The kernel never densifies a row, so its cost follows the non-zeros:
   bordered block Hessians, its coefficient product and its weight slot.
   Each phase's layout is built, vectorised, the first time that phase
   runs;
-* ``h`` is the one array parametric re-solves mutate, so the layout never
-  reads it: each centering run owns a :class:`_StructuredWorkspace` that
+* ``h`` is the one array callers edit in place (admission's anytime
+  verdict tightens shared rows), so the layout never reads it: each centering run owns a :class:`_StructuredWorkspace` that
   copies the current ``h`` and allocates the scratch buffers (the flat
   Hessian buffer, right-hand sides and solutions) — it copies no row;
 * a line-search trial is one ``np.bincount`` over the row entries (the
@@ -380,7 +380,7 @@ class _KernelLayout:
     """The Newton kernel's read-only view of one compiled problem.
 
     It depends only on ``G``, the hyperbolic terms and the block structure:
-    never on ``h``, the one array parametric re-solves mutate, nor on phase
+    never on ``h``, the one array callers edit in place, nor on phase
     I's lower bound, which each workspace gathers.  So it is built once per
     compiled problem and cached on it
     (:attr:`~repro.solver.problem.CompiledProblem.kernel_layout`).  Each
@@ -1073,8 +1073,8 @@ class BarrierSolver:
 
         The layout depends only on ``G``, the hyperbolic terms and the
         block structure, so it is built once per compiled problem; each
-        workspace gathers only the ``h`` rows, the one array parametric
-        re-solves mutate.
+        workspace gathers only the ``h`` rows, the one array callers edit
+        in place.
         """
         layout = problem.kernel_layout
         if layout is None:

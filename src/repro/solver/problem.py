@@ -54,11 +54,7 @@ def bounds_collapse(lower: float, upper: float) -> bool:
     """Bounds close enough that compilation substitutes the variable out.
 
     Such a variable is fixed at its lower bound: it gets no column and no
-    bound rows.  This is the single definition shared by
-    :meth:`ConeProgram.compile` and the parametric layers
-    (:class:`repro.core.formulation.ParametricSocpFormulation` detects this
-    case to fall back to a rebuild, since dropping a column cannot be done
-    by mutating inequality right-hand sides).
+    bound rows.
     """
     return abs(upper - lower) <= 1e-12 * max(1.0, abs(lower))
 
@@ -277,10 +273,8 @@ class CompiledProblem:
     backends and for tests that want plain arrays.  The hyperbolic terms are
     :class:`CsrMatrix` too (:class:`CompiledHyperbolic`).
 
-    ``h`` stays a plain mutable ndarray: the parametric layer
-    (:class:`repro.solver.parametric.ParametricProblem`) re-solves a compiled
-    program by mutating ``h`` rows in place.  :attr:`h_shifts` records, per
-    row, what substitution added to that row's ``h``.
+    ``h`` stays a plain mutable ndarray: admission's anytime verdict
+    tightens the shared capacity rows of a compiled program in place.
     """
 
     def __init__(
@@ -295,7 +289,6 @@ class CompiledProblem:
         block_structure: Optional[BlockStructure] = None,
         registered_variables: Optional[List[Variable]] = None,
         substitutions: Optional[Dict[Variable, float]] = None,
-        h_shifts: Optional[Dict[int, float]] = None,
     ) -> None:
         self.variables = variables
         self.c = c
@@ -313,13 +306,10 @@ class CompiledProblem:
         )
         #: substituted (fixed) variable → its value
         self.substitutions = dict(substitutions or {})
-        #: row index → the amount substitution added to that row's ``h``
-        self.h_shifts = dict(h_shifts or {})
         #: The barrier backend's kernel layout (its stacked CSR rows and
-        #: scatter plan per phase), written on first use.  Valid as long as ``G``, the
-        #: hyperbolic terms and the block structure are unchanged —
-        #: parametric re-solves mutate only ``h``, so warm-started sessions
-        #: reuse one layout.
+        #: scatter plan per phase), written on first use.  Valid as long as
+        #: ``G``, the hyperbolic terms and the block structure are unchanged;
+        #: the layout never reads ``h``, so edits of ``h`` keep it.
         self.kernel_layout: Optional[object] = None
         #: the CSR inequality matrix
         self.G_sparse = G
@@ -596,10 +586,9 @@ class ConeProgram:
     @staticmethod
     def _lower(
         rows: AffineRows, fixed: np.ndarray, column: np.ndarray, n: int
-    ) -> Tuple[CsrMatrix, np.ndarray, Dict[int, float]]:
-        """``rows`` over the free columns: a :class:`CsrMatrix`, the row
-        constants with the fixed variables' terms folded in and the shift
-        that folding added to each changed row's constant (as ``old − new``).
+    ) -> Tuple[CsrMatrix, np.ndarray]:
+        """``rows`` over the free columns: a :class:`CsrMatrix` and the row
+        constants with the fixed variables' terms folded in.
 
         ``fixed`` holds each fixed position's value, ``column`` each
         position's free column (``-1`` for a fixed variable).  A row's terms
@@ -607,7 +596,6 @@ class ConeProgram:
         """
         indptr, columns, values = rows.indptr, rows.columns, rows.values
         constants = rows.constants
-        shifts: Dict[int, float] = {}
         keep = column[columns] >= 0
         if not keep.all():
             folded = ~keep
@@ -615,13 +603,6 @@ class ConeProgram:
             constants = constants.copy()
             np.add.at(
                 constants, entry_rows[folded], values[folded] * fixed[columns[folded]]
-            )
-            changed = np.flatnonzero(constants != rows.constants)
-            shifts = dict(
-                zip(
-                    changed.tolist(),
-                    (rows.constants[changed] - constants[changed]).tolist(),
-                )
             )
         keep &= values != 0.0
         if not keep.all():
@@ -645,7 +626,7 @@ class ConeProgram:
             indptr.astype(index_dtype),
             (rows.count, n),
         )
-        return matrix, constants, shifts
+        return matrix, constants
 
     def compile(self) -> CompiledProblem:
         """Lower the program into numerical (CSR + dense) form.
@@ -669,11 +650,11 @@ class ConeProgram:
                 free_positions.append(position)
         n = len(free_positions)
 
-        objective, c0, _ = self._lower(self._objective, fixed, column, n)
+        objective, c0 = self._lower(self._objective, fixed, column, n)
         bounds, ineq_names = self._bound_rows(free_positions)
         for _, names in self._linear:
             ineq_names.extend(names)
-        G, constants, h_shifts = self._lower(
+        G, constants = self._lower(
             AffineRows.concatenate([bounds] + [rows for rows, _ in self._linear]),
             fixed, column, n,
         )
@@ -681,11 +662,11 @@ class ConeProgram:
             *self._lower(
                 AffineRows.concatenate([x for x, _, _, _ in self._hyperbolic]),
                 fixed, column, n,
-            )[:2],
+            ),
             *self._lower(
                 AffineRows.concatenate([y for _, y, _, _ in self._hyperbolic]),
                 fixed, column, n,
-            )[:2],
+            ),
             bound=np.concatenate([np.zeros(0)] + [b for _, _, b, _ in self._hyperbolic]),
             names=[name for _, _, _, names in self._hyperbolic for name in names],
         )
@@ -701,7 +682,6 @@ class ConeProgram:
             block_structure=self._compile_block_structure(column, G, hyperbolic),
             registered_variables=list(self._variables),
             substitutions=substitutions,
-            h_shifts=h_shifts,
         )
 
     def _compile_block_structure(
@@ -811,24 +791,6 @@ class ConeProgram:
         solution.stats = dict(solution.stats)
         solution.stats["compile_time"] = compile_span.seconds
         return solution
-
-    def parametric(self) -> "ParametricProblem":  # noqa: F821 - forward ref
-        """Compile once and wrap the result for repeated parametric re-solve.
-
-        Returns a :class:`repro.solver.parametric.ParametricProblem`; register
-        named right-hand-side / bound parameters on it and drive it through a
-        :class:`repro.solver.parametric.SolveSession` to solve a family of
-        related programs without re-compiling.
-        """
-        from repro.solver.parametric import ParametricProblem
-
-        return ParametricProblem(self)
-
-    def session(self, backend: str = "auto") -> "SolveSession":  # noqa: F821
-        """Shorthand for ``SolveSession(self.parametric(), backend)``."""
-        from repro.solver.parametric import SolveSession
-
-        return SolveSession(self.parametric(), backend=backend)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -164,9 +164,9 @@ def task_from_dict(data: Dict[str, object]) -> Task:
     phases = data.get("phases")
     cycles_by_type = data.get("cycles_by_type")
     return Task(
-        name=str(data["name"]),
-        wcet=_number(data["wcet"], "wcet"),
-        processor=str(data["processor"]),
+        name=str(_required(data, "name", "task")),
+        wcet=_number(_required(data, "wcet", "task"), "wcet"),
+        processor=str(_required(data, "processor", "task")),
         budget_weight=_number(data.get("budget_weight", 1.0), "budget_weight"),
         min_budget=_optional_number(data.get("min_budget"), "min_budget"),
         max_budget=_optional_number(data.get("max_budget"), "max_budget"),
@@ -190,10 +190,10 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
     production_rates = data.get("production_rates")
     consumption_rates = data.get("consumption_rates")
     return Buffer(
-        name=str(data["name"]),
-        source=str(data["source"]),
-        target=str(data["target"]),
-        memory=str(data["memory"]),
+        name=str(_required(data, "name", "buffer")),
+        source=str(_required(data, "source", "buffer")),
+        target=str(_required(data, "target", "buffer")),
+        memory=str(_required(data, "memory", "buffer")),
         container_size=_number(data.get("container_size", 1.0), "container_size"),
         initial_tokens=_count(data.get("initial_tokens", 0), "initial_tokens"),
         capacity_weight=_number(data.get("capacity_weight", 1.0), "capacity_weight"),
@@ -220,7 +220,10 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
 
 def task_graph_from_dict(data: Dict[str, object]) -> TaskGraph:
     data = _object(data, "task graph")
-    graph = TaskGraph(name=str(data["name"]), period=_number(data["period"], "period"))
+    graph = TaskGraph(
+        name=str(_required(data, "name", "task graph")),
+        period=_number(_required(data, "period", "task graph"), "period"),
+    )
     for task_data in _list(data.get("tasks", []), "tasks"):
         graph.add_task(task_from_dict(_object(task_data, "task")))
     for buffer_data in _list(data.get("buffers", []), "buffers"):
@@ -236,9 +239,10 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
         dvfs_levels = p.get("dvfs_levels")
         processors.append(
             Processor(
-                name=str(p["name"]),
+                name=str(_required(p, "name", "processor")),
                 replenishment_interval=_number(
-                    p["replenishment_interval"], "replenishment_interval"
+                    _required(p, "replenishment_interval", "processor"),
+                    "replenishment_interval",
                 ),
                 scheduling_overhead=_number(
                     p.get("scheduling_overhead", 0.0), "scheduling_overhead"
@@ -256,7 +260,10 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
             )
         )
     memories = [
-        Memory(name=str(m["name"]), capacity=_optional_number(m.get("capacity"), "capacity"))
+        Memory(
+            name=str(_required(m, "name", "memory")),
+            capacity=_optional_number(m.get("capacity"), "capacity"),
+        )
         for m in (_object(m, "memory") for m in _list(data.get("memories", []), "memories"))
     ]
     return Platform(processors=processors, memories=memories, name=str(data.get("name", "platform")))
@@ -299,6 +306,15 @@ def configuration_from_dict(data: Dict[str, object]) -> Configuration:
         granularity=_number(data.get("granularity", 1.0), "granularity"),
         name=str(data.get("name", "configuration")),
     )
+
+
+def _required(data: Mapping[str, object], field: str, entry: str) -> object:
+    """``data[field]``; a missing field is a :class:`ModelError` naming it,
+    never a raw ``KeyError``."""
+    try:
+        return data[field]
+    except KeyError:
+        raise ModelError(f"every {entry} needs a {field!r} field") from None
 
 
 def _optional_number(value: object, field: str) -> object:

@@ -377,21 +377,23 @@ def workload_from_dict(data: Mapping[str, object]) -> Workload:
         raise ModelError("a workload document needs a 'platform' object") from None
     platform = serialization.platform_from_dict(platform_data)
     workload = Workload(platform=platform, name=str(data.get("name", "workload")))
-    applications = data.get("applications")
+    applications = serialization._list(data.get("applications", []), "applications")
     if not applications:
         raise ModelError("a workload document needs a non-empty 'applications' list")
     for app_data in applications:
-        try:
-            app_name = str(app_data["name"])
-        except KeyError:
-            raise ModelError("every workload application needs a 'name'") from None
+        app_data = serialization._object(app_data, "workload application")
+        app_name = str(serialization._required(app_data, "name", "workload application"))
         configuration = Configuration(
             platform=platform,
             task_graphs=[
                 serialization.task_graph_from_dict(graph_data)
-                for graph_data in app_data.get("task_graphs", [])
+                for graph_data in serialization._list(
+                    app_data.get("task_graphs", []), "task_graphs"
+                )
             ],
-            granularity=float(app_data.get("granularity", 1.0)),
+            granularity=serialization._number(
+                app_data.get("granularity", 1.0), "granularity"
+            ),
             name=str(app_data.get("configuration_name", app_name)),
         )
         workload.add_application(app_name, configuration)

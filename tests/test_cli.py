@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _parse_capacity_range, main
+from repro.core.admission import random_trace, trace_to_dict
 from repro.taskgraph import serialization
 from repro.taskgraph.generators import producer_consumer_configuration
 
@@ -243,6 +244,40 @@ class TestMalformedDocuments:
     def test_task_graphs_not_a_list(self, tmp_path, capsys):
         line = self.run_on(tmp_path, capsys, '{"platform": {}, "task_graphs": 3}')
         assert "task_graphs must be a list" in line
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("platform", "processors", 0, "name"),
+            ("platform", "processors", 0, "replenishment_interval"),
+            ("platform", "memories", 0, "name"),
+            ("task_graphs", 0, "name"),
+            ("task_graphs", 0, "period"),
+            *(("task_graphs", 0, "tasks", 0, key) for key in ("name", "wcet", "processor")),
+            *(
+                ("task_graphs", 0, "buffers", 0, key)
+                for key in ("name", "source", "target", "memory")
+            ),
+        ],
+        ids=lambda path: "/".join(map(str, path)),
+    )
+    def test_missing_required_field(self, tmp_path, capsys, path):
+        data = serialization.configuration_to_dict(producer_consumer_configuration())
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        del entry[path[-1]]
+        line = self.run_on(tmp_path, capsys, json.dumps(data))
+        assert f"needs a {path[-1]!r} field" in line
+
+    @pytest.mark.parametrize(
+        "events,named", [(5, "events"), (["x"], "trace event")], ids=["number", "string"]
+    )
+    def test_malformed_trace_events(self, tmp_path, capsys, events, named):
+        data = trace_to_dict(random_trace(event_count=2, seed=0))
+        data["events"] = events
+        line = self.run_on(tmp_path, capsys, json.dumps(data), ("admit", "--trace"))
+        assert named in line
 
 
 class TestSweepCommand:

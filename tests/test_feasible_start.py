@@ -4,17 +4,18 @@
 share of each processor's slack, ``λ`` strictly between ``1/β'`` and its
 bound, capacities a share of each memory's slack, start times from
 longest-path potentials), so the barrier solver skips phase I on almost
-every feasible cold solve.  These tests check the skip rate over every
-generator family, parity with a solve that runs phase I from a zero start,
-and the fallback to phase I where a row has no slack.
+every feasible cold solve, a session's limited points included.  These
+tests check the skip rate over every generator family, parity with a solve
+that runs phase I from a zero start, and the fallback to phase I where a row
+has no slack.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.allocator import AllocatorOptions, JointAllocator
 from repro.core.formulation import (
-    ParametricSocpFormulation,
     SocpFormulation,
     WorkloadSocpFormulation,
     _slack_share,
@@ -163,20 +164,22 @@ def test_tight_instance_falls_back_to_phase_one():
     assert solution.objective == pytest.approx(reference.objective, rel=1e-9, abs=0.0)
 
 
-def test_limited_sweep_point_falls_back_to_phase_one():
-    # A parametric sweep keeps the start point of its unlimited bounds; a
-    # limit below that point's capacities leaves the bound rows without
-    # slack there, and phase I repairs it.
+def test_limited_session_point_skips_phase_one():
+    # A session builds each point at its own limits, so a cold limited
+    # point starts inside them and skips phase I.
     configuration = figure2.build_configuration(None)
-    parametric = ParametricSocpFormulation(configuration)
-    assert parametric.apply_limits(capacity_limits={"bab": 3}) == []
-    compiled = parametric.parametric.compiled
-    start = compiled.vector_from_mapping(parametric.initial_point())
-    solution = BarrierSolver().solve(compiled, initial_point=start)
-    assert solution.status is SolverStatus.OPTIMAL
-    assert not solution.stats["phase1_skipped"]
-    rebuilt = SocpFormulation(configuration, capacity_limits={"bab": 3}).solve()
-    assert solution.objective == pytest.approx(rebuilt.objective, rel=1e-9)
+    allocator = JointAllocator(
+        options=AllocatorOptions(verify=False, run_simulation=False)
+    )
+    mapped = allocator.session(configuration).allocate(capacity_limits={"bab": 3})
+    stats = mapped.solver_info["solve_stats"]
+    assert stats["warm_started"] is False
+    assert stats["phase1_skipped"] is True
+    assert stats["phase1_newton_iterations"] == 0
+    rebuilt = SocpFormulation(
+        configuration, allocator.weights, capacity_limits={"bab": 3}
+    ).solve()
+    assert mapped.objective_value == pytest.approx(rebuilt.objective, rel=1e-9)
 
 
 def test_slack_share_never_divides_by_an_empty_room():

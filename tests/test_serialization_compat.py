@@ -305,3 +305,45 @@ def test_malformed_container_is_a_model_error(field, value, edit):
     edit(data)
     with pytest.raises(ModelError, match=field):
         configuration_from_dict(data)
+
+
+def _set_application(field, value):
+    def edit(data):
+        data["applications"][0][field] = value
+
+    return edit
+
+
+def _set_applications(value):
+    def edit(data):
+        data["applications"] = value
+
+    return edit
+
+
+#: Application entries of a workload document with a malformed field: each
+#: is a :class:`ModelError` naming it, never a raw ``ValueError``/``TypeError``
+#: or a silently different workload (``true`` loaded as granularity 1.0, an
+#: object as no task graphs).
+_MALFORMED_APPLICATIONS = [
+    ("granularity", "x", _set_application("granularity", "x")),
+    ("granularity", True, _set_application("granularity", True)),
+    ("granularity", None, _set_application("granularity", None)),
+    ("task_graphs", 3, _set_application("task_graphs", 3)),
+    ("task_graphs", {}, _set_application("task_graphs", {})),
+    ("applications", 5, _set_applications(5)),
+    ("applications", {"name": "x"}, _set_applications({"name": "x"})),
+    ("workload application", ["x"], _set_applications(["x"])),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,edit",
+    _MALFORMED_APPLICATIONS,
+    ids=[f"{field}={value!r}" for field, value, _ in _MALFORMED_APPLICATIONS],
+)
+def test_malformed_workload_application_is_a_model_error(field, value, edit):
+    data = _workload_document()
+    edit(data)
+    with pytest.raises(ModelError, match=field):
+        workload_from_dict(data)

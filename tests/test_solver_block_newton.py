@@ -19,6 +19,7 @@ from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
+from repro.solver.parametric import SolveSession
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
 from repro.taskgraph.workload import random_workload
@@ -270,34 +271,35 @@ def newton_counts(solution):
 
 class TestKernelLayoutReuse:
     """The layout is built once per compiled problem and shared by every
-    later solve: it stays read-only and unchanged, and a solve that reuses
-    it is bit-identical to the solve that built it."""
+    later solve, however ``h`` is edited in place in between (as admission's
+    anytime verdict tightens shared rows): it stays read-only and
+    unchanged, and a solve that reuses it is bit-identical to the solve that
+    built it."""
 
     @staticmethod
-    def session_over_processor_row():
-        """A two-application barrier session whose parameter is the right-hand
-        side of a shared processor row (a coupling row)."""
-        program = WorkloadSocpFormulation(make_workload(2, seed=3)).build()
-        session = program.session(backend="barrier")
-        compiled = session.parametric.compiled
+    def compiled_with_processor_row():
+        """A two-application program and the index of one of its shared
+        processor rows (a coupling row)."""
+        compiled = WorkloadSocpFormulation(make_workload(2, seed=3)).build().compile()
         row = next(
             index
             for index in compiled.block_structure.coupling_rows
             if compiled.inequality_names[index].startswith("processor[")
         )
-        session.parametric.register_rhs("cap", compiled.inequality_names[row])
-        return session, compiled, row
+        return compiled, row
 
     def test_session_sweep_leaves_the_layout_unchanged(self):
-        session, compiled, row = self.session_over_processor_row()
+        compiled, row = self.compiled_with_processor_row()
+        session = SolveSession(backend="barrier")
         base = float(compiled.h[row])
-        assert session.solve(parameters={"cap": base}).is_optimal
+        assert session.solve(compiled).is_optimal
         layout = compiled.kernel_layout
         # The cold first solve ran phase I, so both phase layouts are built.
         assert layout.__dict__.get("phase_one") is not None
         before = {key: array.copy() for key, array in layout_arrays(layout).items()}
         for factor in (1.25, 1.5, 2.0):
-            solution = session.solve(parameters={"cap": base * factor})
+            compiled.h[row] = base * factor
+            solution = session.solve(compiled)
             assert solution.is_optimal
             assert solution.stats["pieces_cache_reused"] is True
         assert compiled.kernel_layout is layout
@@ -318,13 +320,13 @@ class TestKernelLayoutReuse:
         assert newton_counts(reusing) == newton_counts(building)
 
     def test_moving_a_row_and_back_is_bit_identical(self):
-        session, compiled, row = self.session_over_processor_row()
+        compiled, row = self.compiled_with_processor_row()
         base = float(compiled.h[row])
-        building = session.solve(parameters={"cap": base}, warm_start=False)
-        moved = session.solve(parameters={"cap": 1.5 * base}, warm_start=False)
-        assert moved.is_optimal and compiled.h[row] != base
-        back = session.solve(parameters={"cap": base}, warm_start=False)
-        assert compiled.h[row] == base
+        building = solve_compiled(compiled, backend="barrier")
+        compiled.h[row] = 1.5 * base
+        assert solve_compiled(compiled, backend="barrier").is_optimal
+        compiled.h[row] = base
+        back = solve_compiled(compiled, backend="barrier")
         assert back.stats["pieces_cache_reused"] is True
         assert back.objective == building.objective
         assert newton_counts(back) == newton_counts(building)

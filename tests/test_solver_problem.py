@@ -130,7 +130,6 @@ class TestCompilation:
         assert compiled.variables == [y]
         assert compiled.G.tolist() == [[2.0]]
         assert compiled.h.tolist() == [3.0]
-        assert compiled.h_shifts == {0: -1.0}
         assert compiled.substitutions == {x: 1.0}
         assert compiled.point_as_mapping(np.array([0.5])) == {x: 1.0, y: 0.5}
 

@@ -5,13 +5,11 @@ collapse is replaced by its value, folded into the constant of every row,
 hyperbolic term and the objective.  These tests pin what that must
 preserve: the optimum on every backend, the block structure of workload
 programs, every registered variable in ``Solution.values``, infeasibility
-of rows a pinned variable contradicts, and parametric right-hand sides on
-rows whose constant substitution shifted.
+of rows a pinned variable contradicts.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from program_rows import ge, hyperbolic, le, minimize
@@ -115,40 +113,6 @@ class TestFixedVariables:
         for backend in BACKENDS + ("auto",):
             assert program.solve(backend=backend).status is SolverStatus.INFEASIBLE
         assert BarrierSolver().feasible_point(compiled) is None
-
-
-class TestParametricShift:
-    def test_parameter_on_a_row_with_a_pinned_variable(self):
-        """``cap: x + y + w ≤ rhs`` with ``x`` pinned compiles to
-        ``y + w ≤ rhs − 1``; setting the parameter must keep that shift and
-        solve like a fresh compile with the new right-hand side."""
-
-        def build(rhs: float) -> ConeProgram:
-            program = ConeProgram("shifted")
-            x = program.add_variable("x", lower=1.0, upper=1.0)
-            y = program.add_variable("y", lower=0.1, upper=10.0)
-            w = program.add_variable("w", lower=0.1, upper=10.0)
-            le(program, {x: 1.0, y: 1.0, w: 1.0}, rhs, name="cap")
-            hyperbolic(program, {y: 1.0}, 0.0, {w: 1.0}, 0.0, 2.0)
-            minimize(program, {y: -1.0, w: 0.5})
-            return program
-
-        parametric = build(5.0).parametric()
-        row = parametric.compiled.inequality_names.index("cap")
-        assert parametric.compiled.h_shifts == {row: -1.0}
-        parametric.register_rhs("cap", "cap")
-        parametric.set("cap", 7.0)
-        fresh = build(7.0).compile()
-        np.testing.assert_array_equal(parametric.compiled.h, fresh.h)
-        session_solution = BarrierSolver().solve(parametric.compiled)
-        fresh_solution = BarrierSolver().solve(fresh)
-        assert session_solution.is_optimal and fresh_solution.is_optimal
-        assert session_solution.objective == pytest.approx(
-            fresh_solution.objective, rel=1e-9
-        )
-        assert session_solution.by_name() == pytest.approx(
-            fresh_solution.by_name(), rel=1e-9
-        )
 
 
 def test_cross_block_hyperbolic_leaves_no_structure():

@@ -20,7 +20,6 @@ import pytest
 from repro.core import (
     AllocatorOptions,
     JointAllocator,
-    ParametricSocpFormulation,
     SocpFormulation,
     TradeoffExplorer,
     WorkloadSocpFormulation,
@@ -111,7 +110,7 @@ class TestOneBlockEquivalence:
         # through the one-application workload's session: the same program,
         # so the same rounded allocations and the same solver work.  The
         # first point (capacity 1, the buffer's smallest feasible capacity)
-        # pins the variable and takes the rebuild path.
+        # pins the variable.
         from repro.experiments import figure2
 
         configuration = figure2.build_configuration(None)
@@ -126,7 +125,6 @@ class TestOneBlockEquivalence:
             assert app.budgets == mapped.budgets
             assert app.buffer_capacities == mapped.buffer_capacities
         single_stats, joint_stats = single.stats.as_dict(), joint.stats.as_dict()
-        assert single_stats["rebuilds"] == 1
         single_stats.pop("solve_time")
         joint_stats.pop("solve_time")
         assert joint_stats == single_stats
@@ -251,30 +249,28 @@ class TestWorkloadSession:
                     assert warm_app.relaxed_budgets[task_name] == pytest.approx(
                         budget, abs=1e-6
                     )
-        assert session.stats.compiles == 1
+        assert session.stats.compiles == 1 + len(self.SWEEP)
         assert session.stats.solves == len(self.SWEEP)
         assert session.stats.warm_started >= len(self.SWEEP) - 1
 
-    def test_pinned_point_falls_back_to_rebuild(self):
+    def test_pinned_point_solves_like_one_shot_allocate(self):
         # A budget limit equal to the throughput-implied lower bound
-        # (̺·χ/µ = 40/10 = 4) pins the variable onto its lower bound: the
-        # structural case the compiled parametric program cannot express,
-        # so the session rebuilds that point.
+        # (̺·χ/µ = 40/10 = 4) pins the variable onto its lower bound, and
+        # compilation substitutes it out; the session point is that program.
         allocator = JointAllocator(options=options())
         session = allocator.workload_session(two_app_workload())
-        mapped = session.allocate(budget_limits={"video": {"wa": 4.0}})
-        assert session.stats.rebuilds == 1
+        limits = {"video": {"wa": 4.0}}
+        mapped = session.allocate(budget_limits=limits)
         assert mapped.application("video").relaxed_budgets["wa"] == pytest.approx(
             4.0, abs=1e-6
         )
-        assert mapped.solver_info["solve_stats"].get("rebuild") is True
-
-    def test_parametric_formulation_round_trips_limits(self):
-        parametric = ParametricSocpFormulation(two_app_workload())
-        pinned = parametric.apply_limits(capacity_limits={"video": {"bab": 5}})
-        assert pinned == []
-        with pytest.raises(FormulationError, match="ghost"):
-            parametric.apply_limits(capacity_limits={"ghost": {"bab": 5}})
+        reference = allocator.allocate_workload(two_app_workload(), budget_limits=limits)
+        assert mapped.objective_value == reference.objective_value
+        for app_name in ("video", "audio"):
+            assert (
+                mapped.application(app_name).budgets
+                == reference.application(app_name).budgets
+            )
 
 
 class TestApplicationCapacitySweep:
