@@ -89,7 +89,7 @@ def _compiled(app_count: int, light: bool = False):
     compiled = program.compile()
     dense = program.compile()
     dense.block_structure = None
-    initial = compiled.vector_from_mapping(formulation.initial_point())
+    initial = formulation.initial_point()
     return compiled, dense, initial
 
 

@@ -61,7 +61,7 @@ def _compiled():
         workload.add_application(f"app{index}", application)
     formulation = WorkloadSocpFormulation(workload)
     compiled = formulation.build().compile()
-    initial = compiled.vector_from_mapping(formulation.initial_point())
+    initial = formulation.initial_point()
     return compiled, initial
 
 

@@ -1,25 +1,22 @@
-"""Benchmark: warm-started session sweeps vs cold allocation per point.
+"""Benchmark: session sweeps vs one-shot allocation per point.
 
 A 20-point capacity sweep over a random-DAG configuration is solved two
 ways:
 
 * **rebuild** — :meth:`JointAllocator.allocate` per point: a fresh
-  :class:`SocpFormulation` built, compiled and cold-started from its own
-  start point;
-* **warm-start** — one :class:`AllocationSession`: each point built at its
-  own limits and seeded from its neighbour's optimum, phase I skipped
-  whenever that seed stays strictly feasible.
+  :class:`SocpFormulation` built, compiled and solved from its own start
+  point;
+* **session** — one :class:`AllocationSession`: each point built at its
+  own limits and solved from its own start point.
 
 Besides the timings, the benchmark asserts the acceptance criteria of the
 session API: one compilation per point (plus the session's unlimited
-program), phase I skipped on at least half the points, budgets equal to the
-rebuild path within 1e-6, and strictly less Newton work than the rebuild
-path (the deterministic counterpart of "faster").
+program), phase I skipped on at least half the points, and every point
+equal to the rebuild path's: the same objective, Newton counts and rounded
+allocation.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core import AllocatorOptions, JointAllocator
 from repro.taskgraph.generators import random_dag_configuration
@@ -78,13 +75,19 @@ def _newton_total(mapped_points):
     )
 
 
+def _work(mapped):
+    stats = mapped.solver_info["solve_stats"]
+    return stats["newton_iterations"], stats["phase1_newton_iterations"]
+
+
 def _assert_equivalent(points, reference):
     assert len(points) == len(reference)
     for mapped, ref in zip(points, reference):
         assert mapped.budgets == ref.budgets
         assert mapped.buffer_capacities == ref.buffer_capacities
-        for task, budget in ref.relaxed_budgets.items():
-            assert mapped.relaxed_budgets[task] == pytest.approx(budget, abs=1e-6)
+        assert mapped.relaxed_budgets == ref.relaxed_budgets
+        assert repr(mapped.objective_value) == repr(ref.objective_value)
+        assert _work(mapped) == _work(ref)
 
 
 def test_bench_sweep_rebuild_per_point(benchmark, record_series):
@@ -106,12 +109,7 @@ def test_bench_sweep_warm_start(benchmark, record_series):
     assert stats.phase1_skipped >= len(SWEEP) // 2, (
         f"phase I skipped on only {stats.phase1_skipped}/{len(SWEEP)} points"
     )
-    warm_newton = _newton_total(points)
-    rebuild_newton = _newton_total(reference)
-    assert warm_newton < rebuild_newton, (
-        f"warm-started sweep spent {warm_newton} Newton iterations, "
-        f"rebuild path {rebuild_newton}"
-    )
-    record_series(benchmark, "newton_iterations_total", warm_newton)
-    record_series(benchmark, "rebuild_newton_iterations_total", rebuild_newton)
+    session_newton = _newton_total(points)
+    assert session_newton == _newton_total(reference)
+    record_series(benchmark, "newton_iterations_total", session_newton)
     record_series(benchmark, "phase1_skipped", stats.phase1_skipped)

@@ -9,9 +9,9 @@ with a structured reason), the main video stops, after which the transcode
 fits — through an :class:`~repro.core.admission.AdmissionController`.
 
 Every event edits one running session: the program is rebuilt for the new
-membership, and the applications that keep running keep their share of the
-previous optimum, so an admission decision is a warm-started re-solve that
-usually skips phase I.
+membership and solved from its own model-built start, which usually skips
+phase I.  An admission decision depends only on the membership it is asked
+about, never on the events before it.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def main() -> None:
 
     stats = controller.session_stats
     print(
-        f"\n{stats.solves} joint solves across the evening: "
-        f"{stats.warm_started} warm-started, phase I skipped "
+        f"\n{stats.solves} joint solves across the evening, phase I skipped "
         f"{stats.phase1_skipped}x"
     )
 

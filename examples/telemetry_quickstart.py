@@ -10,7 +10,7 @@ out:
 * the **profile** — the same spans aggregated by name, with call counts and
   self-time shares;
 * the **metrics registry** — counters and histograms the solver and
-  admission layers record (Newton iterations, rung counts, warm-start hits).
+  admission layers record (Newton iterations, rung counts, phase-I skips).
 
 Everything is also exported to a schema-versioned JSONL file that outlives
 the process — the same format ``repro-map batch --telemetry-log`` writes —

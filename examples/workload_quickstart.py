@@ -103,7 +103,7 @@ def main() -> None:
         )
     stats = curve.solver_stats
     print(
-        f"\nsweep solved through one warm-started session: "
+        f"\nsweep solved through one session: "
         f"{stats['compiles']} compilation(s), {stats['solves']} solves, "
         f"phase I skipped {stats['phase1_skipped']}x"
     )

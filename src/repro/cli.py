@@ -183,7 +183,6 @@ def _single_solve_stats(solver_info: dict) -> dict:
     stats = dict(solver_info.get("solve_stats", {}))
     totals = {
         "solves": 1,
-        "warm_started": 1 if stats.get("warm_started") else 0,
         "phase1_skipped": 1 if stats.get("phase1_skipped") else 0,
         "newton_iterations": int(stats.get("newton_iterations", 0)),
         "phase1_newton_iterations": int(stats.get("phase1_newton_iterations", 0)),
@@ -322,7 +321,6 @@ def _render_solve_stats(stats: dict) -> str:
     if "compiles" in stats:
         lines.append(f"  compilations:        {stats['compiles']}")
     lines.append(f"  solves:              {stats.get('solves', 0)}")
-    lines.append(f"  warm-started solves: {stats.get('warm_started', 0)}")
     lines.append(f"  phase I skipped:     {stats.get('phase1_skipped', 0)}")
     lines.append(
         f"  Newton iterations:   {stats.get('newton_iterations', 0)} "
@@ -483,13 +481,12 @@ def _cmd_admit(arguments: argparse.Namespace) -> int:
 
 
 def _render_sweep_point_stats(curve) -> str:
-    """Per-point warm-start/rung behaviour of a sweep (``--stats``).
+    """Per-point phase-I/rung behaviour of a sweep (``--stats``).
 
-    One row per swept point (warm start taken, phase I skipped, rungs
-    climbed, Newton iterations), followed by the
-    cross-point distributions — the rows feed a scoped
-    :class:`~repro.obs.metrics.MetricsRegistry`, whose histogram quantiles
-    summarise how the warm-start chain behaved over the whole sweep.
+    One row per swept point (phase I skipped, rungs climbed, Newton
+    iterations), followed by the cross-point distributions — the rows feed a
+    scoped :class:`~repro.obs.metrics.MetricsRegistry`, whose histogram
+    quantiles summarise the solver's work over the whole sweep.
     """
     from repro.obs.export import render_metrics
     from repro.obs.metrics import MetricsRegistry
@@ -502,14 +499,11 @@ def _render_sweep_point_stats(curve) -> str:
             {
                 "capacity": point.capacity_limit,
                 "feasible": "yes" if point.feasible else "no",
-                "warm": "yes" if stats.get("warm_started") else "no",
                 "phase1": "skipped" if stats.get("phase1_skipped") else "run",
                 "rungs": int(stats.get("outer_iterations", 0)),
                 "newton": int(stats.get("newton_iterations", 0)),
             }
         )
-        if stats.get("warm_started"):
-            registry.counter("sweep.warm_started").inc()
         if stats.get("phase1_skipped"):
             registry.counter("sweep.phase1_skipped").inc()
         registry.histogram("sweep.newton_iterations").observe(
@@ -609,9 +603,6 @@ def _cmd_batch(arguments: argparse.Namespace) -> int:
             "solves": len(fresh),
             "phase1_skipped": sum(
                 1 for result in fresh if result.stats.get("phase1_skipped")
-            ),
-            "warm_started": sum(
-                1 for result in fresh if result.stats.get("warm_started")
             ),
             "newton_iterations": sum(
                 int(result.stats.get("newton_iterations", 0)) for result in fresh

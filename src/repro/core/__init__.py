@@ -8,9 +8,9 @@
 * :class:`~repro.core.allocator.JointAllocator` / :func:`~repro.core.allocator.allocate`
   / :func:`~repro.core.allocator.allocate_workload` — solve, round each member
   conservatively, verify, and return a mapped configuration or workload.
-* :class:`~repro.core.allocator.AllocationSession` — warm-started solves
-  for families of allocations (trade-off sweeps, admission events), over a
-  configuration or a workload.
+* :class:`~repro.core.allocator.AllocationSession` — families of
+  allocations (trade-off sweeps, admission events) over a configuration or
+  a workload, each point solved from its own model-built start.
 * :mod:`~repro.core.admission` — run-time admission control: incremental
   session editing (:meth:`~repro.core.allocator.AllocationSession.add_application`
   / ``remove_application``), :class:`~repro.core.admission.AdmissionController`

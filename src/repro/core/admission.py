@@ -7,7 +7,7 @@ admitted alongside the running workload?* — on top of the incremental
 session-editing API of :class:`~repro.core.allocator.AllocationSession`:
 
 * :class:`AdmissionController` holds the running workload and one
-  warm-started session.  :meth:`AdmissionController.admit` tentatively adds
+  allocation session.  :meth:`AdmissionController.admit` tentatively adds
   the candidate, re-running the combined-load screens and the joint solve;
   an admitted application stays (with a fresh :class:`~repro.taskgraph.
   workload.MappedWorkload` for the whole platform), a rejected one is rolled
@@ -23,9 +23,9 @@ session-editing API of :class:`~repro.core.allocator.AllocationSession`:
   :class:`TraceRecord` timeline.
 
 Every event edits one running session: the joint program is rebuilt for
-the new membership, and only the previous optimum and the first-rung
-interior hint carry over (re-keyed by variable name), so the unchanged
-applications' share of the previous optimum warm-starts the next solve.
+the new membership and solved from its own model-built start.  Nothing
+carries over from one event's solve to the next, so each event's
+allocation is the one-shot allocation of the new membership.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ VERDICT_REJECT = "reject"
 VERDICT_UNCERTAIN = "uncertain"
 
 #: Anytime verdict stages (how the fast path reached its verdict).
-STAGE_ANYTIME_EMPTY = "anytime-empty"       #: nothing running, no warm state
+STAGE_ANYTIME_EMPTY = "anytime-empty"       #: nothing running, nothing committed
 STAGE_ANYTIME_FIT = "anytime-fit"           #: candidate fits the residual slack
 STAGE_ANYTIME_PRICE = "anytime-price"       #: priced-out on a tight shared row
 STAGE_ANYTIME_UNCERTAIN = "anytime-uncertain"
@@ -89,7 +89,7 @@ class AdmissionDecision:
 
     ``verdict`` / ``verdict_stage`` record the *anytime fast path*: a cheap
     admit/reject prediction from the running allocation's residual slack and
-    warm shared-capacity prices, delivered before the exact solve ran (see
+    shared-capacity prices, delivered before the exact solve ran (see
     :meth:`AdmissionController.anytime_verdict`).  The final ``admitted``
     flag always comes from the exact solve; the verdict is the answer a
     caller could have acted on while the confirmation was still running.
@@ -118,10 +118,9 @@ class AdmissionController:
     """Run-time admission control over one shared platform.
 
     The controller owns the running :class:`~repro.taskgraph.workload.
-    Workload` and a single warm-started :class:`~repro.core.allocator.
-    AllocationSession`; arrivals and departures rebuild the session's program
-    for the new membership, and unchanged applications keep their warm-start
-    values (the previous optimum and the interior hint) across every event.
+    Workload` and a single :class:`~repro.core.allocator.AllocationSession`;
+    arrivals and departures rebuild the session's program for the new
+    membership, and each rebuilt program is solved from its own start.
     """
 
     def __init__(
@@ -195,7 +194,7 @@ class AdmissionController:
         (and its session state) is left exactly as it was.
 
         Before the exact (incremental joint) solve runs, the *anytime fast
-        path* produces a verdict from the warm state of the running
+        path* produces a verdict from the committed state of the running
         allocation (:meth:`anytime_verdict`); it is recorded on the decision
         together with its stage, and the agreement with the exact outcome is
         published to the metrics registry.
@@ -219,9 +218,9 @@ class AdmissionController:
     ) -> Tuple[str, str]:
         """Fast admit/reject prediction before the exact solve confirms.
 
-        The anytime fast path answers the admission question from the warm
-        state left behind by the previous joint solve, without touching the
-        running session:
+        The anytime fast path answers the admission question from the
+        committed allocation and the final barrier rung of the previous joint
+        solve, without touching the running session:
 
         1. The committed allocation's *residual slack* on every shared
            capacity row is computed (``capacity − committed usage``).
@@ -236,7 +235,7 @@ class AdmissionController:
            capacity, and the joint program is feasible with the running
            applications keeping their committed allocation untouched.  The
            verdict is :data:`VERDICT_ADMIT` (:data:`STAGE_ANYTIME_FIT`).
-        3. When the candidate does *not* fit the residuals, the warm
+        3. When the candidate does *not* fit the residuals, the
            shared-capacity **prices** — ``1/(t_final · slack)`` per row from
            the previous joint solve's final barrier rung — arbitrate: if
            every row the candidate is short on is priced tight (the running
@@ -247,7 +246,7 @@ class AdmissionController:
 
         An admit verdict is exact (a feasible joint point is exhibited); a
         reject verdict is a price-guided prediction that the exact solve
-        confirms.  With nothing running there is no warm state and the
+        confirms.  With nothing running there is nothing committed and the
         verdict is :data:`VERDICT_UNCERTAIN` (:data:`STAGE_ANYTIME_EMPTY`).
         """
         if self.mapped is None or self._session is None:
@@ -335,7 +334,7 @@ class AdmissionController:
     def _shared_prices(
         self, committed: Mapping[str, float]
     ) -> Optional[Tuple[Dict[str, float], float]]:
-        """Warm shared-capacity prices from the previous joint solve.
+        """Shared-capacity prices from the previous joint solve.
 
         At the final barrier rung ``t`` the multiplier of an inequality row
         with slack ``s`` is ``1/(t·s)``, the row's Lagrange multiplier on the
@@ -380,16 +379,16 @@ class AdmissionController:
     _RETRYABLE = (NumericalError, FaultInjected, FloatingPointError, ArithmeticError)
 
     def _resilient_allocate(self, session: AllocationSession) -> MappedWorkload:
-        """``session.allocate()`` with one rescue: a cold from-scratch solve.
+        """``session.allocate()`` with one rescue: a from-scratch solve.
 
-        A retryable solver failure drops the session's warm state (a
-        poisoned warm start is the most likely cause) and solves the same
-        workload once from scratch: fresh formulation, cold start, the
-        backend dispatcher's own scipy fallback included.  Re-running the
-        same warm solve would be pointless — it is deterministic — so the
-        rescue changes the start point instead.  It is counted as
-        ``reliability.fallbacks``; whatever it raises propagates to the
-        caller, which turns it into a structured outcome.
+        A retryable solver failure solves the same workload once more through
+        the one-shot path: a fresh formulation and compile, the backend
+        dispatcher's own scipy fallback included.  Nothing the session keeps
+        (its compiled unlimited program and that program's cached kernel
+        layout) reaches the rescue, so a fault in that state, or a transient
+        one, does not repeat.  It is counted as ``reliability.fallbacks``;
+        whatever it raises propagates to the caller, which turns it into a
+        structured outcome.
         """
         import numpy as np
 
@@ -402,7 +401,6 @@ class AdmissionController:
             registry = _metrics_registry()
             if registry.enabled:
                 registry.counter("reliability.fallbacks").inc()
-            session._session.reset()
             maybe_fail("admission.solve", label="fallback")
             return self.allocator.allocate_workload(self.workload)
 
@@ -517,7 +515,7 @@ class AdmissionController:
         ``journal`` is a path to — or the read contents of — the run's
         durable journal.  Only journal events *after* the snapshot's sequence
         number are re-solved; the restored controller's committed workload
-        matches the uninterrupted run within 1e-6.  Returns the controller
+        is exactly the uninterrupted run's.  Returns the controller
         together with the full per-event record timeline (recorded outcomes
         for snapshot-covered events, recomputed ones for the replayed tail).
         """

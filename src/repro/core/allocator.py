@@ -22,8 +22,9 @@ capacity/budget limits, admission events that change a workload's
 membership — :meth:`JointAllocator.session` (or
 :meth:`JointAllocator.workload_session`) returns an
 :class:`AllocationSession`: each point is built at its own limits and
-warm-started from the previous point's optimum, carried over by variable
-name.
+solved from its own model-built start, so it equals the one-shot
+allocation at the same limits; nothing carries over from one point to the
+next.
 """
 
 from __future__ import annotations
@@ -149,17 +150,17 @@ class JointAllocator:
             return self._allocate(workload, capacity_limits, budget_limits, weights)
 
     def session(self, subject: Union[Configuration, Workload]) -> "AllocationSession":
-        """Open a warm-started allocation session over a configuration (or workload).
+        """Open an allocation session over a configuration (or workload).
 
         The session validates the subject once; each
         :meth:`AllocationSession.allocate` call solves the program at its
-        limits, warm-starting from the previous point's optimum.  Use it for
-        trade-off sweeps and any other family of related allocations.
+        limits from that program's own start.  Use it for trade-off sweeps
+        and any other family of related allocations.
         """
         return AllocationSession(self, subject)
 
     def workload_session(self, workload: Workload) -> "AllocationSession":
-        """Open a warm-started allocation session over ``workload``.
+        """Open an allocation session over ``workload``.
 
         :meth:`session` over a workload: each :meth:`AllocationSession.allocate`
         call takes per-application limit maps, and the session's membership
@@ -311,16 +312,17 @@ class JointAllocator:
 
 
 class AllocationSession:
-    """Warm-started allocation over one configuration or workload.
+    """Allocation over one configuration or workload, point after point.
 
     Created through :meth:`JointAllocator.session` (or
     :meth:`JointAllocator.workload_session`).  Every :meth:`allocate` call
-    solves the subject's program at its own limits — a limited point is
-    built and compiled afresh, the unlimited program is built once per
-    membership — and seeds the barrier method with the previous point's
-    optimum, carried over by variable name, so that phase I is skipped
-    whenever that point is still strictly feasible.  A cold point starts at
-    the model-built start of its own limits.
+    solves the subject's program at its own limits from that program's
+    model-built start — a limited point is built and compiled afresh, the
+    unlimited program is built once per membership.  Nothing carries over
+    from one point or membership edit to the next, so each point is the
+    solve :meth:`JointAllocator.allocate` makes at the same limits; the
+    session saves the validation and the unlimited program's build, and
+    sums every solve into :attr:`stats`.
 
     :meth:`allocate` has the contract of :meth:`JointAllocator.allocate` for
     a configuration (flat per-buffer / per-task limit maps) and of
@@ -333,12 +335,13 @@ class AllocationSession:
     def __init__(
         self, allocator: JointAllocator, subject: Union[Configuration, Workload]
     ) -> None:
-        from repro.solver.parametric import SolveSession
+        from repro.solver.parametric import SessionStats
 
         subject.validate()
         self.allocator = allocator
         self.subject = subject
-        self._session = SolveSession(backend=allocator.options.backend)
+        #: aggregate solve statistics across every point of the session
+        self.stats: SessionStats = SessionStats()
         self._unlimited = self._build()
 
     def _build(self, capacity_limits=None, budget_limits=None):
@@ -352,32 +355,36 @@ class AllocationSession:
         )
         compiled = formulation.build().compile()
         start = formulation.initial_point()
-        self._session.stats.compiles += 1
+        self.stats.compiles += 1
         return formulation, compiled, start
-
-    @property
-    def stats(self) -> SessionStats:
-        """Aggregate solve statistics across every point of the session."""
-        return self._session.stats
 
     def _adopt_stats(self, stats: SessionStats) -> None:
         """Continue accumulating into a predecessor session's statistics."""
-        stats.compiles += self._session.stats.compiles
-        self._session.stats = stats
+        stats.compiles += self.stats.compiles
+        self.stats = stats
 
     def allocate(
         self,
         capacity_limits: Optional[Mapping] = None,
         budget_limits: Optional[Mapping] = None,
     ) -> Union[MappedConfiguration, MappedWorkload]:
-        """Solve for one set of limits, warm-started from the previous point."""
+        """Solve for one set of limits, from that program's own start."""
+        from repro.solver import backends
+
         with obs_span("allocate", subject=self.subject.name):
             if capacity_limits or budget_limits:
                 point = self._build(capacity_limits, budget_limits)
             else:
                 point = self._unlimited
             formulation, compiled, start = point
-            solution = self._session.solve(compiled, start)
+            backend = self.allocator.options.backend
+            with obs_span("solve", backend=backend) as solve_span:
+                solution = backends.solve_compiled(
+                    compiled, backend=backend, initial_point=start
+                )
+                solve_span.set(status=solution.status.value)
+            solution.solve_time = solve_span.seconds
+            self.stats.record_solution(solution)
             return self.allocator._finalize(self.subject, formulation, solution)
 
     # -- incremental workload editing -------------------------------------------
@@ -387,19 +394,12 @@ class AllocationSession:
         The application joins the session's workload, the combined-load
         screens re-run (the workload — and the session — are left untouched
         when they fail), and the session's program is rebuilt from the edited
-        workload.  The next :meth:`allocate` warm-starts from the previous
-        optimum by variable name; the added application starts at its
-        model-built values.
+        workload.
         """
         self._edit(lambda: self.subject.add_application(name, configuration))
 
     def remove_application(self, name: str) -> None:
-        """Retire one application from the running session (the departure case).
-
-        The previous optimum restricted to the surviving variables stays
-        strictly feasible (the shared capacity rows only got more slack), so
-        the next :meth:`allocate` typically skips phase I.
-        """
+        """Retire one application from the running session (the departure case)."""
         workload = self._workload()
         if name in workload.application_names and len(workload) <= 1:
             raise ModelError(
@@ -426,8 +426,7 @@ class AllocationSession:
         but also an error while building or compiling the new formulation —
         restores the exact previous membership (order included) and leaves
         the session untouched, so a failed edit can never leave the workload
-        and the program describing different memberships.  On success the
-        warm state forgets the variables the edit removed.
+        and the program describing different memberships.
         """
         workload = self._workload()
         snapshot = dict(workload._applications)
@@ -440,7 +439,6 @@ class AllocationSession:
             workload._applications.clear()
             workload._applications.update(snapshot)
             raise
-        self._session.keep(var.name for var in self._unlimited[1].variables)
 
     def _workload(self) -> Workload:
         """The session's workload: a configuration has no membership to edit."""

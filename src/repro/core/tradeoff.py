@@ -9,7 +9,8 @@ Every sweep point solves the same cone program up to a handful of bound
 values, so both capacity sweeps — over a configuration and over one
 application of a workload — drive one :class:`~repro.core.allocator.
 AllocationSession` through the same loop: each point is built at its own
-bounds and solved with the previous point's optimum as a warm start.
+bounds and solved from its own model-built start, so a point does not
+depend on the points before it.
 Per-point solver statistics land in
 :attr:`TradeoffPoint.solve_stats` and the session aggregate in
 :attr:`TradeoffCurve.solver_stats`.
@@ -217,8 +218,7 @@ class TradeoffExplorer:
         already shared?
 
         The sweep runs through an :class:`~repro.core.allocator.
-        AllocationSession`, so every point warm-starts from its neighbour.
-        Budgets and capacities in the
+        AllocationSession`, one point per bound.  Budgets and capacities in the
         returned points are keyed ``"<application>/<name>"`` across *all*
         applications of the workload.
 
@@ -250,7 +250,7 @@ class TradeoffExplorer:
         )
 
     def _sweep(self, subject, curve_name, capacity_limits, limits_at) -> TradeoffCurve:
-        """One warm-started session over ``subject``, one point per capacity
+        """One allocation session over ``subject``, one point per capacity
         bound; ``limits_at(bound)`` gives the point's limits in the subject's
         shape.  Budgets and capacities are keyed as the subject's
         :meth:`flattened` views key them."""
@@ -298,10 +298,9 @@ class TradeoffExplorer:
         The cartesian product of the ``dvfs_levels`` of the swept processors
         (default: every processor that declares levels) is enumerated in
         deterministic order.  A speed change alters the *coefficients* of
-        the throughput constraints and the variables' bounds alike, so a
-        previous point's optimum is no useful start: each point builds the
-        configuration via :meth:`~repro.taskgraph.platform.Platform.
-        with_speeds` and solves it from scratch.  Operating points whose
+        the throughput constraints and the variables' bounds alike, so each
+        point builds the configuration via :meth:`~repro.taskgraph.platform.
+        Platform.with_speeds` and allocates it on its own.  Operating points whose
         load screen or cone program is infeasible become infeasible sweep
         points rather than errors.
         """
@@ -355,13 +354,18 @@ class TradeoffExplorer:
     ) -> Optional[MappedConfiguration]:
         """Smallest capacity bound under which every task budget fits ``budget_limit``.
 
-        Returns the mapped configuration at the first (smallest) feasible
-        capacity bound, or ``None`` when even the largest bound is infeasible.
-        This explores the trade-off from the other side: given scarce
-        processor budget, how much buffering is needed?
+        Returns the mapped configuration at the smallest feasible capacity
+        bound of ``capacity_limits``, or ``None`` when even the largest bound
+        is infeasible.  This explores the trade-off from the other side:
+        given scarce processor budget, how much buffering is needed?
 
-        Only genuine infeasibility (:class:`InfeasibleProblemError`) advances
-        the search to the next bound.  Any other
+        Feasibility is monotone in the bound (a larger buffer never breaks
+        a schedule), and every session point depends only on its own
+        limits, so the search bisects the sorted bounds: about ``log2``
+        of their number solves instead of one per bound below the answer.
+
+        Only genuine infeasibility (:class:`InfeasibleProblemError`) moves
+        the search to larger bounds.  Any other
         :class:`~repro.exceptions.SolverError` — numerical failure, an
         unbounded program — propagates: silently treating a solver failure as
         "needs more buffering" would corrupt the reported minimal capacity.
@@ -376,17 +380,26 @@ class TradeoffExplorer:
             # The unlimited program is already contradictory; no capacity
             # bound can help.
             return None
-        for limit in sorted(int(v) for v in capacity_limits):
+        bounds = sorted(set(int(v) for v in capacity_limits))
+        # Every bound below ``low`` is infeasible; ``best`` is the mapping
+        # at ``bounds[high]``, the smallest feasible bound found so far.
+        low, high = 0, len(bounds)
+        best: Optional[MappedConfiguration] = None
+        while low < high:
+            middle = (low + high) // 2
             limits = {
-                buffer.name: limit for _, buffer in configuration.all_buffers()
+                buffer.name: bounds[middle]
+                for _, buffer in configuration.all_buffers()
             }
             try:
-                return session.allocate(
+                best = session.allocate(
                     capacity_limits=limits, budget_limits=budget_limits
                 )
             except InfeasibleProblemError:
-                # Definite answer for this bound; try the next one.  Solver
-                # failures (NumericalError, UnboundedProblemError, any other
+                # Definite answer for this bound.  Solver failures
+                # (NumericalError, UnboundedProblemError, any other
                 # SolverError) deliberately propagate.
+                low = middle + 1
                 continue
-        return None
+            high = middle
+        return best

@@ -12,7 +12,7 @@ The figure sweeps can run through two engines:
   :class:`~repro.batch.executor.BatchExecutor`, adding the persistent result
   cache (``--cache-dir``).  Both engines produce identical figure data and
   both solve each sweep through the session API: every sweep point is built
-  at its own capacity bound and warm-starts from its neighbour.
+  at its own capacity bound and solved from its own start.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ def batch_capacity_sweep(
     Produces the same :class:`~repro.core.tradeoff.TradeoffCurve` a
     :class:`~repro.core.tradeoff.TradeoffExplorer` sweep would — the sweep is
     submitted as one *family* (:meth:`~repro.batch.executor.BatchExecutor.
-    run_sweep`), so the batch engine also warm-starts every point from its
-    neighbour, and the whole family is one
-    entry in the persistent result cache.  A family is one sequential
-    warm-start chain, so it always solves inline, with exactly the requested
-    backend.
+    run_sweep`), so the whole family is one entry in the persistent result
+    cache.  A family is one unit of work, so it always solves inline, with
+    exactly the requested backend.
     """
     from repro.batch import BatchExecutor, ExecutorConfig, make_cache
 

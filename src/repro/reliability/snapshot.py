@@ -2,19 +2,20 @@
 
 A :class:`SessionSnapshot` captures everything a killed admission run needs
 to resume without re-solving its history: the committed workload document,
-the warm-start and interior points of the live
-:class:`~repro.solver.parametric.SolveSession` (keyed by variable *name*,
-so they re-apply cleanly to a freshly compiled program), the aggregate
-session statistics and the journal sequence number the snapshot covers.  Snapshots are written atomically (temp file +
-``os.replace``), so a crash mid-snapshot leaves the previous snapshot
-intact.
+the aggregate session statistics and the journal sequence number the
+snapshot covers.  No solver state is kept: every session solve starts from
+its own program's model-built start.  Snapshots are written atomically
+(temp file + ``os.replace``), so a crash mid-snapshot leaves the previous
+snapshot intact.  Documents written when sessions still carried a warm
+point over (a ``session_state`` of ``{"warm": …, "interior": …}``) still
+load; that state is ignored.
 
 :func:`restore_controller` rebuilds an
 :class:`~repro.core.admission.AdmissionController` from snapshot +
-journal: the workload is recompiled, the warm state re-installed, one warm
-re-solve recommits the allocation (within 1e-6 of the uninterrupted run —
-the incremental-equals-rebuild lock-in of the session layer), and only the
-journal events *after* the snapshot are replayed through the controller.
+journal: the workload is recompiled, one re-solve recommits the allocation
+(exactly the uninterrupted run's, since that solve depends only on the
+membership), and only the journal events *after* the snapshot are
+replayed through the controller.
 Replayed outcomes are checked against the journalled ones — a divergence
 means the journal does not describe this code/platform and raises
 :class:`~repro.exceptions.JournalError` rather than silently rewriting
@@ -78,7 +79,6 @@ class SessionSnapshot:
     journal_seq: int
     fingerprint: str
     workload_data: Optional[Dict[str, object]] = None   #: None = nothing running
-    session_state: Optional[Dict[str, object]] = None   #: SolveSession.state_dict()
     stats: Optional[Dict[str, object]] = None           #: SessionStats.as_dict()
     objective_value: Optional[float] = None             #: committed objective
 
@@ -88,13 +88,13 @@ class SessionSnapshot:
             "journal_seq": self.journal_seq,
             "fingerprint": self.fingerprint,
             "workload": self.workload_data,
-            "session_state": self.session_state,
             "stats": self.stats,
             "objective_value": self.objective_value,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SessionSnapshot":
+        """Read a snapshot document; an old ``session_state`` is ignored."""
         try:
             check_format_version(
                 data, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_FORMAT_VERSION, "snapshot"
@@ -106,11 +106,6 @@ class SessionSnapshot:
             fingerprint=str(data["fingerprint"]),
             workload_data=(
                 None if data.get("workload") is None else dict(data["workload"])
-            ),
-            session_state=(
-                None
-                if data.get("session_state") is None
-                else dict(data["session_state"])
             ),
             stats=None if data.get("stats") is None else dict(data["stats"]),
             objective_value=(
@@ -133,16 +128,13 @@ def snapshot_controller(
     from repro.taskgraph.workload import workload_to_dict
 
     workload_data = None
-    session_state = None
     if controller._session is not None and len(controller.workload):
         workload_data = workload_to_dict(controller.workload)
-        session_state = controller._session._session.state_dict()
     stats = controller._stats
     return SessionSnapshot(
         journal_seq=int(journal_seq),
         fingerprint=platform_fingerprint(controller.platform),
         workload_data=workload_data,
-        session_state=session_state,
         stats=None if stats is None else dict(stats.as_dict()),
         objective_value=(
             None if controller.mapped is None else controller.mapped.objective_value
@@ -254,16 +246,13 @@ def restore_controller(
         controller = AdmissionController(workload.platform, allocator=allocator)
         controller.workload = workload
         session = controller.allocator.workload_session(workload)
-        if snap.session_state is not None:
-            session._session.load_state(snap.session_state)
         stats = _load_stats(snap.stats)
         if stats is not None:
             session._adopt_stats(stats)
         controller._session = session
         controller._stats = session.stats
-        # One warm re-solve recommits the allocation; the session layer's
-        # incremental-equals-rebuild lock-in keeps it within 1e-6 of the
-        # uninterrupted run's committed workload.
+        # One re-solve recommits the allocation: the solve depends only on
+        # the membership, so it is the uninterrupted run's committed one.
         controller.mapped = controller._resilient_allocate(session)
         start_seq = snap.journal_seq
     else:
@@ -312,8 +301,8 @@ def replay_trace_durably(
     ``resume=True`` restores a killed run: the controller is rebuilt from
     snapshot + journal (events already journalled are *not* re-asked; their
     recorded outcomes fill the timeline) and the replay continues with the
-    first un-journalled trace event.  The returned result matches an
-    uninterrupted replay within 1e-6.  Without ``resume``, a journal that
+    first un-journalled trace event.  The returned result equals an
+    uninterrupted replay's.  Without ``resume``, a journal that
     already holds committed events is refused (:class:`~repro.exceptions.
     JournalError`) — appending a second copy of the trace would make a
     later restore double-apply every event.

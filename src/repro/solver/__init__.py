@@ -11,8 +11,8 @@ with a self-contained modelling layer and solvers:
 * :class:`~repro.solver.barrier.BarrierSolver` — from-scratch log-barrier
   interior-point method (the default backend for cone programs), on one
   fixed schedule of constants.
-* :class:`~repro.solver.parametric.SolveSession` — warm starts between
-  related solves, carried over by variable name.
+* :class:`~repro.solver.parametric.SessionStats` — the aggregate
+  statistics of a family of related solves.
 * scipy-based LP (:mod:`~repro.solver.linprog_backend`) and NLP
   (:mod:`~repro.solver.scipy_backend`) backends.
 """
@@ -22,10 +22,8 @@ from repro._lazy import lazy_exports
 from repro.solver.barrier import BarrierSolver
 from repro.solver.problem import AffineRows, BlockStructure, CompiledProblem, ConeProgram
 
-#: Solve sessions load on first use: a one-shot solve never needs them.
-_EXPORTS = {
-    name: "repro.solver.parametric" for name in ("SessionStats", "SolveSession")
-}
+#: Session statistics load on first use: a one-shot solve never needs them.
+_EXPORTS = {"SessionStats": "repro.solver.parametric"}
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 from repro.solver.result import Solution, SolverStatus
 

@@ -131,7 +131,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import PathFinder
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -385,8 +385,8 @@ class _KernelLayout:
     compiled problem and cached on it
     (:attr:`~repro.solver.problem.CompiledProblem.kernel_layout`).  Each
     phase's :class:`_PhaseLayout` is built from the entries of the CSR
-    records the first time that phase runs, so warm solves that skip phase
-    I never build its layout.
+    records the first time that phase runs, so solves that skip phase I
+    never build its layout.
     """
 
     def __init__(self, problem: CompiledProblem) -> None:
@@ -531,9 +531,6 @@ class _CenteringResult:
     outer: int                 #: outer (centering) iterations
     newton: int                #: Newton iterations summed over the rungs
     final_barrier: float       #: barrier parameter at exit
-    #: the centered point of the first (``initial_barrier``) rung — the
-    #: warm-start "interior hint" for related solves
-    first_center: Optional[np.ndarray] = None
     #: whether the last centering met its decrement target (as opposed to
     #: exhausting the Newton budget); the ``m/t`` gap bound assumes it did
     converged: bool = True
@@ -802,18 +799,17 @@ class _PhaseOneStart:
     free columns, no constraints, or phase I ending infeasible.  ``point``
     is then a feasible point, or ``None`` when ``decided`` is
     ``INFEASIBLE``.  Otherwise ``z`` is the strictly feasible point phase I
-    exits with (the start point when it was skipped), ``z_interior`` the
-    interior hint, ``stats`` the phase-I statistics, ``kernel`` the
-    Newton-kernel accounting (:func:`_kernel_stats`) every workspace of the
-    solve adds to, and ``layout_reused`` whether the kernel layout came from
-    the compiled problem's cache.
+    exits with (the start point when it was skipped), ``stats`` the phase-I
+    statistics, ``kernel`` the Newton-kernel accounting
+    (:func:`_kernel_stats`) every workspace of the solve adds to, and
+    ``layout_reused`` whether the kernel layout came from the compiled
+    problem's cache.
     """
 
     decided: Optional[Solution] = None
     point: Optional[np.ndarray] = None
     layout: Optional[_KernelLayout] = None
     z: Optional[np.ndarray] = None
-    z_interior: Optional[np.ndarray] = None
     stats: Optional[Dict[str, object]] = None
     kernel: Optional[Dict[str, float]] = None
     layout_reused: bool = False
@@ -831,40 +827,21 @@ class BarrierSolver:
         self,
         problem: CompiledProblem,
         initial_point: Optional[np.ndarray] = None,
-        interior_point: Optional[np.ndarray] = None,
     ) -> Solution:
-        """Solve ``problem``; both hint points are optional.
+        """Solve ``problem`` from ``initial_point`` (zeros when omitted).
 
-        ``initial_point`` is the primary start (warm-start or heuristic):
-        phase I is skipped when it is strictly feasible.  ``interior_point``
-        is a well-interior hint — typically the first-rung central point of a
-        related previous solve: it is tried for the phase-I skip when
-        ``initial_point`` is infeasible, and when phase I was skipped phase II
-        re-centers from it instead of from the (near-boundary) start point.
-        Phase II always walks the cold rung ladder from ``initial_barrier``,
-        so a warm solve stops on the same rung as a cold one.
+        Phase I is skipped when the start is strictly feasible; otherwise it
+        runs from the start.  Phase II walks the rung ladder from
+        ``initial_barrier``, from the point phase I exits with.
         """
-        start = self._phase_one_prefix(problem, initial_point, interior_point)
+        start = self._phase_one_prefix(problem, initial_point)
         if start.decided is not None:
             return start.decided
-        stats, z_interior = start.stats, start.z_interior
+        stats = start.stats
         workspace = _StructuredWorkspace(start.layout.phase_two, problem.h, start.kernel)
 
-        # Phase II re-centers from the interior hint when phase I was skipped
-        # off a warm point: re-centering from a well-interior point is far
-        # cheaper than crawling away from the boundary the previous optimum
-        # sits on.
-        z_start = start.z
-        if (
-            stats["phase1_skipped"]
-            and z_interior is not None
-            and not np.array_equal(z_interior, z_start)
-            and workspace.evaluate(z_interior)[1] < math.inf
-        ):
-            z_start = z_interior
-
         with obs_span("centering") as centering_span:
-            result = self._barrier_minimise(problem.c, workspace, z_start)
+            result = self._barrier_minimise(problem.c, workspace, start.z)
             centering_span.set(
                 rungs=int(result.outer), newton_iterations=int(result.newton)
             )
@@ -894,7 +871,6 @@ class BarrierSolver:
             backend="barrier",
             iterations=result.outer,
             stats=stats,
-            interior_point=result.first_center,
         )
 
     def feasible_point(
@@ -926,7 +902,6 @@ class BarrierSolver:
         self,
         problem: CompiledProblem,
         initial_point: Optional[np.ndarray],
-        interior_point: Optional[np.ndarray] = None,
     ) -> _PhaseOneStart:
         """The kernel layout and phase I: up to a feasible start.
 
@@ -968,13 +943,9 @@ class BarrierSolver:
         # ``pieces_cache_reused`` stat → SessionStats sparse reuse).
         layout_reused = problem.kernel_layout is not None
         layout = self._layout(problem)
-        z_interior: Optional[np.ndarray] = None
-        if interior_point is not None:
-            z_interior = np.array(interior_point, dtype=float)
-        fallbacks = [z_interior] if z_interior is not None else []
         with obs_span("phase1") as phase1_span:
             z_feasible, feasibility, phase1 = self._phase_one(
-                problem, layout, kernel, z0, fallbacks=fallbacks
+                problem, layout, kernel, z0
             )
             phase1_span.set(
                 skipped=bool(phase1["skipped"]),
@@ -1003,7 +974,6 @@ class BarrierSolver:
         return _PhaseOneStart(
             layout=layout,
             z=z_feasible,
-            z_interior=z_interior,
             stats=stats,
             kernel=kernel,
             layout_reused=layout_reused,
@@ -1088,12 +1058,10 @@ class BarrierSolver:
         layout: _KernelLayout,
         kernel: Dict[str, float],
         z0: np.ndarray,
-        fallbacks: Sequence[np.ndarray] = (),
     ) -> Tuple[Optional[np.ndarray], float, Dict[str, object]]:
         """Find a strictly feasible point, or report infeasibility.
 
-        ``z0`` and then each entry of ``fallbacks`` is checked for strict
-        feasibility; the first hit skips the phase entirely.  Otherwise the
+        A strictly feasible ``z0`` skips the phase entirely.  Otherwise the
         auxiliary relaxation program runs from ``z0`` on the same Newton
         kernel as phase II; the relaxation variable ``t`` becomes the
         one-column *border* of the arrow system, since every relaxed
@@ -1103,7 +1071,7 @@ class BarrierSolver:
 
         Returns the feasible point (or ``None``), the final
         infeasibility measure, and phase-I statistics (whether the phase was
-        skipped because a candidate was already strictly feasible, and how
+        skipped because ``z0`` was already strictly feasible, and how
         many Newton iterations the auxiliary program took).
 
         The phase-I program is ``min t`` over ``(z, t)`` subject to every
@@ -1121,10 +1089,6 @@ class BarrierSolver:
         needed = self._required_relaxation(problem, z0)
         if needed < -margin:
             return z0, needed, {"skipped": True, "newton_iterations": 0}
-        for candidate in fallbacks:
-            required = self._required_relaxation(problem, candidate)
-            if required < -margin:
-                return candidate, required, {"skipped": True, "newton_iterations": 0}
 
         k = problem.num_variables
         # Keep the phase-I objective bounded below.
@@ -1210,7 +1174,6 @@ class BarrierSolver:
         t_barrier = opts.initial_barrier
         outer = 0
         newton_total = 0
-        first_center: Optional[np.ndarray] = None
         converged = True
         nonconverged_rungs = 0
         status = SolverStatus.MAX_ITERATIONS
@@ -1227,8 +1190,6 @@ class BarrierSolver:
                 )
             newton_total += newton
             nonconverged_rungs += not converged
-            if outer == 1:
-                first_center = z.copy()
             if early_stop is not None and early_stop(z):
                 status = SolverStatus.OPTIMAL
                 break
@@ -1245,7 +1206,6 @@ class BarrierSolver:
             outer,
             newton_total,
             t_barrier,
-            first_center,
             converged,
             nonconverged_rungs,
         )

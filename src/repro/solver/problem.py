@@ -776,7 +776,8 @@ class ConeProgram:
             the scipy backend if the barrier method fails to converge.
             ``"barrier"``, ``"linprog"`` and ``"scipy"`` force a backend.
         initial_point:
-            Optional warm-start / strictly feasible hint keyed by variable.
+            Optional start point keyed by variable; phase I is skipped when
+            it is strictly feasible.
         """
         from repro.solver import backends
 

@@ -6,8 +6,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.exceptions import FormulationError
 from repro.solver.variable import Variable
 
@@ -64,10 +62,6 @@ class Solution:
     solve_time: float = 0.0
     message: str = ""
     stats: Dict[str, object] = field(default_factory=dict)
-    #: A well-interior point of the feasible region (the first-rung central
-    #: point of a barrier solve), used by solve sessions as a re-centering
-    #: hint for the next related solve.  Not part of the optimum.
-    interior_point: Optional["np.ndarray"] = None
 
     @property
     def is_optimal(self) -> bool:

@@ -58,3 +58,21 @@ def barrier_reference(
 def relative(a: np.ndarray, b: np.ndarray) -> float:
     """``‖a − b‖ / ‖b‖``."""
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def first_rung_center(compiled) -> np.ndarray:
+    """The centered point of a cold barrier solve's first rung: phase I from
+    ``z = 0``, then one centering at ``initial_barrier``.  A well-interior
+    point at which to exercise the Newton kernel."""
+    from repro.solver import barrier
+
+    solver = barrier.BarrierSolver()
+    start = solver.feasible_point(compiled)
+    workspace = barrier._StructuredWorkspace(
+        solver._layout(compiled).phase_two, compiled.h, barrier._kernel_stats()
+    )
+    states, phi = workspace.evaluate(start)
+    center, _, _, _, _ = solver._newton_minimise(
+        compiled.c, workspace, start, states, phi, barrier._OPTIONS.initial_barrier
+    )
+    return center

@@ -173,7 +173,6 @@ def test_limited_session_point_skips_phase_one():
     )
     mapped = allocator.session(configuration).allocate(capacity_limits={"bab": 3})
     stats = mapped.solver_info["solve_stats"]
-    assert stats["warm_started"] is False
     assert stats["phase1_skipped"] is True
     assert stats["phase1_newton_iterations"] == 0
     rebuilt = SocpFormulation(

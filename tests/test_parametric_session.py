@@ -1,14 +1,15 @@
-"""Tests of the warm-started solve sessions.
+"""Tests of the allocation sessions.
 
 Covers every layer of the session pipeline:
 
-* solver — :class:`~repro.solver.parametric.SolveSession`, warm starts
-  carried over by variable name;
 * core — :meth:`~repro.core.allocator.JointAllocator.session`, each point
-  built at its own limits;
+  built at its own limits and solved from its own start, so it equals the
+  one-shot allocation at the same limits (objective, Newton counts and
+  rounded allocation), over sweeps and admission traces;
 * trade-off — session-backed sweeps equivalent to rebuild-per-point sweeps,
-  the pinned per-point counts of the Figure 2/3 sweeps, and the
-  solver-failure propagation contract;
+  the pinned per-point counts of the Figure 2/3 sweeps, the bisection of
+  ``minimal_capacity_for_budget`` and the solver-failure propagation
+  contract;
 * batch — sweep families through :meth:`~repro.batch.executor.BatchExecutor.
   run_sweep`.
 """
@@ -17,107 +18,21 @@ from __future__ import annotations
 
 import pytest
 
-from program_rows import hyperbolic, le, minimize
-from repro import obs
 from repro.core import AllocatorOptions, JointAllocator, TradeoffExplorer
-from repro.core.admission import random_trace
-from repro.core.formulation import SocpFormulation
+from repro.core.admission import AdmissionController, apply_trace_event, random_trace
+from repro.core.allocator import AllocationSession
 from repro.core.objective import ObjectiveWeights
 from repro.exceptions import (
     InfeasibleProblemError,
     NumericalError,
 )
 from repro.experiments import figure2, figure3
-from repro.solver import ConeProgram, SolverStatus
-from repro.solver.backends import solve_compiled
-from repro.solver.barrier import BarrierOptions
-from repro.solver.parametric import SolveSession
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import (
     chain_configuration,
     producer_consumer_configuration,
     random_dag_configuration,
 )
-
-
-# -- solver layer -------------------------------------------------------------
-def _program(xmax=10.0, with_z=False):
-    """``x·y ≥ 4``, ``x + y ≤ 12``, ``x ≤ xmax``; optionally a free-standing
-    ``z`` with its own objective term."""
-    program = ConeProgram("session-demo")
-    x = program.add_variable("x", lower=0.0, upper=xmax)
-    y = program.add_variable("y", lower=0.5, upper=10.0)
-    hyperbolic(program, {x: 1.0}, 0.0, {y: 1.0}, 0.0, bound=4.0)
-    le(program, {x: 1.0, y: 1.0}, 12.0, name="sum")
-    objective = {x: 1.0, y: 2.0}
-    if with_z:
-        z = program.add_variable("z", lower=1.0, upper=3.0)
-        objective[z] = 1.0
-    minimize(program, objective)
-    return program
-
-
-def _start(compiled, **values):
-    return {var: values[var.name] for var in compiled.variables if var.name in values}
-
-
-class TestSolveSession:
-    def test_warm_start_is_carried_by_name(self, monkeypatch):
-        import repro.solver.backends as backends
-
-        session = SolveSession(backend="barrier")
-        first = session.solve(_program().compile())
-        assert first.is_optimal and first.stats["warm_started"] is False
-        # Another program over the same names plus ``z``: the session starts
-        # from the previous optimum, ``z`` from the program's own start.
-        compiled = _program(xmax=9.0, with_z=True).compile()
-        start = _start(compiled, x=5.0, y=5.0, z=2.0)
-        starts = []
-
-        def spy(problem, backend, initial_point, interior_point):
-            starts.append(initial_point)
-            return solve_compiled(problem, backend, initial_point, interior_point)
-
-        monkeypatch.setattr(backends, "solve_compiled", spy)
-        second = session.solve(compiled, start)
-        assert second.stats["warm_started"] is True
-        assert second.stats["phase1_skipped"] is True
-        values = first.by_name()
-        assert starts[0].tolist() == [values["x"], values["y"], 2.0]
-        cold = solve_compiled(compiled, "barrier", start)
-        assert second.objective == pytest.approx(cold.objective, rel=1e-9)
-        assert session.stats.solves == 2 and session.stats.warm_started == 1
-
-    def test_reset_forces_cold_solve(self):
-        session = SolveSession(backend="barrier")
-        session.solve(_program().compile())
-        session.reset()
-        assert session.state_dict() == {"warm": None, "interior": None}
-        solution = session.solve(_program(xmax=9.0).compile())
-        assert solution.stats["warm_started"] is False
-
-    def test_infeasible_point_keeps_the_warm_state(self):
-        session = SolveSession(backend="barrier")
-        assert session.solve(_program().compile()).is_optimal
-        state = session.state_dict()
-        # x·y ≥ 4 with x ≤ 0.3, y ≤ 10 is infeasible (0.3·10 < 4).
-        infeasible = session.solve(_program(xmax=0.3).compile())
-        assert infeasible.status is SolverStatus.INFEASIBLE
-        assert session.state_dict() == state
-        assert session.solve(_program().compile()).is_optimal
-
-    def test_state_round_trips_and_forgets_removed_names(self):
-        session = SolveSession(backend="barrier")
-        session.solve(_program(with_z=True).compile())
-        state = session.state_dict()
-        assert set(state) == {"warm", "interior"}
-        assert set(state["warm"]) == {"x", "y", "z"}
-        restored = SolveSession(backend="barrier")
-        restored.load_state({**state, "retired_key": 3})
-        assert restored.state_dict() == state
-        restored.keep(["x", "y"])
-        kept = restored.state_dict()
-        assert set(kept["warm"]) == set(kept["interior"]) == {"x", "y"}
 
 
 class TestAllocationSession:
@@ -175,95 +90,102 @@ class TestAllocationSession:
         reference = allocator.allocate(configuration, capacity_limits={"bab": 1})
         assert mapped.budgets == reference.budgets
         assert mapped.objective_value == reference.objective_value
-        # The next point warm-starts from it; the pinned capacity takes its
-        # value from that point's own start.
         relaxed = session.allocate(capacity_limits={"bab": 2})
-        assert relaxed.solver_info["solve_stats"]["warm_started"] is True
         assert relaxed.budgets == allocator.allocate(
             configuration, capacity_limits={"bab": 2}
         ).budgets
 
 
-def _warm_phase_two_first_rungs(spans):
-    """The barrier of the first phase-II rung of every warm-started solve."""
-    firsts = []
-
-    def walk(span, warm):
-        if span["name"] == "solve":
-            warm = bool(span.get("attributes", {}).get("warm_started"))
-        if warm and span["name"] == "centering":
-            rungs = [c for c in span.get("children", []) if c["name"] == "rung"]
-            firsts.append(rungs[0]["attributes"]["barrier"])
-        for child in span.get("children", []):
-            walk(child, warm)
-
-    for root in spans:
-        walk(root, False)
-    return firsts
+def _parity_key(mapped):
+    """What a session point must share with the one-shot allocation at the
+    same limits: the objective to the last bit, both phases' Newton counts
+    and the rounded allocation."""
+    stats = mapped.solver_info["solve_stats"]
+    return (
+        repr(mapped.objective_value),
+        stats["newton_iterations"],
+        stats["phase1_newton_iterations"],
+        repr(sorted(mapped.flattened("budgets").items())),
+        repr(sorted(mapped.flattened("buffer_capacities").items())),
+    )
 
 
-class TestWarmEndsOnColdRung:
-    """A warm re-solve walks the cold rung ladder from ``initial_barrier``,
-    so it stops on the same rung, at the same optimum, as a cold solve of
-    the same compiled problem."""
+def _one_shot(allocator, subject, capacity_limits=None):
+    """The one-shot allocation of ``subject``, or ``None`` when infeasible."""
+    allocate = (
+        allocator.allocate_workload
+        if isinstance(subject, Workload)
+        else allocator.allocate
+    )
+    try:
+        return allocate(subject, capacity_limits=capacity_limits)
+    except InfeasibleProblemError:
+        return None
 
-    OPTIONS = AllocatorOptions(backend="barrier", verify=False, run_simulation=False)
 
-    def _assert_warm_matches_cold(self, compiled, mapped, captured):
-        stats = mapped.solver_info["solve_stats"]
-        assert stats["warm_started"] is True
-        cold = solve_compiled(compiled, backend="barrier")
-        assert cold.is_optimal
-        assert stats["final_barrier"] == cold.stats["final_barrier"]
-        assert mapped.objective_value == pytest.approx(cold.objective, rel=1e-9)
-        firsts = _warm_phase_two_first_rungs(captured.spans)
-        assert firsts
-        assert all(b == BarrierOptions().initial_barrier for b in firsts), firsts
+class TestSessionEqualsOneShot:
+    """A session point is the one-shot allocation at the same limits: no
+    point depends on the points or membership edits before it."""
 
-    def test_limit_change(self):
-        configuration = chain_configuration(stages=4)
-        session = JointAllocator(options=self.OPTIONS).session(configuration)
-        session.allocate(capacity_limits={"bab": 3})
-        # Relaxing the limit keeps the previous optimum strictly feasible.
-        with obs.capture() as captured:
-            mapped = session.allocate(capacity_limits={"bab": 6})
-        assert mapped.solver_info["solve_stats"]["phase1_skipped"] is True
-        compiled = SocpFormulation(
-            configuration, session.allocator.weights, capacity_limits={"bab": 6}
-        ).build().compile()
-        self._assert_warm_matches_cold(compiled, mapped, captured)
+    OPTIONS = AllocatorOptions(verify=False, run_simulation=False)
 
-    def test_workload_add_and_remove(self):
-        # Seed 2 opens with three arrivals and then a departure; warm
-        # re-solves after that departure used to start phase II on a raised
-        # rung that failed to center.
-        events = random_trace(seed=2).events
-        assert [e.action for e in events[:4]] == ["arrive"] * 3 + ["depart"]
-        workload = Workload(events[0].configuration.platform, name="warm-cold")
-        for event in events[:2]:
-            workload.add_application(event.application, event.configuration)
-        session = JointAllocator(options=self.OPTIONS).workload_session(workload)
-        session.allocate()
+    def _assert_sweep_parity(self, configuration, bounds):
+        allocator = JointAllocator(options=self.OPTIONS)
+        session = allocator.session(configuration)
+        buffers = [buffer.name for _, buffer in configuration.all_buffers()]
+        feasible = 0
+        for bound in bounds:
+            limits = {name: bound for name in buffers}
+            try:
+                point = session.allocate(capacity_limits=limits)
+            except InfeasibleProblemError:
+                point = None
+            reference = _one_shot(allocator, configuration, limits)
+            assert (point is None) == (reference is None), bound
+            if point is not None:
+                feasible += 1
+                assert _parity_key(point) == _parity_key(reference), bound
+        return feasible
 
-        session.add_application(events[2].application, events[2].configuration)
-        with obs.capture() as captured:
-            mapped = session.allocate()
-        self._assert_warm_matches_cold(
-            SocpFormulation(workload, session.allocator.weights).build().compile(),
-            mapped,
-            captured,
+    @pytest.mark.parametrize("module", [figure2, figure3], ids=["figure2", "figure3"])
+    def test_figure_sweep(self, module):
+        configuration = module.build_configuration()
+        bounds = module.DEFAULT_CAPACITY_SWEEP
+        assert self._assert_sweep_parity(configuration, bounds) == len(bounds)
+
+    def test_random_dag_sweep(self):
+        configuration = random_dag_configuration(
+            task_count=6, processor_count=6, seed=3
         )
+        assert self._assert_sweep_parity(configuration, range(3, 13)) == 10
 
-        session.remove_application(events[3].application)
-        with obs.capture() as captured:
-            mapped = session.allocate()
-        assert mapped.solver_info["solve_stats"]["phase1_skipped"] is True
-        self._assert_warm_matches_cold(
-            SocpFormulation(workload, session.allocator.weights).build().compile(),
-            mapped,
-            captured,
-        )
+    def test_sweep_with_infeasible_points(self):
+        configuration = producer_consumer_configuration(period=3.5)
+        assert 0 < self._assert_sweep_parity(configuration, range(1, 8)) < 7
 
+    def test_admission_trace_against_a_rebuild_of_each_membership(self):
+        # Seed 2 opens with three arrivals and then a departure.
+        trace = random_trace(seed=2)
+        allocator = JointAllocator(options=self.OPTIONS)
+        controller = AdmissionController(trace.platform, allocator=allocator)
+        compared = rejected = 0
+        for index, event in enumerate(trace.events):
+            record = apply_trace_event(controller, index, event)
+            membership = Workload(trace.platform, name="rebuild")
+            for name in controller.running:
+                membership.add_application(
+                    name, controller.workload.application(name).configuration
+                )
+            if record.status == "rejected" and record.stage == "solver":
+                # The candidate's joint program is infeasible when rebuilt too.
+                membership.add_application(event.application, event.configuration)
+                assert _one_shot(allocator, membership) is None, index
+                rejected += 1
+            elif controller.mapped is not None:
+                reference = _one_shot(allocator, membership)
+                assert _parity_key(controller.mapped) == _parity_key(reference), index
+                compared += 1
+        assert compared >= 8
 
 class TestWarmStartEquivalence:
     """Property-style equivalence: session sweeps vs rebuild-per-point."""
@@ -354,14 +276,15 @@ class TestFigureSweepCounts:
     """The count gate of later session changes: per point, the phase-II and
     phase-I Newton steps and the rounded allocation of the Figure 2 and
     Figure 3 session sweeps.  Every point starts inside its own limits, so
-    no point runs phase I."""
+    no point runs phase I; the totals are 366 (Figure 2) and 402
+    (Figure 3)."""
 
     FIGURE2 = dict(
-        newton=[31, 34, 32, 32, 36, 35, 39, 37, 38, 37],
+        newton=[31, 36, 32, 34, 35, 38, 42, 39, 41, 38],
         budgets=[37.0, 32.0, 27.0, 22.0, 18.0, 14.0, 10.0, 7.0, 5.0, 4.0],
     )
     FIGURE3 = dict(
-        newton=[35, 38, 34, 41, 40, 36, 40, 39, 47, 43],
+        newton=[35, 40, 35, 41, 43, 35, 40, 40, 47, 46],
         budgets=[
             (34.0, 39.0), (24.0, 39.0), (15.0, 39.0), (8.0, 39.0), (7.0, 32.0),
             (6.0, 23.0), (6.0, 15.0), (5.0, 9.0), (4.0, 5.0), (4.0, 4.0),
@@ -405,6 +328,85 @@ class TestFigureSweepCounts:
         assert [point.capacities for point in curve.points] == [
             {"bab": limit, "bbc": limit} for limit in range(1, 11)
         ]
+
+
+class TestMinimalCapacityBisection:
+    """``minimal_capacity_for_budget`` bisects the sorted bounds and returns
+    what the linear walk from the smallest bound returns: feasibility is
+    monotone in the bound, and every point depends only on its limits.
+    The barrier backend decides each bound: ``auto`` would add an SLSQP
+    run after every infeasible one and prove nothing new."""
+
+    OPTIONS = AllocatorOptions(backend="barrier", verify=False, run_simulation=False)
+    BUDGETS = range(4, 41)
+
+    @staticmethod
+    def _key(mapped):
+        if mapped is None:
+            return None
+        return repr(
+            (
+                mapped.objective_value,
+                sorted(mapped.budgets.items()),
+                sorted(mapped.buffer_capacities.items()),
+            )
+        )
+
+    def _linear_walk(self, explorer, configuration, budget, bounds):
+        """The one-shot allocation at the smallest feasible bound and the
+        number of solves the walk from the smallest bound took to find it
+        (``None`` and every bound when none is feasible)."""
+        allocator = JointAllocator(weights=explorer.weights, options=self.OPTIONS)
+        budget_limits = {task.name: float(budget) for _, task in configuration.all_tasks()}
+        for solves, bound in enumerate(bounds, start=1):
+            limits = {buffer.name: bound for _, buffer in configuration.all_buffers()}
+            try:
+                return (
+                    allocator.allocate(
+                        configuration,
+                        capacity_limits=limits,
+                        budget_limits=budget_limits,
+                    ),
+                    solves,
+                )
+            except InfeasibleProblemError:
+                continue
+        return None, len(bounds)
+
+    @pytest.mark.parametrize("module", [figure2, figure3], ids=["figure2", "figure3"])
+    def test_bisection_equals_the_linear_walk(self, module, monkeypatch):
+        solves = []
+        allocate = AllocationSession.allocate
+
+        def counting(self, *args, **kwargs):
+            solves.append(1)
+            return allocate(self, *args, **kwargs)
+
+        monkeypatch.setattr(AllocationSession, "allocate", counting)
+        configuration = module.build_configuration()
+        explorer = TradeoffExplorer(allocator_options=self.OPTIONS)
+        walked = bisected = cut_off = 0
+        for budget in self.BUDGETS:
+            reference, steps = self._linear_walk(
+                explorer, configuration, budget, range(1, 21)
+            )
+            # The walk over bounds 1-8 stops where the walk over 1-20 does,
+            # or finds nothing (budgets 5 and 6 first fit at bound 9).
+            short = (reference, steps) if steps <= 8 else (None, 8)
+            cut_off += reference is not None and short[0] is None
+            for bounds, (expected, walk) in (
+                (range(1, 21), (reference, steps)),
+                (range(1, 9), short),
+            ):
+                del solves[:]
+                found = explorer.minimal_capacity_for_budget(
+                    configuration, budget, bounds
+                )
+                assert self._key(found) == self._key(expected), (bounds, budget)
+                walked += walk
+                bisected += len(solves)
+        assert cut_off >= 1
+        assert bisected < walked
 
 
 def _statically_infeasible_configuration():

@@ -4,7 +4,8 @@ A durable replay is killed (hard, ``os._exit`` — no ``finally`` blocks, no
 atexit) at seeded event boundaries; a fresh process restores from the
 journal (and snapshot, when present) and finishes the trace.  The stitched
 run must land on the same committed workload and the same per-event verdicts
-as an uninterrupted run, within 1e-6.
+as an uninterrupted run, exactly: every session solve depends only on the
+running membership.
 """
 
 from __future__ import annotations
@@ -71,21 +72,25 @@ def crash_during_replay(trace, journal_path, crash_at, snapshot_every=0):
     return os.waitstatus_to_exitcode(status)
 
 
+def allocation(mapped):
+    """The objective and every application's rounded allocation, exactly."""
+    if mapped is None:
+        return None
+    return repr(
+        (
+            mapped.objective_value,
+            sorted(mapped.flattened("budgets").items()),
+            sorted(mapped.flattened("buffer_capacities").items()),
+        )
+    )
+
+
 def assert_matches_baseline(result, baseline):
     assert [r.status for r in result.records] == [r.status for r in baseline.records]
-    for ours, theirs in zip(result.records, baseline.records):
-        if theirs.objective_value is None:
-            assert ours.objective_value is None
-        else:
-            assert ours.objective_value == pytest.approx(
-                theirs.objective_value, abs=1e-6
-            )
-    if baseline.final_mapped is None:
-        assert result.final_mapped is None
-    else:
-        assert result.final_mapped.objective_value == pytest.approx(
-            baseline.final_mapped.objective_value, abs=1e-6
-        )
+    assert [repr(r.objective_value) for r in result.records] == [
+        repr(r.objective_value) for r in baseline.records
+    ]
+    assert allocation(result.final_mapped) == allocation(baseline.final_mapped)
 
 
 @pytest.mark.parametrize("crash_at", [1, 4, 7])
@@ -163,21 +168,19 @@ def test_restore_controller_from_a_crashed_journal(trace, tmp_path):
         else []
     )
     assert sorted(controller.running) == expected
-    if uninterrupted.final_mapped is not None:
-        assert controller.mapped.objective_value == pytest.approx(
-            uninterrupted.final_mapped.objective_value, abs=1e-6
-        )
+    assert allocation(controller.mapped) == allocation(uninterrupted.final_mapped)
 
 
 def test_restore_accepts_a_snapshot_with_retired_warm_rung_state(
     trace, baseline, tmp_path
 ):
-    """Snapshots written before warm restarts were reduced to the previous
-    optimum and the interior hint still carry the final-barrier rung, the
-    rungs-back setting and per-block elimination counters, and snapshots
-    written before equalities were substituted at compile time still carry
-    the retired ``eliminations`` session counter.  They restore unchanged:
-    the retired keys are ignored."""
+    """Snapshots written while sessions carried warm state hold a
+    ``session_state`` (the previous optimum and interior hint, and in older
+    documents the final-barrier rung and the rungs-back setting), and
+    snapshots written before equalities were substituted at compile time
+    still carry per-block elimination counters and the retired
+    ``eliminations`` session counter.  They restore unchanged: the retired
+    keys are ignored."""
     from repro.core import AdmissionController
     from repro.reliability.snapshot import (
         SessionSnapshot,
@@ -190,8 +193,13 @@ def test_restore_accepts_a_snapshot_with_retired_warm_rung_state(
         trace, journal_path, snapshot_every=3, allocator=allocator()
     )
     data = load_snapshot(default_snapshot_path(journal_path)).to_dict()
-    assert data["workload"] is not None and data["session_state"] is not None
-    data["session_state"].update(last_final_barrier=244140625.0, warm_rungs_back=3)
+    assert data["workload"] is not None and "session_state" not in data
+    data["session_state"] = {
+        "warm": {"app0/x": 1.0},
+        "interior": {"app0/x": 2.0},
+        "last_final_barrier": 244140625.0,
+        "warm_rungs_back": 3,
+    }
     data["stats"].update(
         elimination_blocks_computed=5, elimination_blocks_reused=9, eliminations=2
     )
@@ -203,6 +211,55 @@ def test_restore_accepts_a_snapshot_with_retired_warm_rung_state(
     )
     assert [r.status for r in records] == [r.status for r in baseline.records]
     assert sorted(controller.running) == sorted(baseline.final_mapped.applications)
-    assert controller.mapped.objective_value == pytest.approx(
-        baseline.final_mapped.objective_value, abs=1e-6
+    assert allocation(controller.mapped) == allocation(baseline.final_mapped)
+
+
+def test_restore_ignores_the_warm_state_of_an_old_snapshot(trace, baseline, tmp_path):
+    """A hand-built document of the form snapshots had while sessions carried
+    their warm point over by variable name.  Its warm and interior points
+    are ignored, however far off they are: the restored controller's
+    re-solve is exactly the uninterrupted run's."""
+    from repro.core import AdmissionController, AdmissionTrace
+    from repro.reliability.journal import platform_fingerprint
+    from repro.reliability.snapshot import SessionSnapshot
+    from repro.taskgraph.workload import workload_to_dict
+
+    journal_path = tmp_path / "run.journal"
+    replay_trace_durably(trace, journal_path, allocator=allocator())
+    covered = 4
+    prefix = replay_trace(
+        AdmissionTrace(trace.platform, trace.events[:covered], trace.name),
+        allocator=allocator(),
     )
+    workload = prefix.final_mapped.workload
+    names = [
+        f"{application}/{task}"
+        for application, mapped in prefix.final_mapped.applications.items()
+        for task in mapped.budgets
+    ]
+    document = {
+        "format_version": 1,
+        "journal_seq": covered,
+        "fingerprint": platform_fingerprint(trace.platform),
+        "workload": workload_to_dict(workload),
+        "session_state": {
+            "warm": {name: 1e9 for name in names},
+            "interior": {name: -1e9 for name in names},
+        },
+        "stats": {"compiles": 4, "solves": 4, "warm_started": 3},
+        "objective_value": prefix.final_mapped.objective_value,
+    }
+    snapshot = SessionSnapshot.from_dict(document)
+    assert snapshot.to_dict().keys() == {
+        "format_version",
+        "journal_seq",
+        "fingerprint",
+        "workload",
+        "stats",
+        "objective_value",
+    }
+    controller, records = AdmissionController.restore(
+        snapshot, journal_path, allocator=allocator()
+    )
+    assert [r.status for r in records] == [r.status for r in baseline.records]
+    assert allocation(controller.mapped) == allocation(baseline.final_mapped)

@@ -19,12 +19,11 @@ from repro.core.formulation import WorkloadSocpFormulation
 from repro.exceptions import FormulationError
 from repro.solver import ConeProgram, barrier
 from repro.solver.backends import solve_compiled
-from repro.solver.parametric import SolveSession
 from repro.taskgraph import Workload
 from repro.taskgraph.generators import random_dag_configuration
 from repro.taskgraph.workload import random_workload
 
-from barrier_reference import barrier_reference, relative
+from barrier_reference import barrier_reference, first_rung_center, relative
 from program_rows import hyperbolic, le, minimize, row
 
 
@@ -88,10 +87,7 @@ class TestStructuredDenseEquivalence:
 
     def test_warm_started_from_heuristic_point(self):
         formulation = WorkloadSocpFormulation(make_workload(3, seed=11))
-        program = formulation.build()
-        compiled = program.compile()
-        initial = compiled.vector_from_mapping(formulation.initial_point())
-        structured, dense = solve_both(formulation, initial)
+        structured, dense = solve_both(formulation, formulation.initial_point())
         assert_equivalent(structured, dense)
 
     def test_phase_one_required_case(self):
@@ -289,17 +285,17 @@ class TestKernelLayoutReuse:
         return compiled, row
 
     def test_session_sweep_leaves_the_layout_unchanged(self):
+        """A sweep of solves over one compiled problem whose ``h`` moves."""
         compiled, row = self.compiled_with_processor_row()
-        session = SolveSession(backend="barrier")
         base = float(compiled.h[row])
-        assert session.solve(compiled).is_optimal
+        assert solve_compiled(compiled, backend="barrier").is_optimal
         layout = compiled.kernel_layout
         # The cold first solve ran phase I, so both phase layouts are built.
         assert layout.__dict__.get("phase_one") is not None
         before = {key: array.copy() for key, array in layout_arrays(layout).items()}
         for factor in (1.25, 1.5, 2.0):
             compiled.h[row] = base * factor
-            solution = session.solve(compiled)
+            solution = solve_compiled(compiled, backend="barrier")
             assert solution.is_optimal
             assert solution.stats["pieces_cache_reused"] is True
         assert compiled.kernel_layout is layout
@@ -349,9 +345,8 @@ def both_phases(compiled):
     (well interior); phase I at the cold start ``z = 0`` with the relaxation
     ``t`` and lower bound :meth:`BarrierSolver._phase_one` would pick.
     """
-    solution = solve_compiled(compiled, backend="barrier")
+    z_two = first_rung_center(compiled)
     layout = barrier.BarrierSolver()._layout(compiled)
-    z_two = solution.interior_point
     z_one, lower_bound = phase_one_start(compiled)
     return [
         (new_workspace(layout.phase_two, compiled), None, z_two),

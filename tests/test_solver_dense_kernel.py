@@ -31,7 +31,7 @@ from repro.taskgraph.generators import (
     random_dag_configuration,
 )
 
-from barrier_reference import barrier_reference, relative
+from barrier_reference import barrier_reference, first_rung_center, relative
 from program_rows import le, minimize
 
 
@@ -39,13 +39,13 @@ def kernel_setup(compiled):
     """The phase-II workspace of ``compiled`` and a strictly feasible start
     (the first-rung center of a barrier solve), with ``compiled``."""
     solver = barrier.BarrierSolver()
-    solution = solve_compiled(compiled, backend="barrier")
+    center = first_rung_center(compiled)
     workspace = barrier._StructuredWorkspace(
         solver._layout(compiled).phase_two,
         compiled.h,
         barrier._kernel_stats(),
     )
-    return solver, workspace, compiled.c, solution.interior_point, compiled
+    return solver, workspace, compiled.c, center, compiled
 
 
 def duo_workload() -> Workload:
