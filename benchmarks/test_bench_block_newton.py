@@ -109,22 +109,29 @@ def _best_time(compiled, initial):
 
 
 def _solve_widths(compiled, initial):
-    """The first solve of ``compiled``, with the kernel's Cholesky solve
-    wrapped.
+    """The first solve of ``compiled``, with the kernel's Cholesky solves
+    wrapped: LAPACK's ``dposv``, which factors the blocks and the one-block
+    system in place, and ``_spd_solve``, which takes the Schur matrices and
+    every system wider than ``_DPOSV_MAX_WIDTH``.
 
-    Returns the solution, the widest system handed to ``_spd_solve``, the
-    widest one an arrow solve may hand it (a block, the border or the
-    coupling Schur matrix) and the widest phase ``k``, both read from the
-    kernel layout the solve built for each phase it ran.
+    Returns the solution, the widest system handed to either, the widest
+    one an arrow solve may hand them (a block, the border or the coupling
+    Schur matrix) and the widest phase ``k``, both read from the kernel
+    layout the solve built for each phase it ran.
     """
     received = [0]
-    spd_solve = barrier._spd_solve
+    dposv, spd_solve = barrier._dposv, barrier._spd_solve
+
+    def recording_dposv(matrix, rhs, *flags, **options):
+        received[0] = max(received[0], matrix.shape[0])
+        return dposv(matrix, rhs, *flags, **options)
 
     def recording_solve(matrix, rhs):
         received[0] = max(received[0], matrix.shape[0])
         return spd_solve(matrix, rhs)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(barrier, "_dposv", recording_dposv)
         patch.setattr(barrier, "_spd_solve", recording_solve)
         solution = _solve(compiled, initial)
     built = compiled.kernel_layout.__dict__

@@ -782,12 +782,18 @@ def trace_from_dict(data: Mapping[str, object]) -> AdmissionTrace:
         platform = serialization.platform_from_dict(data["platform"])
     except KeyError:
         raise ModelError("a trace document needs a 'platform' object") from None
-    trace = AdmissionTrace(platform=platform, name=str(data.get("name", "trace")))
+    trace = AdmissionTrace(
+        platform=platform,
+        name=serialization._name(data.get("name", "trace"), "trace name"),
+    )
     for event_data in serialization._list(data.get("events", []), "events"):
         event_data = serialization._object(event_data, "trace event")
-        action = str(serialization._required(event_data, "action", "trace event"))
-        application = str(
-            serialization._required(event_data, "application", "trace event")
+        action = serialization._name(
+            serialization._required(event_data, "action", "trace event"), "action"
+        )
+        application = serialization._name(
+            serialization._required(event_data, "application", "trace event"),
+            "application",
         )
         configuration = None
         if event_data.get("configuration") is not None:

@@ -345,18 +345,20 @@ class AllocationSession:
         self._unlimited = self._build()
 
     def _build(self, capacity_limits=None, budget_limits=None):
-        """The subject's formulation at these limits, its compiled program
-        and its model-built start point."""
+        """The subject's formulation at these limits, its compiled program,
+        its model-built start point and the compile's wall time."""
         formulation = SocpFormulation(
             self.subject,
             weights=self.allocator.weights,
             capacity_limits=capacity_limits,
             budget_limits=budget_limits,
         )
-        compiled = formulation.build().compile()
+        program = formulation.build()
+        with obs_span("compile", program=program.name) as compile_span:
+            compiled = program.compile()
         start = formulation.initial_point()
         self.stats.compiles += 1
-        return formulation, compiled, start
+        return formulation, compiled, start, compile_span.seconds
 
     def _adopt_stats(self, stats: SessionStats) -> None:
         """Continue accumulating into a predecessor session's statistics."""
@@ -376,7 +378,10 @@ class AllocationSession:
                 point = self._build(capacity_limits, budget_limits)
             else:
                 point = self._unlimited
-            formulation, compiled, start = point
+                # The compile is charged to the first point that solves the
+                # unlimited program; later points reuse it without compiling.
+                self._unlimited = point[:3] + (0.0,)
+            formulation, compiled, start, compile_time = point
             backend = self.allocator.options.backend
             with obs_span("solve", backend=backend) as solve_span:
                 solution = backends.solve_compiled(
@@ -384,6 +389,7 @@ class AllocationSession:
                 )
                 solve_span.set(status=solution.status.value)
             solution.solve_time = solve_span.seconds
+            solution.stats = dict(solution.stats, compile_time=compile_time)
             self.stats.record_solution(solution)
             return self.allocator._finalize(self.subject, formulation, solution)
 

@@ -109,14 +109,15 @@ The kernel never densifies a row, so its cost follows the non-zeros:
   ``β``, ``b²`` per hyperbolic term) from the carried state, then its
   gradient is one ``np.bincount`` over the row entries (``Rᵀ·g``) and all
   block Hessians one gather-multiply and one ``np.bincount`` over the plan;
-* each block is factorised and solved by one Cholesky solve
-  (:func:`_spd_solve`, whose pivot check is the positive-definiteness
-  test) of its rows of one right-hand-side array — blocks are contiguous
-  column ranges, so no block data is copied — and so is the coupling Schur
-  matrix.  The solve is LAPACK's ``dposv`` from scipy's compiled extension
-  ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package
-  (:func:`_lapack_dposv`), so the module imports numpy, the bare ``scipy``
-  package and that extension only.
+* each block is factorised and solved in place by one Cholesky solve
+  (LAPACK's ``dposv``, whose pivot check is the positive-definiteness
+  test): the layout stores every block's Hessian column by column and the
+  workspace every block's right-hand sides likewise, so ``dposv`` reads and
+  overwrites both where they lie and nothing is copied per block; the
+  small Schur matrices take :func:`_spd_solve`.  ``dposv`` comes from
+  scipy's compiled extension ``scipy.linalg._flapack``, loaded without the
+  ``scipy.linalg`` package (:func:`_lapack_dposv`), so the module imports
+  numpy, the bare ``scipy`` package and that extension only.
 
 Per-iteration cost is therefore linear in the number of applications; the
 ``benchmarks/test_bench_block_newton.py`` scaling curve pins this.
@@ -174,7 +175,8 @@ def _lapack_dposv():
 
 _dposv = _lapack_dposv()
 
-#: Widest system :func:`_spd_solve` hands to scipy's LAPACK ``dposv``.  The
+#: Widest system handed to scipy's LAPACK ``dposv``, by :func:`_spd_solve`
+#: and by the in-place block solves alike; wider ones take numpy's path.  The
 #: OpenBLAS bundled with scipy factorises narrower matrices on one thread;
 #: wider ones go parallel, and its thread pool then competes for the cores
 #: with numpy's (a separate OpenBLAS, which runs the Hessian assembly's
@@ -183,13 +185,18 @@ _DPOSV_MAX_WIDTH = 127
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system for a (multi-column) rhs.
+    """Solve a symmetric positive-definite system for a (multi-column) rhs,
+    leaving both arguments as they are.
 
-    One LAPACK Cholesky solve (``dposv``) up to ``_DPOSV_MAX_WIDTH``
-    columns; wider systems take numpy's Cholesky as the check and its LU
-    solve.  Raises :class:`numpy.linalg.LinAlgError` when the matrix is not
-    positive definite: a ``k×k`` system then takes a least-squares step, an
-    arrow block the dense step.
+    One LAPACK Cholesky solve (``dposv``, which copies C-ordered arguments
+    into Fortran order) up to ``_DPOSV_MAX_WIDTH`` columns; wider systems
+    take numpy's Cholesky as the check and its LU solve.  The kernel uses
+    it for the small Schur matrices, the dense step's ``k×k`` system and
+    the blocks wider than ``_DPOSV_MAX_WIDTH``; the other blocks and the
+    one-block system are factored in place (:func:`_solve_in_place`).
+    Raises :class:`numpy.linalg.LinAlgError` when the matrix is not positive
+    definite: a ``k×k`` system then takes a least-squares step, an arrow
+    block the dense step.
     """
     width = matrix.shape[0]
     if width == 0:
@@ -201,6 +208,22 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return solution
+
+
+def _solve_in_place(matrix: np.ndarray, rhs: np.ndarray) -> None:
+    """Overwrite ``rhs`` with ``matrix⁻¹·rhs``, ``matrix`` symmetric positive
+    definite, both Fortran-ordered.
+
+    Up to ``_DPOSV_MAX_WIDTH`` columns, ``dposv`` factors ``matrix`` (its
+    lower triangle) in place and solves into ``rhs``, copying neither;
+    wider systems take :func:`_spd_solve`'s numpy path and leave ``matrix``
+    as it was.  Raises :class:`numpy.linalg.LinAlgError` when ``matrix`` is
+    not positive definite.
+    """
+    if matrix.shape[0] > _DPOSV_MAX_WIDTH:
+        rhs[...] = _spd_solve(matrix, rhs)
+    elif _dposv(matrix, rhs, 1, 1, 1)[2]:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -295,6 +318,22 @@ def _frozen(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
+def _bordered_position(i, j, width, border: int):
+    """Where entry ``(i, j)`` of a bordered block sits in its flat region.
+
+    The ``width × width`` block comes first, column by column, so the
+    region's transpose is the block itself in LAPACK's (Fortran) order;
+    then the block–border entries ``(i < width, j ≥ width)`` row by row;
+    then the border rows ``i ≥ width``, whole and row by row.
+    """
+    n = width + border
+    return np.where(
+        i < width,
+        np.where(j < width, i + j * width, width * width + i * border + j - width),
+        i * n + j,
+    )
+
+
 @dataclass(frozen=True)
 class _PhaseLayout:
     """The kernel layout of one phase: its rows and its scatter plan.
@@ -311,8 +350,12 @@ class _PhaseLayout:
     and ``Q`` row — is kept as its entries ``(row, column, value)`` in row
     order, so ``R·z`` and ``Rᵀ·g`` are one ``bincount`` each.
     The Hessian of every block, bordered by the border coordinates (block
-    columns first), is stored row-major at ``offsets[b]`` of one flat buffer
-    of ``hess_size`` entries.  The scatter plan adds ``coef·weights[slot]``
+    columns first), is stored at ``offsets[b]`` of one flat buffer of
+    ``hess_size`` entries, in LAPACK's layout (:func:`_bordered_position`):
+    the ``width × width`` block first, column by column, so the region's
+    transpose is a Fortran-ordered view of the block that ``dposv`` factors
+    where it lies; then the block–border entries (``cross``) and the border
+    rows (whose border part is ``corner``).  The scatter plan adds ``coef·weights[slot]``
     into ``hess[target]`` for every ordered pair of non-zeros of an owned
     row (weight ``1/s²``) and of a hyperbolic term's ``[P; Q]`` (weight
     ``a²``, ``β`` or ``b²``, see :meth:`_StructuredWorkspace.assemble`), so
@@ -369,7 +412,18 @@ class _PhaseLayout:
         block = np.repeat(np.arange(self.blocks), n * n)
         position = np.arange(self.hess_size) - np.repeat(self.offsets, n * n)
         widths, starts = self.widths[block], self.starts[block]
-        local = np.divmod(position, n[block])
+        # The inverse of _bordered_position.
+        square = widths * widths
+        cross = position - square
+        local = np.where(
+            position < square,
+            (position % np.maximum(widths, 1), position // np.maximum(widths, 1)),
+            np.where(
+                position < widths * n[block],
+                (cross // max(border, 1), widths + cross % max(border, 1)),
+                np.divmod(position, n[block]),
+            ),
+        )
         return tuple(
             np.where(part < widths, starts + part, k - border + part - widths)
             for part in local
@@ -386,7 +440,9 @@ class _KernelLayout:
     (:attr:`~repro.solver.problem.CompiledProblem.kernel_layout`).  Each
     phase's :class:`_PhaseLayout` is built from the entries of the CSR
     records the first time that phase runs, so solves that skip phase I
-    never build its layout.
+    never build its layout.  The layout fixes where every Hessian entry
+    lives, LAPACK's own column order included, once per problem; each
+    Newton step only refills the numbers and factors them in place.
     """
 
     def __init__(self, problem: CompiledProblem) -> None:
@@ -464,28 +520,29 @@ class _KernelLayout:
         second = np.arange(counts.sum()) - np.repeat(
             ends - counts - np.searchsorted(unit, unit), counts
         )
-        target = np.repeat(offsets[block] + local * n[block], counts) + local[second]
+        first = np.repeat(np.arange(unit.size), counts)
+        target = offsets[block[first]] + _bordered_position(
+            local[first], local[second], widths[block[first]], border
+        )
         coef = np.repeat(value, counts) * value[second]
         slot = np.repeat(np.where(hyperbolic, unit, row) + side, counts) + side[second]
 
         # Diagonal entry i of every bordered block; i < width is the block part.
         index = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        diagonal = np.repeat(offsets, n) + index * (np.repeat(n, n) + 1)
-        block_diagonal = diagonal[index < np.repeat(widths, n)]
+        repeated = np.repeat(widths, n)
+        diagonal = np.repeat(offsets, n) + _bordered_position(index, index, repeated, border)
+        block_diagonal = diagonal[index < repeated]
         column_block = np.repeat(np.arange(self.blocks), widths)
         within = np.arange(core) - self.starts[column_block]
         spare = np.arange(border)
-        cross = (
-            offsets[column_block, None]
-            + within[:, None] * n[column_block, None]
-            + widths[column_block, None]
-            + spare
+        cross = offsets[column_block, None] + _bordered_position(
+            within[:, None], widths[column_block, None] + spare, widths[column_block, None], border
         )
-        corner = (
-            offsets[:, None, None]
-            + (widths[:, None, None] + spare[:, None]) * n[:, None, None]
-            + widths[:, None, None]
-            + spare
+        corner = offsets[:, None, None] + _bordered_position(
+            widths[:, None, None] + spare[:, None],
+            widths[:, None, None] + spare,
+            widths[:, None, None],
+            border,
         )
 
         coupling = self.coupling
@@ -552,20 +609,32 @@ class _StructuredWorkspace:
 
     * a layout with one block, no border and no coupling (every one-block
       program, phase I included: its ``t`` is a coordinate of the block)
-      solves its assembled block with one Cholesky solve (:func:`_spd_solve`);
+      factors its assembled block in place, ``hess.reshape(k, k).T``, with
+      one Cholesky solve (:func:`_solve_in_place`);
     * every other layout takes the arrow solve (:meth:`_arrow_direction`):
       one Cholesky solve per block plus the Schur complements of the border
-      and the coupling rows.  Each block reads its right-hand sides as a
-      row slice of one ``[gradient | Gcᵀ | block–border columns]`` array,
-      whose coupling columns ``Gcᵀ`` are written **once**.
+      and the coupling rows.
+
+    The block solves work in LAPACK's own layout, set up once here: every
+    block's Hessian is a Fortran-ordered view of its region of
+    :attr:`hess`, and its right-hand sides ``[gradient | Gcᵀ | block–border
+    columns]`` a Fortran-ordered view of its region of one flat
+    :attr:`rhs`, block after block.  A step copies the constant ``Gcᵀ``
+    columns from :attr:`template`, scatters the gradient and the
+    block–border columns in, runs one bare ``dposv`` per block, which
+    factors and solves in place, and gathers the solutions through
+    :attr:`index`.  Blocks wider than ``_DPOSV_MAX_WIDTH`` (:attr:`wide`)
+    take numpy's path on the same views.
 
     When a factorisation of the arrow solve fails, that iteration's
-    direction comes from one ``k×k`` system assembled from the same block
+    direction comes from one ``k×k`` system assembled from the block
     Hessians (:meth:`_dense_step`, counted in
     ``stats["fallback_iterations"]``).  A failed Cholesky of a ``k×k``
     system is a least-squares step instead, counted in
     ``stats["lstsq_steps"]``; a system with an inf or NaN entry raises
-    :class:`~repro.exceptions.NumericalError` instead.
+    :class:`~repro.exceptions.NumericalError` instead.  A failed in-place
+    factorisation leaves factors in :attr:`hess`, so both rescues assemble
+    it again from the carried state first.
     """
 
     def __init__(
@@ -592,24 +661,44 @@ class _StructuredWorkspace:
         self.cols = cols
         #: the bordered block Hessians, written by :meth:`assemble`
         self.hess = np.empty(layout.hess_size)
-        #: ``[gradient | Gcᵀ | block–border columns]`` of the block rows, and
+        #: ``[gradient | Gcᵀ | block–border columns]`` of every block, block
+        #: by block and column by column, which the block solves overwrite
+        #: with their solutions; ``rhs[index[r, c]]`` is row ``r``, column
+        #: ``c`` of the block rows
+        ncols = cols + border
+        self.rhs = np.empty(core * ncols)
+        starts = np.repeat(layout.starts, layout.widths)
+        widths = np.repeat(layout.widths, layout.widths)
+        self.index = (
+            starts[:, None] * ncols
+            + (np.arange(core) - starts)[:, None]
+            + np.arange(ncols) * widths[:, None]
+        )
+        #: where each step scatters the gradient and the block–border columns
+        self.gradient_at = self.index[:, 0].copy()
+        self.cross_at = self.index[:, cols:].copy()
+        #: the constant ``Gcᵀ`` columns each step starts from
+        self.template = np.zeros(core * ncols)
+        self.template[self.index[:, 1:cols]] = self.Gc[:, :core].T
         #: the border's ``[gradient | Gcᵀ]``
-        self.rhs = np.empty((core, cols + border))
-        self.rhs[:, 1:cols] = self.Gc[:, :core].T
         self.border_rhs = np.empty((border, cols))
         self.border_rhs[:, 1:] = self.Gc[:, core:].T
-        self.solved = np.empty((k, cols + border))
+        self.solved = np.empty((k, ncols))
         #: ``1/s²`` over the coupling slacks of the last assembled point
         self.weights = np.zeros(self.m)
-        #: each non-empty block's rows and its Hessian, a view of ``hess``
-        self.blocks = []
+        #: each non-empty block's Hessian and right-hand sides: Fortran-ordered
+        #: views of ``hess`` and ``rhs``, which LAPACK's ``dposv`` factors and
+        #: solves in place; ``wide`` holds the blocks wider than
+        #: ``_DPOSV_MAX_WIDTH``, which take numpy's path
+        self.blocks, self.wide = [], []
         for start, width, offset in zip(
             layout.starts.tolist(), layout.widths.tolist(), layout.offsets.tolist()
         ):
             if width:
-                size = width + border
-                square = self.hess[offset : offset + size * size].reshape(size, size)
-                self.blocks.append((slice(start, start + width), square[:width, :width]))
+                matrix = self.hess[offset : offset + width * width].reshape(width, width)
+                rhs = self.rhs[start * ncols : (start + width) * ncols]
+                pair = (matrix.T, rhs.reshape(ncols, width).T)
+                (self.wide if width > _DPOSV_MAX_WIDTH else self.blocks).append(pair)
 
     def evaluate(self, z: np.ndarray) -> Tuple[Optional[tuple], float]:
         """The slack state ``(s, [p | q], p·q − w)`` at ``z``, with ``φ(z)``.
@@ -685,14 +774,25 @@ class _StructuredWorkspace:
         if self.direct:
             factor_start = time.perf_counter()
             k = self.k
-            direction = -self._dense_solve(self.hess.reshape(k, k), grad)
+            step = grad.copy()
+            try:
+                # Chaos site: an armed ``newton.linalg`` fault raises the same
+                # LinAlgError a singular system would, forcing the lstsq step.
+                _maybe_fail("newton.linalg")
+                _solve_in_place(self.hess.reshape(k, k).T, step)
+            except np.linalg.LinAlgError:
+                # The failed factorisation overwrote the Hessian.
+                self.assemble(grad_objective, states)
+                step = self._least_squares(self.hess.reshape(k, k).T, grad)
             self.stats["block_factorizations"] += 1
             self.stats["factorization_time"] += time.perf_counter() - factor_start
-            return grad, direction
+            return grad, -step
         try:
             return grad, self._arrow_direction(grad, reg)
         except np.linalg.LinAlgError:
             self.stats["fallback_iterations"] += 1
+            # The block factorisations that ran overwrote their Hessians.
+            self.assemble(grad_objective, states)
             return grad, self._dense_step(grad, reg)
 
     def _arrow_direction(self, grad: np.ndarray, reg: float) -> np.ndarray:
@@ -705,10 +805,11 @@ class _StructuredWorkspace:
         coupling-row dimension (the number of shared processors and
         memories), so the cost per step is the sum of the per-block
         factorisations instead of one cube of the full size.  Every block
-        takes one Cholesky solve (:func:`_spd_solve`), which is also its
-        positive-definiteness check, of the rows of the right-hand-side
-        array it covers.  The border and the coupling Schur matrices are
-        symmetric positive definite too and take one Cholesky solve each.
+        takes one in-place Cholesky solve (``dposv``), which is also its
+        positive-definiteness check, of its views of :attr:`hess` and
+        :attr:`rhs`.  The border and the coupling Schur matrices are
+        symmetric positive definite too and take one Cholesky solve each
+        (:func:`_spd_solve`).
 
         Raises :class:`numpy.linalg.LinAlgError` when any block or Schur
         matrix is not positive definite, which :meth:`direction` catches to
@@ -718,22 +819,28 @@ class _StructuredWorkspace:
         k, border, m, cols = self.k, self.border, self.m, self.cols
         core = k - border
         rhs, solved = self.rhs, self.solved
-        rhs[:, 0] = grad[:core]
 
         factor_start = time.perf_counter()
         # Chaos site: an armed ``newton.linalg`` fault raises the same
         # LinAlgError a failed block factorisation would.
         _maybe_fail("newton.linalg")
+        rhs[:] = self.template
+        rhs[self.gradient_at] = grad[:core]
         if border:
-            rhs[:, cols:] = self.hess[layout.cross]
-        for rows, block in self.blocks:
-            solved[rows] = _spd_solve(block, rhs[rows])
-        self.stats["block_factorizations"] += len(self.blocks)
+            cross = self.hess[layout.cross]
+            rhs[self.cross_at] = cross
+        for matrix, block_rhs in self.blocks:
+            if _dposv(matrix, block_rhs, 1, 1, 1)[2]:
+                raise np.linalg.LinAlgError("matrix is not positive definite")
+        for matrix, block_rhs in self.wide:
+            _solve_in_place(matrix, block_rhs)
+        np.take(rhs, self.index, out=solved[:core])
+        self.stats["block_factorizations"] += len(self.blocks) + len(self.wide)
         self.stats["factorization_time"] += time.perf_counter() - factor_start
 
         schur_start = time.perf_counter()
         if border:
-            cross, block_solved = rhs[:, cols:], solved[:core]
+            block_solved = solved[:core]
             # Border-border curvature of every block (including width-0
             # blocks, e.g. the phase-I lower-bound row on t).
             schur = self.hess[layout.corner].sum(axis=0) + reg * np.eye(border)
@@ -773,22 +880,25 @@ class _StructuredWorkspace:
         return hess
 
     def _dense_step(self, grad: np.ndarray, reg: float) -> np.ndarray:
-        """The Newton direction from one ``k×k`` system (:meth:`_assembled`)."""
-        return -self._dense_solve(self._assembled(reg), grad)
-
-    def _dense_solve(self, hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """``hess⁻¹·grad`` by one Cholesky solve; least squares when it fails."""
+        """The Newton direction from one ``k×k`` system (:meth:`_assembled`):
+        one Cholesky solve, least squares when it fails."""
+        hess = self._assembled(reg)
         try:
             # Chaos site: an armed ``newton.linalg`` fault raises the same
             # LinAlgError a singular system would, forcing the lstsq step.
             _maybe_fail("newton.linalg")
-            return _spd_solve(hess, grad)
+            return -_spd_solve(hess, grad)
         except np.linalg.LinAlgError:
-            if not np.isfinite(hess).all():
-                # LAPACK's least-squares SVD may never return on inf/NaN.
-                raise NumericalError("non-finite Newton system") from None
-            self.stats["lstsq_steps"] += 1
-            return np.linalg.lstsq(hess, grad, rcond=None)[0]
+            return -self._least_squares(hess, grad)
+
+    def _least_squares(self, hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """``hess⁻¹·grad`` in the least-squares sense, for a ``k×k`` system
+        whose Cholesky failed; counted in ``stats["lstsq_steps"]``."""
+        if not np.isfinite(hess).all():
+            # LAPACK's least-squares SVD may never return on inf/NaN.
+            raise NumericalError("non-finite Newton system") from None
+        self.stats["lstsq_steps"] += 1
+        return np.linalg.lstsq(hess, grad, rcond=None)[0]
 
 
 @dataclass

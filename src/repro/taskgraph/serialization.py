@@ -164,9 +164,9 @@ def task_from_dict(data: Dict[str, object]) -> Task:
     phases = data.get("phases")
     cycles_by_type = data.get("cycles_by_type")
     return Task(
-        name=str(_required(data, "name", "task")),
+        name=_name(_required(data, "name", "task"), "task name"),
         wcet=_number(_required(data, "wcet", "task"), "wcet"),
-        processor=str(_required(data, "processor", "task")),
+        processor=_name(_required(data, "processor", "task"), "processor"),
         budget_weight=_number(data.get("budget_weight", 1.0), "budget_weight"),
         min_budget=_optional_number(data.get("min_budget"), "min_budget"),
         max_budget=_optional_number(data.get("max_budget"), "max_budget"),
@@ -190,10 +190,10 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
     production_rates = data.get("production_rates")
     consumption_rates = data.get("consumption_rates")
     return Buffer(
-        name=str(_required(data, "name", "buffer")),
-        source=str(_required(data, "source", "buffer")),
-        target=str(_required(data, "target", "buffer")),
-        memory=str(_required(data, "memory", "buffer")),
+        name=_name(_required(data, "name", "buffer"), "buffer name"),
+        source=_name(_required(data, "source", "buffer"), "source"),
+        target=_name(_required(data, "target", "buffer"), "target"),
+        memory=_name(_required(data, "memory", "buffer"), "memory"),
         container_size=_number(data.get("container_size", 1.0), "container_size"),
         initial_tokens=_count(data.get("initial_tokens", 0), "initial_tokens"),
         capacity_weight=_number(data.get("capacity_weight", 1.0), "capacity_weight"),
@@ -221,7 +221,7 @@ def buffer_from_dict(data: Dict[str, object]) -> Buffer:
 def task_graph_from_dict(data: Dict[str, object]) -> TaskGraph:
     data = _object(data, "task graph")
     graph = TaskGraph(
-        name=str(_required(data, "name", "task graph")),
+        name=_name(_required(data, "name", "task graph"), "task graph name"),
         period=_number(_required(data, "period", "task graph"), "period"),
     )
     for task_data in _list(data.get("tasks", []), "tasks"):
@@ -239,7 +239,7 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
         dvfs_levels = p.get("dvfs_levels")
         processors.append(
             Processor(
-                name=str(_required(p, "name", "processor")),
+                name=_name(_required(p, "name", "processor"), "processor name"),
                 replenishment_interval=_number(
                     _required(p, "replenishment_interval", "processor"),
                     "replenishment_interval",
@@ -247,7 +247,7 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
                 scheduling_overhead=_number(
                     p.get("scheduling_overhead", 0.0), "scheduling_overhead"
                 ),
-                proc_type=str(p.get("proc_type", "generic")),
+                proc_type=_name(p.get("proc_type", "generic"), "proc_type"),
                 speed=_number(p.get("speed", 1.0), "speed"),
                 dvfs_levels=(
                     tuple(
@@ -261,12 +261,16 @@ def platform_from_dict(data: Dict[str, object]) -> Platform:
         )
     memories = [
         Memory(
-            name=str(_required(m, "name", "memory")),
+            name=_name(_required(m, "name", "memory"), "memory name"),
             capacity=_optional_number(m.get("capacity"), "capacity"),
         )
         for m in (_object(m, "memory") for m in _list(data.get("memories", []), "memories"))
     ]
-    return Platform(processors=processors, memories=memories, name=str(data.get("name", "platform")))
+    return Platform(
+        processors=processors,
+        memories=memories,
+        name=_name(data.get("name", "platform"), "platform name"),
+    )
 
 
 def check_format_version(
@@ -304,7 +308,7 @@ def configuration_from_dict(data: Dict[str, object]) -> Configuration:
         platform=platform,
         task_graphs=graphs,
         granularity=_number(data.get("granularity", 1.0), "granularity"),
-        name=str(data.get("name", "configuration")),
+        name=_name(data.get("name", "configuration"), "configuration name"),
     )
 
 
@@ -315,6 +319,15 @@ def _required(data: Mapping[str, object], field: str, entry: str) -> object:
         return data[field]
     except KeyError:
         raise ModelError(f"every {entry} needs a {field!r} field") from None
+
+
+def _name(value: object, field: str) -> str:
+    """``value`` as a name: only a JSON string is one.  Anything else is a
+    :class:`ModelError` naming the field, never turned by ``str()`` into a
+    name such as ``"None"``, ``"True"`` or ``"nan"``."""
+    if not isinstance(value, str):
+        raise ModelError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 def _optional_number(value: object, field: str) -> object:

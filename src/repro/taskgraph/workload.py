@@ -376,13 +376,19 @@ def workload_from_dict(data: Mapping[str, object]) -> Workload:
     except KeyError:
         raise ModelError("a workload document needs a 'platform' object") from None
     platform = serialization.platform_from_dict(platform_data)
-    workload = Workload(platform=platform, name=str(data.get("name", "workload")))
+    workload = Workload(
+        platform=platform,
+        name=serialization._name(data.get("name", "workload"), "workload name"),
+    )
     applications = serialization._list(data.get("applications", []), "applications")
     if not applications:
         raise ModelError("a workload document needs a non-empty 'applications' list")
     for app_data in applications:
         app_data = serialization._object(app_data, "workload application")
-        app_name = str(serialization._required(app_data, "name", "workload application"))
+        app_name = serialization._name(
+            serialization._required(app_data, "name", "workload application"),
+            "application name",
+        )
         configuration = Configuration(
             platform=platform,
             task_graphs=[
@@ -394,7 +400,9 @@ def workload_from_dict(data: Mapping[str, object]) -> Workload:
             granularity=serialization._number(
                 app_data.get("granularity", 1.0), "granularity"
             ),
-            name=str(app_data.get("configuration_name", app_name)),
+            name=serialization._name(
+                app_data.get("configuration_name", app_name), "configuration_name"
+            ),
         )
         workload.add_application(app_name, configuration)
     return workload

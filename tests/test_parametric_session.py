@@ -64,6 +64,24 @@ class TestAllocationSession:
         assert "phase1_skipped" in stats
         assert "newton_iterations" in stats
 
+    def test_point_timings_carry_its_compile(self):
+        """A limited point compiles its own program and reports that compile,
+        as the one-shot path does; the unlimited program, compiled when the
+        session opens, is charged to the first point that solves it."""
+        configuration = figure2.build_configuration(None)
+        allocator = JointAllocator(options=AllocatorOptions(run_simulation=False))
+        session = allocator.session(configuration)
+        limited = session.allocate(capacity_limits={"bab": 3})
+        one_shot = allocator.allocate(configuration, capacity_limits={"bab": 3})
+        assert limited.solver_info["timings"]["compile"] > 0.0
+        assert one_shot.solver_info["timings"]["compile"] > 0.0
+        first, again = session.allocate(), session.allocate()
+        assert first.solver_info["timings"]["compile"] > 0.0
+        assert again.solver_info["timings"]["compile"] == 0.0
+        assert limited.solver_info["solve_stats"]["compile_time"] == (
+            limited.solver_info["timings"]["compile"]
+        )
+
     def test_limits_raise_like_the_rebuild_path(self):
         configuration = producer_consumer_configuration()
         allocator = JointAllocator(options=AllocatorOptions(run_simulation=False))

@@ -10,6 +10,7 @@ invalidate every old campaign cache entry.
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -211,6 +212,87 @@ def test_malformed_phase_rate_or_count_is_a_model_error(entity, field, value):
         configuration_from_dict(data)
 
 
+def _named_document():
+    """``random_dag_configuration(4, 2, seed=1)`` with processor ``p1``,
+    memory ``m1`` and tasks ``t0``/``t1`` renamed to ``"None"``, ``"True"``,
+    ``"[]"`` and ``"nan"``: what ``str()`` makes of ``null``, ``true``,
+    ``[]`` and NaN, so a reference read through ``str()`` would still
+    resolve and the document would load."""
+    text = configuration_to_json(random_dag_configuration(4, 2, seed=1))
+    for old, new in (("p1", "None"), ("m1", "True"), ("t0", "[]"), ("t1", "nan")):
+        text = text.replace(f'"{old}"', f'"{new}"')
+    return json.loads(text)
+
+
+def _set_in(path, field, value):
+    def edit(data):
+        entry = data
+        for key in path:
+            entry = entry[key]
+        entry[field] = value
+
+    return edit
+
+
+_GRAPH = ("task_graphs", 0)
+
+#: Every name-valued field with a JSON value that is not a string: each is a
+#: :class:`ModelError` naming the field, never loaded as the name ``"None"``,
+#: ``"True"``, ``"[]"`` or ``"nan"``.
+_MALFORMED_NAMES = [
+    ("configuration name", math.nan, _set_in((), "name", math.nan)),
+    ("platform name", None, _set_in(("platform",), "name", None)),
+    ("processor name", None, _set_in(("platform", "processors", 0), "name", None)),
+    ("proc_type", True, _set_in(("platform", "processors", 0), "proc_type", True)),
+    ("memory name", True, _set_in(("platform", "memories", 0), "name", True)),
+    ("task graph name", math.nan, _set_in(_GRAPH, "name", math.nan)),
+    ("task name", [], _set_in(_GRAPH + ("tasks", 0), "name", [])),
+    ("processor", None, _set_in(_GRAPH + ("tasks", 0), "processor", None)),
+    ("buffer name", math.nan, _set_in(_GRAPH + ("buffers", 0), "name", math.nan)),
+    ("source", [], _set_in(_GRAPH + ("buffers", 0), "source", [])),
+    ("target", math.nan, _set_in(_GRAPH + ("buffers", 0), "target", math.nan)),
+    ("memory", True, _set_in(_GRAPH + ("buffers", 0), "memory", True)),
+]
+
+
+def test_renamed_document_loads():
+    """The base of the name cases is a valid document."""
+    configuration = configuration_from_dict(_named_document())
+    assert configuration.platform.processors["None"].name == "None"
+
+
+@pytest.mark.parametrize(
+    "field,value,edit",
+    _MALFORMED_NAMES,
+    ids=[f"{field}={value!r}" for field, value, _ in _MALFORMED_NAMES],
+)
+def test_non_string_name_is_a_model_error(field, value, edit):
+    data = _named_document()
+    edit(data)
+    with pytest.raises(ModelError, match=f"^{field} must be a string"):
+        configuration_from_dict(data)
+
+
+#: The name-valued fields of an admission trace, read like the model's.
+_MALFORMED_TRACE_NAMES = [
+    ("trace name", None, lambda data: data.update(name=None)),
+    ("action", True, lambda data: data["events"][0].update(action=True)),
+    ("application", math.nan, lambda data: data["events"][0].update(application=math.nan)),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,edit",
+    _MALFORMED_TRACE_NAMES,
+    ids=[f"{field}={value!r}" for field, value, _ in _MALFORMED_TRACE_NAMES],
+)
+def test_non_string_trace_name_is_a_model_error(field, value, edit):
+    data = trace_to_dict(random_trace(event_count=2, seed=0))
+    edit(data)
+    with pytest.raises(ModelError, match=f"^{field} must be a string"):
+        trace_from_dict(data)
+
+
 def _set_processor(field, value):
     def edit(data):
         data["platform"]["processors"][0][field] = value
@@ -334,6 +416,9 @@ _MALFORMED_APPLICATIONS = [
     ("applications", 5, _set_applications(5)),
     ("applications", {"name": "x"}, _set_applications({"name": "x"})),
     ("workload application", ["x"], _set_applications(["x"])),
+    ("application name", None, _set_application("name", None)),
+    ("configuration_name", True, _set_application("configuration_name", True)),
+    ("workload name", math.nan, lambda data: data.update(name=math.nan)),
 ]
 
 

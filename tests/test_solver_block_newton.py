@@ -818,11 +818,13 @@ class TestNaturalFactorisationFailure:
         assert workspace.layout.blocks == 2 and workspace.m == 4
 
         grad_objective = rng.standard_normal(k)
-        grad, direction = workspace.direction(
-            grad_objective, workspace.evaluate(z)[0]
-        )
-        eigenvalues = [np.linalg.eigvalsh(block).min() for _, block in workspace.blocks]
+        states = workspace.evaluate(z)[0]
+        # The block solves factor the Hessians in place, so the blocks are
+        # inspected as assembled, before the step.
+        workspace.assemble(grad_objective, states)
+        eigenvalues = [np.linalg.eigvalsh(block).min() for block, _ in workspace.blocks]
         assert eigenvalues[0] > 0.0 > eigenvalues[1]
+        grad, direction = workspace.direction(grad_objective, states)
         assert workspace.stats["fallback_iterations"] == 1
         assert workspace.stats["lstsq_steps"] == 0
 

@@ -192,7 +192,7 @@ class TestCholeskyStep:
         states, _ = workspace.evaluate(z)
         systems = []
 
-        def failing_dposv(a, b, lower=0):
+        def failing_dposv(a, b, *flags):
             systems.append((a.copy(), b.copy()))
             return a, b, 1
 
@@ -307,7 +307,7 @@ class TestNonFiniteSystem:
         (slacks, pq, f), _ = workspace.evaluate(z)
         slacks = slacks.copy()
         slacks[0] = 1e-300  # 1/s² overflows to inf
-        monkeypatch.setattr(barrier, "_dposv", lambda a, b, lower=0: (a, b, 1))
+        monkeypatch.setattr(barrier, "_dposv", lambda a, b, *flags: (a, b, 1))
         monkeypatch.setattr(
             barrier.np.linalg,
             "lstsq",
